@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 
-use skydiver_data::{Dataset, Preference};
+use skydiver_data::{Dataset, Preference, ShardedDataset};
 
 use crate::error::{Result, SkyDiverError};
 
@@ -45,6 +45,23 @@ pub fn canonicalise<'a>(ds: &'a Dataset, prefs: &[Preference]) -> Result<Cow<'a,
         out.push(&row);
     }
     Ok(Cow::Owned(out))
+}
+
+/// [`canonicalise`] for shard `i` of `sd`, reporting a non-finite
+/// coordinate with its **global** row id — the row a canonicalisation
+/// of the concatenated shards would have named.
+pub(crate) fn canonicalise_shard<'a>(
+    sd: &'a ShardedDataset,
+    i: usize,
+    prefs: &[Preference],
+) -> Result<Cow<'a, Dataset>> {
+    canonicalise(sd.shard(i), prefs).map_err(|e| match e {
+        SkyDiverError::NonFiniteCoordinate { row, dim } => SkyDiverError::NonFiniteCoordinate {
+            row: sd.base(i) + row,
+            dim,
+        },
+        other => other,
+    })
 }
 
 #[cfg(test)]

@@ -70,6 +70,19 @@ pub enum SkyDiverError {
         /// Dimension of the offending value.
         dim: usize,
     },
+    /// A precomputed [`SkylineState`](crate::SkylineState) was paired
+    /// with a dataset it does not describe: it covers a different
+    /// number of rows or dimensions.
+    SkylineStateMismatch {
+        /// Rows the skyline state accounts for.
+        covered_rows: usize,
+        /// Dimensionality of the skyline state.
+        state_dims: usize,
+        /// Rows in the dataset.
+        rows: usize,
+        /// Dimensionality of the dataset.
+        dims: usize,
+    },
     /// The domination-score vector does not match the point count.
     ScoresLengthMismatch {
         /// Scores supplied.
@@ -126,6 +139,16 @@ impl std::fmt::Display for SkyDiverError {
             SkyDiverError::NonFiniteCoordinate { row, dim } => write!(
                 f,
                 "non-finite coordinate at row {row}, dimension {dim} (NaN/infinity are not comparable under dominance)"
+            ),
+            SkyDiverError::SkylineStateMismatch {
+                covered_rows,
+                state_dims,
+                rows,
+                dims,
+            } => write!(
+                f,
+                "skyline state covers {covered_rows} rows of {state_dims}-dimensional data, \
+                 but the dataset has {rows} rows of {dims} dimensions"
             ),
             SkyDiverError::ScoresLengthMismatch { scores, points } => write!(
                 f,

@@ -51,6 +51,7 @@ pub mod lp_baselines;
 pub mod lsh;
 pub mod minhash;
 pub mod pipeline;
+pub mod skyline_state;
 
 pub use budget::{
     CancelToken, Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget,
@@ -82,3 +83,4 @@ pub use minhash::{
     SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };
 pub use pipeline::{DiverseResult, Fingerprint, SelectionMethod, ShardedFingerprintRun, SkyDiver};
+pub use skyline_state::SkylineState;

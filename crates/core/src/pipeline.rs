@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use skydiver_data::{Dataset, Preference, ShardedDataset};
+use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 use skydiver_rtree::{
     BufferPool, FaultInjection, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE,
 };
@@ -32,7 +32,7 @@ use crate::budget::{
     CancelToken, Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget,
     StopReason,
 };
-use crate::canonical::canonicalise;
+use crate::canonical::{canonicalise, canonicalise_shard};
 use crate::dispersion::{
     select_diverse_budgeted, select_diverse_parallel_budgeted, SeedRule, TieBreak,
 };
@@ -44,6 +44,7 @@ use crate::minhash::{
     sig_gen_if_budgeted, sig_gen_parallel_budgeted, HashFamily, ShardFingerprint, SigGenOutput,
     SignatureAccumulator, SignatureMatrix,
 };
+use crate::skyline_state::SkylineState;
 
 /// Which phase-2 representation drives the selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -357,14 +358,31 @@ impl SkyDiver {
         if self.signature_size == 0 {
             return Err(SkyDiverError::ZeroSignatureSize);
         }
+        let state = SkylineState::compute(sd, prefs)?;
+        self.fingerprint_over(sd, prefs, &state, cached)
+    }
+
+    /// [`SkyDiver::fingerprint_sharded_with`] over a precomputed
+    /// skyline: `state` must be the [`SkylineState`] of all of `sd`
+    /// under `prefs` (for instance one kept from an earlier generation
+    /// and [extended](SkylineState::extend) over appended rows). The
+    /// skyline is neither recomputed nor budgeted; the shards are
+    /// canonicalised one at a time for the fold and never concatenated.
+    /// The result is bit-identical to the wrapper's.
+    pub fn fingerprint_over(
+        &self,
+        sd: &ShardedDataset,
+        prefs: &[Preference],
+        state: &SkylineState,
+        cached: &[Option<Arc<ShardFingerprint>>],
+    ) -> Result<ShardedFingerprintRun> {
+        if self.signature_size == 0 {
+            return Err(SkyDiverError::ZeroSignatureSize);
+        }
+        if state.covered_rows() != sd.len() || state.points().dims() != sd.dims() {
+            return Err(state.mismatch(sd));
+        }
         let ctx = ExecContext::new(self.budget.clone());
-        let whole: std::borrow::Cow<'_, Dataset> = if sd.num_shards() == 1 {
-            std::borrow::Cow::Borrowed(sd.shard(0))
-        } else {
-            std::borrow::Cow::Owned(sd.concat())
-        };
-        let canon = canonicalise(&whole, prefs)?;
-        let ord = skydiver_data::dominance::MinDominance;
         let partial = |fingerprint: Fingerprint, scanned_rows: usize| ShardedFingerprintRun {
             fingerprint,
             shards: vec![],
@@ -387,7 +405,8 @@ impl SkyDiver {
                 0,
             ));
         }
-        let skyline = sfs(canon.as_ref(), &ord);
+        let all_cols: Vec<&[f64]> = state.points().iter().collect();
+        let skyline = state.ids().to_vec();
         if skyline.is_empty() {
             return Err(SkyDiverError::EmptySkyline);
         }
@@ -412,11 +431,10 @@ impl SkyDiver {
         };
         let family = HashFamily::new(t_eff, self.hash_seed);
         let m = skyline.len();
-        let mut is_sky = vec![false; canon.len()];
+        let mut is_sky = vec![false; sd.len()];
         for &s in &skyline {
             is_sky[s] = true;
         }
-        let all_cols: Vec<&[f64]> = skyline.iter().map(|&s| canon.point(s)).collect();
 
         let t0 = Instant::now();
         let mut merged = SignatureAccumulator::new(t_eff, m);
@@ -426,9 +444,9 @@ impl SkyDiver {
         let mut tripped: Option<Interrupt> = None;
 
         'shards: for i in 0..sd.num_shards() {
-            let lo = sd.base(i);
-            let hi = lo + sd.shard(i).len();
-            let sview = canon.as_ref().view().slice(lo, hi);
+            let (lo, hi) = sd.shard_range(i);
+            let canon = canonicalise_shard(sd, i, prefs)?;
+            let sview = DatasetView::with_base(canon.as_ref(), lo);
             let skip = &is_sky[lo..hi];
             let cache = cached
                 .get(i)
@@ -486,7 +504,7 @@ impl SkyDiver {
         if let Some(int) = tripped {
             events.push(DegradationEvent::FingerprintCurtailed {
                 rows_scanned: merged.rows_consumed,
-                rows_total: canon.len(),
+                rows_total: sd.len(),
             });
             return Ok(partial(
                 Fingerprint {
@@ -955,6 +973,31 @@ mod tests {
         // An unbudgeted run reports no degradation.
         assert!(r.is_complete());
         assert_eq!(r.degradation.summary(), "complete");
+    }
+
+    #[test]
+    fn fingerprint_over_an_extended_skyline_matches_the_wrapper() {
+        let ds = anticorrelated(2000, 3, 170);
+        let prefs = vec![Preference::Min, Preference::Max, Preference::Min];
+        let cfg = SkyDiver::new(5).signature_size(32).hash_seed(4);
+        let mut sd = ShardedDataset::partition(&ds, 3);
+        let old = SkylineState::compute(&sd, &prefs).unwrap();
+        sd.push_shard(anticorrelated(200, 3, 171));
+        let state = old.extend(&sd, &prefs).unwrap();
+        let over = cfg.fingerprint_over(&sd, &prefs, &state, &[]).unwrap();
+        let whole = cfg.fingerprint_sharded(&sd, &prefs).unwrap();
+        assert_eq!(over.fingerprint.skyline, whole.fingerprint.skyline);
+        assert_eq!(over.fingerprint.output.matrix, whole.fingerprint.output.matrix);
+        assert_eq!(over.fingerprint.output.scores, whole.fingerprint.output.scores);
+        // A state that covers only the old rows describes other data.
+        assert!(matches!(
+            cfg.fingerprint_over(&sd, &prefs, &old, &[]),
+            Err(SkyDiverError::SkylineStateMismatch {
+                covered_rows: 2000,
+                rows: 2200,
+                ..
+            })
+        ));
     }
 
     #[test]

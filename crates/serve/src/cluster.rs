@@ -48,9 +48,7 @@ use skydiver_core::{
     HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SigGenOutput,
     SignatureAccumulator, SignatureMatrix, StopReason,
 };
-use skydiver_data::dominance::MinDominance;
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
-use skydiver_skyline::sfs;
 
 use crate::cache::{FingerprintCache, FingerprintKey};
 use crate::client::Client;
@@ -885,12 +883,11 @@ impl ClusterState {
             return Err("signature size t must be positive".to_string());
         }
 
-        // Phase 1 locally: canonicalise + skyline, exactly as the
-        // monolithic `fingerprint_sharded_with` does before its shard
-        // loop (neither charges dominance tests).
+        // Phase 1 locally, from the generation's skyline memo exactly
+        // as the monolithic path takes it (neither charges dominance
+        // tests).
         let ctx = ExecContext::new(budget);
-        let whole = ds.whole();
-        let canon = canonicalise(&whole, prefs).map_err(|e| e.to_string())?;
+        let state = registry.skyline_state(&ds, prefs, prefs_key)?;
         if let Err(int) = ctx.check(ExecPhase::Skyline) {
             let fp = Fingerprint {
                 skyline: vec![],
@@ -904,17 +901,16 @@ impl ClusterState {
             };
             return Ok((Arc::new(fp), false, 0));
         }
-        let skyline = sfs(canon.as_ref(), &MinDominance);
+        let skyline = state.ids().to_vec();
         if skyline.is_empty() {
             return Err("empty skyline: no finite points to diversify".to_string());
         }
         let m = skyline.len();
-        let dims = routing.dims;
-        let mut cols_flat = Vec::with_capacity(m * dims);
-        for &s in &skyline {
-            cols_flat.extend_from_slice(canon.point(s));
-        }
-        let fold_payload = frame::encode(&frame::encode_fold_request(dims, &skyline, &cols_flat));
+        let fold_payload = frame::encode(&frame::encode_fold_request(
+            routing.dims,
+            &skyline,
+            state.points().as_flat(),
+        ));
         let nshards = ds.data.num_shards();
         let deadline = DeadlineBudget::from_millis(
             timeout_ms
@@ -1031,7 +1027,7 @@ impl ClusterState {
         if interrupt.is_some() {
             events.push(DegradationEvent::FingerprintCurtailed {
                 rows_scanned: merged.rows_consumed,
-                rows_total: canon.len(),
+                rows_total: ds.data.len(),
             });
         }
         let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1419,12 +1415,17 @@ impl ClusterState {
         let (epoch, nodes) = self.roster();
         let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
         let mut node_parts = Vec::with_capacity(nodes.len());
-        let mut merged: [(&str, u64); 5] = [
+        // The coordinator computes every skyline, so the skyline
+        // counters start from its own tallies; the rest sum the workers.
+        let own = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        let mut merged: [(&str, u64); 7] = [
             ("queries", 0),
             ("errors", 0),
             ("dominance_tests", 0),
             ("shards_reused", 0),
             ("store_hits", 0),
+            ("skyline_hits", own(&self.metrics.skyline_hits)),
+            ("skyline_extends", own(&self.metrics.skyline_extends)),
         ];
         for node in &nodes {
             let stats = connect_deadline(node, &deadline)

@@ -94,6 +94,13 @@ pub struct Metrics {
     pub dominance_tests: AtomicU64,
     /// Shard folds merged from the cache instead of re-scanned.
     pub shards_reused: AtomicU64,
+    /// Fingerprint misses whose skyline came from the generation's
+    /// skyline memo unchanged (no SFS pass ran).
+    pub skyline_hits: AtomicU64,
+    /// Fingerprint misses whose skyline was an entry inherited across
+    /// `APPEND`, extended over the appended rows only. Misses that are
+    /// neither ran a full SFS pass.
+    pub skyline_extends: AtomicU64,
     /// Bytes resident in the fingerprint cache (last observed).
     pub bytes_resident: AtomicU64,
     /// Shard folds served from the on-disk signature store.
@@ -161,7 +168,8 @@ impl Metrics {
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
                 "\"selection_hits\":{},",
                 "\"degraded\":{},\"appends\":{},\"dominance_tests\":{},",
-                "\"shards_reused\":{},\"bytes_resident\":{},",
+                "\"shards_reused\":{},\"skyline_hits\":{},\"skyline_extends\":{},",
+                "\"bytes_resident\":{},",
                 "\"store_hits\":{},\"store_quarantined\":{},",
                 "\"store_write_failures\":{},",
                 "\"fanout_legs\":{},\"fanout_retries\":{},",
@@ -185,6 +193,8 @@ impl Metrics {
             self.get(&self.appends),
             self.get(&self.dominance_tests),
             self.get(&self.shards_reused),
+            self.get(&self.skyline_hits),
+            self.get(&self.skyline_extends),
             self.get(&self.bytes_resident),
             self.get(&self.store_hits),
             self.get(&self.store_quarantined),

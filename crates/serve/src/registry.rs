@@ -27,7 +27,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use skydiver_core::{Fingerprint, RunBudget, SkyDiver};
+use skydiver_core::{Fingerprint, RunBudget, SkyDiver, SkyDiverError, SkylineState};
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
@@ -36,7 +36,8 @@ use crate::store::{content_hash, prefs_hash, SignatureStore, StoreKey, SweepRepo
 
 /// Assembled fingerprints memoised per dataset *generation*: the memo
 /// dies with its `LoadedDataset`, so `LOAD`/`APPEND` can never serve a
-/// stale whole-dataset artefact.
+/// stale whole-dataset artefact. The per-generation skyline memo shares
+/// the cap.
 const MEMO_CAP: usize = 16;
 
 /// Finished selections memoised per dataset generation, keyed by the
@@ -84,10 +85,20 @@ pub struct LoadedDataset {
     /// identity. Dies with the generation like `memo`, so `LOAD` and
     /// `APPEND` can never serve a stale answer.
     selections: Mutex<HashMap<SelectionKey, Arc<SelectionMemo>>>,
+    /// Skylines keyed by the canonical prefs key. Unlike the other
+    /// memos, `APPEND` hands these entries to the next generation: an
+    /// inherited entry covers fewer rows than the data and is extended
+    /// over the appended rows on first use. `LOAD` starts empty.
+    /// Bounded at [`MEMO_CAP`] (cleared when full).
+    skylines: Mutex<HashMap<String, Arc<SkylineState>>>,
 }
 
 impl LoadedDataset {
-    fn new(name: String, data: ShardedDataset) -> Self {
+    fn new(
+        name: String,
+        data: ShardedDataset,
+        skylines: HashMap<String, Arc<SkylineState>>,
+    ) -> Self {
         let content_hash = content_hash(&data);
         LoadedDataset {
             name,
@@ -95,6 +106,7 @@ impl LoadedDataset {
             content_hash,
             memo: Mutex::new(HashMap::new()),
             selections: Mutex::new(HashMap::new()),
+            skylines: Mutex::new(skylines),
         }
     }
 
@@ -139,6 +151,29 @@ impl LoadedDataset {
             memos.clear();
         }
         memos.insert(key, memo);
+    }
+
+    fn skylines(&self) -> HashMap<String, Arc<SkylineState>> {
+        self.skylines
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    fn skyline_get(&self, prefs_key: &str) -> Option<Arc<SkylineState>> {
+        self.skylines
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(prefs_key)
+            .cloned()
+    }
+
+    fn skyline_put(&self, prefs_key: &str, state: Arc<SkylineState>) {
+        let mut skylines = self.skylines.lock().unwrap_or_else(|e| e.into_inner());
+        if skylines.len() >= MEMO_CAP && !skylines.contains_key(prefs_key) {
+            skylines.clear();
+        }
+        skylines.insert(prefs_key.to_string(), state);
     }
 }
 
@@ -247,7 +282,7 @@ impl Registry {
     pub fn insert_sharded(&self, name: impl Into<String>, data: ShardedDataset) -> (usize, usize) {
         let name = name.into();
         let (points, dims) = (data.len(), data.dims());
-        let entry = Arc::new(LoadedDataset::new(name.clone(), data));
+        let entry = Arc::new(LoadedDataset::new(name.clone(), data, HashMap::new()));
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -297,9 +332,10 @@ impl Registry {
         grown.push_shard(block);
         let (points, dims, shards) = (grown.len(), grown.dims(), grown.num_shards());
         // A fresh LoadedDataset drops the old generation's assembled-
-        // fingerprint memo; the per-shard LRU is deliberately *not*
-        // invalidated — that reuse is the point of APPEND.
-        let entry = Arc::new(LoadedDataset::new(name.to_string(), grown));
+        // fingerprint and selection memos; the per-shard LRU is
+        // deliberately *not* invalidated, and the skylines are handed
+        // on to be extended — that reuse is the point of APPEND.
+        let entry = Arc::new(LoadedDataset::new(name.to_string(), grown, old.skylines()));
         self.datasets
             .write()
             .unwrap_or_else(|e| e.into_inner())
@@ -371,6 +407,35 @@ impl Registry {
         json
     }
 
+    /// The skyline of `ds` under `prefs` from the generation's skyline
+    /// memo: served as-is when the entry covers every row
+    /// (`skyline_hits`), extended over the appended rows when it was
+    /// inherited from an earlier generation (`skyline_extends`), and
+    /// computed by a full SFS pass when there is no entry. The result is
+    /// memoised either way.
+    pub fn skyline_state(
+        &self,
+        ds: &LoadedDataset,
+        prefs: &[Preference],
+        prefs_key: &str,
+    ) -> Result<Arc<SkylineState>, String> {
+        let state = match ds.skyline_get(prefs_key) {
+            Some(s) if s.covered_rows() == ds.data.len() => {
+                self.metrics.bump(&self.metrics.skyline_hits);
+                return Ok(s);
+            }
+            Some(s) => {
+                self.metrics.bump(&self.metrics.skyline_extends);
+                s.extend(&ds.data, prefs)
+            }
+            None => SkylineState::compute(&ds.data, prefs),
+        }
+        .map_err(|e| e.to_string())?;
+        let state = Arc::new(state);
+        ds.skyline_put(prefs_key, Arc::clone(&state));
+        Ok(state)
+    }
+
     /// The assembled fingerprint for `(name, prefs, t, seed)` — memoised
     /// if available, otherwise folded shard by shard under `budget`
     /// (reusing cached shard folds) and cached when complete. Returns
@@ -425,13 +490,18 @@ impl Registry {
                 }
             }
         }
+        // A zero signature size is reported ahead of any data error.
+        if t == 0 {
+            return Err(SkyDiverError::ZeroSignatureSize.to_string());
+        }
+        let skyline = self.skyline_state(&ds, prefs, prefs_key)?;
         // `k` is irrelevant to phase 1; 2 is the smallest valid value.
         let diver = SkyDiver::new(2)
             .signature_size(t)
             .hash_seed(seed)
             .budget(budget);
         let run = diver
-            .fingerprint_sharded_with(&ds.data, prefs, &cached)
+            .fingerprint_over(&ds.data, prefs, &skyline, &cached)
             .map_err(|e| e.to_string())?;
         self.metrics
             .add(&self.metrics.dominance_tests, run.dominance_tests);

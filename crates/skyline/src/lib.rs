@@ -36,7 +36,7 @@ pub use dc::dc;
 pub use external::{less_skyline, ExternalConfig, ExternalStats};
 pub use naive::naive_skyline;
 pub use ranking::{top_k_dominating_scan, top_k_dominating_tree};
-pub use sfs::{sfs, sfs_with_score};
+pub use sfs::{sfs, sfs_by, sfs_with_score};
 pub use streaming::{streaming_skyline, StreamingStats};
 
 use skydiver_data::{Dataset, DominanceOrd};

@@ -666,3 +666,577 @@ mod cluster_process {
         std::fs::remove_file(csv).ok();
     }
 }
+
+// ---------------------------------------------------------------------
+// Skyline state across APPEND chains.
+//
+// A dataset generation memoises its skyline per preference vector and
+// hands it on at APPEND, where the next query extends it over the
+// appended rows only. These chains drive that path through the
+// single-process registry and a two-worker cluster coordinator, and
+// hold every fold — skyline, matrix, Γ-scores, dominance tests, trip
+// phase — to a fold of the grown data that computes its skyline from
+// scratch.
+// ---------------------------------------------------------------------
+
+mod append_chains {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use super::{grid_dataset, Rng};
+    use skydiver::core::ShardFingerprint;
+    use skydiver::data::dominance::MinDominance;
+    use skydiver::data::{io, ShardedDataset};
+    use skydiver::serve::protocol::json_u64;
+    use skydiver::serve::{
+        parse_prefs, Client, ClusterConfig, ClusterState, Metrics, Registry, Server, ServerConfig,
+        ServerHandle,
+    };
+    use skydiver::skyline::naive_skyline;
+    use skydiver::{
+        CancelToken, Dataset, ExecPhase, Fingerprint, Preference, RunBudget, SignatureMatrix,
+        SkyDiver,
+    };
+
+    const T: usize = 16;
+    /// Shards a `LOAD` is partitioned into, on both topologies.
+    const SHARDS: usize = 2;
+    const CHAINS: u64 = 16;
+
+    /// Everything that must be bit-identical between a served fold and
+    /// the reference fold.
+    #[derive(Debug, PartialEq)]
+    struct Fold {
+        skyline: Vec<usize>,
+        matrix: SignatureMatrix,
+        scores: Vec<u64>,
+        dominance_tests: u64,
+        tripped: Option<ExecPhase>,
+    }
+
+    impl Fold {
+        fn of(fp: &Fingerprint, dominance_tests: u64) -> Fold {
+            Fold {
+                skyline: fp.skyline.clone(),
+                matrix: fp.output.matrix.clone(),
+                scores: fp.output.scores.clone(),
+                dominance_tests,
+                tripped: fp.interrupt.as_ref().map(|i| i.phase),
+            }
+        }
+    }
+
+    /// A budget that counts dominance tests (a cancel token makes it
+    /// limited) and trips only on the limits given.
+    fn budget(max_dominance_tests: Option<u64>, zero_deadline: bool) -> RunBudget {
+        let mut b = RunBudget::none().with_cancel_token(CancelToken::new());
+        if let Some(n) = max_dominance_tests {
+            b = b.with_max_dominance_tests(n);
+        }
+        if zero_deadline {
+            b = b.with_deadline(std::time::Duration::ZERO);
+        }
+        b
+    }
+
+    /// A single-process registry and a coordinator over two in-process
+    /// workers, each with its own registry and metrics.
+    struct Topologies {
+        mono: Registry,
+        coord: Registry,
+        cluster: ClusterState,
+        workers: Vec<ServerHandle>,
+        dir: std::path::PathBuf,
+        files: AtomicU64,
+    }
+
+    impl Topologies {
+        fn start(tag: &str) -> Topologies {
+            let workers: Vec<ServerHandle> = (0..2)
+                .map(|_| {
+                    Server::bind(&ServerConfig {
+                        addr: "127.0.0.1:0".into(),
+                        threads: 1,
+                        ..ServerConfig::default()
+                    })
+                    .expect("bind worker")
+                    .spawn()
+                    .expect("spawn worker")
+                })
+                .collect();
+            let metrics = Arc::new(Metrics::new());
+            let cluster = ClusterState::new(
+                &ClusterConfig {
+                    workers: workers.iter().map(|w| w.addr().to_string()).collect(),
+                    replication: 1,
+                    shards: SHARDS,
+                    fanout_timeout_ms: 10_000,
+                },
+                Arc::clone(&metrics),
+            );
+            let mut dir = std::env::temp_dir();
+            dir.push(format!("skydiver-chains-{}-{tag}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            Topologies {
+                mono: Registry::new(64 << 20, Arc::new(Metrics::new())),
+                coord: Registry::new(64 << 20, metrics),
+                cluster,
+                workers,
+                dir,
+                files: AtomicU64::new(0),
+            }
+        }
+
+        /// Writes `ds` to a fresh `.sky` file (bit-exact, NaN included).
+        fn file(&self, ds: &Dataset) -> String {
+            let i = self.files.fetch_add(1, Ordering::Relaxed);
+            let path = self.dir.join(format!("{i}.sky"));
+            io::write_binary(ds, &path).expect("write block");
+            path.to_str().expect("utf-8 path").to_string()
+        }
+
+        fn load(&self, name: &str, base: &Dataset) {
+            self.mono
+                .insert_sharded(name, ShardedDataset::partition(base, SHARDS));
+            self.cluster
+                .load(&self.coord, name, &self.file(base))
+                .expect("cluster load");
+        }
+
+        fn append(&self, name: &str, block: &Dataset) {
+            self.mono
+                .append_dataset(name, block.clone())
+                .expect("append");
+            self.cluster
+                .append(&self.coord, name, &self.file(block))
+                .expect("cluster append");
+        }
+
+        /// The fold (or error) each topology serves for one query.
+        #[allow(clippy::type_complexity)]
+        fn query(
+            &self,
+            name: &str,
+            prefs: &[Preference],
+            seed: u64,
+            max: Option<u64>,
+            zero_deadline: bool,
+        ) -> [Result<Fold, String>; 2] {
+            let key = prefs_key(prefs);
+            let mono = self
+                .mono
+                .fingerprint(name, prefs, &key, T, seed, budget(max, zero_deadline))
+                .map(|(fp, _, tests)| Fold::of(&fp, tests));
+            let cluster = self
+                .cluster
+                .fingerprint(
+                    &self.coord,
+                    name,
+                    prefs,
+                    &key,
+                    T,
+                    seed,
+                    budget(max, zero_deadline),
+                    max,
+                    zero_deadline.then_some(0),
+                )
+                .map(|(fp, _, tests)| Fold::of(&fp, tests));
+            [mono, cluster]
+        }
+
+        /// `(cache_misses, skyline_hits, skyline_extends)` of each
+        /// topology's query path.
+        fn skyline_counters(&self) -> [(u64, u64, u64); 2] {
+            [self.mono.metrics(), self.coord.metrics()].map(|m| {
+                (
+                    m.cache_misses.load(Ordering::Relaxed),
+                    m.skyline_hits.load(Ordering::Relaxed),
+                    m.skyline_extends.load(Ordering::Relaxed),
+                )
+            })
+        }
+    }
+
+    impl Drop for Topologies {
+        fn drop(&mut self) {
+            for w in &self.workers {
+                if let Ok(mut c) = Client::connect(w.addr()) {
+                    let _ = c.shutdown();
+                }
+            }
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn prefs_key(prefs: &[Preference]) -> String {
+        let spec: Vec<&str> = prefs
+            .iter()
+            .map(|p| if *p == Preference::Min { "min" } else { "max" })
+            .collect();
+        parse_prefs(Some(&spec.join(",")), prefs.len())
+            .expect("prefs")
+            .1
+    }
+
+    /// Maps a canonical (min-space) row to raw coordinates under `prefs`.
+    fn raw(prefs: &[Preference], canon: [f64; 3]) -> [f64; 3] {
+        let mut out = canon;
+        for (v, p) in out.iter_mut().zip(prefs) {
+            if *p == Preference::Max {
+                *v = -*v;
+            }
+        }
+        out
+    }
+
+    /// Two canonical rows whose coordinate sums round to the same f64
+    /// although the second dominates the first; `low` places them below
+    /// every grid point.
+    fn tie_pair(low: bool) -> [[f64; 3]; 2] {
+        let z: f64 = if low { -0.1 } else { 0.1 };
+        // One ulp up: away from zero for a positive z, towards it for a
+        // negative one.
+        let up = f64::from_bits(if low {
+            z.to_bits() - 1
+        } else {
+            z.to_bits() + 1
+        });
+        let s = if low { -1.0 } else { 1.0 };
+        let dominated = [0.5 * s, 0.25 * s, up];
+        let dominator = [0.5 * s, 0.25 * s, z];
+        assert_eq!(
+            dominated.iter().sum::<f64>(),
+            dominator.iter().sum::<f64>(),
+            "tie rows must share a score"
+        );
+        [dominated, dominator]
+    }
+
+    /// One appended block: coarse-grid points, rows strictly dominated
+    /// by existing rows, rows below everything so far, exact duplicates
+    /// of existing (skyline) rows, or a score-tie pair whose dominator
+    /// may arrive in a later block.
+    fn block(
+        rng: &mut Rng,
+        prefs: &[Preference],
+        canon_so_far: &Dataset,
+        floor: &mut f64,
+        pending: &mut Vec<[f64; 3]>,
+    ) -> Dataset {
+        let mut rows: Vec<[f64; 3]> = std::mem::take(pending);
+        let pick = |rng: &mut Rng| {
+            let p = canon_so_far.point(rng.range(0, canon_so_far.len() as u64) as usize);
+            [p[0], p[1], p[2]]
+        };
+        let len = rng.range(1, 17);
+        match rng.range(0, 5) {
+            0 => {
+                let g = grid_dataset(rng, len + 1, 3);
+                rows.extend(g.iter().map(|p| [p[0], p[1], p[2]]));
+            }
+            1 => {
+                for _ in 0..len {
+                    let p = pick(rng);
+                    let d = rng.range(1, 4) as f64 / 7.0;
+                    rows.push([p[0] + d, p[1] + d, p[2] + d]);
+                }
+            }
+            2 => {
+                *floor -= 2.0;
+                for _ in 0..len {
+                    rows.push([0, 1, 2].map(|_| *floor + rng.range(0, 8) as f64 / 7.0));
+                }
+            }
+            3 => {
+                let sky = naive_skyline(canon_so_far, &MinDominance);
+                for _ in 0..len {
+                    if rng.range(0, 2) == 0 {
+                        let s = sky[rng.range(0, sky.len() as u64) as usize];
+                        let p = canon_so_far.point(s);
+                        rows.push([p[0], p[1], p[2]]);
+                    } else {
+                        rows.push(pick(rng));
+                    }
+                }
+            }
+            _ => {
+                let [dominated, dominator] = tie_pair(rng.range(0, 2) == 0);
+                rows.push(dominated);
+                if rng.range(0, 2) == 0 {
+                    rows.push(dominator);
+                } else {
+                    pending.push(dominator);
+                }
+            }
+        }
+        let flat: Vec<f64> = rows.iter().flat_map(|&r| raw(prefs, r)).collect();
+        Dataset::from_flat(3, flat)
+    }
+
+    fn concat(a: &Dataset, b: &Dataset) -> Dataset {
+        let mut out = a.clone();
+        for p in b.iter() {
+            out.push(p);
+        }
+        out
+    }
+
+    /// Acceptance: random APPEND chains of 1–8 blocks, queried after
+    /// some appends and not others, answer bit-identically on both
+    /// topologies to a fold that recomputes the skyline of the grown
+    /// data — unbudgeted, under a dominance-test prefix, and under a
+    /// zero deadline — and the skyline counters show one full SFS pass
+    /// per chain.
+    #[test]
+    fn append_chains_fold_bit_identically_to_a_fresh_skyline() {
+        let topo = Topologies::start("prop");
+        let mut fresh_seed = 1_000u64;
+        let (mut tripped, mut extensions) = (0u32, 0u64);
+        let mut prev_counters = topo.skyline_counters();
+        for case in 0..CHAINS {
+            let mut rng = Rng::new(0x5c41 ^ case);
+            let prefs = if case % 3 == 2 {
+                vec![Preference::Min, Preference::Max, Preference::Min]
+            } else {
+                Preference::all_min(3)
+            };
+            let name = format!("chain{case}");
+            let seed = case;
+            let mut canon = grid_dataset(&mut rng, 120, 3);
+            let mut data = Dataset::from_flat(
+                3,
+                canon
+                    .iter()
+                    .flat_map(|p| raw(&prefs, [p[0], p[1], p[2]]))
+                    .collect(),
+            );
+            let mut sd = ShardedDataset::partition(&data, SHARDS);
+            topo.load(&name, &data);
+
+            let blocks = rng.range(1, 9);
+            let (mut floor, mut pending) = (0.0f64, Vec::new());
+            let mut cached: Vec<Option<Arc<ShardFingerprint>>> = Vec::new();
+            let (mut queried, mut extended) = (0u64, 0u64);
+            for step in 0..=blocks {
+                if step > 0 {
+                    let b = block(&mut rng, &prefs, &canon, &mut floor, &mut pending);
+                    topo.append(&name, &b);
+                    sd.push_shard(b.clone());
+                    data = concat(&data, &b);
+                    let canon_b = Dataset::from_flat(
+                        3,
+                        b.iter()
+                            .flat_map(|p| raw(&prefs, [p[0], p[1], p[2]]))
+                            .collect(),
+                    );
+                    canon = concat(&canon, &canon_b);
+                }
+                let last = step == blocks;
+                if step > 0 && !last && rng.range(0, 2) == 0 {
+                    continue;
+                }
+                let what = format!("case {case}, step {step}/{blocks}, {} rows", data.len());
+                let want_sky = naive_skyline(&canon, &MinDominance);
+
+                // The chain's own key: served folds reuse the previous
+                // query's shard folds, so the reference hands the same
+                // folds in; a cold fold pins skyline, matrix and scores.
+                let pipe = SkyDiver::new(2).signature_size(T).hash_seed(seed);
+                let reference = pipe
+                    .clone()
+                    .budget(budget(None, false))
+                    .fingerprint_sharded_with(&sd, &prefs, &cached)
+                    .expect("reference fold");
+                let cold = pipe.fingerprint_sharded(&sd, &prefs).expect("cold fold");
+                assert_eq!(
+                    reference.fingerprint.skyline, want_sky,
+                    "{what}: SFS is not the skyline"
+                );
+                assert_eq!(cold.fingerprint.skyline, want_sky, "{what}");
+                assert_eq!(
+                    reference.fingerprint.output.matrix, cold.fingerprint.output.matrix,
+                    "{what}"
+                );
+                assert_eq!(
+                    reference.fingerprint.output.scores, cold.fingerprint.output.scores,
+                    "{what}"
+                );
+                let want = Fold::of(&reference.fingerprint, reference.dominance_tests);
+                for (topology, got) in ["single-process", "cluster"]
+                    .iter()
+                    .zip(topo.query(&name, &prefs, seed, None, false))
+                {
+                    assert_eq!(got.as_ref(), Ok(&want), "{what}: {topology} fold diverged");
+                }
+                cached = reference.shards.into_iter().map(Some).collect();
+                queried += 1;
+                // The first query of every generation after the load
+                // extends the skyline it inherited.
+                if step > 0 {
+                    extended += 1;
+                }
+
+                // A fresh hash seed under a dominance-test prefix: the
+                // trip lands on the same row as a cold fold's.
+                fresh_seed += 1;
+                let limit = rng.range(1, (data.len() * want_sky.len()) as u64 + 2);
+                let reference = pipe
+                    .clone()
+                    .hash_seed(fresh_seed)
+                    .budget(budget(Some(limit), false))
+                    .fingerprint_sharded(&sd, &prefs)
+                    .expect("budgeted reference");
+                let want = Fold::of(&reference.fingerprint, reference.dominance_tests);
+                if want.tripped == Some(ExecPhase::Fingerprint) {
+                    tripped += 1;
+                }
+                for (topology, got) in ["single-process", "cluster"].iter().zip(topo.query(
+                    &name,
+                    &prefs,
+                    fresh_seed,
+                    Some(limit),
+                    false,
+                )) {
+                    assert_eq!(
+                        got.as_ref(),
+                        Ok(&want),
+                        "{what}, limit {limit}: {topology} prefix diverged"
+                    );
+                }
+
+                // A zero deadline trips at the skyline phase, after the
+                // skyline state is resolved, with nothing folded.
+                fresh_seed += 1;
+                let reference = pipe
+                    .clone()
+                    .hash_seed(fresh_seed)
+                    .budget(budget(None, true))
+                    .fingerprint_sharded(&sd, &prefs)
+                    .expect("deadline reference");
+                let want = Fold::of(&reference.fingerprint, reference.dominance_tests);
+                assert_eq!(want.tripped, Some(ExecPhase::Skyline), "{what}");
+                for (topology, got) in ["single-process", "cluster"]
+                    .iter()
+                    .zip(topo.query(&name, &prefs, fresh_seed, None, true))
+                {
+                    assert_eq!(
+                        got.as_ref(),
+                        Ok(&want),
+                        "{what}: {topology} zero-deadline answer diverged"
+                    );
+                }
+            }
+
+            // Three misses per query point; only the chain's first runs
+            // a full SFS pass, each first query after appends extends.
+            let now = topo.skyline_counters();
+            for (t, (before, after)) in prev_counters.iter().zip(&now).enumerate() {
+                let misses = after.0 - before.0;
+                let extends = after.2 - before.2;
+                let hits = after.1 - before.1;
+                assert_eq!(misses, 3 * queried, "case {case}, topology {t}");
+                assert_eq!(extends, extended, "case {case}, topology {t}: extensions");
+                assert_eq!(
+                    misses - hits - extends,
+                    1,
+                    "case {case}, topology {t}: full SFS passes"
+                );
+            }
+            prev_counters = now;
+            extensions += extended;
+        }
+        assert!(
+            tripped >= 8,
+            "budget property is vacuous: {tripped} prefixes tripped"
+        );
+        assert!(
+            extensions >= CHAINS,
+            "extension property is vacuous: {extensions} extensions"
+        );
+    }
+
+    /// A NaN in an appended block fails the next query on both
+    /// topologies with the error — and the global row — that a fold of
+    /// the grown data reports.
+    #[test]
+    fn non_finite_appended_row_reports_its_global_row() {
+        let topo = Topologies::start("nan");
+        let prefs = Preference::all_min(3);
+        let mut rng = Rng::new(0x4a4);
+        let base = grid_dataset(&mut rng, 60, 3);
+        topo.load("d", &base);
+        for got in topo.query("d", &prefs, 1, None, false) {
+            assert!(got.is_ok(), "{got:?}");
+        }
+        let good = grid_dataset(&mut rng, 10, 3);
+        topo.append("d", &good);
+        let mut bad = grid_dataset(&mut rng, 10, 3);
+        let row = bad.len() / 2;
+        let mut flat = bad.as_flat().to_vec();
+        flat[row * 3 + 1] = f64::NAN;
+        bad = Dataset::from_flat(3, flat);
+        topo.append("d", &bad);
+
+        let mut sd = ShardedDataset::partition(&base, SHARDS);
+        sd.push_shard(good.clone());
+        sd.push_shard(bad.clone());
+        let want = SkyDiver::new(2)
+            .signature_size(T)
+            .fingerprint_sharded(&sd, &prefs)
+            .unwrap_err();
+        assert_eq!(
+            want,
+            skydiver::SkyDiverError::NonFiniteCoordinate {
+                row: base.len() + good.len() + row,
+                dim: 1
+            }
+        );
+        for _ in 0..2 {
+            for got in topo.query("d", &prefs, 2, None, false) {
+                assert_eq!(got, Err(want.to_string()));
+            }
+        }
+    }
+
+    /// `LOAD` starts a generation with no skyline state: the next query
+    /// runs a full SFS pass over the new data instead of extending or
+    /// reusing the old skyline.
+    #[test]
+    fn load_drops_the_skyline_state() {
+        let topo = Topologies::start("load");
+        let prefs = Preference::all_min(3);
+        let mut rng = Rng::new(0x10ad);
+        let first = grid_dataset(&mut rng, 80, 3);
+        let second = grid_dataset(&mut rng, 80, 3);
+        topo.load("d", &first);
+        for seed in [1, 2] {
+            for got in topo.query("d", &prefs, seed, None, false) {
+                assert!(got.is_ok(), "{got:?}");
+            }
+        }
+        assert_eq!(topo.skyline_counters(), [(2, 1, 0); 2]);
+
+        topo.append("d", &second);
+        topo.load("d", &second);
+        let sd = ShardedDataset::partition(&second, SHARDS);
+        let reference = SkyDiver::new(2)
+            .signature_size(T)
+            .hash_seed(3)
+            .budget(budget(None, false))
+            .fingerprint_sharded(&sd, &prefs)
+            .expect("reference");
+        let want = Fold::of(&reference.fingerprint, reference.dominance_tests);
+        assert_eq!(want.skyline, naive_skyline(&second, &MinDominance));
+        for got in topo.query("d", &prefs, 3, None, false) {
+            assert_eq!(got.as_ref(), Ok(&want));
+        }
+        // The third miss neither hit nor extended a memo entry.
+        assert_eq!(topo.skyline_counters(), [(3, 1, 0); 2]);
+        // The coordinator's STATS roll-up carries its skyline counters
+        // into the merged view: the workers compute no skyline.
+        let rollup = topo.cluster.stats_rollup(&topo.coord);
+        let merged = &rollup[rollup.find("\"merged\":").expect("merged object")..];
+        assert_eq!(json_u64(merged, "skyline_hits"), Some(1), "{rollup}");
+        assert_eq!(json_u64(merged, "skyline_extends"), Some(0), "{rollup}");
+    }
+}
