@@ -5,31 +5,23 @@
 //! distance evaluation of the selection phase. This module packages both
 //! as tight, allocation-free kernels:
 //!
-//! * [`SkylinePack`] — skyline coordinates packed into one contiguous
-//!   row-major buffer, scanned in L1-sized tiles with the inner
-//!   dominance test monomorphized for `d = 2..=5` (generic fallback
-//!   above). Eliminates the per-test `ds.point(s)` indirection of the
-//!   naive loop and keeps each tile hot across a block of data rows.
+//! * [`SkylinePack`] — skyline columns sorted by their first coordinate
+//!   and stored dimension-major. Per data row, a binary search bounds
+//!   the candidates to the columns whose first coordinate is not
+//!   greater than the row's (no other column can dominate it), and the
+//!   candidates are tested 64 at a time into a `u64` mask with no
+//!   data-dependent branch, monomorphized for `d = 2..=5` (runtime-`d`
+//!   arm above). Dominator ids come out in pack order, not ascending.
 //! * [`agreement_count`] / [`agreement_count_u32`] — branchless chunked
 //!   equality counts over signature columns and LSH zone assignments,
 //!   written so the autovectorizer can keep the comparison loop free of
 //!   per-element bounds checks and branches.
 //!
 //! Every kernel is observationally identical to the scalar code it
-//! replaces — same dominance outcomes, same counts — so all downstream
-//! results stay bit-identical.
-
-/// Number of skyline points per tile of the packed dominance scan.
-///
-/// A tile of 64 points at d ≤ 8 occupies at most 4 KiB — comfortably
-/// within L1 — so a tile stays cache-resident while a whole block of
-/// data rows (see [`ROW_BLOCK`]) is tested against it.
-pub const SKYLINE_TILE: usize = 64;
-
-/// Number of data rows tested per skyline tile before moving to the
-/// next tile. Larger blocks amortise the tile's cache footprint over
-/// more rows; 128 rows × 8 dims × 8 B = 8 KiB of row data per block.
-pub const ROW_BLOCK: usize = 128;
+//! replaces — same dominance outcomes, same counts; the dominance scan
+//! lists the same dominator *set* in a different order, which the
+//! order-free MinHash fold cannot see — so all downstream results stay
+//! bit-identical.
 
 /// Counts slots where two equally-long `u64` signature columns agree.
 ///
@@ -119,184 +111,195 @@ pub fn agreement_count_u32(a: &[u32], b: &[u32]) -> usize {
     agree
 }
 
-/// Skyline coordinates packed into a contiguous row-major scratch
-/// buffer for the blocked `n × m` dominance scan.
+/// Packed columns tested per dominance mask: one bit of a `u64` each.
+const LANES: usize = 64;
+
+/// Skyline columns packed for the `n × m` dominance scan of
+/// `SigGen-IF`: sorted by their first coordinate and stored
+/// dimension-major, so each data row tests only the columns that can
+/// dominate it, 64 at a time, without a data-dependent branch.
 ///
-/// The naive loop fetches `ds.point(s)` once per `(row, skyline)` pair —
-/// an index computation and bounds check per dominance test, on
-/// coordinates scattered across the full dataset. Packing the `m`
-/// skyline points once up front makes the inner loop a linear walk over
-/// `m · d` contiguous floats, processed in [`SKYLINE_TILE`]-sized tiles
-/// so each tile is read from L1 for every row of a [`ROW_BLOCK`].
+/// * **Prefix bound.** A column `c` can dominate a row `p` only if
+///   `c[0] ≤ p[0]`. The columns are sorted by ascending first
+///   coordinate, so one `partition_point` per row bounds the candidates
+///   to a prefix of the pack; the columns past it are never touched.
+/// * **Dimension-major lanes.** Coordinate `k` of packed column `j`
+///   lives at `coords[k · m + j]`. A block of up to 64 candidates is
+///   tested with straight-line compares into a `u64` mask, and the
+///   dominating columns are read off the mask by `trailing_zeros`.
+/// * **Order-free output.** [`dominators_into`](Self::dominators_into)
+///   reports the caller's column ids in pack order, not ascending.
+///   Every consumer folds them with a slot-wise `min` and a `+1`,
+///   neither of which depends on order.
+/// * **Non-finite coordinates.** A column dominates when no dimension
+///   has `c > p` and some has `c < p`, so a NaN counts as "equal in that
+///   dimension", exactly as in `MinDominance::dom_cmp`. A NaN first
+///   coordinate would escape the sorted bound, so columns whose first
+///   coordinate is non-finite lead the pack and every row scans them,
+///   and a row whose first coordinate is non-finite scans every column.
+///
+/// The pack holds `m · (d + 1)` words: the coordinates and the `perm`
+/// back to column ids. The budget still charges `m` dominance tests per
+/// row — the bound cuts what the tests cost, not the paper's count of
+/// them.
 #[derive(Debug, Clone)]
 pub struct SkylinePack {
     d: usize,
     m: usize,
+    /// Leading packed columns whose first coordinate is non-finite.
+    unbounded: usize,
+    /// Dimension-major coordinates: `coords[k * m + j]`.
     coords: Vec<f64>,
+    /// `perm[j]`: the caller's column id of packed column `j`.
+    perm: Vec<usize>,
 }
 
 impl SkylinePack {
-    /// Packs the given skyline coordinate slices (row-major copy).
+    /// Packs the given column coordinate slices; column ids are their
+    /// positions in `points`.
     pub fn pack<'a, I>(d: usize, points: I) -> Self
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
-        let mut coords = Vec::new();
-        let mut m = 0usize;
-        for p in points {
+        let points: Vec<&[f64]> = points.into_iter().collect();
+        let m = points.len();
+        let key = |j: usize| points[j].first().copied().unwrap_or(f64::NAN);
+        let mut perm: Vec<usize> = (0..m).collect();
+        // Non-finite keys first (`false < true`), then ascending; the
+        // stable sort keeps ties in column-id order.
+        perm.sort_by(|&a, &b| {
+            let (x, y) = (key(a), key(b));
+            x.is_finite().cmp(&y.is_finite()).then(x.total_cmp(&y))
+        });
+        let unbounded = perm.iter().take_while(|&&j| !key(j).is_finite()).count();
+        let mut coords = vec![0.0; d * m];
+        for (slot, &j) in perm.iter().enumerate() {
             // lint: allow(R2) -- one-time O(m·d) copy at scan setup; the
             // row loop that consumes the pack charges the budget
-            debug_assert_eq!(p.len(), d);
-            coords.extend_from_slice(p);
-            m += 1;
+            debug_assert_eq!(points[j].len(), d);
+            for k in 0..d {
+                coords[k * m + slot] = points[j][k];
+            }
         }
-        SkylinePack { d, m, coords }
+        SkylinePack { d, m, unbounded, coords, perm }
     }
 
-    /// Number of packed skyline points `m`.
+    /// Number of packed columns `m`.
     pub fn len(&self) -> usize {
         self.m
     }
 
-    /// `true` when no points are packed.
+    /// `true` when no columns are packed.
     pub fn is_empty(&self) -> bool {
         self.m == 0
     }
 
-    /// Appends to `out` the (ascending) indices of packed skyline
-    /// points that dominate `p` under all-minimisation — identical
-    /// outcomes to `MinDominance::dominates(sky[j], p)` for every `j`.
+    /// Appends to `out` the ids of the packed columns that dominate `p`
+    /// under all-minimisation, in pack order — the same *set* as the
+    /// `j` with `MinDominance::dominates(cols[j], p)`.
     #[inline]
     pub fn dominators_into(&self, p: &[f64], out: &mut Vec<usize>) {
         debug_assert_eq!(p.len(), self.d);
+        let bound = match p.first() {
+            Some(&x) if x.is_finite() => {
+                let keys = &self.coords[self.unbounded..self.m];
+                self.unbounded + keys.partition_point(|&c| c <= x)
+            }
+            _ => self.m,
+        };
         match self.d {
-            2 => self.dominators_const::<2>(p, 0, self.m, out),
-            3 => self.dominators_const::<3>(p, 0, self.m, out),
-            4 => self.dominators_const::<4>(p, 0, self.m, out),
-            5 => self.dominators_const::<5>(p, 0, self.m, out),
-            _ => self.dominators_generic(p, 0, self.m, out),
+            2 => self.scan_const::<2>(p, bound, out),
+            3 => self.scan_const::<3>(p, bound, out),
+            4 => self.scan_const::<4>(p, bound, out),
+            5 => self.scan_const::<5>(p, bound, out),
+            _ => self.scan_generic(p, bound, out),
         }
     }
 
-    /// Tiled block scan: tests every row of `rows` (`rows[i]` is the
-    /// coordinate slice of block row `i`) against every packed skyline
-    /// point, pushing dominating skyline indices into `out[i]`.
-    ///
-    /// The tile loop is outermost so one [`SKYLINE_TILE`] of packed
-    /// coordinates services the whole row block from L1 before the next
-    /// tile streams in. Per row, indices arrive in ascending order —
-    /// the same order the naive scan produces.
-    pub fn dominators_block(&self, rows: &[&[f64]], out: &mut [Vec<usize>]) {
-        debug_assert_eq!(rows.len(), out.len());
-        let mut lo = 0;
-        while lo < self.m {
-            // lint: allow(R2) -- one blocked m×|rows| scan per row block;
-            // the SigGen-IF row loop charges the budget per block
-            let hi = (lo + SKYLINE_TILE).min(self.m);
-            match self.d {
-                2 => self.tile_const::<2>(lo, hi, rows, out),
-                3 => self.tile_const::<3>(lo, hi, rows, out),
-                4 => self.tile_const::<4>(lo, hi, rows, out),
-                5 => self.tile_const::<5>(lo, hi, rows, out),
-                _ => self.tile_generic(lo, hi, rows, out),
-            }
-            lo = hi;
-        }
-    }
-
+    /// Tests packed columns `0..bound` against `p` with `D` known at
+    /// compile time: one branch-free pass per block of up to
+    /// [`LANES`] columns.
     #[inline]
-    fn tile_const<const D: usize>(&self, lo: usize, hi: usize, rows: &[&[f64]], out: &mut [Vec<usize>]) {
-        let tile = &self.coords[lo * D..hi * D];
-        for (bi, &p) in rows.iter().enumerate() {
-            // lint: allow(R2) -- one SKYLINE_TILE × ROW_BLOCK tile pass;
-            // the caller's row loop charges the budget per block
-            // lint: allow(R1) -- the const-D dispatch only runs when
-            // self.d == D, so every row slice has exactly D elements
-            let p: &[f64; D] = p.try_into().expect("dimensionality matches pack");
-            for (jj, s) in tile.chunks_exact(D).enumerate() {
-                if dominates_min_const::<D>(s, p) {
-                    out[bi].push(lo + jj);
-                }
-            }
-        }
-    }
-
-    fn tile_generic(&self, lo: usize, hi: usize, rows: &[&[f64]], out: &mut [Vec<usize>]) {
-        let d = self.d;
-        let tile = &self.coords[lo * d..hi * d];
-        for (bi, &p) in rows.iter().enumerate() {
-            // lint: allow(R2) -- one SKYLINE_TILE × ROW_BLOCK tile pass;
-            // the caller's row loop charges the budget per block
-            for (jj, s) in tile.chunks_exact(d).enumerate() {
-                if dominates_min_generic(s, p) {
-                    out[bi].push(lo + jj);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn dominators_const<const D: usize>(&self, p: &[f64], lo: usize, hi: usize, out: &mut Vec<usize>) {
+    fn scan_const<const D: usize>(&self, p: &[f64], bound: usize, out: &mut Vec<usize>) {
         // lint: allow(R1) -- the const-D dispatch only runs when
         // self.d == D, so the query point has exactly D elements
         let p: &[f64; D] = p.try_into().expect("dimensionality matches pack");
-        let tile = &self.coords[lo * D..hi * D];
-        for (jj, s) in tile.chunks_exact(D).enumerate() {
-            // lint: allow(R2) -- m dominance tests for one data row; the
-            // SigGen-IF row loop charges the budget per row
-            if dominates_min_const::<D>(s, p) {
-                out.push(lo + jj);
-            }
+        let mut lo = 0;
+        while lo < bound {
+            // lint: allow(R2) -- at most m/64 blocks for one data row;
+            // the SigGen-IF row loop charges the budget per row
+            let n = (bound - lo).min(LANES);
+            let lanes: [&[f64]; D] =
+                std::array::from_fn(|k| &self.coords[k * self.m + lo..][..n]);
+            // A constant trip count for full blocks lets the compiler
+            // unroll and vectorise the block test (~10 % faster).
+            let mask = if n == LANES {
+                block_mask(lanes, p, LANES)
+            } else {
+                block_mask(lanes, p, n)
+            };
+            self.emit(mask, lo, out);
+            lo += LANES;
         }
     }
 
-    fn dominators_generic(&self, p: &[f64], lo: usize, hi: usize, out: &mut Vec<usize>) {
-        let d = self.d;
-        let tile = &self.coords[lo * d..hi * d];
-        for (jj, s) in tile.chunks_exact(d).enumerate() {
-            // lint: allow(R2) -- m dominance tests for one data row; the
-            // SigGen-IF row loop charges the budget per row
-            if dominates_min_generic(s, p) {
-                out.push(lo + jj);
+    /// Runtime-`d` twin of [`scan_const`](Self::scan_const) over the
+    /// same layout: one pass per dimension over the block's lane
+    /// accumulates "greater" and "less" masks.
+    fn scan_generic(&self, p: &[f64], bound: usize, out: &mut Vec<usize>) {
+        let mut lo = 0;
+        while lo < bound {
+            // lint: allow(R2) -- at most m/64 blocks for one data row;
+            // the SigGen-IF row loop charges the budget per row
+            let n = (bound - lo).min(LANES);
+            let (mut gt, mut lt) = (0u64, 0u64);
+            for (k, &pk) in p.iter().enumerate().take(self.d) {
+                let lane = &self.coords[k * self.m + lo..][..n];
+                for (jj, &c) in lane.iter().enumerate() {
+                    gt |= u64::from(c > pk) << jj;
+                    lt |= u64::from(c < pk) << jj;
+                }
             }
+            self.emit(lt & !gt, lo, out);
+            lo += LANES;
+        }
+    }
+
+    /// Pushes the column ids of the set bits of `mask`, a block starting
+    /// at packed column `lo`.
+    #[inline]
+    fn emit(&self, mut mask: u64, lo: usize, out: &mut Vec<usize>) {
+        while mask != 0 {
+            // lint: allow(R2) -- at most LANES set bits per block
+            out.push(self.perm[lo + mask.trailing_zeros() as usize]);
+            mask &= mask - 1;
         }
     }
 }
 
-/// Monomorphized all-minimise dominance test: `a ≺ b` iff `a[i] ≤ b[i]`
-/// everywhere and `a[i] < b[i]` somewhere. Identical outcomes to
-/// `MinDominance::dominates`, including on equal points (false) and on
-/// the non-finite inputs the pipeline has already rejected upstream.
-#[inline]
-fn dominates_min_const<const D: usize>(a: &[f64], b: &[f64; D]) -> bool {
-    let mut strict = false;
-    for i in 0..D {
-        // lint: allow(R2) -- exactly D <= 5 coordinate comparisons
-        if a[i] > b[i] {
-            return false;
+/// Dominance mask of the first `n ≤ LANES` columns of `lanes` (one
+/// coordinate slice per dimension) over `p`: bit `j` is set when no
+/// dimension has `lanes[k][j] > p[k]` and some has `lanes[k][j] < p[k]`.
+#[inline(always)]
+fn block_mask<const D: usize>(lanes: [&[f64]; D], p: &[f64; D], n: usize) -> u64 {
+    let mut mask = 0u64;
+    for jj in 0..n {
+        // lint: allow(R2) -- at most LANES columns per block; the
+        // SigGen-IF row loop charges the budget per row
+        let (mut gt, mut lt) = (false, false);
+        for (lane, &pk) in lanes.iter().zip(p) {
+            gt |= lane[jj] > pk;
+            lt |= lane[jj] < pk;
         }
-        strict |= a[i] < b[i];
+        mask |= u64::from(lt & !gt) << jj;
     }
-    strict
-}
-
-/// Generic-dimension fallback of [`dominates_min_const`].
-#[inline]
-fn dominates_min_generic(a: &[f64], b: &[f64]) -> bool {
-    let mut strict = false;
-    for (&x, &y) in a.iter().zip(b) {
-        // lint: allow(R2) -- exactly d coordinate comparisons per test
-        if x > y {
-            return false;
-        }
-        strict |= x < y;
-    }
-    strict
+    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use skydiver_data::dominance::MinDominance;
     use skydiver_data::generators::independent;
     use skydiver_data::DominanceOrd;
@@ -353,42 +356,104 @@ mod tests {
         assert_eq!(agreement_count_u32(&a, &b), scalar);
     }
 
+    /// The `j` with `MinDominance::dominates(cols[j], p)`, ascending.
+    fn reference_dominators(cols: &[Vec<f64>], p: &[f64]) -> Vec<usize> {
+        (0..cols.len()).filter(|&j| MinDominance.dominates(&cols[j], p)).collect()
+    }
+
+    /// The packed kernel's dominator set for `p`, ascending.
+    fn packed_dominators(pack: &SkylinePack, p: &[f64]) -> Vec<usize> {
+        let mut got = Vec::new();
+        pack.dominators_into(p, &mut got);
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn packed_dominators_match_min_dominance() {
         // Cover every monomorphized arm plus the generic fallback.
         for d in [2usize, 3, 4, 5, 6] {
             let ds = independent(300, d, 7 + d as u64);
-            let sky: Vec<usize> = (0..100).collect();
-            let pack = SkylinePack::pack(d, sky.iter().map(|&s| ds.point(s)));
-            let mut got = Vec::new();
+            let cols: Vec<Vec<f64>> = (0..100).map(|s| ds.point(s).to_vec()).collect();
+            let pack = SkylinePack::pack(d, cols.iter().map(Vec::as_slice));
             for row in 100..300 {
-                got.clear();
-                pack.dominators_into(ds.point(row), &mut got);
-                let want: Vec<usize> = sky
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &s)| MinDominance.dominates(ds.point(s), ds.point(row)))
-                    .map(|(j, _)| j)
-                    .collect();
-                assert_eq!(got, want, "d = {d}, row = {row}");
+                let p = ds.point(row);
+                assert_eq!(
+                    packed_dominators(&pack, p),
+                    reference_dominators(&cols, p),
+                    "d = {d}, row = {row}"
+                );
+            }
+        }
+    }
+
+    /// A random point whose coordinates come from a small grid (so ties
+    /// are common), with a signed zero, NaN or an infinity one time in
+    /// eight.
+    fn tie_heavy_point(rng: &mut StdRng, d: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 5] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        (0..d)
+            .map(|_| {
+                if rng.gen_range(0..8) == 0 {
+                    SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                } else {
+                    rng.gen_range(0..5) as f64 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_kernel_matches_min_dominance_on_ties_and_non_finite_values() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for d in 1..=8usize {
+            for m in [0usize, 1, 63, 64, 65, 200] {
+                let mut cols: Vec<Vec<f64>> = Vec::with_capacity(m);
+                for j in 0..m {
+                    // Every fourth column duplicates an earlier one.
+                    let col = if j > 0 && rng.gen_range(0..4) == 0 {
+                        cols[rng.gen_range(0..j)].clone()
+                    } else {
+                        tie_heavy_point(&mut rng, d)
+                    };
+                    cols.push(col);
+                }
+                let pack = SkylinePack::pack(d, cols.iter().map(Vec::as_slice));
+                assert_eq!(pack.len(), m);
+                for r in 0..24 {
+                    let mut p = tie_heavy_point(&mut rng, d);
+                    if m > 0 {
+                        let src = &cols[rng.gen_range(0..m)];
+                        match r % 3 {
+                            // A duplicate of a column.
+                            0 => p.clone_from(src),
+                            // A tie on the sort key: the prefix boundary
+                            // falls inside a run of equal keys.
+                            1 => p[0] = src[0],
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(
+                        packed_dominators(&pack, &p),
+                        reference_dominators(&cols, &p),
+                        "d = {d}, m = {m}, p = {p:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn blocked_scan_matches_single_row_scan() {
-        let d = 3;
-        let ds = independent(500, d, 11);
-        // More skyline points than one tile to exercise the tile loop.
-        let pack = SkylinePack::pack(d, (0..150).map(|s| ds.point(s)));
-        let rows: Vec<&[f64]> = (150..350).map(|r| ds.point(r)).collect();
-        let mut blocked: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-        pack.dominators_block(&rows, &mut blocked);
-        for (bi, &p) in rows.iter().enumerate() {
-            let mut single = Vec::new();
-            pack.dominators_into(p, &mut single);
-            assert_eq!(blocked[bi], single, "block row {bi}");
-        }
+    fn non_finite_first_coordinates_keep_min_dominance_semantics() {
+        // A NaN counts as "equal in that dimension": the column still
+        // dominates through its other dimensions, and a NaN row is
+        // dominated by every column strictly better elsewhere.
+        let cols = [[f64::NAN, 1.0], [3.0, 1.0], [f64::INFINITY, 0.0]];
+        let pack = SkylinePack::pack(2, cols.iter().map(|c| c.as_slice()));
+        assert_eq!(packed_dominators(&pack, &[5.0, 2.0]), vec![0, 1]);
+        assert_eq!(packed_dominators(&pack, &[f64::NAN, 2.0]), vec![0, 1, 2]);
+        assert_eq!(packed_dominators(&pack, &[f64::INFINITY, 0.5]), vec![2]);
+        assert_eq!(packed_dominators(&pack, &[2.0, 2.0]), vec![0]);
     }
 
     #[test]

@@ -112,7 +112,7 @@ where
         let mut handles = Vec::with_capacity(threads);
         for range in 0..threads {
             // lint: allow(R2) -- spawns exactly `threads` scoped workers;
-            // each worker's scan_view polls the shared ctx per row batch
+            // each worker's scan_view polls the shared ctx per row
             let lo = (range * chunk).min(view.len());
             let hi = ((range + 1) * chunk).min(view.len());
             let sub = view.slice(lo, hi);

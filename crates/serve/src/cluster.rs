@@ -277,8 +277,10 @@ impl ShardHost {
             .map(|j| &cols_flat[j * dims..(j + 1) * dims])
             .collect();
         let mut skip = vec![false; data.len()];
-        for (r, s) in skip.iter_mut().enumerate() {
-            *s = ids.binary_search(&(base + r)).is_ok();
+        for &id in &ids {
+            if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
+                *s = true;
+            }
         }
 
         let key = FingerprintKey {
