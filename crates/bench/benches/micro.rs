@@ -11,10 +11,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use skydiver_core::minhash::{sig_gen_ib, sig_gen_if, sig_gen_parallel, HashFamily};
+use skydiver_core::minhash::{sig_gen_ib, sig_gen_if, sig_gen_if_budgeted, HashFamily};
 use skydiver_core::{
-    select_diverse, GammaSets, LshDistance, LshIndex, LshParams, SeedRule, SignatureDistance,
-    TieBreak,
+    select_diverse, ExecContext, GammaSets, LshDistance, LshIndex, LshParams, SeedRule,
+    SignatureDistance, TieBreak,
 };
 use skydiver_data::dominance::MinDominance;
 use skydiver_data::generators::{anticorrelated, independent};
@@ -52,8 +52,9 @@ fn bench_siggen() {
     bench("siggen_50k_ant4d/index_free", 3, || {
         sig_gen_if(&ds, &MinDominance, &skyline, &fam)
     });
+    let ctx = ExecContext::unlimited();
     bench("siggen_50k_ant4d/parallel_4", 3, || {
-        sig_gen_parallel(&ds, &MinDominance, &skyline, &fam, 4)
+        sig_gen_if_budgeted(&ds, &MinDominance, &skyline, &fam, 4, &ctx)
     });
     let tree = RTree::bulk_load(&ds, 4096);
     let pts: Vec<&[f64]> = skyline.iter().map(|&s| ds.point(s)).collect();

@@ -14,10 +14,10 @@
 use skydiver_bench::{
     exact_selection_diversity, print_header, print_row, time_ms, Args, Family,
 };
-use skydiver_core::minhash::{sig_gen_if, sig_gen_parallel, HashFamily};
+use skydiver_core::minhash::{sig_gen_if, sig_gen_if_budgeted, HashFamily};
 use skydiver_core::{
-    greedy_msdp, min_pairwise, select_diverse, ExactJaccardDistance, GammaSets, SeedRule,
-    SignatureDistance, TieBreak,
+    greedy_msdp, min_pairwise, select_diverse, ExactJaccardDistance, ExecContext, GammaSets,
+    SeedRule, SignatureDistance, TieBreak,
 };
 use skydiver_data::dominance::MinDominance;
 use skydiver_skyline::sfs;
@@ -135,8 +135,9 @@ fn main() {
     let (_, base_ms) = time_ms(|| sig_gen_if(&ds, &MinDominance, &skyline, &fam));
     print_row(&["1".into(), format!("{base_ms:.0}"), "1.0x".into()]);
     for threads in [2usize, 4, 8] {
-        let (outp, ms) =
-            time_ms(|| sig_gen_parallel(&ds, &MinDominance, &skyline, &fam, threads));
+        let ctx = ExecContext::unlimited();
+        let ((outp, _, _), ms) =
+            time_ms(|| sig_gen_if_budgeted(&ds, &MinDominance, &skyline, &fam, threads, &ctx));
         assert_eq!(outp.matrix, out.matrix, "parallel must be bit-identical");
         print_row(&[
             threads.to_string(),
@@ -149,7 +150,7 @@ fn main() {
     println!("\n[6] SigGen-IB vs SigGen-IB/A (bit-identical output):");
     print_header(&["variant", "cpu ms", "nodes read"]);
     {
-        use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_active};
+        use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_parallel};
         use skydiver_rtree::{BufferPool, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE};
         let tree = RTree::bulk_load(&ds, DEFAULT_PAGE_SIZE);
         let pts: Vec<&[f64]> = skyline.iter().map(|&s| ds.point(s)).collect();
@@ -158,7 +159,7 @@ fn main() {
             time_ms(|| sig_gen_ib(&tree, &mut pool, &pts, &fam));
         let mut pool = BufferPool::for_index(tree.num_pages(), DEFAULT_CACHE_FRACTION);
         let ((active, astats), active_ms) =
-            time_ms(|| sig_gen_ib_active(&tree, &mut pool, &pts, &fam));
+            time_ms(|| sig_gen_ib_parallel(&tree, &mut pool, &pts, &fam, 1));
         assert_eq!(plain.matrix, active.matrix, "IB/A must be bit-identical");
         assert_eq!(plain.scores, active.scores);
         print_row(&["IB".into(), format!("{plain_ms:.0}"), pstats.nodes_read.to_string()]);

@@ -14,7 +14,7 @@
 //! IND 2D strongly favours IB (few skyline points, massive pruning).
 
 use skydiver_bench::{fmt_ms, print_header, print_row, scan_pages, time_ms, total_ms, Args, Family};
-use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_active, sig_gen_if, HashFamily};
+use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, HashFamily};
 use skydiver_data::dominance::MinDominance;
 use skydiver_rtree::{BufferPool, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE};
 use skydiver_skyline::sfs;
@@ -59,7 +59,7 @@ fn main() {
             let tree = RTree::bulk_load(&ds, DEFAULT_PAGE_SIZE);
             let mut pool = BufferPool::for_index(tree.num_pages(), DEFAULT_CACHE_FRACTION);
             let (_, ib_cpu) = if active {
-                time_ms(|| sig_gen_ib_active(&tree, &mut pool, &pts, &fam_hash))
+                time_ms(|| sig_gen_ib_parallel(&tree, &mut pool, &pts, &fam_hash, 1))
             } else {
                 time_ms(|| sig_gen_ib(&tree, &mut pool, &pts, &fam_hash))
             };

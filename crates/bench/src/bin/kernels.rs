@@ -14,7 +14,9 @@
 //!   speedup is a diluted view of the dominance entry above,
 //! * **agreement / hamming** — the shared slot-agreement kernel vs an
 //!   inline per-slot loop,
-//! * **selection / SigGen-IB** — sequential vs 4-thread parallel.
+//! * **selection / SigGen-IB** — sequential selection vs 4-thread
+//!   parallel selection, and the paper's Fig. 4 `SigGen-IB` reference
+//!   pass vs the `SigGen-IB/A` engine on 4 threads.
 //!   Checked since PR 7 (the half-baseline floor catches a reintroduced
 //!   pathology such as spawn-per-round selection). Unlike the kernel
 //!   ratios above, these depend on the core count: the committed

@@ -600,9 +600,9 @@ fn run_kernels_mode(args: &Args) -> ExitCode {
         after_ms: sel_after,
     };
 
-    // SigGen-IB: the sequential full-reclassification pass (still the
-    // threads <= 1 production path) vs the active-classification
-    // 4-thread partitioned pass.
+    // SigGen-IB: the paper's Fig. 4 full-reclassification pass (the
+    // reference the identity suites compare against) vs the
+    // active-classification 4-thread partitioned pass.
     let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
     let tree = RTree::bulk_load(&ds, 4096);
     let mut pool = BufferPool::new(1 << 24);

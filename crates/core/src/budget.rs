@@ -13,7 +13,7 @@
 //!   another thread (an admission controller, a client disconnect
 //!   handler) can trip at any time,
 //! * [`ExecContext`] — the internal carrier threaded through
-//!   `sig_gen_if` / `sig_gen_parallel` / `sig_gen_ib` and each round of
+//!   `sig_gen_if` / `sig_gen_ib` / `sig_gen_ib_parallel` and each round of
 //!   `select_diverse`,
 //! * [`Degradation`] — the report attached to every
 //!   [`DiverseResult`](crate::DiverseResult) describing what (if

@@ -20,7 +20,6 @@ use crate::budget::{ExecContext, Interrupt};
 
 use super::accumulator::{ShardFingerprint, SignatureAccumulator};
 use super::family::HashFamily;
-use super::parallel::scan_columns_parallel_budgeted;
 use super::scan_columns_budgeted;
 
 /// Outcome of folding one shard.
@@ -60,7 +59,8 @@ pub enum ShardFold {
 /// * `cache` — a complete cached fold of this shard in the same
 ///   canonical space, seed and signature size (`cache.t()` must equal
 ///   `family.len()`; callers filter mismatches out).
-/// * `threads` — `> 1` uses the deterministic parallel scan.
+/// * `threads` — threads of the scan (see [`scan_columns_budgeted`]);
+///   the fold is bit-identical for every count.
 /// * `ctx` — budget context charged `m` dominance tests per non-skip
 ///   row scanned.
 #[allow(clippy::too_many_arguments)]
@@ -115,15 +115,16 @@ pub fn fold_shard(
                 })
                 .collect();
             let mut need_acc = SignatureAccumulator::new(t_eff, need.len());
-            let int = if threads > 1 {
-                let (acc, int) = scan_columns_parallel_budgeted(
-                    sview, &ord, &need_cols, skip, family, ctx, threads,
-                );
-                need_acc = acc;
-                int
-            } else {
-                scan_columns_budgeted(sview, &ord, &need_cols, skip, family, ctx, &mut need_acc)
-            };
+            let int = scan_columns_budgeted(
+                sview,
+                &ord,
+                &need_cols,
+                skip,
+                family,
+                threads,
+                ctx,
+                &mut need_acc,
+            );
             let scanned_rows = need_acc.rows_consumed;
             shard_acc.rows_consumed = need_acc.rows_consumed;
             for (jn, &s) in need.iter().enumerate() {
@@ -144,15 +145,16 @@ pub fn fold_shard(
         }
         None => {
             let mut shard_acc = SignatureAccumulator::new(t_eff, m);
-            let int = if threads > 1 {
-                let (acc, int) = scan_columns_parallel_budgeted(
-                    sview, &ord, all_cols, skip, family, ctx, threads,
-                );
-                shard_acc = acc;
-                int
-            } else {
-                scan_columns_budgeted(sview, &ord, all_cols, skip, family, ctx, &mut shard_acc)
-            };
+            let int = scan_columns_budgeted(
+                sview,
+                &ord,
+                all_cols,
+                skip,
+                family,
+                threads,
+                ctx,
+                &mut shard_acc,
+            );
             let scanned_rows = shard_acc.rows_consumed;
             ShardFold::Scanned {
                 acc: shard_acc,

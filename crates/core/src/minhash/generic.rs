@@ -48,7 +48,7 @@ where
     for (row, p) in items.iter().enumerate() {
         // lint: allow(R2) -- reference pass for categorical/partial-order
         // domains with no ExecContext in its public signature; the numeric
-        // production paths (sig_gen_if_budgeted, parallel, ib) all poll
+        // production paths (sig_gen_if_budgeted, the IB passes) all poll
         if is_skyline[row] {
             continue;
         }

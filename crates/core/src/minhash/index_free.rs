@@ -1,8 +1,9 @@
-//! `SigGen-IF` — index-free signature generation (paper Fig. 3).
+//! `SigGen-IF` — index-free signature generation (paper Fig. 3), on
+//! one thread or many.
 //!
-//! One sequential pass over the data: each non-skyline point is checked
-//! against every skyline point; where dominance holds, the point's row
-//! hashes are folded into that skyline point's signature. Works for any
+//! One pass over the data: each non-skyline point is checked against
+//! every skyline point; where dominance holds, the point's row hashes
+//! are folded into that skyline point's signature. Works for any
 //! [`DominanceOrd`], which is the point — no index, no numeric attributes
 //! required.
 //!
@@ -13,6 +14,12 @@
 //! bit-identically into the monolithic result, and because the column
 //! set is explicit, the serving layer can incrementally fingerprint only
 //! the columns a cache does not already hold.
+//!
+//! The same associativity parallelises the pass (the paper's future-work
+//! item ii, "parallelization aspects of our methodology"): with
+//! `threads > 1` the view is split into contiguous ranges folded on
+//! scoped threads and merged by slot-wise minimum, **bit-identical** to
+//! the single-threaded fold for every thread count.
 
 use skydiver_data::{DatasetView, DominanceOrd};
 
@@ -40,35 +47,38 @@ pub fn sig_gen_if<'a, O>(
     family: &HashFamily,
 ) -> SigGenOutput
 where
-    O: DominanceOrd<Item = [f64]>,
+    O: DominanceOrd<Item = [f64]> + Sync,
 {
     let ctx = ExecContext::unlimited();
-    let (out, _, interrupt) = sig_gen_if_budgeted(ds, ord, skyline, family, &ctx);
+    let (out, _, interrupt) = sig_gen_if_budgeted(ds, ord, skyline, family, 1, &ctx);
     debug_assert!(interrupt.is_none(), "unlimited context cannot trip");
     out
 }
 
-/// Budget-aware [`sig_gen_if`]: charges `m` dominance tests per
-/// *non-skyline* data row against `ctx` and stops at the first exhausted
-/// limit. Skyline rows are skipped before any dominance test runs, so
-/// they cost nothing — the charge reflects work actually performed, and
-/// the sequential and sharded passes charge identically.
+/// Budget-aware [`sig_gen_if`] over `threads` threads: charges `m`
+/// dominance tests per *non-skyline* data row against `ctx` and stops
+/// at the first exhausted limit. Skyline rows are skipped before any
+/// dominance test runs, so they cost nothing — the charge reflects work
+/// actually performed and is the same at every thread count.
 ///
-/// Returns `(output, rows_scanned, interrupt)`. When `interrupt` is
-/// `Some`, the signatures and scores cover exactly the first
+/// Returns `(output, rows_scanned, interrupt)`. Uninterrupted output is
+/// bit-identical for every `threads`. When `interrupt` is `Some` on one
+/// thread, the signatures and scores cover exactly the first
 /// `rows_scanned` data rows — a consistent fingerprint of a data prefix,
 /// usable for inspection but not for selection (the Jaccard estimates
-/// are biased toward the scanned prefix), which is why the pipeline
-/// skips selection after a fingerprint-phase interrupt.
+/// are biased toward the scanned prefix); on several threads they cover
+/// a timing-dependent subset of `rows_scanned` rows. Either way the
+/// pipeline skips selection after a fingerprint-phase interrupt.
 pub fn sig_gen_if_budgeted<'a, O>(
     ds: impl Into<DatasetView<'a>>,
     ord: &O,
     skyline: &[usize],
     family: &HashFamily,
+    threads: usize,
     ctx: &ExecContext,
 ) -> (SigGenOutput, usize, Option<Interrupt>)
 where
-    O: DominanceOrd<Item = [f64]>,
+    O: DominanceOrd<Item = [f64]> + Sync,
 {
     let view: DatasetView<'a> = ds.into();
     let mut skip = vec![false; view.len()];
@@ -78,7 +88,7 @@ where
     }
     let cols: Vec<&[f64]> = skyline.iter().map(|&s| view.point(s)).collect();
     let mut acc = SignatureAccumulator::new(family.len(), skyline.len());
-    let interrupt = scan_columns_budgeted(view, ord, &cols, &skip, family, ctx, &mut acc);
+    let interrupt = scan_columns_budgeted(view, ord, &cols, &skip, family, threads, ctx, &mut acc);
     let rows = acc.rows_consumed;
     (acc.into_output(), rows, interrupt)
 }
@@ -92,48 +102,95 @@ where
 /// * `skip` — one flag per view row (`skip[local]`); flagged rows are
 ///   skipped *before* any dominance test and cost nothing (the skyline
 ///   membership of the full pass),
+/// * `threads` — `<= 1`, or a view shorter than `2 * threads` rows,
+///   folds on the caller thread; otherwise the view is split into
+///   `threads` contiguous ranges folded on scoped threads and merged
+///   into `acc` in range order,
 /// * `acc` — the accumulator receiving the fold; its `rows_consumed`
-///   grows by the fully-processed row prefix.
+///   grows by the number of fully-processed rows.
 ///
 /// Each non-skipped row charges `cols.len()` dominance tests against
-/// `ctx`; on a trip the accumulator covers exactly the funded prefix
-/// and the interrupt is returned. Row hashes use the view's **global**
-/// ids, so folds over disjoint views merge bit-identically with
-/// [`SignatureAccumulator::merge`].
+/// the shared `ctx`, so the total charge is the same at every thread
+/// count and a trip stops every range within one row's work. On one
+/// thread a trip leaves the accumulator covering exactly the funded
+/// prefix; on several it covers a timing-dependent row subset. The
+/// first (in range order) interrupt is returned. Row hashes use the
+/// view's **global** ids, so folds over disjoint views merge
+/// bit-identically with [`SignatureAccumulator::merge`].
+///
+/// With a canonical all-min `ord` each funded row's dominators come
+/// from a [`SkylinePack`] built once for all ranges; otherwise from the
+/// generic [`DominanceOrd`] loop. The two list the same dominator *set*
+/// in different orders, and the fold only takes slot-wise minima and
+/// counts, so the matrix and scores are bit-identical either way.
 ///
 /// # Panics
 /// Panics if `skip.len() != view.len()` or the accumulator shape does
 /// not match `(family.len(), cols.len())`.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_columns_budgeted<O>(
     view: DatasetView<'_>,
     ord: &O,
     cols: &[&[f64]],
     skip: &[bool],
     family: &HashFamily,
+    threads: usize,
     ctx: &ExecContext,
     acc: &mut SignatureAccumulator,
 ) -> Option<Interrupt>
 where
-    O: DominanceOrd<Item = [f64]>,
+    O: DominanceOrd<Item = [f64]> + Sync,
 {
+    assert_eq!(skip.len(), view.len(), "skip mask length mismatch");
+    let (t, m) = (family.len(), cols.len());
+    assert_eq!((acc.t(), acc.m()), (t, m), "accumulator shape mismatch");
     let pack = ord
         .is_canonical_min()
         .then(|| SkylinePack::pack(view.dims(), cols.iter().copied()));
-    scan_view(view, ord, cols, skip, pack.as_ref(), family, ctx, acc)
+    let pack = pack.as_ref();
+    let threads = threads.max(1);
+    if threads == 1 || view.len() < 2 * threads {
+        return scan_view(view, ord, cols, skip, pack, family, ctx, acc);
+    }
+
+    let chunk = view.len().div_ceil(threads);
+    let mut interrupt = None;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(threads);
+        for range in 0..threads {
+            // lint: allow(R2) -- spawns exactly `threads` scoped workers;
+            // each worker's fold_rows polls the shared ctx per row
+            let lo = (range * chunk).min(view.len());
+            let hi = ((range + 1) * chunk).min(view.len());
+            handles.push(scope.spawn(move || {
+                let mut part = SignatureAccumulator::new(t, m);
+                let (sub, sub_skip) = (view.slice(lo, hi), &skip[lo..hi]);
+                let int = scan_view(sub, ord, cols, sub_skip, pack, family, ctx, &mut part);
+                (part, int)
+            }));
+        }
+        for h in handles {
+            // lint: allow(R2) -- joins and merges at most `threads` ranges
+            // lint: allow(R1) -- a worker panic is re-raised on the caller
+            // by design; swallowing it would drop rows from the signature
+            let (part, int) = h.join().expect("siggen range panicked");
+            acc.merge(&part);
+            if interrupt.is_none() {
+                interrupt = int;
+            }
+        }
+    });
+    interrupt
 }
 
-/// The inner fold shared by the sequential pass, each range of the
-/// parallel pass and every shard scan: identical to
-/// [`scan_columns_budgeted`] but with the [`SkylinePack`] built by the
-/// caller (so the parallel pass packs once for all ranges).
-///
-/// With `pack` present (canonical all-min orders) each funded row's
-/// dominators come from the packed kernel; otherwise from the generic
-/// [`DominanceOrd`] loop. The two list the same dominator *set* in
-/// different orders, and the fold only takes slot-wise minima and
-/// counts, so the matrix and scores are bit-identical either way.
+/// Folds one range of [`scan_columns_budgeted`] with the dominator
+/// source chosen once for the whole range, so each source gets its own
+/// monomorphised [`fold_rows`]. It is a function of its own, with the
+/// shape checks restated next to the row loop, because the same fold
+/// written as a closure inside `scan_columns_budgeted` compiled ~1.3×
+/// slower.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn scan_view<O>(
+fn scan_view<O>(
     view: DatasetView<'_>,
     ord: &O,
     cols: &[&[f64]],
@@ -168,10 +225,10 @@ where
     }
 }
 
-/// The row loop of [`scan_view`], monomorphised per dominator source
-/// (`dominators_of(p, out)` appends the ids of the columns dominating
-/// `p`): one loop branching on the source per row compiles the packed
-/// arm at about half the speed of the kernel alone.
+/// The row loop of [`scan_columns_budgeted`], monomorphised per
+/// dominator source (`dominators_of(p, out)` appends the ids of the
+/// columns dominating `p`): one loop branching on the source per row
+/// compiles the packed arm at about half the speed of the kernel alone.
 fn fold_rows(
     view: DatasetView<'_>,
     skip: &[bool],
@@ -292,7 +349,7 @@ mod tests {
         // tests — skyline rows are skipped before any test, so they are
         // free.
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(100 * m));
-        let (out, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, &ctx);
+        let (out, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx);
         let int = int.expect("budget must trip");
         assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
         // The funded prefix ends right before the 101st non-skyline row.
@@ -327,7 +384,7 @@ mod tests {
         let fam = HashFamily::new(8, 2);
         // A counting (non-unlimited) context that never trips.
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
-        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, &ctx);
+        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx);
         assert!(int.is_none());
         assert_eq!(rows, ds.len());
         let non_sky = (ds.len() - sky.len()) as u64;
@@ -352,7 +409,7 @@ mod tests {
     /// shards merged in order, under an optional dominance-test limit.
     /// Returns the merged output, `rows_consumed`, the interrupt and
     /// the tests charged.
-    fn sharded_fold<O: DominanceOrd<Item = [f64]>>(
+    fn sharded_fold<O: DominanceOrd<Item = [f64]> + Sync>(
         ds: &Dataset,
         ord: &O,
         sky: &[usize],
@@ -373,8 +430,16 @@ mod tests {
         for part in 0..parts {
             let (lo, hi) = (part * n / parts, (part + 1) * n / parts);
             let mut acc = SignatureAccumulator::new(fam.len(), sky.len());
-            interrupt =
-                scan_columns_budgeted(ds.view().slice(lo, hi), ord, &cols, &skip[lo..hi], fam, &ctx, &mut acc);
+            interrupt = scan_columns_budgeted(
+                ds.view().slice(lo, hi),
+                ord,
+                &cols,
+                &skip[lo..hi],
+                fam,
+                1,
+                &ctx,
+                &mut acc,
+            );
             whole.merge(&acc);
             if interrupt.is_some() {
                 break;
@@ -434,11 +499,11 @@ mod tests {
             let mut right = SignatureAccumulator::new(32, sky.len());
             let v = ds.view();
             assert!(scan_columns_budgeted(
-                v.slice(0, cut), &MinDominance, &cols, &skip[..cut], &fam, &ctx, &mut left
+                v.slice(0, cut), &MinDominance, &cols, &skip[..cut], &fam, 1, &ctx, &mut left
             )
             .is_none());
             assert!(scan_columns_budgeted(
-                v.slice(cut, 600), &MinDominance, &cols, &skip[cut..], &fam, &ctx, &mut right
+                v.slice(cut, 600), &MinDominance, &cols, &skip[cut..], &fam, 1, &ctx, &mut right
             )
             .is_none());
             left.merge(&right);
@@ -468,8 +533,11 @@ mod tests {
         }
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
         let mut acc = SignatureAccumulator::new(16, subset.len());
-        assert!(scan_columns_budgeted(ds.view(), &MinDominance, &cols, &skip, &fam, &ctx, &mut acc)
-            .is_none());
+        let v = ds.view();
+        assert!(
+            scan_columns_budgeted(v, &MinDominance, &cols, &skip, &fam, 1, &ctx, &mut acc)
+                .is_none()
+        );
         let full = sig_gen_if(&ds, &MinDominance, &sky, &fam);
         for (jn, &s) in subset.iter().enumerate() {
             let jf = sky.iter().position(|&x| x == s).unwrap();
@@ -481,6 +549,70 @@ mod tests {
             ctx.dominance_tests(),
             non_sky * subset.len() as u64,
             "subset scans charge per subset column"
+        );
+    }
+
+    #[test]
+    fn threaded_pass_identical_to_single_thread() {
+        use skydiver_data::generators::anticorrelated;
+        // (data, hash family, thread counts): IND, ANT with many skyline
+        // points, and an input too small to split (the caller-thread
+        // fallback).
+        for (ds, fam, threads) in [
+            (independent(1200, 3, 110), HashFamily::new(64, 10), &[2, 3, 8][..]),
+            (anticorrelated(900, 3, 111), HashFamily::new(32, 11), &[4]),
+            (independent(6, 2, 112), HashFamily::new(8, 12), &[16]),
+        ] {
+            let sky = naive_skyline(&ds, &MinDominance);
+            let seq = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+            for &threads in threads {
+                let ctx = ExecContext::unlimited();
+                let (par, _, int) =
+                    sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, threads, &ctx);
+                let what = format!("n = {}, threads = {threads}", ds.len());
+                assert!(int.is_none(), "unlimited context cannot trip: {what}");
+                assert_eq!(seq.matrix, par.matrix, "{what}");
+                assert_eq!(seq.scores, par.scores, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_threaded_pass_stops_all_ranges_promptly() {
+        use crate::budget::{RunBudget, StopReason};
+        let ds = independent(2000, 3, 113);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let m = sky.len() as u64;
+        let fam = HashFamily::new(16, 13);
+        // Budget funds ~200 rows across all ranges combined.
+        let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(200 * m));
+        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 4, &ctx);
+        let int = int.expect("shared budget must trip");
+        assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
+        assert!(rows < 2000, "ranges stopped early, scanned {rows}");
+    }
+
+    #[test]
+    fn threaded_budget_charges_agree_with_single_thread() {
+        use crate::budget::RunBudget;
+        let ds = independent(800, 3, 114);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let fam = HashFamily::new(16, 5);
+        let counting = || ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+        let ctx_seq = counting();
+        sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx_seq);
+        let ctx_par = counting();
+        sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 4, &ctx_par);
+        let non_sky = (ds.len() - sky.len()) as u64;
+        assert_eq!(
+            ctx_seq.dominance_tests(),
+            non_sky * sky.len() as u64,
+            "skyline rows are free in the single-thread pass"
+        );
+        assert_eq!(
+            ctx_par.dominance_tests(),
+            ctx_seq.dominance_tests(),
+            "the threaded pass must charge exactly what the single-thread pass does"
         );
     }
 

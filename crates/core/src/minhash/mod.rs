@@ -7,28 +7,26 @@
 //! `Prob[hᵢ(p) = hᵢ(q)] = Js(p, q)` (Broder et al.), so the fraction of
 //! agreeing slots estimates the Jaccard similarity.
 //!
-//! Generation comes in three flavours:
-//! * [`sig_gen_if`] — index-free single pass (Fig. 3),
+//! Generation comes in the paper's two engines, each running on any
+//! number of threads with bit-identical output:
+//! * [`sig_gen_if`] — index-free single pass (Fig. 3);
+//!   [`sig_gen_if_budgeted`] and the shard-native
+//!   [`scan_columns_budgeted`] take a thread count and split the rows
+//!   into ranges merged by element-wise minimum (the paper's future-work
+//!   item ii),
 //! * [`sig_gen_ib`] — aggregate-R*-tree traversal that updates whole
-//!   fully-dominated MBRs without opening them (Fig. 4),
-//! * [`sig_gen_parallel`] — sharded variant of `sig_gen_if` (the paper's
-//!   future-work item ii), merging per-shard matrices by element-wise
-//!   minimum,
-//! * [`sig_gen_ib_active`] — an engineering refinement of `sig_gen_ib`
-//!   that inherits dominance classifications down the tree
-//!   (bit-identical output, much less CPU for large skylines),
-//! * [`sig_gen_ib_parallel`] — `sig_gen_ib` over disjoint subtree
-//!   partitions on scoped threads, bit-identical thanks to the
-//!   deterministic row-id range scheme.
+//!   fully-dominated MBRs without opening them (Fig. 4), and
+//!   [`sig_gen_ib_parallel`], its `SigGen-IB/A` refinement: the same
+//!   traversal inheriting dominance classifications down the tree (much
+//!   less CPU for large skylines) over disjoint subtree partitions,
+//!   bit-identical thanks to the deterministic row-id range scheme.
 
 mod accumulator;
 mod family;
 mod fold;
 mod generic;
 mod index_based;
-mod index_based_active;
 mod index_free;
-mod parallel;
 mod parallel_ib;
 pub mod persist;
 mod signature;
@@ -39,9 +37,7 @@ pub use family::HashFamily;
 pub use fold::{fold_shard, ShardFold};
 pub use generic::{diversify_generic, sig_gen_if_generic};
 pub use index_based::{sig_gen_ib, sig_gen_ib_budgeted, IbStats};
-pub use index_based_active::sig_gen_ib_active;
 pub use index_free::{scan_columns_budgeted, sig_gen_if, sig_gen_if_budgeted};
-pub use parallel::{scan_columns_parallel_budgeted, sig_gen_parallel, sig_gen_parallel_budgeted};
 pub use parallel_ib::{sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted};
 pub use signature::{SignatureMatrix, SlotMajorSignatures, INF_SLOT};
 

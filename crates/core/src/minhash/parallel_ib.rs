@@ -1,33 +1,41 @@
-//! Parallel `SigGen-IB` — the index-based pass over disjoint subtree
-//! partitions on scoped threads, with inherited dominance
-//! classifications (the `SigGen-IB/A` refinement) inside every
-//! partition.
+//! `SigGen-IB/A` — the index-based pass with *inherited* dominance
+//! classifications, on one thread or over disjoint subtree partitions
+//! on scoped threads.
 //!
-//! The deterministic row-id ranges of [`sig_gen_ib`](super::sig_gen_ib)
-//! (every entry owns `[base, base + e.count)` from the subtree `count`
-//! aggregates) make the traversal order-independent: any partition of
-//! the frontier processes the exact same `(row id, dominator set)`
-//! pairs, and MinHash matrices merge associatively by slot-wise minimum.
-//! So the pass seeds a frontier of independent subtrees breadth-first,
+//! The Fig. 4 algorithm ([`sig_gen_ib`](super::sig_gen_ib))
+//! re-classifies **every** skyline point against every visited entry,
+//! an `O(m)` cost per entry that dominates CPU time for large skylines.
+//! But classification is monotone down the tree:
+//!
+//! * a point that **fully dominates** an MBR fully dominates every
+//!   descendant MBR — it never needs re-checking, only remembering;
+//! * a point that dominates **no part** of an MBR dominates no part of
+//!   any descendant — it can be dropped from the subtree entirely;
+//! * only the **partial** dominators remain undecided below.
+//!
+//! So every frontier item carries an immutable [`FullChain`] of
+//! already-full ancestors plus the still-partial *active* candidates,
+//! and an entry classifies only those instead of all `m`.
+//!
+//! The deterministic row-id ranges of Fig. 4 (every entry owns
+//! `[base, base + e.count)` from the subtree `count` aggregates) make
+//! the traversal order-independent: any partition of the frontier
+//! processes the exact same `(row id, dominator set)` pairs, and MinHash
+//! matrices merge associatively by slot-wise minimum. With `threads > 1`
+//! the pass seeds a frontier of independent subtrees breadth-first,
 //! splits it into **contiguous blocks** (one per thread — neighbouring
 //! subtrees share ancestors and MBR locality, so a block is a coarse,
 //! cache-friendly work unit instead of a round-robin shuffle), and
 //! merges the per-thread partial matrices with
-//! [`merge_min`](super::SignatureMatrix::merge_min) — **bit-identical**
-//! to the sequential pass for every thread count.
-//!
-//! Each frontier item carries the `SigGen-IB/A` state
-//! ([`FullChain`] ancestors plus the still-*active* dominator
-//! candidates), so a worker classifies only the points that were
-//! partial on the parent entry instead of all `m` — the classification
-//! monotonicity argument in
-//! [`index_based_active`](super::sig_gen_ib_active) applies unchanged
-//! across partition boundaries because the seed phase builds the same
-//! chains a sequential `SigGen-IB/A` traversal would.
+//! [`merge_min`](super::SignatureMatrix::merge_min). With one thread the
+//! same worker loop drains the root on the caller thread. Every thread
+//! count yields output, [`IbStats`] and dominance-test charges
+//! **bit-identical** to each other, and output and stats identical to
+//! Fig. 4.
 //!
 //! The buffer pool stays shared behind a mutex (one lock per node read),
 //! so I/O statistics, fault injection, and poisoning behave exactly as
-//! in the sequential pass, and every thread charges the shared
+//! in the Fig. 4 pass, and every thread charges the shared
 //! [`ExecContext`] so run budgets keep working.
 
 use std::collections::VecDeque;
@@ -37,8 +45,32 @@ use skydiver_rtree::{classify_dominance, BufferPool, Child, MbrDominance, Node, 
 
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
 
-use super::index_based_active::FullChain;
-use super::{HashFamily, IbStats, SigGenOutput, SignatureAccumulator, SignatureMatrix};
+use super::{HashFamily, IbStats, SigGenOutput, SignatureAccumulator};
+
+/// A persistent chain of "fully dominating" skyline-point sets gathered
+/// along the path from the root; frontier items share their ancestors'
+/// links by pointer.
+struct FullChain {
+    fulls: Vec<usize>,
+    parent: Option<Arc<FullChain>>,
+}
+
+impl FullChain {
+    fn for_each(&self, f: &mut impl FnMut(usize)) {
+        for &j in &self.fulls {
+            // lint: allow(R2) -- walks one root-to-leaf chain of full
+            // classifications, bounded by tree height * m
+            f(j);
+        }
+        if let Some(p) = &self.parent {
+            p.for_each(f);
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.fulls.len() + self.parent.as_ref().map_or(0, |p| p.count())
+    }
+}
 
 /// How many independent subtrees the breadth-first seed phase gathers
 /// per thread before handing the frontier to the workers.
@@ -83,90 +115,137 @@ impl Acc {
     }
 }
 
-/// Processes one node's entries with inherited classifications: charge
-/// one dominance test per *active* candidate, classify only those, then
-/// bulk-update (newly-full plus the ancestor chain) / skip / expand.
-/// Returns the interrupt if the shared budget trips mid-node.
-///
-/// An entry is expanded iff some point classifies `Partial` against it;
-/// by downward monotonicity that point was `Partial` on the parent too,
-/// i.e. it is in `active` — so expansions, node reads, bulk updates and
-/// skips all match the full-reclassification pass exactly.
-#[allow(clippy::too_many_arguments)]
-fn process_node(
-    node: &Node,
-    node_base: u64,
-    chain: &Arc<FullChain>,
-    active: &[usize],
-    skyline_pts: &[&[f64]],
-    family: &HashFamily,
-    ctx: &ExecContext,
-    acc: &mut Acc,
-    expand: &mut dyn FnMut(PageId, u64, Arc<FullChain>, Arc<Vec<usize>>),
-) -> Option<Interrupt> {
-    let mut base = node_base;
-    for e in &node.entries {
-        let entry_base = base;
-        base += e.count;
-        if let Err(int) = ctx.charge_dominance_tests(active.len() as u64, ExecPhase::Fingerprint)
-        {
-            return Some(int);
-        }
-        acc.full.clear();
-        acc.partial.clear();
-        for &j in active {
-            match classify_dominance(skyline_pts[j], &e.mbr) {
-                MbrDominance::Full => acc.full.push(j),
-                MbrDominance::Partial => acc.partial.push(j),
-                MbrDominance::None => {}
-            }
-        }
-        if !acc.partial.is_empty() {
-            match e.child {
-                Child::Node(c) => {
-                    let child_chain = Arc::new(FullChain {
-                        fulls: std::mem::take(&mut acc.full),
-                        parent: Some(chain.clone()),
-                    });
-                    expand(c, entry_base, child_chain, Arc::new(std::mem::take(&mut acc.partial)));
-                    continue;
-                }
-                Child::Point(_) => {
-                    debug_assert!(false, "degenerate MBRs are never partially dominated");
-                    acc.rows_decided += e.count;
-                    acc.stats.skipped += 1;
-                    continue;
-                }
-            }
-        }
-        // Every dominator of this subtree is decided: the inherited
-        // chain plus the newly full ones.
-        if acc.full.is_empty() && chain.count() == 0 {
-            acc.rows_decided += e.count;
-            acc.stats.skipped += 1;
-            continue;
-        }
-        acc.stats.bulk_updates += 1;
-        for r in entry_base..entry_base + e.count {
-            family.hash_all(r, &mut acc.row_hashes);
-            for &j in &acc.full {
-                acc.sig.matrix.update_column(j, &acc.row_hashes);
-            }
-            let mut apply = |j: usize| acc.sig.matrix.update_column(j, &acc.row_hashes);
-            chain.for_each(&mut apply);
-        }
-        for &j in &acc.full {
-            acc.sig.scores[j] += e.count;
-        }
-        let mut bump = |j: usize| acc.sig.scores[j] += e.count;
-        chain.for_each(&mut bump);
-        acc.rows_decided += e.count;
-    }
-    None
+/// The inputs every traversal step shares.
+struct Pass<'a> {
+    tree: &'a RTree,
+    skyline_pts: &'a [&'a [f64]],
+    family: &'a HashFamily,
+    ctx: &'a ExecContext,
 }
 
-/// Parallel [`sig_gen_ib`](super::sig_gen_ib): identical arguments plus
-/// a thread count; bit-identical output for every thread count.
+impl Pass<'_> {
+    /// Processes one read node's entries with inherited classifications:
+    /// charge one dominance test per *active* candidate, classify only
+    /// those, then bulk-update (newly-full plus the ancestor chain) /
+    /// skip / expand. Returns the interrupt if the shared budget trips
+    /// mid-node.
+    ///
+    /// An entry is expanded iff some point classifies `Partial` against
+    /// it; by downward monotonicity that point was `Partial` on the
+    /// parent too, i.e. it is in `active` — so expansions, node reads,
+    /// bulk updates and skips all match the full-reclassification pass
+    /// exactly.
+    fn process_node(
+        &self,
+        node: &Node,
+        (node_base, chain, active): (u64, &Arc<FullChain>, &[usize]),
+        acc: &mut Acc,
+        expand: &mut dyn FnMut(FrontierItem),
+    ) -> Option<Interrupt> {
+        let Pass {
+            skyline_pts,
+            family,
+            ctx,
+            ..
+        } = *self;
+        acc.stats.nodes_read += 1;
+        let mut base = node_base;
+        for e in &node.entries {
+            let entry_base = base;
+            base += e.count;
+            let tests = active.len() as u64;
+            if let Err(int) = ctx.charge_dominance_tests(tests, ExecPhase::Fingerprint) {
+                return Some(int);
+            }
+            acc.full.clear();
+            acc.partial.clear();
+            for &j in active {
+                match classify_dominance(skyline_pts[j], &e.mbr) {
+                    MbrDominance::Full => acc.full.push(j),
+                    MbrDominance::Partial => acc.partial.push(j),
+                    MbrDominance::None => {}
+                }
+            }
+            if !acc.partial.is_empty() {
+                match e.child {
+                    Child::Node(c) => {
+                        let child_chain = Arc::new(FullChain {
+                            fulls: std::mem::take(&mut acc.full),
+                            parent: Some(chain.clone()),
+                        });
+                        let still_active = Arc::new(std::mem::take(&mut acc.partial));
+                        expand((c, entry_base, child_chain, still_active));
+                        continue;
+                    }
+                    Child::Point(_) => {
+                        debug_assert!(false, "degenerate MBRs are never partially dominated");
+                        acc.rows_decided += e.count;
+                        acc.stats.skipped += 1;
+                        continue;
+                    }
+                }
+            }
+            // Every dominator of this subtree is decided: the inherited
+            // chain plus the newly full ones.
+            if acc.full.is_empty() && chain.count() == 0 {
+                acc.rows_decided += e.count;
+                acc.stats.skipped += 1;
+                continue;
+            }
+            acc.stats.bulk_updates += 1;
+            for r in entry_base..entry_base + e.count {
+                family.hash_all(r, &mut acc.row_hashes);
+                for &j in &acc.full {
+                    acc.sig.matrix.update_column(j, &acc.row_hashes);
+                }
+                let mut apply = |j: usize| acc.sig.matrix.update_column(j, &acc.row_hashes);
+                chain.for_each(&mut apply);
+            }
+            for &j in &acc.full {
+                acc.sig.scores[j] += e.count;
+            }
+            let mut bump = |j: usize| acc.sig.scores[j] += e.count;
+            chain.for_each(&mut bump);
+            acc.rows_decided += e.count;
+        }
+        None
+    }
+
+    /// Drains one block of the frontier depth-first (LIFO, the traversal
+    /// order of Fig. 4), reading nodes through the shared pool and
+    /// stopping at a poisoned pool or a tripped budget.
+    fn drain(
+        &self,
+        pool: &Mutex<&mut BufferPool>,
+        block: &[FrontierItem],
+    ) -> (Acc, Option<Interrupt>) {
+        let mut acc = Acc::new(self.family.len(), self.skyline_pts.len());
+        let mut frontier = block.to_vec();
+        while let Some((pid, base, chain, active)) = frontier.pop() {
+            // lint: allow(R2) -- process_node charges the budget per node
+            // and its Interrupt return ends this loop
+            let node = {
+                // lint: allow(R1) -- mutex poison means a sibling worker
+                // panicked mid-read; the join re-raises that panic, so
+                // recovery here would be dead code
+                let mut guard = pool.lock().expect("pool mutex poisoned");
+                if guard.poisoned() {
+                    break;
+                }
+                self.tree.read_node(&mut guard, pid)
+            };
+            let item = (base, &chain, &active[..]);
+            if let Some(int) = self.process_node(node, item, &mut acc, &mut |i| frontier.push(i)) {
+                return (acc, Some(int));
+            }
+        }
+        (acc, None)
+    }
+}
+
+/// `SigGen-IB/A` over `threads` threads: the arguments of
+/// [`sig_gen_ib`](super::sig_gen_ib) plus a thread count; output and
+/// stats identical to it for every thread count.
 pub fn sig_gen_ib_parallel(
     tree: &RTree,
     pool: &mut BufferPool,
@@ -181,17 +260,19 @@ pub fn sig_gen_ib_parallel(
     (out, stats)
 }
 
-/// Budget-aware [`sig_gen_ib_parallel`]: same contract as
-/// [`sig_gen_ib_budgeted`](super::sig_gen_ib_budgeted) — every thread
-/// charges the shared `ctx` (one dominance test per still-active
-/// candidate per entry, the work actually done) and checks the shared
-/// pool for poisoning before each node read, so budgets and injected
-/// page faults stop all workers within one node's work.
+/// Budget-aware [`sig_gen_ib_parallel`], returning `(output, stats,
+/// rows_consumed, interrupt)` like
+/// [`sig_gen_ib_budgeted`](super::sig_gen_ib_budgeted). Every thread
+/// charges the shared `ctx` one dominance test per still-active
+/// candidate per entry — the work actually done, and the same total at
+/// every thread count — and checks the shared pool for poisoning before
+/// each node read, so budgets and injected page faults stop all workers
+/// within one node's work.
 ///
 /// Uninterrupted output (matrix, scores, stats, rows) is bit-identical
-/// to the sequential pass; an interrupted or faulted run covers a
-/// timing-dependent subset of entries, exactly like the sharded
-/// index-free pass.
+/// for every thread count; an interrupted or faulted run on several
+/// threads covers a timing-dependent subset of entries, exactly like
+/// the threaded index-free pass.
 pub fn sig_gen_ib_parallel_budgeted(
     tree: &RTree,
     pool: &mut BufferPool,
@@ -201,30 +282,26 @@ pub fn sig_gen_ib_parallel_budgeted(
     ctx: &ExecContext,
 ) -> (SigGenOutput, IbStats, usize, Option<Interrupt>) {
     let threads = threads.max(1);
-    if threads == 1 {
-        return super::sig_gen_ib_budgeted(tree, pool, skyline_pts, family, ctx);
-    }
     let t = family.len();
     let m = skyline_pts.len();
     if tree.is_empty() || m == 0 {
-        return (
-            SigGenOutput {
-                matrix: SignatureMatrix::new(t, m),
-                scores: vec![0u64; m],
-            },
-            IbStats::default(),
-            0,
-            None,
-        );
+        let empty = SignatureAccumulator::new(t, m).into_output();
+        return (empty, IbStats::default(), 0, None);
     }
+    let pass = Pass {
+        tree,
+        skyline_pts,
+        family,
+        ctx,
+    };
 
-    // Seed phase: expand breadth-first through the shared pool until the
-    // frontier holds enough independent subtrees to keep every thread
-    // busy. Non-expandable entries are folded into the seed accumulator
-    // inline — identical work to the sequential pass, just node by node.
+    // Seed phase (several threads only): expand breadth-first through
+    // the shared pool until the frontier holds enough independent
+    // subtrees to keep every thread busy. Non-expandable entries are
+    // folded into the seed accumulator inline — identical work to the
+    // single-threaded pass, just node by node.
     let mut seed_acc = Acc::new(t, m);
     let mut interrupt: Option<Interrupt> = None;
-    let target = threads * SEED_FACTOR;
     let root_chain = Arc::new(FullChain {
         fulls: Vec::new(),
         parent: None,
@@ -232,7 +309,7 @@ pub fn sig_gen_ib_parallel_budgeted(
     let all_active: Arc<Vec<usize>> = Arc::new((0..m).collect());
     let mut queue: VecDeque<FrontierItem> =
         VecDeque::from([(tree.root(), 0, root_chain, all_active)]);
-    while queue.len() < target {
+    while threads > 1 && queue.len() < threads * SEED_FACTOR {
         // lint: allow(R2) -- process_node charges the budget per node and
         // its Interrupt return breaks this loop
         let Some((pid, base, chain, active)) = queue.pop_front() else {
@@ -242,85 +319,41 @@ pub fn sig_gen_ib_parallel_budgeted(
             break;
         }
         let node = tree.read_node(pool, pid);
-        seed_acc.stats.nodes_read += 1;
-        if let Some(int) = process_node(
-            node,
-            base,
-            &chain,
-            &active,
-            skyline_pts,
-            family,
-            ctx,
-            &mut seed_acc,
-            &mut |c, b, ch, act| queue.push_back((c, b, ch, act)),
-        ) {
-            interrupt = Some(int);
+        let item = (base, &chain, &active[..]);
+        interrupt = pass.process_node(node, item, &mut seed_acc, &mut |i| queue.push_back(i));
+        if interrupt.is_some() {
             break;
         }
     }
 
     let mut partials: Vec<(Acc, Option<Interrupt>)> = Vec::new();
     if interrupt.is_none() && !queue.is_empty() && !pool.poisoned() {
-        // Contiguous blocks, not round-robin: the breadth-first queue
-        // lists sibling subtrees in tree order, so a contiguous slice is
-        // a coarse unit whose subtrees share ancestor chains (the Arc'd
-        // FullChains clone by pointer) and spatial locality.
-        let block = queue.len().div_ceil(threads);
-        let mut buckets: Vec<Vec<FrontierItem>> = Vec::with_capacity(threads);
-        while !queue.is_empty() {
-            // lint: allow(R2) -- drains at most threads*SEED_FACTOR queued
-            // subtrees into `threads` blocks
-            let take = block.min(queue.len());
-            buckets.push(queue.drain(..take).collect());
+        let pool = Mutex::new(pool);
+        let frontier = queue.make_contiguous();
+        if threads == 1 {
+            partials.push(pass.drain(&pool, frontier));
+        } else {
+            // Contiguous blocks, not round-robin: the breadth-first
+            // queue lists sibling subtrees in tree order, so a contiguous
+            // slice is a coarse unit whose subtrees share ancestor chains
+            // (the Arc'd FullChains clone by pointer) and spatial locality.
+            let block = frontier.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let (pass, pool) = (&pass, &pool);
+                let mut handles = Vec::with_capacity(threads);
+                for b in frontier.chunks(block) {
+                    // lint: allow(R2) -- spawns at most `threads` scoped
+                    // workers; each drain charges the budget per node
+                    handles.push(scope.spawn(move || pass.drain(pool, b)));
+                }
+                for h in handles {
+                    // lint: allow(R2) -- joins at most `threads` handles
+                    // lint: allow(R1) -- a worker panic is re-raised on the
+                    // caller by design; swallowing it would drop subtree counts
+                    partials.push(h.join().expect("ib partition panicked"));
+                }
+            });
         }
-        let pool_mx = Mutex::new(pool);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for bucket in buckets {
-                // lint: allow(R2) -- spawns at most `threads` scoped workers;
-                // each worker's process_node charges the budget per node
-                let pool_mx = &pool_mx;
-                handles.push(scope.spawn(move || {
-                    let mut acc = Acc::new(t, m);
-                    let mut interrupt = None;
-                    let mut frontier = bucket;
-                    while let Some((pid, base, chain, active)) = frontier.pop() {
-                        let node = {
-                            // lint: allow(R1) -- mutex poison means a sibling
-                            // worker panicked mid-read; the join below re-raises
-                            // that panic, so recovery here would be dead code
-                            let mut guard = pool_mx.lock().expect("pool mutex poisoned");
-                            if guard.poisoned() {
-                                break;
-                            }
-                            tree.read_node(&mut guard, pid)
-                        };
-                        acc.stats.nodes_read += 1;
-                        if let Some(int) = process_node(
-                            node,
-                            base,
-                            &chain,
-                            &active,
-                            skyline_pts,
-                            family,
-                            ctx,
-                            &mut acc,
-                            &mut |c, b, ch, act| frontier.push((c, b, ch, act)),
-                        ) {
-                            interrupt = Some(int);
-                            break;
-                        }
-                    }
-                    (acc, interrupt)
-                }));
-            }
-            for h in handles {
-                // lint: allow(R2) -- joins at most `threads` handles
-                // lint: allow(R1) -- a worker panic is re-raised on the
-                // caller by design; swallowing it would drop subtree counts
-                partials.push(h.join().expect("ib partition panicked"));
-            }
-        });
     }
 
     let mut acc = seed_acc;
@@ -361,11 +394,12 @@ mod tests {
 
     #[test]
     fn bit_identical_to_sequential() {
-        for threads in [2, 3, 8] {
+        for threads in [1, 2, 3, 8] {
             for ds in [
                 independent(2000, 3, 170),
                 anticorrelated(1200, 3, 171),
                 clustered(2500, 2, 6, 0.05, 172),
+                independent(1200, 5, 123),
             ] {
                 let ((a, sa), (b, sb)) = seq_and_par(&ds, 32, threads);
                 assert_eq!(a.matrix, b.matrix, "threads = {threads}");
@@ -449,8 +483,10 @@ mod tests {
         let tree = skydiver_rtree::RTree::bulk_load(&ds, 1024);
         let mut pool = BufferPool::new(16);
         let fam = HashFamily::new(4, 8);
-        let (out, stats) = sig_gen_ib_parallel(&tree, &mut pool, &[], &fam, 4);
-        assert_eq!(out.matrix.m(), 0);
-        assert_eq!(stats, IbStats::default());
+        for threads in [1, 4] {
+            let (out, stats) = sig_gen_ib_parallel(&tree, &mut pool, &[], &fam, threads);
+            assert_eq!(out.matrix.m(), 0, "threads = {threads}");
+            assert_eq!(stats, IbStats::default(), "threads = {threads}");
+        }
     }
 }

@@ -41,7 +41,7 @@ use crate::error::{Result, SkyDiverError};
 use crate::graph::DominanceGraph;
 use crate::lsh::{LshIndex, LshParams};
 use crate::minhash::{
-    sig_gen_if_budgeted, sig_gen_parallel_budgeted, HashFamily, ShardFingerprint, SigGenOutput,
+    sig_gen_if_budgeted, HashFamily, ShardFingerprint, SigGenOutput,
     SignatureAccumulator, SignatureMatrix,
 };
 use crate::skyline_state::SkylineState;
@@ -591,11 +591,8 @@ impl SkyDiver {
         };
         let family = HashFamily::new(t_eff, self.hash_seed);
         let t0 = Instant::now();
-        let (out, rows_scanned, interrupt) = if self.threads > 1 {
-            sig_gen_parallel_budgeted(canon.as_ref(), &ord, &skyline, &family, self.threads, ctx)
-        } else {
-            sig_gen_if_budgeted(canon.as_ref(), &ord, &skyline, &family, ctx)
-        };
+        let (out, rows_scanned, interrupt) =
+            sig_gen_if_budgeted(canon.as_ref(), &ord, &skyline, &family, self.threads, ctx);
         let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
         if interrupt.is_some() {
             events.push(DegradationEvent::FingerprintCurtailed {

@@ -12,13 +12,13 @@ use skydiver::core::dispersion::{
 };
 use skydiver::core::diversity::SignatureDistance;
 use skydiver::core::minhash::{
-    sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, sig_gen_parallel,
+    sig_gen_ib, sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted, sig_gen_if, sig_gen_if_budgeted,
 };
-use skydiver::core::ExecContext;
+use skydiver::core::{canonicalise, ExecContext};
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators;
-use skydiver::rtree::{BufferPool, RTree};
-use skydiver::skyline::naive_skyline;
+use skydiver::rtree::{BufferPool, RTree, DEFAULT_PAGE_SIZE};
+use skydiver::skyline::{naive_skyline, sfs};
 use skydiver::{Dataset, HashFamily, Preference, RunBudget, SkyDiver, StopReason};
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
@@ -60,7 +60,9 @@ fn sharded_index_free_is_bit_identical() {
         let fam = HashFamily::new(32, 11);
         let seq = sig_gen_if(&ds, &MinDominance, &sky, &fam);
         for threads in THREADS {
-            let par = sig_gen_parallel(&ds, &MinDominance, &sky, &fam, threads);
+            let ctx = ExecContext::unlimited();
+            let (par, _, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, threads, &ctx);
+            assert!(int.is_none(), "{name}, threads = {threads}");
             assert_eq!(seq.matrix, par.matrix, "{name}, threads = {threads}");
             assert_eq!(seq.scores, par.scores, "{name}, threads = {threads}");
         }
@@ -82,6 +84,56 @@ fn partitioned_index_based_is_bit_identical() {
             assert_eq!(seq.matrix, par.matrix, "{name}, threads = {threads}");
             assert_eq!(seq.scores, par.scores, "{name}, threads = {threads}");
             assert_eq!(seq_stats, par_stats, "{name}, threads = {threads}");
+        }
+    }
+}
+
+#[test]
+fn index_based_charges_are_identical_across_thread_counts() {
+    // SigGen-IB/A charges one dominance test per still-active candidate
+    // per entry, and every thread count classifies the same entries
+    // against the same active sets — so a budget of exactly the
+    // 1-thread charge must let the index-based pipeline finish at every
+    // thread count, never degrade only some of them.
+    let prefs = Preference::all_min(3);
+    for (name, ds) in [
+        ("independent", generators::independent(6000, 3, 1808)),
+        ("anticorrelated", generators::anticorrelated(4000, 3, 1809)),
+    ] {
+        // The tree and skyline `run_index_based` builds.
+        let canon = canonicalise(&ds, &prefs).unwrap();
+        let tree = RTree::bulk_load(&canon, DEFAULT_PAGE_SIZE);
+        let sky = sfs(canon.as_ref(), &MinDominance);
+        let pts: Vec<&[f64]> = sky.iter().map(|&s| canon.point(s)).collect();
+        let fam = HashFamily::new(32, 17);
+        let charged = |threads: usize| {
+            let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+            let mut pool = BufferPool::new(1 << 20);
+            let (_, _, _, int) =
+                sig_gen_ib_parallel_budgeted(&tree, &mut pool, &pts, &fam, threads, &ctx);
+            assert!(int.is_none(), "{name}, threads = {threads}");
+            ctx.dominance_tests()
+        };
+        let tests = charged(1);
+        assert!(tests > 0, "{name}: the counting context must count");
+        for threads in [2, 4, 8] {
+            assert_eq!(charged(threads), tests, "{name}, threads = {threads}");
+        }
+        let cfg = SkyDiver::new(5)
+            .signature_size(32)
+            .hash_seed(17)
+            .budget(RunBudget::none().with_max_dominance_tests(tests));
+        for threads in [1, 2, 4, 8] {
+            let (r, _) = cfg
+                .clone()
+                .threads(threads)
+                .run_index_based(&ds, &prefs)
+                .unwrap();
+            assert!(
+                r.degradation.interrupt.is_none(),
+                "{name}, threads = {threads}: a budget of {tests} tests must suffice"
+            );
+            assert_eq!(r.selected.len(), 5, "{name}, threads = {threads}");
         }
     }
 }
