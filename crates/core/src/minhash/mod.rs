@@ -44,7 +44,7 @@ pub use signature::{SignatureMatrix, SlotMajorSignatures, INF_SLOT};
 /// Output of a signature-generation pass: the signature matrix plus the
 /// exact domination scores `|Γ(p)|` gathered along the way (used to seed
 /// and tie-break the selection phase).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SigGenOutput {
     /// `t × m` signature matrix (column per skyline point).
     pub matrix: SignatureMatrix,

@@ -1,40 +1,39 @@
-//! Persistence of fingerprints.
+//! Persistence of fingerprints: the `SKYSIG02` bundle.
 //!
 //! Fingerprinting is the expensive phase (one pass over the data);
-//! selection is `O(k²m)` and cheap. Persisting the signature matrix and
-//! domination scores lets a user fingerprint once and re-run selection
-//! for many `k`, thresholds, or LSH configurations — without touching
-//! the data again. Two formats, both little-endian:
+//! selection is `O(k²m)` and cheap. Persisting a fold lets a user
+//! fingerprint once and re-run selection for many `k`, thresholds, or
+//! LSH configurations — without touching the data again. One format
+//! serves every artefact: a bundle holds one [`ShardFingerprint`]
+//! (column ids + fold + rows consumed), and a whole-dataset fingerprint
+//! is simply a one-shard bundle whose columns are the skyline ids. The
+//! layout is little-endian:
 //!
-//! * `SKYSIG01` — a whole-dataset bundle: magic, `u64` t / m,
-//!   column-major `u64` slots, then `u64` scores. No integrity check
-//!   beyond an exact-size match against the header.
-//! * `SKYSIG02` — a *per-shard* bundle ([`ShardFingerprint`]: column
-//!   ids + partial fold + rows consumed) hardened for use as an on-disk
-//!   cache artefact: the header carries four caller-owned key tags (the
-//!   serving layer binds dataset content hash, shard id, preference
-//!   hash and seed so a renamed or stale file can never masquerade as
-//!   another key), and the file ends in a length-and-checksum footer
-//!   (FNV-1a 64 over everything before it) so torn writes, truncation
-//!   and bit rot are detected before a single word is trusted.
+//! * a header of magic, four caller-owned key tags, `t`, `m` and rows
+//!   consumed. The serving layer binds dataset content hash, shard id,
+//!   preference hash and seed into the tags, so a renamed or stale file
+//!   can never masquerade as another key; the CLI's whole-dataset
+//!   bundle carries the hash seed in the same last slot;
+//! * `m` column ids, `t × m` column-major slots and `m` scores;
+//! * a length-and-checksum footer (FNV-1a 64 over everything before
+//!   it), so torn writes, truncation and bit rot are detected before a
+//!   single word is trusted.
 //!
-//! Both readers bounds-check every header count against the actual file
-//! size *before* allocating, so a hostile or truncated header cannot
-//! trigger an unbounded `t·m` allocation.
+//! The decoder bounds-checks every header count against the actual
+//! bundle size *before* allocating, so a hostile or truncated header
+//! cannot trigger an unbounded `t·m` allocation.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
 
-use super::{ShardFingerprint, SigGenOutput, SignatureAccumulator, SignatureMatrix};
+use super::{ShardFingerprint, SignatureAccumulator, SignatureMatrix};
 
-const MAGIC: &[u8; 8] = b"SKYSIG01";
-const MAGIC_V2: &[u8; 8] = b"SKYSIG02";
+const MAGIC: &[u8; 8] = b"SKYSIG02";
 
 /// Fixed byte sizes of the `SKYSIG02` layout: magic + 4 key tags +
 /// t + m + rows_consumed, and the length + checksum footer.
-const V2_HEADER: u64 = 8 + 4 * 8 + 3 * 8;
-const V2_FOOTER: u64 = 2 * 8;
+const HEADER: u64 = 8 + 4 * 8 + 3 * 8;
+const FOOTER: u64 = 2 * 8;
 
 /// Incremental FNV-1a 64 — the checksum behind the `SKYSIG02` footer
 /// (and the serving layer's content hashing). Not cryptographic; it
@@ -77,98 +76,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Writes a fingerprint bundle (matrix + scores) to `path`.
-pub fn write_signatures<P: AsRef<Path>>(out: &SigGenOutput, path: P) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(out.matrix.t() as u64).to_le_bytes())?;
-    w.write_all(&(out.matrix.m() as u64).to_le_bytes())?;
-    for j in 0..out.matrix.m() {
-        // lint: allow(R2) -- serialises the already-computed t*m bundle;
-        // compute-phase budgets were charged when it was built
-        for &slot in out.matrix.column(j) {
-            w.write_all(&slot.to_le_bytes())?;
-        }
-    }
-    for &s in &out.scores {
-        // lint: allow(R2) -- m score words, same already-computed bundle
-        w.write_all(&s.to_le_bytes())?;
-    }
-    w.flush()
-}
-
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// The exact on-disk size of a `SKYSIG01` bundle with the given shape,
-/// or `None` on arithmetic overflow (an impossible honest header).
-fn v1_expected_len(t: u64, m: u64) -> Option<u64> {
-    // magic + t + m + t*m matrix words + m score words.
-    let words = t.checked_mul(m)?.checked_add(m)?;
-    words.checked_mul(8)?.checked_add(8 + 8 + 8)
-}
-
-/// Reads a fingerprint bundle written by [`write_signatures`].
-pub fn read_signatures<P: AsRef<Path>>(path: P) -> io::Result<SigGenOutput> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad_data("not a SkyDiver signature bundle"));
-    }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let t64 = u64::from_le_bytes(b8);
-    r.read_exact(&mut b8)?;
-    let m64 = u64::from_le_bytes(b8);
-    if t64 == 0 {
-        return Err(bad_data("bundle declares zero signature size"));
-    }
-    // The header is untrusted: check the declared shape against the
-    // actual file size *before* allocating t*m words from it.
-    match v1_expected_len(t64, m64) {
-        Some(expected) if expected == file_len => {}
-        _ => {
-            return Err(bad_data(format!(
-                "bundle declares t={t64} m={m64} but holds {file_len} bytes"
-            )))
-        }
-    }
-    let t = usize::try_from(t64).map_err(|_| bad_data("t exceeds this platform"))?;
-    let m = usize::try_from(m64).map_err(|_| bad_data("m exceeds this platform"))?;
-    let mut matrix = SignatureMatrix::new(t, m);
-    let mut col = vec![0u64; t];
-    for j in 0..m {
-        // lint: allow(R2) -- reads the t*m words the header declares;
-        // a short file fails fast with an I/O error
-        for slot in col.iter_mut() {
-            r.read_exact(&mut b8)?;
-            *slot = u64::from_le_bytes(b8);
-        }
-        matrix.update_column(j, &col);
-    }
-    let mut scores = Vec::with_capacity(m);
-    for _ in 0..m {
-        // lint: allow(R2) -- m score words from the same declared header
-        r.read_exact(&mut b8)?;
-        scores.push(u64::from_le_bytes(b8));
-    }
-    Ok(SigGenOutput { matrix, scores })
-}
-
-// ---------------------------------------------------------------------
-// SKYSIG02 — hardened per-shard bundles for the on-disk signature store.
-// ---------------------------------------------------------------------
-
 /// The exact on-disk size of a `SKYSIG02` bundle with the given shape,
 /// or `None` on arithmetic overflow.
-fn v2_expected_len(t: u64, m: u64) -> Option<u64> {
+fn expected_len(t: u64, m: u64) -> Option<u64> {
     // header + m column ids + t*m matrix words + m score words + footer.
     let words = t.checked_mul(m)?.checked_add(m.checked_mul(2)?)?;
-    words.checked_mul(8)?.checked_add(V2_HEADER)?.checked_add(V2_FOOTER)
+    words
+        .checked_mul(8)?
+        .checked_add(HEADER)?
+        .checked_add(FOOTER)
 }
 
 /// Encodes one shard's complete fold as a `SKYSIG02` bundle.
@@ -180,9 +100,9 @@ fn v2_expected_len(t: u64, m: u64) -> Option<u64> {
 /// served. The bundle ends in a length + FNV-1a 64 checksum footer.
 pub fn encode_shard_signatures(fp: &ShardFingerprint, tags: &[u64; 4]) -> Vec<u8> {
     let (t, m) = (fp.acc.t(), fp.acc.m());
-    let len = v2_expected_len(t as u64, m as u64).unwrap_or(V2_HEADER + V2_FOOTER);
+    let len = expected_len(t as u64, m as u64).unwrap_or(HEADER + FOOTER);
     let mut out = Vec::with_capacity(len as usize);
-    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(MAGIC);
     for &tag in tags {
         // lint: allow(R2) -- four fixed header words, no data scan
         out.extend_from_slice(&tag.to_le_bytes());
@@ -223,32 +143,28 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 /// the fold and the caller's key tags.
 pub fn decode_shard_signatures(bytes: &[u8]) -> io::Result<(ShardFingerprint, [u64; 4])> {
     let total = bytes.len() as u64;
-    if total < V2_HEADER + V2_FOOTER {
+    if total < HEADER + FOOTER {
         return Err(bad_data("shard bundle shorter than header + footer"));
     }
-    if &bytes[..8] != MAGIC_V2 {
+    if &bytes[..8] != MAGIC {
         return Err(bad_data("not a SkyDiver shard bundle (bad magic)"));
+    }
+    let (t64, m64) = (read_u64(bytes, 40), read_u64(bytes, 48));
+    if t64 == 0 {
+        return Err(bad_data("shard bundle declares zero signature size"));
+    }
+    if expected_len(t64, m64) != Some(total) {
+        return Err(bad_data(format!(
+            "shard bundle declares t={t64} m={m64} but holds {total} bytes"
+        )));
     }
     let mut tags = [0u64; 4];
     for (i, tag) in tags.iter_mut().enumerate() {
         // lint: allow(R2) -- four fixed header words
         *tag = read_u64(bytes, 8 + i * 8);
     }
-    let t64 = read_u64(bytes, 40);
-    let m64 = read_u64(bytes, 48);
     let rows = read_u64(bytes, 56);
-    if t64 == 0 {
-        return Err(bad_data("shard bundle declares zero signature size"));
-    }
-    match v2_expected_len(t64, m64) {
-        Some(expected) if expected == total => {}
-        _ => {
-            return Err(bad_data(format!(
-                "shard bundle declares t={t64} m={m64} but holds {total} bytes"
-            )))
-        }
-    }
-    let payload_len = (total - V2_FOOTER) as usize;
+    let payload_len = (total - FOOTER) as usize;
     let declared_len = read_u64(bytes, payload_len);
     let declared_sum = read_u64(bytes, payload_len + 8);
     if declared_len != payload_len as u64 {
@@ -266,7 +182,7 @@ pub fn decode_shard_signatures(bytes: &[u8]) -> io::Result<(ShardFingerprint, [u
     let m = usize::try_from(m64).map_err(|_| bad_data("m exceeds this platform"))?;
     let rows_consumed =
         usize::try_from(rows).map_err(|_| bad_data("rows_consumed exceeds this platform"))?;
-    let mut at = V2_HEADER as usize;
+    let mut at = HEADER as usize;
     let mut columns = Vec::with_capacity(m);
     for j in 0..m {
         // lint: allow(R2) -- m checksummed header words, bounds proven
@@ -302,48 +218,22 @@ pub fn decode_shard_signatures(bytes: &[u8]) -> io::Result<(ShardFingerprint, [u
 
 /// Writes a shard bundle to `path` in one plain (non-atomic) write —
 /// the store's atomic temp + fsync + rename protocol lives in the
-/// serving layer; this is the codec-level convenience used by tests.
+/// serving layer; this is the plain writer the CLI's `.skysig` files
+/// use.
 pub fn write_shard_signatures<P: AsRef<Path>>(
     path: P,
     fp: &ShardFingerprint,
     tags: &[u64; 4],
 ) -> io::Result<()> {
-    let bytes = encode_shard_signatures(fp, tags);
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&bytes)?;
-    w.flush()
+    std::fs::write(path, encode_shard_signatures(fp, tags))
 }
 
-/// Reads a `SKYSIG02` shard bundle, verifying the header shape against
-/// the actual file size before reading (let alone allocating) the body.
+/// Reads a `SKYSIG02` shard bundle: the file as it is, then
+/// [`decode_shard_signatures`]'s checks, so no header count is trusted.
 pub fn read_shard_signatures<P: AsRef<Path>>(
     path: P,
 ) -> io::Result<(ShardFingerprint, [u64; 4])> {
-    let mut f = File::open(path)?;
-    let file_len = f.metadata()?.len();
-    let mut header = [0u8; V2_HEADER as usize];
-    f.read_exact(&mut header)?;
-    if &header[..8] != MAGIC_V2 {
-        return Err(bad_data("not a SkyDiver shard bundle (bad magic)"));
-    }
-    let t64 = read_u64(&header, 40);
-    let m64 = read_u64(&header, 48);
-    if t64 == 0 {
-        return Err(bad_data("shard bundle declares zero signature size"));
-    }
-    match v2_expected_len(t64, m64) {
-        Some(expected) if expected == file_len => {}
-        _ => {
-            return Err(bad_data(format!(
-                "shard bundle declares t={t64} m={m64} but holds {file_len} bytes"
-            )))
-        }
-    }
-    // Size proven honest: the full read is bounded by the real file.
-    let mut bytes = Vec::with_capacity(file_len as usize);
-    bytes.extend_from_slice(&header);
-    f.read_to_end(&mut bytes)?;
-    decode_shard_signatures(&bytes)
+    decode_shard_signatures(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -351,76 +241,12 @@ mod tests {
     use super::*;
     use crate::minhash::{sig_gen_if, HashFamily};
     use skydiver_data::dominance::MinDominance;
-    use skydiver_data::generators::independent;
     use skydiver_skyline::naive_skyline;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("skydiver-sig-{}-{name}", std::process::id()));
         p
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        let ds = independent(500, 3, 180);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let fam = HashFamily::new(64, 181);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        let path = tmp("roundtrip");
-        write_signatures(&out, &path).unwrap();
-        let back = read_signatures(&path).unwrap();
-        assert_eq!(out.matrix, back.matrix);
-        assert_eq!(out.scores, back.scores);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn round_trip_keeps_inf_slots() {
-        // A skyline point dominating nothing has an all-∞ column; ∞ is
-        // u64::MAX and must survive the trip (update_column minimum with
-        // a fresh matrix keeps MAX).
-        let ds = skydiver_data::Dataset::from_rows(2, &[[0.0, 1.0], [1.0, 0.0], [1.5, 0.5]]);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let fam = HashFamily::new(8, 182);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        let path = tmp("inf");
-        write_signatures(&out, &path).unwrap();
-        let back = read_signatures(&path).unwrap();
-        assert_eq!(out.matrix, back.matrix);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn rejects_garbage_and_truncation() {
-        let path = tmp("garbage");
-        std::fs::write(&path, b"definitely not a signature bundle").unwrap();
-        assert!(read_signatures(&path).is_err());
-
-        // Truncated bundle: write valid then chop.
-        let ds = independent(100, 2, 183);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let fam = HashFamily::new(16, 184);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        write_signatures(&out, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(read_signatures(&path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn v1_hostile_header_cannot_force_a_huge_allocation() {
-        // A 24-byte file whose header claims a petabyte-scale matrix:
-        // the size check must reject it before any t*m allocation.
-        let path = tmp("hostile-v1");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // t
-        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // m (t*m overflows)
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_signatures(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(path).ok();
     }
 
     fn sample_shard_fp() -> ShardFingerprint {
@@ -436,14 +262,28 @@ mod tests {
 
     #[test]
     fn v2_round_trip_preserves_fold_and_tags() {
-        let fp = sample_shard_fp();
+        // Besides the hand-made fold, a whole-dataset fingerprint as the
+        // CLI writes it: one shard, columns = skyline ids, rows consumed
+        // = n. Point 0 dominates nothing, so its column is all-∞.
+        let ds = skydiver_data::Dataset::from_rows(2, &[[0.0, 1.0], [1.0, 0.0], [1.5, 0.5]]);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let out = sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(8, 182));
+        assert!(out.matrix.column(0).iter().all(|&v| v == u64::MAX));
+        let acc = SignatureAccumulator {
+            matrix: out.matrix,
+            scores: out.scores,
+            rows_consumed: ds.len(),
+        };
+        let whole = ShardFingerprint { columns: sky, acc };
         let tags = [0xdead_beef, 7, 0x1234, 99];
         let path = tmp("v2-roundtrip");
-        write_shard_signatures(&path, &fp, &tags).unwrap();
-        let (back, back_tags) = read_shard_signatures(&path).unwrap();
-        assert_eq!(back.columns, fp.columns);
-        assert_eq!(back.acc, fp.acc);
-        assert_eq!(back_tags, tags);
+        for fp in [sample_shard_fp(), whole] {
+            write_shard_signatures(&path, &fp, &tags).unwrap();
+            let (back, back_tags) = read_shard_signatures(&path).unwrap();
+            assert_eq!(back.columns, fp.columns);
+            assert_eq!(back.acc, fp.acc);
+            assert_eq!(back_tags, tags);
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -468,6 +308,11 @@ mod tests {
                 "truncation to {keep} bytes must be detected"
             );
         }
+        // Garbage long enough to hold a header and footer — including
+        // any file of another format — fails on its magic.
+        let garbage = vec![b'x'; good.len()];
+        let err = decode_shard_signatures(&garbage).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
         // The untouched encoding still decodes.
         assert!(decode_shard_signatures(&good).is_ok());
     }
@@ -476,7 +321,7 @@ mod tests {
     fn v2_hostile_header_cannot_force_a_huge_allocation() {
         let path = tmp("hostile-v2");
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&[0u8; 32]); // tags
         bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // t
         bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // m

@@ -8,6 +8,18 @@
 //! ([`SkyDiver::run_auto`]), or over a bare dominance graph
 //! ([`SkyDiver::run_graph`]).
 //!
+//! # One index-free fingerprint engine
+//!
+//! Every index-free fingerprint is a sharded one. [`SkyDiver::run`] and
+//! [`SkyDiver::fingerprint`] canonicalise the dataset and fold it as a
+//! single shard; [`SkyDiver::fingerprint_sharded_with`] computes the
+//! skyline of many shards; [`SkyDiver::fingerprint_over`] takes a kept
+//! [`SkylineState`]. All three then run the same per-shard fold
+//! ([`crate::minhash::fold_shard`], shared with the cluster workers) and
+//! merge, so whole, sharded, served and distributed answers agree bit
+//! for bit. Fig. 3's [`crate::minhash::sig_gen_if`] stays as the
+//! paper's reference and the test oracle.
+//!
 //! # Resilient execution
 //!
 //! Every run can carry a [`RunBudget`] (wall-clock deadline, memory
@@ -19,6 +31,7 @@
 //! unbudgeted run would have selected; a fingerprint-phase interrupt
 //! yields the skyline plus partial scores with an empty selection.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +39,7 @@ use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 use skydiver_rtree::{
     BufferPool, FaultInjection, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE,
 };
-use skydiver_skyline::{bbs, sfs};
+use skydiver_skyline::bbs;
 
 use crate::budget::{
     CancelToken, Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget,
@@ -41,8 +54,7 @@ use crate::error::{Result, SkyDiverError};
 use crate::graph::DominanceGraph;
 use crate::lsh::{LshIndex, LshParams};
 use crate::minhash::{
-    sig_gen_if_budgeted, HashFamily, ShardFingerprint, SigGenOutput,
-    SignatureAccumulator, SignatureMatrix,
+    HashFamily, ShardFingerprint, SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };
 use crate::skyline_state::SkylineState;
 
@@ -111,6 +123,23 @@ impl Fingerprint {
     /// Domination scores `|Γ(p)|` per skyline point.
     pub fn scores(&self) -> &[u64] {
         &self.output.scores
+    }
+
+    /// A fingerprint stopped by `interrupt` before any row was folded:
+    /// the skyline found so far (possibly none), zero scores and an
+    /// empty `t × 0` matrix.
+    pub fn interrupted(skyline: Vec<usize>, t: usize, interrupt: Interrupt) -> Self {
+        let scores = vec![0; skyline.len()];
+        Fingerprint {
+            skyline,
+            output: SigGenOutput {
+                matrix: SignatureMatrix::new(t, 0),
+                scores,
+            },
+            fingerprint_ms: 0.0,
+            events: vec![],
+            interrupt: Some(interrupt),
+        }
     }
 
     /// Resident bytes of the artefact: signature matrix plus the score
@@ -301,7 +330,7 @@ impl SkyDiver {
     /// (deadline, cancellation) spans both phases as one run.
     pub fn run(&self, ds: &Dataset, prefs: &[Preference]) -> Result<DiverseResult> {
         let ctx = ExecContext::new(self.budget.clone());
-        let fp = self.fingerprint_ctx(ds, prefs, &ctx)?;
+        let fp = self.fingerprint_whole(ds, prefs, &ctx)?;
         self.select_from_ctx(&fp, &ctx)
     }
 
@@ -311,9 +340,11 @@ impl SkyDiver {
     /// artefact answers any subsequent [`SkyDiver::select_from`] with
     /// any `k` or selection method — the contract a signature cache
     /// relies on.
+    ///
+    /// The whole dataset is folded as one shard of
+    /// [`SkyDiver::fingerprint_sharded`], so the two agree bit for bit.
     pub fn fingerprint(&self, ds: &Dataset, prefs: &[Preference]) -> Result<Fingerprint> {
-        let ctx = ExecContext::new(self.budget.clone());
-        self.fingerprint_ctx(ds, prefs, &ctx)
+        self.fingerprint_whole(ds, prefs, &ExecContext::new(self.budget.clone()))
     }
 
     /// Phase 1 over a [`ShardedDataset`]: the skyline is computed over
@@ -346,20 +377,17 @@ impl SkyDiver {
     /// columns) and newly-exposed skyline points exist only in the new
     /// shard.
     ///
-    /// A budget trip mid-scan returns a partial
-    /// [`Fingerprint`] exactly like [`SkyDiver::fingerprint`] and an
-    /// empty `shards` vector — partial folds must never be cached.
+    /// The budget covers the skyline pass as well as the fold. A budget
+    /// trip mid-scan returns a partial [`Fingerprint`] exactly like
+    /// [`SkyDiver::fingerprint`] and an empty `shards` vector — partial
+    /// folds must never be cached.
     pub fn fingerprint_sharded_with(
         &self,
         sd: &ShardedDataset,
         prefs: &[Preference],
         cached: &[Option<Arc<ShardFingerprint>>],
     ) -> Result<ShardedFingerprintRun> {
-        if self.signature_size == 0 {
-            return Err(SkyDiverError::ZeroSignatureSize);
-        }
-        let state = SkylineState::compute(sd, prefs)?;
-        self.fingerprint_over(sd, prefs, &state, cached)
+        self.fold_sharded(sd, prefs, None, cached)
     }
 
     /// [`SkyDiver::fingerprint_sharded_with`] over a precomputed
@@ -367,8 +395,8 @@ impl SkyDiver {
     /// under `prefs` (for instance one kept from an earlier generation
     /// and [extended](SkylineState::extend) over appended rows). The
     /// skyline is neither recomputed nor budgeted; the shards are
-    /// canonicalised one at a time for the fold and never concatenated.
-    /// The result is bit-identical to the wrapper's.
+    /// canonicalised (borrowed under all-min preferences) and never
+    /// concatenated. The result is bit-identical to the wrapper's.
     pub fn fingerprint_over(
         &self,
         sd: &ShardedDataset,
@@ -376,35 +404,85 @@ impl SkyDiver {
         state: &SkylineState,
         cached: &[Option<Arc<ShardFingerprint>>],
     ) -> Result<ShardedFingerprintRun> {
-        if self.signature_size == 0 {
-            return Err(SkyDiverError::ZeroSignatureSize);
-        }
         if state.covered_rows() != sd.len() || state.points().dims() != sd.dims() {
             return Err(state.mismatch(sd));
         }
+        self.fold_sharded(sd, prefs, Some(state), cached)
+    }
+
+    /// The sharded entry points under a fresh context: every shard is
+    /// canonicalised (borrowed under all-min preferences) and validated
+    /// before [`SkyDiver::fold_shards`] runs.
+    fn fold_sharded(
+        &self,
+        sd: &ShardedDataset,
+        prefs: &[Preference],
+        state: Option<&SkylineState>,
+        cached: &[Option<Arc<ShardFingerprint>>],
+    ) -> Result<ShardedFingerprintRun> {
+        if prefs.len() != sd.dims() {
+            let (data, prefs) = (sd.dims(), prefs.len());
+            return Err(SkyDiverError::DimsMismatch { data, prefs });
+        }
+        let canon: Vec<Cow<'_, Dataset>> =
+            (0..sd.num_shards()).map(|i| canonicalise_shard(sd, i, prefs)).collect::<Result<_>>()?;
+        let views: Vec<DatasetView<'_>> =
+            canon.iter().enumerate().map(|(i, c)| DatasetView::with_base(c, sd.base(i))).collect();
         let ctx = ExecContext::new(self.budget.clone());
-        let partial = |fingerprint: Fingerprint, scanned_rows: usize| ShardedFingerprintRun {
-            fingerprint,
+        self.fold_shards(sd.dims(), &views, state, cached, &ctx)
+    }
+
+    /// Phase 1 of [`SkyDiver::run`] under the run's `ctx`: the whole
+    /// dataset, canonicalised once (borrowed under all-min preferences),
+    /// folded as a single shard.
+    fn fingerprint_whole(
+        &self,
+        ds: &Dataset,
+        prefs: &[Preference],
+        ctx: &ExecContext,
+    ) -> Result<Fingerprint> {
+        let canon = canonicalise(ds, prefs)?;
+        let shards = [DatasetView::with_base(&canon, 0)];
+        let run = self.fold_shards(ds.dims(), &shards, None, &[], ctx)?;
+        Ok(run.fingerprint)
+    }
+
+    /// The one fingerprint engine over canonical `shards` (global ids
+    /// from 0, in order) of `dims`-dimensional data. Every entry point
+    /// validates its data first, so invalid input is an error even when
+    /// the budget has already run out. Polls `ctx` once before the
+    /// skyline, takes `state` (or computes it when `None`), then folds
+    /// every shard with [`crate::minhash::fold_shard`] and merges the
+    /// folds.
+    fn fold_shards(
+        &self,
+        dims: usize,
+        shards: &[DatasetView<'_>],
+        state: Option<&SkylineState>,
+        cached: &[Option<Arc<ShardFingerprint>>],
+        ctx: &ExecContext,
+    ) -> Result<ShardedFingerprintRun> {
+        if self.signature_size == 0 {
+            return Err(SkyDiverError::ZeroSignatureSize);
+        }
+        let stopped = |skyline: Vec<usize>, int: Interrupt| ShardedFingerprintRun {
+            fingerprint: Fingerprint::interrupted(skyline, self.signature_size, int),
             shards: vec![],
             reused_shards: 0,
-            scanned_rows,
+            scanned_rows: 0,
             dominance_tests: ctx.dominance_tests(),
         };
         if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok(partial(
-                Fingerprint {
-                    skyline: vec![],
-                    output: SigGenOutput {
-                        matrix: SignatureMatrix::new(self.signature_size, 0),
-                        scores: vec![],
-                    },
-                    fingerprint_ms: 0.0,
-                    events: vec![],
-                    interrupt: Some(int),
-                },
-                0,
-            ));
+            return Ok(stopped(vec![], int));
         }
+        let computed;
+        let state = match state {
+            Some(state) => state,
+            None => {
+                computed = SkylineState::empty(dims).extend_canonical(shards);
+                &computed
+            }
+        };
         let all_cols: Vec<&[f64]> = state.points().iter().collect();
         let skyline = state.ids().to_vec();
         if skyline.is_empty() {
@@ -412,42 +490,26 @@ impl SkyDiver {
         }
         let (t_eff, mut events) = match self.effective_signature_size(skyline.len()) {
             Ok(pair) => pair,
-            Err(int) => {
-                let m = skyline.len();
-                return Ok(partial(
-                    Fingerprint {
-                        skyline,
-                        output: SigGenOutput {
-                            matrix: SignatureMatrix::new(self.signature_size, 0),
-                            scores: vec![0; m],
-                        },
-                        fingerprint_ms: 0.0,
-                        events: vec![],
-                        interrupt: Some(int),
-                    },
-                    0,
-                ));
-            }
+            Err(int) => return Ok(stopped(skyline, int)),
         };
         let family = HashFamily::new(t_eff, self.hash_seed);
         let m = skyline.len();
-        let mut is_sky = vec![false; sd.len()];
+        let rows_total: usize = shards.iter().map(|s| s.len()).sum();
+        let mut is_sky = vec![false; rows_total];
         for &s in &skyline {
             is_sky[s] = true;
         }
 
         let t0 = Instant::now();
         let mut merged = SignatureAccumulator::new(t_eff, m);
-        let mut shards: Vec<Arc<ShardFingerprint>> = Vec::with_capacity(sd.num_shards());
+        let mut folds: Vec<Arc<ShardFingerprint>> = Vec::with_capacity(shards.len());
         let mut reused_shards = 0usize;
         let mut scanned_rows = 0usize;
         let mut tripped: Option<Interrupt> = None;
 
-        'shards: for i in 0..sd.num_shards() {
-            let (lo, hi) = sd.shard_range(i);
-            let canon = canonicalise_shard(sd, i, prefs)?;
-            let sview = DatasetView::with_base(canon.as_ref(), lo);
-            let skip = &is_sky[lo..hi];
+        'shards: for (i, &sview) in shards.iter().enumerate() {
+            let lo = sview.base();
+            let skip = &is_sky[lo..lo + sview.len()];
             let cache = cached
                 .get(i)
                 .and_then(|c| c.as_ref())
@@ -464,7 +526,7 @@ impl SkyDiver {
                 &family,
                 cache.map(|c| c.as_ref()),
                 self.threads,
-                &ctx,
+                ctx,
             ) {
                 crate::minhash::ShardFold::ReusedExact => {
                     // lint: allow(R1) -- ReusedExact is only returned
@@ -472,7 +534,7 @@ impl SkyDiver {
                     let c = cache.expect("exact reuse implies a cache");
                     merged.merge(&c.acc);
                     reused_shards += 1;
-                    shards.push(Arc::clone(c));
+                    folds.push(Arc::clone(c));
                     continue 'shards;
                 }
                 crate::minhash::ShardFold::ReusedSuperset(acc) => {
@@ -494,28 +556,21 @@ impl SkyDiver {
                 }
             };
             merged.merge(&shard_fp);
-            shards.push(Arc::new(ShardFingerprint {
+            folds.push(Arc::new(ShardFingerprint {
                 columns: skyline.clone(),
                 acc: shard_fp,
             }));
         }
         let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        if let Some(int) = tripped {
+        if tripped.is_some() {
             events.push(DegradationEvent::FingerprintCurtailed {
                 rows_scanned: merged.rows_consumed,
-                rows_total: sd.len(),
+                rows_total,
             });
-            return Ok(partial(
-                Fingerprint {
-                    skyline,
-                    output: merged.into_output(),
-                    fingerprint_ms,
-                    events,
-                    interrupt: Some(int),
-                },
-                scanned_rows,
-            ));
+            // Partial folds must never reach a cache.
+            folds.clear();
+            reused_shards = 0;
         }
         Ok(ShardedFingerprintRun {
             fingerprint: Fingerprint {
@@ -523,9 +578,9 @@ impl SkyDiver {
                 output: merged.into_output(),
                 fingerprint_ms,
                 events,
-                interrupt: None,
+                interrupt: tripped,
             },
-            shards,
+            shards: folds,
             reused_shards,
             scanned_rows,
             dominance_tests: ctx.dominance_tests(),
@@ -544,69 +599,6 @@ impl SkyDiver {
     pub fn select_from(&self, fp: &Fingerprint) -> Result<DiverseResult> {
         let ctx = ExecContext::new(self.budget.clone());
         self.select_from_ctx(fp, &ctx)
-    }
-
-    fn fingerprint_ctx(
-        &self,
-        ds: &Dataset,
-        prefs: &[Preference],
-        ctx: &ExecContext,
-    ) -> Result<Fingerprint> {
-        if self.signature_size == 0 {
-            return Err(SkyDiverError::ZeroSignatureSize);
-        }
-        let canon = canonicalise(ds, prefs)?;
-        let ord = skydiver_data::dominance::MinDominance;
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok(Fingerprint {
-                skyline: vec![],
-                output: SigGenOutput {
-                    matrix: SignatureMatrix::new(self.signature_size, 0),
-                    scores: vec![],
-                },
-                fingerprint_ms: 0.0,
-                events: vec![],
-                interrupt: Some(int),
-            });
-        }
-        let skyline = sfs(canon.as_ref(), &ord);
-        if skyline.is_empty() {
-            return Err(SkyDiverError::EmptySkyline);
-        }
-        let (t_eff, mut events) = match self.effective_signature_size(skyline.len()) {
-            Ok(pair) => pair,
-            Err(int) => {
-                let m = skyline.len();
-                return Ok(Fingerprint {
-                    skyline,
-                    output: SigGenOutput {
-                        matrix: SignatureMatrix::new(self.signature_size, 0),
-                        scores: vec![0; m],
-                    },
-                    fingerprint_ms: 0.0,
-                    events: vec![],
-                    interrupt: Some(int),
-                });
-            }
-        };
-        let family = HashFamily::new(t_eff, self.hash_seed);
-        let t0 = Instant::now();
-        let (out, rows_scanned, interrupt) =
-            sig_gen_if_budgeted(canon.as_ref(), &ord, &skyline, &family, self.threads, ctx);
-        let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if interrupt.is_some() {
-            events.push(DegradationEvent::FingerprintCurtailed {
-                rows_scanned,
-                rows_total: canon.len(),
-            });
-        }
-        Ok(Fingerprint {
-            skyline,
-            output: out,
-            fingerprint_ms,
-            events,
-            interrupt,
-        })
     }
 
     fn select_from_ctx(&self, fp: &Fingerprint, ctx: &ExecContext) -> Result<DiverseResult> {
@@ -1154,6 +1146,29 @@ mod tests {
         let int = r.degradation.interrupt.as_ref().unwrap();
         assert_eq!(int.phase, ExecPhase::Skyline);
         assert_eq!(int.reason, StopReason::Cancelled);
+    }
+
+    #[test]
+    fn invalid_input_is_reported_before_a_spent_budget() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = SkyDiver::new(3).budget(RunBudget::none().with_cancel_token(token));
+        let mut ds = independent(50, 2, 157);
+        ds.push(&[1.0, f64::NAN]);
+        let sd = ShardedDataset::partition(&ds, 3);
+        let prefs = Preference::all_min(2);
+        for r in [
+            cfg.run(&ds, &prefs).map(|_| ()),
+            cfg.fingerprint_sharded(&sd, &prefs).map(|_| ()),
+        ] {
+            assert!(matches!(r, Err(SkyDiverError::NonFiniteCoordinate { row: 50, dim: 1 })));
+        }
+        let three = Preference::all_min(3);
+        assert!(matches!(cfg.run(&ds, &three), Err(SkyDiverError::DimsMismatch { .. })));
+        for sd in [sd, ShardedDataset::new(2)] {
+            let r = cfg.fingerprint_sharded(&sd, &three);
+            assert!(matches!(r, Err(SkyDiverError::DimsMismatch { .. })));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 
 use skydiver_data::dominance::MinDominance;
-use skydiver_data::{Dataset, Preference, ShardedDataset};
+use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 use skydiver_skyline::sfs_by;
 
 use crate::canonical::canonicalise_shard;
@@ -33,7 +33,7 @@ pub struct SkylineState {
 
 impl SkylineState {
     /// The skyline of no rows of `dims`-dimensional data (`dims > 0`).
-    fn empty(dims: usize) -> Self {
+    pub(crate) fn empty(dims: usize) -> Self {
         SkylineState {
             ids: Vec::new(),
             points: Dataset::with_capacity(dims, 0),
@@ -64,44 +64,58 @@ impl SkylineState {
             });
         }
         let covered = self.covered_rows;
-        // Candidates by position: the old members first (all below
-        // `covered`), then the new rows block by block, in global id
-        // order. A block is (position of its first new row, global id
-        // of its shard's row 0, first new local row, canonical rows).
-        let mut blocks: Vec<(usize, usize, usize, Cow<'_, Dataset>)> = Vec::new();
-        let mut n = self.ids.len();
+        let mut canon: Vec<(usize, usize, Cow<'_, Dataset>)> = Vec::new();
         for i in 0..sd.num_shards() {
             let (lo, hi) = sd.shard_range(i);
             if hi > covered {
                 let start = covered.saturating_sub(lo);
-                blocks.push((n, lo, start, canonicalise_shard(sd, i, prefs)?));
-                n += hi - lo - start;
+                canon.push((lo, start, canonicalise_shard(sd, i, prefs)?));
             }
+        }
+        let rows: Vec<DatasetView<'_>> = canon
+            .iter()
+            .map(|(lo, start, c)| DatasetView::with_base(c, *lo).slice(*start, c.len()))
+            .collect();
+        Ok(self.extend_canonical(&rows))
+    }
+
+    /// `self` extended over `rows`: the canonical rows after
+    /// `covered_rows`, in global id order.
+    pub(crate) fn extend_canonical(&self, rows: &[DatasetView<'_>]) -> Self {
+        // Candidates by position: the old members first (all below
+        // `covered_rows`), then the new rows block by block; `firsts[b]`
+        // is the position of block `b`'s first row.
+        let mut firsts = Vec::with_capacity(rows.len());
+        let mut n = self.ids.len();
+        for r in rows {
+            firsts.push(n);
+            n += r.len();
         }
         let candidate = |k: usize| -> (usize, &[f64]) {
             if k < self.ids.len() {
                 return (self.ids[k], self.points.point(k));
             }
-            // The last block starting at or before `k` holds it: a block
-            // with no new rows starts where its successor does, or past
-            // the last candidate.
-            let (first, lo, start, rows) = &blocks[blocks.partition_point(|b| b.0 <= k) - 1];
-            let r = start + k - first;
-            (lo + r, rows.point(r))
+            // The last block starting at or before `k` holds it: an
+            // empty block starts where its successor does, or past the
+            // last candidate.
+            let b = firsts.partition_point(|&f| f <= k) - 1;
+            let r = k - firsts[b];
+            (rows[b].global_id(r), rows[b].point(r))
         };
         let keep = sfs_by(n, |k| candidate(k).1, &MinDominance);
         let mut ids = Vec::with_capacity(keep.len());
-        let mut points = Dataset::with_capacity(sd.dims(), keep.len());
+        let mut points = Dataset::with_capacity(self.points.dims(), keep.len());
         for k in keep {
             let (id, p) = candidate(k);
             ids.push(id);
             points.push(p);
         }
-        Ok(SkylineState {
+        let added: usize = rows.iter().map(|r| r.len()).sum();
+        SkylineState {
             ids,
             points,
-            covered_rows: sd.len(),
-        })
+            covered_rows: self.covered_rows + added,
+        }
     }
 
     /// Ascending global ids of the skyline members.

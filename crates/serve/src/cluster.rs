@@ -45,8 +45,8 @@ use skydiver_cluster::{DeadlineBudget, Membership};
 use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures, fnv1a64};
 use skydiver_core::{
     canonicalise, fold_shard, CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint,
-    HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SigGenOutput,
-    SignatureAccumulator, SignatureMatrix, StopReason,
+    HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SignatureAccumulator,
+    StopReason,
 };
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
@@ -55,7 +55,7 @@ use crate::client::Client;
 use crate::metrics::Metrics;
 use crate::poll::{Interest, Poller};
 use crate::protocol::{json_escape, json_u64, parse_response};
-use crate::registry::{parse_prefs, read_points, Registry};
+use crate::registry::{check_signature_size, parse_prefs, read_points, request_budget, Registry};
 use crate::store::{prefs_hash, SignatureStore, StoreKey};
 
 /// Replication pulls at handoff time use this ceiling when no request
@@ -124,21 +124,28 @@ pub struct ShardHost {
     cache: Mutex<FingerprintCache>,
     store: Option<Arc<SignatureStore>>,
     metrics: Arc<Metrics>,
+    /// Largest signature, in bytes, a `FOLD` may ask for (see
+    /// [`check_signature_size`]).
+    max_signature_bytes: usize,
 }
 
 impl ShardHost {
     /// A host with an LRU fold cache of `cache_bytes` and an optional
-    /// durable store shared with the rest of the server.
+    /// durable store shared with the rest of the server. A `FOLD` whose
+    /// signature would take more than `max_signature_bytes` (a server
+    /// passes its frame limit) is refused.
     pub fn new(
         cache_bytes: usize,
         metrics: Arc<Metrics>,
         store: Option<Arc<SignatureStore>>,
+        max_signature_bytes: usize,
     ) -> Self {
         ShardHost {
             hosted: RwLock::new(HashMap::new()),
             cache: Mutex::new(FingerprintCache::new(cache_bytes)),
             store,
             metrics,
+            max_signature_bytes,
         }
     }
 
@@ -236,6 +243,7 @@ impl ShardHost {
         let payload = frame::decode(body).map_err(|e| e.to_string())?;
         let (dims, ids, cols_flat) =
             frame::decode_fold_request(payload).map_err(|e| e.to_string())?;
+        check_signature_size(t, ids.len(), self.max_signature_bytes)?;
         let (base, data) = {
             let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
             let ds = hosted
@@ -263,14 +271,7 @@ impl ShardHost {
         let (prefs, prefs_key) = parse_prefs(Some(prefs_spec), dims)?;
         let canon = canonicalise(&data, &prefs).map_err(|e| e.to_string())?;
 
-        let mut budget = RunBudget::none().with_cancel_token(cancel.clone());
-        if let Some(n) = max_dominance_tests {
-            budget = budget.with_max_dominance_tests(n);
-        }
-        if let Some(ms) = timeout_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        let ctx = ExecContext::new(budget);
+        let ctx = ExecContext::new(request_budget(cancel, timeout_ms, max_dominance_tests));
         let family = HashFamily::new(t, seed);
         let m = ids.len();
         let cols: Vec<&[f64]> = (0..m)
@@ -890,18 +891,9 @@ impl ClusterState {
         // tests).
         let ctx = ExecContext::new(budget);
         let state = registry.skyline_state(&ds, prefs, prefs_key)?;
+        registry.check_signature_size(t, state.ids().len())?;
         if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            let fp = Fingerprint {
-                skyline: vec![],
-                output: SigGenOutput {
-                    matrix: SignatureMatrix::new(t, 0),
-                    scores: vec![],
-                },
-                fingerprint_ms: 0.0,
-                events: vec![],
-                interrupt: Some(int),
-            };
-            return Ok((Arc::new(fp), false, 0));
+            return Ok((Arc::new(Fingerprint::interrupted(vec![], t, int)), false, 0));
         }
         let skyline = state.ids().to_vec();
         if skyline.is_empty() {
@@ -1742,7 +1734,7 @@ mod tests {
     use super::*;
 
     fn host() -> ShardHost {
-        ShardHost::new(1 << 22, Arc::new(Metrics::new()), None)
+        ShardHost::new(1 << 22, Arc::new(Metrics::new()), None, 1 << 20)
     }
 
     fn put(h: &ShardHost, name: &str, shard: usize, base: usize, dims: usize, rows: &[f64]) {
@@ -1789,6 +1781,18 @@ mod tests {
         };
         assert_eq!(fp.acc.matrix, acc.matrix);
         assert_eq!(fp.acc.scores, acc.scores);
+
+        // Capped at 2^20 bytes, t = 2^15 over m = 2 columns (plus the
+        // two hash coefficients, 8 bytes each) just fits; a hostile t is
+        // an error, not an allocation — over no columns as well.
+        let empty = frame::encode(&frame::encode_fold_request(2, &[], &[]));
+        let fold = |t, body: &[u8]| {
+            h.fold("d", 7, 1, shard_hash, "min,min", t, 3, None, None, body, &cancel)
+        };
+        assert!(fold(1 << 15, &body).is_ok());
+        assert!(fold((1 << 15) + 1, &body).unwrap_err().contains("frame limit"));
+        assert!(fold(1 << 40, &body).unwrap_err().contains("frame limit"));
+        assert!(fold(1 << 40, &empty).unwrap_err().contains("frame limit"));
     }
 
     #[test]

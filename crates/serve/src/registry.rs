@@ -26,8 +26,9 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
-use skydiver_core::{Fingerprint, RunBudget, SkyDiver, SkyDiverError, SkylineState};
+use skydiver_core::{CancelToken, Fingerprint, RunBudget, SkyDiver, SkyDiverError, SkylineState};
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
@@ -206,6 +207,45 @@ pub fn parse_prefs(spec: Option<&str>, dims: usize) -> Result<(Vec<Preference>, 
     Ok((prefs, key))
 }
 
+/// The budget of one request: the server-wide cancellation token plus
+/// the client's `timeout_ms` and `max_dominance_tests` limits. `QUERY`,
+/// `BATCH` and a worker's `FOLD` all build theirs here.
+pub(crate) fn request_budget(
+    cancel: &CancelToken,
+    timeout_ms: Option<u64>,
+    max_dominance_tests: Option<u64>,
+) -> RunBudget {
+    let mut budget = RunBudget::none().with_cancel_token(cancel.clone());
+    if let Some(ms) = timeout_ms {
+        budget = budget.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(n) = max_dominance_tests {
+        budget = budget.with_max_dominance_tests(n);
+    }
+    budget
+}
+
+/// The frame limit of a default [`ServerConfig`](crate::ServerConfig),
+/// and so the signature bound of a [`Registry::new`].
+pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 256 << 20;
+
+/// `Err` when a signature of size `t` over `m` skyline points would
+/// take more than `max_bytes`: the `t × m` matrix of `u64` slots plus
+/// the hash family's two `u64` coefficients per row. A server passes
+/// its frame limit — the largest matrix a `FOLD` reply could carry
+/// anyway — so a hostile `t` is refused before the hash family or the
+/// matrix is allocated, even over no columns.
+pub(crate) fn check_signature_size(t: usize, m: usize, max_bytes: usize) -> Result<(), String> {
+    let words = m.checked_add(2).and_then(|w| t.checked_mul(w));
+    match words.and_then(|w| w.checked_mul(8)) {
+        Some(bytes) if bytes <= max_bytes => Ok(()),
+        _ => Err(format!(
+            "signature size t={t} over {m} skyline points exceeds the \
+             {max_bytes}-byte frame limit"
+        )),
+    }
+}
+
 /// Named datasets + per-shard fingerprint cache + metrics. Shared (via
 /// `Arc`) between every worker thread of a [`Server`](crate::Server).
 pub struct Registry {
@@ -213,34 +253,48 @@ pub struct Registry {
     cache: Mutex<FingerprintCache>,
     metrics: Arc<Metrics>,
     store: Option<Arc<SignatureStore>>,
+    /// Largest signature, in bytes, a query may ask for (see
+    /// [`check_signature_size`]).
+    max_signature_bytes: usize,
 }
 
 impl Registry {
     /// An empty registry whose fingerprint cache holds at most
-    /// `cache_bytes` resident bytes, with no durable store.
+    /// `cache_bytes` resident bytes, with no durable store, bounding
+    /// signatures by the default frame limit.
     pub fn new(cache_bytes: usize, metrics: Arc<Metrics>) -> Self {
-        Self::with_store(cache_bytes, metrics, None)
+        Self::with_store(cache_bytes, metrics, None, DEFAULT_MAX_FRAME_BYTES)
     }
 
     /// An empty registry backed by an (optional) on-disk signature
     /// store: LRU misses fall through to the store, and complete runs
-    /// are queued for write-behind persistence.
+    /// are queued for write-behind persistence. A query whose signature
+    /// would take more than `max_signature_bytes` (a server passes its
+    /// frame limit) is refused.
     pub fn with_store(
         cache_bytes: usize,
         metrics: Arc<Metrics>,
         store: Option<Arc<SignatureStore>>,
+        max_signature_bytes: usize,
     ) -> Self {
         Registry {
             datasets: RwLock::new(HashMap::new()),
             cache: Mutex::new(FingerprintCache::new(cache_bytes)),
             metrics,
             store,
+            max_signature_bytes,
         }
     }
 
     /// The shared metrics block.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
+    }
+
+    /// `Err` when a signature of size `t` over `m` skyline points
+    /// exceeds this registry's bound (see [`check_signature_size`]).
+    pub(crate) fn check_signature_size(&self, t: usize, m: usize) -> Result<(), String> {
+        check_signature_size(t, m, self.max_signature_bytes)
     }
 
     /// The durable signature store, if one is configured.
@@ -472,18 +526,18 @@ impl Registry {
                 .map(|i| cache.get(&shard_key(i)))
                 .collect()
         };
+        let store_key = |shard: usize| StoreKey {
+            dataset_hash: ds.content_hash,
+            shard,
+            prefs_hash: prefs_hash(prefs_key),
+            t,
+            seed,
+        };
         // LRU misses fall through to the durable store — disk reads
         // happen here, after the cache lock is dropped. A corrupt or
         // mis-keyed artefact is quarantined inside `load` and stays a
         // miss; the fold below recomputes it from the data.
         if let Some(store) = &self.store {
-            let store_key = |shard: usize| StoreKey {
-                dataset_hash: ds.content_hash,
-                shard,
-                prefs_hash: prefs_hash(prefs_key),
-                t,
-                seed,
-            };
             for (i, slot) in cached.iter_mut().enumerate() {
                 if slot.is_none() {
                     *slot = store.load(&store_key(i));
@@ -495,6 +549,7 @@ impl Registry {
             return Err(SkyDiverError::ZeroSignatureSize.to_string());
         }
         let skyline = self.skyline_state(&ds, prefs, prefs_key)?;
+        self.check_signature_size(t, skyline.ids().len())?;
         // `k` is irrelevant to phase 1; 2 is the smallest valid value.
         let diver = SkyDiver::new(2)
             .signature_size(t)
@@ -516,16 +571,7 @@ impl Registry {
             // the cache's complete-only rule.
             if let Some(store) = &self.store {
                 for (i, fold) in run.shards.iter().enumerate() {
-                    store.enqueue_persist(
-                        StoreKey {
-                            dataset_hash: ds.content_hash,
-                            shard: i,
-                            prefs_hash: prefs_hash(prefs_key),
-                            t,
-                            seed,
-                        },
-                        Arc::clone(fold),
-                    );
+                    store.enqueue_persist(store_key(i), Arc::clone(fold));
                 }
             }
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -607,6 +653,16 @@ mod tests {
         }
         assert_eq!(depth, 0, "unbalanced braces in {json}");
         assert!(json.contains("\"dataset_shards\":{\"d\":1}"));
+    }
+
+    #[test]
+    fn an_embedded_registry_refuses_a_hostile_signature_size() {
+        let reg = Registry::new(1 << 24, Arc::new(Metrics::new()));
+        reg.insert_dataset("ant", anticorrelated(500, 3, 17));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        let err = reg.fingerprint("ant", &prefs, &key, 1 << 40, 7, counted()).unwrap_err();
+        assert!(err.contains("frame limit"), "{err}");
+        assert!(reg.fingerprint("ant", &prefs, &key, 32, 7, counted()).is_ok());
     }
 
     #[test]
@@ -790,7 +846,8 @@ mod tests {
         let dir = tmp_store("warm");
         let metrics = Arc::new(Metrics::new());
         let (store, _) = SignatureStore::open(&dir, Arc::clone(&metrics), &[]).unwrap();
-        let reg = Registry::with_store(1 << 24, Arc::clone(&metrics), Some(Arc::new(store)));
+        let store = Some(Arc::new(store));
+        let reg = Registry::with_store(1 << 24, Arc::clone(&metrics), store, 1 << 20);
         reg.insert_dataset("ant", anticorrelated(2000, 3, 23));
         let (prefs, key) = parse_prefs(None, 3).unwrap();
         let (cold, _, cold_tests) = reg
@@ -806,7 +863,7 @@ mod tests {
         let m2 = Arc::new(Metrics::new());
         let (store2, report) = SignatureStore::open(&dir, Arc::clone(&m2), &[]).unwrap();
         assert_eq!(report.valid, 1, "{report:?}");
-        let reg2 = Registry::with_store(1 << 24, Arc::clone(&m2), Some(Arc::new(store2)));
+        let reg2 = Registry::with_store(1 << 24, Arc::clone(&m2), Some(Arc::new(store2)), 1 << 20);
         reg2.insert_dataset("renamed", anticorrelated(2000, 3, 23));
         let (warm, hit, warm_tests) = reg2
             .fingerprint("renamed", &prefs, &key, 32, 7, counted())

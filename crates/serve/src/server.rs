@@ -56,8 +56,9 @@ use std::time::{Duration, Instant};
 
 use skydiver_cluster::frame;
 use skydiver_core::{
-    canonicalise, select_diverse_budgeted, CancelToken, Degradation, ExactJaccardDistance,
-    ExecContext, GammaSets, RunBudget, SeedRule, SkyDiver, TieBreak,
+    canonicalise, select_diverse_budgeted, CancelToken, Degradation, DiverseResult,
+    ExactJaccardDistance, ExecContext, Fingerprint, GammaSets, RunBudget, SeedRule, SkyDiver,
+    TieBreak,
 };
 use skydiver_data::dominance::MinDominance;
 use skydiver_skyline::sfs;
@@ -68,7 +69,10 @@ use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
     json_escape, parse_request, BatchSpec, Method, QuerySpec, Request, WIRE_PROTO,
 };
-use crate::registry::{parse_prefs, Registry, SelectionMemo};
+use crate::registry::{
+    parse_prefs, request_budget, LoadedDataset, Registry, SelectionKey, SelectionMemo,
+    DEFAULT_MAX_FRAME_BYTES,
+};
 use crate::store::SignatureStore;
 
 /// Configuration of one [`Server`].
@@ -116,7 +120,7 @@ impl Default for ServerConfig {
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
             max_line_bytes: 64 << 10,
-            max_frame_bytes: 256 << 20,
+            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             cluster: None,
         }
     }
@@ -179,25 +183,21 @@ impl Server {
         // The worker-side host shares the store (and its write-behind
         // queue) with the registry, so a node serves folds warm whether
         // it is queried directly or through a coordinator.
-        let host = Arc::new(ShardHost::new(
-            cfg.cache_bytes,
-            Arc::clone(&metrics),
-            store.clone(),
-        ));
-        let registry = Arc::new(Registry::with_store(
-            cfg.cache_bytes,
-            Arc::clone(&metrics),
-            store,
-        ));
+        // Both refuse a signature matrix larger than a frame could carry.
+        let max_frame_bytes = cfg.max_frame_bytes.max(1024);
+        let host =
+            ShardHost::new(cfg.cache_bytes, Arc::clone(&metrics), store.clone(), max_frame_bytes);
+        let registry =
+            Registry::with_store(cfg.cache_bytes, Arc::clone(&metrics), store, max_frame_bytes);
         let cluster = cfg
             .cluster
             .as_ref()
             .map(|c| Arc::new(ClusterState::new(c, Arc::clone(&metrics))));
         Ok(Server {
             listener,
-            registry,
+            registry: Arc::new(registry),
             metrics,
-            host,
+            host: Arc::new(host),
             cluster,
             shutdown: Arc::new(AtomicBool::new(false)),
             cancel: CancelToken::new(),
@@ -206,7 +206,7 @@ impl Server {
                 read_timeout_ms: cfg.read_timeout_ms,
                 write_timeout_ms: cfg.write_timeout_ms,
                 max_line_bytes: cfg.max_line_bytes.max(64),
-                max_frame_bytes: cfg.max_frame_bytes.max(1024),
+                max_frame_bytes,
             },
         })
     }
@@ -1113,40 +1113,24 @@ fn respond(
     }
 }
 
-/// Builds the per-request budget: client limits + the server-wide
-/// cancellation token.
-fn request_budget(q: &QuerySpec, cancel: &CancelToken) -> RunBudget {
-    let mut budget = RunBudget::none().with_cancel_token(cancel.clone());
-    if let Some(ms) = q.timeout_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = q.max_dominance_tests {
-        budget = budget.with_max_dominance_tests(n);
-    }
-    budget
-}
-
-/// Renders the one-line `QUERY` JSON payload. `BATCH` items go through
-/// the same renderer so a batch reply is byte-identical, field for
-/// field, to the equivalent stand-alone queries.
+/// Renders the one-line `QUERY` JSON payload of `answer`. `BATCH`
+/// items and selection-memo hits go through the same renderer so a
+/// reply is byte-identical, field for field, however it was produced.
 #[allow(clippy::too_many_arguments)]
 fn render_query_json(
     dataset: &str,
     k: usize,
     method: &Method,
     cached: bool,
-    skyline_len: usize,
-    selected: &[usize],
-    gamma: &[u64],
+    answer: &SelectionMemo,
     fingerprint_ms: f64,
     selection_ms: f64,
     total_ms: f64,
-    memory_bytes: usize,
     dominance_tests: u64,
     degradation: &Degradation,
 ) -> String {
-    let selected_json: Vec<String> = selected.iter().map(|i| i.to_string()).collect();
-    let gamma_json: Vec<String> = gamma.iter().map(|g| g.to_string()).collect();
+    let selected_json: Vec<String> = answer.selected.iter().map(|i| i.to_string()).collect();
+    let gamma_json: Vec<String> = answer.gamma.iter().map(|g| g.to_string()).collect();
     format!(
         concat!(
             "{{\"dataset\":\"{}\",\"k\":{},\"method\":\"{}\",\"cached\":{},",
@@ -1159,17 +1143,73 @@ fn render_query_json(
         k,
         method.token(),
         cached,
-        skyline_len,
+        answer.skyline_len,
         selected_json.join(","),
         gamma_json.join(","),
         fingerprint_ms,
         selection_ms,
         total_ms,
-        memory_bytes,
+        answer.memory_bytes,
         dominance_tests,
         degradation.is_degraded(),
         json_escape(&degradation.summary()),
     )
+}
+
+/// Renders a selection-memo hit: the reply the memoised selection had,
+/// with zero phase timings, `total_ms` measured from `t0` and the
+/// caller's `cached`/`dominance_tests` flags.
+fn render_memo(
+    dataset: &str,
+    k: usize,
+    method: &Method,
+    cached: bool,
+    m: &SelectionMemo,
+    t0: Instant,
+    dominance_tests: u64,
+) -> String {
+    let complete = Degradation {
+        interrupt: None,
+        events: vec![],
+    };
+    let total_ms = t0.elapsed().as_secs_f64() * 1e3;
+    render_query_json(dataset, k, method, cached, m, 0.0, 0.0, total_ms, dominance_tests, &complete)
+}
+
+/// Selects `(k, method)` from `fp` under `budget` and returns the run
+/// with its answer. When `memoise` holds (a budget-free request over a
+/// complete fingerprint) an undegraded answer is stored in the
+/// dataset's selection memo under `key`.
+#[allow(clippy::too_many_arguments)]
+fn select_memoised(
+    ds: &LoadedDataset,
+    key: SelectionKey,
+    fp: &Fingerprint,
+    k: usize,
+    method: Method,
+    t: usize,
+    seed: u64,
+    budget: RunBudget,
+    memoise: bool,
+) -> Result<(DiverseResult, Arc<SelectionMemo>), String> {
+    let mut diver = SkyDiver::new(k)
+        .signature_size(t)
+        .hash_seed(seed)
+        .budget(budget);
+    if let Method::Lsh { xi, buckets } = method {
+        diver = diver.lsh(xi, buckets);
+    }
+    let r = diver.select_from(fp).map_err(|e| e.to_string())?;
+    let answer = Arc::new(SelectionMemo {
+        skyline_len: r.skyline.len(),
+        selected: r.selected.clone(),
+        gamma: r.selected_positions.iter().map(|&p| r.scores[p]).collect(),
+        memory_bytes: r.memory_bytes,
+    });
+    if memoise && !r.degradation.is_degraded() {
+        ds.selection_put(key, Arc::clone(&answer));
+    }
+    Ok((r, answer))
 }
 
 /// Memo key component for a selection method, parameters included —
@@ -1202,46 +1242,13 @@ fn answer_query(
         .dataset(&q.dataset)
         .ok_or_else(|| format!("unknown dataset {:?} (LOAD it first)", q.dataset))?;
     let (prefs, prefs_key) = parse_prefs(q.prefs.as_deref(), ds.data.dims())?;
-    let budget = request_budget(q, cancel);
+    let budget = request_budget(cancel, q.timeout_ms, q.max_dominance_tests);
     let metrics = Arc::clone(registry.metrics());
 
-    #[allow(clippy::type_complexity)]
-    let (
-        skyline_len,
-        selected,
-        gamma,
-        fingerprint_ms,
-        selection_ms,
-        memory_bytes,
-        cached,
-        dominance_tests,
-        degradation,
-    ): (
-        usize,
-        Vec<usize>,
-        Vec<u64>,
-        f64,
-        f64,
-        usize,
-        bool,
-        u64,
-        Degradation,
-    ) = match q.method {
+    let (answer, fingerprint_ms, selection_ms, cached, tests, degradation) = match q.method {
         Method::Greedy => {
-            let whole = ds.whole();
-            let (skyline_len, selected, gamma, selection_ms, degradation) =
-                answer_exact(q, &whole, &prefs, budget)?;
-            (
-                skyline_len,
-                selected,
-                gamma,
-                0.0,
-                selection_ms,
-                0usize,
-                false,
-                0,
-                degradation,
-            )
+            let (answer, selection_ms, degradation) = answer_exact(q, &ds.whole(), &prefs, budget)?;
+            (Arc::new(answer), 0.0, selection_ms, false, 0, degradation)
         }
         Method::MinHash | Method::Lsh { .. } => {
             let unbudgeted = q.timeout_ms.is_none() && q.max_dominance_tests.is_none();
@@ -1251,25 +1258,7 @@ fn answer_query(
                 // so this is a cache hit in the warm-query sense too.
                 metrics.bump(&metrics.cache_hits);
                 metrics.bump(&metrics.selection_hits);
-                let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-                return Ok(render_query_json(
-                    &q.dataset,
-                    q.k,
-                    &q.method,
-                    true,
-                    m.skyline_len,
-                    &m.selected,
-                    &m.gamma,
-                    0.0,
-                    0.0,
-                    total_ms,
-                    m.memory_bytes,
-                    0,
-                    &Degradation {
-                        interrupt: None,
-                        events: vec![],
-                    },
-                ));
+                return Ok(render_memo(&q.dataset, q.k, &q.method, true, &m, t0, 0));
             }
             let (fp, cached, dominance_tests) = match cluster {
                 Some(cs) => cs.fingerprint(
@@ -1292,40 +1281,14 @@ fn answer_query(
                     budget.clone(),
                 )?,
             };
-            let mut diver = SkyDiver::new(q.k)
-                .signature_size(q.t)
-                .hash_seed(q.seed)
-                .budget(budget);
-            if let Method::Lsh { xi, buckets } = q.method {
-                diver = diver.lsh(xi, buckets);
-            }
-            let r = diver.select_from(&fp).map_err(|e| e.to_string())?;
-            let gamma: Vec<u64> = r.selected_positions.iter().map(|&p| r.scores[p]).collect();
-            if unbudgeted && fp.is_complete() && !r.degradation.is_degraded() {
-                ds.selection_put(
-                    sel_key,
-                    Arc::new(SelectionMemo {
-                        skyline_len: r.skyline.len(),
-                        selected: r.selected.clone(),
-                        gamma: gamma.clone(),
-                        memory_bytes: r.memory_bytes,
-                    }),
-                );
-            }
+            let memoise = unbudgeted && fp.is_complete();
+            let (r, answer) = select_memoised(
+                &ds, sel_key, &fp, q.k, q.method, q.t, q.seed, budget, memoise,
+            )?;
             // A cache hit charges no fingerprinting (and no dominance
             // tests) to this request.
             let fingerprint_ms = if cached { 0.0 } else { r.fingerprint_ms };
-            (
-                r.skyline.len(),
-                r.selected,
-                gamma,
-                fingerprint_ms,
-                r.selection_ms,
-                r.memory_bytes,
-                cached,
-                dominance_tests,
-                r.degradation,
-            )
+            (answer, fingerprint_ms, r.selection_ms, cached, dominance_tests, r.degradation)
         }
     };
 
@@ -1338,14 +1301,11 @@ fn answer_query(
         q.k,
         &q.method,
         cached,
-        skyline_len,
-        &selected,
-        &gamma,
+        &answer,
         fingerprint_ms,
         selection_ms,
         total_ms,
-        memory_bytes,
-        dominance_tests,
+        tests,
         &degradation,
     ))
 }
@@ -1371,13 +1331,7 @@ fn answer_batch(
         .dataset(&b.dataset)
         .ok_or_else(|| format!("unknown dataset {:?} (LOAD it first)", b.dataset))?;
     let (prefs, prefs_key) = parse_prefs(b.prefs.as_deref(), ds.data.dims())?;
-    let mut budget = RunBudget::none().with_cancel_token(cancel.clone());
-    if let Some(ms) = b.timeout_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = b.max_dominance_tests {
-        budget = budget.with_max_dominance_tests(n);
-    }
+    let budget = request_budget(cancel, b.timeout_ms, b.max_dominance_tests);
     let metrics = Arc::clone(registry.metrics());
     let (fp, resolved_cached, resolved_tests) = match cluster {
         Some(cs) => cs.fingerprint(
@@ -1411,50 +1365,24 @@ fn answer_batch(
             metrics.bump(&metrics.selection_hits);
             let cached = if i == 0 { resolved_cached } else { complete };
             let tests = if i == 0 { resolved_tests } else { 0 };
-            let total_ms = it0.elapsed().as_secs_f64() * 1e3;
-            results.push(render_query_json(
-                &b.dataset,
-                k,
-                &method,
-                cached,
-                m.skyline_len,
-                &m.selected,
-                &m.gamma,
-                0.0,
-                0.0,
-                total_ms,
-                m.memory_bytes,
-                tests,
-                &Degradation {
-                    interrupt: None,
-                    events: vec![],
-                },
-            ));
+            results.push(render_memo(&b.dataset, k, &method, cached, &m, it0, tests));
             continue;
         }
         // Every selection runs under the shared batch budget.
-        let mut diver = SkyDiver::new(k)
-            .signature_size(b.t)
-            .hash_seed(b.seed)
-            .budget(budget.clone());
-        if let Method::Lsh { xi, buckets } = method {
-            diver = diver.lsh(xi, buckets);
-        }
-        let r = diver.select_from(&fp).map_err(|e| e.to_string())?;
+        let memoise = unbudgeted && complete;
+        let (r, answer) = select_memoised(
+            &ds,
+            sel_key,
+            &fp,
+            k,
+            method,
+            b.t,
+            b.seed,
+            budget.clone(),
+            memoise,
+        )?;
         let cached = if i == 0 { resolved_cached } else { complete };
         let tests = if i == 0 || !complete { resolved_tests } else { 0 };
-        let gamma: Vec<u64> = r.selected_positions.iter().map(|&p| r.scores[p]).collect();
-        if unbudgeted && complete && !r.degradation.is_degraded() {
-            ds.selection_put(
-                sel_key,
-                Arc::new(SelectionMemo {
-                    skyline_len: r.skyline.len(),
-                    selected: r.selected.clone(),
-                    gamma: gamma.clone(),
-                    memory_bytes: r.memory_bytes,
-                }),
-            );
-        }
         let fingerprint_ms = if cached { 0.0 } else { r.fingerprint_ms };
         if r.degradation.is_degraded() {
             metrics.bump(&metrics.degraded);
@@ -1465,13 +1393,10 @@ fn answer_batch(
             k,
             &method,
             cached,
-            r.skyline.len(),
-            &r.selected,
-            &gamma,
+            &answer,
             fingerprint_ms,
             r.selection_ms,
             total_ms,
-            r.memory_bytes,
             tests,
             &r.degradation,
         ));
@@ -1486,14 +1411,15 @@ fn answer_batch(
 
 /// The exact greedy baseline: dominated-set Jaccard distances over
 /// explicit [`GammaSets`] — no signatures, no cache, per-query cost
-/// `O(n · m)` like a cold fingerprint plus an exact selection.
-#[allow(clippy::type_complexity)]
+/// `O(n · m)` like a cold fingerprint plus an exact selection. Returns
+/// the answer (no resident signature bytes), the selection time and
+/// the degradation report.
 fn answer_exact(
     q: &QuerySpec,
     data: &skydiver_data::Dataset,
     prefs: &[skydiver_data::Preference],
     budget: RunBudget,
-) -> Result<(usize, Vec<usize>, Vec<u64>, f64, Degradation), String> {
+) -> Result<(SelectionMemo, f64, Degradation), String> {
     let ctx = ExecContext::new(budget);
     let canon = canonicalise(data, prefs).map_err(|e| e.to_string())?;
     let skyline = sfs(canon.as_ref(), &MinDominance);
@@ -1514,8 +1440,12 @@ fn answer_exact(
     )
     .map_err(|e| e.to_string())?;
     let selection_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let selected: Vec<usize> = positions.iter().map(|&p| skyline[p]).collect();
-    let gamma_scores: Vec<u64> = positions.iter().map(|&p| scores[p]).collect();
+    let answer = SelectionMemo {
+        skyline_len: skyline.len(),
+        selected: positions.iter().map(|&p| skyline[p]).collect(),
+        gamma: positions.iter().map(|&p| scores[p]).collect(),
+        memory_bytes: 0,
+    };
     let events = match &interrupt {
         Some(_) => vec![skydiver_core::DegradationEvent::SelectionCurtailed {
             selected: positions.len(),
@@ -1523,11 +1453,5 @@ fn answer_exact(
         }],
         None => vec![],
     };
-    Ok((
-        skyline.len(),
-        selected,
-        gamma_scores,
-        selection_ms,
-        Degradation { interrupt, events },
-    ))
+    Ok((answer, selection_ms, Degradation { interrupt, events }))
 }

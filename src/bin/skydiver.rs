@@ -479,61 +479,71 @@ fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// `skydiver fingerprint` — phase 1 once, saved as a one-shard
+/// `SKYSIG02` bundle: the columns are the skyline ids, rows consumed is
+/// `n`, and the last key tag is the hash seed (`select` needs it for
+/// LSH banding).
 fn cmd_fingerprint(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use skydiver::core::minhash::persist;
+    use skydiver::core::{ShardFingerprint, SignatureAccumulator};
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
     let out_path = flag(flags, "out")?;
-    let t: usize = num(flags, "t", 100)?;
-    let canon = skydiver::core::canonicalise(&ds, &prefs)?;
-    let skyline = sky::sfs(canon.as_ref(), &MinDominance);
-    let fam = skydiver::HashFamily::new(t, num(flags, "seed", 0)?);
-    let out = skydiver::core::sig_gen_if(canon.as_ref(), &MinDominance, &skyline, &fam);
-    persist::write_signatures(&out, out_path)?;
+    let seed: u64 = num(flags, "seed", 0)?;
+    let fp = pipeline_for(flags, 2)?.fingerprint(&ds, &prefs)?;
+    let m = fp.m();
+    let t = fp.matrix().t();
+    let bundle = ShardFingerprint {
+        columns: fp.skyline,
+        acc: SignatureAccumulator {
+            matrix: fp.output.matrix,
+            scores: fp.output.scores,
+            rows_consumed: ds.len(),
+        },
+    };
+    persist::write_shard_signatures(out_path, &bundle, &[0, 0, 0, seed])?;
     println!(
-        "fingerprinted {} skyline points of {} (t = {t}) into {out_path}",
-        skyline.len(),
+        "fingerprinted {m} skyline points of {} (t = {t}) into {out_path}",
         ds.len()
     );
     Ok(())
 }
 
+/// `skydiver select` — phase 2 from a saved bundle, under the bundle's
+/// hash seed, exactly as `diversify` selects after fingerprinting.
 fn cmd_select(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use skydiver::core::minhash::persist;
-    use skydiver::core::{
-        select_diverse, LshDistance, LshIndex, LshParams, SeedRule, SignatureDistance, TieBreak,
-    };
-    let out = persist::read_signatures(flag(flags, "signatures")?)?;
+    let path = flag(flags, "signatures")?;
+    let (bundle, tags) = persist::read_shard_signatures(path)?;
+    // `fingerprint` writes tags [0, 0, 0, seed]; a server store artefact
+    // tags one shard's partial fold with its content, shard and
+    // preference hashes, and is no whole-dataset fingerprint.
+    if tags[..3] != [0, 0, 0] {
+        return Err(err(format!(
+            "{path} is not a `skydiver fingerprint` bundle (tags {:?}); \
+             a server store artefact holds one shard's fold",
+            &tags[..3]
+        )));
+    }
     let k: usize = flag(flags, "k")?
         .parse()
         .map_err(|_| err("bad value for --k"))?;
-    let positions = if flags.get("method").map(|s| s.as_str()) == Some("lsh") {
-        let params = LshParams::from_threshold(out.matrix.t(), num(flags, "xi", 0.2)?)?;
-        let idx = LshIndex::build(&out.matrix, params, num(flags, "buckets", 20)?, 0)?;
-        let mut dist = LshDistance::new(&idx);
-        select_diverse(
-            &mut dist,
-            &out.scores,
-            k,
-            SeedRule::MaxDominance,
-            TieBreak::MaxDominance,
-        )?
-    } else {
-        let mut dist = SignatureDistance::new(&out.matrix);
-        select_diverse(
-            &mut dist,
-            &out.scores,
-            k,
-            SeedRule::MaxDominance,
-            TieBreak::MaxDominance,
-        )?
+    let fp = skydiver::Fingerprint {
+        skyline: bundle.columns,
+        output: bundle.acc.into_output(),
+        fingerprint_ms: 0.0,
+        events: vec![],
+        interrupt: None,
     };
+    let r = pipeline_for(flags, k)?
+        .hash_seed(tags[3])
+        .select_from(&fp)?;
     println!(
-        "# {k} most diverse of {} skyline points (skyline position, gamma):",
-        out.matrix.m()
+        "# {k} most diverse of {} skyline points (point id, gamma):",
+        r.skyline.len()
     );
-    for &p in &positions {
-        println!("{p},gamma={}", out.scores[p]);
+    for (&idx, &pos) in r.selected.iter().zip(&r.selected_positions) {
+        println!("{idx},gamma={}", r.scores[pos]);
     }
     Ok(())
 }

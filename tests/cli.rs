@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use skydiver::core::minhash::persist;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_skydiver"))
 }
@@ -89,39 +91,67 @@ fn max_preferences_flip_the_skyline() {
     std::fs::remove_file(csv).ok();
 }
 
+/// Runs the CLI on a whitespace-separated argument line, asserts it
+/// succeeded and returns its stdout.
+fn ok(line: &str) -> String {
+    let out = bin().args(line.split_whitespace()).output().expect("run skydiver");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{line}: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The point ids of a `diversify` or `select` listing: the first field
+/// of every row after the header.
+fn picked_ids(stdout: &str) -> Vec<&str> {
+    stdout.lines().skip(1).map(|row| row.split(',').next().unwrap_or_default()).collect()
+}
+
 #[test]
 fn fingerprint_then_select_round_trip() {
-    let csv = tmp("fpsel.csv");
-    let sig = tmp("fpsel.skysig");
-    let out = bin()
-        .args(["generate", "--family", "ant", "--n", "3000", "--d", "3"])
-        .args(["--seed", "4", "--out", csv.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    let out = bin()
-        .args(["fingerprint", "--input", csv.to_str().unwrap()])
-        .args(["--t", "64", "--out", sig.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("fingerprinted"));
-
-    // Two selections from one bundle — different k and method.
-    for extra in [vec!["--k", "3"], vec!["--k", "5", "--method", "lsh"]] {
-        let mut cmd = bin();
-        cmd.args(["select", "--signatures", sig.to_str().unwrap()]);
-        cmd.args(&extra);
-        let out = cmd.output().unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let text = String::from_utf8_lossy(&out.stdout);
-        let rows = text.lines().count() - 1;
-        assert_eq!(rows.to_string(), extra[1], "{text}");
+    let (csv, sig) = (tmp("fpsel.csv"), tmp("fpsel.skysig"));
+    let (csv, sig) = (csv.display(), sig.display());
+    ok(&format!("generate --family ant --n 3000 --d 3 --seed 4 --out {csv}"));
+    for seed in [0, 5] {
+        let out = ok(&format!("fingerprint --input {csv} --t 64 --seed {seed} --out {sig}"));
+        assert!(out.contains("fingerprinted"));
+        // Two selections from one bundle — different k and method —
+        // each picking the points `diversify` picks under the same seed
+        // (the bundle carries it, which LSH banding needs).
+        for (k, method) in [(3, ""), (5, "--method lsh")] {
+            let staged = ok(&format!("select --signatures {sig} --k {k} {method}"));
+            let direct = format!("diversify --input {csv} --k {k} --t 64 --seed {seed} {method}");
+            let direct = ok(&direct);
+            assert_eq!(picked_ids(&staged).len(), k, "{staged}");
+            let what = format!("seed {seed}, k {k} {method}");
+            assert_eq!(picked_ids(&staged), picked_ids(&direct), "{what}");
+        }
     }
 
-    std::fs::remove_file(csv).ok();
-    std::fs::remove_file(sig).ok();
+    // A server store artefact — one shard's fold, tagged with content,
+    // shard and preference hashes — is refused, not served as a whole
+    // fingerprint.
+    let path = sig.to_string();
+    let shard = tmp("fpsel-shard.sig2").display().to_string();
+    let (bundle, tags) = persist::read_shard_signatures(&path).unwrap();
+    persist::write_shard_signatures(&shard, &bundle, &[0xfeed, 1, 0xbeef, tags[3]]).unwrap();
+    let out = bin().args(["select", "--k", "3", "--signatures", &shard]).output().unwrap();
+    assert!(!out.status.success(), "a shard fold must not be served");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not a `skydiver fingerprint` bundle"), "{stderr}");
+    std::fs::remove_file(&shard).ok();
+
+    // One flipped byte fails the bundle's checksum instead of being served.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    let out = bin().args(["select", "--k", "3", "--signatures", &path]).output().unwrap();
+    assert!(!out.status.success(), "a flipped byte must not be served");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+
+    std::fs::remove_file(csv.to_string()).ok();
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

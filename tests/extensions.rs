@@ -7,34 +7,46 @@ use skydiver::core::dynamic::from_batch;
 use skydiver::core::minhash::{persist, theory};
 use skydiver::core::{
     cross_gamma_sets, diversify_cross, diversify_generic, min_pairwise, select_diverse,
-    ExactJaccardDistance, GammaSets, SeedRule, SignatureDistance, TieBreak,
+    ExactJaccardDistance, GammaSets, SeedRule, ShardFingerprint, SignatureAccumulator,
+    SignatureDistance, TieBreak,
 };
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, independent};
 use skydiver::skyline::{naive_skyline, streaming_skyline, top_k_dominating_scan};
-use skydiver::HashFamily;
+use skydiver::{HashFamily, SkyDiver};
 
 #[test]
 fn persisted_fingerprints_reproduce_the_same_selection() {
     let ds = anticorrelated(4000, 3, 300);
     let sky = naive_skyline(&ds, &MinDominance);
-    let fam = HashFamily::new(100, 301);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(100, 301));
 
+    // A whole fingerprint persists as a one-shard bundle.
+    let (matrix, scores) = (out.matrix, out.scores);
+    let acc = SignatureAccumulator { matrix, scores, rows_consumed: ds.len() };
+    let fold = ShardFingerprint { columns: sky, acc };
     let mut path = std::env::temp_dir();
-    path.push(format!("skydiver-ext-{}.sig", std::process::id()));
-    persist::write_signatures(&out, &path).unwrap();
-    let back = persist::read_signatures(&path).unwrap();
+    path.push(format!("skydiver-ext-{}.skysig", std::process::id()));
+    persist::write_shard_signatures(&path, &fold, &[0, 0, 0, 301]).unwrap();
+    let (back, tags) = persist::read_shard_signatures(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_eq!((&back.columns, &back.acc, tags[3]), (&fold.columns, &fold.acc, 301));
 
-    let k = 5.min(sky.len());
-    let mut d1 = SignatureDistance::new(&out.matrix);
-    let mut d2 = SignatureDistance::new(&back.matrix);
-    let s1 = select_diverse(&mut d1, &out.scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
-        .unwrap();
-    let s2 = select_diverse(&mut d2, &back.scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
-        .unwrap();
-    assert_eq!(s1, s2, "selection from disk must match in-memory");
+    // Selection from disk, MinHash and LSH, matches a one-shot run
+    // under the stored seed.
+    let fp = skydiver::Fingerprint {
+        skyline: back.columns,
+        output: back.acc.into_output(),
+        fingerprint_ms: 0.0,
+        events: vec![],
+        interrupt: None,
+    };
+    let mh = SkyDiver::new(5).signature_size(100).hash_seed(tags[3]);
+    for cfg in [mh.clone(), mh.lsh(0.2, 16)] {
+        let run = cfg.run(&ds, &skydiver::Preference::all_min(3)).unwrap();
+        let from_disk = cfg.select_from(&fp).unwrap();
+        assert_eq!(from_disk.selected, run.selected, "selection from disk must match in-memory");
+    }
 }
 
 #[test]

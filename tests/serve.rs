@@ -200,9 +200,19 @@ fn errors_are_reported_and_survivable() {
     bad_prefs.prefs = Some("min,up,min".into());
     assert!(client.query(&bad_prefs).is_err());
 
-    // The connection is still good.
+    // A signature size whose t × m matrix could not fit in a frame is an
+    // ERR, not an allocation that aborts the whole server.
+    let hostile = "QUERY dataset=ant k=3 t=1099511627776";
+    assert!(client.exchange(hostile).unwrap_err().contains("frame limit"));
+    let mut batch = BatchSpec::new("ant", vec![(3, Method::MinHash)]);
+    batch.t = 1 << 40;
+    assert!(client.batch(&batch).unwrap_err().contains("frame limit"));
+
+    // The connection is still good, and the server still accepts new ones.
     let payload = client.query(&spec(4)).expect("query after errors");
     assert_eq!(selected_of(&payload).len(), 4);
+    let mut fresh = Client::connect(handle.addr()).expect("connect after errors");
+    assert_eq!(selected_of(&fresh.query(&spec(4)).unwrap()).len(), 4);
     let stats = client.stats().expect("stats");
     assert!(json_u64(&stats, "errors").unwrap() >= 5, "{stats}");
 

@@ -13,8 +13,11 @@
 //! a coarse coordinate grid (`g/7` for `g ∈ 0..8`) to force ties and
 //! duplicates, failure messages carrying the case seed.
 
+use skydiver::core::{canonicalise, sig_gen_if_budgeted, ExecContext, SigGenOutput};
+use skydiver::data::dominance::MinDominance;
 use skydiver::data::ShardedDataset;
-use skydiver::{Dataset, Preference, RunBudget, SkyDiver};
+use skydiver::skyline::sfs;
+use skydiver::{Dataset, HashFamily, Preference, RunBudget, SkyDiver};
 
 /// Cases per property — partitions are cheap but each case runs the
 /// monolithic reference too, so stay a notch under `proptests.rs`.
@@ -73,6 +76,36 @@ fn random_partition(rng: &mut Rng, ds: &Dataset, cuts: usize) -> ShardedDataset 
     sd
 }
 
+/// The monolithic oracle, independent of the sharded path under test:
+/// Fig. 3's `SigGen-IF` over the whole canonical data and its SFS
+/// skyline, on one thread, charged against `budget`. Returns the
+/// skyline, the (possibly partial) output and whether it completed.
+fn oracle(
+    ds: &Dataset,
+    prefs: &[Preference],
+    t: usize,
+    seed: u64,
+    budget: RunBudget,
+) -> (Vec<usize>, SigGenOutput, bool) {
+    let canon = canonicalise(ds, prefs).expect("oracle canonicalise");
+    let sky = sfs(canon.as_ref(), &MinDominance);
+    let ctx = ExecContext::new(budget);
+    let fam = HashFamily::new(t, seed);
+    let (out, _, int) = sig_gen_if_budgeted(canon.as_ref(), &MinDominance, &sky, &fam, 1, &ctx);
+    (sky, out, int.is_none())
+}
+
+/// Asserts that `fp` equals the [`oracle`]'s answer: trip decision,
+/// skyline, matrix and Γ-scores.
+fn assert_matches_oracle(
+    fp: &skydiver::Fingerprint,
+    (sky, out, complete): &(Vec<usize>, SigGenOutput, bool),
+    what: &str,
+) {
+    assert_eq!(fp.is_complete(), *complete, "{what}: trip decision diverged from the oracle");
+    assert_eq!((&fp.skyline, &fp.output), (sky, out), "{what}: fold diverged from the oracle");
+}
+
 #[test]
 fn random_partitions_fold_bit_identically() {
     for case in 0..CASES {
@@ -83,6 +116,8 @@ fn random_partitions_fold_bit_identically() {
         let reference = pipe
             .fingerprint(&ds, &prefs)
             .expect("reference fingerprint");
+        let want = oracle(&ds, &prefs, 24, case, RunBudget::none());
+        assert_matches_oracle(&reference, &want, &format!("case {case}, whole"));
 
         let shards = rng.range(1, 9) as usize;
         let sd = random_partition(&mut rng, &ds, shards);
@@ -96,6 +131,7 @@ fn random_partitions_fold_bit_identically() {
                 .expect("sharded fingerprint");
             let fp = &run.fingerprint;
             assert!(fp.is_complete(), "case {case}: unlimited run tripped");
+            assert_matches_oracle(fp, &want, &format!("case {case}, threads {threads}"));
             assert_eq!(
                 fp.skyline, reference.skyline,
                 "case {case}, threads {threads}"
@@ -171,17 +207,20 @@ fn budget_trips_identically_on_sequential_folds() {
         let pipe = SkyDiver::new(2)
             .signature_size(24)
             .hash_seed(case)
-            .budget(budget);
+            .budget(budget.clone());
 
         let reference = pipe
             .fingerprint(&ds, &prefs)
             .expect("reference fingerprint");
+        let want = oracle(&ds, &prefs, 24, case, budget.clone());
+        assert_matches_oracle(&reference, &want, &format!("case {case}, whole, limit {limit}"));
         let shards = rng.range(2, 9) as usize;
         let sd = random_partition(&mut rng, &ds, shards);
         let run = pipe
             .fingerprint_sharded(&sd, &prefs)
             .expect("sharded fingerprint");
         let fp = &run.fingerprint;
+        assert_matches_oracle(fp, &want, &format!("case {case}, {shards} shards, limit {limit}"));
 
         assert_eq!(
             fp.is_complete(),
@@ -246,6 +285,9 @@ fn appended_shards_extend_old_folds_exactly() {
             whole.push(block.point(i));
         }
         let reference = pipe.fingerprint(&whole, &prefs).expect("grown reference");
+        let want = oracle(&whole, &prefs, 16, case, RunBudget::none());
+        assert_matches_oracle(&reference, &want, &format!("case {case}, grown whole"));
+        assert_matches_oracle(&warm.fingerprint, &want, &format!("case {case}, appended"));
 
         assert_eq!(warm.fingerprint.skyline, reference.skyline, "case {case}");
         assert_eq!(

@@ -39,7 +39,7 @@ fn store_registry(dir: &Path, faults: &[FaultPlan]) -> (Registry, Arc<Metrics>, 
     let (store, report) =
         SignatureStore::open(dir, Arc::clone(&metrics), faults).expect("open store");
     let valid = report.valid;
-    let reg = Registry::with_store(1 << 24, Arc::clone(&metrics), Some(Arc::new(store)));
+    let reg = Registry::with_store(1 << 24, Arc::clone(&metrics), Some(Arc::new(store)), 64 << 20);
     (reg, metrics, valid)
 }
 
