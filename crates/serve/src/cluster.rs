@@ -19,22 +19,29 @@
 //! canonical columns are computed once on the coordinator and shipped
 //! in the `FOLD` body, and slot-min/score-sum merge is associative and
 //! commutative. Budget-tripped prefixes match too: with a
-//! dominance-test budget the fan-out runs **sequentially in shard
-//! order**, forwarding the remaining budget to each leg, so the trip
-//! lands on the same absolute row and the degraded payload (ids,
+//! dominance-test budget the fan-out keeps **one leg in flight, in
+//! shard order**, forwarding the remaining budget to each leg, so the
+//! trip lands on the same absolute row and the degraded payload (ids,
 //! status string, dominance-test count) is byte-identical.
 //!
-//! **Failure model.** Every leg shares one [`DeadlineBudget`] per
-//! request. A dead or slow owner is retried on the next replica with
-//! whatever time is left; a shard with no reachable owner degrades the
-//! fingerprint with [`StopReason::ShardUnavailable`] instead of failing
-//! the query. A worker joining (or recovering) pulls its shards' folds
+//! **Failure model.** Every `FOLD` leg, budgeted or not, runs through
+//! one readiness-multiplexed engine, and every leg shares one
+//! [`DeadlineBudget`] per request. A dead or slow owner is retried on
+//! the next replica with whatever time is left; a shard with no
+//! reachable owner degrades the fingerprint with
+//! [`StopReason::ShardUnavailable`] instead of failing the query — a
+//! worker that never finishes its reply cannot stretch the fan-out
+//! past the deadline. The other coordinator → worker exchanges
+//! (`SHARDPUT`, `FETCH`/`REPLICATE`, `STATS`) use the blocking
+//! [`Client`], bounded only by per-read socket timeouts cut to their
+//! deadline. A worker joining (or recovering) pulls its shards' folds
 //! from surviving replicas via `REPLICATE`/`FETCH` — the PR 6 store
 //! codec is the replication transport — and recomputes only on a miss.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -53,7 +60,7 @@ use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 use crate::cache::{FingerprintCache, FingerprintKey};
 use crate::client::Client;
 use crate::metrics::Metrics;
-use crate::poll::{Interest, Poller};
+use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{json_escape, json_u64, parse_response};
 use crate::registry::{check_signature_size, parse_prefs, read_points, request_budget, Registry};
 use crate::store::{prefs_hash, SignatureStore, StoreKey};
@@ -755,7 +762,7 @@ fn pull_artefact(
         store_key.dataset_hash, store_key.shard, store_key.t, store_key.seed
     );
     let (header, body) = client.exchange_frame(&line, None).ok()?;
-    if json_kv_u64(&header, "found") != Some(1) {
+    if header_u64(&header, "found") != Some(1) {
         return None;
     }
     let body = body?;
@@ -767,8 +774,9 @@ fn pull_artefact(
     Some(Arc::new(fp))
 }
 
-/// Extracts `key=<u64>` from a space-separated response header.
-fn json_kv_u64(header: &str, key: &str) -> Option<u64> {
+/// Extracts `key=<u64>` from a space-separated `key=value` response
+/// header.
+fn header_u64(header: &str, key: &str) -> Option<u64> {
     header
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
@@ -1098,12 +1106,12 @@ impl ClusterState {
 
     /// The coordinator's fingerprint path — the cluster twin of
     /// [`Registry::fingerprint`], with identical memoisation, budget and
-    /// return semantics. Fan-out legs run concurrently — multiplexed on
-    /// the calling thread by the readiness shim, not a thread per shard
-    /// — except when a dominance-test budget is set: then legs run
-    /// sequentially in shard order forwarding the remaining budget, so
-    /// the trip lands on the same absolute row as the monolithic run
-    /// and the degraded payload is bit-identical.
+    /// return semantics. Every `FOLD` leg runs through one engine
+    /// (`fold_legs`); unbudgeted, all legs are in flight at
+    /// once. A dominance-test budget narrows it to one leg at a time in
+    /// shard order, each forwarded what the earlier legs left, so the
+    /// trip lands on the same absolute row as the monolithic run and
+    /// the degraded payload is bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub fn fingerprint(
         &self,
@@ -1166,61 +1174,40 @@ impl ClusterState {
                 .min(self.fanout_timeout_ms),
         );
 
-        let t0 = Instant::now();
-        let legs: Vec<Result<Leg, String>> = if let Some(limit) = max_dominance_tests {
-            // Sequential, shard order, forwarding the remaining budget:
-            // worker i trips exactly when global used would exceed the
-            // limit, reproducing the monolithic trip row.
-            let mut out = Vec::with_capacity(nshards);
-            let mut consumed = 0u64;
-            // lint: allow(R2) -- every iteration runs under the shared
-            // fan-out `deadline` and the forwarded dominance budget; a
-            // tripped leg breaks out below
-            for shard in 0..nshards {
-                let remaining = limit.saturating_sub(consumed);
-                let leg = self.fold_leg(
-                    &nodes,
-                    name,
-                    &routing,
-                    shard,
-                    &fold_payload,
-                    prefs_key,
-                    t,
-                    seed,
-                    Some(remaining),
-                    &deadline,
-                    &skyline,
-                );
-                let stop = match &leg {
-                    Ok(l) => {
-                        consumed += l.tests;
-                        l.trip.is_some()
-                    }
-                    Err(_) => false,
-                };
-                out.push(leg);
-                if stop {
-                    break;
-                }
-            }
-            out
-        } else {
-            // Unbudgeted fan-out: all legs multiplexed on this thread by
-            // the readiness shim — no thread per shard, and the shared
-            // deadline bounds the slowest worker, not the sum of legs.
-            self.fold_legs_multiplexed(
-                &nodes,
-                name,
-                &routing,
-                nshards,
-                &fold_payload,
-                prefs_key,
-                t,
-                seed,
-                &deadline,
-                &skyline,
-            )
+        let req = FoldRequest {
+            nodes: &nodes,
+            name,
+            routing: &routing,
+            prefs_key,
+            t,
+            seed,
+            payload: &fold_payload,
+            skyline: &skyline,
+            deadline: &deadline,
         };
+
+        // A budget narrows the engine to one leg at a time, in shard
+        // order, each forwarded `limit − consumed`: worker i trips
+        // exactly when the global count would pass the limit, on the
+        // monolithic trip row. A failed leg does not stop the schedule;
+        // a tripped one ends it.
+        let t0 = Instant::now();
+        let step = match max_dominance_tests {
+            Some(_) => 1,
+            None => nshards.max(1),
+        };
+        let mut legs: Vec<Result<Leg, String>> = Vec::with_capacity(nshards);
+        let mut consumed = 0u64;
+        for lo in (0..nshards).step_by(step) {
+            let remaining = max_dominance_tests.map(|limit| limit.saturating_sub(consumed));
+            let batch = self.fold_legs(&req, lo..(lo + step).min(nshards), remaining);
+            let tripped = batch.iter().flatten().any(|l| l.trip.is_some());
+            consumed += batch.iter().flatten().map(|l| l.tests).sum::<u64>();
+            legs.extend(batch);
+            if tripped {
+                break;
+            }
+        }
 
         // Merge in ascending shard order (the monolithic order; the
         // merge is commutative, so parallel completion order is moot).
@@ -1296,347 +1283,124 @@ impl ClusterState {
         Ok((fp, false, dominance_tests))
     }
 
-    /// One shard's fold: try each owner in rendezvous order under the
-    /// shared deadline; first success wins, a failed owner falls
-    /// through to the next replica with whatever time is left.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_leg(
+    /// The fan-out engine: the legs of `shards` all in flight at once,
+    /// each a connect → write → read state machine multiplexed on the
+    /// calling thread by the readiness shim and retried on the next
+    /// replica on any failure, all under the request's one shared
+    /// deadline — a stalled worker can never hold the coordinator past
+    /// it. Every leg forwards `max_dominance_tests`, when set.
+    fn fold_legs(
         &self,
-        nodes: &[String],
-        name: &str,
-        routing: &DatasetRouting,
-        shard: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
+        req: &FoldRequest<'_>,
+        shards: Range<usize>,
         max_dominance_tests: Option<u64>,
-        deadline: &DeadlineBudget,
-        skyline: &[usize],
-    ) -> Result<Leg, String> {
-        let owners = rendezvous::owners(nodes, shard, self.replication);
-        let mut last_err = format!("shard {shard}: no owners in roster");
-        // lint: allow(R2) -- bounded by the replication factor and the
-        // shared fan-out deadline checked on entry to every attempt
-        for (attempt, owner) in owners.iter().enumerate() {
-            let Some(ms) = deadline.remaining_ms() else {
-                last_err = format!("shard {shard}: fan-out deadline exhausted");
-                break;
-            };
-            self.metrics.bump(&self.metrics.fanout_legs);
-            if attempt > 0 {
-                self.metrics.bump(&self.metrics.fanout_retries);
-            }
-            let t0 = Instant::now();
-            match self.try_fold(
-                owner,
-                name,
-                routing,
-                shard,
-                fold_payload,
-                prefs_key,
-                t,
-                seed,
-                max_dominance_tests,
-                ms,
-                deadline,
-                skyline,
-            ) {
-                Ok(leg) => {
-                    self.metrics
-                        .fanout
-                        .record_micros(t0.elapsed().as_micros() as u64);
-                    return Ok(leg);
-                }
-                Err(e) => last_err = format!("shard {shard} via {owner}: {e}"),
-            }
-        }
-        self.metrics.bump(&self.metrics.fanout_failures);
-        Err(last_err)
-    }
-
-    /// One `FOLD` exchange with one owner.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold(
-        &self,
-        owner: &str,
-        name: &str,
-        routing: &DatasetRouting,
-        shard: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        max_dominance_tests: Option<u64>,
-        timeout_ms: u64,
-        deadline: &DeadlineBudget,
-        skyline: &[usize],
-    ) -> Result<Leg, String> {
-        let mut client = connect_deadline(owner, deadline).map_err(|e| e.to_string())?;
-        let line = fold_request_line(
-            name,
-            routing,
-            shard,
-            prefs_key,
-            t,
-            seed,
-            max_dominance_tests,
-            timeout_ms,
-            fold_payload.len(),
-        );
-        let (header, body) = client.exchange_frame(&line, Some(fold_payload))?;
-        parse_fold_leg(&header, body, routing, shard, prefs_key, t, seed, skyline)
-    }
-
-    /// All unbudgeted legs multiplexed on the calling thread: each leg
-    /// is a connect→write→read state machine driven by the readiness
-    /// shim, retried on the next replica on any failure, all under the
-    /// one shared deadline. Replaces a thread per shard — the slowest
-    /// worker bounds the wall clock, and a stalled peer can never pin a
-    /// coordinator thread past the deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_legs_multiplexed(
-        &self,
-        nodes: &[String],
-        name: &str,
-        routing: &DatasetRouting,
-        nshards: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        budget: &DeadlineBudget,
-        skyline: &[usize],
     ) -> Vec<Result<Leg, String>> {
-        let mut poller = match Poller::new() {
-            Ok(p) => p,
-            Err(e) => {
-                // A node-local resource failure (fd limit); the blocking
-                // per-shard path still answers correctly, just serially.
-                eprintln!("skydiver-cluster: poller unavailable ({e}); sequential fan-out");
-                return (0..nshards)
-                    .map(|shard| {
-                        self.fold_leg(
-                            nodes,
-                            name,
-                            routing,
-                            shard,
-                            fold_payload,
-                            prefs_key,
-                            t,
-                            seed,
-                            None,
-                            budget,
-                            skyline,
-                        )
-                    })
-                    .collect();
-            }
-        };
-        let mut legs: Vec<LegState> = (0..nshards)
+        let mut poller = Poller::new().unwrap_or_else(|e| {
+            // A node-local resource failure (fd limit); the portable
+            // backend drives the same state machine.
+            eprintln!("skydiver-cluster: native poller unavailable ({e}); using poll(2)");
+            Poller::portable()
+        });
+        let mut legs: Vec<LegState> = shards
             .map(|shard| LegState {
-                owners: rendezvous::owners(nodes, shard, self.replication),
+                shard,
+                owners: rendezvous::owners(req.nodes, shard, self.replication),
                 attempt: 0,
                 conn: None,
                 last_err: format!("shard {shard}: no owners in roster"),
                 done: None,
             })
             .collect();
-        for (shard, leg) in legs.iter_mut().enumerate() {
-            self.start_leg_attempt(
-                &mut poller,
-                leg,
-                shard,
-                name,
-                routing,
-                prefs_key,
-                t,
-                seed,
-                fold_payload,
-                budget,
-            );
+        for (token, leg) in legs.iter_mut().enumerate() {
+            self.start_leg_attempt(&mut poller, leg, token, req, max_dominance_tests);
         }
         let mut events = Vec::new();
         // lint: allow(R2) -- every pass checks the shared fan-out
-        // `budget` and fails all pending legs once it expires
+        // deadline and fails all pending legs once it expires
         while legs.iter().any(|l| l.done.is_none()) {
-            let Some(ms) = budget.remaining_ms() else {
-                fail_pending(&mut poller, &mut legs, &self.metrics, |shard| {
-                    format!("shard {shard}: fan-out deadline exhausted")
-                });
-                break;
+            let waited = match req.deadline.remaining_ms() {
+                None => Err("fan-out deadline exhausted".to_string()),
+                Some(ms) => poller
+                    .wait(&mut events, Some(Duration::from_millis(ms.min(50))))
+                    .map_err(|e| format!("poll wait failed: {e}")),
             };
-            if let Err(e) = poller.wait(&mut events, Some(Duration::from_millis(ms.min(50)))) {
-                fail_pending(&mut poller, &mut legs, &self.metrics, |shard| {
-                    format!("shard {shard}: poll wait failed: {e}")
-                });
+            if let Err(e) = waited {
+                for leg in legs.iter_mut().filter(|l| l.done.is_none()) {
+                    let err = format!("shard {}: {e}", leg.shard);
+                    self.finish_leg(&mut poller, leg, Err(err));
+                }
                 break;
             }
             for ev in &events {
-                let shard = ev.token as usize;
-                let Some(leg) = legs.get_mut(shard) else {
+                let token = ev.token as usize;
+                let Some(leg) = legs.get_mut(token) else {
                     continue;
                 };
-                if leg.done.is_some() {
-                    continue;
-                }
                 let Some(conn) = leg.conn.as_mut() else {
                     continue;
                 };
-                match drive_conn(
-                    &mut poller,
-                    conn,
-                    ev.token,
-                    ev.readable,
-                    ev.writable,
-                    ev.closed,
-                ) {
-                    Drive::Pending => {}
-                    Drive::Complete(line, body) => {
-                        let parsed = parse_response(&line).and_then(|header| {
-                            parse_fold_leg(
-                                &header, body, routing, shard, prefs_key, t, seed, skyline,
-                            )
-                        });
-                        match parsed {
-                            Ok(l) => {
-                                if let Some(conn) = leg.conn.take() {
-                                    self.metrics
-                                        .fanout
-                                        .record_micros(conn.started.elapsed().as_micros() as u64);
-                                    let _ = poller.deregister(conn.stream.as_raw_fd());
-                                }
-                                leg.done = Some(Ok(l));
-                            }
-                            Err(e) => self.retry_leg(
-                                &mut poller,
-                                leg,
-                                shard,
-                                &e,
-                                name,
-                                routing,
-                                prefs_key,
-                                t,
-                                seed,
-                                fold_payload,
-                                budget,
-                            ),
+                let reply = match drive_conn(&mut poller, conn, ev) {
+                    Drive::Pending => continue,
+                    Drive::Complete(line, body) => parse_response(&line)
+                        .and_then(|header| parse_fold_leg(&header, body, req, leg.shard)),
+                    Drive::Failed(e) => Err(e),
+                };
+                match reply {
+                    Ok(l) => self.finish_leg(&mut poller, leg, Ok(l)),
+                    Err(e) => {
+                        if let Some(conn) = leg.conn.take() {
+                            let _ = poller.deregister(conn.stream.as_raw_fd());
+                            leg.last_err = format!("shard {} via {}: {e}", leg.shard, conn.owner);
                         }
+                        self.start_leg_attempt(&mut poller, leg, token, req, max_dominance_tests);
                     }
-                    Drive::Failed(e) => self.retry_leg(
-                        &mut poller,
-                        leg,
-                        shard,
-                        &e,
-                        name,
-                        routing,
-                        prefs_key,
-                        t,
-                        seed,
-                        fold_payload,
-                        budget,
-                    ),
                 }
             }
         }
         legs.into_iter()
-            .enumerate()
-            .map(|(shard, l)| {
+            .map(|l| {
                 l.done
-                    .unwrap_or_else(|| Err(format!("shard {shard}: fan-out incomplete")))
+                    .unwrap_or_else(|| Err(format!("shard {}: fan-out incomplete", l.shard)))
             })
             .collect()
     }
 
-    /// Drops a failed attempt's connection and moves the leg to its
-    /// next replica (or marks it failed when none remain).
-    #[allow(clippy::too_many_arguments)]
-    fn retry_leg(
-        &self,
-        poller: &mut Poller,
-        leg: &mut LegState,
-        shard: usize,
-        err: &str,
-        name: &str,
-        routing: &DatasetRouting,
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        fold_payload: &[u8],
-        budget: &DeadlineBudget,
-    ) {
-        if let Some(conn) = leg.conn.take() {
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            leg.last_err = format!("shard {shard} via {}: {err}", conn.owner);
-        }
-        self.start_leg_attempt(
-            poller,
-            leg,
-            shard,
-            name,
-            routing,
-            prefs_key,
-            t,
-            seed,
-            fold_payload,
-            budget,
-        );
-    }
-
     /// Connects the leg's next replica (blocking connect bounded by the
     /// remaining deadline, then switched nonblocking), queues the `FOLD`
-    /// request bytes, and registers the socket with the poller. Marks
-    /// the leg failed when every replica has been tried.
-    #[allow(clippy::too_many_arguments)]
+    /// request bytes, and registers the socket with the poller under
+    /// `token`. Ends the leg failed when every replica has been tried.
     fn start_leg_attempt(
         &self,
         poller: &mut Poller,
         leg: &mut LegState,
-        shard: usize,
-        name: &str,
-        routing: &DatasetRouting,
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        fold_payload: &[u8],
-        budget: &DeadlineBudget,
+        token: usize,
+        req: &FoldRequest<'_>,
+        max_dominance_tests: Option<u64>,
     ) {
         // lint: allow(R2) -- bounded by the replication factor, with the
-        // shared fan-out budget checked on entry to every attempt
-        while leg.attempt < leg.owners.len() {
-            let Some(ms) = budget.remaining_ms() else {
-                leg.last_err = format!("shard {shard}: fan-out deadline exhausted");
+        // shared fan-out deadline checked on entry to every attempt
+        while let Some(owner) = leg.owners.get(leg.attempt).cloned() {
+            let Some(ms) = req.deadline.remaining_ms() else {
+                leg.last_err = format!("shard {}: fan-out deadline exhausted", leg.shard);
                 break;
             };
-            let owner = leg.owners[leg.attempt].clone();
-            let attempt = leg.attempt;
             leg.attempt += 1;
             self.metrics.bump(&self.metrics.fanout_legs);
-            if attempt > 0 {
+            if leg.attempt > 1 {
                 self.metrics.bump(&self.metrics.fanout_retries);
             }
             let started = Instant::now();
-            match connect_nonblocking(&owner, budget) {
+            let stream = connect_within(&owner, req.deadline).and_then(|stream| {
+                stream.set_nonblocking(true)?;
+                poller.register(stream.as_raw_fd(), token as u64, Interest::BOTH)?;
+                Ok(stream)
+            });
+            match stream {
                 Ok(stream) => {
-                    if let Err(e) = poller.register(stream.as_raw_fd(), shard as u64, Interest::BOTH)
-                    {
-                        leg.last_err = format!("shard {shard} via {owner}: register: {e}");
-                        continue;
-                    }
-                    let line = fold_request_line(
-                        name,
-                        routing,
-                        shard,
-                        prefs_key,
-                        t,
-                        seed,
-                        None,
-                        ms,
-                        fold_payload.len(),
-                    );
+                    let line = fold_request_line(req, leg.shard, max_dominance_tests, ms);
                     let mut wbuf = line.into_bytes();
                     wbuf.push(b'\n');
-                    wbuf.extend_from_slice(fold_payload);
+                    wbuf.extend_from_slice(req.payload);
                     leg.conn = Some(LegConn {
                         stream,
                         owner,
@@ -1647,11 +1411,28 @@ impl ClusterState {
                     });
                     return;
                 }
-                Err(e) => leg.last_err = format!("shard {shard} via {owner}: {e}"),
+                Err(e) => leg.last_err = format!("shard {} via {owner}: {e}", leg.shard),
             }
         }
-        self.metrics.bump(&self.metrics.fanout_failures);
-        leg.done = Some(Err(std::mem::take(&mut leg.last_err)));
+        let err = std::mem::take(&mut leg.last_err);
+        self.finish_leg(poller, leg, Err(err));
+    }
+
+    /// Ends a leg with `done` — the one place a leg's fan-out latency
+    /// (on success) and `fanout_failures` (on failure) are recorded.
+    fn finish_leg(&self, poller: &mut Poller, leg: &mut LegState, done: Result<Leg, String>) {
+        if let Some(conn) = leg.conn.take() {
+            let _ = poller.deregister(conn.stream.as_raw_fd());
+            if done.is_ok() {
+                self.metrics
+                    .fanout
+                    .record_micros(conn.started.elapsed().as_micros() as u64);
+            }
+        }
+        if done.is_err() {
+            self.metrics.bump(&self.metrics.fanout_failures);
+        }
+        leg.done = Some(done);
     }
 
     /// The cluster `STATS` roll-up: the coordinator's own snapshot plus
@@ -1731,8 +1512,9 @@ struct LegConn {
     started: Instant,
 }
 
-/// One shard's leg in the multiplexed fan-out.
+/// One shard's leg in the fan-out.
 struct LegState {
+    shard: usize,
     owners: Vec<String>,
     attempt: usize,
     conn: Option<LegConn>,
@@ -1750,64 +1532,82 @@ enum Drive {
     Failed(String),
 }
 
-/// Builds the `FOLD` request line — one format string for the blocking
-/// and multiplexed paths, so the wire bytes cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn fold_request_line(
-    name: &str,
-    routing: &DatasetRouting,
-    shard: usize,
-    prefs_key: &str,
+/// What every `FOLD` leg of one fan-out sends, and checks its reply
+/// against.
+struct FoldRequest<'a> {
+    nodes: &'a [String],
+    name: &'a str,
+    routing: &'a DatasetRouting,
+    prefs_key: &'a str,
     t: usize,
     seed: u64,
+    /// The framed `FOLD` body: the skyline's ids and canonical columns.
+    payload: &'a [u8],
+    skyline: &'a [usize],
+    deadline: &'a DeadlineBudget,
+}
+
+/// Builds one leg's `FOLD` request line, forwarding the worker the
+/// fan-out's remaining time and the leg's dominance-test budget.
+fn fold_request_line(
+    req: &FoldRequest<'_>,
+    shard: usize,
     max_dominance_tests: Option<u64>,
     timeout_ms: u64,
-    body_len: usize,
 ) -> String {
     let mut line = format!(
-        "FOLD dataset={name} hash={} shard={shard} shard_hash={} prefs={prefs_key} \
-         t={t} seed={seed} timeout_ms={timeout_ms}",
-        routing.content_hash, routing.shard_hashes[shard]
+        "FOLD dataset={} hash={} shard={shard} shard_hash={} prefs={} t={} seed={} \
+         timeout_ms={timeout_ms}",
+        req.name,
+        req.routing.content_hash,
+        req.routing.shard_hashes[shard],
+        req.prefs_key,
+        req.t,
+        req.seed,
     );
     if let Some(n) = max_dominance_tests {
         line.push_str(&format!(" max_dominance_tests={n}"));
     }
-    line.push_str(&format!(" bytes={body_len}"));
+    line.push_str(&format!(" bytes={}", req.payload.len()));
     line
 }
 
-/// Validates one `FOLD` response (header payload plus `SKYSIG02` frame)
+/// Validates one `FOLD` reply (header payload plus `SKYSIG02` frame)
 /// into a completed leg: frame checksum, key tags, signature size and
-/// skyline coverage must all match the request. Shared by the blocking
-/// and multiplexed fan-out paths.
-#[allow(clippy::too_many_arguments)]
+/// skyline coverage must all match the request, and the header must
+/// carry `reused=`, `tests=` and, on a dominance trip, `trip_used=`.
+/// Any miss is a leg error, retried on the next replica — a missing
+/// test count must never over-grant the budget forwarded to later legs.
 fn parse_fold_leg(
     header: &str,
     body: Option<Vec<u8>>,
-    routing: &DatasetRouting,
+    req: &FoldRequest<'_>,
     shard: usize,
-    prefs_key: &str,
-    t: usize,
-    seed: u64,
-    skyline: &[usize],
 ) -> Result<Leg, String> {
     let body = body.ok_or_else(|| "fold response carried no frame".to_string())?;
     let payload = frame::decode(&body).map_err(|e| e.to_string())?;
     let (fp, tags) = decode_shard_signatures(payload).map_err(|e| e.to_string())?;
     let want = [
-        routing.content_hash,
+        req.routing.content_hash,
         shard as u64,
-        prefs_hash(prefs_key),
-        seed,
+        prefs_hash(req.prefs_key),
+        req.seed,
     ];
     if tags != want {
         return Err("fold artefact key tags do not match the request".to_string());
     }
-    if fp.t() != t || fp.columns != skyline {
+    if fp.t() != req.t || fp.columns != req.skyline {
         return Err("fold artefact does not cover the current skyline".to_string());
     }
-    let tests = json_kv_u64(header, "tests").unwrap_or(0);
-    let reused = json_kv_u64(header, "reused") == Some(1);
+    let field = |key: &str| {
+        header_u64(header, key).ok_or_else(|| format!("fold reply lacks a valid {key}="))
+    };
+    let tests = field("tests")?;
+    let reused = match field("reused")? {
+        0 => false,
+        1 => true,
+        other => return Err(format!("fold reply has reused={other}")),
+    };
     let trip = match header
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix("tripped="))
@@ -1816,7 +1616,7 @@ fn parse_fold_leg(
         Some("cancelled") => Some(LegTrip::Cancelled),
         Some("deadline") => Some(LegTrip::Deadline),
         Some("dominance") => Some(LegTrip::Dominance {
-            used: json_kv_u64(header, "trip_used").unwrap_or(tests),
+            used: field("trip_used")?,
         }),
         Some(other) => return Err(format!("unknown trip kind {other:?}")),
     };
@@ -1828,29 +1628,9 @@ fn parse_fold_leg(
     })
 }
 
-/// Fails every still-pending leg with `msg(shard)` — deadline expiry or
-/// a poller breakdown ends the whole fan-out at once.
-fn fail_pending(
-    poller: &mut Poller,
-    legs: &mut [LegState],
-    metrics: &Metrics,
-    msg: impl Fn(usize) -> String,
-) {
-    for (shard, leg) in legs.iter_mut().enumerate() {
-        if leg.done.is_none() {
-            if let Some(conn) = leg.conn.take() {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-            }
-            metrics.bump(&metrics.fanout_failures);
-            leg.done = Some(Err(msg(shard)));
-        }
-    }
-}
-
-/// Connects within the remaining shared deadline, then switches the
-/// socket nonblocking for the readiness-driven exchange.
-fn connect_nonblocking(addr: &str, budget: &DeadlineBudget) -> std::io::Result<TcpStream> {
-    let remaining = budget.remaining().ok_or_else(|| {
+/// Resolves `addr` and connects within what is left of `deadline`.
+fn connect_within(addr: &str, deadline: &DeadlineBudget) -> std::io::Result<TcpStream> {
+    let remaining = deadline.remaining().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::TimedOut, "fan-out deadline exhausted")
     })?;
     let sockaddr = addr
@@ -1858,7 +1638,6 @@ fn connect_nonblocking(addr: &str, budget: &DeadlineBudget) -> std::io::Result<T
         .next()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
     let stream = TcpStream::connect_timeout(&sockaddr, remaining)?;
-    stream.set_nonblocking(true)?;
     stream.set_nodelay(true).ok();
     Ok(stream)
 }
@@ -1904,15 +1683,8 @@ fn complete_response(rbuf: &[u8]) -> Result<Option<ResponseParts>, String> {
 /// request while writable (downgrading to read-only interest once it is
 /// out), then reads until the response completes or the socket would
 /// block.
-fn drive_conn(
-    poller: &mut Poller,
-    conn: &mut LegConn,
-    token: u64,
-    readable: bool,
-    writable: bool,
-    closed: bool,
-) -> Drive {
-    if writable && conn.wpos < conn.wbuf.len() {
+fn drive_conn(poller: &mut Poller, conn: &mut LegConn, ev: &Event) -> Drive {
+    if ev.writable && conn.wpos < conn.wbuf.len() {
         // lint: allow(R2) -- drains a bounded request buffer and exits
         // on WouldBlock; the outer fan-out loop holds the budget
         loop {
@@ -1921,7 +1693,7 @@ fn drive_conn(
                 Ok(n) => {
                     conn.wpos += n;
                     if conn.wpos == conn.wbuf.len() {
-                        let _ = poller.modify(conn.stream.as_raw_fd(), token, Interest::READ);
+                        let _ = poller.modify(conn.stream.as_raw_fd(), ev.token, Interest::READ);
                         break;
                     }
                 }
@@ -1931,7 +1703,7 @@ fn drive_conn(
             }
         }
     }
-    if readable {
+    if ev.readable {
         let mut chunk = [0u8; 16 * 1024];
         // lint: allow(R2) -- reads until WouldBlock/EOF or a complete
         // response; response size is capped by `complete_response`
@@ -1960,29 +1732,21 @@ fn drive_conn(
             }
         }
     }
-    if closed && !readable {
+    if ev.closed && !ev.readable {
         return Drive::Failed("transport: connection closed".into());
     }
     Drive::Pending
 }
 
-/// Connects to `addr` within the shared deadline budget, with socket
-/// read/write timeouts cut to the remaining time — the satellite fix
-/// for per-connection-only timeouts: K legs can never spend K × the
-/// request deadline.
+/// A blocking [`Client`] for the exchanges outside the `FOLD` fan-out
+/// (`SHARDPUT`, `FETCH`, `REPLICATE`, `STATS`), connected within the
+/// shared deadline and with socket read/write timeouts cut to what is
+/// left of it, so K exchanges can never spend K × the deadline.
 fn connect_deadline(addr: &str, deadline: &DeadlineBudget) -> std::io::Result<Client> {
-    let remaining = deadline.remaining().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::TimedOut, "fan-out deadline exhausted")
-    })?;
-    let sockaddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
-    let stream = TcpStream::connect_timeout(&sockaddr, remaining)?;
+    let stream = connect_within(addr, deadline)?;
     let per_io = deadline.remaining().unwrap_or(Duration::from_millis(1));
     stream.set_read_timeout(Some(per_io))?;
     stream.set_write_timeout(Some(per_io))?;
-    stream.set_nodelay(true).ok();
     Client::from_stream(stream)
 }
 
@@ -2228,7 +1992,71 @@ mod tests {
 
     #[test]
     fn header_kv_parser_reads_u64s() {
-        assert_eq!(json_kv_u64("reused=1 tests=42 bytes=7", "tests"), Some(42));
-        assert_eq!(json_kv_u64("reused=1", "tests"), None);
+        assert_eq!(header_u64("reused=1 tests=42 bytes=7", "tests"), Some(42));
+        assert_eq!(header_u64("reused=1", "tests"), None);
+    }
+
+    /// A `FOLD` reply must name its test count and reuse flag, and a
+    /// dominance trip its `trip_used`: a reply missing one is a leg
+    /// error (retried on the next replica), never a zero-test leg that
+    /// over-grants the budget forwarded to later legs.
+    #[test]
+    fn fold_reply_header_fields_are_required() {
+        let h = host();
+        let rows = vec![1.0, 2.0, 3.0, 4.0];
+        put(&h, "d", 0, 0, 2, &rows);
+        let shard_hash = fnv1a64(&frame::encode_points(2, &rows));
+        let ids = vec![0usize];
+        let body = frame::encode(&frame::encode_fold_request(2, &ids, &[1.0, 2.0]));
+        let (header, frame_bytes) = h
+            .fold(
+                "d",
+                7,
+                0,
+                shard_hash,
+                "min,min",
+                8,
+                3,
+                None,
+                None,
+                &body,
+                &CancelToken::new(),
+            )
+            .unwrap();
+        let routing = DatasetRouting {
+            content_hash: 7,
+            dims: 2,
+            shard_hashes: vec![shard_hash],
+        };
+        let deadline = DeadlineBudget::from_millis(1_000);
+        let req = FoldRequest {
+            nodes: &[],
+            name: "d",
+            routing: &routing,
+            prefs_key: "min,min",
+            t: 8,
+            seed: 3,
+            payload: &body,
+            skyline: &ids,
+            deadline: &deadline,
+        };
+        let parse = |header: &str| parse_fold_leg(header, Some(frame_bytes.clone()), &req, 0);
+
+        let leg = parse(&header).unwrap();
+        assert_eq!(leg.tests, header_u64(&header, "tests").unwrap());
+        assert!(!leg.reused && leg.trip.is_none());
+        let trip = parse("reused=0 scanned=1 tests=9 tripped=dominance trip_used=5 trip_limit=5");
+        assert!(matches!(trip.unwrap().trip, Some(LegTrip::Dominance { used: 5 })));
+
+        for bad in [
+            "reused=0 scanned=1 tripped=none",
+            "reused=0 scanned=1 tests=x tripped=none",
+            "scanned=1 tests=9 tripped=none",
+            "reused=2 scanned=1 tests=9 tripped=none",
+            "reused=0 scanned=1 tests=9 tripped=dominance trip_limit=5",
+        ] {
+            let err = parse(bad).err().expect(bad);
+            assert!(err.contains("fold reply"), "{bad}: {err}");
+        }
     }
 }

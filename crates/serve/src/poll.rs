@@ -11,8 +11,9 @@
 //! * **poll** (portable fallback): the registration table is kept in
 //!   user space and rebuilt into a `pollfd` array per wait. O(fds) per
 //!   wake-up, but works on every Unix and exercises the exact same
-//!   caller state machines — CI runs the serve suite against it via
-//!   `SKYDIVER_POLLER=poll`.
+//!   caller state machines — CI runs the serve and sharding suites
+//!   against it via `SKYDIVER_POLLER=poll`. It is also the cluster
+//!   fan-out's fallback when the native backend cannot be created.
 //!
 //! Both backends are level-triggered: a readable fd stays readable
 //! until drained, so a caller that processes only part of a buffer is
@@ -89,7 +90,7 @@ impl Poller {
         #[cfg(target_os = "linux")]
         {
             if std::env::var_os("SKYDIVER_POLLER").is_some_and(|v| v == "poll") {
-                return Poller::portable();
+                return Ok(Poller::portable());
             }
             Ok(Poller {
                 backend: Backend::Epoll(epoll::Epoll::new()?),
@@ -97,15 +98,17 @@ impl Poller {
         }
         #[cfg(not(target_os = "linux"))]
         {
-            Poller::portable()
+            Ok(Poller::portable())
         }
     }
 
-    /// The portable `poll(2)` backend, on any platform.
-    pub fn portable() -> io::Result<Poller> {
-        Ok(Poller {
+    /// The portable `poll(2)` backend, on any platform. It allocates no
+    /// kernel object, so it cannot fail — the fallback when
+    /// [`Poller::new`] does.
+    pub fn portable() -> Poller {
+        Poller {
             backend: Backend::Poll(pollset::PollSet::new()),
-        })
+        }
     }
 
     /// Which backend this poller runs on (`"epoll"` / `"poll"`).
@@ -448,7 +451,7 @@ mod tests {
     use std::os::fd::AsRawFd;
 
     fn backends() -> Vec<Poller> {
-        let mut v = vec![Poller::portable().expect("poll backend")];
+        let mut v = vec![Poller::portable()];
         if cfg!(target_os = "linux") {
             v.push(Poller::new().expect("native backend"));
         }
@@ -547,7 +550,7 @@ mod tests {
 
     #[test]
     fn double_register_and_missing_deregister_error_on_pollset() {
-        let mut p = Poller::portable().expect("poll backend");
+        let mut p = Poller::portable();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let fd = listener.as_raw_fd();
         p.register(fd, 0, Interest::READ).expect("register");

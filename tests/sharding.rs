@@ -326,7 +326,10 @@ fn appended_shards_extend_old_folds_exactly() {
 // ---------------------------------------------------------------------
 
 mod cluster_process {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::process::{Child, Command, Stdio};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     use skydiver::data::generators::anticorrelated;
@@ -640,6 +643,13 @@ mod cluster_process {
         let ref5 = query(&mut mc, &spec(5));
         let ref11 = query(&mut mc, &spec(11));
         let ref13 = query(&mut mc, &spec(13));
+        // A budget that trips in a later shard: the one-leg-at-a-time
+        // schedule runs several legs first, retrying any whose first
+        // owner is the killed replica.
+        let mut budgeted = spec(12);
+        budgeted.max_dominance_tests = Some(ref5.dominance_tests * 3 / 5);
+        let ref12 = query(&mut mc, &budgeted);
+        assert!(ref12.degraded, "budget must actually trip: {ref12:?}");
 
         let mut workers = spawn_workers(3);
         let coord = start_coordinator(&workers.addrs(), 2);
@@ -658,6 +668,11 @@ mod cluster_process {
             "answer diverged after kill -9 of a replica"
         );
         assert!(!after_kill.degraded, "R=2 must mask a single dead node");
+        assert_eq!(
+            query(&mut cc, &budgeted),
+            ref12,
+            "budget-tripped prefix diverged after kill -9 of a replica"
+        );
 
         let dead = workers.addrs()[0].clone();
         cc.exchange(&format!("LEAVE addr={dead}")).expect("leave");
@@ -811,6 +826,108 @@ mod cluster_process {
             "status must name the unreachable shard: {}",
             degraded.status
         );
+        // The budgeted schedule (one leg at a time) degrades the same
+        // way: a budget too large to trip reaches the lost shard.
+        let mut budgeted = spec(23);
+        budgeted.max_dominance_tests = Some(1 << 40);
+        let degraded = query(&mut cc, &budgeted);
+        assert!(
+            degraded.degraded && degraded.status.contains("unavailable"),
+            "budgeted query must degrade on the lost shard: {degraded:?}"
+        );
+
+        cc.shutdown().expect("coordinator shutdown");
+        std::fs::remove_file(csv).ok();
+    }
+
+    /// A fake worker: answers `SHARDPUT` with `OK`, and a `FOLD` with
+    /// one byte every 20 ms and never a newline, until the peer hangs up.
+    fn drip_worker(stream: TcpStream) {
+        let mut reader = BufReader::new(stream.try_clone().expect("clone fake worker stream"));
+        let mut writer = stream;
+        let mut line = String::new();
+        while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+            let body_len = line
+                .split_whitespace()
+                .find_map(|tok| tok.strip_prefix("bytes="))
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or(0);
+            let mut body = vec![0u8; body_len];
+            if reader.read_exact(&mut body).is_err() {
+                return;
+            }
+            if line.starts_with("SHARDPUT") {
+                if writer.write_all(b"OK stored\n").is_err() {
+                    return;
+                }
+            } else {
+                while writer.write_all(b"O").is_ok() {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                return;
+            }
+            line.clear();
+        }
+    }
+
+    /// A worker that never finishes its `FOLD` reply cannot hold a query
+    /// past the fan-out deadline, with or without a dominance budget:
+    /// both answer degraded, naming the shard unavailable. Each query
+    /// runs on a helper thread so a regression fails instead of hanging
+    /// the suite.
+    #[test]
+    fn worker_that_never_finishes_its_reply_degrades_within_the_deadline() {
+        const FANOUT_TIMEOUT_MS: u64 = 500;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+        let worker = listener.local_addr().expect("fake worker addr").to_string();
+        // Detached: the accept loop ends with the test process.
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                std::thread::spawn(move || drip_worker(stream));
+            }
+        });
+        let csv = tmp("drip.csv");
+        io::write_csv(&anticorrelated(2_000, 3, 95), &csv).expect("write csv");
+        let path = csv.to_str().unwrap().to_string();
+
+        let coord = Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            cluster: Some(ClusterConfig {
+                workers: vec![worker],
+                replication: 1,
+                shards: 2,
+                fanout_timeout_ms: FANOUT_TIMEOUT_MS,
+            }),
+            ..ServerConfig::default()
+        })
+        .expect("bind coordinator")
+        .spawn()
+        .expect("spawn coordinator");
+        let addr = coord.addr();
+        let mut cc = Client::connect(addr).expect("connect coordinator");
+        cc.load("d", &path).expect("cluster load");
+
+        for (seed, budget) in [(5, None), (6, Some(1u64 << 40))] {
+            let (tx, rx) = mpsc::channel();
+            let asker = std::thread::spawn(move || {
+                let mut s = spec(seed);
+                s.max_dominance_tests = budget;
+                let reply = Client::connect(addr)
+                    .map_err(|e| e.to_string())
+                    .and_then(|mut c| c.query(&s));
+                let _ = tx.send(reply);
+            });
+            let reply = rx
+                .recv_timeout(Duration::from_millis(8 * FANOUT_TIMEOUT_MS))
+                .unwrap_or_else(|_| panic!("budget {budget:?}: no answer within 8 deadlines"));
+            asker.join().expect("query thread");
+            let got = answer(&reply.expect("query"));
+            assert!(
+                got.degraded && got.status.contains("unavailable"),
+                "budget {budget:?}: must degrade naming the shard: {got:?}"
+            );
+        }
 
         cc.shutdown().expect("coordinator shutdown");
         std::fs::remove_file(csv).ok();
