@@ -16,12 +16,112 @@
 //!   equality counts over signature columns and LSH zone assignments,
 //!   written so the autovectorizer can keep the comparison loop free of
 //!   per-element bounds checks and branches.
+//! * `wide` — runs a fold loop in a copy compiled for AVX2 when the
+//!   CPU reports it at run time, and portably otherwise.
 //!
 //! Every kernel is observationally identical to the scalar code it
 //! replaces — same dominance outcomes, same counts; the dominance scan
 //! lists the same dominator *set* in a different order, which the
 //! order-free MinHash fold cannot see — so all downstream results stay
 //! bit-identical.
+
+/// Runs `f` in a copy compiled for AVX2 when the CPU reports AVX2 at
+/// run time, and as plain `f()` otherwise and on every other
+/// architecture.
+///
+/// The MinHash fold loops (`UpdateMatrix`'s slot-wise `min`, the
+/// accumulator merge) are 64-bit integer minima, which the default
+/// x86-64 target (SSE2) compiles to one scalar compare-and-move per
+/// slot; inlined into the AVX2 trampoline they become 4-lane
+/// `vpcmpgtq`/`vblendvpd` loops. Pass an `#[inline(always)]` closure
+/// holding the whole loop, and call this once per fold call — never
+/// per row or per slot: the closure body is what gets the wide
+/// codegen, and a non-inlined callee keeps its portable copy.
+///
+/// Both copies are bit-identical by construction: the fold loops only
+/// take integer minima, add `u64`s and compare `f64`s, none of which
+/// the instruction set changes, and Rust never reassociates float
+/// arithmetic or contracts it to FMA.
+#[inline(always)]
+pub(crate) fn wide<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && !portable_only() {
+        // SAFETY: `avx2_copy` enables exactly the `avx2` target
+        // feature, and `is_x86_feature_detected!("avx2")` just reported
+        // it present on this CPU.
+        return unsafe { avx2_copy(f) };
+    }
+    f()
+}
+
+/// The AVX2 copy behind [`wide`]: `f` inlined into a function compiled
+/// with the `avx2` target feature. Reach it only through [`wide`] — on
+/// a CPU without AVX2 it is undefined behaviour.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_copy<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// `false` outside tests: [`wide`] always picks the fastest copy.
+#[cfg(all(target_arch = "x86_64", not(test)))]
+#[inline(always)]
+fn portable_only() -> bool {
+    false
+}
+
+#[cfg(all(target_arch = "x86_64", test))]
+use dispatch::portable_only;
+#[cfg(test)]
+pub(crate) use dispatch::{dispatched, portable};
+
+/// Test-only control of [`wide`], so one test can fold the same input
+/// through the portable and the dispatched copy of a fold that
+/// dispatches internally (possibly on scoped threads).
+#[cfg(test)]
+mod dispatch {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// While set, [`super::wide`] runs the portable copy on every thread.
+    static PORTABLE_ONLY: AtomicBool = AtomicBool::new(false);
+    /// Serialises [`portable`] and [`dispatched`] against each other;
+    /// other tests only ever see a bit-identical copy either way.
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn portable_only() -> bool {
+        PORTABLE_ONLY.load(Ordering::SeqCst)
+    }
+
+    fn exclusive() -> MutexGuard<'static, ()> {
+        EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Clears the flag when dropped, also when `f` panics.
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            PORTABLE_ONLY.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs `f` with every [`super::wide`] inside it taking the
+    /// portable copy.
+    pub(crate) fn portable<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = exclusive();
+        PORTABLE_ONLY.store(true, Ordering::SeqCst);
+        let _reset = Reset;
+        f()
+    }
+
+    /// Runs `f` with every [`super::wide`] inside it dispatching as in
+    /// production (the AVX2 copy on a CPU that has it).
+    pub(crate) fn dispatched<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = exclusive();
+        f()
+    }
+}
 
 /// Counts slots where two equally-long `u64` signature columns agree.
 ///
@@ -420,6 +520,7 @@ mod tests {
                 }
                 let pack = SkylinePack::pack(d, cols.iter().map(Vec::as_slice));
                 assert_eq!(pack.len(), m);
+                let mut rows = Vec::with_capacity(24);
                 for r in 0..24 {
                     let mut p = tie_heavy_point(&mut rng, d);
                     if m > 0 {
@@ -433,14 +534,47 @@ mod tests {
                             _ => {}
                         }
                     }
-                    assert_eq!(
-                        packed_dominators(&pack, &p),
-                        reference_dominators(&cols, &p),
-                        "d = {d}, m = {m}, p = {p:?}"
-                    );
+                    let reference = reference_dominators(&cols, &p);
+                    let what = format!("d = {d}, m = {m}, p = {p:?}");
+                    assert_eq!(packed_dominators(&pack, &p), reference, "{what}");
+                    assert_eq!(wide(|| packed_dominators(&pack, &p)), reference, "{what}");
+                    rows.push(p);
                 }
+                fold_in_both_copies(&cols, &rows);
             }
         }
+    }
+
+    /// Folds `rows` against `cols` through the packed kernel in the
+    /// portable and the dispatched copy of the fold: the same matrix,
+    /// and scores that count each column's reference dominations.
+    fn fold_in_both_copies(cols: &[Vec<f64>], rows: &[Vec<f64>]) {
+        use crate::minhash::{scan_columns_budgeted, HashFamily, SignatureAccumulator};
+        use crate::{ExecContext, RunBudget};
+        let d = rows[0].len();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let ds = skydiver_data::Dataset::from_rows(d, &refs);
+        let col_refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let skip = vec![false; rows.len()];
+        let fam = HashFamily::new(7, d as u64);
+        let fold = || {
+            let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+            let mut acc = SignatureAccumulator::new(7, cols.len());
+            let (v, c) = (ds.view(), &col_refs);
+            let int = scan_columns_budgeted(v, &MinDominance, c, &skip, &fam, 1, &ctx, &mut acc);
+            assert!(int.is_none());
+            (acc, ctx.dominance_tests())
+        };
+        let p = portable(fold);
+        let what = format!("d = {d}, m = {}", cols.len());
+        assert_eq!(dispatched(fold), p, "{what}");
+        let mut scores = vec![0u64; cols.len()];
+        for row in rows {
+            for j in reference_dominators(cols, row) {
+                scores[j] += 1;
+            }
+        }
+        assert_eq!(p.0.scores, scores, "{what}");
     }
 
     #[test]

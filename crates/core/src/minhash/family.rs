@@ -68,11 +68,14 @@ impl HashFamily {
         mod_p(a as u128 * x as u128 + b as u128)
     }
 
-    /// Applies every function to `x`, writing into `out`
-    /// (`out.len() == t`). Hot path of signature generation.
+    /// Applies every function to `x`, writing into `out`. Hot path of
+    /// signature generation.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != t`.
     #[inline]
     pub fn hash_all(&self, x: u64, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.coeffs.len());
+        assert_eq!(out.len(), self.coeffs.len(), "hash output length mismatch");
         for (slot, &(a, b)) in out.iter_mut().zip(&self.coeffs) {
             // lint: allow(R2) -- t hash applications per row; the row
             // loops charge the budget per dominated point
@@ -127,6 +130,14 @@ mod tests {
             seen.insert(f.hash(0, x));
         }
         assert_eq!(seen.len(), 10_000, "affine map mod prime is injective");
+    }
+
+    #[test]
+    #[should_panic(expected = "hash output length mismatch")]
+    fn long_hash_output_rejected_in_every_profile() {
+        // A release build used to leave the extra slot unwritten.
+        let mut out = vec![0u64; 5];
+        HashFamily::new(4, 1).hash_all(9, &mut out);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex};
 use skydiver_rtree::{classify_dominance, BufferPool, Child, MbrDominance, Node, PageId, RTree};
 
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
+use crate::kernels::wide;
 
 use super::{HashFamily, IbStats, SigGenOutput, SignatureAccumulator};
 
@@ -56,14 +57,18 @@ struct FullChain {
 }
 
 impl FullChain {
+    /// Calls `f` on every full dominator, this link's first. A loop, not
+    /// a recursion, so it inlines into the node worker's [`wide`] copy.
+    #[inline]
     fn for_each(&self, f: &mut impl FnMut(usize)) {
-        for &j in &self.fulls {
+        let mut link = Some(self);
+        while let Some(chain) = link {
             // lint: allow(R2) -- walks one root-to-leaf chain of full
             // classifications, bounded by tree height * m
-            f(j);
-        }
-        if let Some(p) = &self.parent {
-            p.for_each(f);
+            for &j in &chain.fulls {
+                f(j);
+            }
+            link = chain.parent.as_deref();
         }
     }
 
@@ -134,7 +139,9 @@ impl Pass<'_> {
     /// it; by downward monotonicity that point was `Partial` on the
     /// parent too, i.e. it is in `active` — so expansions, node reads,
     /// bulk updates and skips all match the full-reclassification pass
-    /// exactly.
+    /// exactly. Always inlined, so [`drain`](Self::drain)'s [`wide`]
+    /// copy folds the bulk updates.
+    #[inline(always)]
     fn process_node(
         &self,
         node: &Node,
@@ -213,33 +220,40 @@ impl Pass<'_> {
 
     /// Drains one block of the frontier depth-first (LIFO, the traversal
     /// order of Fig. 4), reading nodes through the shared pool and
-    /// stopping at a poisoned pool or a tripped budget.
+    /// stopping at a poisoned pool or a tripped budget. The node worker
+    /// runs in the [`wide`] copy.
     fn drain(
         &self,
         pool: &Mutex<&mut BufferPool>,
         block: &[FrontierItem],
     ) -> (Acc, Option<Interrupt>) {
-        let mut acc = Acc::new(self.family.len(), self.skyline_pts.len());
-        let mut frontier = block.to_vec();
-        while let Some((pid, base, chain, active)) = frontier.pop() {
-            // lint: allow(R2) -- process_node charges the budget per node
-            // and its Interrupt return ends this loop
-            let node = {
-                // lint: allow(R1) -- mutex poison means a sibling worker
-                // panicked mid-read; the join re-raises that panic, so
-                // recovery here would be dead code
-                let mut guard = pool.lock().expect("pool mutex poisoned");
-                if guard.poisoned() {
-                    break;
+        wide(
+            #[inline(always)]
+            || {
+                let mut acc = Acc::new(self.family.len(), self.skyline_pts.len());
+                let mut frontier = block.to_vec();
+                while let Some((pid, base, chain, active)) = frontier.pop() {
+                    // lint: allow(R2) -- process_node charges the budget per node
+                    // and its Interrupt return ends this loop
+                    let node = {
+                        // lint: allow(R1) -- mutex poison means a sibling worker
+                        // panicked mid-read; the join re-raises that panic, so
+                        // recovery here would be dead code
+                        let mut guard = pool.lock().expect("pool mutex poisoned");
+                        if guard.poisoned() {
+                            break;
+                        }
+                        self.tree.read_node(&mut guard, pid)
+                    };
+                    let item = (base, &chain, &active[..]);
+                    let push = &mut |i| frontier.push(i);
+                    if let Some(int) = self.process_node(node, item, &mut acc, push) {
+                        return (acc, Some(int));
+                    }
                 }
-                self.tree.read_node(&mut guard, pid)
-            };
-            let item = (base, &chain, &active[..]);
-            if let Some(int) = self.process_node(node, item, &mut acc, &mut |i| frontier.push(i)) {
-                return (acc, Some(int));
-            }
-        }
-        (acc, None)
+                (acc, None)
+            },
+        )
     }
 }
 
@@ -370,7 +384,7 @@ pub fn sig_gen_ib_parallel_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::{sig_gen_ib, sig_gen_ib_budgeted};
+    use crate::minhash::{sig_gen_ib, sig_gen_ib_budgeted, INF_SLOT};
     use skydiver_data::dominance::MinDominance;
     use skydiver_data::generators::{anticorrelated, clustered, independent};
     use skydiver_data::Dataset;
@@ -405,6 +419,37 @@ mod tests {
                 assert_eq!(a.matrix, b.matrix, "threads = {threads}");
                 assert_eq!(a.scores, b.scores, "threads = {threads}");
                 assert_eq!(sa, sb, "stats must match: threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_node_worker_identical_to_portable() {
+        use crate::kernels::{dispatched, portable};
+        // ANT rows plus one skyline row that dominates nothing, so its
+        // column stays all-`INF_SLOT`.
+        let ant = anticorrelated(1500, 3, 176);
+        let mut rows: Vec<&[f64]> = (0..ant.len()).map(|i| ant.point(i)).collect();
+        rows.push(&[-1.0, 1e9, 1e9]);
+        let ds = Dataset::from_rows(3, &rows);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let lonely = sky.iter().position(|&s| s == ds.len() - 1).expect("a skyline row");
+        let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+        let tree = skydiver_rtree::RTree::bulk_load(&ds, 1024);
+        for t in [1, 3, 7, 64, 100] {
+            let fam = HashFamily::new(t, 80 + t as u64);
+            for threads in [1, 3] {
+                let run = || {
+                    let mut pool = BufferPool::new(1 << 20);
+                    sig_gen_ib_parallel(&tree, &mut pool, &pts, &fam, threads)
+                };
+                let (p, p_stats) = portable(run);
+                let (w, w_stats) = dispatched(run);
+                let what = format!("t = {t}, threads = {threads}");
+                assert_eq!(w, p, "{what}");
+                assert_eq!(w_stats, p_stats, "{what}");
+                let inf = p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT);
+                assert!(inf, "{what}");
             }
         }
     }

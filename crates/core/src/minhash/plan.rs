@@ -33,7 +33,7 @@
 use skydiver_data::DatasetView;
 
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
-use crate::kernels::SkylinePack;
+use crate::kernels::{wide, SkylinePack};
 
 use super::{HashFamily, SignatureAccumulator, INF_SLOT};
 
@@ -248,7 +248,8 @@ impl DominancePlan {
     /// from. `view` must hold those rows with their global ids. Charges
     /// nothing (the caller charges [`charge`](Self::charge) first);
     /// polls `ctx` every [`ExecContext::CHECK_INTERVAL`] rows' worth of
-    /// work and returns the interrupt of a trip.
+    /// work and returns the interrupt of a trip. The walk runs in the
+    /// [`wide`] copy.
     ///
     /// # Panics
     /// Panics if `view` does not hold as many rows as the plan.
@@ -259,55 +260,61 @@ impl DominancePlan {
         ctx: &ExecContext,
     ) -> Result<SignatureAccumulator, Interrupt> {
         assert_eq!(view.len(), self.n, "plan does not fit the shard");
-        let t = family.len();
-        let mut fold = SignatureAccumulator::new(t, self.columns.len());
-        let height = self.levels.len();
-        // One open minimum per level: the node being filled there.
-        let mut mins = vec![INF_SLOT; t * height];
-        let mut row_hashes = vec![0u64; t];
-        let leaves = self.levels.first().copied().unwrap_or(0);
-        for leaf in 0..leaves {
-            if leaf % POLL_LEAVES == 0 {
-                ctx.check(ExecPhase::Fingerprint)?;
-            }
-            let (lo, hi) = (leaf * LEAF, ((leaf + 1) * LEAF).min(self.rows.len()));
-            for i in lo..hi {
-                family.hash_all(
-                    view.global_id(self.rows[i] as usize) as u64,
-                    &mut row_hashes,
-                );
-                let (a, b) = (self.row_off[i] as usize, self.row_off[i + 1] as usize);
-                for &j in &self.row_ids[a..b] {
-                    fold.matrix.update_column(j as usize, &row_hashes);
+        wide(
+            #[inline(always)]
+            || {
+                let t = family.len();
+                let mut fold = SignatureAccumulator::new(t, self.columns.len());
+                let height = self.levels.len();
+                // One open minimum per level: the node being filled there.
+                let mut mins = vec![INF_SLOT; t * height];
+                let mut row_hashes = vec![0u64; t];
+                let leaves = self.levels.first().copied().unwrap_or(0);
+                for leaf in 0..leaves {
+                    if leaf % POLL_LEAVES == 0 {
+                        ctx.check(ExecPhase::Fingerprint)?;
+                    }
+                    let (lo, hi) = (leaf * LEAF, ((leaf + 1) * LEAF).min(self.rows.len()));
+                    for i in lo..hi {
+                        family.hash_all(
+                            view.global_id(self.rows[i] as usize) as u64,
+                            &mut row_hashes,
+                        );
+                        let (a, b) = (self.row_off[i] as usize, self.row_off[i + 1] as usize);
+                        for &j in &self.row_ids[a..b] {
+                            fold.matrix.update_column(j as usize, &row_hashes);
+                        }
+                        min_into(&mut mins[..t], &row_hashes);
+                    }
+                    // Close the leaf, then every ancestor whose last child it was.
+                    let (mut level, mut node, mut first) = (0, leaf, 0);
+                    loop {
+                        let k = first + node;
+                        let (a, b) = (self.node_off[k] as usize, self.node_off[k + 1] as usize);
+                        let (open, up) = mins[level * t..].split_at_mut(t);
+                        for &j in &self.node_ids[a..b] {
+                            fold.matrix.update_column(j as usize, open);
+                        }
+                        if level + 1 == height {
+                            break;
+                        }
+                        min_into(&mut up[..t], open);
+                        open.fill(INF_SLOT);
+                        let last_child =
+                            node % FANOUT == FANOUT - 1 || node + 1 == self.levels[level];
+                        if !last_child {
+                            break;
+                        }
+                        first += self.levels[level];
+                        level += 1;
+                        node /= FANOUT;
+                    }
                 }
-                min_into(&mut mins[..t], &row_hashes);
-            }
-            // Close the leaf, then every ancestor whose last child it was.
-            let (mut level, mut node, mut first) = (0, leaf, 0);
-            loop {
-                let k = first + node;
-                let (a, b) = (self.node_off[k] as usize, self.node_off[k + 1] as usize);
-                let (open, up) = mins[level * t..].split_at_mut(t);
-                for &j in &self.node_ids[a..b] {
-                    fold.matrix.update_column(j as usize, open);
-                }
-                if level + 1 == height {
-                    break;
-                }
-                min_into(&mut up[..t], open);
-                open.fill(INF_SLOT);
-                let last_child = node % FANOUT == FANOUT - 1 || node + 1 == self.levels[level];
-                if !last_child {
-                    break;
-                }
-                first += self.levels[level];
-                level += 1;
-                node /= FANOUT;
-            }
-        }
-        fold.scores.copy_from_slice(&self.scores);
-        fold.rows_consumed = self.n;
-        Ok(fold)
+                fold.scores.copy_from_slice(&self.scores);
+                fold.rows_consumed = self.n;
+                Ok(fold)
+            },
+        )
     }
 }
 
@@ -486,6 +493,31 @@ mod tests {
                     "the lonely skyline row dominates nothing"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dispatched_plan_walk_identical_to_portable_walk() {
+        use crate::kernels::{dispatched, portable};
+        let ds = data(500, 3, 250);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let lonely = sky.iter().position(|&s| s == 500 / 3).expect("a skyline row");
+        let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+        let mut skip = vec![false; ds.len()];
+        for &s in &sky {
+            skip[s] = true;
+        }
+        let view = DatasetView::with_base(&ds, 11);
+        let free = ExecContext::unlimited();
+        let plan = DominancePlan::build(view, &sky, &cols, &skip, usize::MAX, &free)
+            .unwrap()
+            .unwrap();
+        for t in [1, 3, 7, 64, 100] {
+            let fam = HashFamily::new(t, 60 + t as u64);
+            let walk = || plan.execute(view, &fam, &free).expect("unlimited walk");
+            let p = portable(walk);
+            assert_eq!(dispatched(walk), p, "t = {t}");
+            assert!(p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT), "t = {t}");
         }
     }
 

@@ -41,9 +41,12 @@ impl SignatureMatrix {
 
     /// Folds the row hashes of one dominated point into column `j`
     /// (the paper's `UpdateMatrix`): slot-wise minimum.
+    ///
+    /// # Panics
+    /// Panics if `row_hashes.len() != t`.
     #[inline]
     pub fn update_column(&mut self, j: usize, row_hashes: &[u64]) {
-        debug_assert_eq!(row_hashes.len(), self.t);
+        assert_eq!(row_hashes.len(), self.t, "row hash length mismatch");
         let col = &mut self.data[j * self.t..(j + 1) * self.t];
         for (slot, &h) in col.iter_mut().zip(row_hashes) {
             // lint: allow(R2) -- t slot-wise minima per dominated point;
@@ -93,6 +96,7 @@ impl SignatureMatrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
+    #[inline]
     pub fn merge_min(&mut self, other: &SignatureMatrix) {
         assert_eq!((self.t, self.m), (other.t, other.m), "shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
@@ -232,6 +236,14 @@ impl SlotMajorSignatures {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "row hash length mismatch")]
+    fn short_row_hashes_rejected_in_every_profile() {
+        // A release build used to fold the 2-slot prefix silently.
+        let mut m = SignatureMatrix::new(3, 2);
+        m.update_column(1, &[7, 8]);
+    }
 
     #[test]
     fn starts_at_infinity() {

@@ -444,7 +444,7 @@ impl Registry {
     }
 
     /// The `STATS` payload: the metrics snapshot with a per-dataset
-    /// shard-count object spliced in.
+    /// shard-count object and the host's fold copy spliced in.
     pub fn stats_json(&self) -> String {
         let mut json = self.metrics.snapshot_json();
         let shards = self
@@ -457,7 +457,10 @@ impl Registry {
         // `debug_assert!` would vanish in release and corrupt the payload.
         debug_assert!(json.ends_with('}'));
         json.pop();
-        json.push_str(&format!(",\"dataset_shards\":{{{shards}}}}}"));
+        json.push_str(&format!(
+            ",\"dataset_shards\":{{{shards}}},\"fold_kernel\":\"{}\"}}",
+            fold_kernel()
+        ));
         json
     }
 
@@ -614,6 +617,18 @@ pub(crate) fn read_points(path: &str) -> Result<Dataset, String> {
     Ok(data)
 }
 
+/// The copy of the MinHash fold loops this host runs — `"avx2"` or
+/// `"portable"` — for `STATS`' `fold_kernel`. It repeats the run-time
+/// check of `skydiver_core`'s kernel dispatch, which picks the AVX2
+/// copy exactly when the CPU reports AVX2.
+fn fold_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,6 +668,9 @@ mod tests {
         }
         assert_eq!(depth, 0, "unbalanced braces in {json}");
         assert!(json.contains("\"dataset_shards\":{\"d\":1}"));
+        let kernel = format!("\"fold_kernel\":\"{}\"", fold_kernel());
+        assert!(json.ends_with(&format!(",{kernel}}}")), "{json}");
+        assert!(["avx2", "portable"].contains(&fold_kernel()));
     }
 
     #[test]

@@ -131,6 +131,11 @@ fn warm_cache_query_charges_no_dominance_tests() {
     let stats = client.stats().expect("stats");
     assert!(json_u64(&stats, "cache_hits").unwrap() >= 1, "{stats}");
     assert!(json_u64(&stats, "degraded").unwrap() >= 1, "{stats}");
+    // The fold copy is a string, named whichever the host runs.
+    assert!(
+        stats.contains(r#""fold_kernel":"avx2""#) || stats.contains(r#""fold_kernel":"portable""#),
+        "{stats}"
+    );
 
     client.shutdown().expect("shutdown");
     handle.join().expect("clean server exit");
