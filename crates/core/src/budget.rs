@@ -175,6 +175,16 @@ impl RunBudget {
     pub fn max_memory_bytes(&self) -> Option<usize> {
         self.max_memory_bytes
     }
+
+    /// The configured deadline, if any.
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
+
+    /// The configured dominance-test ceiling, if any.
+    pub fn max_dominance_tests(&self) -> Option<u64> {
+        self.max_dominance_tests
+    }
 }
 
 /// The pipeline phase at which an interruption occurred.

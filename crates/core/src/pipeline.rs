@@ -13,11 +13,10 @@
 //! Every index-free fingerprint is a sharded one. [`SkyDiver::run`] and
 //! [`SkyDiver::fingerprint`] canonicalise the dataset and fold it as a
 //! single shard; [`SkyDiver::fingerprint_sharded_with`] computes the
-//! skyline of many shards; [`SkyDiver::fingerprint_over`] takes a kept
-//! [`SkylineState`]. All three then run the same per-shard fold
-//! ([`crate::minhash::fold_shard`], shared with the cluster workers) and
-//! merge, so whole, sharded, served and distributed answers agree bit
-//! for bit. Fig. 3's [`crate::minhash::sig_gen_if`] stays as the
+//! skyline of many shards. Both then run the same per-shard fold
+//! ([`crate::minhash::fold_shard`], which the serving layer's shard host
+//! also runs) and merge, so whole, sharded, served and distributed
+//! answers agree bit for bit. Fig. 3's [`crate::minhash::sig_gen_if`] stays as the
 //! paper's reference and the test oracle.
 //!
 //! # Resilient execution
@@ -167,7 +166,8 @@ pub struct ShardedFingerprintRun {
     /// was curtailed by a budget trip: partial folds are never cached.
     pub shards: Vec<Arc<ShardFingerprint>>,
     /// How many shards were served entirely from the supplied cache
-    /// entries (no data rows scanned).
+    /// entries (no data rows scanned) — counted on a budget-tripped run
+    /// too: the shard folds it actually reused before the trip.
     pub reused_shards: usize,
     /// Data rows actually scanned (cache-served shard rows excluded).
     pub scanned_rows: usize,
@@ -380,44 +380,12 @@ impl SkyDiver {
     /// The budget covers the skyline pass as well as the fold. A budget
     /// trip mid-scan returns a partial [`Fingerprint`] exactly like
     /// [`SkyDiver::fingerprint`] and an empty `shards` vector — partial
-    /// folds must never be cached.
+    /// folds must never be cached. Every shard is canonicalised
+    /// (borrowed under all-min preferences) and validated first.
     pub fn fingerprint_sharded_with(
         &self,
         sd: &ShardedDataset,
         prefs: &[Preference],
-        cached: &[Option<Arc<ShardFingerprint>>],
-    ) -> Result<ShardedFingerprintRun> {
-        self.fold_sharded(sd, prefs, None, cached)
-    }
-
-    /// [`SkyDiver::fingerprint_sharded_with`] over a precomputed
-    /// skyline: `state` must be the [`SkylineState`] of all of `sd`
-    /// under `prefs` (for instance one kept from an earlier generation
-    /// and [extended](SkylineState::extend) over appended rows). The
-    /// skyline is neither recomputed nor budgeted; the shards are
-    /// canonicalised (borrowed under all-min preferences) and never
-    /// concatenated. The result is bit-identical to the wrapper's.
-    pub fn fingerprint_over(
-        &self,
-        sd: &ShardedDataset,
-        prefs: &[Preference],
-        state: &SkylineState,
-        cached: &[Option<Arc<ShardFingerprint>>],
-    ) -> Result<ShardedFingerprintRun> {
-        if state.covered_rows() != sd.len() || state.points().dims() != sd.dims() {
-            return Err(state.mismatch(sd));
-        }
-        self.fold_sharded(sd, prefs, Some(state), cached)
-    }
-
-    /// The sharded entry points under a fresh context: every shard is
-    /// canonicalised (borrowed under all-min preferences) and validated
-    /// before [`SkyDiver::fold_shards`] runs.
-    fn fold_sharded(
-        &self,
-        sd: &ShardedDataset,
-        prefs: &[Preference],
-        state: Option<&SkylineState>,
         cached: &[Option<Arc<ShardFingerprint>>],
     ) -> Result<ShardedFingerprintRun> {
         if prefs.len() != sd.dims() {
@@ -429,7 +397,7 @@ impl SkyDiver {
         let views: Vec<DatasetView<'_>> =
             canon.iter().enumerate().map(|(i, c)| DatasetView::with_base(c, sd.base(i))).collect();
         let ctx = ExecContext::new(self.budget.clone());
-        self.fold_shards(sd.dims(), &views, state, cached, &ctx)
+        self.fold_shards(sd.dims(), &views, cached, &ctx)
     }
 
     /// Phase 1 of [`SkyDiver::run`] under the run's `ctx`: the whole
@@ -443,7 +411,7 @@ impl SkyDiver {
     ) -> Result<Fingerprint> {
         let canon = canonicalise(ds, prefs)?;
         let shards = [DatasetView::with_base(&canon, 0)];
-        let run = self.fold_shards(ds.dims(), &shards, None, &[], ctx)?;
+        let run = self.fold_shards(ds.dims(), &shards, &[], ctx)?;
         Ok(run.fingerprint)
     }
 
@@ -451,14 +419,12 @@ impl SkyDiver {
     /// from 0, in order) of `dims`-dimensional data. Every entry point
     /// validates its data first, so invalid input is an error even when
     /// the budget has already run out. Polls `ctx` once before the
-    /// skyline, takes `state` (or computes it when `None`), then folds
-    /// every shard with [`crate::minhash::fold_shard`] and merges the
-    /// folds.
+    /// skyline, computes it, then folds every shard with
+    /// [`crate::minhash::fold_shard`] and merges the folds.
     fn fold_shards(
         &self,
         dims: usize,
         shards: &[DatasetView<'_>],
-        state: Option<&SkylineState>,
         cached: &[Option<Arc<ShardFingerprint>>],
         ctx: &ExecContext,
     ) -> Result<ShardedFingerprintRun> {
@@ -475,14 +441,7 @@ impl SkyDiver {
         if let Err(int) = ctx.check(ExecPhase::Skyline) {
             return Ok(stopped(vec![], int));
         }
-        let computed;
-        let state = match state {
-            Some(state) => state,
-            None => {
-                computed = SkylineState::empty(dims).extend_canonical(shards);
-                &computed
-            }
-        };
+        let state = SkylineState::empty(dims).extend_canonical(shards);
         let all_cols: Vec<&[f64]> = state.points().iter().collect();
         let skyline = state.ids().to_vec();
         if skyline.is_empty() {
@@ -570,7 +529,6 @@ impl SkyDiver {
             });
             // Partial folds must never reach a cache.
             folds.clear();
-            reused_shards = 0;
         }
         Ok(ShardedFingerprintRun {
             fingerprint: Fingerprint {
@@ -962,31 +920,6 @@ mod tests {
         // An unbudgeted run reports no degradation.
         assert!(r.is_complete());
         assert_eq!(r.degradation.summary(), "complete");
-    }
-
-    #[test]
-    fn fingerprint_over_an_extended_skyline_matches_the_wrapper() {
-        let ds = anticorrelated(2000, 3, 170);
-        let prefs = vec![Preference::Min, Preference::Max, Preference::Min];
-        let cfg = SkyDiver::new(5).signature_size(32).hash_seed(4);
-        let mut sd = ShardedDataset::partition(&ds, 3);
-        let old = SkylineState::compute(&sd, &prefs).unwrap();
-        sd.push_shard(anticorrelated(200, 3, 171));
-        let state = old.extend(&sd, &prefs).unwrap();
-        let over = cfg.fingerprint_over(&sd, &prefs, &state, &[]).unwrap();
-        let whole = cfg.fingerprint_sharded(&sd, &prefs).unwrap();
-        assert_eq!(over.fingerprint.skyline, whole.fingerprint.skyline);
-        assert_eq!(over.fingerprint.output.matrix, whole.fingerprint.output.matrix);
-        assert_eq!(over.fingerprint.output.scores, whole.fingerprint.output.scores);
-        // A state that covers only the old rows describes other data.
-        assert!(matches!(
-            cfg.fingerprint_over(&sd, &prefs, &old, &[]),
-            Err(SkyDiverError::SkylineStateMismatch {
-                covered_rows: 2000,
-                rows: 2200,
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Distributed scatter-gather serving on the shard-merge invariant.
+//! Distributed scatter-gather serving on the shard-merge invariant, and
+//! the shard host every server folds through.
 //!
-//! A cluster is one **coordinator** plus N **workers**, all running the
-//! same `skydiver serve` binary. The coordinator owns the dataset (it is
-//! where `LOAD`/`APPEND` arrive), partitions it into shards, and routes
-//! each shard to the workers that own it under rendezvous hashing with
-//! replication factor R ([`skydiver_cluster::rendezvous`]). A `QUERY`
-//! fans out as per-shard `FOLD` requests; each worker folds its shard
-//! with the **same** `fold_shard` code the monolithic pipeline uses,
-//! returns the fold as a checksummed `SKYSIG02` frame, and the
-//! coordinator merges the folds in ascending shard order with the
-//! associative [`SignatureAccumulator`] merge, then runs selection
-//! locally.
+//! **The shard host.** The [`Registry`] owns one [`ShardHost`] per
+//! process: the shards this node hosts (from a local `LOAD`/`APPEND` or
+//! a coordinator's `SHARDPUT`), one fold LRU, the optional durable
+//! store and the dominance-plan memo. A single-process `QUERY` folds
+//! every shard through it in process; a worker's `FOLD` folds one shard
+//! through it behind a thin wire wrapper.
+//!
+//! **The cluster.** A cluster is one **coordinator** plus N **workers**,
+//! all running the same `skydiver serve` binary. The coordinator owns the
+//! dataset (it is where `LOAD`/`APPEND` arrive), partitions it into
+//! shards, and routes each shard to the workers that own it under
+//! rendezvous hashing with replication factor R
+//! ([`skydiver_cluster::rendezvous`]). A `QUERY` fans out as per-shard
+//! `FOLD` requests; each worker returns its fold as a checksummed
+//! `SKYSIG02` frame, and the registry's assembler merges the folds in
+//! ascending shard order, as it merges a single process's own folds.
 //!
 //! **Determinism contract.** The cluster answer is bit-identical to the
 //! single-process answer because every ingredient is: canonicalisation
@@ -49,11 +55,12 @@ use std::time::{Duration, Instant};
 use skydiver_cluster::frame;
 use skydiver_cluster::rendezvous;
 use skydiver_cluster::{DeadlineBudget, Membership};
-use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures, fnv1a64};
+use skydiver_core::minhash::persist::{
+    decode_shard_signatures, encode_shard_signatures, fnv1a64, Fnv64,
+};
 use skydiver_core::{
-    canonicalise, fold_shard_planned, CancelToken, DegradationEvent, DominancePlan, ExecContext,
-    ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold,
-    SignatureAccumulator, StopReason,
+    canonicalise, fold_shard_planned, CancelToken, DominancePlan, ExecContext, ExecPhase,
+    Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, StopReason,
 };
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
@@ -62,7 +69,7 @@ use crate::client::Client;
 use crate::metrics::Metrics;
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{json_escape, json_u64, parse_response};
-use crate::registry::{check_signature_size, parse_prefs, read_points, request_budget, Registry};
+use crate::registry::{parse_prefs, read_points, request_budget, LoadedDataset, Registry};
 use crate::store::{prefs_hash, SignatureStore, StoreKey};
 
 /// Replication pulls at handoff time use this ceiling when no request
@@ -100,19 +107,21 @@ impl Default for ClusterConfig {
 }
 
 // ---------------------------------------------------------------------
-// Worker side: hosted shards + fold handling
+// The shard host: every shard fold of this process
 // ---------------------------------------------------------------------
 
-/// One shard of one dataset hosted on this worker.
+/// One shard of one dataset hosted on this node.
 #[derive(Debug)]
 struct OwnedShard {
     /// Global id of the shard's first row.
     base: usize,
-    /// FNV-1a of the shard's points payload — the generation tag a
-    /// `FOLD` must match, so a worker that missed a `LOAD` can never
-    /// fold stale rows undetected.
+    /// The shard's content tag ([`shard_tag`]) — the generation a fold
+    /// must name, so no fold ever runs over rows other than the ones its
+    /// caller resolved.
     shard_hash: u64,
-    /// The rows.
+    /// Installed by a coordinator's `SHARDPUT` (not a local `LOAD`).
+    put: bool,
+    /// The rows, shared with the registry when installed locally.
     data: Arc<Dataset>,
 }
 
@@ -120,6 +129,51 @@ struct OwnedShard {
 struct HostedDataset {
     dims: usize,
     shards: HashMap<usize, OwnedShard>,
+}
+
+/// A shard's content tag: the FNV-1a of its `SHARDPUT` points payload
+/// ([`frame::encode_points`]), hashed without building the payload.
+/// `SHARDPUT`, the local install at `LOAD`/`APPEND` and the
+/// coordinator's `FOLD` routing all tag a shard here.
+pub(crate) fn shard_tag(data: &Dataset) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(&(data.dims() as u32).to_le_bytes());
+    h.update(&0u32.to_le_bytes());
+    h.update(&(data.len() as u64).to_le_bytes());
+    for v in data.as_flat() {
+        h.update(&v.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
+/// The LRU and store keys of one shard's fold.
+pub(crate) fn fold_keys(
+    name: &str,
+    dataset_hash: u64,
+    shard: usize,
+    prefs_key: &str,
+    t: usize,
+    seed: u64,
+) -> (FingerprintKey, StoreKey) {
+    let (dataset, prefs) = (name.to_string(), prefs_key.to_string());
+    let prefs_hash = prefs_hash(prefs_key);
+    let key = FingerprintKey {
+        dataset,
+        shard,
+        prefs,
+        t,
+        seed,
+    };
+    (
+        key,
+        StoreKey {
+            dataset_hash,
+            shard,
+            prefs_hash,
+            t,
+            seed,
+        },
+    )
 }
 
 /// Share of the fold cache's byte ceiling the dominance-plan memo may
@@ -133,7 +187,7 @@ const PLAN_SHARE: usize = 8;
 /// or two — never pays for a plan it would not reuse.
 const ROW_FOLDS_BEFORE_BUILD: u32 = 2;
 
-/// What a worker's dominance-plan memo holds for one key.
+/// What a host's dominance-plan memo holds for one key.
 #[derive(Debug, Clone)]
 enum PlanSlot {
     /// This many fully cold folds of the key ran the row fold.
@@ -162,10 +216,10 @@ enum Admission {
 /// A dominance plan's key: the shard's generation and the fold request.
 /// It holds no signature size or hash seed — the plan depends on
 /// neither — and a changed shard (`shard_hash`) or skyline (`request`,
-/// the FNV-1a of the request's ids and columns) cannot match. The hash
-/// only finds the entry: [`fold_shard_planned`] compares the plan's
-/// column ids with the request's in full, so a collision costs a row
-/// fold, never a wrong answer.
+/// the FNV-1a of the encoded request's ids and columns) cannot match.
+/// The hash only finds the entry: [`fold_shard_planned`] compares the
+/// plan's column ids with the request's in full, so a collision costs a
+/// row fold, never a wrong answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     dataset: String,
@@ -237,9 +291,9 @@ impl PlanMemo {
     }
 
     /// Ends the build of `key` with `slot`, unless the slot stopped
-    /// being [`PlanSlot::Building`] meanwhile (a `SHARDPUT` dropped the
-    /// dataset's plans, or the entry was evicted): then the result is
-    /// dropped.
+    /// being [`PlanSlot::Building`] meanwhile (a new generation of the
+    /// shard dropped the dataset's plans, or the entry was evicted):
+    /// then the result is dropped.
     fn finish(&mut self, key: PlanKey, slot: PlanSlot) {
         if matches!(self.slots.get(&key), Some((PlanSlot::Building, _))) {
             self.put(key, slot);
@@ -288,27 +342,97 @@ impl PlanMemo {
     }
 }
 
-/// Worker-side state: the shards this node owns, plus its own
-/// fingerprint LRU (and optional durable store) for fold reuse, and a
-/// memo of per-shard dominance plans for cold folds. Every server
-/// carries one — a node needs no restart to be drafted into a cluster.
+/// One fold request, decoded once: where its folds live, the skyline
+/// every shard is folded against and the hash family it is folded
+/// under. A `QUERY` builds one per query; a worker's `FOLD` one per
+/// request.
+pub(crate) struct FoldJob<'a> {
+    /// The LRU and store keys of one of the request's shards.
+    keys: (FingerprintKey, StoreKey),
+    prefs: &'a [Preference],
+    /// Ascending global ids of the skyline members, and their canonical
+    /// coordinates (row `j` is column `j` of the fold).
+    ids: &'a [usize],
+    points: &'a Dataset,
+    cols: Vec<&'a [f64]>,
+    family: HashFamily,
+}
+
+impl<'a> FoldJob<'a> {
+    /// The job of `keys` over the skyline `ids` at canonical `points`.
+    /// The caller has bounded `t` with
+    /// [`ShardHost::check_signature_size`].
+    pub(crate) fn new(
+        keys: (FingerprintKey, StoreKey),
+        prefs: &'a [Preference],
+        ids: &'a [usize],
+        points: &'a Dataset,
+    ) -> Self {
+        let family = HashFamily::new(keys.0.t, keys.0.seed);
+        let cols = points.iter().collect();
+        FoldJob {
+            keys,
+            prefs,
+            ids,
+            points,
+            cols,
+            family,
+        }
+    }
+
+    /// The LRU and store keys of `shard`'s fold.
+    fn keys(&self, shard: usize) -> (FingerprintKey, StoreKey) {
+        let (mut key, mut store_key) = self.keys.clone();
+        (key.shard, store_key.shard) = (shard, shard);
+        (key, store_key)
+    }
+
+    /// The plan key's FNV-1a of the encoded request; hashed only for a
+    /// fully cold shard.
+    fn request_hash(&self) -> u64 {
+        let (dims, cols) = (self.points.dims(), self.points.as_flat());
+        fnv1a64(&frame::encode_fold_request(dims, self.ids, cols))
+    }
+}
+
+/// One shard's fold as an assembled fingerprint merges it.
+pub(crate) struct Leg {
+    pub(crate) fold: Arc<ShardFingerprint>,
+    /// Served from a cached or stored fold, with no row scanned.
+    pub(crate) reused: bool,
+    /// Dominance tests the shard charged.
+    pub(crate) tests: u64,
+    /// The budget trip that cut the shard's fold short, in the
+    /// request's terms.
+    pub(crate) interrupt: Option<Interrupt>,
+}
+
+/// The process's fold service, owned by the registry: the hosted
+/// shards, the one fold LRU (and optional store) and the dominance-plan
+/// memo. `QUERY`/`BATCH` folds and a worker's `FOLD` run the same
+/// in-process fold.
+///
+/// Lock order: `hosted` before `cache` and `plans`. A shard's tag or
+/// base changes under the `hosted` write lock together with its
+/// dataset's cache and plans, and every LRU read or insert checks the
+/// shard's generation under the `hosted` read lock, so no fold pairs
+/// rows with another generation's fold.
 pub struct ShardHost {
     hosted: RwLock<HashMap<String, HostedDataset>>,
     cache: Mutex<FingerprintCache>,
     plans: Mutex<PlanMemo>,
     store: Option<Arc<SignatureStore>>,
     metrics: Arc<Metrics>,
-    /// Largest signature, in bytes, a `FOLD` may ask for (see
-    /// [`check_signature_size`]).
+    /// Largest signature, in bytes, a fold may ask for.
     max_signature_bytes: usize,
 }
 
 impl ShardHost {
     /// A host with an LRU fold cache of `cache_bytes` and an optional
-    /// durable store shared with the rest of the server. Dominance plans
-    /// may take another `cache_bytes / 8`. A `FOLD` whose signature
-    /// would take more than `max_signature_bytes` (a server passes its
-    /// frame limit) is refused.
+    /// durable store. Dominance plans may take another
+    /// `cache_bytes / 8`. A fold whose signature would take more than
+    /// `max_signature_bytes` (a server passes its frame limit) is
+    /// refused.
     pub fn new(
         cache_bytes: usize,
         metrics: Arc<Metrics>,
@@ -332,9 +456,107 @@ impl ShardHost {
         (hosted.len(), shards)
     }
 
-    fn remember(&self, key: FingerprintKey, store_key: &StoreKey, fp: &Arc<ShardFingerprint>) {
-        if let Some(store) = &self.store {
-            store.enqueue_persist(store_key.clone(), Arc::clone(fp));
+    /// Fold cache occupancy: `(entries, resident bytes, ceiling)`.
+    pub fn cache_usage(&self) -> (usize, usize, usize) {
+        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        (cache.len(), cache.bytes(), cache.ceiling())
+    }
+
+    /// `Err` when a signature of size `t` over `m` skyline points would
+    /// take more than this host's bound: the `t × m` matrix of `u64`
+    /// slots plus the hash family's two `u64` coefficients per row. A
+    /// server's bound is its frame limit — the largest matrix a `FOLD`
+    /// reply could carry anyway — so a hostile `t` is refused before the
+    /// hash family or the matrix is allocated, even over no columns.
+    pub(crate) fn check_signature_size(&self, t: usize, m: usize) -> Result<(), String> {
+        let max_bytes = self.max_signature_bytes;
+        let words = m.checked_add(2).and_then(|w| t.checked_mul(w));
+        match words.and_then(|w| w.checked_mul(8)) {
+            Some(bytes) if bytes <= max_bytes => Ok(()),
+            _ => Err(format!(
+                "signature size t={t} over {m} skyline points exceeds the \
+                 {max_bytes}-byte frame limit"
+            )),
+        }
+    }
+
+    /// Installs (or overwrites) one hosted shard; `replace` drops every
+    /// shard hosted under `name` first. A changed tag or base drops the
+    /// dataset's cached folds and plans under the same write lock.
+    fn install(&self, name: &str, shard: usize, owned: OwnedShard, replace: bool) {
+        let mut hosted = self.hosted.write().unwrap_or_else(|e| e.into_inner());
+        let entry = hosted.entry(name.to_string()).or_default();
+        let dims = owned.data.dims();
+        let mut invalidate = replace || (entry.dims != dims && !entry.shards.is_empty());
+        if invalidate {
+            entry.shards.clear();
+        }
+        entry.dims = dims;
+        let generation = (owned.shard_hash, owned.base);
+        if let Some(old) = entry.shards.insert(shard, owned) {
+            invalidate |= (old.shard_hash, old.base) != generation;
+        }
+        if invalidate {
+            self.cache
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .invalidate_dataset(name);
+            self.with_plans(|plans| plans.invalidate_dataset(name));
+        }
+    }
+
+    /// The local `LOAD`/`APPEND` install: hosts shards `from..` of
+    /// `sd`, tagged `tags`, the way `SHARDPUT` does — the rows shared by
+    /// `Arc`, a `LOAD` (`from == 0`) replacing the name's shards.
+    pub(crate) fn install_local(&self, name: &str, sd: &ShardedDataset, tags: &[u64], from: usize) {
+        for (shard, &shard_hash) in tags.iter().enumerate().skip(from) {
+            let data = Arc::clone(sd.shard_arc(shard));
+            let owned = OwnedShard {
+                base: sd.base(shard),
+                shard_hash,
+                put: false,
+                data,
+            };
+            self.install(name, shard, owned, shard == 0);
+        }
+    }
+
+    /// `SHARDPUT`: install (or overwrite) one hosted shard. `replace`
+    /// drops every shard previously hosted under `name` first (the
+    /// coordinator sets it on the first put of a `LOAD` generation).
+    pub fn shardput(
+        &self,
+        name: &str,
+        shard: usize,
+        base: usize,
+        replace: bool,
+        body: &[u8],
+    ) -> Result<String, String> {
+        let payload = frame::decode(body).map_err(|e| e.to_string())?;
+        let (dims, flat) = frame::decode_points(payload).map_err(|e| e.to_string())?;
+        let data = Dataset::from_flat(dims, flat);
+        let rows = data.len();
+        let owned = OwnedShard {
+            base,
+            shard_hash: shard_tag(&data),
+            put: true,
+            data: Arc::new(data),
+        };
+        self.install(name, shard, owned, replace);
+        Ok(format!("dataset={name} shard={shard} rows={rows}"))
+    }
+
+    /// Caches `fp` under `key` if shard `key.shard` is still hosted at
+    /// `generation` (its tag and base): a fold of a replaced shard is
+    /// dropped.
+    fn cache_put(&self, key: FingerprintKey, generation: (u64, usize), fp: &Arc<ShardFingerprint>) {
+        let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
+        let current = hosted
+            .get(&key.dataset)
+            .and_then(|d| d.shards.get(&key.shard))
+            .is_some_and(|s| (s.shard_hash, s.base) == generation);
+        if !current {
+            return;
         }
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.insert(key, Arc::clone(fp));
@@ -346,88 +568,59 @@ impl ShardHost {
             .store(cache.evictions(), std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// `SHARDPUT`: install (or overwrite) one hosted shard. `replace`
-    /// drops every shard previously hosted under `name` first (the
-    /// coordinator sets it on the first put of a `LOAD` generation).
-    /// Any change of a shard's content tag invalidates the dataset's
-    /// cached folds — stale reuse is impossible by construction.
-    pub fn shardput(
+    /// Queues a complete fold for write-behind persistence and caches it.
+    fn remember(
         &self,
-        name: &str,
-        shard: usize,
-        base: usize,
-        replace: bool,
-        body: &[u8],
-    ) -> Result<String, String> {
-        let payload = frame::decode(body).map_err(|e| e.to_string())?;
-        let (dims, flat) = frame::decode_points(payload).map_err(|e| e.to_string())?;
-        let rows = flat.len() / dims;
-        let shard_hash = fnv1a64(payload);
-        let data = Arc::new(Dataset::from_flat(dims, flat));
-        let invalidate = {
-            let mut hosted = self.hosted.write().unwrap_or_else(|e| e.into_inner());
-            let entry = hosted.entry(name.to_string()).or_default();
-            let mut invalidate = false;
-            if replace || (entry.dims != dims && !entry.shards.is_empty()) {
-                entry.shards.clear();
-                invalidate = true;
-            }
-            entry.dims = dims;
-            if let Some(old) = entry.shards.get(&shard) {
-                if old.shard_hash != shard_hash {
-                    invalidate = true;
-                }
-            }
-            entry.shards.insert(
-                shard,
-                OwnedShard {
-                    base,
-                    shard_hash,
-                    data,
-                },
-            );
-            invalidate
-        };
-        if invalidate {
-            self.cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .invalidate_dataset(name);
-            self.with_plans(|plans| plans.invalidate_dataset(name));
+        (key, store_key): (FingerprintKey, StoreKey),
+        generation: (u64, usize),
+        fp: &Arc<ShardFingerprint>,
+    ) {
+        if let Some(store) = &self.store {
+            store.enqueue_persist(store_key, Arc::clone(fp));
         }
-        Ok(format!("dataset={name} shard={shard} rows={rows}"))
+        self.cache_put(key, generation, fp);
     }
 
-    /// The dominance plan a fully cold fold of `key` runs through, and
-    /// whether this fold built it, by admission (see
+    /// The dominance plan a fully cold fold of `shard` runs through,
+    /// and whether this fold built it, by admission (see
     /// [`ROW_FOLDS_BEFORE_BUILD`]). `None` — the row fold — while the
     /// key warms up or is being built by another fold, for a plan that
     /// did not fit the byte limit, and when the build was interrupted
     /// (the row fold then reports the same trip; a later fold retries).
-    #[allow(clippy::too_many_arguments)]
     fn cold_plan(
         &self,
-        key: PlanKey,
+        job: &FoldJob<'_>,
+        shard: usize,
+        shard_hash: u64,
         sview: DatasetView<'_>,
-        ids: &[usize],
-        cols: &[&[f64]],
         skip: &[bool],
-        max_dominance_tests: Option<u64>,
         ctx: &ExecContext,
     ) -> Option<(Arc<DominancePlan>, bool)> {
         // Only `fold_shard_planned` decides whether a plan runs; this
-        // guard just skips a build whose plan a tight dominance budget
-        // could never fund (`m` tests per non-skyline row).
+        // guard just skips a build whose plan what is left of a tight
+        // dominance budget could never fund (`m` tests per non-skyline
+        // row).
         let rows = skip.iter().filter(|&&s| !s).count() as u64;
-        let can_build =
-            max_dominance_tests.is_none_or(|limit| rows.saturating_mul(ids.len() as u64) <= limit);
+        let charge = rows.saturating_mul(job.ids.len() as u64);
+        let can_build = ctx
+            .budget()
+            .max_dominance_tests()
+            .is_none_or(|limit| charge <= limit.saturating_sub(ctx.dominance_tests()));
+        let key = PlanKey {
+            dataset: job.keys.0.dataset.clone(),
+            shard,
+            shard_hash,
+            prefs: job.keys.0.prefs.clone(),
+            request: job.request_hash(),
+        };
         let (admission, limit) =
             self.with_plans(|plans| (plans.admit(&key, can_build), plans.limit));
         match admission {
             Admission::RowFold => None,
             Admission::Run(plan) => Some((plan, false)),
             Admission::Build => {
-                let (slot, plan) = match DominancePlan::build(sview, ids, cols, skip, limit, ctx) {
+                let built = DominancePlan::build(sview, job.ids, &job.cols, skip, limit, ctx);
+                let (slot, plan) = match built {
                     Err(_) => (PlanSlot::Seen(ROW_FOLDS_BEFORE_BUILD), None),
                     Ok(None) => (PlanSlot::NoPlan, None),
                     Ok(Some(plan)) => {
@@ -455,12 +648,139 @@ impl ShardHost {
         out
     }
 
-    /// `FOLD`: fold the hosted shard against the coordinator's skyline
-    /// (shipped in the body), reusing this node's cached/stored fold
-    /// exactly like the monolithic warm path. A fully cold fold may run
-    /// through the shard's memoised dominance plan (see
-    /// [`fold_shard_planned`]); the reply is the same either way.
-    /// Returns the response header tail and the `SKYSIG02` frame.
+    /// The one shard fold of this process: `shard`, hosted at tag
+    /// `shard_hash`, from the LRU, else the store, else its rows (fully
+    /// cold ones through a memoised dominance plan), under the caller's
+    /// `ctx`; a complete fold is remembered. Returns the leg and the
+    /// rows scanned, and bumps no query counter.
+    pub(crate) fn fold_request(
+        &self,
+        job: &FoldJob<'_>,
+        shard: usize,
+        shard_hash: u64,
+        ctx: &ExecContext,
+    ) -> Result<(Leg, usize), String> {
+        let (keys, t) = (job.keys(shard), job.family.len());
+        let name = &keys.0.dataset;
+        let (base, data, mut cached) = {
+            let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
+            let ds = hosted
+                .get(name)
+                .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
+            let owned = ds
+                .shards
+                .get(&shard)
+                .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
+            if owned.shard_hash != shard_hash {
+                return Err(format!(
+                    "shard {shard} of {name:?} is a stale generation \
+                     (have {:#018x}, request expects {shard_hash:#018x})",
+                    owned.shard_hash
+                ));
+            }
+            if ds.dims != job.points.dims() {
+                return Err(format!(
+                    "fold request has {} dims, hosted shard has {}",
+                    job.points.dims(),
+                    ds.dims
+                ));
+            }
+            let cached = self
+                .cache
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get(&keys.0);
+            (owned.base, Arc::clone(&owned.data), cached)
+        };
+        let generation = (shard_hash, base);
+        if cached.is_none() {
+            if let Some(store) = &self.store {
+                cached = store.load(&keys.1).filter(|c| c.t() == t);
+                if let Some(fp) = &cached {
+                    self.cache_put(keys.0.clone(), generation, fp);
+                }
+            }
+        }
+        let cached = cached.filter(|c| c.t() == t);
+        if let Some(fold) = cached.as_ref().filter(|c| c.columns == job.ids) {
+            let fold = Arc::clone(fold);
+            return Ok((
+                Leg {
+                    fold,
+                    reused: true,
+                    tests: 0,
+                    interrupt: None,
+                },
+                0,
+            ));
+        }
+
+        let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
+        let sview = DatasetView::with_base(canon.as_ref(), base);
+        // The ids are ascending: only the run inside the shard marks it.
+        let inside = job.ids.partition_point(|&id| id < base)
+            ..job
+                .ids
+                .partition_point(|&id| id < base.saturating_add(data.len()));
+        let mut skip = vec![false; data.len()];
+        for &id in job.ids.get(inside).unwrap_or_default() {
+            if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
+                *s = true;
+            }
+        }
+        let plan = match cached {
+            Some(_) => None,
+            None => self.cold_plan(job, shard, shard_hash, sview, &skip, ctx),
+        };
+        let before = ctx.dominance_tests();
+        let (outcome, planned) = fold_shard_planned(
+            sview,
+            job.ids,
+            &job.cols,
+            &skip,
+            &job.family,
+            cached.as_deref(),
+            plan.as_ref().map(|(plan, _)| plan.as_ref()),
+            1,
+            ctx,
+        );
+        if planned && plan.is_some_and(|(_, built)| !built) {
+            self.metrics.bump(&self.metrics.plan_hits);
+        }
+        let tests = ctx.dominance_tests() - before;
+        let (acc, reused, scanned, interrupt) = match outcome {
+            // An exact fit returned above, before any row was touched.
+            ShardFold::ReusedExact => return Err("exact reuse of an inexact fold".to_string()),
+            ShardFold::ReusedSuperset(acc) => (acc, true, 0, None),
+            ShardFold::Scanned {
+                acc,
+                scanned_rows,
+                interrupt,
+            } => (acc, false, scanned_rows, interrupt),
+        };
+        let fold = Arc::new(ShardFingerprint {
+            columns: job.ids.to_vec(),
+            acc,
+        });
+        if interrupt.is_none() {
+            self.remember(keys, generation, &fold);
+        }
+        Ok((
+            Leg {
+                fold,
+                reused,
+                tests,
+                interrupt,
+            },
+            scanned,
+        ))
+    }
+
+    /// `FOLD`: decode the coordinator's request (its skyline ids and
+    /// canonical columns), fold the hosted shard through the host's
+    /// in-process fold under the request's own budget, and count the
+    /// fold for this node. Returns the response header tail
+    /// and the `SKYSIG02` frame.
     #[allow(clippy::too_many_arguments)]
     pub fn fold(
         &self,
@@ -479,164 +799,24 @@ impl ShardHost {
         let payload = frame::decode(body).map_err(|e| e.to_string())?;
         let (dims, ids, cols_flat) =
             frame::decode_fold_request(payload).map_err(|e| e.to_string())?;
-        check_signature_size(t, ids.len(), self.max_signature_bytes)?;
-        let (base, data, shard_hash) = {
-            let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
-            let ds = hosted
-                .get(name)
-                .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
-            let owned = ds
-                .shards
-                .get(&shard)
-                .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
-            if owned.shard_hash != want_shard_hash {
-                return Err(format!(
-                    "shard {shard} of {name:?} is a stale generation \
-                     (have {:#018x}, coordinator expects {want_shard_hash:#018x})",
-                    owned.shard_hash
-                ));
-            }
-            if ds.dims != dims {
-                return Err(format!(
-                    "fold request has {dims} dims, hosted shard has {}",
-                    ds.dims
-                ));
-            }
-            (owned.base, Arc::clone(&owned.data), owned.shard_hash)
-        };
+        self.check_signature_size(t, ids.len())?;
         let (prefs, prefs_key) = parse_prefs(Some(prefs_spec), dims)?;
-        let canon = canonicalise(&data, &prefs).map_err(|e| e.to_string())?;
-
+        let points = Dataset::from_flat(dims, cols_flat);
+        let keys = fold_keys(name, dataset_hash, shard, &prefs_key, t, seed);
+        let job = FoldJob::new(keys, &prefs, &ids, &points);
         let ctx = ExecContext::new(request_budget(cancel, timeout_ms, max_dominance_tests));
-        let family = HashFamily::new(t, seed);
-        let m = ids.len();
-        let cols: Vec<&[f64]> = (0..m)
-            .map(|j| &cols_flat[j * dims..(j + 1) * dims])
-            .collect();
-        let mut skip = vec![false; data.len()];
-        for &id in &ids {
-            if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
-                *s = true;
-            }
-        }
-
-        let key = FingerprintKey {
-            dataset: name.to_string(),
-            shard,
-            prefs: prefs_key.clone(),
-            t,
-            seed,
-        };
-        let store_key = StoreKey {
-            dataset_hash,
-            shard,
-            prefs_hash: prefs_hash(&prefs_key),
-            t,
-            seed,
-        };
-        let mut cached = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .filter(|c| c.t() == t);
-        if cached.is_none() {
-            if let Some(store) = &self.store {
-                cached = store.load(&store_key).filter(|c| c.t() == t);
-            }
-        }
-
-        let sview = DatasetView::with_base(canon.as_ref(), base);
-        let plan = match cached {
-            Some(_) => None,
-            None => {
-                let plan_key = PlanKey {
-                    dataset: name.to_string(),
-                    shard,
-                    shard_hash,
-                    prefs: prefs_key.clone(),
-                    request: fnv1a64(payload),
-                };
-                self.cold_plan(
-                    plan_key,
-                    sview,
-                    &ids,
-                    &cols,
-                    &skip,
-                    max_dominance_tests,
-                    &ctx,
-                )
-            }
-        };
-        let (outcome, planned) = fold_shard_planned(
-            sview,
-            &ids,
-            &cols,
-            &skip,
-            &family,
-            cached.as_deref(),
-            plan.as_ref().map(|(plan, _)| plan.as_ref()),
-            1,
-            &ctx,
-        );
-        if planned && plan.is_some_and(|(_, built)| !built) {
-            self.metrics.bump(&self.metrics.plan_hits);
-        }
-        let tests = ctx.dominance_tests();
-        let (encoded, reused, scanned, interrupt) = match outcome {
-            ShardFold::ReusedExact => {
-                // lint: allow(R1) -- ReusedExact is only returned when a
-                // cache was supplied
-                let c = cached.clone().expect("exact reuse implies a cache");
-                (
-                    encode_shard_signatures(&c, &store_key.tags()),
-                    true,
-                    0usize,
-                    None,
-                )
-            }
-            ShardFold::ReusedSuperset(acc) => {
-                let fp = Arc::new(ShardFingerprint {
-                    columns: ids.clone(),
-                    acc,
-                });
-                self.remember(key, &store_key, &fp);
-                (
-                    encode_shard_signatures(&fp, &store_key.tags()),
-                    true,
-                    0,
-                    None,
-                )
-            }
-            ShardFold::Scanned {
-                acc,
-                scanned_rows,
-                interrupt,
-            } => {
-                let fp = Arc::new(ShardFingerprint {
-                    columns: ids.clone(),
-                    acc,
-                });
-                if interrupt.is_none() {
-                    self.remember(key, &store_key, &fp);
-                }
-                (
-                    encode_shard_signatures(&fp, &store_key.tags()),
-                    false,
-                    scanned_rows,
-                    interrupt,
-                )
-            }
-        };
-        self.metrics.add(&self.metrics.dominance_tests, tests);
-        if reused {
+        let (leg, scanned) = self.fold_request(&job, shard, want_shard_hash, &ctx)?;
+        self.metrics.add(&self.metrics.dominance_tests, leg.tests);
+        if leg.reused {
             self.metrics.bump(&self.metrics.shards_reused);
         }
-        let body = frame::encode(&encoded);
+        let tags = job.keys.1.tags();
+        let body = frame::encode(&encode_shard_signatures(&leg.fold, &tags));
         let mut header = format!(
-            "reused={} scanned={scanned} tests={tests} tripped={}",
-            reused as u8,
-            match &interrupt {
+            "reused={} scanned={scanned} tests={} tripped={}",
+            leg.reused as u8,
+            leg.tests,
+            match &leg.interrupt {
                 None => "none",
                 Some(i) => match i.reason {
                     StopReason::Cancelled => "cancelled",
@@ -649,7 +829,7 @@ impl ShardHost {
         if let Some(Interrupt {
             reason: StopReason::DominanceBudgetExhausted { used, limit },
             ..
-        }) = &interrupt
+        }) = &leg.interrupt
         {
             header.push_str(&format!(" trip_used={used} trip_limit={limit}"));
         }
@@ -659,7 +839,9 @@ impl ShardHost {
 
     /// `FETCH`: serve a fold artefact from this node's LRU or store,
     /// as a `SKYSIG02` frame — the replication transport. Replies
-    /// `found=0` (no body) on a miss.
+    /// `found=0` (no body) on a miss. The LRU answers only for a shard
+    /// a coordinator put here: a locally loaded dataset of the same
+    /// name holds other rows.
     pub fn fetch(
         &self,
         name: &str,
@@ -671,32 +853,27 @@ impl ShardHost {
     ) -> Result<(String, Option<Vec<u8>>), String> {
         let dims_hint = prefs_spec.split(',').count();
         let (_, prefs_key) = parse_prefs(Some(prefs_spec), dims_hint)?;
-        let key = FingerprintKey {
-            dataset: name.to_string(),
-            shard,
-            prefs: prefs_key.clone(),
-            t,
-            seed,
+        let (key, store_key) = fold_keys(name, dataset_hash, shard, &prefs_key, t, seed);
+        let mut fp = {
+            let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
+            let put = hosted
+                .get(name)
+                .and_then(|d| d.shards.get(&shard))
+                .is_some_and(|s| s.put);
+            put.then(|| {
+                self.cache
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .get(&key)
+            })
+            .flatten()
         };
-        let store_key = StoreKey {
-            dataset_hash,
-            shard,
-            prefs_hash: prefs_hash(&prefs_key),
-            t,
-            seed,
-        };
-        let mut fp = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .filter(|c| c.t() == t);
         if fp.is_none() {
             if let Some(store) = &self.store {
-                fp = store.load(&store_key).filter(|c| c.t() == t);
+                fp = store.load(&store_key);
             }
         }
-        match fp {
+        match fp.filter(|c| c.t() == t) {
             Some(fp) => {
                 let body = frame::encode(&encode_shard_signatures(&fp, &store_key.tags()));
                 Ok((format!("found=1 bytes={}", body.len()), Some(body)))
@@ -706,8 +883,9 @@ impl ShardHost {
     }
 
     /// `REPLICATE`: pull one fold artefact from a peer (`FETCH`) and
-    /// install it locally. Best-effort by design — a miss or transport
-    /// failure replies `replicated=0` and the next `FOLD` recomputes.
+    /// install it for the shard hosted here. Best-effort by design — a
+    /// miss, a shard not hosted here or a transport failure replies
+    /// `replicated=0` and the next `FOLD` recomputes.
     #[allow(clippy::too_many_arguments)]
     pub fn replicate(
         &self,
@@ -721,25 +899,19 @@ impl ShardHost {
     ) -> Result<String, String> {
         let dims_hint = prefs_spec.split(',').count();
         let (_, prefs_key) = parse_prefs(Some(prefs_spec), dims_hint)?;
-        let store_key = StoreKey {
-            dataset_hash,
-            shard,
-            prefs_hash: prefs_hash(&prefs_key),
-            t,
-            seed,
+        let keys = fold_keys(name, dataset_hash, shard, &prefs_key, t, seed);
+        let generation = {
+            let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
+            let owned = hosted.get(name).and_then(|d| d.shards.get(&shard));
+            owned.map(|s| (s.shard_hash, s.base))
+        };
+        let Some(generation) = generation else {
+            return Ok("replicated=0".to_string());
         };
         let deadline = DeadlineBudget::from_millis(HANDOFF_TIMEOUT_MS);
-        let pulled = pull_artefact(from, name, &store_key, &prefs_key, &deadline);
-        match pulled {
+        match pull_artefact(from, name, &keys.1, &prefs_key, &deadline) {
             Some(fp) => {
-                let key = FingerprintKey {
-                    dataset: name.to_string(),
-                    shard,
-                    prefs: prefs_key,
-                    t,
-                    seed,
-                };
-                self.remember(key, &store_key, &fp);
+                self.remember(keys, generation, &fp);
                 Ok("replicated=1".to_string())
             }
             None => Ok("replicated=0".to_string()),
@@ -787,40 +959,15 @@ fn header_u64(header: &str, key: &str) -> Option<u64> {
 // Coordinator side
 // ---------------------------------------------------------------------
 
-/// Per-dataset routing state the coordinator keeps alongside the
-/// registry: the durable-store coordinate plus each shard's content tag
-/// and global-id range.
-#[derive(Debug, Clone)]
-struct DatasetRouting {
-    content_hash: u64,
-    dims: usize,
-    shard_hashes: Vec<u64>,
-}
-
-/// One completed fold leg of a fan-out.
-struct Leg {
-    fp: ShardFingerprint,
-    reused: bool,
-    tests: u64,
-    trip: Option<LegTrip>,
-}
-
-/// A budget trip reported by a worker, in coordinator terms.
-enum LegTrip {
-    Cancelled,
-    Deadline,
-    Dominance { used: u64 },
-}
-
-/// Coordinator state: the roster, per-dataset routing, and the fold
-/// combinations seen so far (replayed to joining workers as
+/// Coordinator state: the roster, the datasets routed to workers, and
+/// the fold combinations seen so far (replayed to joining workers as
 /// `REPLICATE` pulls).
 pub struct ClusterState {
     replication: usize,
     shards: usize,
     fanout_timeout_ms: u64,
     membership: Mutex<Membership>,
-    routing: Mutex<HashMap<String, DatasetRouting>>,
+    routed: Mutex<HashSet<String>>,
     seen: Mutex<Vec<(String, String, usize, u64)>>,
     metrics: Arc<Metrics>,
 }
@@ -836,7 +983,7 @@ impl ClusterState {
             shards: cfg.shards.max(1),
             fanout_timeout_ms: cfg.fanout_timeout_ms.max(1),
             membership: Mutex::new(Membership::new(cfg.workers.clone())),
-            routing: Mutex::new(HashMap::new()),
+            routed: Mutex::new(HashSet::new()),
             seen: Mutex::new(Vec::new()),
             metrics,
         }
@@ -845,6 +992,11 @@ impl ClusterState {
     fn roster(&self) -> (u64, Vec<String>) {
         let m = self.membership.lock().unwrap_or_else(|e| e.into_inner());
         (m.epoch(), m.nodes().to_vec())
+    }
+
+    fn routed(&self) -> Vec<String> {
+        let routed = self.routed.lock().unwrap_or_else(|e| e.into_inner());
+        routed.iter().cloned().collect()
     }
 
     fn note_seen(&self, name: &str, prefs_key: &str, t: usize, seed: u64) {
@@ -866,13 +1018,10 @@ impl ClusterState {
     pub fn load(&self, registry: &Registry, name: &str, path: &str) -> Result<String, String> {
         let data = read_points(path)?;
         let sd = ShardedDataset::partition(&data, self.shards.min(data.len().max(1)));
+        let shards = sd.num_shards();
         let (points, dims) = registry.insert_sharded(name, sd);
-        self.reroute_all(registry, name, true)?;
+        self.route(registry, name, true)?;
         let (_, nodes) = self.roster();
-        let shards = registry
-            .dataset(name)
-            .map(|d| d.data.num_shards())
-            .unwrap_or(0);
         Ok(format!(
             "dataset={name} points={points} dims={dims} shards={shards} workers={}",
             nodes.len()
@@ -885,87 +1034,45 @@ impl ClusterState {
     pub fn append(&self, registry: &Registry, name: &str, path: &str) -> Result<String, String> {
         let block = read_points(path)?;
         let (points, dims, shards, appended) = registry.append_dataset(name, block)?;
-        let ds = registry
-            .dataset(name)
-            .ok_or_else(|| format!("unknown dataset {name:?}"))?;
-        let new_shard = shards - 1;
-        let payload = frame::encode_points(dims, ds.data.shard_view(new_shard).as_flat());
-        let shard_hash = fnv1a64(&payload);
-        {
-            let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            match routing.get_mut(name) {
-                Some(r) => {
-                    r.content_hash = ds.content_hash;
-                    r.shard_hashes.push(shard_hash);
-                }
-                None => {
-                    drop(routing);
-                    self.reroute_all(registry, name, false)?;
-                }
-            }
-        }
-        let (_, nodes) = self.roster();
-        let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
-        let (lo, _) = ds.data.shard_range(new_shard);
-        let mut placed = 0usize;
-        let owners = rendezvous::owners(&nodes, new_shard, self.replication);
-        for owner in &owners {
-            if self
-                .put_shard(owner, name, new_shard, lo, false, &payload, &deadline)
-                .is_ok()
-            {
-                placed += 1;
-            }
-        }
-        if placed == 0 && !owners.is_empty() {
-            return Err(format!("appended shard {new_shard} reached no owner"));
-        }
+        self.route(registry, name, false)?;
         Ok(format!(
             "dataset={name} points={points} dims={dims} shards={shards} appended={appended}"
         ))
     }
 
-    /// Rebuilds routing for `name` from the registry copy and pushes
-    /// every shard to its owners (`replace` marks a fresh generation —
-    /// the first put to each worker clears its previous shards of this
-    /// dataset).
-    fn reroute_all(&self, registry: &Registry, name: &str, replace: bool) -> Result<(), String> {
+    /// Pushes the registry copy of `name` to its owners: every shard
+    /// when `replace` marks a fresh generation (the first put to each
+    /// worker clears its previous shards of this dataset) or `name` was
+    /// not routed yet, else only the newest shard (an `APPEND`).
+    fn route(&self, registry: &Registry, name: &str, replace: bool) -> Result<(), String> {
         let ds = registry
             .dataset(name)
             .ok_or_else(|| format!("unknown dataset {name:?}"))?;
-        let dims = ds.data.dims();
-        let nshards = ds.data.num_shards();
-        let mut payloads = Vec::with_capacity(nshards);
-        let mut shard_hashes = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let payload = frame::encode_points(dims, ds.data.shard_view(i).as_flat());
-            shard_hashes.push(fnv1a64(&payload));
-            payloads.push(payload);
-        }
-        self.routing
+        let newly = self
+            .routed
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                name.to_string(),
-                DatasetRouting {
-                    content_hash: ds.content_hash,
-                    dims,
-                    shard_hashes,
-                },
-            );
+            .insert(name.to_string());
+        let nshards = ds.data.num_shards();
+        let from = if replace || newly {
+            0
+        } else {
+            nshards.saturating_sub(1)
+        };
         let (_, nodes) = self.roster();
         if nodes.is_empty() {
             return Ok(());
         }
         let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
         let mut cleared: HashSet<String> = HashSet::new();
-        for (shard, payload) in payloads.iter().enumerate() {
+        for shard in from..nshards {
+            let payload = frame::encode_points(ds.data.dims(), ds.data.shard_view(shard).as_flat());
             let (lo, _) = ds.data.shard_range(shard);
             let mut placed = 0usize;
             for owner in rendezvous::owners(&nodes, shard, self.replication) {
                 let first_contact = cleared.insert(owner.clone());
                 let rep = replace && first_contact;
-                match self.put_shard(&owner, name, shard, lo, rep, payload, &deadline) {
+                match self.put_shard(&owner, name, shard, lo, rep, &payload, &deadline) {
                     Ok(()) => placed += 1,
                     Err(e) => eprintln!(
                         "skydiver-cluster: SHARDPUT {name}/{shard} -> {owner} failed: {e}"
@@ -1017,15 +1124,14 @@ impl ClusterState {
     }
 
     fn reshape(&self, registry: &Registry, addr: &str, join: bool) -> Result<String, String> {
-        let max_shards = {
-            let routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            routing
-                .values()
-                .map(|r| r.shard_hashes.len())
-                .max()
-                .unwrap_or(0)
-        }
-        .max(self.shards);
+        let max_shards = self
+            .routed()
+            .iter()
+            .filter_map(|name| registry.dataset(name))
+            .map(|ds| ds.data.num_shards())
+            .max()
+            .unwrap_or(0)
+            .max(self.shards);
         let (epoch, workers, plan) = {
             let mut m = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             let plan = if join {
@@ -1043,15 +1149,12 @@ impl ClusterState {
     }
 
     /// Executes a handoff plan: for every `(shard, new owner)` move and
-    /// every dataset, ship the rows from the coordinator's copy, then
-    /// ask the new owner to pull the fold artefacts this cluster has
-    /// computed so far from a surviving donor. Best-effort per leg —
-    /// a failed move surfaces at query time as a replica retry.
+    /// every routed dataset, ship the rows from the coordinator's copy,
+    /// then ask the new owner to pull the fold artefacts this cluster
+    /// has computed so far from a surviving donor. Best-effort per leg
+    /// — a failed move surfaces at query time as a replica retry.
     fn apply_handoffs(&self, registry: &Registry, plan: &[skydiver_cluster::Handoff]) -> usize {
-        let routing: Vec<(String, DatasetRouting)> = {
-            let r = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            r.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
+        let routed = self.routed();
         let seen: Vec<(String, String, usize, u64)> = {
             let s = self.seen.lock().unwrap_or_else(|e| e.into_inner());
             s.clone()
@@ -1059,10 +1162,7 @@ impl ClusterState {
         let deadline = DeadlineBudget::from_millis(HANDOFF_TIMEOUT_MS);
         let mut moved = 0usize;
         for h in plan {
-            for (name, route) in &routing {
-                if h.shard >= route.shard_hashes.len() {
-                    continue;
-                }
+            for name in &routed {
                 let Some(ds) = registry.dataset(name) else {
                     continue;
                 };
@@ -1070,7 +1170,7 @@ impl ClusterState {
                     continue;
                 }
                 let payload =
-                    frame::encode_points(route.dims, ds.data.shard_view(h.shard).as_flat());
+                    frame::encode_points(ds.data.dims(), ds.data.shard_view(h.shard).as_flat());
                 let (lo, _) = ds.data.shard_range(h.shard);
                 match self.put_shard(&h.to, name, h.shard, lo, false, &payload, &deadline) {
                     Ok(()) => {
@@ -1093,7 +1193,7 @@ impl ClusterState {
                     let line = format!(
                         "REPLICATE name={name} hash={} shard={} prefs={prefs_key} \
                          t={t} seed={seed} from={from}",
-                        route.content_hash, h.shard
+                        ds.content_hash, h.shard
                     );
                     if let Ok(mut client) = connect_deadline(&h.to, &deadline) {
                         let _ = client.exchange_frame(&line, None);
@@ -1104,14 +1204,10 @@ impl ClusterState {
         moved
     }
 
-    /// The coordinator's fingerprint path — the cluster twin of
-    /// [`Registry::fingerprint`], with identical memoisation, budget and
-    /// return semantics. Every `FOLD` leg runs through one engine
-    /// (`fold_legs`); unbudgeted, all legs are in flight at
-    /// once. A dominance-test budget narrows it to one leg at a time in
-    /// shard order, each forwarded what the earlier legs left, so the
-    /// trip lands on the same absolute row as the monolithic run and
-    /// the degraded payload is bit-identical.
+    /// The coordinator's fingerprint path: the registry's assembler
+    /// ([`Registry::fingerprint`]'s memoisation, budget and return
+    /// semantics) over legs from the workers. A dataset not routed to
+    /// workers, or a roster with none, folds in this process instead.
     #[allow(clippy::too_many_arguments)]
     pub fn fingerprint(
         &self,
@@ -1122,165 +1218,90 @@ impl ClusterState {
         t: usize,
         seed: u64,
         budget: RunBudget,
-        max_dominance_tests: Option<u64>,
-        timeout_ms: Option<u64>,
     ) -> Result<(Arc<Fingerprint>, bool, u64), String> {
-        let ds = registry
-            .dataset(name)
-            .ok_or_else(|| format!("unknown dataset {name:?} (LOAD it first)"))?;
-        let memo_key = (prefs_key.to_string(), t, seed);
-        if let Some(fp) = ds.memo_get(&memo_key) {
-            self.metrics.bump(&self.metrics.cache_hits);
-            return Ok((fp, true, 0));
-        }
         let (_, nodes) = self.roster();
-        let routing = {
-            let r = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            r.get(name).cloned()
-        };
-        let (Some(routing), false) = (routing, nodes.is_empty()) else {
-            // No workers (or a dataset loaded outside cluster routing):
-            // fall back to the local monolithic path — same bits.
+        let routed = self
+            .routed
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains(name);
+        if nodes.is_empty() || !routed {
             return registry.fingerprint(name, prefs, prefs_key, t, seed, budget);
+        }
+        let fan_out = |ds: &LoadedDataset, job: &FoldJob<'_>, ctx: &ExecContext| {
+            self.fan_out(&nodes, ds, job, ctx)
         };
-        self.metrics.bump(&self.metrics.cache_misses);
-        if t == 0 {
-            return Err("signature size t must be positive".to_string());
+        let out = registry.assemble(name, prefs, prefs_key, t, seed, budget, Some(&fan_out))?;
+        if !out.1 && out.0.is_complete() {
+            self.note_seen(name, prefs_key, t, seed);
         }
+        Ok(out)
+    }
 
-        // Phase 1 locally, from the generation's skyline memo exactly
-        // as the monolithic path takes it (neither charges dominance
-        // tests).
-        let ctx = ExecContext::new(budget);
-        let state = registry.skyline_state(&ds, prefs, prefs_key)?;
-        registry.check_signature_size(t, state.ids().len())?;
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok((Arc::new(Fingerprint::interrupted(vec![], t, int)), false, 0));
-        }
-        let skyline = state.ids().to_vec();
-        if skyline.is_empty() {
-            return Err("empty skyline: no finite points to diversify".to_string());
-        }
-        let m = skyline.len();
-        let fold_payload = frame::encode(&frame::encode_fold_request(
-            routing.dims,
-            &skyline,
-            state.points().as_flat(),
-        ));
-        let nshards = ds.data.num_shards();
+    /// The remote leg source: one `FOLD` request for `job`, its legs
+    /// run on `fold_legs` under one deadline (the request's timeout, at
+    /// most the fan-out's). Unbudgeted, every leg is in flight at once;
+    /// a dominance-test budget narrows the schedule to one leg at a time
+    /// in shard order, each forwarded `limit − consumed`, so worker i
+    /// trips exactly when the global count would pass the limit — on
+    /// the single-process trip row. A failed leg does not stop the
+    /// schedule; a tripped one ends it. A worker's trip is then
+    /// restated in the request's terms: the tests before it, the
+    /// request's limit and elapsed time.
+    fn fan_out(
+        &self,
+        nodes: &[String],
+        ds: &LoadedDataset,
+        job: &FoldJob<'_>,
+        ctx: &ExecContext,
+    ) -> Vec<Result<Leg, String>> {
+        let (dims, cols) = (job.points.dims(), job.points.as_flat());
+        let payload = frame::encode(&frame::encode_fold_request(dims, job.ids, cols));
+        let timeout = ctx.budget().deadline().map(|d| d.as_millis() as u64);
         let deadline = DeadlineBudget::from_millis(
-            timeout_ms
+            timeout
                 .unwrap_or(self.fanout_timeout_ms)
                 .min(self.fanout_timeout_ms),
         );
-
         let req = FoldRequest {
-            nodes: &nodes,
-            name,
-            routing: &routing,
-            prefs_key,
-            t,
-            seed,
-            payload: &fold_payload,
-            skyline: &skyline,
+            nodes,
+            ds,
+            job,
+            payload: &payload,
             deadline: &deadline,
         };
-
-        // A budget narrows the engine to one leg at a time, in shard
-        // order, each forwarded `limit − consumed`: worker i trips
-        // exactly when the global count would pass the limit, on the
-        // monolithic trip row. A failed leg does not stop the schedule;
-        // a tripped one ends it.
-        let t0 = Instant::now();
-        let step = match max_dominance_tests {
-            Some(_) => 1,
-            None => nshards.max(1),
+        let max_dominance_tests = ctx.budget().max_dominance_tests();
+        let nshards = ds.data.num_shards();
+        let step = if max_dominance_tests.is_some() {
+            1
+        } else {
+            nshards.max(1)
         };
-        let mut legs: Vec<Result<Leg, String>> = Vec::with_capacity(nshards);
+        let mut legs = Vec::with_capacity(nshards);
         let mut consumed = 0u64;
         for lo in (0..nshards).step_by(step) {
             let remaining = max_dominance_tests.map(|limit| limit.saturating_sub(consumed));
             let batch = self.fold_legs(&req, lo..(lo + step).min(nshards), remaining);
-            let tripped = batch.iter().flatten().any(|l| l.trip.is_some());
+            let tripped = batch.iter().flatten().any(|l| l.interrupt.is_some());
             consumed += batch.iter().flatten().map(|l| l.tests).sum::<u64>();
             legs.extend(batch);
             if tripped {
                 break;
             }
         }
-
-        // Merge in ascending shard order (the monolithic order; the
-        // merge is commutative, so parallel completion order is moot).
-        let mut merged = SignatureAccumulator::new(t, m);
-        let mut dominance_tests = 0u64;
-        let mut reused = 0u64;
-        let mut prefix_tests = 0u64;
-        let mut interrupt: Option<Interrupt> = None;
-        let mut failed_shard: Option<usize> = None;
-        for (shard, leg) in legs.iter().enumerate() {
-            match leg {
-                Ok(l) => {
-                    merged.merge(&l.fp.acc);
-                    dominance_tests += l.tests;
-                    if l.reused {
-                        reused += 1;
-                    }
-                    if interrupt.is_none() && failed_shard.is_none() {
-                        interrupt = l.trip.as_ref().map(|trip| Interrupt {
-                            phase: ExecPhase::Fingerprint,
-                            reason: match trip {
-                                LegTrip::Cancelled => StopReason::Cancelled,
-                                LegTrip::Deadline => StopReason::DeadlineExceeded {
-                                    elapsed: ctx.elapsed(),
-                                },
-                                LegTrip::Dominance { used } => {
-                                    StopReason::DominanceBudgetExhausted {
-                                        used: prefix_tests + used,
-                                        limit: max_dominance_tests.unwrap_or(0),
-                                    }
-                                }
-                            },
-                        });
-                    }
-                    prefix_tests += l.tests;
+        let mut prefix = 0u64;
+        for leg in legs.iter_mut().flatten() {
+            match leg.interrupt.as_mut().map(|i| &mut i.reason) {
+                Some(StopReason::DeadlineExceeded { elapsed }) => *elapsed = ctx.elapsed(),
+                Some(StopReason::DominanceBudgetExhausted { used, limit }) => {
+                    *used += prefix;
+                    *limit = max_dominance_tests.unwrap_or(0);
                 }
-                Err(e) => {
-                    if failed_shard.is_none() && interrupt.is_none() {
-                        failed_shard = Some(shard);
-                        eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
-                    }
-                }
+                _ => {}
             }
+            prefix += leg.tests;
         }
-        if let Some(shard) = failed_shard {
-            interrupt = Some(Interrupt {
-                phase: ExecPhase::Fingerprint,
-                reason: StopReason::ShardUnavailable { shard },
-            });
-        }
-        let mut events = Vec::new();
-        if interrupt.is_some() {
-            events.push(DegradationEvent::FingerprintCurtailed {
-                rows_scanned: merged.rows_consumed,
-                rows_total: ds.data.len(),
-            });
-        }
-        let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let fp = Arc::new(Fingerprint {
-            skyline,
-            output: merged.into_output(),
-            fingerprint_ms,
-            events,
-            interrupt,
-        });
-        self.metrics
-            .add(&self.metrics.dominance_tests, dominance_tests);
-        self.metrics.add(&self.metrics.shards_reused, reused);
-        if fp.is_complete() {
-            ds.memo_put(memo_key, Arc::clone(&fp));
-            self.note_seen(name, prefs_key, t, seed);
-        }
-        Ok((fp, false, dominance_tests))
+        legs
     }
 
     /// The fan-out engine: the legs of `shards` all in flight at once,
@@ -1536,14 +1557,11 @@ enum Drive {
 /// against.
 struct FoldRequest<'a> {
     nodes: &'a [String],
-    name: &'a str,
-    routing: &'a DatasetRouting,
-    prefs_key: &'a str,
-    t: usize,
-    seed: u64,
+    /// The generation folded: its content hash and shard tags.
+    ds: &'a LoadedDataset,
+    job: &'a FoldJob<'a>,
     /// The framed `FOLD` body: the skyline's ids and canonical columns.
     payload: &'a [u8],
-    skyline: &'a [usize],
     deadline: &'a DeadlineBudget,
 }
 
@@ -1555,15 +1573,11 @@ fn fold_request_line(
     max_dominance_tests: Option<u64>,
     timeout_ms: u64,
 ) -> String {
+    let (key, hash) = (&req.job.keys.0, req.ds.content_hash);
     let mut line = format!(
-        "FOLD dataset={} hash={} shard={shard} shard_hash={} prefs={} t={} seed={} \
+        "FOLD dataset={} hash={hash} shard={shard} shard_hash={} prefs={} t={} seed={} \
          timeout_ms={timeout_ms}",
-        req.name,
-        req.routing.content_hash,
-        req.routing.shard_hashes[shard],
-        req.prefs_key,
-        req.t,
-        req.seed,
+        key.dataset, req.ds.shard_tags[shard], key.prefs, key.t, key.seed,
     );
     if let Some(n) = max_dominance_tests {
         line.push_str(&format!(" max_dominance_tests={n}"));
@@ -1587,16 +1601,10 @@ fn parse_fold_leg(
     let body = body.ok_or_else(|| "fold response carried no frame".to_string())?;
     let payload = frame::decode(&body).map_err(|e| e.to_string())?;
     let (fp, tags) = decode_shard_signatures(payload).map_err(|e| e.to_string())?;
-    let want = [
-        req.routing.content_hash,
-        shard as u64,
-        prefs_hash(req.prefs_key),
-        req.seed,
-    ];
-    if tags != want {
+    if tags != req.job.keys(shard).1.tags() {
         return Err("fold artefact key tags do not match the request".to_string());
     }
-    if fp.t() != req.t || fp.columns != req.skyline {
+    if fp.t() != req.job.family.len() || fp.columns != req.job.ids {
         return Err("fold artefact does not cover the current skyline".to_string());
     }
     let field = |key: &str| {
@@ -1608,23 +1616,31 @@ fn parse_fold_leg(
         1 => true,
         other => return Err(format!("fold reply has reused={other}")),
     };
-    let trip = match header
+    // The trip in the worker's terms; the fan-out restates it.
+    let reason = match header
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix("tripped="))
     {
         None | Some("none") => None,
-        Some("cancelled") => Some(LegTrip::Cancelled),
-        Some("deadline") => Some(LegTrip::Deadline),
-        Some("dominance") => Some(LegTrip::Dominance {
-            used: field("trip_used")?,
+        Some("cancelled") => Some(StopReason::Cancelled),
+        Some("deadline") => Some(StopReason::DeadlineExceeded {
+            elapsed: Duration::ZERO,
         }),
+        Some("dominance") => {
+            let used = field("trip_used")?;
+            Some(StopReason::DominanceBudgetExhausted { used, limit: 0 })
+        }
         Some(other) => return Err(format!("unknown trip kind {other:?}")),
     };
+    let interrupt = reason.map(|reason| Interrupt {
+        phase: ExecPhase::Fingerprint,
+        reason,
+    });
     Ok(Leg {
-        fp,
+        fold: Arc::new(fp),
         reused,
         tests,
-        trip,
+        interrupt,
     })
 }
 
@@ -1945,6 +1961,99 @@ mod tests {
         assert_eq!(memo.bytes, 0);
     }
 
+    /// One tag function: the local install tags a shard exactly as a
+    /// worker tags the `SHARDPUT` payload the coordinator sends.
+    #[test]
+    fn shard_tag_is_the_fnv_of_the_shardput_payload() {
+        let data = skydiver_data::generators::anticorrelated(300, 3, 5);
+        let payload = frame::encode_points(3, data.as_flat());
+        assert_eq!(shard_tag(&data), fnv1a64(&payload));
+    }
+
+    /// A shard whose tag or base changes drops the dataset's cached
+    /// folds, and a fold of the replaced generation is never cached
+    /// afterwards.
+    #[test]
+    fn a_new_generation_drops_and_refuses_old_folds() {
+        let h = host();
+        let rows = [1.0, 2.0, 3.0, 4.0];
+        put(&h, "d", 0, 0, 2, &rows);
+        let tag = fnv1a64(&frame::encode_points(2, &rows));
+        let fold = Arc::new(ShardFingerprint {
+            columns: vec![0],
+            acc: skydiver_core::SignatureAccumulator::new(4, 1),
+        });
+        let (key, _) = fold_keys("d", 1, 0, "min,min", 4, 0);
+        h.cache_put(key.clone(), (tag, 0), &fold);
+        assert_eq!(h.cache_usage().0, 1);
+        // Same rows, another base: another generation.
+        put(&h, "d", 0, 5, 2, &rows);
+        assert_eq!(h.cache_usage().0, 0, "a moved shard drops its folds");
+        h.cache_put(key.clone(), (tag, 0), &fold);
+        assert_eq!(h.cache_usage().0, 0, "a fold of the old base is refused");
+        h.cache_put(key, (tag, 5), &fold);
+        assert_eq!(h.cache_usage().0, 1);
+    }
+
+    /// `FETCH` offers a cached fold only of a shard a coordinator put
+    /// here: a locally loaded dataset of the same name is not the
+    /// coordinator's.
+    #[test]
+    fn fetch_offers_only_shards_a_coordinator_put_here() {
+        let h = host();
+        let rows = vec![1.0, 2.0, 3.0, 4.0];
+        let data = ShardedDataset::from_dataset(Dataset::from_flat(2, rows.clone()));
+        let tags = [shard_tag(data.shard(0))];
+        h.install_local("d", &data, &tags, 0);
+        let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
+        let cancel = CancelToken::new();
+        h.fold(
+            "d", 1, 0, tags[0], "min,min", 8, 0, None, None, &body, &cancel,
+        )
+        .unwrap();
+        assert_eq!(h.cache_usage().0, 1);
+        assert_eq!(h.fetch("d", 1, 0, "min,min", 8, 0).unwrap().0, "found=0");
+        // The same rows put by a coordinator keep the fold, and offer it.
+        put(&h, "d", 0, 0, 2, &rows);
+        assert!(h
+            .fetch("d", 1, 0, "min,min", 8, 0)
+            .unwrap()
+            .0
+            .starts_with("found=1"));
+    }
+
+    /// Every host lock recovers from poison: a thread that panics while
+    /// holding one leaves `SHARDPUT`, `FOLD` and `FETCH` answering.
+    #[test]
+    fn host_survives_poisoned_locks() {
+        let h = Arc::new(host());
+        let rows = [1.0, 2.0, 3.0, 4.0];
+        put(&h, "d", 0, 0, 2, &rows);
+        for lock in 0..3 {
+            let h = Arc::clone(&h);
+            let _ = std::thread::spawn(move || {
+                let _hosted = (lock == 0).then(|| h.hosted.write());
+                let _cache = (lock == 1).then(|| h.cache.lock());
+                let _plans = (lock == 2).then(|| h.plans.lock());
+                panic!("poison host lock {lock}");
+            })
+            .join();
+        }
+        assert!(h.hosted.is_poisoned() && h.cache.is_poisoned() && h.plans.is_poisoned());
+        put(&h, "d", 1, 2, 2, &rows);
+        let tag = fnv1a64(&frame::encode_points(2, &rows));
+        let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
+        let cancel = CancelToken::new();
+        let fold = h.fold("d", 1, 1, tag, "min,min", 8, 0, None, None, &body, &cancel);
+        assert!(fold.unwrap().0.contains("tripped=none"));
+        assert!(h
+            .fetch("d", 1, 1, "min,min", 8, 0)
+            .unwrap()
+            .0
+            .starts_with("found=1"));
+        assert_eq!(h.hosted_counts(), (1, 2));
+    }
+
     #[test]
     fn fold_rejects_stale_generation() {
         let h = host();
@@ -2002,51 +2111,45 @@ mod tests {
     /// over-grants the budget forwarded to later legs.
     #[test]
     fn fold_reply_header_fields_are_required() {
-        let h = host();
-        let rows = vec![1.0, 2.0, 3.0, 4.0];
-        put(&h, "d", 0, 0, 2, &rows);
-        let shard_hash = fnv1a64(&frame::encode_points(2, &rows));
+        let reg = Registry::new(1 << 22, Arc::new(Metrics::new()));
+        reg.insert_dataset("d", Dataset::from_flat(2, vec![1.0, 2.0, 3.0, 4.0]));
+        let ds = reg.dataset("d").unwrap();
         let ids = vec![0usize];
         let body = frame::encode(&frame::encode_fold_request(2, &ids, &[1.0, 2.0]));
-        let (header, frame_bytes) = h
+        let (hash, tag, cancel) = (ds.content_hash, ds.shard_tags[0], CancelToken::new());
+        let (header, frame_bytes) = reg
+            .host()
             .fold(
-                "d",
-                7,
-                0,
-                shard_hash,
-                "min,min",
-                8,
-                3,
-                None,
-                None,
-                &body,
-                &CancelToken::new(),
+                "d", hash, 0, tag, "min,min", 8, 3, None, None, &body, &cancel,
             )
             .unwrap();
-        let routing = DatasetRouting {
-            content_hash: 7,
-            dims: 2,
-            shard_hashes: vec![shard_hash],
-        };
+        let prefs = Preference::all_min(2);
+        let points = Dataset::from_flat(2, vec![1.0, 2.0]);
+        let job = FoldJob::new(
+            fold_keys("d", hash, 0, "min,min", 8, 3),
+            &prefs,
+            &ids,
+            &points,
+        );
         let deadline = DeadlineBudget::from_millis(1_000);
+        let (nodes, payload) = (&[], &body);
         let req = FoldRequest {
-            nodes: &[],
-            name: "d",
-            routing: &routing,
-            prefs_key: "min,min",
-            t: 8,
-            seed: 3,
-            payload: &body,
-            skyline: &ids,
+            nodes,
+            ds: &ds,
+            job: &job,
+            payload,
             deadline: &deadline,
         };
         let parse = |header: &str| parse_fold_leg(header, Some(frame_bytes.clone()), &req, 0);
 
         let leg = parse(&header).unwrap();
         assert_eq!(leg.tests, header_u64(&header, "tests").unwrap());
-        assert!(!leg.reused && leg.trip.is_none());
+        assert!(!leg.reused && leg.interrupt.is_none());
         let trip = parse("reused=0 scanned=1 tests=9 tripped=dominance trip_used=5 trip_limit=5");
-        assert!(matches!(trip.unwrap().trip, Some(LegTrip::Dominance { used: 5 })));
+        assert!(matches!(
+            trip.unwrap().interrupt.map(|i| i.reason),
+            Some(StopReason::DominanceBudgetExhausted { used: 5, .. })
+        ));
 
         for bad in [
             "reused=0 scanned=1 tripped=none",

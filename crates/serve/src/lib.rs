@@ -14,9 +14,10 @@
 //!
 //! - [`protocol`] — the line-delimited wire format (`LOAD`, `QUERY`,
 //!   `STATS`, `SHUTDOWN`) and its strict parser.
-//! - [`cache`] — byte-bounded LRU over complete fingerprints.
-//! - [`registry`] — named datasets + the shared cache; the
-//!   signature-reuse contract lives in [`Registry::fingerprint`].
+//! - [`cache`] — byte-bounded LRU over complete shard folds.
+//! - [`registry`] — named datasets, the process's one shard host and
+//!   the fingerprint assembler; the signature-reuse contract lives in
+//!   [`Registry::fingerprint`].
 //! - [`metrics`] — lock-free counters and a fixed-bucket latency
 //!   histogram behind `STATS`.
 //! - [`store`] — the crash-safe on-disk signature store: atomic
@@ -24,12 +25,13 @@
 //!   persistence, and a startup recovery sweep that quarantines
 //!   corruption instead of serving it. Makes restarts warm
 //!   (`SNAPSHOT` flushes, `RESTORE` re-sweeps).
-//! - [`cluster`] — the distributed layer: a worker-side
-//!   [`ShardHost`] every server carries (hosted
-//!   shards + fold reuse) and a coordinator-side
-//!   [`ClusterState`] that routes shards by
-//!   rendezvous hashing, fans fingerprint folds out, and merges them
-//!   to bits identical to the single-process run.
+//! - [`cluster`] — the fold service and the distributed layer: the
+//!   [`ShardHost`] every registry owns (hosted shards, the one fold
+//!   cache and plan memo, and every shard fold of the process) and a
+//!   coordinator-side [`ClusterState`] that routes shards by
+//!   rendezvous hashing and fans fingerprint folds out to the
+//!   registry's assembler, to bits identical to the single-process
+//!   run.
 //! - [`poll`] — a hand-rolled readiness shim (`epoll` on Linux via
 //!   direct FFI, portable `poll(2)` fallback) that keeps the std-only
 //!   policy while letting one thread multiplex thousands of sockets.

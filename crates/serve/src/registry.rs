@@ -1,39 +1,42 @@
-//! The dataset registry: named sharded datasets plus the shared
-//! per-shard fingerprint cache.
+//! The dataset registry: named sharded datasets, the process's one
+//! [`ShardHost`], and the fingerprint assembler.
 //!
 //! `LOAD` installs a dataset under a name (replacing — and cache
 //! invalidating — any previous holder of that name); `APPEND` adds a new
 //! shard to an existing dataset, leaving every old shard's cached folds
-//! valid. `QUERY` resolves the name, then asks [`Registry::fingerprint`]
-//! for the signature artefact:
+//! valid. Both install the generation's shards in the host the way
+//! `SHARDPUT` does. `QUERY` resolves the name, then asks
+//! [`Registry::fingerprint`] for the signature artefact:
 //!
 //! * a **memo hit** returns the assembled `Arc<Fingerprint>` without
 //!   touching data or locks beyond the dataset's own memo;
-//! * a **miss** folds the dataset shard by shard under the request's
-//!   budget, merging any shard whose fold is in the LRU cache — or, if
-//!   a durable [`SignatureStore`] is configured, loading it from disk —
-//!   instead of re-scanning it, and (only if the run completed) caches
-//!   every shard fold, queues it for write-behind persistence, and
-//!   memoises the assembled artefact.
+//! * a **miss** folds every shard through the host under the request's
+//!   budget — from its LRU, else the durable [`SignatureStore`], else
+//!   the rows — merges the folds in shard order and, only if the run
+//!   completed, memoises the assembled artefact. A coordinator feeds
+//!   the same assembler remote legs instead.
 //!
-//! Concurrency: datasets sit behind an `RwLock` (read-mostly), the
-//! cache behind a `Mutex` held only for lookups/inserts — never while
-//! fingerprinting, so concurrent cold misses on the same key may
-//! compute the same matrix twice. That costs duplicate work, not
+//! Concurrency: datasets sit behind an `RwLock` (read-mostly); the host
+//! holds its cache lock only for lookups and inserts — never while
+//! fingerprinting — so concurrent cold misses on the same key may
+//! compute the same fold twice. That costs duplicate work, not
 //! correctness: fingerprinting is deterministic in the key, so whichever
 //! insert lands last is bit-identical to the other.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use skydiver_core::{CancelToken, Fingerprint, RunBudget, SkyDiver, SkyDiverError, SkylineState};
+use skydiver_core::{
+    CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint, Interrupt, RunBudget,
+    SignatureAccumulator, SkyDiverError, SkylineState, StopReason,
+};
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
-use crate::cache::{FingerprintCache, FingerprintKey};
+use crate::cluster::{fold_keys, shard_tag, FoldJob, Leg, ShardHost};
 use crate::metrics::Metrics;
-use crate::store::{content_hash, prefs_hash, SignatureStore, StoreKey, SweepReport};
+use crate::store::{content_hash, SignatureStore, SweepReport};
 
 /// Assembled fingerprints memoised per dataset *generation*: the memo
 /// dies with its `LoadedDataset`, so `LOAD`/`APPEND` can never serve a
@@ -78,6 +81,9 @@ pub struct LoadedDataset {
     /// every coordinate bit) — the durable store's dataset coordinate,
     /// so artefacts persisted for other data can never be served here.
     pub content_hash: u64,
+    /// Content tag of every shard ([`shard_tag`]), computed once per
+    /// shard: `APPEND` hands the old tags on and tags only the new one.
+    pub(crate) shard_tags: Vec<u64>,
     /// Assembled fingerprints for this generation of the data, keyed by
     /// `(prefs, t, seed)`. Bounded at [`MEMO_CAP`] (cleared when full —
     /// the per-shard LRU makes re-assembly cheap).
@@ -99,12 +105,16 @@ impl LoadedDataset {
         name: String,
         data: ShardedDataset,
         skylines: HashMap<String, Arc<SkylineState>>,
+        mut shard_tags: Vec<u64>,
     ) -> Self {
         let content_hash = content_hash(&data);
+        let tagged = shard_tags.len();
+        shard_tags.extend((tagged..data.num_shards()).map(|i| shard_tag(data.shard(i))));
         LoadedDataset {
             name,
             data,
             content_hash,
+            shard_tags,
             memo: Mutex::new(HashMap::new()),
             selections: Mutex::new(HashMap::new()),
             skylines: Mutex::new(skylines),
@@ -229,34 +239,21 @@ pub(crate) fn request_budget(
 /// and so the signature bound of a [`Registry::new`].
 pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// `Err` when a signature of size `t` over `m` skyline points would
-/// take more than `max_bytes`: the `t × m` matrix of `u64` slots plus
-/// the hash family's two `u64` coefficients per row. A server passes
-/// its frame limit — the largest matrix a `FOLD` reply could carry
-/// anyway — so a hostile `t` is refused before the hash family or the
-/// matrix is allocated, even over no columns.
-pub(crate) fn check_signature_size(t: usize, m: usize, max_bytes: usize) -> Result<(), String> {
-    let words = m.checked_add(2).and_then(|w| t.checked_mul(w));
-    match words.and_then(|w| w.checked_mul(8)) {
-        Some(bytes) if bytes <= max_bytes => Ok(()),
-        _ => Err(format!(
-            "signature size t={t} over {m} skyline points exceeds the \
-             {max_bytes}-byte frame limit"
-        )),
-    }
-}
-
-/// Named datasets + per-shard fingerprint cache + metrics. Shared (via
-/// `Arc`) between every worker thread of a [`Server`](crate::Server).
+/// Named datasets, the process's one [`ShardHost`] and the metrics.
+/// Shared (via `Arc`) between every worker thread of a
+/// [`Server`](crate::Server).
 pub struct Registry {
     datasets: RwLock<HashMap<String, Arc<LoadedDataset>>>,
-    cache: Mutex<FingerprintCache>,
+    host: ShardHost,
     metrics: Arc<Metrics>,
     store: Option<Arc<SignatureStore>>,
-    /// Largest signature, in bytes, a query may ask for (see
-    /// [`check_signature_size`]).
-    max_signature_bytes: usize,
 }
+
+/// A remote source of an assembled fingerprint's legs: one result per
+/// shard, in shard order, ending at the first trip (see
+/// [`ClusterState::fingerprint`](crate::ClusterState::fingerprint)).
+pub(crate) type LegSource<'a> =
+    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, &ExecContext) -> Vec<Result<Leg, String>>;
 
 impl Registry {
     /// An empty registry whose fingerprint cache holds at most
@@ -267,22 +264,28 @@ impl Registry {
     }
 
     /// An empty registry backed by an (optional) on-disk signature
-    /// store: LRU misses fall through to the store, and complete runs
-    /// are queued for write-behind persistence. A query whose signature
-    /// would take more than `max_signature_bytes` (a server passes its
-    /// frame limit) is refused.
+    /// store, and the process's [`ShardHost`] over the same cache
+    /// bytes, store and bound: LRU misses fall through to the store,
+    /// and complete folds are queued for write-behind persistence. A
+    /// fold whose signature would take more than `max_signature_bytes`
+    /// (a server passes its frame limit) is refused.
     pub fn with_store(
         cache_bytes: usize,
         metrics: Arc<Metrics>,
         store: Option<Arc<SignatureStore>>,
         max_signature_bytes: usize,
     ) -> Self {
+        let host = ShardHost::new(
+            cache_bytes,
+            Arc::clone(&metrics),
+            store.clone(),
+            max_signature_bytes,
+        );
         Registry {
             datasets: RwLock::new(HashMap::new()),
-            cache: Mutex::new(FingerprintCache::new(cache_bytes)),
+            host,
             metrics,
             store,
-            max_signature_bytes,
         }
     }
 
@@ -291,10 +294,10 @@ impl Registry {
         &self.metrics
     }
 
-    /// `Err` when a signature of size `t` over `m` skyline points
-    /// exceeds this registry's bound (see [`check_signature_size`]).
-    pub(crate) fn check_signature_size(&self, t: usize, m: usize) -> Result<(), String> {
-        check_signature_size(t, m, self.max_signature_bytes)
+    /// The process's shard host: every shard fold runs there, for
+    /// `QUERY`/`BATCH` and for the worker verbs alike.
+    pub fn host(&self) -> &ShardHost {
+        &self.host
     }
 
     /// The durable signature store, if one is configured.
@@ -331,21 +334,24 @@ impl Registry {
     }
 
     /// Installs an already-sharded dataset, with the same
-    /// replace-and-invalidate semantics as [`Registry::insert_dataset`].
+    /// replace-and-invalidate semantics as [`Registry::insert_dataset`]:
+    /// the host hosts its shards the way `SHARDPUT` does.
     /// Returns `(points, dims)`.
     pub fn insert_sharded(&self, name: impl Into<String>, data: ShardedDataset) -> (usize, usize) {
         let name = name.into();
         let (points, dims) = (data.len(), data.dims());
-        let entry = Arc::new(LoadedDataset::new(name.clone(), data, HashMap::new()));
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .invalidate_dataset(&name);
-        self.datasets
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(name, entry);
+        let entry = LoadedDataset::new(name.clone(), data, HashMap::new(), vec![]);
+        self.publish(entry, 0);
         (points, dims)
+    }
+
+    /// Installs shards `from..` of `entry` in the host and publishes
+    /// the generation, under one write lock so the two never disagree.
+    fn publish(&self, entry: LoadedDataset, from: usize) {
+        let mut datasets = self.datasets.write().unwrap_or_else(|e| e.into_inner());
+        self.host
+            .install_local(&entry.name, &entry.data, &entry.shard_tags, from);
+        datasets.insert(entry.name.clone(), Arc::new(entry));
     }
 
     /// Loads a dataset file (`.sky` binary snapshot or headerless CSV)
@@ -386,14 +392,16 @@ impl Registry {
         grown.push_shard(block);
         let (points, dims, shards) = (grown.len(), grown.dims(), grown.num_shards());
         // A fresh LoadedDataset drops the old generation's assembled-
-        // fingerprint and selection memos; the per-shard LRU is
-        // deliberately *not* invalidated, and the skylines are handed
-        // on to be extended — that reuse is the point of APPEND.
-        let entry = Arc::new(LoadedDataset::new(name.to_string(), grown, old.skylines()));
-        self.datasets
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(name.to_string(), entry);
+        // fingerprint and selection memos; the host keeps the old
+        // shards and their cached folds, and the skylines are handed on
+        // to be extended — that reuse is the point of APPEND.
+        let entry = LoadedDataset::new(
+            name.to_string(),
+            grown,
+            old.skylines(),
+            old.shard_tags.clone(),
+        );
+        self.publish(entry, shards - 1);
         Ok((points, dims, shards, appended))
     }
 
@@ -494,10 +502,10 @@ impl Registry {
     }
 
     /// The assembled fingerprint for `(name, prefs, t, seed)` — memoised
-    /// if available, otherwise folded shard by shard under `budget`
-    /// (reusing cached shard folds) and cached when complete. Returns
-    /// the artefact, whether it was a memo hit, and the dominance tests
-    /// charged (0 on a hit).
+    /// if available, otherwise every shard folded through this
+    /// process's host under `budget` (reusing cached shard folds) and
+    /// memoised when complete. Returns the artefact, whether it was a
+    /// memo hit, and the dominance tests charged (0 on a hit).
     pub fn fingerprint(
         &self,
         name: &str,
@@ -506,6 +514,27 @@ impl Registry {
         t: usize,
         seed: u64,
         budget: RunBudget,
+    ) -> Result<(Arc<Fingerprint>, bool, u64), String> {
+        self.assemble(name, prefs, prefs_key, t, seed, budget, None)
+    }
+
+    /// The one fingerprint assembler: memo check, skyline memo, size
+    /// check, skyline-phase poll, then the legs — from `remote`, or
+    /// folded here shard by shard under one shared context, stopping
+    /// at the first trip — merged in ascending shard order. The first
+    /// trip or failed shard in shard order degrades the artefact; a
+    /// complete one is memoised. Counts the query once: a cache hit or
+    /// miss, its dominance tests and the shard folds it reused.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn assemble(
+        &self,
+        name: &str,
+        prefs: &[Preference],
+        prefs_key: &str,
+        t: usize,
+        seed: u64,
+        budget: RunBudget,
+        remote: Option<LegSource<'_>>,
     ) -> Result<(Arc<Fingerprint>, bool, u64), String> {
         let ds = self
             .dataset(name)
@@ -516,90 +545,79 @@ impl Registry {
             return Ok((fp, true, 0));
         }
         self.metrics.bump(&self.metrics.cache_misses);
-        let shard_key = |shard: usize| FingerprintKey {
-            dataset: name.to_string(),
-            shard,
-            prefs: prefs_key.to_string(),
-            t,
-            seed,
-        };
-        let mut cached: Vec<_> = {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            (0..ds.data.num_shards())
-                .map(|i| cache.get(&shard_key(i)))
-                .collect()
-        };
-        let store_key = |shard: usize| StoreKey {
-            dataset_hash: ds.content_hash,
-            shard,
-            prefs_hash: prefs_hash(prefs_key),
-            t,
-            seed,
-        };
-        // LRU misses fall through to the durable store — disk reads
-        // happen here, after the cache lock is dropped. A corrupt or
-        // mis-keyed artefact is quarantined inside `load` and stays a
-        // miss; the fold below recomputes it from the data.
-        if let Some(store) = &self.store {
-            for (i, slot) in cached.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = store.load(&store_key(i));
-                }
-            }
-        }
-        // A zero signature size is reported ahead of any data error.
         if t == 0 {
             return Err(SkyDiverError::ZeroSignatureSize.to_string());
         }
-        let skyline = self.skyline_state(&ds, prefs, prefs_key)?;
-        self.check_signature_size(t, skyline.ids().len())?;
-        // `k` is irrelevant to phase 1; 2 is the smallest valid value.
-        let diver = SkyDiver::new(2)
-            .signature_size(t)
-            .hash_seed(seed)
-            .budget(budget);
-        let run = diver
-            .fingerprint_over(&ds.data, prefs, &skyline, &cached)
-            .map_err(|e| e.to_string())?;
-        self.metrics
-            .add(&self.metrics.dominance_tests, run.dominance_tests);
-        self.metrics
-            .add(&self.metrics.shards_reused, run.reused_shards as u64);
-        let dominance_tests = run.dominance_tests;
-        let fp = Arc::new(run.fingerprint);
-        if fp.is_complete() {
-            // Write-behind: queue every complete shard fold for the
-            // store's worker thread (which skips keys already durable).
-            // Partial folds never reach this branch — the store keeps
-            // the cache's complete-only rule.
-            if let Some(store) = &self.store {
-                for (i, fold) in run.shards.iter().enumerate() {
-                    store.enqueue_persist(store_key(i), Arc::clone(fold));
+        let ctx = ExecContext::new(budget);
+        let state = self.skyline_state(&ds, prefs, prefs_key)?;
+        self.host.check_signature_size(t, state.ids().len())?;
+        if let Err(int) = ctx.check(ExecPhase::Skyline) {
+            return Ok((Arc::new(Fingerprint::interrupted(vec![], t, int)), false, 0));
+        }
+        if state.ids().is_empty() {
+            return Err(SkyDiverError::EmptySkyline.to_string());
+        }
+        let (ids, points) = (state.ids(), state.points());
+        let keys = fold_keys(name, ds.content_hash, 0, prefs_key, t, seed);
+        let job = FoldJob::new(keys, prefs, ids, points);
+
+        let t0 = Instant::now();
+        let legs = match remote {
+            Some(source) => source(&ds, &job, &ctx),
+            None => {
+                let mut legs = Vec::with_capacity(ds.shard_tags.len());
+                for (shard, &tag) in ds.shard_tags.iter().enumerate() {
+                    let (leg, _) = self.host.fold_request(&job, shard, tag, &ctx)?;
+                    let tripped = leg.interrupt.is_some();
+                    legs.push(Ok(leg));
+                    if tripped {
+                        break;
+                    }
                 }
+                legs
             }
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, fold) in run.shards.into_iter().enumerate() {
-                cache.insert(shard_key(i), fold);
+        };
+        let mut merged = SignatureAccumulator::new(t, state.ids().len());
+        let (mut tests, mut reused) = (0u64, 0u64);
+        let mut interrupt: Option<Interrupt> = None;
+        for (shard, leg) in legs.into_iter().enumerate() {
+            match leg {
+                Ok(leg) => {
+                    merged.merge(&leg.fold.acc);
+                    tests += leg.tests;
+                    reused += u64::from(leg.reused);
+                    interrupt = interrupt.or(leg.interrupt);
+                }
+                Err(e) if interrupt.is_none() => {
+                    eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
+                    interrupt = Some(Interrupt {
+                        phase: ExecPhase::Fingerprint,
+                        reason: StopReason::ShardUnavailable { shard },
+                    });
+                }
+                Err(_) => {}
             }
-            self.metrics
-                .bytes_resident
-                .store(cache.bytes() as u64, std::sync::atomic::Ordering::Relaxed);
-            self.metrics
-                .cache_evictions
-                .store(cache.evictions(), std::sync::atomic::Ordering::Relaxed);
-            drop(cache);
+        }
+        let events = match interrupt {
+            Some(_) => vec![DegradationEvent::FingerprintCurtailed {
+                rows_scanned: merged.rows_consumed,
+                rows_total: ds.data.len(),
+            }],
+            None => vec![],
+        };
+        let fp = Arc::new(Fingerprint {
+            skyline: state.ids().to_vec(),
+            output: merged.into_output(),
+            fingerprint_ms: t0.elapsed().as_secs_f64() * 1e3,
+            events,
+            interrupt,
+        });
+        self.metrics.add(&self.metrics.dominance_tests, tests);
+        self.metrics.add(&self.metrics.shards_reused, reused);
+        if fp.is_complete() {
             ds.memo_put(memo_key, Arc::clone(&fp));
         }
-        Ok((fp, false, dominance_tests))
-    }
-
-    /// Cache occupancy snapshot: `(entries, resident bytes, ceiling)` of
-    /// the per-shard LRU (assembled-fingerprint memos are not counted —
-    /// they share the shard folds' slot arrays only transitively and are
-    /// bounded per dataset).
-    pub fn cache_usage(&self) -> (usize, usize, usize) {
-        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        (cache.len(), cache.bytes(), cache.ceiling())
+        Ok((fp, false, tests))
     }
 }
 
@@ -709,7 +727,7 @@ mod tests {
             .fingerprint("ant", &prefs, &key, 32, 8, RunBudget::none())
             .unwrap();
         assert!(!hit);
-        assert_eq!(reg.cache_usage().0, 2);
+        assert_eq!(reg.host().cache_usage().0, 2);
     }
 
     #[test]
@@ -722,7 +740,7 @@ mod tests {
         assert!(!hit);
         assert!(!fp.is_complete());
         assert_eq!(
-            reg.cache_usage().0,
+            reg.host().cache_usage().0,
             0,
             "partial artefact must not be cached"
         );
@@ -732,7 +750,7 @@ mod tests {
             .unwrap();
         assert!(!hit);
         assert!(fp.is_complete());
-        assert_eq!(reg.cache_usage().0, 1);
+        assert_eq!(reg.host().cache_usage().0, 1);
     }
 
     #[test]
@@ -755,11 +773,11 @@ mod tests {
             .fingerprint("d", &prefs, &key, 32, 7, RunBudget::none())
             .unwrap();
         assert!(!hit);
-        assert_eq!(reg.cache_usage().0, 1);
+        assert_eq!(reg.host().cache_usage().0, 1);
         // Re-LOAD under the same name: different data, same coordinates.
         reg.insert_dataset("d", anticorrelated(1000, 3, 77));
         assert_eq!(
-            reg.cache_usage().0,
+            reg.host().cache_usage().0,
             0,
             "LOAD drops the old generation's folds"
         );
@@ -787,6 +805,17 @@ mod tests {
         let (points, dims, shards, appended) =
             reg.append_dataset("d", anticorrelated(100, 3, 21)).unwrap();
         assert_eq!((points, dims, shards, appended), (2100, 3, 2, 100));
+        let ds = reg.dataset("d").unwrap();
+        let tags: Vec<u64> = (0..2).map(|i| shard_tag(ds.data.shard(i))).collect();
+        assert_eq!(
+            ds.shard_tags, tags,
+            "the old tag is handed on, the new one added"
+        );
+        assert_eq!(
+            reg.host().hosted_counts(),
+            (1, 2),
+            "the host hosts the new shard"
+        );
         let (fp, hit, warm) = reg
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
@@ -915,9 +944,9 @@ mod tests {
     }
 
     /// PR 5 switched every serve-layer lock acquisition to
-    /// `unwrap_or_else(|e| e.into_inner())`. Poison each guarded lock
+    /// `unwrap_or_else(|e| e.into_inner())`. Poison each registry lock
     /// from a thread that panics mid-hold and assert the registry keeps
-    /// answering on every path.
+    /// answering on every path (the host's locks: `cluster::tests`).
     #[test]
     fn registry_survives_poisoned_locks() {
         let reg = Arc::new(Registry::new(1 << 24, Arc::new(Metrics::new())));
@@ -930,12 +959,6 @@ mod tests {
         let _ = std::thread::spawn(move || {
             let _guard = r.datasets.write().unwrap();
             panic!("poison the datasets lock");
-        })
-        .join();
-        let r = Arc::clone(&reg);
-        let _ = std::thread::spawn(move || {
-            let _guard = r.cache.lock().unwrap();
-            panic!("poison the cache lock");
         })
         .join();
         let ds = reg.dataset("d").expect("read path recovers from poison");
@@ -956,7 +979,7 @@ mod tests {
         reg.insert_dataset("e", anticorrelated(100, 3, 30));
         reg.append_dataset("e", anticorrelated(50, 3, 31)).unwrap();
         assert_eq!(reg.dataset_names(), vec!["d", "e"]);
-        assert!(reg.cache_usage().0 >= 1);
+        assert!(reg.host().cache_usage().0 >= 1);
         assert!(reg.stats_json().contains("\"dataset_shards\""));
     }
 }

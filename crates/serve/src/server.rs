@@ -38,8 +38,10 @@
 //! metrics snapshot is dumped to stderr.
 //!
 //! **Cluster roles.** Every server answers the worker verbs
-//! (`SHARDPUT`/`FOLD`/`FETCH`/`REPLICATE`) through its [`ShardHost`] —
-//! a node needs no restart to be drafted into a cluster. A server
+//! (`SHARDPUT`/`FOLD`/`FETCH`/`REPLICATE`) through its registry's
+//! [`ShardHost`](crate::ShardHost) — the same host its own `QUERY`s
+//! fold on, so a node needs no restart to be drafted into a cluster
+//! and holds one fold cache whichever way it is asked. A server
 //! started with [`ClusterConfig`] additionally acts as coordinator:
 //! `LOAD`/`APPEND` route shards to workers, `QUERY`/`BATCH` fan folds
 //! out and merge, `JOIN`/`LEAVE` reshape the roster, and `STATS` rolls
@@ -63,7 +65,7 @@ use skydiver_core::{
 use skydiver_data::dominance::MinDominance;
 use skydiver_skyline::sfs;
 
-use crate::cluster::{ClusterConfig, ClusterState, ShardHost};
+use crate::cluster::{ClusterConfig, ClusterState};
 use crate::metrics::Metrics;
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
@@ -141,7 +143,6 @@ pub struct Server {
     listener: TcpListener,
     registry: Arc<Registry>,
     metrics: Arc<Metrics>,
-    host: Arc<ShardHost>,
     cluster: Option<Arc<ClusterState>>,
     shutdown: Arc<AtomicBool>,
     cancel: CancelToken,
@@ -180,13 +181,10 @@ impl Server {
             },
             None => None,
         };
-        // The worker-side host shares the store (and its write-behind
-        // queue) with the registry, so a node serves folds warm whether
-        // it is queried directly or through a coordinator.
-        // Both refuse a signature matrix larger than a frame could carry.
+        // The registry's shard host folds for `QUERY`/`BATCH` and the
+        // worker verbs alike, refusing a signature matrix larger than a
+        // frame could carry.
         let max_frame_bytes = cfg.max_frame_bytes.max(1024);
-        let host =
-            ShardHost::new(cfg.cache_bytes, Arc::clone(&metrics), store.clone(), max_frame_bytes);
         let registry =
             Registry::with_store(cfg.cache_bytes, Arc::clone(&metrics), store, max_frame_bytes);
         let cluster = cfg
@@ -197,7 +195,6 @@ impl Server {
             listener,
             registry: Arc::new(registry),
             metrics,
-            host: Arc::new(host),
             cluster,
             shutdown: Arc::new(AtomicBool::new(false)),
             cancel: CancelToken::new(),
@@ -239,7 +236,6 @@ impl Server {
             let listener = self.listener.try_clone()?;
             let ctx = LoopCtx {
                 registry: Arc::clone(&self.registry),
-                host: Arc::clone(&self.host),
                 cluster: self.cluster.clone(),
                 shutdown: Arc::clone(&self.shutdown),
                 cancel: self.cancel.clone(),
@@ -320,7 +316,6 @@ impl ServerHandle {
 /// Everything one event-loop thread shares with the rest of the server.
 struct LoopCtx {
     registry: Arc<Registry>,
-    host: Arc<ShardHost>,
     cluster: Option<Arc<ClusterState>>,
     shutdown: Arc<AtomicBool>,
     cancel: CancelToken,
@@ -754,7 +749,6 @@ fn dispatch(conn: &mut Conn, req: Request, body: Option<Vec<u8>>, ctx: &LoopCtx,
         req,
         body.as_deref(),
         &ctx.registry,
-        &ctx.host,
         ctx.cluster.as_deref(),
         &ctx.cancel,
     );
@@ -932,11 +926,11 @@ fn respond(
     req: Request,
     body: Option<&[u8]>,
     registry: &Registry,
-    host: &ShardHost,
     cluster: Option<&ClusterState>,
     cancel: &CancelToken,
 ) -> Reply {
     let metrics = Arc::clone(registry.metrics());
+    let host = registry.host();
     let err = |e: String| {
         metrics.bump(&metrics.errors);
         Reply::line(format!("ERR {e}"))
@@ -1260,26 +1254,10 @@ fn answer_query(
                 metrics.bump(&metrics.selection_hits);
                 return Ok(render_memo(&q.dataset, q.k, &q.method, true, &m, t0, 0));
             }
+            let (d, b) = (&q.dataset, budget.clone());
             let (fp, cached, dominance_tests) = match cluster {
-                Some(cs) => cs.fingerprint(
-                    registry,
-                    &q.dataset,
-                    &prefs,
-                    &prefs_key,
-                    q.t,
-                    q.seed,
-                    budget.clone(),
-                    q.max_dominance_tests,
-                    q.timeout_ms,
-                )?,
-                None => registry.fingerprint(
-                    &q.dataset,
-                    &prefs,
-                    &prefs_key,
-                    q.t,
-                    q.seed,
-                    budget.clone(),
-                )?,
+                Some(cs) => cs.fingerprint(registry, d, &prefs, &prefs_key, q.t, q.seed, b)?,
+                None => registry.fingerprint(d, &prefs, &prefs_key, q.t, q.seed, b)?,
             };
             let memoise = unbudgeted && fp.is_complete();
             let (r, answer) = select_memoised(
@@ -1333,19 +1311,10 @@ fn answer_batch(
     let (prefs, prefs_key) = parse_prefs(b.prefs.as_deref(), ds.data.dims())?;
     let budget = request_budget(cancel, b.timeout_ms, b.max_dominance_tests);
     let metrics = Arc::clone(registry.metrics());
+    let (d, budgeted) = (&b.dataset, budget.clone());
     let (fp, resolved_cached, resolved_tests) = match cluster {
-        Some(cs) => cs.fingerprint(
-            registry,
-            &b.dataset,
-            &prefs,
-            &prefs_key,
-            b.t,
-            b.seed,
-            budget.clone(),
-            b.max_dominance_tests,
-            b.timeout_ms,
-        )?,
-        None => registry.fingerprint(&b.dataset, &prefs, &prefs_key, b.t, b.seed, budget.clone())?,
+        Some(cs) => cs.fingerprint(registry, d, &prefs, &prefs_key, b.t, b.seed, budgeted)?,
+        None => registry.fingerprint(d, &prefs, &prefs_key, b.t, b.seed, budgeted)?,
     };
     let complete = fp.is_complete();
     let unbudgeted = b.timeout_ms.is_none() && b.max_dominance_tests.is_none();

@@ -333,9 +333,10 @@ mod cluster_process {
     use std::time::Duration;
 
     use skydiver::data::generators::anticorrelated;
-    use skydiver::data::io;
+    use skydiver::data::{io, ShardedDataset};
     use skydiver::serve::protocol::{json_bool, json_u64, json_u64_array, QuerySpec};
     use skydiver::serve::{Client, ClusterConfig, Server, ServerConfig, ServerHandle};
+    use skydiver::{CancelToken, Dataset, Preference, RunBudget, SkyDiver};
 
     const T: usize = 64;
     const K: usize = 7;
@@ -472,6 +473,63 @@ mod cluster_process {
 
     fn query(client: &mut Client, s: &QuerySpec) -> Answer {
         answer(&client.query(s).expect("query"))
+    }
+
+    /// The in-process reference of `s` over `data` loaded as one shard:
+    /// [`SkyDiver::fingerprint_sharded_with`] then selection, under the
+    /// budget a server gives the query (a cancel token keeps the
+    /// dominance-test counter on).
+    fn reference(data: &Dataset, s: &QuerySpec) -> Answer {
+        let mut budget = RunBudget::none().with_cancel_token(CancelToken::new());
+        if let Some(limit) = s.max_dominance_tests {
+            budget = budget.with_max_dominance_tests(limit);
+        }
+        let diver = SkyDiver::new(s.k)
+            .signature_size(s.t)
+            .hash_seed(s.seed)
+            .budget(budget);
+        let sd = ShardedDataset::from_dataset(data.clone());
+        let run = diver
+            .fingerprint_sharded_with(&sd, &Preference::all_min(data.dims()), &[])
+            .expect("reference fold");
+        let r = diver
+            .select_from(&run.fingerprint)
+            .expect("reference selection");
+        Answer {
+            selected: r.selected.iter().map(|&i| i as u64).collect(),
+            gamma: r.selected_positions.iter().map(|&p| r.scores[p]).collect(),
+            skyline: r.skyline.len() as u64,
+            dominance_tests: run.dominance_tests,
+            cached: false,
+            degraded: r.degradation.is_degraded(),
+            status: r.degradation.summary(),
+        }
+    }
+
+    /// One counter of a server's own `STATS` (a coordinator's comes
+    /// before its `cluster` roll-up).
+    fn stat(client: &mut Client, key: &str) -> u64 {
+        let stats = client.stats().expect("stats");
+        json_u64(&stats, key).unwrap_or_else(|| panic!("{key} in {stats}"))
+    }
+
+    /// A coordinator over `workers` at replication 1 with `shards`
+    /// shards per `LOAD`.
+    fn start_coordinator_with(workers: &[String], shards: usize) -> ServerHandle {
+        Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            cluster: Some(ClusterConfig {
+                workers: workers.to_vec(),
+                replication: 1,
+                shards,
+                fanout_timeout_ms: 10_000,
+            }),
+            ..ServerConfig::default()
+        })
+        .expect("bind coordinator")
+        .spawn()
+        .expect("spawn coordinator")
     }
 
     /// Acceptance: for K ∈ {1, 2, 4} worker processes and R ∈ {1, 2},
@@ -687,12 +745,15 @@ mod cluster_process {
         std::fs::remove_file(csv).ok();
     }
 
-    /// Workers fold cold shards through a memoised dominance plan: on
-    /// one generation the first two cold folds of a shard only mark it
-    /// seen, the third builds the plan, later ones run through it — and every
-    /// answer stays bit-identical to the monolithic run, budget-tripped
-    /// prefixes included. An `APPEND` that changes the skyline changes
-    /// the fold request, so it misses the plan.
+    /// Every server folds cold shards through a memoised dominance plan:
+    /// on one generation the first two cold folds of a shard only mark
+    /// it seen, the third builds the plan, later ones run through it.
+    /// The single-process server does so too, so its cold and
+    /// budget-tripped answers are held to the in-process reference, and
+    /// the cluster's to the single process's. An `APPEND` that changes
+    /// the skyline changes the fold request, so it misses the plan. A
+    /// node answering both `QUERY` and `FOLD` keeps its folds within
+    /// one cache's bytes.
     #[test]
     fn cold_folds_through_the_worker_plan_stay_bit_identical() {
         use skydiver::data::generators::independent;
@@ -715,13 +776,26 @@ mod cluster_process {
             s
         };
 
+        let base = io::read_csv(&base_path).expect("read base back");
+
         let mono = start_monolithic();
         let mut mc = Client::connect(mono.addr()).expect("connect monolithic");
         mc.load("d", &base_path).expect("monolithic load");
-        let cold: Vec<Answer> = [30, 31, 32, 33]
-            .iter()
-            .map(|&seed| query(&mut mc, &spec(seed)))
-            .collect();
+        // One shard: seen, seen, build, hit.
+        let mut cold = Vec::new();
+        for (seed, want) in [30, 31, 32, 33]
+            .into_iter()
+            .zip([[0, 0], [0, 0], [1, 0], [1, 1]])
+        {
+            cold.push(query(&mut mc, &spec(seed)));
+            let got = [stat(&mut mc, "plan_builds"), stat(&mut mc, "plan_hits")];
+            assert_eq!(got, want, "single-process plan counters after seed {seed}");
+            assert_eq!(
+                cold.last(),
+                Some(&reference(&base, &spec(seed))),
+                "single-process seed {seed} diverged from the reference"
+            );
+        }
         // A trip in the first shard (row fold) and one in a later shard,
         // after earlier shards ran through their plans.
         let total = cold[0].dominance_tests;
@@ -735,6 +809,13 @@ mod cluster_process {
             tripped.iter().all(|a| a.degraded),
             "budgets must trip: {tripped:?}"
         );
+        for ((&limit, seed), got) in limits.iter().zip([34, 35]).zip(&tripped) {
+            assert_eq!(
+                got,
+                &reference(&base, &budgeted(seed, limit)),
+                "single-process limit {limit} diverged from the reference"
+            );
+        }
         mc.append("d", &block_path).expect("monolithic append");
         let grown = query(&mut mc, &spec(36));
         assert_ne!(
@@ -789,10 +870,164 @@ mod cluster_process {
             "a changed column set must miss the plan"
         );
 
+        // The same node answers QUERY as well as the coordinator's FOLDs:
+        // both fill its one fold cache.
+        let mut wc = Client::connect(workers.addrs()[0].as_str()).expect("connect worker");
+        wc.load("local", &base_path).expect("worker load");
+        query(
+            &mut wc,
+            &QuerySpec {
+                dataset: "local".into(),
+                ..spec(37)
+            },
+        );
+        let resident = stat(&mut wc, "bytes_resident");
+        assert!(
+            resident > 0 && resident <= 64 << 20,
+            "one cache of the default 64 MiB holds {resident} bytes"
+        );
+
         cc.shutdown().expect("coordinator shutdown");
         mc.shutdown().expect("monolithic shutdown");
         std::fs::remove_file(base_csv).ok();
         std::fs::remove_file(block_csv).ok();
+    }
+
+    /// One assembler, one error text: a `QUERY` with `t = 0`, or a `t`
+    /// whose matrix exceeds the frame limit, gets the same `ERR` reply
+    /// from a single process and from a coordinator.
+    #[test]
+    fn signature_size_errors_read_the_same_on_both_topologies() {
+        let csv = tmp("errors.csv");
+        io::write_csv(&anticorrelated(2_000, 3, 96), &csv).expect("write csv");
+        let path = csv.to_str().unwrap().to_string();
+
+        let mono = start_monolithic();
+        let mut mc = Client::connect(mono.addr()).expect("connect monolithic");
+        mc.load("d", &path).expect("monolithic load");
+        let workers = spawn_workers(1);
+        let coord = start_coordinator(&workers.addrs(), 1);
+        let mut cc = Client::connect(coord.addr()).expect("connect coordinator");
+        cc.load("d", &path).expect("cluster load");
+
+        for t in [0, 1 << 40] {
+            let s = QuerySpec { t, ..spec(3) };
+            let single = mc.query(&s).expect_err("single process must refuse");
+            let cluster = cc.query(&s).expect_err("coordinator must refuse");
+            assert_eq!(single, cluster, "t={t}: error texts differ");
+        }
+        let mut refuse = |t| mc.query(&QuerySpec { t, ..spec(3) }).unwrap_err();
+        assert!(refuse(0).contains("must be positive"));
+        assert!(refuse(1 << 40).contains("frame limit"));
+
+        cc.shutdown().expect("coordinator shutdown");
+        mc.shutdown().expect("monolithic shutdown");
+        std::fs::remove_file(csv).ok();
+    }
+
+    /// `shards_reused` counts the shard folds a query actually reused,
+    /// tripped or not: after an `APPEND` of dominated rows, a query whose
+    /// budget trips in the new shard reused the old one on both
+    /// topologies (same shard layout: the coordinator partitions a `LOAD`
+    /// into one shard, as a single process does).
+    #[test]
+    fn a_tripped_query_counts_its_reused_shards_on_both_topologies() {
+        let base_csv = tmp("reused-base.csv");
+        let block_csv = tmp("reused-block.csv");
+        io::write_csv(&anticorrelated(3_000, 3, 97), &base_csv).expect("write base");
+        io::write_csv(
+            &Dataset::from_rows(3, &[[10.0, 10.0, 10.0]; 40]),
+            &block_csv,
+        )
+        .expect("write block");
+        let base_path = base_csv.to_str().unwrap().to_string();
+        let block_path = block_csv.to_str().unwrap().to_string();
+
+        let mono = start_monolithic();
+        let workers = spawn_workers(1);
+        let coord = start_coordinator_with(&workers.addrs(), 1);
+        let mut answers = Vec::new();
+        for addr in [mono.addr(), coord.addr()] {
+            let mut c = Client::connect(addr).expect("connect");
+            c.load("d", &base_path).expect("load");
+            let warm = query(&mut c, &spec(8));
+            c.append("d", &block_path).expect("append");
+            let before = stat(&mut c, "shards_reused");
+            let tripped = query(
+                &mut c,
+                &QuerySpec {
+                    max_dominance_tests: Some(1),
+                    ..spec(8)
+                },
+            );
+            let reused = stat(&mut c, "shards_reused") - before;
+            assert!(tripped.degraded && !warm.degraded, "{tripped:?}");
+            assert_eq!(reused, 1, "the old shard's fold was reused before the trip");
+            answers.push(tripped);
+            c.shutdown().expect("shutdown");
+        }
+        assert_eq!(answers[0], answers[1], "tripped answers differ");
+        std::fs::remove_file(base_csv).ok();
+        std::fs::remove_file(block_csv).ok();
+    }
+
+    /// A node's local `d` and a coordinator's `d` share one name, so one
+    /// fold cache and one plan memo: each generation replaces the
+    /// other's shards, and every answer either equals its own data's
+    /// reference or fails by name (stale generation, unavailable
+    /// shard) — never a fold that mixes the two.
+    #[test]
+    fn a_shared_dataset_name_never_mixes_two_generations() {
+        let (a_csv, b_csv) = (tmp("mine.csv"), tmp("theirs.csv"));
+        io::write_csv(&anticorrelated(2_000, 3, 98), &a_csv).expect("write mine");
+        io::write_csv(&anticorrelated(2_500, 3, 99), &b_csv).expect("write theirs");
+        let (a_path, b_path) = (
+            a_csv.to_str().unwrap().to_string(),
+            b_csv.to_str().unwrap().to_string(),
+        );
+        let a = io::read_csv(&a_path).expect("read mine back");
+        let b = io::read_csv(&b_path).expect("read theirs back");
+
+        let node = start_monolithic();
+        let mut nc = Client::connect(node.addr()).expect("connect node");
+        let coord = start_coordinator_with(&[node.addr().to_string()], 2);
+        let mut cc = Client::connect(coord.addr()).expect("connect coordinator");
+
+        // Every generation is queried under the same seed, so a fold
+        // cached for the other one would be found under its key.
+        nc.load("d", &a_path).expect("local load");
+        assert_eq!(query(&mut nc, &spec(1)), reference(&a, &spec(1)));
+        // The coordinator's d replaces the node's shards.
+        cc.load("d", &b_path).expect("cluster load");
+        assert_eq!(query(&mut cc, &spec(1)), reference(&b, &spec(1)));
+        let err = nc.query(&spec(2)).expect_err("local d no longer hosted");
+        assert!(err.contains("stale generation"), "{err}");
+        // A memoised answer of the local generation is still its own.
+        let memo_hit = Answer {
+            cached: true,
+            dominance_tests: 0,
+            ..reference(&a, &spec(1))
+        };
+        assert_eq!(query(&mut nc, &spec(1)), memo_hit);
+        // Re-loading the local d replaces the coordinator's shards.
+        nc.load("d", &a_path).expect("local reload");
+        assert_eq!(query(&mut nc, &spec(1)), reference(&a, &spec(1)));
+        let lost = query(&mut cc, &spec(3));
+        let named = lost.degraded && lost.status.contains("unavailable");
+        assert!(
+            named || lost == reference(&b, &spec(3)),
+            "the coordinator's answer mixed generations: {lost:?}"
+        );
+        // And the coordinator's reload takes them back.
+        cc.load("d", &b_path).expect("cluster reload");
+        assert_eq!(query(&mut cc, &spec(1)), reference(&b, &spec(1)));
+        let err = nc.query(&spec(4)).expect_err("local d no longer hosted");
+        assert!(err.contains("stale generation"), "{err}");
+
+        cc.shutdown().expect("coordinator shutdown");
+        nc.shutdown().expect("node shutdown");
+        std::fs::remove_file(a_csv).ok();
+        std::fs::remove_file(b_csv).ok();
     }
 
     /// R=1 with a dead owner cannot mask the loss — the query must still
@@ -1104,8 +1339,6 @@ mod append_chains {
                     T,
                     seed,
                     budget(max, zero_deadline),
-                    max,
-                    zero_deadline.then_some(0),
                 )
                 .map(|(fp, _, tests)| Fold::of(&fp, tests));
             [mono, cluster]
