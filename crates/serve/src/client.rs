@@ -1,5 +1,6 @@
-//! Blocking protocol client: line-delimited by default, `SKYWIRE01`
-//! binary frames after [`Client::hello`], pipelined on demand.
+//! Blocking protocol client for the CLI, tools and tests:
+//! line-delimited by default, `SKYWIRE01` binary frames after
+//! [`Client::hello`], pipelined on demand.
 //!
 //! One request out, one response back — or, with
 //! [`Client::pipeline`], N requests written back-to-back and N replies
@@ -11,41 +12,40 @@
 //! Both transports carry the same bytes: a binary frame's payload is
 //! exactly the text request/response (line, plus `\n` + raw body when
 //! the line announces `bytes=<n>`), so switching modes never changes a
-//! reply's content.
+//! reply's content. Replies are bounded either way: a text reply is cut
+//! out by the same response scanner the cluster's exchange engine uses,
+//! which refuses a status line past 1 MiB, and a frame or body past the
+//! frame cap is refused before it is read — so a larger reply, such as
+//! a `BATCH` of thousands of selections, needs the binary framing.
+//! Servers never use this client to talk to each other; their exchanges
+//! run on the cluster's deadline-bounded engine.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use skydiver_cluster::frame;
 
-use crate::protocol::{parse_response, BatchSpec, QuerySpec, WIRE_PROTO};
+use crate::protocol::{complete_response, parse_response, BatchSpec, QuerySpec, WIRE_PROTO};
 
 /// A connected client. Not thread-safe — open one client per thread.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    /// Bytes read past the last reply: the start of a pipelined burst's
+    /// next replies.
+    rbuf: Vec<u8>,
     framed: bool,
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server. Request/response turnarounds are
+    /// latency sensitive, so `TCP_NODELAY` is set.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream)
-    }
-
-    /// Wraps an already-connected stream (the cluster layer connects
-    /// with its own deadline-budgeted `connect_timeout`, then hands
-    /// the stream here). Request/response turnarounds are latency
-    /// sensitive on every path, so `TCP_NODELAY` is set here — once,
-    /// for every constructor.
-    pub fn from_stream(stream: TcpStream) -> std::io::Result<Client> {
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
-            reader,
-            writer: stream,
+            stream,
+            rbuf: Vec::new(),
             framed: false,
         })
     }
@@ -100,75 +100,85 @@ impl Client {
                 payload.push(b'\n');
                 payload.extend_from_slice(b);
             }
-            self.writer.write_all(&frame::encode(&payload))
+            self.stream.write_all(&frame::encode(&payload))
         } else {
-            writeln!(self.writer, "{line}")?;
+            writeln!(self.stream, "{line}")?;
             if let Some(b) = body {
-                self.writer.write_all(b)?;
+                self.stream.write_all(b)?;
             }
             Ok(())
         }
     }
 
+    /// Reads more bytes from the server into `rbuf` (none after an
+    /// interrupted read; every caller loops). End of stream is an error:
+    /// a reply is always pending when this is called.
+    fn read_more(&mut self) -> std::io::Result<()> {
+        let mut chunk = [0u8; 16 * 1024];
+        let n = match self.stream.read(&mut chunk) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(()),
+            read => read?,
+        };
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
+        self.rbuf.extend_from_slice(&chunk[..n]);
+        Ok(())
+    }
+
     /// Reads one reply in the current transport mode: the status line
     /// plus its raw body, present whenever the line announces
     /// `bytes=<n>` (text) or the frame payload carries trailing bytes
-    /// (binary).
+    /// (binary). A text reply is cut out by the response scanner every
+    /// reader shares, so a status line that never ends is an error once
+    /// it passes the scanner's cap, not an ever-growing buffer.
     fn recv_reply(&mut self) -> std::io::Result<(String, Option<Vec<u8>>)> {
-        if self.framed {
-            let mut len8 = [0u8; 8];
-            self.reader.read_exact(&mut len8)?;
-            let plen = u64::from_le_bytes(len8);
-            if plen > frame::MAX_FRAME_BYTES as u64 {
-                return Err(std::io::Error::other(format!(
-                    "response frame of {plen} bytes exceeds the cap"
-                )));
-            }
-            let mut whole = vec![0u8; 8 + plen as usize + 8];
-            whole[..8].copy_from_slice(&len8);
-            self.reader.read_exact(&mut whole[8..])?;
-            let payload = frame::decode(&whole)?;
-            match payload.iter().position(|&b| b == b'\n') {
-                Some(i) => Ok((
-                    String::from_utf8_lossy(&payload[..i]).into_owned(),
-                    Some(payload[i + 1..].to_vec()),
-                )),
-                None => Ok((String::from_utf8_lossy(payload).into_owned(), None)),
-            }
-        } else {
-            let mut response = String::new();
-            let n = self.reader.read_line(&mut response)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            let line = response.trim_end().to_string();
-            let body_len = line
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix("bytes="))
-                .and_then(|v| v.parse::<usize>().ok());
-            match body_len {
-                None | Some(0) => Ok((line, None)),
-                Some(len) => {
-                    if len > frame::MAX_FRAME_BYTES {
-                        return Err(std::io::Error::other(format!(
-                            "response frame of {len} bytes exceeds the cap"
-                        )));
-                    }
-                    let mut buf = vec![0u8; len];
-                    self.reader.read_exact(&mut buf)?;
-                    Ok((line, Some(buf)))
+        if !self.framed {
+            // lint: allow(R2) -- every pass reads more bytes or returns;
+            // the scanner errors once a line passes its cap
+            loop {
+                if let Some((parts, used)) =
+                    complete_response(&self.rbuf).map_err(std::io::Error::other)?
+                {
+                    self.rbuf.drain(..used);
+                    return Ok(parts);
                 }
+                self.read_more()?;
             }
+        }
+        while self.rbuf.len() < 8 {
+            self.read_more()?;
+        }
+        let mut len8 = [0u8; 8];
+        len8.copy_from_slice(&self.rbuf[..8]);
+        let plen = u64::from_le_bytes(len8);
+        if plen > frame::MAX_FRAME_BYTES as u64 {
+            return Err(std::io::Error::other(format!(
+                "response frame of {plen} bytes exceeds the cap"
+            )));
+        }
+        let total = 8 + plen as usize + 8;
+        while self.rbuf.len() < total {
+            self.read_more()?;
+        }
+        let whole: Vec<u8> = self.rbuf.drain(..total).collect();
+        let payload = frame::decode(&whole)?;
+        match payload.iter().position(|&b| b == b'\n') {
+            Some(i) => Ok((
+                String::from_utf8_lossy(&payload[..i]).into_owned(),
+                Some(payload[i + 1..].to_vec()),
+            )),
+            None => Ok((String::from_utf8_lossy(payload).into_owned(), None)),
         }
     }
 
     /// Sends one raw request line, returns the raw response line.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
         self.send_request(line, None)?;
-        self.writer.flush()?;
+        self.stream.flush()?;
         Ok(self.recv_reply()?.0)
     }
 
@@ -187,30 +197,12 @@ impl Client {
         for line in lines {
             self.send_request(line, None)?;
         }
-        self.writer.flush()?;
+        self.stream.flush()?;
         let mut replies = Vec::with_capacity(lines.len());
         for _ in 0..lines.len() {
             replies.push(self.recv_reply()?.0);
         }
         Ok(replies)
-    }
-
-    /// Sends one request line followed by an optional raw binary body,
-    /// and reads the response line plus its body (present whenever the
-    /// payload carries a `bytes=<n>` token). The cluster verbs
-    /// (`SHARDPUT`/`FOLD`/`FETCH`) speak this shape; the body bytes are
-    /// checksummed frames, validated by the caller.
-    pub fn exchange_frame(
-        &mut self,
-        line: &str,
-        body: Option<&[u8]>,
-    ) -> Result<(String, Option<Vec<u8>>), String> {
-        let io = |e: std::io::Error| format!("transport: {e}");
-        self.send_request(line, body).map_err(io)?;
-        self.writer.flush().map_err(io)?;
-        let (response, body) = self.recv_reply().map_err(io)?;
-        let payload = parse_response(&response)?;
-        Ok((payload, body.filter(|b| !b.is_empty())))
     }
 
     /// `LOAD name=<name> path=<path>` — returns the summary payload.
@@ -255,5 +247,38 @@ impl Client {
     /// `SHUTDOWN` — asks the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<String, String> {
         self.exchange("SHUTDOWN")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::protocol::MAX_RESPONSE_LINE;
+
+    /// A server that never ends its status line cannot grow the client's
+    /// buffer without bound: once the line passes the scanner's cap, the
+    /// request fails.
+    #[test]
+    fn a_reply_line_past_the_cap_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut request = String::new();
+            reader.read_line(&mut request).unwrap();
+            let mut writer = stream;
+            let _ = writer.write_all(&vec![b'O'; MAX_RESPONSE_LINE + 1]);
+            // Hold the connection until the client hangs up.
+            let _ = reader.read_line(&mut request);
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request("STATS").unwrap_err();
+        assert!(err.to_string().contains("without a newline"), "{err}");
+        drop(client);
+        server.join().unwrap();
     }
 }

@@ -30,19 +30,18 @@
 //! trip lands on the same absolute row and the degraded payload (ids,
 //! status string, dominance-test count) is byte-identical.
 //!
-//! **Failure model.** Every `FOLD` leg, budgeted or not, runs through
-//! one readiness-multiplexed engine, and every leg shares one
-//! [`DeadlineBudget`] per request. A dead or slow owner is retried on
-//! the next replica with whatever time is left; a shard with no
-//! reachable owner degrades the fingerprint with
-//! [`StopReason::ShardUnavailable`] instead of failing the query — a
-//! worker that never finishes its reply cannot stretch the fan-out
-//! past the deadline. The other coordinator → worker exchanges
-//! (`SHARDPUT`, `FETCH`/`REPLICATE`, `STATS`) use the blocking
-//! [`Client`], bounded only by per-read socket timeouts cut to their
-//! deadline. A worker joining (or recovering) pulls its shards' folds
-//! from surviving replicas via `REPLICATE`/`FETCH` — the PR 6 store
-//! codec is the replication transport — and recomputes only on a miss.
+//! **Failure model.** Every exchange with another server — `FOLD`,
+//! `SHARDPUT`, `REPLICATE` and its `FETCH` pull, the `STATS` roll-up —
+//! runs on one readiness-multiplexed engine, and all legs of one request
+//! share one [`DeadlineBudget`]. A dead or slow owner is retried on the
+//! next replica with whatever time is left; a peer that never finishes
+//! its reply is given up at the deadline. A shard with no reachable
+//! owner degrades the fingerprint with [`StopReason::ShardUnavailable`]
+//! instead of failing the query, and fails a `LOAD`/`APPEND` by name; a
+//! node the roll-up cannot reach is listed `"ok":false`. A worker
+//! joining (or recovering) pulls its shards' folds from surviving
+//! replicas via `REPLICATE`/`FETCH`, within the time the coordinator
+//! forwards, and recomputes only on a miss.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -65,16 +64,11 @@ use skydiver_core::{
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
-use crate::client::Client;
 use crate::metrics::Metrics;
 use crate::poll::{Event, Interest, Poller};
-use crate::protocol::{json_escape, json_u64, parse_response};
+use crate::protocol::{complete_response, json_escape, json_u64, parse_response};
 use crate::registry::{parse_prefs, read_points, request_budget, LoadedDataset, Registry};
 use crate::store::{prefs_hash, SignatureStore, StoreKey};
-
-/// Replication pulls at handoff time use this ceiling when no request
-/// deadline applies.
-const HANDOFF_TIMEOUT_MS: u64 = 10_000;
 
 /// Cluster role configuration carried by
 /// [`ServerConfig`](crate::ServerConfig). Present ⇒ the server is a
@@ -882,10 +876,11 @@ impl ShardHost {
         }
     }
 
-    /// `REPLICATE`: pull one fold artefact from a peer (`FETCH`) and
-    /// install it for the shard hosted here. Best-effort by design — a
-    /// miss, a shard not hosted here or a transport failure replies
-    /// `replicated=0` and the next `FOLD` recomputes.
+    /// `REPLICATE`: pull one fold artefact from a peer (`FETCH`) within
+    /// the coordinator's forwarded `timeout_ms`, and install it for the
+    /// shard hosted here. Best-effort by design — a miss, a shard not
+    /// hosted here or a transport failure replies `replicated=0` and the
+    /// next `FOLD` recomputes.
     #[allow(clippy::too_many_arguments)]
     pub fn replicate(
         &self,
@@ -896,6 +891,7 @@ impl ShardHost {
         t: usize,
         seed: u64,
         from: &str,
+        timeout_ms: u64,
     ) -> Result<String, String> {
         let dims_hint = prefs_spec.split(',').count();
         let (_, prefs_key) = parse_prefs(Some(prefs_spec), dims_hint)?;
@@ -908,7 +904,7 @@ impl ShardHost {
         let Some(generation) = generation else {
             return Ok("replicated=0".to_string());
         };
-        let deadline = DeadlineBudget::from_millis(HANDOFF_TIMEOUT_MS);
+        let deadline = DeadlineBudget::from_millis(timeout_ms);
         match pull_artefact(from, name, &keys.1, &prefs_key, &deadline) {
             Some(fp) => {
                 self.remember(keys, generation, &fp);
@@ -919,8 +915,8 @@ impl ShardHost {
     }
 }
 
-/// Fetches one artefact from a peer, validating frame checksum, key
-/// tags and signature size before accepting it.
+/// Fetches one artefact from a peer on the exchange engine, validating
+/// frame checksum, key tags and signature size before accepting it.
 fn pull_artefact(
     from: &str,
     name: &str,
@@ -928,22 +924,26 @@ fn pull_artefact(
     prefs_key: &str,
     deadline: &DeadlineBudget,
 ) -> Option<Arc<ShardFingerprint>> {
-    let mut client = connect_deadline(from, deadline).ok()?;
     let line = format!(
         "FETCH name={name} hash={} shard={} prefs={prefs_key} t={} seed={}",
         store_key.dataset_hash, store_key.shard, store_key.t, store_key.seed
     );
-    let (header, body) = client.exchange_frame(&line, None).ok()?;
-    if header_u64(&header, "found") != Some(1) {
-        return None;
-    }
-    let body = body?;
-    let payload = frame::decode(&body).ok()?;
-    let (fp, tags) = decode_shard_signatures(payload).ok()?;
-    if tags != store_key.tags() || fp.t() != store_key.t {
-        return None;
-    }
-    Some(Arc::new(fp))
+    let check = |_: usize, header: &str, body: Option<Vec<u8>>| {
+        if header_u64(header, "found") != Some(1) {
+            return Err("no artefact".to_string());
+        }
+        let body = body.ok_or_else(|| "found=1 without a frame".to_string())?;
+        let payload = frame::decode(&body).map_err(|e| e.to_string())?;
+        let (fp, tags) = decode_shard_signatures(payload).map_err(|e| e.to_string())?;
+        if tags != store_key.tags() || fp.t() != store_key.t {
+            return Err("fetched artefact does not match its key".to_string());
+        }
+        Ok(Arc::new(fp))
+    };
+    let leg = (vec![from.to_string()], None);
+    exchange(vec![leg], deadline, None, |_, _| line.clone(), check)
+        .pop()?
+        .ok()
 }
 
 /// Extracts `key=<u64>` from a space-separated `key=value` response
@@ -1063,52 +1063,20 @@ impl ClusterState {
         if nodes.is_empty() {
             return Ok(());
         }
-        let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
-        let mut cleared: HashSet<String> = HashSet::new();
+        let mut cleared = HashSet::new();
+        let mut puts = Vec::new();
         for shard in from..nshards {
-            let payload = frame::encode_points(ds.data.dims(), ds.data.shard_view(shard).as_flat());
-            let (lo, _) = ds.data.shard_range(shard);
-            let mut placed = 0usize;
             for owner in rendezvous::owners(&nodes, shard, self.replication) {
                 let first_contact = cleared.insert(owner.clone());
-                let rep = replace && first_contact;
-                match self.put_shard(&owner, name, shard, lo, rep, &payload, &deadline) {
-                    Ok(()) => placed += 1,
-                    Err(e) => eprintln!(
-                        "skydiver-cluster: SHARDPUT {name}/{shard} -> {owner} failed: {e}"
-                    ),
-                }
-            }
-            if placed == 0 {
-                return Err(format!("shard {shard} of {name:?} reached no owner"));
+                puts.push((shard, owner, replace && first_contact));
             }
         }
-        Ok(())
-    }
-
-    /// One `SHARDPUT` to one worker.
-    #[allow(clippy::too_many_arguments)]
-    fn put_shard(
-        &self,
-        owner: &str,
-        name: &str,
-        shard: usize,
-        base: usize,
-        replace: bool,
-        payload: &[u8],
-        deadline: &DeadlineBudget,
-    ) -> Result<(), String> {
-        let body = frame::encode(payload);
-        let mut client = connect_deadline(owner, deadline).map_err(|e| e.to_string())?;
-        let line = format!(
-            "SHARDPUT name={name} shard={shard} base={base} replace={} bytes={}",
-            replace as u8,
-            body.len()
-        );
-        client
-            .exchange_frame(&line, Some(&body))
-            .map(|_| ())
-            .map_err(|e| e.to_string())
+        let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
+        let landed = put_shards(name, &ds, &puts, &deadline);
+        match (from..nshards).find(|&s| !puts.iter().zip(&landed).any(|(p, &ok)| ok && p.0 == s)) {
+            Some(shard) => Err(format!("shard {shard} of {name:?} reached no owner")),
+            None => Ok(()),
+        }
     }
 
     /// `JOIN addr=…`: add a worker, push it the shards it now owns and
@@ -1148,56 +1116,48 @@ impl ClusterState {
         Ok(format!("epoch={epoch} workers={workers} moved={moved}"))
     }
 
-    /// Executes a handoff plan: for every `(shard, new owner)` move and
-    /// every routed dataset, ship the rows from the coordinator's copy,
-    /// then ask the new owner to pull the fold artefacts this cluster
-    /// has computed so far from a surviving donor. Best-effort per leg
-    /// — a failed move surfaces at query time as a replica retry.
+    /// Executes a handoff plan under one fan-out deadline: for every
+    /// routed dataset, ship each moved shard's rows from the
+    /// coordinator's copy, then ask each new owner to pull the folds
+    /// this cluster has computed so far from a surviving donor — one
+    /// `REPLICATE` at a time, since a worker serves it on its event
+    /// loop while it `FETCH`es, so two in flight could wait on each
+    /// other. Best-effort per leg — a failed move surfaces at query
+    /// time as a replica retry.
     fn apply_handoffs(&self, registry: &Registry, plan: &[skydiver_cluster::Handoff]) -> usize {
-        let routed = self.routed();
         let seen: Vec<(String, String, usize, u64)> = {
             let s = self.seen.lock().unwrap_or_else(|e| e.into_inner());
             s.clone()
         };
-        let deadline = DeadlineBudget::from_millis(HANDOFF_TIMEOUT_MS);
+        let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
         let mut moved = 0usize;
-        for h in plan {
-            for name in &routed {
-                let Some(ds) = registry.dataset(name) else {
-                    continue;
-                };
-                if h.shard >= ds.data.num_shards() {
-                    continue;
-                }
-                let payload =
-                    frame::encode_points(ds.data.dims(), ds.data.shard_view(h.shard).as_flat());
-                let (lo, _) = ds.data.shard_range(h.shard);
-                match self.put_shard(&h.to, name, h.shard, lo, false, &payload, &deadline) {
-                    Ok(()) => {
-                        moved += 1;
-                        self.metrics.bump(&self.metrics.handoffs);
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "skydiver-cluster: handoff {name}/{} -> {} failed: {e}",
-                            h.shard, h.to
-                        );
-                        continue;
-                    }
-                }
+        for name in self.routed() {
+            let Some(ds) = registry.dataset(&name) else {
+                continue;
+            };
+            let moves: Vec<_> = plan
+                .iter()
+                .filter(|h| h.shard < ds.data.num_shards())
+                .collect();
+            let puts: Vec<_> = moves
+                .iter()
+                .map(|h| (h.shard, h.to.clone(), false))
+                .collect();
+            let landed = put_shards(&name, &ds, &puts, &deadline);
+            for (h, _) in moves.iter().zip(landed).filter(|(_, ok)| *ok) {
+                moved += 1;
+                self.metrics.bump(&self.metrics.handoffs);
                 let Some(from) = &h.from else { continue };
-                for (cname, prefs_key, t, seed) in &seen {
-                    if cname != name {
-                        continue;
-                    }
-                    let line = format!(
-                        "REPLICATE name={name} hash={} shard={} prefs={prefs_key} \
-                         t={t} seed={seed} from={from}",
-                        ds.content_hash, h.shard
-                    );
-                    if let Ok(mut client) = connect_deadline(&h.to, &deadline) {
-                        let _ = client.exchange_frame(&line, None);
-                    }
+                for (_, prefs_key, t, seed) in seen.iter().filter(|c| c.0 == name) {
+                    let line = |_: usize, ms: u64| {
+                        format!(
+                            "REPLICATE name={name} hash={} shard={} prefs={prefs_key} \
+                             t={t} seed={seed} from={from} timeout_ms={ms}",
+                            ds.content_hash, h.shard
+                        )
+                    };
+                    let leg = (vec![h.to.clone()], None);
+                    exchange(vec![leg], &deadline, None, line, |_, _, _| Ok(()));
                 }
             }
         }
@@ -1304,162 +1264,33 @@ impl ClusterState {
         legs
     }
 
-    /// The fan-out engine: the legs of `shards` all in flight at once,
-    /// each a connect → write → read state machine multiplexed on the
-    /// calling thread by the readiness shim and retried on the next
-    /// replica on any failure, all under the request's one shared
-    /// deadline — a stalled worker can never hold the coordinator past
-    /// it. Every leg forwards `max_dominance_tests`, when set.
+    /// The `FOLD` legs of `shards` on the exchange engine, all in
+    /// flight at once and counted as fan-out legs, each tried on the
+    /// shard's replicas in rendezvous order under the request's one
+    /// deadline. Every leg forwards `max_dominance_tests`, when set.
     fn fold_legs(
         &self,
         req: &FoldRequest<'_>,
         shards: Range<usize>,
         max_dominance_tests: Option<u64>,
     ) -> Vec<Result<Leg, String>> {
-        let mut poller = Poller::new().unwrap_or_else(|e| {
-            // A node-local resource failure (fd limit); the portable
-            // backend drives the same state machine.
-            eprintln!("skydiver-cluster: native poller unavailable ({e}); using poll(2)");
-            Poller::portable()
-        });
-        let mut legs: Vec<LegState> = shards
-            .map(|shard| LegState {
-                shard,
-                owners: rendezvous::owners(req.nodes, shard, self.replication),
-                attempt: 0,
-                conn: None,
-                last_err: format!("shard {shard}: no owners in roster"),
-                done: None,
+        let legs = shards
+            .clone()
+            .map(|shard| {
+                let owners = rendezvous::owners(req.nodes, shard, self.replication);
+                (owners, Some(req.payload))
             })
             .collect();
-        for (token, leg) in legs.iter_mut().enumerate() {
-            self.start_leg_attempt(&mut poller, leg, token, req, max_dominance_tests);
-        }
-        let mut events = Vec::new();
-        // lint: allow(R2) -- every pass checks the shared fan-out
-        // deadline and fails all pending legs once it expires
-        while legs.iter().any(|l| l.done.is_none()) {
-            let waited = match req.deadline.remaining_ms() {
-                None => Err("fan-out deadline exhausted".to_string()),
-                Some(ms) => poller
-                    .wait(&mut events, Some(Duration::from_millis(ms.min(50))))
-                    .map_err(|e| format!("poll wait failed: {e}")),
-            };
-            if let Err(e) = waited {
-                for leg in legs.iter_mut().filter(|l| l.done.is_none()) {
-                    let err = format!("shard {}: {e}", leg.shard);
-                    self.finish_leg(&mut poller, leg, Err(err));
-                }
-                break;
-            }
-            for ev in &events {
-                let token = ev.token as usize;
-                let Some(leg) = legs.get_mut(token) else {
-                    continue;
-                };
-                let Some(conn) = leg.conn.as_mut() else {
-                    continue;
-                };
-                let reply = match drive_conn(&mut poller, conn, ev) {
-                    Drive::Pending => continue,
-                    Drive::Complete(line, body) => parse_response(&line)
-                        .and_then(|header| parse_fold_leg(&header, body, req, leg.shard)),
-                    Drive::Failed(e) => Err(e),
-                };
-                match reply {
-                    Ok(l) => self.finish_leg(&mut poller, leg, Ok(l)),
-                    Err(e) => {
-                        if let Some(conn) = leg.conn.take() {
-                            let _ = poller.deregister(conn.stream.as_raw_fd());
-                            leg.last_err = format!("shard {} via {}: {e}", leg.shard, conn.owner);
-                        }
-                        self.start_leg_attempt(&mut poller, leg, token, req, max_dominance_tests);
-                    }
-                }
-            }
-        }
-        legs.into_iter()
-            .map(|l| {
-                l.done
-                    .unwrap_or_else(|| Err(format!("shard {}: fan-out incomplete", l.shard)))
-            })
-            .collect()
-    }
-
-    /// Connects the leg's next replica (blocking connect bounded by the
-    /// remaining deadline, then switched nonblocking), queues the `FOLD`
-    /// request bytes, and registers the socket with the poller under
-    /// `token`. Ends the leg failed when every replica has been tried.
-    fn start_leg_attempt(
-        &self,
-        poller: &mut Poller,
-        leg: &mut LegState,
-        token: usize,
-        req: &FoldRequest<'_>,
-        max_dominance_tests: Option<u64>,
-    ) {
-        // lint: allow(R2) -- bounded by the replication factor, with the
-        // shared fan-out deadline checked on entry to every attempt
-        while let Some(owner) = leg.owners.get(leg.attempt).cloned() {
-            let Some(ms) = req.deadline.remaining_ms() else {
-                leg.last_err = format!("shard {}: fan-out deadline exhausted", leg.shard);
-                break;
-            };
-            leg.attempt += 1;
-            self.metrics.bump(&self.metrics.fanout_legs);
-            if leg.attempt > 1 {
-                self.metrics.bump(&self.metrics.fanout_retries);
-            }
-            let started = Instant::now();
-            let stream = connect_within(&owner, req.deadline).and_then(|stream| {
-                stream.set_nonblocking(true)?;
-                poller.register(stream.as_raw_fd(), token as u64, Interest::BOTH)?;
-                Ok(stream)
-            });
-            match stream {
-                Ok(stream) => {
-                    let line = fold_request_line(req, leg.shard, max_dominance_tests, ms);
-                    let mut wbuf = line.into_bytes();
-                    wbuf.push(b'\n');
-                    wbuf.extend_from_slice(req.payload);
-                    leg.conn = Some(LegConn {
-                        stream,
-                        owner,
-                        wbuf,
-                        wpos: 0,
-                        rbuf: Vec::new(),
-                        started,
-                    });
-                    return;
-                }
-                Err(e) => leg.last_err = format!("shard {} via {owner}: {e}", leg.shard),
-            }
-        }
-        let err = std::mem::take(&mut leg.last_err);
-        self.finish_leg(poller, leg, Err(err));
-    }
-
-    /// Ends a leg with `done` — the one place a leg's fan-out latency
-    /// (on success) and `fanout_failures` (on failure) are recorded.
-    fn finish_leg(&self, poller: &mut Poller, leg: &mut LegState, done: Result<Leg, String>) {
-        if let Some(conn) = leg.conn.take() {
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            if done.is_ok() {
-                self.metrics
-                    .fanout
-                    .record_micros(conn.started.elapsed().as_micros() as u64);
-            }
-        }
-        if done.is_err() {
-            self.metrics.bump(&self.metrics.fanout_failures);
-        }
-        leg.done = Some(done);
+        let shard = |i: usize| shards.start + i;
+        let line = |i, ms| fold_request_line(req, shard(i), max_dominance_tests, ms);
+        let check = |i, header: &str, body| parse_fold_leg(header, body, req, shard(i));
+        exchange(legs, req.deadline, Some(&self.metrics), line, check)
     }
 
     /// The cluster `STATS` roll-up: the coordinator's own snapshot plus
     /// a `cluster` object with the roster, every worker's snapshot
-    /// (fetched under one shared deadline) and a merged view of the
-    /// core counters.
+    /// (one concurrent `STATS` leg per node, under one shared deadline)
+    /// and a merged view of the core counters.
     pub fn stats_rollup(&self, registry: &Registry) -> String {
         let mut json = registry.stats_json();
         let (epoch, nodes) = self.roster();
@@ -1480,10 +1311,16 @@ impl ClusterState {
             ("skyline_hits", own(&self.metrics.skyline_hits)),
             ("skyline_extends", own(&self.metrics.skyline_extends)),
         ];
-        for node in &nodes {
-            let stats = connect_deadline(node, &deadline)
-                .map_err(|e| e.to_string())
-                .and_then(|mut c| c.stats());
+        let legs = nodes
+            .iter()
+            .map(|node| (vec![node.clone()], None))
+            .collect();
+        let check = |_, payload: &str, _| match payload.starts_with('{') && payload.ends_with('}') {
+            true => Ok(payload.to_string()),
+            false => Err("STATS reply is not a JSON object".to_string()),
+        };
+        let replies = exchange(legs, &deadline, None, |_, _| "STATS".to_string(), check);
+        for (node, stats) in nodes.iter().zip(replies) {
             match stats {
                 Ok(s) => {
                     for (key, acc) in merged.iter_mut() {
@@ -1522,25 +1359,27 @@ impl ClusterState {
     }
 }
 
-/// One in-flight multiplexed fan-out connection: the queued request
-/// bytes going out and the buffered response coming back.
-struct LegConn {
+/// One in-flight multiplexed connection: the request going out (its
+/// line, then the borrowed body) and the buffered response coming back.
+struct LegConn<'a> {
     stream: TcpStream,
     owner: String,
-    wbuf: Vec<u8>,
+    head: Vec<u8>,
+    body: &'a [u8],
     wpos: usize,
     rbuf: Vec<u8>,
     started: Instant,
 }
 
-/// One shard's leg in the fan-out.
-struct LegState {
-    shard: usize,
+/// One leg of the exchange engine: the addresses it is tried on, in
+/// order, the framed body its request carries, and its progress.
+struct LegState<'a, T> {
     owners: Vec<String>,
+    body: &'a [u8],
     attempt: usize,
-    conn: Option<LegConn>,
+    conn: Option<LegConn<'a>>,
     last_err: String,
-    done: Option<Result<Leg, String>>,
+    done: Option<Result<T, String>>,
 }
 
 /// Outcome of driving one connection through a readiness event.
@@ -1553,6 +1392,143 @@ enum Drive {
     Failed(String),
 }
 
+/// The exchange engine, the one way this process talks to another
+/// server. Each leg is a list of addresses tried in order and an
+/// optional framed body. Every leg is in flight at once, a connect →
+/// write → read state machine multiplexed on the calling thread by the
+/// readiness shim, all under one shared `deadline` — a stalled peer can
+/// never hold the caller past it. `line(i, ms)` builds leg `i`'s
+/// request line for one attempt, with `ms` left of the deadline to
+/// forward; `check(i, payload, body)` turns an `OK` reply into the
+/// leg's result. An `ERR` reply, a failed check or a transport failure
+/// retries the leg on its next address. With `fanout`, attempts,
+/// retries, failures and latencies are recorded as fan-out legs.
+fn exchange<'a, T>(
+    legs: Vec<(Vec<String>, Option<&'a [u8]>)>,
+    deadline: &DeadlineBudget,
+    fanout: Option<&Metrics>,
+    line: impl Fn(usize, u64) -> String,
+    check: impl Fn(usize, &str, Option<Vec<u8>>) -> Result<T, String>,
+) -> Vec<Result<T, String>> {
+    let mut poller = Poller::new().unwrap_or_else(|e| {
+        // A node-local resource failure (fd limit); the portable
+        // backend drives the same state machine.
+        eprintln!("skydiver-cluster: native poller unavailable ({e}); using poll(2)");
+        Poller::portable()
+    });
+    let mut legs: Vec<LegState<'a, T>> = legs
+        .into_iter()
+        .map(|(owners, body)| LegState {
+            owners,
+            body: body.unwrap_or_default(),
+            attempt: 0,
+            conn: None,
+            last_err: "no address to try".to_string(),
+            done: None,
+        })
+        .collect();
+    let mut events = Vec::new();
+    // lint: allow(R2) -- every pass checks the shared deadline and
+    // fails all pending legs once it expires
+    loop {
+        for (token, leg) in legs.iter_mut().enumerate() {
+            // lint: allow(R2) -- bounded by the leg's address count, with
+            // the shared deadline checked on entry to every attempt
+            while leg.done.is_none() && leg.conn.is_none() {
+                let Some(owner) = leg.owners.get(leg.attempt).cloned() else {
+                    leg.done = Some(Err(std::mem::take(&mut leg.last_err)));
+                    break;
+                };
+                let Some(ms) = deadline.remaining_ms() else {
+                    leg.done = Some(Err("deadline exhausted".to_string()));
+                    break;
+                };
+                leg.attempt += 1;
+                if let Some(m) = fanout {
+                    m.bump(&m.fanout_legs);
+                    if leg.attempt > 1 {
+                        m.bump(&m.fanout_retries);
+                    }
+                }
+                let started = Instant::now();
+                match connect_leg(&owner, deadline, &mut poller, token) {
+                    Ok(stream) => {
+                        let mut head = line(token, ms).into_bytes();
+                        head.push(b'\n');
+                        leg.conn = Some(LegConn {
+                            stream,
+                            owner,
+                            head,
+                            body: leg.body,
+                            wpos: 0,
+                            rbuf: Vec::new(),
+                            started,
+                        });
+                    }
+                    Err(e) => leg.last_err = format!("{owner}: {e}"),
+                }
+            }
+        }
+        if legs.iter().all(|l| l.done.is_some()) {
+            break;
+        }
+        let waited = match deadline.remaining_ms() {
+            None => Err("deadline exhausted".to_string()),
+            Some(ms) => poller
+                .wait(&mut events, Some(Duration::from_millis(ms.min(50))))
+                .map_err(|e| format!("poll wait failed: {e}")),
+        };
+        if let Err(e) = waited {
+            for leg in legs.iter_mut().filter(|l| l.done.is_none()) {
+                leg.done = Some(Err(e.clone()));
+            }
+            break;
+        }
+        for ev in &events {
+            let token = ev.token as usize;
+            let Some(leg) = legs.get_mut(token) else {
+                continue;
+            };
+            let Some(conn) = leg.conn.as_mut() else {
+                continue;
+            };
+            let reply = match drive_conn(&mut poller, conn, ev) {
+                Drive::Pending => continue,
+                Drive::Complete(line, body) => {
+                    parse_response(&line).and_then(|payload| check(token, &payload, body))
+                }
+                Drive::Failed(e) => Err(e),
+            };
+            let Some(conn) = leg.conn.take() else {
+                continue;
+            };
+            let _ = poller.deregister(conn.stream.as_raw_fd());
+            match reply {
+                Ok(v) => {
+                    if let Some(m) = fanout {
+                        m.fanout
+                            .record_micros(conn.started.elapsed().as_micros() as u64);
+                    }
+                    leg.done = Some(Ok(v));
+                }
+                Err(e) => leg.last_err = format!("{}: {e}", conn.owner),
+            }
+        }
+    }
+    let results: Vec<Result<T, String>> = legs
+        .into_iter()
+        .map(|l| {
+            l.done
+                .unwrap_or_else(|| Err("exchange incomplete".to_string()))
+        })
+        .collect();
+    if let Some(m) = fanout {
+        let failures = results.iter().filter(|r| r.is_err()).count();
+        m.add(&m.fanout_failures, failures as u64);
+    }
+    results
+}
+
 /// What every `FOLD` leg of one fan-out sends, and checks its reply
 /// against.
 struct FoldRequest<'a> {
@@ -1563,6 +1539,57 @@ struct FoldRequest<'a> {
     /// The framed `FOLD` body: the skyline's ids and canonical columns.
     payload: &'a [u8],
     deadline: &'a DeadlineBudget,
+}
+
+/// Ships `ds`'s rows to their owners, one `SHARDPUT` leg per
+/// `(shard, owner, replace)` in `puts`, all in flight at once under
+/// `deadline` — except that every `replace=1` put runs first: it clears
+/// its owner's old generation, so it must land before that owner's
+/// other puts, which it would otherwise wipe. Returns which puts landed;
+/// a failed one is logged.
+fn put_shards(
+    name: &str,
+    ds: &LoadedDataset,
+    puts: &[(usize, String, bool)],
+    deadline: &DeadlineBudget,
+) -> Vec<bool> {
+    let mut bodies = HashMap::new();
+    for &(shard, ..) in puts {
+        bodies.entry(shard).or_insert_with(|| {
+            let rows = ds.data.shard_view(shard);
+            frame::encode(&frame::encode_points(ds.data.dims(), rows.as_flat()))
+        });
+    }
+    let mut landed = vec![false; puts.len()];
+    for replacing in [true, false] {
+        let round: Vec<usize> = (0..puts.len())
+            .filter(|&i| puts[i].2 == replacing)
+            .collect();
+        let legs = round
+            .iter()
+            .map(|&i| (vec![puts[i].1.clone()], Some(bodies[&puts[i].0].as_slice())))
+            .collect();
+        let line = |j: usize, _| {
+            let (shard, _, replace) = puts[round[j]];
+            format!(
+                "SHARDPUT name={name} shard={shard} base={} replace={} bytes={}",
+                ds.data.shard_range(shard).0,
+                replace as u8,
+                bodies[&shard].len()
+            )
+        };
+        let results = exchange(legs, deadline, None, line, |_, _, _| Ok(()));
+        for (&i, result) in round.iter().zip(results) {
+            match result {
+                Ok(()) => landed[i] = true,
+                Err(e) => eprintln!(
+                    "skydiver-cluster: SHARDPUT {name}/{} failed: {e}",
+                    puts[i].0
+                ),
+            }
+        }
+    }
+    landed
 }
 
 /// Builds one leg's `FOLD` request line, forwarding the worker the
@@ -1644,71 +1671,48 @@ fn parse_fold_leg(
     })
 }
 
-/// Resolves `addr` and connects within what is left of `deadline`.
-fn connect_within(addr: &str, deadline: &DeadlineBudget) -> std::io::Result<TcpStream> {
-    let remaining = deadline.remaining().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::TimedOut, "fan-out deadline exhausted")
-    })?;
+/// Connects `addr` within what is left of `deadline` (a blocking
+/// connect), switches the stream nonblocking and registers it with
+/// `poller` under `token`.
+fn connect_leg(
+    addr: &str,
+    deadline: &DeadlineBudget,
+    poller: &mut Poller,
+    token: usize,
+) -> std::io::Result<TcpStream> {
+    let remaining = deadline
+        .remaining()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::TimedOut, "deadline exhausted"))?;
     let sockaddr = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
     let stream = TcpStream::connect_timeout(&sockaddr, remaining)?;
     stream.set_nodelay(true).ok();
+    stream.set_nonblocking(true)?;
+    poller.register(stream.as_raw_fd(), token as u64, Interest::BOTH)?;
     Ok(stream)
-}
-
-/// Responses the multiplexed reader will buffer a status line for; a
-/// worker reply never legitimately approaches this.
-const MAX_RESPONSE_LINE: usize = 1 << 20;
-
-/// One parsed text response: the status line plus the binary body its
-/// `bytes=<n>` token announced, if any.
-type ResponseParts = (String, Option<Vec<u8>>);
-
-/// Scans the buffered bytes for one complete text response (status line
-/// plus the body its `bytes=<n>` token announces). `Ok(None)` means more
-/// bytes are needed.
-fn complete_response(rbuf: &[u8]) -> Result<Option<ResponseParts>, String> {
-    let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
-        if rbuf.len() > MAX_RESPONSE_LINE {
-            return Err(format!(
-                "response line exceeds {MAX_RESPONSE_LINE} bytes without a newline"
-            ));
-        }
-        return Ok(None);
-    };
-    let line = String::from_utf8_lossy(&rbuf[..nl]).trim_end().to_string();
-    let body_len = line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("bytes="))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    if body_len > frame::MAX_FRAME_BYTES {
-        return Err(format!("response frame of {body_len} bytes exceeds the cap"));
-    }
-    let total = nl + 1 + body_len;
-    if rbuf.len() < total {
-        return Ok(None);
-    }
-    let body = (body_len > 0).then(|| rbuf[nl + 1..total].to_vec());
-    Ok(Some((line, body)))
 }
 
 /// Moves bytes for one connection after a readiness event: drains the
 /// request while writable (downgrading to read-only interest once it is
 /// out), then reads until the response completes or the socket would
 /// block.
-fn drive_conn(poller: &mut Poller, conn: &mut LegConn, ev: &Event) -> Drive {
-    if ev.writable && conn.wpos < conn.wbuf.len() {
+fn drive_conn(poller: &mut Poller, conn: &mut LegConn<'_>, ev: &Event) -> Drive {
+    let total = conn.head.len() + conn.body.len();
+    if ev.writable && conn.wpos < total {
         // lint: allow(R2) -- drains a bounded request buffer and exits
-        // on WouldBlock; the outer fan-out loop holds the budget
+        // on WouldBlock; the outer engine loop holds the deadline
         loop {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+            let out = match conn.wpos.checked_sub(conn.head.len()) {
+                None => &conn.head[conn.wpos..],
+                Some(at) => &conn.body[at..],
+            };
+            match conn.stream.write(out) {
                 Ok(0) => return Drive::Failed("transport: connection closed mid-request".into()),
                 Ok(n) => {
                     conn.wpos += n;
-                    if conn.wpos == conn.wbuf.len() {
+                    if conn.wpos == total {
                         let _ = poller.modify(conn.stream.as_raw_fd(), ev.token, Interest::READ);
                         break;
                     }
@@ -1724,27 +1728,23 @@ fn drive_conn(poller: &mut Poller, conn: &mut LegConn, ev: &Event) -> Drive {
         // lint: allow(R2) -- reads until WouldBlock/EOF or a complete
         // response; response size is capped by `complete_response`
         loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return match complete_response(&conn.rbuf) {
-                        Ok(Some((line, body))) => Drive::Complete(line, body),
-                        Ok(None) => {
-                            Drive::Failed("transport: server closed the connection".into())
-                        }
-                        Err(e) => Drive::Failed(e),
-                    };
-                }
+            let closed = match conn.stream.read(&mut chunk) {
+                Ok(0) => true,
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
-                    match complete_response(&conn.rbuf) {
-                        Ok(Some((line, body))) => return Drive::Complete(line, body),
-                        Ok(None) => {}
-                        Err(e) => return Drive::Failed(e),
-                    }
+                    false
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Drive::Failed(format!("transport: {e}")),
+            };
+            match complete_response(&conn.rbuf) {
+                Ok(Some(((line, body), _))) => return Drive::Complete(line, body),
+                Ok(None) if closed => {
+                    return Drive::Failed("transport: server closed the connection".into())
+                }
+                Ok(None) => {}
+                Err(e) => return Drive::Failed(e),
             }
         }
     }
@@ -1752,18 +1752,6 @@ fn drive_conn(poller: &mut Poller, conn: &mut LegConn, ev: &Event) -> Drive {
         return Drive::Failed("transport: connection closed".into());
     }
     Drive::Pending
-}
-
-/// A blocking [`Client`] for the exchanges outside the `FOLD` fan-out
-/// (`SHARDPUT`, `FETCH`, `REPLICATE`, `STATS`), connected within the
-/// shared deadline and with socket read/write timeouts cut to what is
-/// left of it, so K exchanges can never spend K × the deadline.
-fn connect_deadline(addr: &str, deadline: &DeadlineBudget) -> std::io::Result<Client> {
-    let stream = connect_within(addr, deadline)?;
-    let per_io = deadline.remaining().unwrap_or(Duration::from_millis(1));
-    stream.set_read_timeout(Some(per_io))?;
-    stream.set_write_timeout(Some(per_io))?;
-    Client::from_stream(stream)
 }
 
 #[cfg(test)]

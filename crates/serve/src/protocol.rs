@@ -28,7 +28,7 @@
 //!      [timeout_ms=<ms>] bytes=<n>
 //! FETCH name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t> seed=<s>
 //! REPLICATE name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t>
-//!           seed=<s> from=<host:port>
+//!           seed=<s> from=<host:port> timeout_ms=<ms>
 //! ```
 //!
 //! Unknown verbs and unknown or malformed `key=value` pairs are
@@ -47,7 +47,8 @@
 //! `FOLD` asks the owner to fold its shard against the coordinator's
 //! shipped skyline columns and return the fold as a `SKYSIG02` frame;
 //! `FETCH` serves a cached fold artefact (the replication transport);
-//! `REPLICATE` asks a worker to pull one artefact from a peer.
+//! `REPLICATE` asks a worker to pull one artefact from a peer, within
+//! the `timeout_ms` the coordinator has left.
 //!
 //! **`LOAD` semantics**: loading under an already-registered name
 //! *replaces* that dataset — the name now denotes exactly the new
@@ -99,6 +100,8 @@
 //! configured`.
 
 use std::fmt;
+
+use skydiver_cluster::frame;
 
 /// Default signature size `t` when a `QUERY` omits it (the paper's
 /// default).
@@ -404,6 +407,8 @@ pub enum Request {
         seed: u64,
         /// Peer address to pull from.
         from: String,
+        /// Wall-clock budget of the pull, forwarded by the coordinator.
+        timeout_ms: u64,
     },
 }
 
@@ -711,6 +716,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             let mut t = None;
             let mut seed = None;
             let mut from = None;
+            let mut timeout_ms = None;
             for (k, v) in pairs(&rest)? {
                 match k.as_str() {
                     "name" => name = Some(v),
@@ -720,6 +726,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     "t" => t = Some(parse_num("t", &v)?),
                     "seed" => seed = Some(parse_num("seed", &v)?),
                     "from" if verb == "REPLICATE" => from = Some(v),
+                    "timeout_ms" if verb == "REPLICATE" => {
+                        timeout_ms = Some(parse_num("timeout_ms", &v)?)
+                    }
                     other => return Err(bad(format!("unknown {verb} key {other:?}"))),
                 }
             }
@@ -747,6 +756,8 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     t,
                     seed,
                     from: from.ok_or_else(|| bad("REPLICATE requires from=<host:port>"))?,
+                    timeout_ms: timeout_ms
+                        .ok_or_else(|| bad("REPLICATE requires timeout_ms=<ms>"))?,
                 }
             })
         }
@@ -755,6 +766,44 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
              SHUTDOWN|JOIN|LEAVE|SHARDPUT|FOLD|FETCH|REPLICATE)"
         ))),
     }
+}
+
+/// Longest response status line a reader buffers before giving up on
+/// its newline; no server reply legitimately approaches it.
+pub(crate) const MAX_RESPONSE_LINE: usize = 1 << 20;
+
+/// One parsed text response: the status line plus the binary body its
+/// `bytes=<n>` token announced, if any.
+pub(crate) type ResponseParts = (String, Option<Vec<u8>>);
+
+/// Scans buffered bytes for one complete text response (status line
+/// plus the body its `bytes=<n>` token announces) and returns it with
+/// the bytes it spans. `Ok(None)` means more bytes are needed; a line
+/// past [`MAX_RESPONSE_LINE`] or a body past the frame cap is an error.
+pub(crate) fn complete_response(rbuf: &[u8]) -> Result<Option<(ResponseParts, usize)>, String> {
+    let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
+        if rbuf.len() > MAX_RESPONSE_LINE {
+            return Err(format!(
+                "response line exceeds {MAX_RESPONSE_LINE} bytes without a newline"
+            ));
+        }
+        return Ok(None);
+    };
+    let line = String::from_utf8_lossy(&rbuf[..nl]).trim_end().to_string();
+    let body_len = line
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix("bytes="))
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(0);
+    if body_len > frame::MAX_FRAME_BYTES {
+        return Err(format!("response frame of {body_len} bytes exceeds the cap"));
+    }
+    let total = nl + 1 + body_len;
+    if rbuf.len() < total {
+        return Ok(None);
+    }
+    let body = (body_len > 0).then(|| rbuf[nl + 1..total].to_vec());
+    Ok(Some(((line, body), total)))
 }
 
 /// Splits a response line into `Ok(payload)` / `Err(message)`.
@@ -973,10 +1022,27 @@ mod tests {
             parse_request("FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0 from=w").is_err(),
             "from is REPLICATE-only"
         );
-        let r =
-            parse_request("REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0 from=w:1").unwrap();
-        assert!(matches!(r, Request::Replicate { ref from, .. } if from == "w:1"));
-        assert!(parse_request("REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0").is_err());
+        assert!(
+            parse_request("FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0 timeout_ms=5").is_err(),
+            "timeout_ms is REPLICATE-only"
+        );
+        let r = parse_request(
+            "REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0 from=w:1 timeout_ms=250",
+        )
+        .unwrap();
+        assert!(matches!(
+            r,
+            Request::Replicate { ref from, timeout_ms: 250, .. } if from == "w:1"
+        ));
+        assert!(
+            parse_request("REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0 timeout_ms=250")
+                .is_err(),
+            "from required"
+        );
+        assert!(
+            parse_request("REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0 from=w:1").is_err(),
+            "timeout_ms required"
+        );
     }
 
     #[test]

@@ -1095,7 +1095,8 @@ fn respond(
             t,
             seed,
             from,
-        } => match host.replicate(&name, hash, shard, &prefs, t, seed, &from) {
+            timeout_ms,
+        } => match host.replicate(&name, hash, shard, &prefs, t, seed, &from, timeout_ms) {
             Ok(payload) => Reply::line(format!("OK {payload}")),
             Err(e) => err(e),
         },

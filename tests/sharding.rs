@@ -1075,9 +1075,10 @@ mod cluster_process {
         std::fs::remove_file(csv).ok();
     }
 
-    /// A fake worker: answers `SHARDPUT` with `OK`, and a `FOLD` with
-    /// one byte every 20 ms and never a newline, until the peer hangs up.
-    fn drip_worker(stream: TcpStream) {
+    /// A fake worker: answers a request whose verb is `drip` with one
+    /// byte every 20 ms and never a newline, until the peer hangs up, and
+    /// every other request with `OK {}`.
+    fn drip_worker(stream: TcpStream, drip: &str) {
         let mut reader = BufReader::new(stream.try_clone().expect("clone fake worker stream"));
         let mut writer = stream;
         let mut line = String::new();
@@ -1091,45 +1092,60 @@ mod cluster_process {
             if reader.read_exact(&mut body).is_err() {
                 return;
             }
-            if line.starts_with("SHARDPUT") {
-                if writer.write_all(b"OK stored\n").is_err() {
-                    return;
-                }
-            } else {
+            if line.split_whitespace().next() == Some(drip) {
                 while writer.write_all(b"O").is_ok() {
                     std::thread::sleep(Duration::from_millis(20));
                 }
+                return;
+            }
+            if writer.write_all(b"OK {}\n").is_err() {
                 return;
             }
             line.clear();
         }
     }
 
-    /// A worker that never finishes its `FOLD` reply cannot hold a query
-    /// past the fan-out deadline, with or without a dominance budget:
-    /// both answer degraded, naming the shard unavailable. Each query
-    /// runs on a helper thread so a regression fails instead of hanging
-    /// the suite.
+    /// Starts a [`drip_worker`] listener dripping on `drip`; returns its
+    /// address. Detached: the accept loop ends with the test process.
+    fn fake_worker(drip: &'static str) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+        let addr = listener.local_addr().expect("fake worker addr").to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                std::thread::spawn(move || drip_worker(stream, drip));
+            }
+        });
+        addr
+    }
+
+    /// A worker that never finishes its reply cannot hold any exchange
+    /// past the coordinator's one fan-out deadline. A `QUERY` whose
+    /// `FOLD` drips degrades naming the shard unavailable, with or
+    /// without a dominance budget; `JOIN`/`LEAVE` whose handoff
+    /// `SHARDPUT` drips answer; `LOAD`/`APPEND` whose every `SHARDPUT`
+    /// drips fail naming the shard; a `STATS` roll-up lists a dripping
+    /// node `"ok":false`. Each exchange runs on a helper thread so a
+    /// regression fails instead of hanging the suite.
     #[test]
     fn worker_that_never_finishes_its_reply_degrades_within_the_deadline() {
         const FANOUT_TIMEOUT_MS: u64 = 500;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
-        let worker = listener.local_addr().expect("fake worker addr").to_string();
-        // Detached: the accept loop ends with the test process.
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                std::thread::spawn(move || drip_worker(stream));
-            }
-        });
+        let (fold, put, stats) = (
+            fake_worker("FOLD"),
+            fake_worker("SHARDPUT"),
+            fake_worker("STATS"),
+        );
         let csv = tmp("drip.csv");
         io::write_csv(&anticorrelated(2_000, 3, 95), &csv).expect("write csv");
         let path = csv.to_str().unwrap().to_string();
+        let block_csv = tmp("drip-block.csv");
+        io::write_csv(&anticorrelated(200, 3, 96), &block_csv).expect("write block csv");
+        let block = block_csv.to_str().unwrap().to_string();
 
         let coord = Server::bind(&ServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 2,
             cluster: Some(ClusterConfig {
-                workers: vec![worker],
+                workers: vec![fold.clone()],
                 replication: 1,
                 shards: 2,
                 fanout_timeout_ms: FANOUT_TIMEOUT_MS,
@@ -1140,31 +1156,115 @@ mod cluster_process {
         .spawn()
         .expect("spawn coordinator");
         let addr = coord.addr();
-        let mut cc = Client::connect(addr).expect("connect coordinator");
-        cc.load("d", &path).expect("cluster load");
-
-        for (seed, budget) in [(5, None), (6, Some(1u64 << 40))] {
+        let within = |line: String| {
             let (tx, rx) = mpsc::channel();
+            let request = line.clone();
             let asker = std::thread::spawn(move || {
-                let mut s = spec(seed);
-                s.max_dominance_tests = budget;
                 let reply = Client::connect(addr)
                     .map_err(|e| e.to_string())
-                    .and_then(|mut c| c.query(&s));
+                    .and_then(|mut c| c.exchange(&request));
                 let _ = tx.send(reply);
             });
             let reply = rx
                 .recv_timeout(Duration::from_millis(8 * FANOUT_TIMEOUT_MS))
-                .unwrap_or_else(|_| panic!("budget {budget:?}: no answer within 8 deadlines"));
-            asker.join().expect("query thread");
-            let got = answer(&reply.expect("query"));
+                .unwrap_or_else(|_| panic!("{line}: no answer within 8 deadlines"));
+            asker.join().expect("exchange thread");
+            reply
+        };
+        within(format!("LOAD name=d path={path}")).expect("cluster load");
+
+        for (seed, budget) in [(5, None), (6, Some(1u64 << 40))] {
+            let mut s = spec(seed);
+            s.max_dominance_tests = budget;
+            let got = answer(&within(s.to_line()).expect("query"));
             assert!(
                 got.degraded && got.status.contains("unavailable"),
                 "budget {budget:?}: must degrade naming the shard: {got:?}"
             );
         }
 
+        // Every shard the SHARDPUT dripper gains moves at the JOIN or at
+        // the LEAVE, so at least one of them drips.
+        let joined = within(format!("JOIN addr={put}")).expect("join");
+        assert!(joined.contains("workers=2"), "{joined}");
+        let left = within(format!("LEAVE addr={fold}")).expect("leave");
+        assert!(left.contains("workers=1"), "{left}");
+        for line in [
+            format!("LOAD name=d path={path}"),
+            format!("APPEND name=d path={block}"),
+        ] {
+            let err = within(line.clone()).expect_err(&line);
+            assert!(err.contains("reached no owner"), "{line}: {err}");
+        }
+
+        within(format!("JOIN addr={stats}")).expect("join");
+        let rollup = within("STATS".to_string()).expect("stats");
+        assert!(
+            rollup.contains(&format!("{{\"addr\":\"{stats}\",\"ok\":false")),
+            "the dripping node must be listed not ok: {rollup}"
+        );
+        assert!(
+            rollup.contains(&format!("{{\"addr\":\"{put}\",\"ok\":true")),
+            "the answering node must be listed ok: {rollup}"
+        );
+
+        Client::connect(addr)
+            .and_then(|mut c| c.shutdown().map_err(std::io::Error::other))
+            .expect("coordinator shutdown");
+        std::fs::remove_file(csv).ok();
+        std::fs::remove_file(block_csv).ok();
+    }
+
+    /// `JOIN` hands shards to the new worker and has it pull the folds
+    /// the cluster has already computed: `moved` shards are counted as
+    /// handoffs, the new worker holds folds before any `FOLD` reaches
+    /// it, and a fresh seed still answers bit-identically to a single
+    /// process. At R=1 over 32 shards the new third worker wins some
+    /// shard but with probability (2/3)^32.
+    #[test]
+    fn join_hands_shards_and_folds_to_the_new_worker() {
+        let csv = tmp("join.csv");
+        io::write_csv(&anticorrelated(4_000, 3, 97), &csv).expect("write csv");
+        let path = csv.to_str().unwrap().to_string();
+
+        let mono = start_monolithic();
+        let mut mc = Client::connect(mono.addr()).expect("connect monolithic");
+        mc.load("d", &path).expect("monolithic load");
+
+        let workers = spawn_workers(3);
+        let addrs = workers.addrs();
+        let coord = start_coordinator_with(&addrs[..2], 32);
+        let mut cc = Client::connect(coord.addr()).expect("connect coordinator");
+        cc.load("d", &path).expect("cluster load");
+        for seed in [31, 32] {
+            assert_eq!(query(&mut cc, &spec(seed)), query(&mut mc, &spec(seed)));
+        }
+
+        let handoffs = stat(&mut cc, "handoffs");
+        let joined = cc
+            .exchange(&format!("JOIN addr={}", addrs[2]))
+            .expect("join");
+        let moved: u64 = joined
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix("moved="))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no moved= in {joined}"));
+        assert!(moved > 0, "the joined worker must gain a shard: {joined}");
+        assert_eq!(stat(&mut cc, "handoffs"), handoffs + moved);
+        let mut wc = Client::connect(addrs[2].as_str()).expect("connect joined worker");
+        assert!(
+            stat(&mut wc, "bytes_resident") > 0,
+            "REPLICATE must deliver the seen folds to the joined worker"
+        );
+
+        assert_eq!(
+            query(&mut cc, &spec(33)),
+            query(&mut mc, &spec(33)),
+            "answer diverged after JOIN + handoff"
+        );
+
         cc.shutdown().expect("coordinator shutdown");
+        mc.shutdown().expect("monolithic shutdown");
         std::fs::remove_file(csv).ok();
     }
 }
