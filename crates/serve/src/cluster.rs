@@ -1188,8 +1188,8 @@ impl ClusterState {
         if nodes.is_empty() || !routed {
             return registry.fingerprint(name, prefs, prefs_key, t, seed, budget);
         }
-        let fan_out = |ds: &LoadedDataset, job: &FoldJob<'_>, ctx: &ExecContext| {
-            self.fan_out(&nodes, ds, job, ctx)
+        let fan_out = |ds: &LoadedDataset, job: &FoldJob<'_>, first: usize, ctx: &ExecContext| {
+            self.fan_out(&nodes, ds, job, first, ctx)
         };
         let out = registry.assemble(name, prefs, prefs_key, t, seed, budget, Some(&fan_out))?;
         if !out.1 && out.0.is_complete() {
@@ -1198,8 +1198,9 @@ impl ClusterState {
         Ok(out)
     }
 
-    /// The remote leg source: one `FOLD` request for `job`, its legs
-    /// run on `fold_legs` under one deadline (the request's timeout, at
+    /// The remote leg source: one `FOLD` request for `job`, its legs —
+    /// shards `first..`, the ones the assembler still needs — run on
+    /// `fold_legs` under one deadline (the request's timeout, at
     /// most the fan-out's). Unbudgeted, every leg is in flight at once;
     /// a dominance-test budget narrows the schedule to one leg at a time
     /// in shard order, each forwarded `limit − consumed`, so worker i
@@ -1213,6 +1214,7 @@ impl ClusterState {
         nodes: &[String],
         ds: &LoadedDataset,
         job: &FoldJob<'_>,
+        first: usize,
         ctx: &ExecContext,
     ) -> Vec<Result<Leg, String>> {
         let (dims, cols) = (job.points.dims(), job.points.as_flat());
@@ -1235,11 +1237,11 @@ impl ClusterState {
         let step = if max_dominance_tests.is_some() {
             1
         } else {
-            nshards.max(1)
+            nshards.saturating_sub(first).max(1)
         };
-        let mut legs = Vec::with_capacity(nshards);
+        let mut legs = Vec::with_capacity(nshards.saturating_sub(first));
         let mut consumed = 0u64;
-        for lo in (0..nshards).step_by(step) {
+        for lo in (first..nshards).step_by(step) {
             let remaining = max_dominance_tests.map(|limit| limit.saturating_sub(consumed));
             let batch = self.fold_legs(&req, lo..(lo + step).min(nshards), remaining);
             let tripped = batch.iter().flatten().any(|l| l.interrupt.is_some());
@@ -1296,10 +1298,11 @@ impl ClusterState {
         let (epoch, nodes) = self.roster();
         let deadline = DeadlineBudget::from_millis(self.fanout_timeout_ms);
         let mut node_parts = Vec::with_capacity(nodes.len());
-        // The coordinator computes every skyline, so the skyline
-        // counters start from its own tallies; the rest sum the workers.
+        // The coordinator computes every skyline and assembles every
+        // fingerprint, so the skyline and extend counters start from its
+        // own tallies; the rest sum the workers.
         let own = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-        let mut merged: [(&str, u64); 10] = [
+        let mut merged: [(&str, u64); 11] = [
             ("queries", 0),
             ("errors", 0),
             ("dominance_tests", 0),
@@ -1310,6 +1313,7 @@ impl ClusterState {
             ("plan_bytes", 0),
             ("skyline_hits", own(&self.metrics.skyline_hits)),
             ("skyline_extends", own(&self.metrics.skyline_extends)),
+            ("fingerprint_extends", own(&self.metrics.fingerprint_extends)),
         ];
         let legs = nodes
             .iter()

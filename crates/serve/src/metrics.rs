@@ -129,6 +129,10 @@ pub struct Metrics {
     /// `APPEND`, extended over the appended rows only. Misses that are
     /// neither ran a full SFS pass.
     pub skyline_extends: AtomicU64,
+    /// Fingerprint misses served by extending an assembled fingerprint
+    /// inherited across `APPEND` over the same skyline: only the shards
+    /// appended since were merged.
+    pub fingerprint_extends: AtomicU64,
     /// Bytes resident in the fingerprint cache (last observed).
     pub bytes_resident: AtomicU64,
     /// Dominance plans a worker built for its hosted shards (a fully
@@ -206,7 +210,7 @@ impl Metrics {
                 "\"selection_hits\":{},",
                 "\"degraded\":{},\"appends\":{},\"dominance_tests\":{},",
                 "\"shards_reused\":{},\"skyline_hits\":{},\"skyline_extends\":{},",
-                "\"bytes_resident\":{},",
+                "\"fingerprint_extends\":{},\"bytes_resident\":{},",
                 "\"plan_builds\":{},\"plan_hits\":{},\"plan_bytes\":{},",
                 "\"store_hits\":{},\"store_quarantined\":{},",
                 "\"store_write_failures\":{},",
@@ -233,6 +237,7 @@ impl Metrics {
             self.get(&self.shards_reused),
             self.get(&self.skyline_hits),
             self.get(&self.skyline_extends),
+            self.get(&self.fingerprint_extends),
             self.get(&self.bytes_resident),
             self.get(&self.plan_builds),
             self.get(&self.plan_hits),

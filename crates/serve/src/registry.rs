@@ -14,7 +14,10 @@
 //!   budget — from its LRU, else the durable [`SignatureStore`], else
 //!   the rows — merges the folds in shard order and, only if the run
 //!   completed, memoises the assembled artefact. A coordinator feeds
-//!   the same assembler remote legs instead.
+//!   the same assembler remote legs instead;
+//! * an **extend** is a miss whose generation inherited, across
+//!   `APPEND`, an assembled artefact over the same skyline: it starts
+//!   from that artefact and folds only the shards appended since.
 //!
 //! Concurrency: datasets sit behind an `RwLock` (read-mostly); the host
 //! holds its cache lock only for lookups and inserts — never while
@@ -36,12 +39,12 @@ use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
 use crate::cluster::{fold_keys, shard_tag, FoldJob, Leg, ShardHost};
 use crate::metrics::Metrics;
-use crate::store::{content_hash, SignatureStore, SweepReport};
+use crate::store::{content_hash_of_tags, SignatureStore, SweepReport};
 
-/// Assembled fingerprints memoised per dataset *generation*: the memo
-/// dies with its `LoadedDataset`, so `LOAD`/`APPEND` can never serve a
-/// stale whole-dataset artefact. The per-generation skyline memo shares
-/// the cap.
+/// Assembled fingerprints memoised per dataset *generation*: a hit
+/// needs an entry over every shard of its `LoadedDataset`, so
+/// `LOAD`/`APPEND` can never serve a stale whole-dataset artefact. The
+/// per-generation skyline memo shares the cap.
 const MEMO_CAP: usize = 16;
 
 /// Finished selections memoised per dataset generation, keyed by the
@@ -70,6 +73,18 @@ pub struct SelectionMemo {
 /// `(prefs, t, seed, k, method-with-parameters)`.
 pub(crate) type SelectionKey = (String, usize, u64, usize, String);
 
+/// Assembled-fingerprint memo key: `(prefs, t, seed)`.
+type MemoKey = (String, usize, u64);
+
+/// A complete assembled fingerprint and the number of leading shards
+/// it covers: every shard of the generation that assembled it, fewer
+/// once `APPEND` has handed it on.
+#[derive(Debug, Clone)]
+struct Assembled {
+    fp: Arc<Fingerprint>,
+    shards: usize,
+}
+
 /// A dataset installed in the registry.
 #[derive(Debug)]
 pub struct LoadedDataset {
@@ -84,10 +99,13 @@ pub struct LoadedDataset {
     /// Content tag of every shard ([`shard_tag`]), computed once per
     /// shard: `APPEND` hands the old tags on and tags only the new one.
     pub(crate) shard_tags: Vec<u64>,
-    /// Assembled fingerprints for this generation of the data, keyed by
-    /// `(prefs, t, seed)`. Bounded at [`MEMO_CAP`] (cleared when full —
-    /// the per-shard LRU makes re-assembly cheap).
-    memo: Mutex<HashMap<(String, usize, u64), Arc<Fingerprint>>>,
+    /// Complete assembled fingerprints keyed by `(prefs, t, seed)`.
+    /// Like `skylines`, `APPEND` hands the entries to the next
+    /// generation, where they cover fewer shards than the data: a miss
+    /// over the same skyline starts from one and folds only the
+    /// appended shards. `LOAD` starts empty. Bounded at [`MEMO_CAP`]
+    /// (cleared when full — the per-shard LRU makes re-assembly cheap).
+    memo: Mutex<HashMap<MemoKey, Assembled>>,
     /// Finished selections for this generation, keyed by the full query
     /// identity. Dies with the generation like `memo`, so `LOAD` and
     /// `APPEND` can never serve a stale answer.
@@ -101,21 +119,26 @@ pub struct LoadedDataset {
 }
 
 impl LoadedDataset {
-    fn new(
-        name: String,
-        data: ShardedDataset,
-        skylines: HashMap<String, Arc<SkylineState>>,
-        mut shard_tags: Vec<u64>,
-    ) -> Self {
-        let content_hash = content_hash(&data);
+    /// A generation of `data`. After an `APPEND`, `parent` is the
+    /// generation it grew from: its shard tags, skylines and assembled
+    /// fingerprints are handed on, so only the new shard is tagged.
+    fn new(name: String, data: ShardedDataset, parent: Option<&LoadedDataset>) -> Self {
+        let (mut shard_tags, skylines, memo) = match parent {
+            Some(p) => (
+                p.shard_tags.clone(),
+                lock(&p.skylines).clone(),
+                lock(&p.memo).clone(),
+            ),
+            None => Default::default(),
+        };
         let tagged = shard_tags.len();
         shard_tags.extend((tagged..data.num_shards()).map(|i| shard_tag(data.shard(i))));
         LoadedDataset {
             name,
+            content_hash: content_hash_of_tags(&data, &shard_tags),
             data,
-            content_hash,
             shard_tags,
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(memo),
             selections: Mutex::new(HashMap::new()),
             skylines: Mutex::new(skylines),
         }
@@ -132,60 +155,49 @@ impl LoadedDataset {
         }
     }
 
-    pub(crate) fn memo_get(&self, key: &(String, usize, u64)) -> Option<Arc<Fingerprint>> {
-        self.memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
+    fn memo_get(&self, key: &MemoKey) -> Option<Assembled> {
+        lock(&self.memo).get(key).cloned()
     }
 
-    pub(crate) fn memo_put(&self, key: (String, usize, u64), fp: Arc<Fingerprint>) {
-        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
-        if memo.len() >= MEMO_CAP {
+    /// Memoises a complete fingerprint over every shard of this
+    /// generation, replacing an inherited entry of the same key.
+    fn memo_put(&self, key: MemoKey, fp: Arc<Fingerprint>) {
+        let shards = self.data.num_shards();
+        let mut memo = lock(&self.memo);
+        if memo.len() >= MEMO_CAP && !memo.contains_key(&key) {
             memo.clear();
         }
-        memo.insert(key, fp);
+        memo.insert(key, Assembled { fp, shards });
     }
 
     pub(crate) fn selection_get(&self, key: &SelectionKey) -> Option<Arc<SelectionMemo>> {
-        self.selections
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
+        lock(&self.selections).get(key).cloned()
     }
 
     pub(crate) fn selection_put(&self, key: SelectionKey, memo: Arc<SelectionMemo>) {
-        let mut memos = self.selections.lock().unwrap_or_else(|e| e.into_inner());
+        let mut memos = lock(&self.selections);
         if memos.len() >= SELECTION_MEMO_CAP {
             memos.clear();
         }
         memos.insert(key, memo);
     }
 
-    fn skylines(&self) -> HashMap<String, Arc<SkylineState>> {
-        self.skylines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
     fn skyline_get(&self, prefs_key: &str) -> Option<Arc<SkylineState>> {
-        self.skylines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(prefs_key)
-            .cloned()
+        lock(&self.skylines).get(prefs_key).cloned()
     }
 
     fn skyline_put(&self, prefs_key: &str, state: Arc<SkylineState>) {
-        let mut skylines = self.skylines.lock().unwrap_or_else(|e| e.into_inner());
+        let mut skylines = lock(&self.skylines);
         if skylines.len() >= MEMO_CAP && !skylines.contains_key(prefs_key) {
             skylines.clear();
         }
         skylines.insert(prefs_key.to_string(), state);
     }
+}
+
+/// Locks a memo, recovering it from a poisoned lock.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Parses a `min,max,...` preference spec against a dataset
@@ -250,10 +262,11 @@ pub struct Registry {
 }
 
 /// A remote source of an assembled fingerprint's legs: one result per
-/// shard, in shard order, ending at the first trip (see
+/// shard from the given first shard on, in shard order, ending at the
+/// first trip (see
 /// [`ClusterState::fingerprint`](crate::ClusterState::fingerprint)).
 pub(crate) type LegSource<'a> =
-    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, &ExecContext) -> Vec<Result<Leg, String>>;
+    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, usize, &ExecContext) -> Vec<Result<Leg, String>>;
 
 impl Registry {
     /// An empty registry whose fingerprint cache holds at most
@@ -340,8 +353,7 @@ impl Registry {
     pub fn insert_sharded(&self, name: impl Into<String>, data: ShardedDataset) -> (usize, usize) {
         let name = name.into();
         let (points, dims) = (data.len(), data.dims());
-        let entry = LoadedDataset::new(name.clone(), data, HashMap::new(), vec![]);
-        self.publish(entry, 0);
+        self.publish(LoadedDataset::new(name.clone(), data, None), 0);
         (points, dims)
     }
 
@@ -364,7 +376,8 @@ impl Registry {
     /// Appends an in-memory block of points to dataset `name` as one new
     /// shard. Old shards are shared by `Arc` (no copy) and their cached
     /// folds stay valid — row ids are global and existing rows never
-    /// move. Returns `(points, dims, shards, appended)` for the total
+    /// move. Costs O(appended rows + shards): only the new shard is
+    /// tagged. Returns `(points, dims, shards, appended)` for the total
     /// dataset after the append.
     pub fn append_dataset(
         &self,
@@ -391,16 +404,11 @@ impl Registry {
         }
         grown.push_shard(block);
         let (points, dims, shards) = (grown.len(), grown.dims(), grown.num_shards());
-        // A fresh LoadedDataset drops the old generation's assembled-
-        // fingerprint and selection memos; the host keeps the old
-        // shards and their cached folds, and the skylines are handed on
-        // to be extended — that reuse is the point of APPEND.
-        let entry = LoadedDataset::new(
-            name.to_string(),
-            grown,
-            old.skylines(),
-            old.shard_tags.clone(),
-        );
+        // A fresh LoadedDataset drops the old generation's selection
+        // memo; the host keeps the old shards and their cached folds,
+        // and the skylines and assembled fingerprints are handed on to
+        // be extended — that reuse is the point of APPEND.
+        let entry = LoadedDataset::new(name.to_string(), grown, Some(&old));
         self.publish(entry, shards - 1);
         Ok((points, dims, shards, appended))
     }
@@ -502,9 +510,10 @@ impl Registry {
     }
 
     /// The assembled fingerprint for `(name, prefs, t, seed)` — memoised
-    /// if available, otherwise every shard folded through this
-    /// process's host under `budget` (reusing cached shard folds) and
-    /// memoised when complete. Returns the artefact, whether it was a
+    /// if available, otherwise the shards an inherited artefact does not
+    /// cover (every shard, without one) folded through this process's
+    /// host under `budget` (reusing cached shard folds) and memoised
+    /// when complete. Returns the artefact, whether it was a
     /// memo hit, and the dominance tests charged (0 on a hit).
     pub fn fingerprint(
         &self,
@@ -521,10 +530,13 @@ impl Registry {
     /// The one fingerprint assembler: memo check, skyline memo, size
     /// check, skyline-phase poll, then the legs — from `remote`, or
     /// folded here shard by shard under one shared context, stopping
-    /// at the first trip — merged in ascending shard order. The first
-    /// trip or failed shard in shard order degrades the artefact; a
-    /// complete one is memoised. Counts the query once: a cache hit or
-    /// miss, its dominance tests and the shard folds it reused.
+    /// at the first trip — merged in ascending shard order. A memo
+    /// entry inherited across `APPEND` over the same skyline is the
+    /// merge of its shards' folds, so the legs then start after its
+    /// shards (`fingerprint_extends`). The first trip or failed shard in
+    /// shard order degrades the artefact; a complete one is memoised.
+    /// Counts the query once: a cache hit or miss, its dominance tests
+    /// and the shard folds it reused.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         &self,
@@ -540,10 +552,13 @@ impl Registry {
             .dataset(name)
             .ok_or_else(|| format!("unknown dataset {name:?}"))?;
         let memo_key = (prefs_key.to_string(), t, seed);
-        if let Some(fp) = ds.memo_get(&memo_key) {
-            self.metrics.bump(&self.metrics.cache_hits);
-            return Ok((fp, true, 0));
-        }
+        let inherited = match ds.memo_get(&memo_key) {
+            Some(a) if a.shards == ds.data.num_shards() => {
+                self.metrics.bump(&self.metrics.cache_hits);
+                return Ok((a.fp, true, 0));
+            }
+            other => other,
+        };
         self.metrics.bump(&self.metrics.cache_misses);
         if t == 0 {
             return Err(SkyDiverError::ZeroSignatureSize.to_string());
@@ -562,11 +577,26 @@ impl Registry {
         let job = FoldJob::new(keys, prefs, ids, points);
 
         let t0 = Instant::now();
+        // Only equal ids extend: a member leaves the skyline only if one
+        // enters (the union property), and an entering member is a new
+        // column that every old shard must be folded over.
+        let (mut merged, first) = match inherited.filter(|a| a.fp.skyline == ids) {
+            Some(a) => {
+                self.metrics.bump(&self.metrics.fingerprint_extends);
+                let acc = SignatureAccumulator {
+                    matrix: a.fp.output.matrix.clone(),
+                    scores: a.fp.output.scores.clone(),
+                    rows_consumed: ds.data.base(a.shards),
+                };
+                (acc, a.shards)
+            }
+            None => (SignatureAccumulator::new(t, ids.len()), 0),
+        };
         let legs = match remote {
-            Some(source) => source(&ds, &job, &ctx),
+            Some(source) => source(&ds, &job, first, &ctx),
             None => {
-                let mut legs = Vec::with_capacity(ds.shard_tags.len());
-                for (shard, &tag) in ds.shard_tags.iter().enumerate() {
+                let mut legs = Vec::with_capacity(ds.shard_tags.len() - first);
+                for (shard, &tag) in ds.shard_tags.iter().enumerate().skip(first) {
                     let (leg, _) = self.host.fold_request(&job, shard, tag, &ctx)?;
                     let tripped = leg.interrupt.is_some();
                     legs.push(Ok(leg));
@@ -577,10 +607,9 @@ impl Registry {
                 legs
             }
         };
-        let mut merged = SignatureAccumulator::new(t, state.ids().len());
-        let (mut tests, mut reused) = (0u64, 0u64);
+        let (mut tests, mut reused) = (0u64, first as u64);
         let mut interrupt: Option<Interrupt> = None;
-        for (shard, leg) in legs.into_iter().enumerate() {
+        for (shard, leg) in (first..).zip(legs) {
             match leg {
                 Ok(leg) => {
                     merged.merge(&leg.fold.acc);
@@ -797,7 +826,7 @@ mod tests {
         let reg = Registry::new(1 << 24, Arc::clone(&metrics));
         reg.insert_dataset("d", anticorrelated(2000, 3, 20));
         let (prefs, key) = parse_prefs(None, 3).unwrap();
-        let (_, _, cold) = reg
+        let (before, _, cold) = reg
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
         // The appended block changes the skyline, so the old shard's fold
@@ -821,6 +850,12 @@ mod tests {
             .unwrap();
         assert!(!hit, "a fresh generation cannot be memo-served");
         assert!(fp.is_complete());
+        assert_ne!(fp.skyline, before.skyline, "the block changes the skyline");
+        assert_eq!(
+            metrics.fingerprint_extends.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "a changed skyline merges shard by shard"
+        );
         assert!(
             warm < cold,
             "append fold ({warm} tests) must undercut the cold run ({cold})"
@@ -839,32 +874,146 @@ mod tests {
         assert_eq!(fp.skyline, truth.skyline);
     }
 
-    #[test]
-    fn append_of_dominated_points_reuses_the_whole_old_shard() {
+    /// `rows` points at `v` in every dimension: dominated by the
+    /// generator's data, whose coordinates lie well below 10.
+    fn sunk(rows: usize, v: f64) -> Dataset {
+        Dataset::from_rows(3, &vec![[v, v, v]; rows])
+    }
+
+    /// `(shards_reused, fingerprint_extends)` so far.
+    fn reuse_counters(metrics: &Metrics) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (
+            metrics.shards_reused.load(Relaxed),
+            metrics.fingerprint_extends.load(Relaxed),
+        )
+    }
+
+    /// Appends every block to `d` with no query between them, then
+    /// checks the next query: an extension of the fingerprint memoised
+    /// before the blocks, which reuses every old shard, charges only the
+    /// blocks' rows and equals a cold fold of the grown data.
+    fn assert_extends_over(shards: usize, blocks: &[Dataset]) {
         let metrics = Arc::new(Metrics::new());
         let reg = Registry::new(1 << 24, Arc::clone(&metrics));
-        reg.insert_dataset("d", anticorrelated(2000, 3, 22));
+        let mut sd = ShardedDataset::partition(&anticorrelated(3000, 3, 22), shards);
+        reg.insert_sharded("d", sd.clone());
         let (prefs, key) = parse_prefs(None, 3).unwrap();
         reg.fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
-        // Every appended point is dominated by the existing data (the
-        // generator emits coordinates well below 10), so the skyline —
-        // and with it the old shard's fold — is unchanged.
-        let sunk = Dataset::from_rows(3, &vec![[10.0, 10.0, 10.0]; 50]);
-        reg.append_dataset("d", sunk).unwrap();
-        use std::sync::atomic::Ordering::Relaxed;
-        let reused_before = metrics.shards_reused.load(Relaxed);
-        let (fp, hit, warm) = reg
+        for block in blocks {
+            reg.append_dataset("d", block.clone()).unwrap();
+            sd.push_shard(block.clone());
+        }
+        let (reused, extends) = reuse_counters(&metrics);
+        let (fp, hit, tests) = reg
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
-        assert!(!hit);
-        assert!(fp.is_complete());
-        assert!(
-            metrics.shards_reused.load(Relaxed) > reused_before,
-            "the unchanged old shard must be served from the cache"
+        assert!(!hit && fp.is_complete());
+        assert_eq!(
+            reuse_counters(&metrics),
+            (reused + shards as u64, extends + 1),
+            "every old shard comes with the inherited fold"
         );
-        let m = fp.skyline.len() as u64;
-        assert_eq!(warm, 50 * m, "only the appended rows are scanned");
+        let appended: usize = blocks.iter().map(Dataset::len).sum();
+        assert_eq!(tests, (appended * fp.m()) as u64, "only the blocks are scanned");
+        let truth = skydiver_core::SkyDiver::new(2)
+            .signature_size(32)
+            .hash_seed(7)
+            .fingerprint_sharded(&sd, &prefs)
+            .unwrap()
+            .fingerprint;
+        assert_eq!(fp.skyline, truth.skyline);
+        assert_eq!(fp.output.matrix, truth.output.matrix);
+        assert_eq!(fp.output.scores, truth.output.scores);
+        let (again, hit, _) = reg
+            .fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        assert!(hit && Arc::ptr_eq(&fp, &again), "the extension is memoised");
+    }
+
+    #[test]
+    fn a_dominated_append_is_served_by_extension() {
+        assert_extends_over(3, &[sunk(50, 10.0)]);
+    }
+
+    #[test]
+    fn two_appends_without_a_query_extend_over_both_new_shards() {
+        assert_extends_over(2, &[sunk(30, 10.0), sunk(20, 11.0)]);
+    }
+
+    #[test]
+    fn a_skyline_changing_append_does_not_extend() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        let data = anticorrelated(2000, 3, 26);
+        let mut sd = ShardedDataset::partition(&data, 2);
+        reg.insert_sharded("d", sd.clone());
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        let (old, _, _) = reg
+            .fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        // A point just below one skyline member replaces it: the
+        // skyline keeps its size, not its ids.
+        let p = data.point(old.skyline[0]);
+        let swap = Dataset::from_rows(3, &[[p[0] - 1e-6, p[1] - 1e-6, p[2] - 1e-6]]);
+        reg.append_dataset("d", swap.clone()).unwrap();
+        sd.push_shard(swap);
+        let (fp, hit, _) = reg
+            .fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        assert!(!hit && fp.is_complete());
+        assert_eq!(fp.m(), old.m());
+        assert_ne!(fp.skyline, old.skyline);
+        assert_eq!(reuse_counters(&metrics).1, 0, "no extension");
+        let truth = skydiver_core::SkyDiver::new(2)
+            .signature_size(32)
+            .hash_seed(7)
+            .fingerprint_sharded(&sd, &prefs)
+            .unwrap()
+            .fingerprint;
+        assert_eq!(fp.skyline, truth.skyline);
+        assert_eq!(fp.output.matrix, truth.output.matrix);
+        assert_eq!(fp.output.scores, truth.output.scores);
+    }
+
+    #[test]
+    fn load_inherits_no_fingerprint() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        reg.insert_dataset("d", anticorrelated(1000, 3, 24));
+        reg.fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        // The same rows again: an inherited entry would be a hit.
+        reg.insert_dataset("d", anticorrelated(1000, 3, 24));
+        assert!(lock(&reg.dataset("d").unwrap().memo).is_empty());
+        let (_, hit, tests) = reg
+            .fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        assert!(!hit && tests > 0, "a LOAD folds from scratch");
+        assert_eq!(reuse_counters(&metrics), (0, 0));
+    }
+
+    #[test]
+    fn the_inherited_memo_never_exceeds_its_cap() {
+        let reg = Registry::new(1 << 24, Arc::new(Metrics::new()));
+        reg.insert_dataset("d", anticorrelated(300, 3, 25));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        let memo_len = || lock(&reg.dataset("d").unwrap().memo).len();
+        for round in 0..3 {
+            for seed in 0..MEMO_CAP as u64 + 3 {
+                reg.fingerprint("d", &prefs, &key, 8, seed, RunBudget::none())
+                    .unwrap();
+                assert!(memo_len() <= MEMO_CAP, "round {round}, seed {seed}");
+            }
+            reg.append_dataset("d", sunk(5, 10.0)).unwrap();
+            let inherited = memo_len();
+            assert!(
+                (1..=MEMO_CAP).contains(&inherited),
+                "round {round}: {inherited} entries handed on"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use skydiver_core::minhash::persist;
 use skydiver_core::ShardFingerprint;
 use skydiver_data::ShardedDataset;
 
+use crate::cluster::shard_tag;
 use crate::metrics::Metrics;
 
 const QUARANTINE: &str = "quarantine";
@@ -86,20 +87,29 @@ impl StoreKey {
 }
 
 /// FNV-1a 64 content hash of a sharded dataset: dimensionality, shard
-/// boundaries and every coordinate bit. Partition-sensitive by design —
-/// a shard fold describes "rows `base..base+len` of *this* layout".
+/// boundaries and every coordinate bit, the latter through each shard's
+/// content tag (the FNV-1a of its `SHARDPUT` points payload).
+/// Partition-sensitive by design — a shard fold describes "rows
+/// `base..base+len` of *this* layout".
 pub fn content_hash(data: &ShardedDataset) -> u64 {
+    let tags: Vec<u64> = (0..data.num_shards())
+        .map(|i| shard_tag(data.shard(i)))
+        .collect();
+    content_hash_of_tags(data, &tags)
+}
+
+/// [`content_hash`] from the shards' tags, already computed: a fold over
+/// the dimensionality and each shard's row count and tag, so a
+/// generation grown by `APPEND` hashes in O(shards), not O(rows).
+pub(crate) fn content_hash_of_tags(data: &ShardedDataset, tags: &[u64]) -> u64 {
     let mut h = persist::Fnv64::new();
     h.update(&(data.dims() as u64).to_le_bytes());
     h.update(&(data.num_shards() as u64).to_le_bytes());
-    for i in 0..data.num_shards() {
-        // lint: allow(R2) -- one bounded pass over resident data at
-        // LOAD/APPEND time, off the query path; no dominance work
-        let shard = data.shard(i);
-        h.update(&(shard.len() as u64).to_le_bytes());
-        for &v in shard.as_flat() {
-            h.update(&v.to_bits().to_le_bytes());
-        }
+    for (i, tag) in tags.iter().enumerate() {
+        // lint: allow(R2) -- one O(1) step per shard at LOAD/APPEND
+        // time, off the query path; no dominance work
+        h.update(&(data.shard(i).len() as u64).to_le_bytes());
+        h.update(&tag.to_le_bytes());
     }
     h.finish()
 }
@@ -514,6 +524,28 @@ mod tests {
 
     fn key(shard: usize) -> StoreKey {
         StoreKey { dataset_hash: 0xabc, shard, prefs_hash: 0xdef, t: 4, seed: 7 }
+    }
+
+    #[test]
+    fn content_hash_sees_every_bit_boundary_and_dimension() {
+        use skydiver_data::Dataset;
+        // `flat` read as `dims`-d points, split into two shards at `at`.
+        let layout = |flat: &[f64], dims: usize, at: usize| {
+            ShardedDataset::from_shards(vec![
+                Dataset::from_flat(dims, flat[..at].to_vec()),
+                Dataset::from_flat(dims, flat[at..].to_vec()),
+            ])
+        };
+        let flat: Vec<f64> = (0..12).map(|i| i as f64 * 0.25).collect();
+        let data = layout(&flat, 3, 6);
+        let base = content_hash(&data);
+        let tags = [shard_tag(data.shard(0)), shard_tag(data.shard(1))];
+        assert_eq!(content_hash_of_tags(&data, &tags), base);
+        let mut flipped = flat.clone();
+        flipped[7] = f64::from_bits(flipped[7].to_bits() ^ 1);
+        assert_ne!(content_hash(&layout(&flipped, 3, 6)), base, "a coordinate bit");
+        assert_ne!(content_hash(&layout(&flat, 3, 3)), base, "a shard boundary");
+        assert_ne!(content_hash(&layout(&flat, 2, 6)), base, "the dimensionality");
     }
 
     #[test]

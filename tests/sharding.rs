@@ -929,7 +929,10 @@ mod cluster_process {
     /// tripped or not: after an `APPEND` of dominated rows, a query whose
     /// budget trips in the new shard reused the old one on both
     /// topologies (same shard layout: the coordinator partitions a `LOAD`
-    /// into one shard, as a single process does).
+    /// into one shard, as a single process does). The skyline is
+    /// unchanged, so both extend the fingerprint the warm query
+    /// memoised: the old shard comes with it, and only the new one is
+    /// folded.
     #[test]
     fn a_tripped_query_counts_its_reused_shards_on_both_topologies() {
         let base_csv = tmp("reused-base.csv");
@@ -953,6 +956,7 @@ mod cluster_process {
             let warm = query(&mut c, &spec(8));
             c.append("d", &block_path).expect("append");
             let before = stat(&mut c, "shards_reused");
+            let extends = stat(&mut c, "fingerprint_extends");
             let tripped = query(
                 &mut c,
                 &QuerySpec {
@@ -963,6 +967,11 @@ mod cluster_process {
             let reused = stat(&mut c, "shards_reused") - before;
             assert!(tripped.degraded && !warm.degraded, "{tripped:?}");
             assert_eq!(reused, 1, "the old shard's fold was reused before the trip");
+            assert_eq!(
+                stat(&mut c, "fingerprint_extends") - extends,
+                1,
+                "the trip lands on the extend path"
+            );
             answers.push(tripped);
             c.shutdown().expect("shutdown");
         }
@@ -1444,6 +1453,12 @@ mod append_chains {
             [mono, cluster]
         }
 
+        /// `fingerprint_extends` of each topology's query path.
+        fn fingerprint_extends(&self) -> [u64; 2] {
+            [self.mono.metrics(), self.coord.metrics()]
+                .map(|m| m.fingerprint_extends.load(Ordering::Relaxed))
+        }
+
         /// `(cache_misses, skyline_hits, skyline_extends)` of each
         /// topology's query path.
         fn skyline_counters(&self) -> [(u64, u64, u64); 2] {
@@ -1586,13 +1601,17 @@ mod append_chains {
     /// topologies to a fold that recomputes the skyline of the grown
     /// data — unbudgeted, under a dominance-test prefix, and under a
     /// zero deadline — and the skyline counters show one full SFS pass
-    /// per chain.
+    /// per chain. Both topologies extend the same inherited assembled
+    /// fingerprints: after the dominated blocks, whose skyline is
+    /// unchanged.
     #[test]
     fn append_chains_fold_bit_identically_to_a_fresh_skyline() {
         let topo = Topologies::start("prop");
         let mut fresh_seed = 1_000u64;
         let (mut tripped, mut extensions) = (0u32, 0u64);
         let mut prev_counters = topo.skyline_counters();
+        let mut prev_fp_extends = topo.fingerprint_extends();
+        let mut fp_extensions = 0u64;
         for case in 0..CHAINS {
             let mut rng = Rng::new(0x5c41 ^ case);
             let prefs = if case % 3 == 2 {
@@ -1744,6 +1763,14 @@ mod append_chains {
             }
             prev_counters = now;
             extensions += extended;
+            let now = topo.fingerprint_extends();
+            let grown = [0, 1].map(|t| now[t] - prev_fp_extends[t]);
+            assert_eq!(
+                grown[0], grown[1],
+                "case {case}: fingerprint extensions differ between topologies"
+            );
+            fp_extensions += grown[0];
+            prev_fp_extends = now;
         }
         assert!(
             tripped >= 8,
@@ -1752,6 +1779,10 @@ mod append_chains {
         assert!(
             extensions >= CHAINS,
             "extension property is vacuous: {extensions} extensions"
+        );
+        assert!(
+            fp_extensions > 0,
+            "no chain extended an inherited fingerprint"
         );
     }
 
