@@ -58,16 +58,18 @@ use skydiver_core::minhash::persist::{
     decode_shard_signatures, encode_shard_signatures, fnv1a64, Fnv64,
 };
 use skydiver_core::{
-    canonicalise, fold_shard_planned, CancelToken, DominancePlan, ExecContext, ExecPhase,
-    Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, StopReason,
+    canonicalise, fold_shard_planned, scan_columns_budgeted, CancelToken, DominancePlan,
+    ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
+    ShardFold, SignatureAccumulator, StopReason,
 };
+use skydiver_data::dominance::MinDominance;
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
 use crate::metrics::Metrics;
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{complete_response, json_escape, json_u64, parse_response};
-use crate::registry::{parse_prefs, read_points, request_budget, LoadedDataset, Registry};
+use crate::registry::{parse_prefs, read_points, request_budget, LegPlan, LoadedDataset, Registry};
 use crate::store::{prefs_hash, SignatureStore, StoreKey};
 
 /// Cluster role configuration carried by
@@ -381,6 +383,12 @@ impl<'a> FoldJob<'a> {
         (key, store_key)
     }
 
+    /// The skyline ids of the columns from global row `from` on: the
+    /// members a column delta folds.
+    pub(crate) fn ids_from(&self, from: usize) -> &'a [usize] {
+        &self.ids[self.ids.partition_point(|&id| id < from)..]
+    }
+
     /// The plan key's FNV-1a of the encoded request; hashed only for a
     /// fully cold shard.
     fn request_hash(&self) -> u64 {
@@ -642,6 +650,42 @@ impl ShardHost {
         out
     }
 
+    /// Runs `f` on `shard` of `job`'s dataset under the `hosted` read
+    /// lock, once the shard is found hosted at tag `shard_hash` with the
+    /// request's dimensionality.
+    fn with_hosted<R>(
+        &self,
+        job: &FoldJob<'_>,
+        shard: usize,
+        shard_hash: u64,
+        f: impl FnOnce(&OwnedShard) -> R,
+    ) -> Result<R, String> {
+        let name = &job.keys.0.dataset;
+        let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
+        let ds = hosted
+            .get(name)
+            .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
+        let owned = ds
+            .shards
+            .get(&shard)
+            .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
+        if owned.shard_hash != shard_hash {
+            return Err(format!(
+                "shard {shard} of {name:?} is a stale generation \
+                 (have {:#018x}, request expects {shard_hash:#018x})",
+                owned.shard_hash
+            ));
+        }
+        if ds.dims != job.points.dims() {
+            return Err(format!(
+                "fold request has {} dims, hosted shard has {}",
+                job.points.dims(),
+                ds.dims
+            ));
+        }
+        Ok(f(owned))
+    }
+
     /// The one shard fold of this process: `shard`, hosted at tag
     /// `shard_hash`, from the LRU, else the store, else its rows (fully
     /// cold ones through a memoised dominance plan), under the caller's
@@ -655,37 +699,14 @@ impl ShardHost {
         ctx: &ExecContext,
     ) -> Result<(Leg, usize), String> {
         let (keys, t) = (job.keys(shard), job.family.len());
-        let name = &keys.0.dataset;
-        let (base, data, mut cached) = {
-            let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
-            let ds = hosted
-                .get(name)
-                .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
-            let owned = ds
-                .shards
-                .get(&shard)
-                .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
-            if owned.shard_hash != shard_hash {
-                return Err(format!(
-                    "shard {shard} of {name:?} is a stale generation \
-                     (have {:#018x}, request expects {shard_hash:#018x})",
-                    owned.shard_hash
-                ));
-            }
-            if ds.dims != job.points.dims() {
-                return Err(format!(
-                    "fold request has {} dims, hosted shard has {}",
-                    job.points.dims(),
-                    ds.dims
-                ));
-            }
+        let (base, data, mut cached) = self.with_hosted(job, shard, shard_hash, |owned| {
             let cached = self
                 .cache
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .get(&keys.0);
             (owned.base, Arc::clone(&owned.data), cached)
-        };
+        })?;
         let generation = (shard_hash, base);
         if cached.is_none() {
             if let Some(store) = &self.store {
@@ -711,17 +732,7 @@ impl ShardHost {
 
         let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
         let sview = DatasetView::with_base(canon.as_ref(), base);
-        // The ids are ascending: only the run inside the shard marks it.
-        let inside = job.ids.partition_point(|&id| id < base)
-            ..job
-                .ids
-                .partition_point(|&id| id < base.saturating_add(data.len()));
-        let mut skip = vec![false; data.len()];
-        for &id in job.ids.get(inside).unwrap_or_default() {
-            if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
-                *s = true;
-            }
-        }
+        let skip = skyline_mask(job.ids, base, data.len());
         let plan = match cached {
             Some(_) => None,
             None => self.cold_plan(job, shard, shard_hash, sview, &skip, ctx),
@@ -770,11 +781,58 @@ impl ShardHost {
         ))
     }
 
+    /// A column delta of `shard`, hosted at tag `shard_hash`: its rows
+    /// folded over only the columns of skyline members at global row
+    /// `from` or later ([`FoldJob::ids_from`]), with the whole skyline's
+    /// skip mask, by the packed scan under the caller's `ctx`. It never
+    /// reads or writes the LRU, the store or the plan memo: the slice is
+    /// not the shard's fold. A trip returns an empty accumulator and 0
+    /// rows scanned, as a trip inside a plan does. Returns the leg and
+    /// the rows scanned, and bumps no query counter.
+    pub(crate) fn fold_columns(
+        &self,
+        job: &FoldJob<'_>,
+        shard: usize,
+        shard_hash: u64,
+        from: usize,
+        ctx: &ExecContext,
+    ) -> Result<(Leg, usize), String> {
+        let (base, data) =
+            self.with_hosted(job, shard, shard_hash, |o| (o.base, Arc::clone(&o.data)))?;
+        let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
+        let sview = DatasetView::with_base(canon.as_ref(), base);
+        let skip = skyline_mask(job.ids, base, data.len());
+        let columns = job.ids_from(from);
+        let cols = &job.cols[job.ids.len() - columns.len()..];
+        let fresh = || SignatureAccumulator::new(job.family.len(), columns.len());
+        let mut acc = fresh();
+        let before = ctx.dominance_tests();
+        let ord = MinDominance;
+        let interrupt =
+            scan_columns_budgeted(sview, &ord, cols, &skip, &job.family, 1, ctx, &mut acc);
+        if interrupt.is_some() {
+            acc = fresh();
+        }
+        let scanned = acc.rows_consumed;
+        let fold = Arc::new(ShardFingerprint {
+            columns: columns.to_vec(),
+            acc,
+        });
+        let leg = Leg {
+            fold,
+            reused: false,
+            tests: ctx.dominance_tests() - before,
+            interrupt,
+        };
+        Ok((leg, scanned))
+    }
+
     /// `FOLD`: decode the coordinator's request (its skyline ids and
     /// canonical columns), fold the hosted shard through the host's
-    /// in-process fold under the request's own budget, and count the
-    /// fold for this node. Returns the response header tail
-    /// and the `SKYSIG02` frame.
+    /// in-process fold — or, with `columns_from`, its column delta
+    /// (`fold_columns`) — under the request's own budget,
+    /// and count the fold for this node. Returns the response header
+    /// tail and the `SKYSIG02` frame.
     #[allow(clippy::too_many_arguments)]
     pub fn fold(
         &self,
@@ -787,6 +845,7 @@ impl ShardHost {
         seed: u64,
         max_dominance_tests: Option<u64>,
         timeout_ms: Option<u64>,
+        columns_from: Option<usize>,
         body: &[u8],
         cancel: &CancelToken,
     ) -> Result<(String, Vec<u8>), String> {
@@ -799,7 +858,10 @@ impl ShardHost {
         let keys = fold_keys(name, dataset_hash, shard, &prefs_key, t, seed);
         let job = FoldJob::new(keys, &prefs, &ids, &points);
         let ctx = ExecContext::new(request_budget(cancel, timeout_ms, max_dominance_tests));
-        let (leg, scanned) = self.fold_request(&job, shard, want_shard_hash, &ctx)?;
+        let (leg, scanned) = match columns_from {
+            Some(from) => self.fold_columns(&job, shard, want_shard_hash, from, &ctx)?,
+            None => self.fold_request(&job, shard, want_shard_hash, &ctx)?,
+        };
         self.metrics.add(&self.metrics.dominance_tests, leg.tests);
         if leg.reused {
             self.metrics.bump(&self.metrics.shards_reused);
@@ -944,6 +1006,21 @@ fn pull_artefact(
     exchange(vec![leg], deadline, None, |_, _| line.clone(), check)
         .pop()?
         .ok()
+}
+
+/// The skip mask of a shard of `len` rows from global row `base`:
+/// `true` at the rows of the skyline members `ids` (ascending).
+fn skyline_mask(ids: &[usize], base: usize, len: usize) -> Vec<bool> {
+    // The ids are ascending: only the run inside the shard marks it.
+    let inside = ids.partition_point(|&id| id < base)
+        ..ids.partition_point(|&id| id < base.saturating_add(len));
+    let mut skip = vec![false; len];
+    for &id in ids.get(inside).unwrap_or_default() {
+        if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
+            *s = true;
+        }
+    }
+    skip
 }
 
 /// Extracts `key=<u64>` from a space-separated `key=value` response
@@ -1188,8 +1265,8 @@ impl ClusterState {
         if nodes.is_empty() || !routed {
             return registry.fingerprint(name, prefs, prefs_key, t, seed, budget);
         }
-        let fan_out = |ds: &LoadedDataset, job: &FoldJob<'_>, first: usize, ctx: &ExecContext| {
-            self.fan_out(&nodes, ds, job, first, ctx)
+        let fan_out = |ds: &LoadedDataset, job: &FoldJob<'_>, legs: LegPlan, ctx: &ExecContext| {
+            self.fan_out(&nodes, ds, job, legs, ctx)
         };
         let out = registry.assemble(name, prefs, prefs_key, t, seed, budget, Some(&fan_out))?;
         if !out.1 && out.0.is_complete() {
@@ -1199,7 +1276,7 @@ impl ClusterState {
     }
 
     /// The remote leg source: one `FOLD` request for `job`, its legs —
-    /// shards `first..`, the ones the assembler still needs — run on
+    /// the ones `legs` plans, column deltas first — run on
     /// `fold_legs` under one deadline (the request's timeout, at
     /// most the fan-out's). Unbudgeted, every leg is in flight at once;
     /// a dominance-test budget narrows the schedule to one leg at a time
@@ -1214,7 +1291,7 @@ impl ClusterState {
         nodes: &[String],
         ds: &LoadedDataset,
         job: &FoldJob<'_>,
-        first: usize,
+        legs: LegPlan,
         ctx: &ExecContext,
     ) -> Vec<Result<Leg, String>> {
         let (dims, cols) = (job.points.dims(), job.points.as_flat());
@@ -1229,30 +1306,31 @@ impl ClusterState {
             nodes,
             ds,
             job,
+            legs,
             payload: &payload,
             deadline: &deadline,
         };
         let max_dominance_tests = ctx.budget().max_dominance_tests();
-        let nshards = ds.data.num_shards();
+        let (start, nshards) = (legs.start(), ds.data.num_shards());
         let step = if max_dominance_tests.is_some() {
             1
         } else {
-            nshards.saturating_sub(first).max(1)
+            nshards.saturating_sub(start).max(1)
         };
-        let mut legs = Vec::with_capacity(nshards.saturating_sub(first));
+        let mut out = Vec::with_capacity(nshards.saturating_sub(start));
         let mut consumed = 0u64;
-        for lo in (first..nshards).step_by(step) {
+        for lo in (start..nshards).step_by(step) {
             let remaining = max_dominance_tests.map(|limit| limit.saturating_sub(consumed));
             let batch = self.fold_legs(&req, lo..(lo + step).min(nshards), remaining);
             let tripped = batch.iter().flatten().any(|l| l.interrupt.is_some());
             consumed += batch.iter().flatten().map(|l| l.tests).sum::<u64>();
-            legs.extend(batch);
+            out.extend(batch);
             if tripped {
                 break;
             }
         }
         let mut prefix = 0u64;
-        for leg in legs.iter_mut().flatten() {
+        for leg in out.iter_mut().flatten() {
             match leg.interrupt.as_mut().map(|i| &mut i.reason) {
                 Some(StopReason::DeadlineExceeded { elapsed }) => *elapsed = ctx.elapsed(),
                 Some(StopReason::DominanceBudgetExhausted { used, limit }) => {
@@ -1263,7 +1341,7 @@ impl ClusterState {
             }
             prefix += leg.tests;
         }
-        legs
+        out
     }
 
     /// The `FOLD` legs of `shards` on the exchange engine, all in
@@ -1302,7 +1380,7 @@ impl ClusterState {
         // fingerprint, so the skyline and extend counters start from its
         // own tallies; the rest sum the workers.
         let own = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-        let mut merged: [(&str, u64); 11] = [
+        let mut merged: [(&str, u64); 12] = [
             ("queries", 0),
             ("errors", 0),
             ("dominance_tests", 0),
@@ -1314,6 +1392,7 @@ impl ClusterState {
             ("skyline_hits", own(&self.metrics.skyline_hits)),
             ("skyline_extends", own(&self.metrics.skyline_extends)),
             ("fingerprint_extends", own(&self.metrics.fingerprint_extends)),
+            ("fingerprint_deltas", own(&self.metrics.fingerprint_deltas)),
         ];
         let legs = nodes
             .iter()
@@ -1540,6 +1619,8 @@ struct FoldRequest<'a> {
     /// The generation folded: its content hash and shard tags.
     ds: &'a LoadedDataset,
     job: &'a FoldJob<'a>,
+    /// Which shards are folded over a column delta.
+    legs: LegPlan,
     /// The framed `FOLD` body: the skyline's ids and canonical columns.
     payload: &'a [u8],
     deadline: &'a DeadlineBudget,
@@ -1613,13 +1694,17 @@ fn fold_request_line(
     if let Some(n) = max_dominance_tests {
         line.push_str(&format!(" max_dominance_tests={n}"));
     }
+    if let Some(from) = req.legs.columns_from(shard) {
+        line.push_str(&format!(" columns_from={from}"));
+    }
     line.push_str(&format!(" bytes={}", req.payload.len()));
     line
 }
 
 /// Validates one `FOLD` reply (header payload plus `SKYSIG02` frame)
 /// into a completed leg: frame checksum, key tags, signature size and
-/// skyline coverage must all match the request, and the header must
+/// skyline coverage must all match the request — on a column-delta leg
+/// exactly the columns from its `columns_from` row on — and the header must
 /// carry `reused=`, `tests=` and, on a dominance trip, `trip_used=`.
 /// Any miss is a leg error, retried on the next replica — a missing
 /// test count must never over-grant the budget forwarded to later legs.
@@ -1635,8 +1720,12 @@ fn parse_fold_leg(
     if tags != req.job.keys(shard).1.tags() {
         return Err("fold artefact key tags do not match the request".to_string());
     }
-    if fp.t() != req.job.family.len() || fp.columns != req.job.ids {
-        return Err("fold artefact does not cover the current skyline".to_string());
+    let columns = match req.legs.columns_from(shard) {
+        Some(from) => req.job.ids_from(from),
+        None => req.job.ids,
+    };
+    if fp.t() != req.job.family.len() || fp.columns != columns {
+        return Err("fold artefact does not cover the requested skyline columns".to_string());
     }
     let field = |key: &str| {
         header_u64(header, key).ok_or_else(|| format!("fold reply lacks a valid {key}="))
@@ -1786,7 +1875,7 @@ mod tests {
         let cancel = CancelToken::new();
         let (header, frame_bytes) = h
             .fold(
-                "d", 7, 1, shard_hash, "min,min", 16, 3, None, None, &body, &cancel,
+                "d", 7, 1, shard_hash, "min,min", 16, 3, None, None, None, &body, &cancel,
             )
             .unwrap();
         assert!(header.contains("tripped=none"), "{header}");
@@ -1817,7 +1906,9 @@ mod tests {
         // an error, not an allocation — over no columns as well.
         let empty = frame::encode(&frame::encode_fold_request(2, &[], &[]));
         let fold = |t, body: &[u8]| {
-            h.fold("d", 7, 1, shard_hash, "min,min", t, 3, None, None, body, &cancel)
+            h.fold(
+                "d", 7, 1, shard_hash, "min,min", t, 3, None, None, None, body, &cancel,
+            )
         };
         assert!(fold(1 << 15, &body).is_ok());
         assert!(fold((1 << 15) + 1, &body).unwrap_err().contains("frame limit"));
@@ -1857,6 +1948,7 @@ mod tests {
                 "min,min,min",
                 t,
                 seed,
+                None,
                 None,
                 None,
                 &body,
@@ -2000,7 +2092,7 @@ mod tests {
         let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
         let cancel = CancelToken::new();
         h.fold(
-            "d", 1, 0, tags[0], "min,min", 8, 0, None, None, &body, &cancel,
+            "d", 1, 0, tags[0], "min,min", 8, 0, None, None, None, &body, &cancel,
         )
         .unwrap();
         assert_eq!(h.cache_usage().0, 1);
@@ -2036,7 +2128,9 @@ mod tests {
         let tag = fnv1a64(&frame::encode_points(2, &rows));
         let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
         let cancel = CancelToken::new();
-        let fold = h.fold("d", 1, 1, tag, "min,min", 8, 0, None, None, &body, &cancel);
+        let fold = h.fold(
+            "d", 1, 1, tag, "min,min", 8, 0, None, None, None, &body, &cancel,
+        );
         assert!(fold.unwrap().0.contains("tripped=none"));
         assert!(h
             .fetch("d", 1, 1, "min,min", 8, 0)
@@ -2063,6 +2157,7 @@ mod tests {
                 "min,min",
                 8,
                 0,
+                None,
                 None,
                 None,
                 &body,
@@ -2112,7 +2207,7 @@ mod tests {
         let (header, frame_bytes) = reg
             .host()
             .fold(
-                "d", hash, 0, tag, "min,min", 8, 3, None, None, &body, &cancel,
+                "d", hash, 0, tag, "min,min", 8, 3, None, None, None, &body, &cancel,
             )
             .unwrap();
         let prefs = Preference::all_min(2);
@@ -2129,6 +2224,7 @@ mod tests {
             nodes,
             ds: &ds,
             job: &job,
+            legs: LegPlan::default(),
             payload,
             deadline: &deadline,
         };
@@ -2153,5 +2249,121 @@ mod tests {
             let err = parse(bad).err().expect(bad);
             assert!(err.contains("fold reply"), "{bad}: {err}");
         }
+    }
+
+    /// A worker that answers every connection with one canned reply
+    /// line and frame, once it has read the request line and its body.
+    fn canned_worker(line: String, frame: Vec<u8>) -> String {
+        use std::io::BufRead;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let mut reader = std::io::BufReader::new(stream);
+                let mut request = String::new();
+                reader.read_line(&mut request).unwrap();
+                let mut body = vec![0; header_u64(&request, "bytes").unwrap() as usize];
+                reader.read_exact(&mut body).unwrap();
+                let mut out = reader.into_inner();
+                out.write_all(format!("{line}\n").as_bytes()).unwrap();
+                out.write_all(&frame).unwrap();
+            }
+        });
+        addr
+    }
+
+    /// A column-delta leg must come back with exactly the requested
+    /// suffix of the skyline's columns: a worker that replies with the
+    /// full fold instead gives a leg error, retried on the next replica,
+    /// and only the replica's delta is returned for merging.
+    #[test]
+    fn a_delta_reply_over_other_columns_is_retried_never_merged() {
+        let reg = Registry::new(1 << 22, Arc::new(Metrics::new()));
+        let mut sd = ShardedDataset::new(2);
+        sd.push_shard(Dataset::from_flat(2, vec![0.5, 9.0, 4.0, 4.0, 5.0, 5.0]));
+        sd.push_shard(Dataset::from_flat(2, vec![1.0, 2.0, 2.0, 1.0]));
+        reg.insert_sharded("d", sd);
+        let ds = reg.dataset("d").unwrap();
+        let ids = vec![0usize, 3, 4];
+        let cols = [0.5, 9.0, 1.0, 2.0, 2.0, 1.0];
+        let body = frame::encode(&frame::encode_fold_request(2, &ids, &cols));
+        let (hash, tag, cancel) = (ds.content_hash, ds.shard_tags[0], CancelToken::new());
+        let reply = |columns_from| {
+            let (header, frame) = reg
+                .host()
+                .fold(
+                    "d",
+                    hash,
+                    0,
+                    tag,
+                    "min,min",
+                    8,
+                    3,
+                    None,
+                    None,
+                    columns_from,
+                    &body,
+                    &cancel,
+                )
+                .unwrap();
+            (format!("OK {header}"), frame)
+        };
+        let (full, delta) = (reply(None), reply(Some(3)));
+
+        let prefs = Preference::all_min(2);
+        let points = Dataset::from_flat(2, cols.to_vec());
+        let job = FoldJob::new(
+            fold_keys("d", hash, 0, "min,min", 8, 3),
+            &prefs,
+            &ids,
+            &points,
+        );
+        let deadline = DeadlineBudget::from_millis(5_000);
+        let legs = LegPlan {
+            first: 1,
+            columns_from: Some(3),
+        };
+        let req = FoldRequest {
+            nodes: &[],
+            ds: &ds,
+            job: &job,
+            legs,
+            payload: &body,
+            deadline: &deadline,
+        };
+        let payload = |(line, _): &(String, Vec<u8>)| parse_response(line).unwrap();
+        let err = parse_fold_leg(&payload(&full), Some(full.1.clone()), &req, 0)
+            .err()
+            .expect("a full fold is not the delta");
+        assert!(err.contains("requested skyline columns"), "{err}");
+        assert!(parse_fold_leg(&payload(&delta), Some(delta.1.clone()), &req, 1).is_err());
+        let leg = parse_fold_leg(&payload(&delta), Some(delta.1.clone()), &req, 0).unwrap();
+        assert_eq!(leg.fold.columns, [3, 4]);
+
+        let metrics = Metrics::new();
+        let owners = vec![
+            canned_worker(full.0, full.1),
+            canned_worker(delta.0, delta.1),
+        ];
+        let line = |_, ms| fold_request_line(&req, 0, None, ms);
+        assert!(line(0, 9).contains(" columns_from=3 "), "{}", line(0, 9));
+        let check = |_, header: &str, frame| parse_fold_leg(header, frame, &req, 0);
+        let mut got = exchange(
+            vec![(owners, Some(&body[..]))],
+            &deadline,
+            Some(&metrics),
+            line,
+            check,
+        );
+        let leg = got.pop().unwrap().unwrap();
+        assert_eq!(leg.fold.columns, [3, 4], "the replica's delta");
+        assert_eq!(leg.fold.acc.m(), 2);
+        use std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(
+            metrics.fanout_retries.load(Relaxed),
+            1,
+            "the full fold was retried"
+        );
+        assert_eq!(metrics.fanout_failures.load(Relaxed), 0);
     }
 }

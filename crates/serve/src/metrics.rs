@@ -133,6 +133,12 @@ pub struct Metrics {
     /// inherited across `APPEND` over the same skyline: only the shards
     /// appended since were merged.
     pub fingerprint_extends: AtomicU64,
+    /// Fingerprint misses served by a column delta on an assembled
+    /// fingerprint inherited across an `APPEND` that changed the
+    /// skyline: the surviving columns were copied, only the entering
+    /// columns were folded over the old rows, and only the appended
+    /// shards were folded in full.
+    pub fingerprint_deltas: AtomicU64,
     /// Bytes resident in the fingerprint cache (last observed).
     pub bytes_resident: AtomicU64,
     /// Dominance plans a worker built for its hosted shards (a fully
@@ -210,7 +216,8 @@ impl Metrics {
                 "\"selection_hits\":{},",
                 "\"degraded\":{},\"appends\":{},\"dominance_tests\":{},",
                 "\"shards_reused\":{},\"skyline_hits\":{},\"skyline_extends\":{},",
-                "\"fingerprint_extends\":{},\"bytes_resident\":{},",
+                "\"fingerprint_extends\":{},\"fingerprint_deltas\":{},",
+                "\"bytes_resident\":{},",
                 "\"plan_builds\":{},\"plan_hits\":{},\"plan_bytes\":{},",
                 "\"store_hits\":{},\"store_quarantined\":{},",
                 "\"store_write_failures\":{},",
@@ -238,6 +245,7 @@ impl Metrics {
             self.get(&self.skyline_hits),
             self.get(&self.skyline_extends),
             self.get(&self.fingerprint_extends),
+            self.get(&self.fingerprint_deltas),
             self.get(&self.bytes_resident),
             self.get(&self.plan_builds),
             self.get(&self.plan_hits),

@@ -25,7 +25,7 @@
 //! SHARDPUT name=<id> shard=<i> base=<row> replace=<0|1> bytes=<n>
 //! FOLD dataset=<id> hash=<u64> shard=<i> shard_hash=<u64>
 //!      prefs=min,max,... t=<t> seed=<s> [max_dominance_tests=<n>]
-//!      [timeout_ms=<ms>] bytes=<n>
+//!      [timeout_ms=<ms>] [columns_from=<row>] bytes=<n>
 //! FETCH name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t> seed=<s>
 //! REPLICATE name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t>
 //!           seed=<s> from=<host:port> timeout_ms=<ms>
@@ -45,7 +45,9 @@
 //! ships one shard's rows to an owner (`replace=1` drops the worker's
 //! previous shards of that dataset first — a new `LOAD` generation);
 //! `FOLD` asks the owner to fold its shard against the coordinator's
-//! shipped skyline columns and return the fold as a `SKYSIG02` frame;
+//! shipped skyline columns and return the fold as a `SKYSIG02` frame
+//! (with `columns_from=<row>`, only the columns of skyline members at
+//! global row `row` or later — a column delta, never cached);
 //! `FETCH` serves a cached fold artefact (the replication transport);
 //! `REPLICATE` asks a worker to pull one artefact from a peer, within
 //! the `timeout_ms` the coordinator has left.
@@ -373,6 +375,9 @@ pub enum Request {
         max_dominance_tests: Option<u64>,
         /// Remaining wall-clock budget forwarded by the coordinator.
         timeout_ms: Option<u64>,
+        /// Fold only the columns of skyline members with a global id
+        /// of at least this row (a column delta).
+        columns_from: Option<usize>,
         /// Raw body length following the line.
         bytes: usize,
     },
@@ -676,6 +681,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             let mut seed = None;
             let mut max_dominance_tests = None;
             let mut timeout_ms = None;
+            let mut columns_from = None;
             let mut bytes = None;
             for (k, v) in pairs(&rest)? {
                 match k.as_str() {
@@ -690,6 +696,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                         max_dominance_tests = Some(parse_num("max_dominance_tests", &v)?)
                     }
                     "timeout_ms" => timeout_ms = Some(parse_num("timeout_ms", &v)?),
+                    "columns_from" => columns_from = Some(parse_num("columns_from", &v)?),
                     "bytes" => bytes = Some(parse_num("bytes", &v)?),
                     other => return Err(bad(format!("unknown FOLD key {other:?}"))),
                 }
@@ -704,6 +711,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 seed: seed.ok_or_else(|| bad("FOLD requires seed=<s>"))?,
                 max_dominance_tests,
                 timeout_ms,
+                columns_from,
                 bytes: bytes.ok_or_else(|| bad("FOLD requires bytes=<n>"))?,
             })
         }
@@ -1003,6 +1011,7 @@ mod tests {
             hash,
             shard_hash,
             max_dominance_tests,
+            columns_from,
             bytes,
             ..
         } = &r
@@ -1011,9 +1020,37 @@ mod tests {
         };
         assert_eq!((dataset.as_str(), *hash, *shard_hash), ("d", 7, 9));
         assert_eq!(*max_dominance_tests, Some(100));
+        assert_eq!(*columns_from, None, "a full fold by default");
         assert_eq!(*bytes, 16);
         assert_eq!(r.body_bytes(), Some(16));
         assert!(parse_request("FOLD dataset=d hash=7 shard=1 bytes=16").is_err());
+        let delta = "FOLD dataset=d hash=7 shard=1 shard_hash=9 prefs=min t=8 seed=3 bytes=16";
+        let r = parse_request(&format!("{delta} columns_from=4096")).unwrap();
+        assert!(matches!(
+            r,
+            Request::Fold {
+                columns_from: Some(4096),
+                ..
+            }
+        ));
+        for bad_row in ["x", "-1", "", "1.5"] {
+            assert!(
+                parse_request(&format!("{delta} columns_from={bad_row}")).is_err(),
+                "columns_from={bad_row:?} must be refused"
+            );
+        }
+        for other in [
+            "FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0 columns_from=4",
+            "REPLICATE name=d hash=7 shard=0 prefs=min t=8 seed=0 from=w:1 timeout_ms=9 \
+             columns_from=4",
+            "QUERY dataset=d k=3 columns_from=4",
+            "SHARDPUT name=d shard=2 base=100 replace=1 bytes=64 columns_from=4",
+        ] {
+            assert!(
+                parse_request(other).is_err(),
+                "columns_from is FOLD-only: {other}"
+            );
+        }
 
         let r = parse_request("FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0").unwrap();
         assert_eq!(r.body_bytes(), None);

@@ -10,14 +10,20 @@
 //!
 //! * a **memo hit** returns the assembled `Arc<Fingerprint>` without
 //!   touching data or locks beyond the dataset's own memo;
-//! * a **miss** folds every shard through the host under the request's
-//!   budget — from its LRU, else the durable [`SignatureStore`], else
-//!   the rows — merges the folds in shard order and, only if the run
-//!   completed, memoises the assembled artefact. A coordinator feeds
-//!   the same assembler remote legs instead;
 //! * an **extend** is a miss whose generation inherited, across
 //!   `APPEND`, an assembled artefact over the same skyline: it starts
-//!   from that artefact and folds only the shards appended since.
+//!   from that artefact and folds only the shards appended since;
+//! * a **delta** is a miss whose inherited artefact covers another
+//!   skyline: it keeps the artefact's columns of the members that
+//!   stayed, folds only the entering members' columns over the old
+//!   shards' rows, and folds the appended shards in full;
+//! * a **compute** is any other miss: every shard folded through the
+//!   host under the request's budget — from its LRU, else the durable
+//!   [`SignatureStore`], else the rows.
+//!
+//! A miss merges its folds in shard order and, only if the run
+//! completed, memoises the assembled artefact. A coordinator feeds the
+//! same assembler remote legs instead.
 //!
 //! Concurrency: datasets sit behind an `RwLock` (read-mostly); the host
 //! holds its cache lock only for lookups and inserts — never while
@@ -102,8 +108,9 @@ pub struct LoadedDataset {
     /// Complete assembled fingerprints keyed by `(prefs, t, seed)`.
     /// Like `skylines`, `APPEND` hands the entries to the next
     /// generation, where they cover fewer shards than the data: a miss
-    /// over the same skyline starts from one and folds only the
-    /// appended shards. `LOAD` starts empty. Bounded at [`MEMO_CAP`]
+    /// starts from one and folds only the appended shards (plus, when
+    /// the skyline changed, the entering columns over the old shards).
+    /// `LOAD` starts empty. Bounded at [`MEMO_CAP`]
     /// (cleared when full — the per-shard LRU makes re-assembly cheap).
     memo: Mutex<HashMap<MemoKey, Assembled>>,
     /// Finished selections for this generation, keyed by the full query
@@ -261,12 +268,39 @@ pub struct Registry {
     store: Option<Arc<SignatureStore>>,
 }
 
+/// The legs one assembly asks for, in shard order: with
+/// `columns_from`, shards `0..first` folded over only the skyline
+/// columns from that global row on (a column delta), then shards
+/// `first..` over every column; without it, shards `first..` alone.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LegPlan {
+    /// The first shard folded over every column.
+    pub(crate) first: usize,
+    /// The global row a column delta's columns start at.
+    pub(crate) columns_from: Option<usize>,
+}
+
+impl LegPlan {
+    /// The first shard with a leg.
+    pub(crate) fn start(&self) -> usize {
+        match self.columns_from {
+            Some(_) => 0,
+            None => self.first,
+        }
+    }
+
+    /// Where `shard`'s leg starts its columns: `None` for a full fold.
+    pub(crate) fn columns_from(&self, shard: usize) -> Option<usize> {
+        self.columns_from.filter(|_| shard < self.first)
+    }
+}
+
 /// A remote source of an assembled fingerprint's legs: one result per
-/// shard from the given first shard on, in shard order, ending at the
+/// planned leg, in shard order from [`LegPlan::start`], ending at the
 /// first trip (see
 /// [`ClusterState::fingerprint`](crate::ClusterState::fingerprint)).
 pub(crate) type LegSource<'a> =
-    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, usize, &ExecContext) -> Vec<Result<Leg, String>>;
+    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, LegPlan, &ExecContext) -> Vec<Result<Leg, String>>;
 
 impl Registry {
     /// An empty registry whose fingerprint cache holds at most
@@ -530,13 +564,23 @@ impl Registry {
     /// The one fingerprint assembler: memo check, skyline memo, size
     /// check, skyline-phase poll, then the legs — from `remote`, or
     /// folded here shard by shard under one shared context, stopping
-    /// at the first trip — merged in ascending shard order. A memo
-    /// entry inherited across `APPEND` over the same skyline is the
-    /// merge of its shards' folds, so the legs then start after its
-    /// shards (`fingerprint_extends`). The first trip or failed shard in
-    /// shard order degrades the artefact; a complete one is memoised.
-    /// Counts the query once: a cache hit or miss, its dominance tests
-    /// and the shard folds it reused.
+    /// at the first trip — merged in ascending shard order. A memo entry
+    /// inherited across `APPEND` covers the first shards, as the merge
+    /// of their folds:
+    ///
+    /// * over the same skyline, the legs start after its shards
+    ///   (`fingerprint_extends`);
+    /// * over a changed one, its surviving columns are kept and its
+    ///   shards are folded over the entering columns only, then the
+    ///   rest in full (`fingerprint_deltas`) — when the dominance budget
+    ///   can fund that delta whole, so any trip lands in the appended
+    ///   shards, where the per-shard path's would. A delta cut short by
+    ///   a trip or a lost shard leaves an empty, degraded artefact.
+    ///
+    /// Otherwise every shard is folded. The first trip or failed shard
+    /// in shard order degrades the artefact; a complete one is
+    /// memoised. Counts the query once: a cache hit or miss, its
+    /// dominance tests and the shard folds it reused.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         &self,
@@ -577,27 +621,42 @@ impl Registry {
         let job = FoldJob::new(keys, prefs, ids, points);
 
         let t0 = Instant::now();
-        // Only equal ids extend: a member leaves the skyline only if one
-        // enters (the union property), and an entering member is a new
-        // column that every old shard must be folded over.
-        let (mut merged, first) = match inherited.filter(|a| a.fp.skyline == ids) {
-            Some(a) => {
+        let inherited_start = match inherited {
+            Some(a) if a.fp.skyline == ids => {
                 self.metrics.bump(&self.metrics.fingerprint_extends);
                 let acc = SignatureAccumulator {
                     matrix: a.fp.output.matrix.clone(),
                     scores: a.fp.output.scores.clone(),
                     rows_consumed: ds.data.base(a.shards),
                 };
-                (acc, a.shards)
+                let plan = LegPlan {
+                    first: a.shards,
+                    columns_from: None,
+                };
+                Some((acc, plan))
             }
-            None => (SignatureAccumulator::new(t, ids.len()), 0),
+            Some(a) => column_delta(&ds, &a, ids, &ctx).map(|acc| {
+                self.metrics.bump(&self.metrics.fingerprint_deltas);
+                let plan = LegPlan {
+                    first: a.shards,
+                    columns_from: Some(ds.data.base(a.shards)),
+                };
+                (acc, plan)
+            }),
+            None => None,
         };
+        let (mut merged, plan) = inherited_start
+            .unwrap_or_else(|| (SignatureAccumulator::new(t, ids.len()), LegPlan::default()));
         let legs = match remote {
-            Some(source) => source(&ds, &job, first, &ctx),
+            Some(source) => source(&ds, &job, plan, &ctx),
             None => {
-                let mut legs = Vec::with_capacity(ds.shard_tags.len() - first);
-                for (shard, &tag) in ds.shard_tags.iter().enumerate().skip(first) {
-                    let (leg, _) = self.host.fold_request(&job, shard, tag, &ctx)?;
+                let start = plan.start();
+                let mut legs = Vec::with_capacity(ds.shard_tags.len() - start);
+                for (shard, &tag) in ds.shard_tags.iter().enumerate().skip(start) {
+                    let (leg, _) = match plan.columns_from(shard) {
+                        Some(from) => self.host.fold_columns(&job, shard, tag, from, &ctx)?,
+                        None => self.host.fold_request(&job, shard, tag, &ctx)?,
+                    };
                     let tripped = leg.interrupt.is_some();
                     legs.push(Ok(leg));
                     if tripped {
@@ -607,25 +666,55 @@ impl Registry {
                 legs
             }
         };
-        let (mut tests, mut reused) = (0u64, first as u64);
+        // The legs start after the shards an extension reuses; a delta
+        // re-scans its shards, as the per-shard path's partial folds do.
+        let (mut tests, mut reused) = (0u64, plan.start() as u64);
         let mut interrupt: Option<Interrupt> = None;
-        for (shard, leg) in (first..).zip(legs) {
+        // The entering columns over the inherited shards' rows, and
+        // whether every one of those legs came back whole.
+        let mut delta = plan
+            .columns_from
+            .map(|from| SignatureAccumulator::new(t, job.ids_from(from).len()));
+        let mut delta_whole = true;
+        for (shard, leg) in (plan.start()..).zip(legs) {
+            let in_delta = plan.columns_from(shard).is_some();
             match leg {
                 Ok(leg) => {
-                    merged.merge(&leg.fold.acc);
+                    match delta.as_mut().filter(|_| in_delta) {
+                        Some(delta) => delta.merge(&leg.fold.acc),
+                        None => merged.merge(&leg.fold.acc),
+                    }
                     tests += leg.tests;
                     reused += u64::from(leg.reused);
+                    delta_whole &= !in_delta || leg.interrupt.is_none();
                     interrupt = interrupt.or(leg.interrupt);
                 }
-                Err(e) if interrupt.is_none() => {
-                    eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
-                    interrupt = Some(Interrupt {
-                        phase: ExecPhase::Fingerprint,
-                        reason: StopReason::ShardUnavailable { shard },
-                    });
+                Err(e) => {
+                    delta_whole &= !in_delta;
+                    if interrupt.is_none() {
+                        eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
+                        interrupt = Some(Interrupt {
+                            phase: ExecPhase::Fingerprint,
+                            reason: StopReason::ShardUnavailable { shard },
+                        });
+                    }
                 }
-                Err(_) => {}
             }
+        }
+        match delta {
+            Some(delta) if delta_whole => {
+                // Slot-wise minimum and score sum, as `merge` does, over
+                // the entering columns only: the appended shards' legs
+                // already folded into them.
+                let e0 = ids.len() - delta.m();
+                for j in 0..delta.m() {
+                    merged.matrix.update_column(e0 + j, delta.matrix.column(j));
+                    merged.scores[e0 + j] += delta.scores[j];
+                }
+                merged.rows_consumed += delta.rows_consumed;
+            }
+            Some(_) => merged = SignatureAccumulator::new(t, ids.len()),
+            None => {}
         }
         let events = match interrupt {
             Some(_) => vec![DegradationEvent::FingerprintCurtailed {
@@ -648,6 +737,48 @@ impl Registry {
         }
         Ok((fp, false, tests))
     }
+}
+
+/// The start of a column delta on `inherited`, an assembled fingerprint
+/// of the first `inherited.shards` shards over another skyline than
+/// `ids`: an accumulator holding the inherited columns of the members
+/// that survive, with the entering columns empty and no rows counted.
+///
+/// Exact because a surviving member's column over the old rows is the
+/// same fold whatever else the skyline holds (members never dominate
+/// each other), and every entering member is an appended row — no old
+/// row can enter. `None` — fold every shard — when an old member of
+/// `ids` is missing from the inherited skyline (which the union
+/// property rules out), or when the budget cannot fund the entering
+/// columns' whole charge over the old rows: one test per column per
+/// old row that is not a member.
+fn column_delta(
+    ds: &LoadedDataset,
+    inherited: &Assembled,
+    ids: &[usize],
+    ctx: &ExecContext,
+) -> Option<SignatureAccumulator> {
+    let from = ds.data.base(inherited.shards);
+    let e0 = ids.partition_point(|&id| id < from);
+    let (old, t) = (&inherited.fp, inherited.fp.output.matrix.t());
+    let positions = ids[..e0]
+        .iter()
+        .map(|id| old.skyline.binary_search(id).ok())
+        .collect::<Option<Vec<usize>>>()?;
+    let charge = ((ids.len() - e0) as u64).saturating_mul((from - e0) as u64);
+    let funded = ctx
+        .budget()
+        .max_dominance_tests()
+        .is_none_or(|limit| charge <= limit.saturating_sub(ctx.dominance_tests()));
+    if !funded {
+        return None;
+    }
+    let mut acc = SignatureAccumulator::new(t, ids.len());
+    for (j, &jo) in positions.iter().enumerate() {
+        acc.matrix.set_column(j, old.output.matrix.column(jo));
+        acc.scores[j] = old.output.scores[jo];
+    }
+    Some(acc)
 }
 
 /// Reads a `.sky` binary snapshot or headerless CSV, refusing empty
@@ -829,8 +960,9 @@ mod tests {
         let (before, _, cold) = reg
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
-        // The appended block changes the skyline, so the old shard's fold
-        // is extended (new columns only), not fully reused.
+        // The appended block changes the skyline, so the inherited
+        // fingerprint keeps its surviving columns and the old shard is
+        // folded over the entering columns only.
         let (points, dims, shards, appended) =
             reg.append_dataset("d", anticorrelated(100, 3, 21)).unwrap();
         assert_eq!((points, dims, shards, appended), (2100, 3, 2, 100));
@@ -851,11 +983,9 @@ mod tests {
         assert!(!hit, "a fresh generation cannot be memo-served");
         assert!(fp.is_complete());
         assert_ne!(fp.skyline, before.skyline, "the block changes the skyline");
-        assert_eq!(
-            metrics.fingerprint_extends.load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "a changed skyline merges shard by shard"
-        );
+        let (_, extends, deltas) = reuse_counters(&metrics);
+        assert_eq!(extends, 0, "a changed skyline is not extended");
+        assert_eq!(deltas, 1, "a changed skyline takes a column delta");
         assert!(
             warm < cold,
             "append fold ({warm} tests) must undercut the cold run ({cold})"
@@ -880,12 +1010,13 @@ mod tests {
         Dataset::from_rows(3, &vec![[v, v, v]; rows])
     }
 
-    /// `(shards_reused, fingerprint_extends)` so far.
-    fn reuse_counters(metrics: &Metrics) -> (u64, u64) {
+    /// `(shards_reused, fingerprint_extends, fingerprint_deltas)` so far.
+    fn reuse_counters(metrics: &Metrics) -> (u64, u64, u64) {
         use std::sync::atomic::Ordering::Relaxed;
         (
             metrics.shards_reused.load(Relaxed),
             metrics.fingerprint_extends.load(Relaxed),
+            metrics.fingerprint_deltas.load(Relaxed),
         )
     }
 
@@ -905,14 +1036,14 @@ mod tests {
             reg.append_dataset("d", block.clone()).unwrap();
             sd.push_shard(block.clone());
         }
-        let (reused, extends) = reuse_counters(&metrics);
+        let (reused, extends, deltas) = reuse_counters(&metrics);
         let (fp, hit, tests) = reg
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
         assert!(!hit && fp.is_complete());
         assert_eq!(
             reuse_counters(&metrics),
-            (reused + shards as u64, extends + 1),
+            (reused + shards as u64, extends + 1, deltas),
             "every old shard comes with the inherited fold"
         );
         let appended: usize = blocks.iter().map(Dataset::len).sum();
@@ -965,7 +1096,8 @@ mod tests {
         assert!(!hit && fp.is_complete());
         assert_eq!(fp.m(), old.m());
         assert_ne!(fp.skyline, old.skyline);
-        assert_eq!(reuse_counters(&metrics).1, 0, "no extension");
+        let (_, extends, deltas) = reuse_counters(&metrics);
+        assert_eq!((extends, deltas), (0, 1), "a column delta, no extension");
         let truth = skydiver_core::SkyDiver::new(2)
             .signature_size(32)
             .hash_seed(7)
@@ -975,6 +1107,159 @@ mod tests {
         assert_eq!(fp.skyline, truth.skyline);
         assert_eq!(fp.output.matrix, truth.output.matrix);
         assert_eq!(fp.output.scores, truth.output.scores);
+    }
+
+    /// A registry over partitioned data, queried under one key, beside
+    /// the per-shard path it must match: `fingerprint_sharded_with`
+    /// handed the previous query's shard folds, as the host's LRU holds
+    /// them.
+    struct Chain {
+        metrics: Arc<Metrics>,
+        reg: Registry,
+        sd: ShardedDataset,
+        folds: Vec<Option<Arc<skydiver_core::ShardFingerprint>>>,
+    }
+
+    impl Chain {
+        fn new(shards: usize) -> Chain {
+            let metrics = Arc::new(Metrics::new());
+            let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+            let sd = ShardedDataset::partition(&anticorrelated(3000, 3, 27), shards);
+            reg.insert_sharded("d", sd.clone());
+            Chain {
+                metrics,
+                reg,
+                sd,
+                folds: vec![],
+            }
+        }
+
+        fn append(&mut self, block: Dataset) {
+            self.reg.append_dataset("d", block.clone()).unwrap();
+            self.sd.push_shard(block);
+        }
+
+        /// Queries the key and checks the served fold against the
+        /// per-shard path and a cold fold: skyline, matrix, scores,
+        /// dominance tests and reused shards. Returns the fold and the
+        /// growth of `(fingerprint_extends, fingerprint_deltas)`.
+        fn query(&mut self) -> (Arc<Fingerprint>, (u64, u64)) {
+            let (prefs, key) = parse_prefs(None, 3).unwrap();
+            let (reused, extends, deltas) = reuse_counters(&self.metrics);
+            let (fp, hit, tests) = self
+                .reg
+                .fingerprint("d", &prefs, &key, 32, 7, counted())
+                .unwrap();
+            assert!(!hit && fp.is_complete());
+            let (reused_now, extends_now, deltas_now) = reuse_counters(&self.metrics);
+            let pipe = skydiver_core::SkyDiver::new(2)
+                .signature_size(32)
+                .hash_seed(7);
+            let per_shard = pipe
+                .clone()
+                .budget(counted())
+                .fingerprint_sharded_with(&self.sd, &prefs, &self.folds)
+                .unwrap();
+            let cold = pipe.fingerprint_sharded(&self.sd, &prefs).unwrap();
+            for truth in [&per_shard.fingerprint, &cold.fingerprint] {
+                assert_eq!(fp.skyline, truth.skyline);
+                assert_eq!(fp.output.matrix, truth.output.matrix);
+                assert_eq!(fp.output.scores, truth.output.scores);
+            }
+            if extends_now == extends {
+                // An extension charges less than the per-shard path: its
+                // old shards come with the inherited fold.
+                assert_eq!(tests, per_shard.dominance_tests, "tests");
+                assert_eq!(
+                    reused_now - reused,
+                    per_shard.reused_shards as u64,
+                    "reused shards"
+                );
+            }
+            self.folds = per_shard.shards.into_iter().map(Some).collect();
+            (fp, (extends_now - extends, deltas_now - deltas))
+        }
+    }
+
+    /// One row that enters the skyline and knocks out member `which` (a
+    /// point just below it), and one that enters and dominates nothing
+    /// (low in dimension `which % 3` only).
+    fn entering(fp: &Fingerprint, sd: &ShardedDataset, which: usize) -> Dataset {
+        let p = sd.concat().point(fp.skyline[which]).to_vec();
+        let below = [p[0] - 1e-6, p[1] - 1e-6, p[2] - 1e-6];
+        let mut far = [5.0; 3];
+        far[which % 3] = -1.0;
+        Dataset::from_rows(3, &[below, far])
+    }
+
+    #[test]
+    fn a_skyline_changing_append_is_served_by_a_column_delta() {
+        let mut chain = Chain::new(3);
+        let (old, _) = chain.query();
+        chain.append(entering(&old, &chain.sd, 0));
+        let (fp, grown) = chain.query();
+        assert_eq!(grown, (0, 1), "a column delta");
+        assert_eq!(fp.m(), old.m() + 1, "one member swapped, one added");
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        let (again, hit, _) = chain
+            .reg
+            .fingerprint("d", &prefs, &key, 32, 7, counted())
+            .unwrap();
+        assert!(hit && Arc::ptr_eq(&fp, &again), "the delta is memoised");
+    }
+
+    #[test]
+    fn two_skyline_changing_appends_without_a_query_take_one_delta() {
+        let mut chain = Chain::new(2);
+        let (old, _) = chain.query();
+        chain.append(entering(&old, &chain.sd, 0));
+        chain.append(entering(&old, &chain.sd, 1));
+        let (fp, grown) = chain.query();
+        assert_eq!(grown, (0, 1), "one delta over both new shards");
+        assert_eq!(fp.m(), old.m() + 2);
+    }
+
+    #[test]
+    fn a_delta_then_an_extension() {
+        let mut chain = Chain::new(2);
+        let (old, _) = chain.query();
+        chain.append(entering(&old, &chain.sd, 2));
+        assert_eq!(chain.query().1, (0, 1), "a column delta");
+        chain.append(sunk(40, 10.0));
+        let (fp, grown) = chain.query();
+        assert_eq!(grown, (1, 0), "the delta's fingerprint is extended");
+        assert_eq!(fp.m(), old.m() + 1);
+        chain.append(entering(&fp, &chain.sd, 0));
+        assert_eq!(chain.query().1, (0, 1), "and a delta again");
+    }
+
+    /// A budget that cannot fund the delta's whole charge folds every
+    /// shard, tripping where the per-shard path trips.
+    #[test]
+    fn an_unfunded_delta_folds_shard_by_shard() {
+        let mut chain = Chain::new(2);
+        let (old, _) = chain.query();
+        chain.append(entering(&old, &chain.sd, 0));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        // The delta would charge 1 test per old row that is no member:
+        // well over 100.
+        let tight = RunBudget::none().with_max_dominance_tests(100);
+        let (fp, _, tests) = chain
+            .reg
+            .fingerprint("d", &prefs, &key, 32, 7, tight.clone())
+            .unwrap();
+        assert!(!fp.is_complete());
+        assert_eq!(reuse_counters(&chain.metrics).2, 0, "no delta");
+        let per_shard = skydiver_core::SkyDiver::new(2)
+            .signature_size(32)
+            .hash_seed(7)
+            .budget(tight)
+            .fingerprint_sharded_with(&chain.sd, &prefs, &chain.folds)
+            .unwrap();
+        assert_eq!(tests, per_shard.dominance_tests);
+        assert_eq!(fp.output.matrix, per_shard.fingerprint.output.matrix);
+        assert_eq!(fp.output.scores, per_shard.fingerprint.output.scores);
+        assert_eq!(fp.events, per_shard.fingerprint.events);
     }
 
     #[test]
@@ -992,7 +1277,7 @@ mod tests {
             .fingerprint("d", &prefs, &key, 32, 7, counted())
             .unwrap();
         assert!(!hit && tests > 0, "a LOAD folds from scratch");
-        assert_eq!(reuse_counters(&metrics), (0, 0));
+        assert_eq!(reuse_counters(&metrics), (0, 0, 0));
     }
 
     #[test]

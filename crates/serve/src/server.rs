@@ -1051,6 +1051,7 @@ fn respond(
             seed,
             max_dominance_tests,
             timeout_ms,
+            columns_from,
             ..
         } => match host.fold(
             &dataset,
@@ -1062,6 +1063,7 @@ fn respond(
             seed,
             max_dominance_tests,
             timeout_ms,
+            columns_from,
             body.unwrap_or_default(),
             cancel,
         ) {

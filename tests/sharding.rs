@@ -1296,6 +1296,7 @@ mod append_chains {
 
     use super::{grid_dataset, Rng};
     use skydiver::core::ShardFingerprint;
+    use skydiver::data::generators::anticorrelated;
     use skydiver::data::dominance::MinDominance;
     use skydiver::data::{io, ShardedDataset};
     use skydiver::serve::protocol::json_u64;
@@ -1305,8 +1306,8 @@ mod append_chains {
     };
     use skydiver::skyline::naive_skyline;
     use skydiver::{
-        CancelToken, Dataset, ExecPhase, Fingerprint, Preference, RunBudget, SignatureMatrix,
-        SkyDiver,
+        CancelToken, Dataset, DegradationEvent, ExecPhase, Fingerprint, Preference, RunBudget,
+        SignatureMatrix, SkyDiver,
     };
 
     const T: usize = 16;
@@ -1459,6 +1460,12 @@ mod append_chains {
                 .map(|m| m.fingerprint_extends.load(Ordering::Relaxed))
         }
 
+        /// `fingerprint_deltas` of each topology's query path.
+        fn fingerprint_deltas(&self) -> [u64; 2] {
+            [self.mono.metrics(), self.coord.metrics()]
+                .map(|m| m.fingerprint_deltas.load(Ordering::Relaxed))
+        }
+
         /// `(cache_misses, skyline_hits, skyline_extends)` of each
         /// topology's query path.
         fn skyline_counters(&self) -> [(u64, u64, u64); 2] {
@@ -1602,8 +1609,9 @@ mod append_chains {
     /// data — unbudgeted, under a dominance-test prefix, and under a
     /// zero deadline — and the skyline counters show one full SFS pass
     /// per chain. Both topologies extend the same inherited assembled
-    /// fingerprints: after the dominated blocks, whose skyline is
-    /// unchanged.
+    /// fingerprints — after the dominated blocks, whose skyline is
+    /// unchanged — and take the same column deltas on them after the
+    /// blocks that change it.
     #[test]
     fn append_chains_fold_bit_identically_to_a_fresh_skyline() {
         let topo = Topologies::start("prop");
@@ -1611,7 +1619,8 @@ mod append_chains {
         let (mut tripped, mut extensions) = (0u32, 0u64);
         let mut prev_counters = topo.skyline_counters();
         let mut prev_fp_extends = topo.fingerprint_extends();
-        let mut fp_extensions = 0u64;
+        let mut prev_fp_deltas = topo.fingerprint_deltas();
+        let (mut fp_extensions, mut fp_deltas) = (0u64, 0u64);
         for case in 0..CHAINS {
             let mut rng = Rng::new(0x5c41 ^ case);
             let prefs = if case % 3 == 2 {
@@ -1771,6 +1780,14 @@ mod append_chains {
             );
             fp_extensions += grown[0];
             prev_fp_extends = now;
+            let now = topo.fingerprint_deltas();
+            let grown = [0, 1].map(|t| now[t] - prev_fp_deltas[t]);
+            assert_eq!(
+                grown[0], grown[1],
+                "case {case}: column deltas differ between topologies"
+            );
+            fp_deltas += grown[0];
+            prev_fp_deltas = now;
         }
         assert!(
             tripped >= 8,
@@ -1784,6 +1801,82 @@ mod append_chains {
             fp_extensions > 0,
             "no chain extended an inherited fingerprint"
         );
+        assert!(fp_deltas > 0, "no chain took a column delta");
+    }
+
+    /// Two dominance budgets after an `APPEND` that changes the
+    /// skyline, on both topologies, held to the per-shard path (a fold
+    /// handed the pre-append query's shard folds): one too small to fund
+    /// the column delta folds shard by shard and trips in the old
+    /// shards; one that funds it takes the delta and trips in the
+    /// appended shard. Each answer — matrix, scores, dominance tests,
+    /// trip — is the per-shard path's, bit for bit.
+    #[test]
+    fn column_delta_budgets_trip_where_the_per_shard_path_trips() {
+        let topo = Topologies::start("delta-budget");
+        let prefs = Preference::all_min(3);
+        let base = anticorrelated(1_500, 3, 88);
+        topo.load("d", &base);
+        let mut sd = ShardedDataset::partition(&base, SHARDS);
+        let pipe = |seed: u64, max: Option<u64>| {
+            SkyDiver::new(2)
+                .signature_size(T)
+                .hash_seed(seed)
+                .budget(budget(max, false))
+        };
+        let mut folds = Vec::new();
+        for seed in [1, 2] {
+            for got in topo.query("d", &prefs, seed, None, false) {
+                assert!(got.is_ok(), "{got:?}");
+            }
+            let run = pipe(seed, None).fingerprint_sharded(&sd, &prefs).unwrap();
+            folds.push(run.shards.into_iter().map(Some).collect::<Vec<_>>());
+        }
+        // Two rows enter the skyline; sixty more are dominated by it.
+        let mut rows = vec![[-1.0, 5.0, 5.0], [5.0, -1.0, 5.0]];
+        rows.extend((0..60).map(|i| [3.0 + i as f64 / 100.0, 3.0, 3.0]));
+        let block = Dataset::from_rows(3, &rows);
+        topo.append("d", &block);
+        sd.push_shard(block);
+
+        let sky = pipe(1, None).fingerprint_sharded(&sd, &prefs).unwrap();
+        let ids = &sky.fingerprint.skyline;
+        let survivors = ids.partition_point(|&id| id < base.len());
+        let entering = (ids.len() - survivors) as u64;
+        assert_eq!(entering, 2);
+        let delta_charge = entering * (base.len() - survivors) as u64;
+        for (seed, limit, delta) in [
+            (1u64, delta_charge - 1, 0u64),
+            (2, delta_charge + 30 * ids.len() as u64, 1),
+        ] {
+            let deltas = topo.fingerprint_deltas();
+            let per_shard = pipe(seed, Some(limit))
+                .fingerprint_sharded_with(&sd, &prefs, &folds[seed as usize - 1])
+                .unwrap();
+            let want = Fold::of(&per_shard.fingerprint, per_shard.dominance_tests);
+            assert_eq!(want.tripped, Some(ExecPhase::Fingerprint), "limit {limit}");
+            let scanned = per_shard.fingerprint.events.iter().find_map(|e| match e {
+                DegradationEvent::FingerprintCurtailed { rows_scanned, .. } => Some(*rows_scanned),
+                _ => None,
+            });
+            assert_eq!(
+                scanned.map(|rows| rows > base.len()),
+                Some(delta == 1),
+                "limit {limit}: the trip lands in the appended shard iff the delta is funded"
+            );
+            for (topology, got) in ["single-process", "cluster"]
+                .iter()
+                .zip(topo.query("d", &prefs, seed, Some(limit), false))
+            {
+                assert_eq!(got.as_ref(), Ok(&want), "limit {limit}: {topology}");
+            }
+            let now = topo.fingerprint_deltas();
+            assert_eq!(
+                [now[0] - deltas[0], now[1] - deltas[1]],
+                [delta; 2],
+                "limit {limit}: column deltas taken"
+            );
+        }
     }
 
     /// A NaN in an appended block fails the next query on both
