@@ -22,6 +22,8 @@
 
 use std::io;
 
+use skydiver_data::fnv::fnv1a64;
+
 /// Hard upper bound on a frame body accepted off the wire (1 GiB).
 /// Servers apply their configured `max_frame_bytes` first; this cap is a
 /// final allocation guard against a corrupt length prefix.
@@ -29,17 +31,6 @@ pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
 const HEADER: usize = 8;
 const FOOTER: usize = 8;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        // lint: allow(R2) -- FNV over one frame already capped by
-        // max-frame-bytes; pure hashing, no cancellation point needed
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -50,7 +41,7 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + HEADER + FOOTER);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out
 }
 
@@ -71,7 +62,7 @@ pub fn decode(frame: &[u8]) -> io::Result<&[u8]> {
     }
     let payload = &frame[HEADER..HEADER + len];
     let want = u64::from_le_bytes(frame[HEADER + len..].try_into().unwrap());
-    if fnv1a(payload) != want {
+    if fnv1a64(payload) != want {
         return Err(err("frame checksum mismatch"));
     }
     Ok(payload)

@@ -8,15 +8,14 @@
 //! changed move — the minimal-disruption property that makes handoff
 //! cheap.
 
-/// FNV-1a 64-bit over `bytes`, seeded so shard and node mix fully.
+use skydiver_data::fnv::{Fnv64, OFFSET_BASIS};
+
+/// FNV-1a 64 over `bytes` from a basis mixed with `seed`, so shard and
+/// node mix fully.
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in bytes {
-        // lint: allow(R2) -- hashes one node address (tens of bytes);
-        // pure election arithmetic, no cancellation point needed
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut fnv = Fnv64::with_basis(OFFSET_BASIS ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    fnv.update(bytes);
+    let mut h = fnv.finish();
     // Final avalanche (splitmix64 tail) so nearby shard ids decorrelate.
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -26,6 +26,8 @@
 use std::io;
 use std::path::Path;
 
+use skydiver_data::fnv::fnv1a64;
+
 use super::{ShardFingerprint, SignatureAccumulator, SignatureMatrix};
 
 const MAGIC: &[u8; 8] = b"SKYSIG02";
@@ -34,47 +36,6 @@ const MAGIC: &[u8; 8] = b"SKYSIG02";
 /// t + m + rows_consumed, and the length + checksum footer.
 const HEADER: u64 = 8 + 4 * 8 + 3 * 8;
 const FOOTER: u64 = 2 * 8;
-
-/// Incremental FNV-1a 64 — the checksum behind the `SKYSIG02` footer
-/// (and the serving layer's content hashing). Not cryptographic; it
-/// detects corruption, not adversaries with write access to the store.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The FNV-1a 64 offset basis.
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            // lint: allow(R2) -- byte fold of an in-memory buffer, no
-            // I/O and no data-proportional dominance work to budget
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a 64 of a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())

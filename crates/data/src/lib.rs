@@ -13,6 +13,8 @@
 //!   sets (Forest Cover, Recipes) with matching cardinalities and
 //!   correlation structure,
 //! * [`io`] — CSV and binary snapshots of datasets,
+//! * [`fnv`] — FNV-1a 64, the one checksum and content-tag digest the
+//!   signature bundles, cluster frames and placement all hash with,
 //! * [`shard`] — immutable dataset shards with global row-id bases and
 //!   the zero-copy [`DatasetView`] consumed by skyline, Γ and SigGen
 //!   entry points.
@@ -25,6 +27,7 @@
 pub mod categorical;
 pub mod dataset;
 pub mod dominance;
+pub mod fnv;
 pub mod generators;
 pub mod io;
 pub mod preference;

@@ -4,9 +4,11 @@
 //! **The shard host.** The [`Registry`] owns one [`ShardHost`] per
 //! process: the shards this node hosts (from a local `LOAD`/`APPEND` or
 //! a coordinator's `SHARDPUT`), one fold LRU, the optional durable
-//! store and the dominance-plan memo. A single-process `QUERY` folds
-//! every shard through it in process; a worker's `FOLD` folds one shard
-//! through it behind a thin wire wrapper.
+//! store and the dominance-plan memo. Its one fold entry,
+//! `ShardHost::fold_shards`, folds a single-process `QUERY`'s shards in
+//! one call, and a worker's `FOLD` shard behind a thin wire wrapper. It
+//! caches only the folds of a query that inherits no fingerprint: the
+//! folds that extend an inherited one are persisted, never cached.
 //!
 //! **The cluster.** A cluster is one **coordinator** plus N **workers**,
 //! all running the same `skydiver serve` binary. The coordinator owns the
@@ -54,15 +56,14 @@ use std::time::{Duration, Instant};
 use skydiver_cluster::frame;
 use skydiver_cluster::rendezvous;
 use skydiver_cluster::{DeadlineBudget, Membership};
-use skydiver_core::minhash::persist::{
-    decode_shard_signatures, encode_shard_signatures, fnv1a64, Fnv64,
-};
+use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures};
 use skydiver_core::{
     canonicalise, fold_shard_planned, scan_columns_budgeted, CancelToken, DominancePlan,
     ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
     ShardFold, SignatureAccumulator, StopReason,
 };
 use skydiver_data::dominance::MinDominance;
+use skydiver_data::fnv::{fnv1a64, Fnv64};
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
@@ -404,9 +405,82 @@ pub(crate) struct Leg {
     pub(crate) reused: bool,
     /// Dominance tests the shard charged.
     pub(crate) tests: u64,
+    /// Rows the fold scanned (0 on a remote leg: its reply is not read
+    /// for them).
+    pub(crate) scanned: usize,
     /// The budget trip that cut the shard's fold short, in the
     /// request's terms.
     pub(crate) interrupt: Option<Interrupt>,
+}
+
+/// One assembly's shard folds, min-merged in shard order: what one
+/// [`ShardHost::fold_shards`] call, or a coordinator's `FOLD` legs,
+/// hands the assembler. Merging is associative and commutative, so the
+/// merge of the merges is the merge of the folds.
+#[derive(Default)]
+pub(crate) struct Folded {
+    /// The full folds, over every skyline column.
+    pub(crate) full: Option<Arc<ShardFingerprint>>,
+    /// The column-delta folds, over the entering columns only.
+    pub(crate) delta: Option<Arc<ShardFingerprint>>,
+    /// A column-delta fold was cut short or lost.
+    pub(crate) delta_broken: bool,
+    /// Dominance tests charged.
+    pub(crate) tests: u64,
+    /// Shards served from a cached or stored fold.
+    pub(crate) reused: u64,
+    /// Rows scanned.
+    pub(crate) scanned: usize,
+    /// The first trip or lost shard, in shard order.
+    pub(crate) interrupt: Option<Interrupt>,
+    /// The lost shard that set `interrupt`, and why it was lost.
+    pub(crate) failed: Option<(usize, String)>,
+}
+
+impl Folded {
+    /// Merges `shard`'s leg — a column-delta fold when `in_delta` — or
+    /// records its loss.
+    pub(crate) fn absorb(&mut self, shard: usize, leg: Result<Leg, String>, in_delta: bool) {
+        let leg = match leg {
+            Ok(leg) => leg,
+            Err(e) => {
+                self.delta_broken |= in_delta;
+                if self.interrupt.is_none() {
+                    self.interrupt = Some(Interrupt {
+                        phase: ExecPhase::Fingerprint,
+                        reason: StopReason::ShardUnavailable { shard },
+                    });
+                    self.failed = Some((shard, e));
+                }
+                return;
+            }
+        };
+        let into = if in_delta {
+            &mut self.delta
+        } else {
+            &mut self.full
+        };
+        match into {
+            Some(fold) => Arc::make_mut(fold).acc.merge(&leg.fold.acc),
+            None => *into = Some(leg.fold),
+        }
+        self.tests += leg.tests;
+        self.reused += u64::from(leg.reused);
+        self.scanned += leg.scanned;
+        self.delta_broken |= in_delta && leg.interrupt.is_some();
+        if self.interrupt.is_none() {
+            self.interrupt = leg.interrupt;
+        }
+    }
+}
+
+/// One planned shard as the `hosted` lookup found it.
+struct HostedShard {
+    base: usize,
+    shard_hash: u64,
+    data: Arc<Dataset>,
+    /// The LRU's fold of the shard (looked up for a full fold only).
+    cached: Option<Arc<ShardFingerprint>>,
 }
 
 /// The process's fold service, owned by the registry: the hosted
@@ -499,10 +573,7 @@ impl ShardHost {
             invalidate |= (old.shard_hash, old.base) != generation;
         }
         if invalidate {
-            self.cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .invalidate_dataset(name);
+            self.with_cache(|cache| cache.invalidate_dataset(name));
             self.with_plans(|plans| plans.invalidate_dataset(name));
         }
     }
@@ -557,30 +628,41 @@ impl ShardHost {
             .get(&key.dataset)
             .and_then(|d| d.shards.get(&key.shard))
             .is_some_and(|s| (s.shard_hash, s.base) == generation);
-        if !current {
-            return;
+        if current {
+            self.with_cache(|cache| cache.insert(key, Arc::clone(fp)));
         }
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.insert(key, Arc::clone(fp));
-        self.metrics
-            .bytes_resident
-            .store(cache.bytes() as u64, std::sync::atomic::Ordering::Relaxed);
-        self.metrics
-            .cache_evictions
-            .store(cache.evictions(), std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Queues a complete fold for write-behind persistence and caches it.
+    /// Runs `f` on the locked fold LRU and records its resident bytes
+    /// and evictions: every change to the LRU goes through here.
+    fn with_cache<R>(&self, f: impl FnOnce(&mut FingerprintCache) -> R) -> R {
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let out = f(&mut cache);
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        self.metrics
+            .bytes_resident
+            .store(cache.bytes() as u64, relaxed);
+        self.metrics
+            .cache_evictions
+            .store(cache.evictions(), relaxed);
+        out
+    }
+
+    /// Queues a complete fold for write-behind persistence and, with
+    /// `cache`, caches it.
     fn remember(
         &self,
         (key, store_key): (FingerprintKey, StoreKey),
         generation: (u64, usize),
         fp: &Arc<ShardFingerprint>,
+        cache: bool,
     ) {
         if let Some(store) = &self.store {
             store.enqueue_persist(store_key, Arc::clone(fp));
         }
-        self.cache_put(key, generation, fp);
+        if cache {
+            self.cache_put(key, generation, fp);
+        }
     }
 
     /// The dominance plan a fully cold fold of `shard` runs through,
@@ -650,84 +732,130 @@ impl ShardHost {
         out
     }
 
-    /// Runs `f` on `shard` of `job`'s dataset under the `hosted` read
-    /// lock, once the shard is found hosted at tag `shard_hash` with the
-    /// request's dimensionality.
-    fn with_hosted<R>(
+    /// Finds every one of `shards` — `(shard, tag)` pairs — of `job`'s
+    /// dataset under one `hosted` read lock: hosted at its tag, with the
+    /// request's dimensionality, and, when `plan` folds it in full, its
+    /// LRU fold.
+    fn lookup(
         &self,
         job: &FoldJob<'_>,
-        shard: usize,
-        shard_hash: u64,
-        f: impl FnOnce(&OwnedShard) -> R,
-    ) -> Result<R, String> {
+        plan: LegPlan,
+        shards: &[(usize, u64)],
+    ) -> Vec<Result<HostedShard, String>> {
         let name = &job.keys.0.dataset;
         let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
-        let ds = hosted
-            .get(name)
-            .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
-        let owned = ds
-            .shards
-            .get(&shard)
-            .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
-        if owned.shard_hash != shard_hash {
-            return Err(format!(
-                "shard {shard} of {name:?} is a stale generation \
-                 (have {:#018x}, request expects {shard_hash:#018x})",
-                owned.shard_hash
-            ));
-        }
-        if ds.dims != job.points.dims() {
-            return Err(format!(
-                "fold request has {} dims, hosted shard has {}",
-                job.points.dims(),
-                ds.dims
-            ));
-        }
-        Ok(f(owned))
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let mut find = |shard: usize, shard_hash: u64| {
+            let ds = hosted
+                .get(name)
+                .ok_or_else(|| format!("dataset {name:?} not hosted here"))?;
+            let owned = ds
+                .shards
+                .get(&shard)
+                .ok_or_else(|| format!("shard {shard} of {name:?} not hosted here"))?;
+            if owned.shard_hash != shard_hash {
+                return Err(format!(
+                    "shard {shard} of {name:?} is a stale generation \
+                     (have {:#018x}, request expects {shard_hash:#018x})",
+                    owned.shard_hash
+                ));
+            }
+            if ds.dims != job.points.dims() {
+                return Err(format!(
+                    "fold request has {} dims, hosted shard has {}",
+                    job.points.dims(),
+                    ds.dims
+                ));
+            }
+            let cached = match plan.columns_from(shard) {
+                Some(_) => None,
+                None => cache.get(&job.keys(shard).0),
+            };
+            Ok(HostedShard {
+                base: owned.base,
+                shard_hash,
+                data: Arc::clone(&owned.data),
+                cached,
+            })
+        };
+        shards
+            .iter()
+            .map(|&(shard, shard_hash)| find(shard, shard_hash))
+            .collect()
     }
 
-    /// The one shard fold of this process: `shard`, hosted at tag
-    /// `shard_hash`, from the LRU, else the store, else its rows (fully
-    /// cold ones through a memoised dominance plan), under the caller's
-    /// `ctx`; a complete fold is remembered. Returns the leg and the
-    /// rows scanned, and bumps no query counter.
-    pub(crate) fn fold_request(
+    /// The one fold entry of this process: `shards` — `(shard, tag)`
+    /// pairs in ascending shard order, each expected hosted at its tag,
+    /// looked up together — folded under `plan` and the caller's `ctx`,
+    /// min-merged into one [`Folded`]. A shard `plan` puts in a column
+    /// delta is folded over the entering columns only
+    /// ([`FoldJob::ids_from`]); every other one in full, from the LRU,
+    /// else the store, else its rows (fully cold ones through a
+    /// memoised dominance plan). The shards run one after another under
+    /// the one `ctx`, so a dominance budget trips on the row a walk
+    /// shard by shard trips on, and the walk stops at the first trip or
+    /// lost shard. A complete full fold is queued for the store, but
+    /// enters the LRU only on a plan that inherits nothing: an inherited
+    /// fingerprint covers a fold made to extend it, and nothing reads
+    /// that fold again. Bumps no query counter.
+    pub(crate) fn fold_shards(
+        &self,
+        job: &FoldJob<'_>,
+        plan: LegPlan,
+        shards: &[(usize, u64)],
+        ctx: &ExecContext,
+    ) -> Folded {
+        let mut folded = Folded::default();
+        for (&(shard, _), hosted) in shards.iter().zip(self.lookup(job, plan, shards)) {
+            let from = plan.columns_from(shard);
+            let leg = hosted.and_then(|hosted| match from {
+                Some(from) => self.fold_delta(job, &hosted, from, ctx),
+                None => self.fold_full(job, shard, hosted, !plan.inherited, ctx),
+            });
+            folded.absorb(shard, leg, from.is_some());
+            if folded.interrupt.is_some() {
+                break;
+            }
+        }
+        folded
+    }
+
+    /// `shard`'s full fold: from the LRU, else the store, else its rows
+    /// (fully cold ones through a memoised dominance plan). A complete
+    /// fold is remembered — cached only with `cache`.
+    fn fold_full(
         &self,
         job: &FoldJob<'_>,
         shard: usize,
-        shard_hash: u64,
+        hosted: HostedShard,
+        cache: bool,
         ctx: &ExecContext,
-    ) -> Result<(Leg, usize), String> {
+    ) -> Result<Leg, String> {
         let (keys, t) = (job.keys(shard), job.family.len());
-        let (base, data, mut cached) = self.with_hosted(job, shard, shard_hash, |owned| {
-            let cached = self
-                .cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&keys.0);
-            (owned.base, Arc::clone(&owned.data), cached)
-        })?;
+        let HostedShard {
+            base,
+            shard_hash,
+            data,
+            mut cached,
+        } = hosted;
         let generation = (shard_hash, base);
         if cached.is_none() {
             if let Some(store) = &self.store {
                 cached = store.load(&keys.1).filter(|c| c.t() == t);
-                if let Some(fp) = &cached {
+                if let Some(fp) = cached.as_ref().filter(|_| cache) {
                     self.cache_put(keys.0.clone(), generation, fp);
                 }
             }
         }
         let cached = cached.filter(|c| c.t() == t);
         if let Some(fold) = cached.as_ref().filter(|c| c.columns == job.ids) {
-            let fold = Arc::clone(fold);
-            return Ok((
-                Leg {
-                    fold,
-                    reused: true,
-                    tests: 0,
-                    interrupt: None,
-                },
-                0,
-            ));
+            return Ok(Leg {
+                fold: Arc::clone(fold),
+                reused: true,
+                tests: 0,
+                scanned: 0,
+                interrupt: None,
+            });
         }
 
         let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
@@ -768,38 +896,32 @@ impl ShardHost {
             acc,
         });
         if interrupt.is_none() {
-            self.remember(keys, generation, &fold);
+            self.remember(keys, generation, &fold, cache);
         }
-        Ok((
-            Leg {
-                fold,
-                reused,
-                tests,
-                interrupt,
-            },
+        Ok(Leg {
+            fold,
+            reused,
+            tests,
             scanned,
-        ))
+            interrupt,
+        })
     }
 
-    /// A column delta of `shard`, hosted at tag `shard_hash`: its rows
-    /// folded over only the columns of skyline members at global row
-    /// `from` or later ([`FoldJob::ids_from`]), with the whole skyline's
-    /// skip mask, by the packed scan under the caller's `ctx`. It never
-    /// reads or writes the LRU, the store or the plan memo: the slice is
-    /// not the shard's fold. A trip returns an empty accumulator and 0
-    /// rows scanned, as a trip inside a plan does. Returns the leg and
-    /// the rows scanned, and bumps no query counter.
-    pub(crate) fn fold_columns(
+    /// A column delta of one shard: its rows folded over only the
+    /// columns of skyline members at global row `from` or later, with
+    /// the whole skyline's skip mask, by the packed scan. It never reads
+    /// or writes the LRU, the store or the plan memo: the slice is not
+    /// the shard's fold. A trip returns an empty accumulator and 0 rows
+    /// scanned, as a trip inside a plan does.
+    fn fold_delta(
         &self,
         job: &FoldJob<'_>,
-        shard: usize,
-        shard_hash: u64,
+        hosted: &HostedShard,
         from: usize,
         ctx: &ExecContext,
-    ) -> Result<(Leg, usize), String> {
-        let (base, data) =
-            self.with_hosted(job, shard, shard_hash, |o| (o.base, Arc::clone(&o.data)))?;
-        let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
+    ) -> Result<Leg, String> {
+        let (base, data) = (hosted.base, &hosted.data);
+        let canon = canonicalise(data, job.prefs).map_err(|e| e.to_string())?;
         let sview = DatasetView::with_base(canon.as_ref(), base);
         let skip = skyline_mask(job.ids, base, data.len());
         let columns = job.ids_from(from);
@@ -818,21 +940,22 @@ impl ShardHost {
             columns: columns.to_vec(),
             acc,
         });
-        let leg = Leg {
+        Ok(Leg {
             fold,
             reused: false,
             tests: ctx.dominance_tests() - before,
+            scanned,
             interrupt,
-        };
-        Ok((leg, scanned))
+        })
     }
 
     /// `FOLD`: decode the coordinator's request (its skyline ids and
-    /// canonical columns), fold the hosted shard through the host's
-    /// in-process fold — or, with `columns_from`, its column delta
-    /// (`fold_columns`) — under the request's own budget,
-    /// and count the fold for this node. Returns the response header
-    /// tail and the `SKYSIG02` frame.
+    /// canonical columns), fold the hosted shard through the host's one
+    /// fold entry, `fold_shards` — over the columns from `columns_from`
+    /// on only, when set (a column delta), and into the LRU only with
+    /// `cache` — under the request's own budget, and count the fold for
+    /// this node. Returns the response header tail and the `SKYSIG02`
+    /// frame.
     #[allow(clippy::too_many_arguments)]
     pub fn fold(
         &self,
@@ -846,6 +969,7 @@ impl ShardHost {
         max_dominance_tests: Option<u64>,
         timeout_ms: Option<u64>,
         columns_from: Option<usize>,
+        cache: bool,
         body: &[u8],
         cancel: &CancelToken,
     ) -> Result<(String, Vec<u8>), String> {
@@ -858,21 +982,32 @@ impl ShardHost {
         let keys = fold_keys(name, dataset_hash, shard, &prefs_key, t, seed);
         let job = FoldJob::new(keys, &prefs, &ids, &points);
         let ctx = ExecContext::new(request_budget(cancel, timeout_ms, max_dominance_tests));
-        let (leg, scanned) = match columns_from {
-            Some(from) => self.fold_columns(&job, shard, want_shard_hash, from, &ctx)?,
-            None => self.fold_request(&job, shard, want_shard_hash, &ctx)?,
+        // The one shard is the whole plan: a column delta when it comes
+        // before `first`.
+        let plan = LegPlan {
+            first: shard + usize::from(columns_from.is_some()),
+            columns_from,
+            inherited: !cache,
         };
-        self.metrics.add(&self.metrics.dominance_tests, leg.tests);
-        if leg.reused {
-            self.metrics.bump(&self.metrics.shards_reused);
+        let folded = self.fold_shards(&job, plan, &[(shard, want_shard_hash)], &ctx);
+        if let Some((_, e)) = folded.failed {
+            return Err(e);
         }
+        let fold = folded
+            .full
+            .or(folded.delta)
+            .ok_or_else(|| "the fold returned no shard".to_string())?;
+        self.metrics
+            .add(&self.metrics.dominance_tests, folded.tests);
+        self.metrics.add(&self.metrics.shards_reused, folded.reused);
         let tags = job.keys.1.tags();
-        let body = frame::encode(&encode_shard_signatures(&leg.fold, &tags));
+        let body = frame::encode(&encode_shard_signatures(&fold, &tags));
         let mut header = format!(
-            "reused={} scanned={scanned} tests={} tripped={}",
-            leg.reused as u8,
-            leg.tests,
-            match &leg.interrupt {
+            "reused={} scanned={} tests={} tripped={}",
+            folded.reused,
+            folded.scanned,
+            folded.tests,
+            match &folded.interrupt {
                 None => "none",
                 Some(i) => match i.reason {
                     StopReason::Cancelled => "cancelled",
@@ -885,7 +1020,7 @@ impl ShardHost {
         if let Some(Interrupt {
             reason: StopReason::DominanceBudgetExhausted { used, limit },
             ..
-        }) = &leg.interrupt
+        }) = &folded.interrupt
         {
             header.push_str(&format!(" trip_used={used} trip_limit={limit}"));
         }
@@ -969,7 +1104,7 @@ impl ShardHost {
         let deadline = DeadlineBudget::from_millis(timeout_ms);
         match pull_artefact(from, name, &keys.1, &prefs_key, &deadline) {
             Some(fp) => {
-                self.remember(keys, generation, &fp);
+                self.remember(keys, generation, &fp, true);
                 Ok("replicated=1".to_string())
             }
             None => Ok("replicated=0".to_string()),
@@ -1278,7 +1413,7 @@ impl ClusterState {
     /// The remote leg source: one `FOLD` request for `job`, its legs —
     /// the ones `legs` plans, column deltas first — run on
     /// `fold_legs` under one deadline (the request's timeout, at
-    /// most the fan-out's). Unbudgeted, every leg is in flight at once;
+    /// most the fan-out's) and merged into one [`Folded`]. Unbudgeted, every leg is in flight at once;
     /// a dominance-test budget narrows the schedule to one leg at a time
     /// in shard order, each forwarded `limit − consumed`, so worker i
     /// trips exactly when the global count would pass the limit — on
@@ -1293,7 +1428,7 @@ impl ClusterState {
         job: &FoldJob<'_>,
         legs: LegPlan,
         ctx: &ExecContext,
-    ) -> Vec<Result<Leg, String>> {
+    ) -> Folded {
         let (dims, cols) = (job.points.dims(), job.points.as_flat());
         let payload = frame::encode(&frame::encode_fold_request(dims, job.ids, cols));
         let timeout = ctx.budget().deadline().map(|d| d.as_millis() as u64);
@@ -1329,19 +1464,21 @@ impl ClusterState {
                 break;
             }
         }
-        let mut prefix = 0u64;
-        for leg in out.iter_mut().flatten() {
-            match leg.interrupt.as_mut().map(|i| &mut i.reason) {
+        let mut folded = Folded::default();
+        for (shard, mut leg) in (start..).zip(out) {
+            let reason = leg.as_mut().ok().and_then(|l| l.interrupt.as_mut());
+            match reason.map(|i| &mut i.reason) {
                 Some(StopReason::DeadlineExceeded { elapsed }) => *elapsed = ctx.elapsed(),
                 Some(StopReason::DominanceBudgetExhausted { used, limit }) => {
-                    *used += prefix;
+                    // The tests merged so far are the ones before this leg.
+                    *used += folded.tests;
                     *limit = max_dominance_tests.unwrap_or(0);
                 }
                 _ => {}
             }
-            prefix += leg.tests;
+            folded.absorb(shard, leg, legs.columns_from(shard).is_some());
         }
-        out
+        folded
     }
 
     /// The `FOLD` legs of `shards` on the exchange engine, all in
@@ -1678,7 +1815,9 @@ fn put_shards(
 }
 
 /// Builds one leg's `FOLD` request line, forwarding the worker the
-/// fan-out's remaining time and the leg's dominance-test budget.
+/// fan-out's remaining time and the leg's dominance-test budget. A full
+/// fold of an inherited plan says `cache=0`, as the single-process host
+/// keeps it out of its LRU (a column delta is never cached).
 fn fold_request_line(
     req: &FoldRequest<'_>,
     shard: usize,
@@ -1694,8 +1833,10 @@ fn fold_request_line(
     if let Some(n) = max_dominance_tests {
         line.push_str(&format!(" max_dominance_tests={n}"));
     }
-    if let Some(from) = req.legs.columns_from(shard) {
-        line.push_str(&format!(" columns_from={from}"));
+    match req.legs.columns_from(shard) {
+        Some(from) => line.push_str(&format!(" columns_from={from}")),
+        None if req.legs.inherited => line.push_str(" cache=0"),
+        None => {}
     }
     line.push_str(&format!(" bytes={}", req.payload.len()));
     line
@@ -1760,6 +1901,7 @@ fn parse_fold_leg(
         fold: Arc::new(fp),
         reused,
         tests,
+        scanned: 0,
         interrupt,
     })
 }
@@ -1875,7 +2017,7 @@ mod tests {
         let cancel = CancelToken::new();
         let (header, frame_bytes) = h
             .fold(
-                "d", 7, 1, shard_hash, "min,min", 16, 3, None, None, None, &body, &cancel,
+                "d", 7, 1, shard_hash, "min,min", 16, 3, None, None, None, true, &body, &cancel,
             )
             .unwrap();
         assert!(header.contains("tripped=none"), "{header}");
@@ -1907,7 +2049,7 @@ mod tests {
         let empty = frame::encode(&frame::encode_fold_request(2, &[], &[]));
         let fold = |t, body: &[u8]| {
             h.fold(
-                "d", 7, 1, shard_hash, "min,min", t, 3, None, None, None, body, &cancel,
+                "d", 7, 1, shard_hash, "min,min", t, 3, None, None, None, true, body, &cancel,
             )
         };
         assert!(fold(1 << 15, &body).is_ok());
@@ -1951,6 +2093,7 @@ mod tests {
                 None,
                 None,
                 None,
+                true,
                 &body,
                 cancel,
             )
@@ -2047,6 +2190,51 @@ mod tests {
 
     /// One tag function: the local install tags a shard exactly as a
     /// worker tags the `SHARDPUT` payload the coordinator sends.
+    /// Every digest built on the one FNV-1a helper — frame checksums,
+    /// rendezvous weights, `SKYSIG02` checksums and shard tags — keeps
+    /// the values the separate copies computed before it.
+    #[test]
+    fn fnv_digests_are_pinned() {
+        let sum = |bytes: &[u8]| u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        for (payload, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"skydiver", 0x2499_9565_861b_bdfa),
+            (&[0, 1, 2, 255, 254][..], 0x35c1_bdd0_c720_0a91),
+        ] {
+            assert_eq!(sum(&frame::encode(payload)), want, "{payload:?}");
+        }
+        let flat = [1.0, 2.0, 3.5, -4.25];
+        let points = frame::encode(&frame::encode_points(2, &flat));
+        assert_eq!(sum(&points), 0x42c1_e6b4_925b_206d);
+        assert_eq!(
+            shard_tag(&Dataset::from_flat(2, flat.to_vec())),
+            0x42c1_e6b4_925b_206d
+        );
+        for (node, shard, want) in [
+            ("127.0.0.1:7801", 0, 0x0915_5eee_b670_e035),
+            ("127.0.0.1:7802", 0, 0x14ea_3878_1daf_1df0),
+            ("127.0.0.1:7801", 5, 0x2cf9_59d9_08b9_cec1),
+            ("w", 1 << 40, 0xfa6a_32b3_2a71_2413),
+            ("", 3, 0x23d4_49f6_cc18_2bd1),
+        ] {
+            assert_eq!(rendezvous::weight(node, shard), want, "{node:?} {shard}");
+        }
+        let mut acc = SignatureAccumulator::new(3, 2);
+        acc.matrix.set_column(0, &[5, 6, 7]);
+        acc.matrix.set_column(1, &[1, u64::MAX, 9]);
+        acc.scores = vec![4, 2];
+        acc.rows_consumed = 11;
+        let fp = ShardFingerprint {
+            columns: vec![3, 8],
+            acc,
+        };
+        let bundle = encode_shard_signatures(&fp, &[1, 2, 3, 4]);
+        assert_eq!(bundle.len(), 160);
+        assert_eq!(sum(&bundle), 0x3ae0_5d47_cf60_5f1a);
+        assert_eq!(fnv1a64(&bundle), 0xa2e4_948c_b6c3_003e);
+    }
+
     #[test]
     fn shard_tag_is_the_fnv_of_the_shardput_payload() {
         let data = skydiver_data::generators::anticorrelated(300, 3, 5);
@@ -2092,7 +2280,7 @@ mod tests {
         let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
         let cancel = CancelToken::new();
         h.fold(
-            "d", 1, 0, tags[0], "min,min", 8, 0, None, None, None, &body, &cancel,
+            "d", 1, 0, tags[0], "min,min", 8, 0, None, None, None, true, &body, &cancel,
         )
         .unwrap();
         assert_eq!(h.cache_usage().0, 1);
@@ -2129,7 +2317,7 @@ mod tests {
         let body = frame::encode(&frame::encode_fold_request(2, &[0], &[1.0, 2.0]));
         let cancel = CancelToken::new();
         let fold = h.fold(
-            "d", 1, 1, tag, "min,min", 8, 0, None, None, None, &body, &cancel,
+            "d", 1, 1, tag, "min,min", 8, 0, None, None, None, true, &body, &cancel,
         );
         assert!(fold.unwrap().0.contains("tripped=none"));
         assert!(h
@@ -2160,6 +2348,7 @@ mod tests {
                 None,
                 None,
                 None,
+                true,
                 &body,
                 &cancel,
             )
@@ -2207,7 +2396,7 @@ mod tests {
         let (header, frame_bytes) = reg
             .host()
             .fold(
-                "d", hash, 0, tag, "min,min", 8, 3, None, None, None, &body, &cancel,
+                "d", hash, 0, tag, "min,min", 8, 3, None, None, None, true, &body, &cancel,
             )
             .unwrap();
         let prefs = Preference::all_min(2);
@@ -2302,6 +2491,7 @@ mod tests {
                     None,
                     None,
                     columns_from,
+                    true,
                     &body,
                     &cancel,
                 )
@@ -2322,6 +2512,7 @@ mod tests {
         let legs = LegPlan {
             first: 1,
             columns_from: Some(3),
+            inherited: true,
         };
         let req = FoldRequest {
             nodes: &[],

@@ -25,7 +25,7 @@
 //! SHARDPUT name=<id> shard=<i> base=<row> replace=<0|1> bytes=<n>
 //! FOLD dataset=<id> hash=<u64> shard=<i> shard_hash=<u64>
 //!      prefs=min,max,... t=<t> seed=<s> [max_dominance_tests=<n>]
-//!      [timeout_ms=<ms>] [columns_from=<row>] bytes=<n>
+//!      [timeout_ms=<ms>] [columns_from=<row>] [cache=<0|1>] bytes=<n>
 //! FETCH name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t> seed=<s>
 //! REPLICATE name=<id> hash=<u64> shard=<i> prefs=min,max,... t=<t>
 //!           seed=<s> from=<host:port> timeout_ms=<ms>
@@ -47,7 +47,9 @@
 //! `FOLD` asks the owner to fold its shard against the coordinator's
 //! shipped skyline columns and return the fold as a `SKYSIG02` frame
 //! (with `columns_from=<row>`, only the columns of skyline members at
-//! global row `row` or later — a column delta, never cached);
+//! global row `row` or later — a column delta, never cached; with
+//! `cache=0`, a full fold that extends an inherited fingerprint, kept
+//! out of the worker's fold LRU);
 //! `FETCH` serves a cached fold artefact (the replication transport);
 //! `REPLICATE` asks a worker to pull one artefact from a peer, within
 //! the `timeout_ms` the coordinator has left.
@@ -378,6 +380,10 @@ pub enum Request {
         /// Fold only the columns of skyline members with a global id
         /// of at least this row (a column delta).
         columns_from: Option<usize>,
+        /// Whether a full fold enters the worker's fold LRU (`cache=`,
+        /// default 1): a fold that extends an inherited fingerprint
+        /// does not.
+        cache: bool,
         /// Raw body length following the line.
         bytes: usize,
     },
@@ -682,6 +688,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             let mut max_dominance_tests = None;
             let mut timeout_ms = None;
             let mut columns_from = None;
+            let mut cache = true;
             let mut bytes = None;
             for (k, v) in pairs(&rest)? {
                 match k.as_str() {
@@ -697,6 +704,13 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     }
                     "timeout_ms" => timeout_ms = Some(parse_num("timeout_ms", &v)?),
                     "columns_from" => columns_from = Some(parse_num("columns_from", &v)?),
+                    "cache" => {
+                        cache = match v.as_str() {
+                            "0" => false,
+                            "1" => true,
+                            other => return Err(bad(format!("bad cache value {other:?} (0|1)"))),
+                        }
+                    }
                     "bytes" => bytes = Some(parse_num("bytes", &v)?),
                     other => return Err(bad(format!("unknown FOLD key {other:?}"))),
                 }
@@ -712,6 +726,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 max_dominance_tests,
                 timeout_ms,
                 columns_from,
+                cache,
                 bytes: bytes.ok_or_else(|| bad("FOLD requires bytes=<n>"))?,
             })
         }
@@ -1038,6 +1053,27 @@ mod tests {
                 parse_request(&format!("{delta} columns_from={bad_row}")).is_err(),
                 "columns_from={bad_row:?} must be refused"
             );
+        }
+        assert!(matches!(
+            parse_request(delta).unwrap(),
+            Request::Fold { cache: true, .. }
+        ));
+        assert!(matches!(
+            parse_request(&format!("{delta} cache=0")).unwrap(),
+            Request::Fold { cache: false, .. }
+        ));
+        for bad_flag in ["", "2", "01", "true", "-0"] {
+            assert!(
+                parse_request(&format!("{delta} cache={bad_flag}")).is_err(),
+                "cache={bad_flag:?} must be refused"
+            );
+        }
+        for other in [
+            "FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0 cache=0",
+            "QUERY dataset=d k=3 cache=0",
+            "SHARDPUT name=d shard=2 base=100 replace=1 bytes=64 cache=0",
+        ] {
+            assert!(parse_request(other).is_err(), "cache is FOLD-only: {other}");
         }
         for other in [
             "FETCH name=d hash=7 shard=0 prefs=min t=8 seed=0 columns_from=4",

@@ -21,9 +21,15 @@
 //!   host under the request's budget — from its LRU, else the durable
 //!   [`SignatureStore`], else the rows.
 //!
-//! A miss merges its folds in shard order and, only if the run
-//! completed, memoises the assembled artefact. A coordinator feeds the
-//! same assembler remote legs instead.
+//! A miss folds its shards in one host call, merges the folds in shard
+//! order and, only if the run completed, memoises the assembled
+//! artefact. A coordinator feeds the same assembler remote legs
+//! instead. Only a compute's shard folds enter the LRU: an extension's
+//! or a delta's are merged into the artefact they extend, and nothing
+//! reads them again. The store still persists them, so a restart
+//! that replays the `APPEND`s stays warm; a key whose memo entry is
+//! lost (the memo is cleared when full) re-folds the shards appended
+//! since its last compute from the store, else from their rows.
 //!
 //! Concurrency: datasets sit behind an `RwLock` (read-mostly); the host
 //! holds its cache lock only for lookups and inserts — never while
@@ -38,12 +44,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use skydiver_core::{
-    CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint, Interrupt, RunBudget,
-    SignatureAccumulator, SkyDiverError, SkylineState, StopReason,
+    CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint, RunBudget,
+    SignatureAccumulator, SkyDiverError, SkylineState,
 };
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
-use crate::cluster::{fold_keys, shard_tag, FoldJob, Leg, ShardHost};
+use crate::cluster::{fold_keys, shard_tag, FoldJob, Folded, ShardHost};
 use crate::metrics::Metrics;
 use crate::store::{content_hash_of_tags, SignatureStore, SweepReport};
 
@@ -110,8 +116,10 @@ pub struct LoadedDataset {
     /// generation, where they cover fewer shards than the data: a miss
     /// starts from one and folds only the appended shards (plus, when
     /// the skyline changed, the entering columns over the old shards).
-    /// `LOAD` starts empty. Bounded at [`MEMO_CAP`]
-    /// (cleared when full — the per-shard LRU makes re-assembly cheap).
+    /// `LOAD` starts empty. Bounded at [`MEMO_CAP`], cleared when
+    /// full: a cleared key is re-assembled from the LRU's folds of the
+    /// shards its last compute folded, and the shards appended since
+    /// from the store, else from their rows.
     memo: Mutex<HashMap<MemoKey, Assembled>>,
     /// Finished selections for this generation, keyed by the full query
     /// identity. Dies with the generation like `memo`, so `LOAD` and
@@ -278,6 +286,10 @@ pub(crate) struct LegPlan {
     pub(crate) first: usize,
     /// The global row a column delta's columns start at.
     pub(crate) columns_from: Option<usize>,
+    /// The legs extend an inherited fingerprint (an extension or a
+    /// column delta). Once merged into it, nothing reads their folds
+    /// again, so none enters a fold LRU.
+    pub(crate) inherited: bool,
 }
 
 impl LegPlan {
@@ -295,12 +307,12 @@ impl LegPlan {
     }
 }
 
-/// A remote source of an assembled fingerprint's legs: one result per
-/// planned leg, in shard order from [`LegPlan::start`], ending at the
-/// first trip (see
+/// A remote source of an assembled fingerprint's legs: the planned
+/// legs from [`LegPlan::start`] on, in shard order up to the first
+/// trip, merged (see
 /// [`ClusterState::fingerprint`](crate::ClusterState::fingerprint)).
 pub(crate) type LegSource<'a> =
-    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, LegPlan, &ExecContext) -> Vec<Result<Leg, String>>;
+    &'a dyn Fn(&LoadedDataset, &FoldJob<'_>, LegPlan, &ExecContext) -> Folded;
 
 impl Registry {
     /// An empty registry whose fingerprint cache holds at most
@@ -562,11 +574,11 @@ impl Registry {
     }
 
     /// The one fingerprint assembler: memo check, skyline memo, size
-    /// check, skyline-phase poll, then the legs — from `remote`, or
-    /// folded here shard by shard under one shared context, stopping
-    /// at the first trip — merged in ascending shard order. A memo entry
-    /// inherited across `APPEND` covers the first shards, as the merge
-    /// of their folds:
+    /// check, skyline-phase poll, then the legs — from `remote`, or by
+    /// one [`ShardHost::fold_shards`] call here, stopping at the first
+    /// trip — merged in ascending shard order. A memo entry inherited
+    /// across `APPEND` covers the first shards, as the merge of their
+    /// folds:
     ///
     /// * over the same skyline, the legs start after its shards
     ///   (`fingerprint_extends`);
@@ -577,10 +589,13 @@ impl Registry {
     ///   shards, where the per-shard path's would. A delta cut short by
     ///   a trip or a lost shard leaves an empty, degraded artefact.
     ///
-    /// Otherwise every shard is folded. The first trip or failed shard
-    /// in shard order degrades the artefact; a complete one is
-    /// memoised. Counts the query once: a cache hit or miss, its
-    /// dominance tests and the shard folds it reused.
+    /// Otherwise every shard is folded, and only these folds enter the
+    /// host's LRU: an extension's or a delta's are covered by the
+    /// artefact they extend. The first trip or failed shard in shard
+    /// order degrades the artefact (a shard this process cannot fold is
+    /// an error); a complete one is memoised. Counts the query once: a
+    /// cache hit or miss, its dominance tests and the shard folds it
+    /// reused.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         &self,
@@ -632,6 +647,7 @@ impl Registry {
                 let plan = LegPlan {
                     first: a.shards,
                     columns_from: None,
+                    inherited: true,
                 };
                 Some((acc, plan))
             }
@@ -640,82 +656,79 @@ impl Registry {
                 let plan = LegPlan {
                     first: a.shards,
                     columns_from: Some(ds.data.base(a.shards)),
+                    inherited: true,
                 };
                 (acc, plan)
             }),
             None => None,
         };
-        let (mut merged, plan) = inherited_start
-            .unwrap_or_else(|| (SignatureAccumulator::new(t, ids.len()), LegPlan::default()));
-        let legs = match remote {
-            Some(source) => source(&ds, &job, plan, &ctx),
-            None => {
-                let start = plan.start();
-                let mut legs = Vec::with_capacity(ds.shard_tags.len() - start);
-                for (shard, &tag) in ds.shard_tags.iter().enumerate().skip(start) {
-                    let (leg, _) = match plan.columns_from(shard) {
-                        Some(from) => self.host.fold_columns(&job, shard, tag, from, &ctx)?,
-                        None => self.host.fold_request(&job, shard, tag, &ctx)?,
-                    };
-                    let tripped = leg.interrupt.is_some();
-                    legs.push(Ok(leg));
-                    if tripped {
-                        break;
-                    }
+        let (start, plan) = match inherited_start {
+            Some((acc, plan)) => (Some(acc), plan),
+            None => (None, LegPlan::default()),
+        };
+        let folded = match remote {
+            Some(source) => {
+                let folded = source(&ds, &job, plan, &ctx);
+                if let Some((shard, e)) = &folded.failed {
+                    eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
                 }
-                legs
+                folded
+            }
+            None => {
+                let shards: Vec<(usize, u64)> = ds
+                    .shard_tags
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .skip(plan.start())
+                    .collect();
+                let folded = self.host.fold_shards(&job, plan, &shards, &ctx);
+                if let Some((_, e)) = folded.failed {
+                    return Err(e);
+                }
+                folded
             }
         };
+        let Folded {
+            full,
+            delta,
+            delta_broken,
+            tests,
+            reused,
+            interrupt,
+            ..
+        } = folded;
+        let mut merged = match (start, full) {
+            (Some(mut acc), Some(full)) => {
+                acc.merge(&full.acc);
+                acc
+            }
+            (Some(acc), None) => acc,
+            (None, Some(full)) => Arc::unwrap_or_clone(full).acc,
+            (None, None) => SignatureAccumulator::new(t, ids.len()),
+        };
+        if plan.columns_from.is_some() {
+            match delta.filter(|_| !delta_broken) {
+                Some(delta) => {
+                    // Slot-wise minimum and score sum, as `merge` does,
+                    // over the entering columns only: the appended
+                    // shards' full folds already folded into them.
+                    let delta = &delta.acc;
+                    let e0 = ids.len() - delta.m();
+                    for j in 0..delta.m() {
+                        merged.matrix.update_column(e0 + j, delta.matrix.column(j));
+                        merged.scores[e0 + j] += delta.scores[j];
+                    }
+                    merged.rows_consumed += delta.rows_consumed;
+                }
+                // A delta cut short by a trip or a lost shard leaves an
+                // empty, degraded artefact.
+                None => merged = SignatureAccumulator::new(t, ids.len()),
+            }
+        }
         // The legs start after the shards an extension reuses; a delta
         // re-scans its shards, as the per-shard path's partial folds do.
-        let (mut tests, mut reused) = (0u64, plan.start() as u64);
-        let mut interrupt: Option<Interrupt> = None;
-        // The entering columns over the inherited shards' rows, and
-        // whether every one of those legs came back whole.
-        let mut delta = plan
-            .columns_from
-            .map(|from| SignatureAccumulator::new(t, job.ids_from(from).len()));
-        let mut delta_whole = true;
-        for (shard, leg) in (plan.start()..).zip(legs) {
-            let in_delta = plan.columns_from(shard).is_some();
-            match leg {
-                Ok(leg) => {
-                    match delta.as_mut().filter(|_| in_delta) {
-                        Some(delta) => delta.merge(&leg.fold.acc),
-                        None => merged.merge(&leg.fold.acc),
-                    }
-                    tests += leg.tests;
-                    reused += u64::from(leg.reused);
-                    delta_whole &= !in_delta || leg.interrupt.is_none();
-                    interrupt = interrupt.or(leg.interrupt);
-                }
-                Err(e) => {
-                    delta_whole &= !in_delta;
-                    if interrupt.is_none() {
-                        eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
-                        interrupt = Some(Interrupt {
-                            phase: ExecPhase::Fingerprint,
-                            reason: StopReason::ShardUnavailable { shard },
-                        });
-                    }
-                }
-            }
-        }
-        match delta {
-            Some(delta) if delta_whole => {
-                // Slot-wise minimum and score sum, as `merge` does, over
-                // the entering columns only: the appended shards' legs
-                // already folded into them.
-                let e0 = ids.len() - delta.m();
-                for j in 0..delta.m() {
-                    merged.matrix.update_column(e0 + j, delta.matrix.column(j));
-                    merged.scores[e0 + j] += delta.scores[j];
-                }
-                merged.rows_consumed += delta.rows_consumed;
-            }
-            Some(_) => merged = SignatureAccumulator::new(t, ids.len()),
-            None => {}
-        }
+        let reused = reused + plan.start() as u64;
         let events = match interrupt {
             Some(_) => vec![DegradationEvent::FingerprintCurtailed {
                 rows_scanned: merged.rows_consumed,
@@ -810,6 +823,7 @@ fn fold_kernel() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::json_u64;
     use skydiver_data::generators::anticorrelated;
 
     /// A budget that never trips but is not "unlimited", so the
@@ -948,6 +962,30 @@ mod tests {
         assert!(
             first.output.scores != second.output.scores || first.skyline != second.skyline,
             "the artefact reflects the new data"
+        );
+    }
+
+    /// `STATS`' `bytes_resident` and `cache_evictions` follow every
+    /// change to the fold LRU, a `LOAD` that drops the folds included.
+    #[test]
+    fn a_reload_reports_the_dropped_folds_at_once() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        reg.insert_dataset("d", anticorrelated(1000, 3, 19));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        reg.fingerprint("d", &prefs, &key, 32, 7, RunBudget::none())
+            .unwrap();
+        let resident = metrics.bytes_resident.load(Relaxed);
+        assert_eq!(resident, reg.host().cache_usage().1 as u64);
+        assert!(resident > 0);
+        reg.insert_dataset("d", anticorrelated(1000, 3, 77));
+        assert_eq!(metrics.bytes_resident.load(Relaxed), 0);
+        assert_eq!(json_u64(&reg.stats_json(), "bytes_resident"), Some(0));
+        assert_eq!(
+            metrics.cache_evictions.load(Relaxed),
+            0,
+            "a drop is no eviction"
         );
     }
 
@@ -1231,6 +1269,23 @@ mod tests {
         assert_eq!(fp.m(), old.m() + 1);
         chain.append(entering(&fp, &chain.sd, 0));
         assert_eq!(chain.query().1, (0, 1), "and a delta again");
+    }
+
+    /// Only a compute's shard folds enter the LRU: the folds an
+    /// extension or a column delta makes are merged into the inherited
+    /// fingerprint and never cached.
+    #[test]
+    fn extension_and_delta_folds_stay_out_of_the_lru() {
+        let mut chain = Chain::new(2);
+        let (old, _) = chain.query();
+        let cached = chain.reg.host().cache_usage();
+        assert_eq!(cached.0, 2, "the compute caches both shards");
+        chain.append(sunk(40, 10.0));
+        assert_eq!(chain.query().1, (1, 0), "an extension");
+        assert_eq!(chain.reg.host().cache_usage(), cached);
+        chain.append(entering(&old, &chain.sd, 1));
+        assert_eq!(chain.query().1, (0, 1), "a column delta");
+        assert_eq!(chain.reg.host().cache_usage(), cached);
     }
 
     /// A budget that cannot fund the delta's whole charge folds every

@@ -1052,6 +1052,7 @@ fn respond(
             max_dominance_tests,
             timeout_ms,
             columns_from,
+            cache,
             ..
         } => match host.fold(
             &dataset,
@@ -1064,6 +1065,7 @@ fn respond(
             max_dominance_tests,
             timeout_ms,
             columns_from,
+            cache,
             body.unwrap_or_default(),
             cancel,
         ) {

@@ -44,6 +44,7 @@ use std::time::Duration;
 
 use skydiver_core::minhash::persist;
 use skydiver_core::ShardFingerprint;
+use skydiver_data::fnv::{fnv1a64, Fnv64};
 use skydiver_data::ShardedDataset;
 
 use crate::cluster::shard_tag;
@@ -102,7 +103,7 @@ pub fn content_hash(data: &ShardedDataset) -> u64 {
 /// the dimensionality and each shard's row count and tag, so a
 /// generation grown by `APPEND` hashes in O(shards), not O(rows).
 pub(crate) fn content_hash_of_tags(data: &ShardedDataset, tags: &[u64]) -> u64 {
-    let mut h = persist::Fnv64::new();
+    let mut h = Fnv64::new();
     h.update(&(data.dims() as u64).to_le_bytes());
     h.update(&(data.num_shards() as u64).to_le_bytes());
     for (i, tag) in tags.iter().enumerate() {
@@ -116,7 +117,7 @@ pub(crate) fn content_hash_of_tags(data: &ShardedDataset, tags: &[u64]) -> u64 {
 
 /// FNV-1a 64 of the canonical preference key (`"min,max,..."`).
 pub fn prefs_hash(prefs_key: &str) -> u64 {
-    persist::fnv1a64(prefs_key.as_bytes())
+    fnv1a64(prefs_key.as_bytes())
 }
 
 /// One deterministic disk fault, for the durability property suite.

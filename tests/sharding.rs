@@ -1466,6 +1466,21 @@ mod append_chains {
                 .map(|m| m.fingerprint_deltas.load(Ordering::Relaxed))
         }
 
+        /// STATS `bytes_resident` of each topology's fold caches: the
+        /// single process's, and the sum of the workers'.
+        fn bytes_resident(&self) -> [u64; 2] {
+            let resident = |stats: &str| json_u64(stats, "bytes_resident").expect("bytes_resident");
+            let workers = self
+                .workers
+                .iter()
+                .map(|w| {
+                    let mut c = Client::connect(w.addr()).expect("connect worker");
+                    resident(&c.stats().expect("worker STATS"))
+                })
+                .sum();
+            [resident(&self.mono.stats_json()), workers]
+        }
+
         /// `(cache_misses, skyline_hits, skyline_extends)` of each
         /// topology's query path.
         fn skyline_counters(&self) -> [(u64, u64, u64); 2] {
@@ -1877,6 +1892,153 @@ mod append_chains {
                 "limit {limit}: column deltas taken"
             );
         }
+    }
+
+    /// Only a compute's shard folds stay in a fold cache. After 24
+    /// appends that leave the skyline unchanged and 4 that change it,
+    /// each followed by a query that extends the memoised fingerprint or
+    /// takes a column delta on it, STATS `bytes_resident` reads on both
+    /// topologies what it read after the first query.
+    #[test]
+    fn extensions_and_deltas_leave_the_fold_caches_unchanged() {
+        let topo = Topologies::start("resident");
+        let prefs = Preference::all_min(3);
+        let base = anticorrelated(1_000, 3, 89);
+        topo.load("d", &base);
+        let answers = topo.query("d", &prefs, 1, None, false);
+        assert!(
+            answers[0].is_ok() && answers[0] == answers[1],
+            "{answers:?}"
+        );
+        let resident = topo.bytes_resident();
+        assert!(resident.iter().all(|&b| b > 0), "{resident:?}");
+        for i in 0..28 {
+            let (extends, deltas) = (topo.fingerprint_extends(), topo.fingerprint_deltas());
+            let block = match i % 7 {
+                // Lower in the first dimension than every row so far:
+                // joins the skyline, displacing the previous such row.
+                6 => Dataset::from_rows(3, &[[-1.0 - i as f64, 5.0, 5.0]]),
+                _ => {
+                    let v = 10.0 + i as f64;
+                    Dataset::from_rows(3, &vec![[v, v, v]; 1 + i % 3])
+                }
+            };
+            topo.append("d", &block);
+            let answers = topo.query("d", &prefs, 1, None, false);
+            assert!(
+                answers[0].is_ok() && answers[0] == answers[1],
+                "append {i}: {answers:?}"
+            );
+            let grown = match i % 7 {
+                6 => (extends, deltas.map(|n| n + 1)),
+                _ => (extends.map(|n| n + 1), deltas),
+            };
+            assert_eq!(
+                (topo.fingerprint_extends(), topo.fingerprint_deltas()),
+                grown,
+                "append {i}"
+            );
+        }
+        assert_eq!(topo.bytes_resident(), resident, "the fold caches grew");
+    }
+
+    /// An unfunded column delta after an extension folds every shard,
+    /// as the per-shard path does — but the shard the extension folded
+    /// is not in the fold cache any more: the answer (matrix, scores,
+    /// dominance tests, trip) is `fingerprint_sharded_with` handed the
+    /// compute's folds and `None` for the extension's shard, on both
+    /// topologies. The budget trips inside that shard, so the answer
+    /// with its fold kept would differ.
+    #[test]
+    fn an_unfunded_delta_after_an_extension_refolds_the_extended_shard() {
+        let topo = Topologies::start("unfunded");
+        let prefs = Preference::all_min(3);
+        let base = anticorrelated(1_500, 3, 90);
+        topo.load("d", &base);
+        let mut sd = ShardedDataset::partition(&base, SHARDS);
+        let pipe = |max: Option<u64>| {
+            SkyDiver::new(2)
+                .signature_size(T)
+                .hash_seed(1)
+                .budget(budget(max, false))
+        };
+        for got in topo.query("d", &prefs, 1, None, false) {
+            assert!(got.is_ok(), "{got:?}");
+        }
+        let computed = pipe(None).fingerprint_sharded(&sd, &prefs).unwrap().shards;
+
+        let sunk: Vec<[f64; 3]> = (0..300)
+            .map(|i| [10.0 + i as f64 / 100.0, 10.0, 10.0])
+            .collect();
+        let sunk = Dataset::from_rows(3, &sunk);
+        let extends = topo.fingerprint_extends();
+        topo.append("d", &sunk);
+        sd.push_shard(sunk);
+        for got in topo.query("d", &prefs, 1, None, false) {
+            assert!(got.is_ok(), "{got:?}");
+        }
+        assert_eq!(
+            topo.fingerprint_extends(),
+            extends.map(|n| n + 1),
+            "an extension"
+        );
+        let mut held: Vec<_> = computed.into_iter().map(Some).collect();
+        held.push(None);
+        let extended = pipe(None)
+            .fingerprint_sharded_with(&sd, &prefs, &held)
+            .unwrap()
+            .shards;
+
+        // Two rows enter the skyline; sixty more are dominated by it.
+        let mut rows = vec![[-1.0, 5.0, 5.0], [5.0, -1.0, 5.0]];
+        rows.extend((0..60).map(|i| [3.0 + i as f64 / 100.0, 3.0, 3.0]));
+        let block = Dataset::from_rows(3, &rows);
+        topo.append("d", &block);
+        sd.push_shard(block);
+        held.push(None);
+        let ids = pipe(None)
+            .fingerprint_sharded(&sd, &prefs)
+            .unwrap()
+            .fingerprint
+            .skyline;
+        let from = sd.base(3);
+        let survivors = ids.partition_point(|&id| id < from);
+        let delta_charge = (ids.len() - survivors) as u64 * (from - survivors) as u64;
+        let limit = delta_charge - 1;
+
+        let per_shard = pipe(Some(limit))
+            .fingerprint_sharded_with(&sd, &prefs, &held)
+            .unwrap();
+        let want = Fold::of(&per_shard.fingerprint, per_shard.dominance_tests);
+        assert_eq!(want.tripped, Some(ExecPhase::Fingerprint));
+        let scanned = per_shard.fingerprint.events.iter().find_map(|e| match e {
+            DegradationEvent::FingerprintCurtailed { rows_scanned, .. } => Some(*rows_scanned),
+            _ => None,
+        });
+        assert!(
+            scanned.is_some_and(|rows| (base.len()..from).contains(&rows)),
+            "the trip lands in the extension's shard: {scanned:?}"
+        );
+        let mut kept = held.clone();
+        kept[2] = Some(Arc::clone(&extended[2]));
+        let with_kept = pipe(Some(limit))
+            .fingerprint_sharded_with(&sd, &prefs, &kept)
+            .unwrap();
+        assert_ne!(
+            Fold::of(&with_kept.fingerprint, with_kept.dominance_tests),
+            want,
+            "the scenario tells a kept fold from a dropped one"
+        );
+
+        let deltas = topo.fingerprint_deltas();
+        for (topology, got) in
+            ["single-process", "cluster"]
+                .iter()
+                .zip(topo.query("d", &prefs, 1, Some(limit), false))
+        {
+            assert_eq!(got.as_ref(), Ok(&want), "{topology}");
+        }
+        assert_eq!(topo.fingerprint_deltas(), deltas, "the delta is not funded");
     }
 
     /// A NaN in an appended block fails the next query on both

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use skydiver::core::RunBudget;
 use skydiver::data::generators::anticorrelated;
-use skydiver::data::ShardedDataset;
+use skydiver::data::{Dataset, ShardedDataset};
 use skydiver::serve::protocol::{json_u64, json_u64_array, QuerySpec};
 use skydiver::serve::{
     parse_prefs, Client, DiskFault, FaultPlan, Metrics, Registry, Server, ServerConfig,
@@ -159,6 +159,106 @@ fn a_store_that_never_persists_is_only_a_slow_store() {
     assert_eq!(t2, t1, "cold fallback repeats the full computation");
     assert_eq!(c.output.matrix, a.output.matrix);
     drop(reg2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rows` points at `v` in every dimension: dominated by the
+/// generator's data, whose coordinates lie well below 10.
+fn sunk(rows: usize, v: f64) -> Dataset {
+    Dataset::from_rows(3, &vec![[v, v, v]; rows])
+}
+
+/// One row just below skyline member `id` of `data`: it replaces the
+/// member, so the skyline changes.
+fn below(data: &Dataset, id: usize) -> Dataset {
+    let p = data.point(id);
+    Dataset::from_rows(3, &[[p[0] - 1e-6, p[1] - 1e-6, p[2] - 1e-6]])
+}
+
+/// The store persists the shard folds the fold LRU keeps out — the ones
+/// an extension or a column delta merges into its inherited
+/// fingerprint. A chain of extend and delta appends, each followed by a
+/// query, is replayed on a restarted registry: its first query charges
+/// 0 dominance tests, every extension after it is free too, and a delta
+/// charges only its entering columns over the old rows — each appended
+/// shard's full fold comes from the store. Every answer is the one
+/// served before the restart.
+#[test]
+fn a_restart_replays_extensions_and_deltas_from_the_store() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let dir = tmp_dir("chain");
+    let base = ShardedDataset::partition(&anticorrelated(3_000, 3, 71), 2);
+    let (prefs, key) = parse_prefs(None, 3).unwrap();
+    let query = |reg: &Registry| {
+        let (fp, hit, tests) = reg
+            .fingerprint("d", &prefs, &key, 32, 5, counted())
+            .unwrap();
+        assert!(!hit && fp.is_complete());
+        (fp, tests)
+    };
+
+    let (reg, _, _) = store_registry(&dir, &[]);
+    reg.insert_sharded("d", base.clone());
+    let (mut fp, _) = query(&reg);
+    let mut blocks = Vec::new();
+    let mut before = vec![fp.clone()];
+    for step in 0..4 {
+        let block = match step % 2 {
+            0 => sunk(20 + step, 10.0),
+            _ => below(&reg.dataset("d").unwrap().whole(), fp.skyline[step]),
+        };
+        reg.append_dataset("d", block.clone()).unwrap();
+        blocks.push(block);
+        fp = query(&reg).0;
+        before.push(fp.clone());
+    }
+    let metrics = reg.metrics();
+    assert_eq!(metrics.fingerprint_extends.load(Relaxed), 2);
+    assert_eq!(metrics.fingerprint_deltas.load(Relaxed), 2);
+    assert_eq!(
+        reg.host().cache_usage().0,
+        2,
+        "only the compute's folds are cached"
+    );
+    assert_eq!(
+        reg.store_snapshot().unwrap(),
+        6,
+        "every full shard fold is persisted"
+    );
+    drop(reg);
+
+    let (reg, metrics, valid) = store_registry(&dir, &[]);
+    assert_eq!(valid, 6);
+    reg.insert_sharded("d", base);
+    let (fp, tests) = query(&reg);
+    assert_eq!(tests, 0, "the restart's first query folds nothing");
+    assert_eq!(metrics.store_hits.load(Relaxed), 2);
+    assert_eq!(fp.output.matrix, before[0].output.matrix);
+    for (step, block) in blocks.into_iter().enumerate() {
+        reg.append_dataset("d", block).unwrap();
+        let from = reg.dataset("d").unwrap().data.base(step + 2);
+        let (fp, tests) = query(&reg);
+        let want = &before[step + 1];
+        assert_eq!(fp.skyline, want.skyline, "step {step}");
+        assert_eq!(fp.output.matrix, want.output.matrix, "step {step}");
+        assert_eq!(fp.output.scores, want.output.scores, "step {step}");
+        let survivors = fp.skyline.partition_point(|&id| id < from);
+        let entering = (fp.skyline.len() - survivors) as u64;
+        let charge = match step % 2 {
+            0 => 0,
+            _ => entering * (from - survivors) as u64,
+        };
+        assert!(
+            step % 2 == 0 || charge > 0,
+            "step {step} changes the skyline"
+        );
+        assert_eq!(
+            tests, charge,
+            "step {step}: the appended shard comes from the store"
+        );
+        assert_eq!(metrics.store_hits.load(Relaxed), 3 + step as u64);
+    }
+    drop(reg);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
