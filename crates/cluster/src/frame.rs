@@ -15,10 +15,10 @@
 //!   [m*dims f64 LE canonical skyline columns]`, everything a worker
 //!   needs to fold its shard against the coordinator's skyline (`FOLD`).
 //!
-//! `FOLD`/`FETCH` responses carry `SKYSIG02` artefacts (see
-//! `core::minhash::persist`), which bring their own checksum; the frame
-//! layer wraps them anyway so every body on the wire is validated the
-//! same way.
+//! `FOLD`/`FETCH` responses carry bare `SKYSIG02` bundles (see
+//! `core::minhash::persist`), not frames: a bundle already ends in its
+//! own length and FNV-1a checksum, and its decoder checks both before
+//! trusting a word, so a frame around it would only hash it twice.
 
 use std::io;
 

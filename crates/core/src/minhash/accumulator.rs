@@ -206,8 +206,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_merge_identical_to_portable_merge() {
-        use crate::kernels::{dispatched, portable};
+    fn merge_identical_in_every_copy() {
+        use crate::kernels::same_in_every_tier;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(21);
         for t in [1, 3, 7, 64, 100] {
@@ -224,11 +224,12 @@ mod tests {
                 acc
             };
             let (a, b) = (random(), random());
-            let mut p = a.clone();
-            portable(|| p.merge(&b));
-            let mut w = a.clone();
-            dispatched(|| w.merge(&b));
-            assert_eq!(p, w, "t = {t}");
+            let merged = || {
+                let mut p = a.clone();
+                p.merge(&b);
+                p
+            };
+            let p = same_in_every_tier(&format!("t = {t}"), merged);
             assert!(p.matrix.column(4).iter().all(|&v| v == INF_SLOT), "t = {t}");
         }
     }

@@ -31,10 +31,22 @@ fn mod_p(v: u128) -> u64 {
     }
 }
 
+/// `2²⁹ − 1`: the low bits of `a_hi·x` that stay below `2⁶¹` after the
+/// shift by 32 in [`HashFamily::hash_all`].
+const LOW29: u64 = (1u64 << 29) - 1;
+
 /// A family of `t` affine hash functions over row ids.
+///
+/// Each multiplier `aᵢ < 2⁶¹` is stored split into its low and high 32
+/// bits (`aᵢ = a_hiᵢ·2³² + a_loᵢ`, so `a_hiᵢ < 2²⁹`), three parallel
+/// arrays in slot order: [`hash_all`](Self::hash_all) then needs only
+/// 32×32-bit multiplies, which vector units have and 64×64 → 128-bit
+/// ones lack.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
-    coeffs: Vec<(u64, u64)>,
+    a_lo: Vec<u32>,
+    a_hi: Vec<u32>,
+    b: Vec<u64>,
 }
 
 impl HashFamily {
@@ -45,41 +57,87 @@ impl HashFamily {
     pub fn new(t: usize, seed: u64) -> Self {
         assert!(t > 0, "need at least one hash function");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00D1_CE5E_ED15_BAD5);
-        let coeffs = (0..t)
-            .map(|_| (rng.gen_range(1..P), rng.gen_range(0..P)))
-            .collect();
-        HashFamily { coeffs }
+        let mut fam = HashFamily {
+            a_lo: Vec::with_capacity(t),
+            a_hi: Vec::with_capacity(t),
+            b: Vec::with_capacity(t),
+        };
+        for _ in 0..t {
+            // lint: allow(R2) -- t draws, once per family
+            let (a, b) = (rng.gen_range(1..P), rng.gen_range(0..P));
+            fam.a_lo.push(a as u32);
+            fam.a_hi.push((a >> 32) as u32);
+            fam.b.push(b);
+        }
+        fam
     }
 
     /// Number of functions `t` (the signature size).
     pub fn len(&self) -> usize {
-        self.coeffs.len()
+        self.b.len()
     }
 
     /// `true` when the family is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.coeffs.is_empty()
+        self.b.is_empty()
+    }
+
+    /// Multiplier `aᵢ` of function `i`.
+    #[inline]
+    fn a(&self, i: usize) -> u64 {
+        (u64::from(self.a_hi[i]) << 32) | u64::from(self.a_lo[i])
     }
 
     /// Applies function `i` to row id `x`.
     #[inline]
     pub fn hash(&self, i: usize, x: u64) -> u64 {
-        let (a, b) = self.coeffs[i];
-        mod_p(a as u128 * x as u128 + b as u128)
+        mod_p(self.a(i) as u128 * x as u128 + self.b[i] as u128)
     }
 
     /// Applies every function to `x`, writing into `out`. Hot path of
-    /// signature generation.
+    /// signature generation; bit-identical to [`hash`](Self::hash).
+    ///
+    /// For `x < 2³²` (every row id in practice) the slot loop has no
+    /// 128-bit arithmetic and no branch, so it vectorises: with
+    /// `p0 = a_lo·x < 2⁶⁴` and `p1 = a_hi·x < 2⁶¹`,
+    /// `a·x = 2³²·p1 + p0`, and `2³²·p1 ≡ (p1 >> 29) + (p1 mod 2²⁹)·2³²`
+    /// (mod `P`) because `2⁶¹ ≡ 1`. Adding that (`< 2⁶¹ + 2³²`), `p0`
+    /// folded once (`< 2⁶¹ + 8`) and `b < 2⁶¹` stays below `2⁶³`; one
+    /// more fold leaves `r ≤ P + 3`, and `r ≥ P` exactly when bit 61 of
+    /// `r + 1` is set, so the last subtract is a mask, not a branch. For
+    /// a larger `x`, the 128-bit form of [`hash`](Self::hash) overwrites
+    /// the slots.
+    ///
+    /// `#[inline(always)]`: the fold loops call this from inside the
+    /// wide copies of `kernels::wide`, which vectorise only what is
+    /// inlined into them.
     ///
     /// # Panics
     /// Panics if `out.len() != t`.
-    #[inline]
+    #[inline(always)]
     pub fn hash_all(&self, x: u64, out: &mut [u64]) {
-        assert_eq!(out.len(), self.coeffs.len(), "hash output length mismatch");
-        for (slot, &(a, b)) in out.iter_mut().zip(&self.coeffs) {
+        let t = self.b.len();
+        assert_eq!(out.len(), t, "hash output length mismatch");
+        let (a_lo, a_hi, b) = (&self.a_lo[..t], &self.a_hi[..t], &self.b[..t]);
+        let lo = u64::from(x as u32);
+        for i in 0..t {
             // lint: allow(R2) -- t hash applications per row; the row
             // loops charge the budget per dominated point
-            *slot = mod_p(a as u128 * x as u128 + b as u128);
+            let p0 = u64::from(a_lo[i]) * lo;
+            let p1 = u64::from(a_hi[i]) * lo;
+            let s = (p1 >> 29) + ((p1 & LOW29) << 32) + (p0 & P) + (p0 >> 61) + b[i];
+            let r = (s & P) + (s >> 61);
+            out[i] = r - (P & 0u64.wrapping_sub((r + 1) >> 61));
+        }
+        // Checked after the loop, not before: a branch on `x < 2³²` ahead
+        // of it lets LLVM drop the 32-bit truncation of `x` and multiply
+        // full 64-bit lanes, twice the `vpmuludq`s.
+        if lo != x {
+            for (i, slot) in out.iter_mut().enumerate() {
+                // lint: allow(R2) -- t hash applications per row; the row
+                // loops charge the budget per dominated point
+                *slot = self.hash(i, x);
+            }
         }
     }
 }
@@ -118,6 +176,60 @@ mod tests {
         f.hash_all(12345, &mut out);
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, f.hash(i, 12345));
+        }
+    }
+
+    /// A family with the given `(a, b)` coefficients.
+    fn with_coeffs(coeffs: &[(u64, u64)]) -> HashFamily {
+        let mut fam = HashFamily::new(coeffs.len(), 0);
+        for (i, &(a, b)) in coeffs.iter().enumerate() {
+            (fam.a_lo[i], fam.a_hi[i], fam.b[i]) = (a as u32, (a >> 32) as u32, b);
+        }
+        fam
+    }
+
+    #[test]
+    fn hash_all_matches_the_u128_reference_in_every_copy() {
+        use crate::kernels::{same_in_every_tier, wide};
+        let reference = |a: u64, b: u64, x: u64| {
+            ((a as u128 * x as u128 + b as u128) % P as u128) as u64
+        };
+        // `x = 1` with `a + b = P` lands exactly on `P` before the
+        // final subtract.
+        let edge_x = [0, 1, 1 << 29, u32::MAX as u64, 1 << 32, (1 << 32) + 1, u64::MAX];
+        let edge_ab = [1, P - 2, P - 1];
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut xs: Vec<u64> = edge_x.to_vec();
+        xs.extend((0..200).map(|_| rng.gen_range(0..1u64 << 32)));
+        xs.extend((0..50).map(|_| rng.gen::<u64>()));
+        for t in [1, 7, 64, 100] {
+            // The edge pairs first, largest first, then random ones.
+            let coeffs: Vec<(u64, u64)> = (0..t)
+                .map(|i| match i {
+                    i if i < 9 => (edge_ab[2 - i % 3], edge_ab[2 - i / 3]),
+                    _ => (rng.gen_range(1..P), rng.gen_range(0..P)),
+                })
+                .collect();
+            let fam = with_coeffs(&coeffs);
+            let hashes = || {
+                wide(
+                    #[inline(always)]
+                    || {
+                        let mut out = vec![0u64; t * xs.len()];
+                        for (&x, row) in xs.iter().zip(out.chunks_exact_mut(t)) {
+                            fam.hash_all(x, row);
+                        }
+                        out
+                    },
+                )
+            };
+            let got = same_in_every_tier(&format!("t = {t}"), hashes);
+            for (&x, row) in xs.iter().zip(got.chunks_exact(t)) {
+                for (i, (&(a, b), &h)) in coeffs.iter().zip(row).enumerate() {
+                    assert_eq!(h, reference(a, b, x), "t = {t}, i = {i}, a = {a}, b = {b}, x = {x}");
+                    assert_eq!(h, fam.hash(i, x), "t = {t}, i = {i}, x = {x}");
+                }
+            }
         }
     }
 

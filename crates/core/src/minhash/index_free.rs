@@ -486,9 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_fold_identical_to_portable_fold() {
+    fn fold_identical_in_every_copy() {
         use crate::budget::RunBudget;
-        use crate::kernels::{dispatched, portable};
+        use crate::kernels::same_in_every_tier;
         use skydiver_data::generators::anticorrelated;
         // ANT rows plus one skyline row that dominates nothing, so its
         // column stays all-`INF_SLOT`.
@@ -527,8 +527,7 @@ mod tests {
                         (acc, int, ctx.dominance_tests())
                     };
                     let what = format!("t = {t}, threads = {threads}, {limit:?}, {generic}");
-                    let p = portable(fold);
-                    assert_eq!(dispatched(fold), p, "{what}");
+                    let p = same_in_every_tier(&what, fold);
                     assert_eq!(p.1.is_some(), limit.is_some(), "{what}");
                     assert!(p.0.rows_consumed < ds.len() || limit.is_none(), "{what}");
                     let inf = p.0.matrix.column(lonely).iter().all(|&v| v == INF_SLOT);

@@ -497,8 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_plan_walk_identical_to_portable_walk() {
-        use crate::kernels::{dispatched, portable};
+    fn plan_walk_identical_in_every_copy() {
+        use crate::kernels::same_in_every_tier;
         let ds = data(500, 3, 250);
         let sky = naive_skyline(&ds, &MinDominance);
         let lonely = sky.iter().position(|&s| s == 500 / 3).expect("a skyline row");
@@ -507,17 +507,21 @@ mod tests {
         for &s in &sky {
             skip[s] = true;
         }
-        let view = DatasetView::with_base(&ds, 11);
         let free = ExecContext::unlimited();
-        let plan = DominancePlan::build(view, &sky, &cols, &skip, usize::MAX, &free)
-            .unwrap()
-            .unwrap();
-        for t in [1, 3, 7, 64, 100] {
-            let fam = HashFamily::new(t, 60 + t as u64);
-            let walk = || plan.execute(view, &fam, &free).expect("unlimited walk");
-            let p = portable(walk);
-            assert_eq!(dispatched(walk), p, "t = {t}");
-            assert!(p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT), "t = {t}");
+        // The second view's global ids straddle 2³², where the row hash
+        // switches to its 128-bit form.
+        for base in [11, u32::MAX as usize - 250] {
+            let view = DatasetView::with_base(&ds, base);
+            let plan = DominancePlan::build(view, &sky, &cols, &skip, usize::MAX, &free)
+                .unwrap()
+                .unwrap();
+            for t in [1, 3, 7, 64, 100] {
+                let fam = HashFamily::new(t, 60 + t as u64);
+                let walk = || plan.execute(view, &fam, &free).expect("unlimited walk");
+                let what = format!("base = {base}, t = {t}");
+                let p = same_in_every_tier(&what, walk);
+                assert!(p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT), "{what}");
+            }
         }
     }
 

@@ -41,11 +41,12 @@
 //! carries a `bytes=<n>` token is followed by exactly `n` raw bytes — a
 //! length-prefixed, FNV-1a-checksummed frame (see
 //! `skydiver_cluster::frame`) — and a response payload carrying
-//! `bytes=<n>` is likewise followed by `n` raw frame bytes. `SHARDPUT`
+//! `bytes=<n>` is likewise followed by `n` raw bytes: a `SKYSIG02`
+//! bundle, which ends in its own length and FNV-1a checksum. `SHARDPUT`
 //! ships one shard's rows to an owner (`replace=1` drops the worker's
 //! previous shards of that dataset first — a new `LOAD` generation);
 //! `FOLD` asks the owner to fold its shard against the coordinator's
-//! shipped skyline columns and return the fold as a `SKYSIG02` frame
+//! shipped skyline columns and return the fold as a `SKYSIG02` bundle
 //! (with `columns_from=<row>`, only the columns of skyline members at
 //! global row `row` or later — a column delta, never cached; with
 //! `cache=0`, a full fold that extends an inherited fingerprint, kept
@@ -387,7 +388,7 @@ pub enum Request {
         /// Raw body length following the line.
         bytes: usize,
     },
-    /// Serve a cached fold artefact as a `SKYSIG02` frame.
+    /// Serve a cached fold artefact as a `SKYSIG02` bundle.
     Fetch {
         /// Dataset name.
         name: String,

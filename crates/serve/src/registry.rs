@@ -43,6 +43,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use skydiver_core::kernels::FoldTier;
 use skydiver_core::{
     CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint, RunBudget,
     SignatureAccumulator, SkyDiverError, SkylineState,
@@ -519,9 +520,11 @@ impl Registry {
         // `debug_assert!` would vanish in release and corrupt the payload.
         debug_assert!(json.ends_with('}'));
         json.pop();
+        // `fold_kernel`: the copy of the MinHash fold loops this host
+        // runs, as core's dispatch picks it.
         json.push_str(&format!(
             ",\"dataset_shards\":{{{shards}}},\"fold_kernel\":\"{}\"}}",
-            fold_kernel()
+            FoldTier::detect().name()
         ));
         json
     }
@@ -808,18 +811,6 @@ pub(crate) fn read_points(path: &str) -> Result<Dataset, String> {
     Ok(data)
 }
 
-/// The copy of the MinHash fold loops this host runs — `"avx2"` or
-/// `"portable"` — for `STATS`' `fold_kernel`. It repeats the run-time
-/// check of `skydiver_core`'s kernel dispatch, which picks the AVX2
-/// copy exactly when the CPU reports AVX2.
-fn fold_kernel() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "portable"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,9 +851,8 @@ mod tests {
         }
         assert_eq!(depth, 0, "unbalanced braces in {json}");
         assert!(json.contains("\"dataset_shards\":{\"d\":1}"));
-        let kernel = format!("\"fold_kernel\":\"{}\"", fold_kernel());
+        let kernel = format!("\"fold_kernel\":\"{}\"", FoldTier::detect().name());
         assert!(json.ends_with(&format!(",{kernel}}}")), "{json}");
-        assert!(["avx2", "portable"].contains(&fold_kernel()));
     }
 
     #[test]
