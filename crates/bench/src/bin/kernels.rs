@@ -17,12 +17,14 @@
 //! * **selection / SigGen-IB** — sequential selection vs 4-thread
 //!   parallel selection, and the paper's Fig. 4 `SigGen-IB` reference
 //!   pass vs the `SigGen-IB/A` engine on 4 threads.
-//!   Checked since PR 7 (the half-baseline floor catches a reintroduced
+//!   Both are checked (the half-baseline floor catches a reintroduced
 //!   pathology such as spawn-per-round selection). Unlike the kernel
 //!   ratios above, these depend on the core count: the committed
 //!   baseline was recorded on 2 cores, so its floors assume a runner
-//!   with at least 2 (a 1-core run at `--scale 0.004` still clears
-//!   them, at ~1.0× and ~2.0×),
+//!   with at least 2. Even there the selection ratio is noisy: on a
+//!   2-vCPU VM at `--scale 0.004` it read between 0.15× and 0.56×
+//!   against its 0.33× floor, so that check fails some runs; the
+//!   SigGen-IB ratio read 2.3–2.7×,
 //! * **run_auto** — end-to-end wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use skydiver::core::kernels::FoldTier;
 use skydiver::data::generators::anticorrelated;
 use skydiver::data::io;
+use skydiver::data::ShardedDataset;
 use skydiver::serve::protocol::{
     json_bool, json_f64, json_u64, json_u64_array, BatchSpec, Method, QuerySpec,
 };
@@ -258,7 +259,9 @@ fn wire_load_matches_direct_run_on_the_same_file() {
 /// while charging only the incremental dominance-test bill — the old
 /// shard's fold is reused, so a skyline-preserving append of `a` rows
 /// against an `m`-point skyline costs exactly `a · m` tests instead of
-/// `(n + a) · m`.
+/// `(n + a) · m`. Before the append, the same points split into 1, 2, 4
+/// or 8 shards charge the same cold `(n − m) · m` bill and select the
+/// same points.
 #[test]
 fn wire_append_reuses_folds_and_answers_exactly() {
     let n = 8_000usize;
@@ -279,6 +282,11 @@ fn wire_append_reuses_folds_and_answers_exactly() {
 
     let handle = start(2);
     handle.registry().insert_dataset("ant", base.clone());
+    // The same points split into 1, 2, 4 and 8 shards.
+    let sweep = [1usize, 2, 4, 8];
+    for s in sweep {
+        handle.registry().insert_sharded(format!("ant{s}"), ShardedDataset::partition(&base, s));
+    }
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let cold = client.query(&spec(6)).expect("cold query");
@@ -288,6 +296,20 @@ fn wire_append_reuses_folds_and_answers_exactly() {
     // The index-free scan skips the skyline rows themselves, so a cold
     // run costs exactly (n − m)·m dominance tests.
     assert_eq!(cold_tests, (n as u64 - m) * m, "cold run scans every non-skyline row: {cold}");
+
+    // Sharding does not change that bill, nor the answer: each shard
+    // scans only its own non-skyline rows.
+    for s in sweep {
+        let payload = client
+            .query(&spec(6).clone_with_dataset(&format!("ant{s}")))
+            .expect("sharded cold query");
+        assert_eq!(
+            json_u64(&payload, "dominance_tests"),
+            Some(cold_tests),
+            "{s} shards changed the dominance-test count: {payload}"
+        );
+        assert_eq!(selected_of(&payload), selected_of(&cold), "{s} shards changed the answer");
+    }
 
     let summary = client.append("ant", csv.to_str().unwrap()).expect("wire append");
     assert!(summary.contains("shards=2"), "{summary}");
