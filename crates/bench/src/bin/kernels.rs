@@ -14,17 +14,14 @@
 //!   speedup is a diluted view of the dominance entry above,
 //! * **agreement / hamming** — the shared slot-agreement kernel vs an
 //!   inline per-slot loop,
-//! * **selection / SigGen-IB** — sequential selection vs 4-thread
-//!   parallel selection, and the paper's Fig. 4 `SigGen-IB` reference
-//!   pass vs the `SigGen-IB/A` engine on 4 threads.
-//!   Both are checked (the half-baseline floor catches a reintroduced
-//!   pathology such as spawn-per-round selection). Unlike the kernel
-//!   ratios above, these depend on the core count: the committed
-//!   baseline was recorded on 2 cores, so its floors assume a runner
-//!   with at least 2. Even there the selection ratio is noisy: on a
-//!   2-vCPU VM at `--scale 0.004` it read between 0.15× and 0.56×
-//!   against its 0.33× floor, so that check fails some runs; the
-//!   SigGen-IB ratio read 2.3–2.7×,
+//! * **SigGen-IB** — the paper's Fig. 4 `SigGen-IB` reference pass vs
+//!   the `SigGen-IB/A` engine on 4 threads (checked). Unlike the kernel
+//!   ratios above, this one depends on the core count: the committed
+//!   baseline was recorded on 2 cores, so its floor assumes a runner
+//!   with at least 2; on a 2-vCPU VM at `--scale 0.004` it read
+//!   1.4–3.6× against its 1.03× floor. The greedy selection has no
+//!   entry: it runs sequentially at every thread count, so there is no
+//!   parallel side to time it against,
 //! * **run_auto** — end-to-end wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
@@ -45,8 +42,6 @@ use std::hint::black_box;
 use std::process::ExitCode;
 
 use skydiver_bench::{time_ms, Args, Family};
-use skydiver_core::dispersion::{select_diverse, select_diverse_parallel, SeedRule, TieBreak};
-use skydiver_core::diversity::SignatureDistance;
 use skydiver_core::kernels::{agreement_count, agreement_count_u32, SkylinePack};
 use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, HashFamily};
 use skydiver_core::SkyDiver;
@@ -242,46 +237,6 @@ fn bench_agreement() -> (Pair, Pair) {
     )
 }
 
-fn bench_selection(ds: &Dataset, seed: u64) -> Pair {
-    let sky = capped_skyline(ds);
-    let fam = HashFamily::new(128, seed);
-    let out = sig_gen_if(ds, &MinDominance, &sky, &fam);
-    let k = 64.min(sky.len());
-    let iters = 10;
-    let (_, before_ms) = time_ms(|| {
-        for _ in 0..iters {
-            let mut dist = SignatureDistance::new(&out.matrix);
-            black_box(
-                select_diverse(
-                    &mut dist,
-                    &out.scores,
-                    k,
-                    SeedRule::MaxDominance,
-                    TieBreak::MaxDominance,
-                )
-                .expect("sequential selection"),
-            );
-        }
-    });
-    let (_, after_ms) = time_ms(|| {
-        for _ in 0..iters {
-            let dist = SignatureDistance::new(&out.matrix);
-            black_box(
-                select_diverse_parallel(
-                    &dist,
-                    &out.scores,
-                    k,
-                    SeedRule::MaxDominance,
-                    TieBreak::MaxDominance,
-                    PAR_THREADS,
-                )
-                .expect("parallel selection"),
-            );
-        }
-    });
-    Pair { name: "selection_seq_vs_par4", before_ms, after_ms }
-}
-
 fn bench_ib(ds: &Dataset, seed: u64) -> Pair {
     let sky = capped_skyline(ds);
     let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
@@ -361,7 +316,6 @@ fn main() -> ExitCode {
         bench_fingerprint("fingerprint_ant_d3", Family::Ant, n, 72, SkyMode::Capped),
         agreement,
         hamming,
-        bench_selection(&ind, 73),
         bench_ib(&ind, 74),
     ];
     let info: Vec<Pair> = vec![];

@@ -10,11 +10,8 @@
 //! "treating coverage as a secondary objective". [`brute_force_mmdp`]
 //! and the **k-MSDP** (max-sum) variants exist as baselines/ablations.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
-
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
-use crate::diversity::{DiversityDistance, SyncDiversityDistance};
+use crate::diversity::DiversityDistance;
 use crate::error::{Result, SkyDiverError};
 
 /// How the first point(s) of the greedy selection are chosen.
@@ -40,10 +37,10 @@ pub enum TieBreak {
     FirstIndex,
 }
 
-/// The max-domination seed shared by every selection variant
-/// ([`SeedRule::MaxDominance`] in the sequential and parallel greedy
-/// k-MMDP and the seed of [`greedy_msdp`]): the candidate with the
-/// highest domination score, lowest index winning ties.
+/// The max-domination seed shared by both greedy variants
+/// ([`SeedRule::MaxDominance`] in the greedy k-MMDP and the seed of
+/// [`greedy_msdp`]): the candidate with the highest domination score,
+/// lowest index winning ties.
 fn max_dominance_seed(scores: &[u64]) -> usize {
     (0..scores.len())
         .max_by_key(|&i| (scores[i], std::cmp::Reverse(i)))
@@ -131,9 +128,7 @@ pub fn select_diverse_budgeted<D: DiversityDistance>(
                 }
             }
             push(bi, dist, &mut selected, &mut in_set, &mut min_dist);
-            if k >= 2 {
-                push(bj, dist, &mut selected, &mut in_set, &mut min_dist);
-            }
+            push(bj, dist, &mut selected, &mut in_set, &mut min_dist);
         }
     }
 
@@ -179,347 +174,6 @@ fn push<D: DiversityDistance>(
     // One O(m) relaxation per greedy round, batched by backends that
     // override `relax_min_dist`; the caller's round loop polls ctx.
     dist.relax_min_dist(x, in_set, min_dist);
-}
-
-/// Parallel [`select_diverse`] over a thread-safe distance backend.
-///
-/// The candidate range is split into `P = min(threads, m)` contiguous
-/// **partitions** — a pure function of `(m, threads)`, independent of
-/// the machine — and served by a persistent pool of
-/// `W = min(P, available_parallelism)` workers (the calling thread is
-/// worker 0; `W − 1` threads are spawned once for the whole selection,
-/// not per round). Each round every partition computes a batched
-/// relax-and-argmax over its range and the partials are folded in
-/// ascending partition order under the *exact* sequential comparison —
-/// `min_dist` strictly greater, or equal `min_dist` and strictly
-/// greater domination score under [`TieBreak::MaxDominance`].
-///
-/// **Determinism.** Under that strictly-better predicate a partition's
-/// winner is the *first* best candidate of its contiguous range, and an
-/// ascending-order fold of first-bests over contiguous ranges yields
-/// the first best of `0..m` — the sequential scan's pick — for *any*
-/// partition boundaries. The result is therefore bit-identical to
-/// [`select_diverse`] for every `threads` value, and clamping `W` to
-/// the machine cannot affect the output (it only changes which worker
-/// computes a partition, never the fold order). `min_dist` entries are
-/// never NaN — the `d < min_dist` fold discards NaN exactly as the
-/// sequential code does — so the strict comparison is a total
-/// tournament.
-pub fn select_diverse_parallel<D: SyncDiversityDistance>(
-    dist: &D,
-    scores: &[u64],
-    k: usize,
-    seed: SeedRule,
-    tie: TieBreak,
-    threads: usize,
-) -> Result<Vec<usize>> {
-    let ctx = ExecContext::unlimited();
-    let (selected, interrupt) =
-        select_diverse_parallel_budgeted(dist, scores, k, seed, tie, threads, &ctx)?;
-    debug_assert!(interrupt.is_none(), "unlimited context cannot trip");
-    Ok(selected)
-}
-
-/// Round commands published by the driver to the persistent pool.
-#[derive(Clone, Copy)]
-enum Cmd {
-    /// Compute the per-partition farthest pair over the full matrix.
-    SeedScan,
-    /// Fold distances to `last` into `min_dist`, report the partition
-    /// argmax under the sequential strictly-better predicate.
-    Relax { last: usize },
-    /// Selection is over: exit the worker loop.
-    Done,
-}
-
-/// One partition's per-round result.
-#[derive(Clone, Copy)]
-enum Part {
-    /// Farthest pair found in the partition's row range (`NEG_INFINITY`
-    /// distance when the range contains no pairs).
-    Pair(usize, usize, f64),
-    /// Partition argmax: `(min_dist, score, index)` of the first best
-    /// unselected candidate, `None` when every entry is selected.
-    Arg(Option<(f64, u64, usize)>),
-}
-
-/// The exact sequential strictly-better comparison shared by the
-/// sequential scan, every partition scan and the ascending fold:
-/// strictly larger `min_dist`, or an exact tie broken by strictly
-/// larger domination score under [`TieBreak::MaxDominance`].
-#[inline]
-fn strictly_better(tie: TieBreak, cand: (f64, u64), best: Option<(f64, u64, usize)>) -> bool {
-    match best {
-        None => true,
-        Some((bd, bs, _)) => {
-            cand.0 > bd || (cand.0 == bd && matches!(tie, TieBreak::MaxDominance) && cand.1 > bs)
-        }
-    }
-}
-
-/// A worker's share of one round: runs `cmd` over every owned
-/// partition `(index, lo, min_dist slice)` and publishes each
-/// partition's [`Part`] into its slot of `partials`.
-///
-/// The relax pass covers *all* entries of the partition, including
-/// already-selected ones — their `min_dist` slots are never read by the
-/// argmax (selected entries are skipped there via `in_set`), and the
-/// unselected entries fold exactly the values the sequential
-/// relaxation would.
-#[allow(clippy::too_many_arguments)] // one worker's full round context
-fn run_partitions<D: SyncDiversityDistance>(
-    dist: &D,
-    scores: &[u64],
-    tie: TieBreak,
-    m: usize,
-    in_set: &[AtomicBool],
-    cmd: Cmd,
-    parts: &mut [(usize, usize, &mut [f64])],
-    partials: &[Mutex<Option<Part>>],
-    scratch: &mut Vec<f64>,
-) {
-    for (pi, lo, md) in parts.iter_mut() {
-        // lint: allow(R2) -- a worker owns O(P/W) partitions and runs
-        // them once per round; the driver's round loop polls ctx
-        let res = match cmd {
-            Cmd::Done => return,
-            Cmd::SeedScan => {
-                let (mut bi, mut bj, mut bd) = (0usize, 1usize, f64::NEG_INFINITY);
-                scratch.resize(m, 0.0);
-                for i in *lo..*lo + md.len() {
-                    if i + 1 >= m {
-                        continue;
-                    }
-                    let out = &mut scratch[..m - i - 1];
-                    dist.distances_row_shared(i, i + 1, out);
-                    for (jj, &d) in out.iter().enumerate() {
-                        if d > bd {
-                            (bi, bj, bd) = (i, i + 1 + jj, d);
-                        }
-                    }
-                }
-                Part::Pair(bi, bj, bd)
-            }
-            Cmd::Relax { last } => {
-                scratch.resize(md.len().max(scratch.len()), 0.0);
-                let out = &mut scratch[..md.len()];
-                dist.distances_row_shared(last, *lo, out);
-                let mut best: Option<(f64, u64, usize)> = None;
-                for (off, slot) in md.iter_mut().enumerate() {
-                    if out[off] < *slot {
-                        *slot = out[off];
-                    }
-                    let i = *lo + off;
-                    if in_set[i].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    if strictly_better(tie, (*slot, scores[i]), best) {
-                        best = Some((*slot, scores[i], i));
-                    }
-                }
-                Part::Arg(best)
-            }
-        };
-        *partials[*pi].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-    }
-}
-
-/// Budget-aware [`select_diverse_parallel`]: polls `ctx` once per greedy
-/// round like the sequential pass, so a tripped budget returns the same
-/// greedy prefix. The [`SeedRule::FarthestPair`] seed polls once for the
-/// whole `O(m²)` scan (the sequential pass polls once per row — the
-/// cadence differs, the selected points do not).
-#[allow(clippy::too_many_arguments)]
-pub fn select_diverse_parallel_budgeted<D: SyncDiversityDistance>(
-    dist: &D,
-    scores: &[u64],
-    k: usize,
-    seed: SeedRule,
-    tie: TieBreak,
-    threads: usize,
-    ctx: &ExecContext,
-) -> Result<(Vec<usize>, Option<Interrupt>)> {
-    let m = dist.num_points();
-    validate_k(k, m)?;
-    if scores.len() != m {
-        return Err(SkyDiverError::ScoresLengthMismatch {
-            scores: scores.len(),
-            points: m,
-        });
-    }
-
-    // P contiguous partitions — a pure function of (m, threads). All P
-    // partials are computed and folded every round regardless of how
-    // many OS workers serve them, so the reduction a test exercises at
-    // `threads = 8` is the same one production runs on any machine.
-    let threads = threads.max(1);
-    let chunk = m.div_ceil(threads.min(m));
-    let bounds: Vec<(usize, usize)> = (0..m)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(m)))
-        .collect();
-    let parts_n = bounds.len();
-    // W OS workers (the calling thread is worker 0), clamped to the
-    // machine: on a small host the same partitions are simply served
-    // inline, with no spawns or barrier traffic beyond the free
-    // single-participant case. Output-invariant by the fold argument in
-    // the `select_diverse_parallel` docs.
-    let workers = parts_n
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1);
-
-    let mut selected: Vec<usize> = Vec::with_capacity(k);
-    let in_set: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
-    let mut min_dist = vec![f64::INFINITY; m];
-
-    // Split min_dist into per-partition slices, grouped contiguously
-    // per worker (worker w serves partitions w·P/W .. (w+1)·P/W).
-    let mut groups: Vec<Vec<(usize, usize, &mut [f64])>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    {
-        let mut rest: &mut [f64] = &mut min_dist;
-        for (pi, &(lo, hi)) in bounds.iter().enumerate() {
-            // lint: allow(R2) -- O(P) setup split of the min_dist buffer
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            groups[pi * workers / parts_n].push((pi, lo, head));
-        }
-    }
-
-    let cmd: Mutex<Cmd> = Mutex::new(Cmd::Done);
-    let barrier = Barrier::new(workers);
-    let partials: Vec<Mutex<Option<Part>>> = (0..parts_n).map(|_| Mutex::new(None)).collect();
-    let (in_set_ref, cmd_ref, barrier_ref, partials_ref) = (&in_set, &cmd, &barrier, &partials);
-
-    let (selected, interrupt) = std::thread::scope(|scope| {
-        let mut groups = groups.into_iter();
-        // lint: allow(R1) -- workers >= 1, so group 0 always exists
-        let mut my_parts = groups.next().expect("main worker group");
-        for group in groups {
-            // lint: allow(R2) -- spawns W-1 <= threads persistent
-            // workers once for the whole selection
-            let mut parts = group;
-            scope.spawn(move || {
-                // Persistent worker: two barrier waits per round (cmd
-                // published → work → results visible). A worker panic
-                // inside `run_partitions` would deadlock the barrier;
-                // the closure is pure computation over validated
-                // buffers, so a panic here is a library bug, not a
-                // reachable input state.
-                let mut scratch: Vec<f64> = Vec::new();
-                loop {
-                    // Round-stepped by the driver's barrier; the driver
-                    // polls ctx once per round and releases the pool
-                    // via Cmd::Done on every exit path.
-                    barrier_ref.wait();
-                    let c = *cmd_ref.lock().unwrap_or_else(|e| e.into_inner());
-                    if matches!(c, Cmd::Done) {
-                        break;
-                    }
-                    run_partitions(
-                        dist, scores, tie, m, in_set_ref, c, &mut parts, partials_ref,
-                        &mut scratch,
-                    );
-                    barrier_ref.wait();
-                }
-            });
-        }
-
-        let mut scratch: Vec<f64> = Vec::new();
-        // One pool round: publish cmd, release the workers, serve the
-        // main thread's partitions, wait until every partial is
-        // published (the second barrier is the happens-before edge that
-        // makes the partials readable).
-        let round = |c: Cmd, my_parts: &mut Vec<(usize, usize, &mut [f64])>,
-                         scratch: &mut Vec<f64>| {
-            *cmd_ref.lock().unwrap_or_else(|e| e.into_inner()) = c;
-            barrier_ref.wait();
-            if !matches!(c, Cmd::Done) {
-                run_partitions(
-                    dist, scores, tie, m, in_set_ref, c, my_parts, partials_ref, scratch,
-                );
-                barrier_ref.wait();
-            }
-        };
-        let fold_pair = || {
-            // Strict `>` fold in ascending partition order keeps the
-            // first pair attaining the maximum — the sequential pick.
-            let (mut bi, mut bj, mut bd) = (0usize, 1usize, f64::NEG_INFINITY);
-            for p in partials_ref {
-                // lint: allow(R2) -- folds P <= threads partials
-                if let Some(Part::Pair(i, j, d)) = *p.lock().unwrap_or_else(|e| e.into_inner()) {
-                    if d > bd {
-                        (bi, bj, bd) = (i, j, d);
-                    }
-                }
-            }
-            (bi, bj)
-        };
-        let fold_arg = || {
-            let mut best: Option<(f64, u64, usize)> = None;
-            for p in partials_ref {
-                // lint: allow(R2) -- folds P <= threads partials in
-                // ascending partition order
-                if let Some(Part::Arg(Some(c))) = *p.lock().unwrap_or_else(|e| e.into_inner()) {
-                    if strictly_better(tie, (c.0, c.1), best) {
-                        best = Some(c);
-                    }
-                }
-            }
-            best.map(|(_, _, i)| i)
-        };
-        let mark = |i: usize, selected: &mut Vec<usize>| {
-            selected.push(i);
-            in_set_ref[i].store(true, Ordering::Relaxed);
-        };
-
-        let mut interrupt: Option<Interrupt> = None;
-        'drive: {
-            match seed {
-                SeedRule::MaxDominance => {
-                    if let Err(int) = ctx.check(ExecPhase::Selection) {
-                        interrupt = Some(int);
-                        break 'drive;
-                    }
-                    mark(max_dominance_seed(scores), &mut selected);
-                }
-                SeedRule::FarthestPair => {
-                    if let Err(int) = ctx.check(ExecPhase::Selection) {
-                        interrupt = Some(int);
-                        break 'drive;
-                    }
-                    round(Cmd::SeedScan, &mut my_parts, &mut scratch);
-                    let (bi, bj) = fold_pair();
-                    mark(bi, &mut selected);
-                    // Relax d(·, bi) before bj joins — identical to the
-                    // sequential push(bi) (bj is unselected there too).
-                    round(Cmd::Relax { last: bi }, &mut my_parts, &mut scratch);
-                    mark(bj, &mut selected);
-                }
-            }
-            while selected.len() < k {
-                if let Err(int) = ctx.check(ExecPhase::Selection) {
-                    interrupt = Some(int);
-                    break 'drive;
-                }
-                // lint: allow(R1) -- the seeding block above always pushes
-                // at least one point before this loop runs
-                let last = *selected.last().expect("seeded above");
-                round(Cmd::Relax { last }, &mut my_parts, &mut scratch);
-                let best = fold_arg()
-                    // lint: allow(R1) -- k <= m is validated at entry, so
-                    // unselected candidates remain while selected.len() < k
-                    .expect("k <= m guarantees a candidate");
-                mark(best, &mut selected);
-            }
-        }
-        // Release the pool on every exit path (success or budget trip):
-        // workers observe Done after the first barrier and exit without
-        // the second.
-        round(Cmd::Done, &mut my_parts, &mut scratch);
-        (selected, interrupt)
-    });
-    Ok((selected, interrupt))
 }
 
 /// Exact k-MMDP by exhaustive enumeration with branch-and-bound
@@ -971,151 +625,6 @@ mod tests {
         .unwrap();
         assert!(int.is_none());
         assert_eq!(plain, budgeted);
-    }
-
-    /// A thread-safe matrix backend for the parallel selection tests.
-    struct SyncMatrix(Vec<Vec<f64>>);
-    impl DiversityDistance for SyncMatrix {
-        fn num_points(&self) -> usize {
-            self.0.len()
-        }
-        fn distance(&mut self, i: usize, j: usize) -> f64 {
-            self.0[i][j]
-        }
-    }
-    impl SyncDiversityDistance for SyncMatrix {
-        fn distance_shared(&self, i: usize, j: usize) -> f64 {
-            self.0[i][j]
-        }
-    }
-
-    fn random_euclidean(m: usize, seed: u64) -> Vec<Vec<f64>> {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pts: Vec<(f64, f64)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
-        (0..m)
-            .map(|i| {
-                (0..m)
-                    .map(|j| {
-                        ((pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2)).sqrt()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_selection_bit_identical_to_sequential() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(150);
-        for trial in 0..6 {
-            let m = 20 + trial * 7;
-            let mat = random_euclidean(m, 151 + trial as u64);
-            let scores: Vec<u64> = (0..m).map(|_| rng.gen_range(0..5)).collect();
-            for seed in [SeedRule::MaxDominance, SeedRule::FarthestPair] {
-                for tie in [TieBreak::MaxDominance, TieBreak::FirstIndex] {
-                    let mut d = Matrix(mat.clone());
-                    let seq = select_diverse(&mut d, &scores, 7, seed, tie).unwrap();
-                    let sd = SyncMatrix(mat.clone());
-                    for threads in [2, 3, 8] {
-                        let par =
-                            select_diverse_parallel(&sd, &scores, 7, seed, tie, threads)
-                                .unwrap();
-                        assert_eq!(
-                            seq, par,
-                            "m={m} seed={seed:?} tie={tie:?} threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_selection_with_tied_distances_matches_sequential() {
-        // Integer-valued distances manufacture exact f64 ties, the case
-        // where fold order could diverge if the reduction were sloppy.
-        let m = 24;
-        let mat: Vec<Vec<f64>> = (0..m)
-            .map(|i| (0..m).map(|j| ((i + j) % 5) as f64).collect())
-            .collect();
-        let scores: Vec<u64> = (0..m as u64).map(|i| i % 3).collect();
-        for tie in [TieBreak::MaxDominance, TieBreak::FirstIndex] {
-            let mut d = Matrix(mat.clone());
-            let seq = select_diverse(&mut d, &scores, 6, SeedRule::MaxDominance, tie).unwrap();
-            let sd = SyncMatrix(mat.clone());
-            for threads in [2, 3, 8] {
-                let par = select_diverse_parallel(
-                    &sd,
-                    &scores,
-                    6,
-                    SeedRule::MaxDominance,
-                    tie,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(seq, par, "tie={tie:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budgeted_returns_exact_greedy_prefix() {
-        use crate::budget::{CancelToken, RunBudget, StopReason};
-        let mat = random_euclidean(30, 160);
-        let scores = vec![1u64; 30];
-        let sd = SyncMatrix(mat.clone());
-        let full =
-            select_diverse_parallel(&sd, &scores, 8, SeedRule::MaxDominance, TieBreak::FirstIndex, 4)
-                .unwrap();
-        // Same poll cadence as the sequential pass: one for the seed,
-        // one per round → the 4th poll trips with 3 points selected.
-        let ctx = ExecContext::new(
-            RunBudget::none().with_cancel_token(CancelToken::after_polls(4)),
-        );
-        let (partial, int) = select_diverse_parallel_budgeted(
-            &sd,
-            &scores,
-            8,
-            SeedRule::MaxDominance,
-            TieBreak::FirstIndex,
-            4,
-            &ctx,
-        )
-        .unwrap();
-        let int = int.expect("token must trip");
-        assert_eq!(int.reason, StopReason::Cancelled);
-        assert_eq!(partial.len(), 3);
-        assert_eq!(partial, full[..3]);
-    }
-
-    #[test]
-    fn parallel_selection_more_threads_than_points() {
-        let mat = random_euclidean(5, 161);
-        let scores = vec![1u64; 5];
-        let mut d = Matrix(mat.clone());
-        let seq =
-            select_diverse(&mut d, &scores, 3, SeedRule::FarthestPair, TieBreak::MaxDominance)
-                .unwrap();
-        let sd = SyncMatrix(mat);
-        let par =
-            select_diverse_parallel(&sd, &scores, 3, SeedRule::FarthestPair, TieBreak::MaxDominance, 16)
-                .unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_selection_validates_inputs() {
-        let sd = SyncMatrix(random_euclidean(10, 162));
-        assert_eq!(
-            select_diverse_parallel(&sd, &[1; 10], 11, SeedRule::MaxDominance, TieBreak::MaxDominance, 4)
-                .unwrap_err(),
-            SkyDiverError::KExceedsSkyline { k: 11, m: 10 }
-        );
-        assert!(matches!(
-            select_diverse_parallel(&sd, &[1; 3], 4, SeedRule::MaxDominance, TieBreak::MaxDominance, 4),
-            Err(SkyDiverError::ScoresLengthMismatch { .. })
-        ));
     }
 
     #[test]

@@ -65,33 +65,6 @@ pub trait DiversityDistance {
     }
 }
 
-/// A [`DiversityDistance`] whose evaluations are pure shared reads, safe
-/// to run from several threads at once: the parallel greedy selection
-/// requires `&self` distance evaluation plus [`Sync`].
-///
-/// Implemented by the signature and LSH backends (their distance is a
-/// pure function of immutable buffers). [`RTreeJaccardDistance`] cannot
-/// implement it — its evaluations mutate the buffer pool to charge I/O.
-pub trait SyncDiversityDistance: DiversityDistance + Sync {
-    /// Distance between skyline points `i` and `j` through a shared
-    /// reference — must return exactly what
-    /// [`DiversityDistance::distance`] would.
-    fn distance_shared(&self, i: usize, j: usize) -> f64;
-
-    /// Shared-reference batch form of
-    /// [`DiversityDistance::distances_row`]: writes
-    /// `distance_shared(i, lo + jj)` into `out[jj]`. The parallel
-    /// selection workers call this so each partition gets the batched
-    /// kernel without `&mut` access; overrides must return bitwise the
-    /// same values as `distance_shared` (the trait already requires the
-    /// distance to be symmetric, so row orientation cannot matter).
-    fn distances_row_shared(&self, i: usize, lo: usize, out: &mut [f64]) {
-        for (jj, slot) in out.iter_mut().enumerate() {
-            *slot = self.distance_shared(i, lo + jj);
-        }
-    }
-}
-
 /// Exact Jaccard distance over materialised Γ sets.
 #[derive(Debug)]
 pub struct ExactJaccardDistance<'a> {
@@ -111,12 +84,6 @@ impl DiversityDistance for ExactJaccardDistance<'_> {
     }
 
     fn distance(&mut self, i: usize, j: usize) -> f64 {
-        self.gamma.jaccard_distance(i, j)
-    }
-}
-
-impl SyncDiversityDistance for ExactJaccardDistance<'_> {
-    fn distance_shared(&self, i: usize, j: usize) -> f64 {
         self.gamma.jaccard_distance(i, j)
     }
 }
@@ -181,16 +148,6 @@ impl DiversityDistance for SignatureDistance<'_> {
     }
 }
 
-impl SyncDiversityDistance for SignatureDistance<'_> {
-    fn distance_shared(&self, i: usize, j: usize) -> f64 {
-        self.sig.estimated_distance(i, j)
-    }
-
-    fn distances_row_shared(&self, i: usize, lo: usize, out: &mut [f64]) {
-        self.slots.distances_into(i, lo, out);
-    }
-}
-
 /// Hamming distance between LSH bucket bit-vectors.
 #[derive(Debug)]
 pub struct LshDistance<'a> {
@@ -228,16 +185,6 @@ impl DiversityDistance for LshDistance<'_> {
                 min_dist[i] = self.scratch[i];
             }
         }
-    }
-}
-
-impl SyncDiversityDistance for LshDistance<'_> {
-    fn distance_shared(&self, i: usize, j: usize) -> f64 {
-        self.idx.hamming(i, j) as f64
-    }
-
-    fn distances_row_shared(&self, i: usize, lo: usize, out: &mut [f64]) {
-        self.idx.hamming_row_into(i, lo, out);
     }
 }
 
@@ -397,20 +344,10 @@ mod tests {
                 sd.distances_row(i, lo, out);
                 for (jj, &d) in out.iter().enumerate() {
                     assert_eq!(d, sd.distance(i, lo + jj));
-                    assert_eq!(d, sd.distance_shared(i, lo + jj));
-                }
-                sd.distances_row_shared(i, lo, out);
-                for (jj, &d) in out.iter().enumerate() {
-                    assert_eq!(d, sd.distance_shared(i, lo + jj));
                 }
                 ld.distances_row(i, lo, out);
                 for (jj, &d) in out.iter().enumerate() {
                     assert_eq!(d, ld.distance(i, lo + jj));
-                    assert_eq!(d, ld.distance_shared(i, lo + jj));
-                }
-                ld.distances_row_shared(i, lo, out);
-                for (jj, &d) in out.iter().enumerate() {
-                    assert_eq!(d, ld.distance_shared(i, lo + jj));
                 }
             }
         }

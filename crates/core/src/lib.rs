@@ -62,12 +62,10 @@ pub use coverage::{coverage_fraction, greedy_max_coverage};
 pub use cross::{cross_fingerprint, cross_gamma_sets, diversify_cross};
 pub use dispersion::{
     brute_force_mmdp, brute_force_msdp, greedy_msdp, min_pairwise, select_diverse,
-    select_diverse_budgeted, select_diverse_parallel, select_diverse_parallel_budgeted, SeedRule,
-    TieBreak,
+    select_diverse_budgeted, SeedRule, TieBreak,
 };
 pub use diversity::{
     DiversityDistance, ExactJaccardDistance, LshDistance, RTreeJaccardDistance, SignatureDistance,
-    SyncDiversityDistance,
 };
 pub use dynamic::DynamicDiversifier;
 pub use error::{Result, SkyDiverError};

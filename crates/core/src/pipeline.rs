@@ -2,7 +2,7 @@
 //!
 //! [`SkyDiver`] is the builder-style entry point a downstream user
 //! reaches for: configure `k`, the signature size, MinHash vs LSH and
-//! optional parallelism; then run it index-free over a dataset
+//! optional parallel fingerprinting; then run it index-free over a dataset
 //! ([`SkyDiver::run`]), index-based over an aggregate R*-tree
 //! ([`SkyDiver::run_index_based`]), with automatic index-free fallback
 //! ([`SkyDiver::run_auto`]), or over a bare dominance graph
@@ -18,6 +18,18 @@
 //! also runs) and merge, so whole, sharded, served and distributed
 //! answers agree bit for bit. Fig. 3's [`crate::minhash::sig_gen_if`] stays as the
 //! paper's reference and the test oracle.
+//!
+//! # Parallel fingerprinting, sequential selection
+//!
+//! [`SkyDiver::threads`] parallelises phase 1 only. Fingerprinting costs
+//! `O(n·m)` dominance work, while the greedy selection (Fig. 6) costs
+//! `O(k·m·t)`, a small share of a run. A round-stepped worker pool for
+//! the selection once ran at `threads > 1`: on a 2-vCPU x86-64 VM it
+//! made the selection 1.6–5× slower at the skyline sizes of the
+//! serving workloads (`m` ≤ 378), and at `m` ≥ 6k it saved at most
+//! ~2.5 % of the run (EXPERIMENTS.md). So the selection is one
+//! sequential engine, [`select_diverse_budgeted`], at every thread
+//! count.
 //!
 //! # Resilient execution
 //!
@@ -45,10 +57,8 @@ use crate::budget::{
     StopReason,
 };
 use crate::canonical::{canonicalise, canonicalise_shard};
-use crate::dispersion::{
-    select_diverse_budgeted, select_diverse_parallel_budgeted, SeedRule, TieBreak,
-};
-use crate::diversity::{LshDistance, SignatureDistance};
+use crate::dispersion::{select_diverse_budgeted, SeedRule, TieBreak};
+use crate::diversity::{DiversityDistance, LshDistance, SignatureDistance};
 use crate::error::{Result, SkyDiverError};
 use crate::graph::DominanceGraph;
 use crate::lsh::{LshIndex, LshParams};
@@ -282,11 +292,11 @@ impl SkyDiver {
         self
     }
 
-    /// Parallelises the pipeline over `threads` threads: the index-free
-    /// pass is sharded by rows, the index-based pass partitions subtree
-    /// frontiers, and the greedy selection scans candidates in chunks.
-    /// Every parallel path is bit-identical to sequential (the paper's
-    /// future-work item ii).
+    /// Parallelises fingerprinting over `threads` threads (the paper's
+    /// future-work item ii): the index-free pass is sharded by rows and
+    /// the index-based pass partitions subtree frontiers, each
+    /// bit-identical to sequential. The greedy selection stays
+    /// sequential at every thread count (see the module docs).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -553,7 +563,8 @@ impl SkyDiver {
     ///
     /// The fingerprint's `hash_seed` and signature size are baked into
     /// the matrix, so only `k`, the selection method, the seed/tie-break
-    /// rules, `threads` and the budget of `self` matter here.
+    /// rules and the budget of `self` matter here; `threads` does not,
+    /// since the selection runs sequentially at every thread count.
     pub fn select_from(&self, fp: &Fingerprint) -> Result<DiverseResult> {
         let ctx = ExecContext::new(self.budget.clone());
         self.select_from_ctx(fp, &ctx)
@@ -792,34 +803,15 @@ impl SkyDiver {
         }
     }
 
-    /// Greedy selection over any shareable distance, parallel when
-    /// `threads > 1` — bit-identical either way.
-    fn select<D: crate::diversity::SyncDiversityDistance>(
+    /// Greedy selection under this pipeline's `k`, seed and tie-break
+    /// rules — sequential at every `threads` value (module docs).
+    fn select<D: DiversityDistance>(
         &self,
         mut dist: D,
         scores: &[u64],
         ctx: &ExecContext,
     ) -> Result<(Vec<usize>, Option<Interrupt>)> {
-        if self.threads > 1 {
-            select_diverse_parallel_budgeted(
-                &dist,
-                scores,
-                self.k,
-                self.seed_rule,
-                self.tie_break,
-                self.threads,
-                ctx,
-            )
-        } else {
-            select_diverse_budgeted(
-                &mut dist,
-                scores,
-                self.k,
-                self.seed_rule,
-                self.tie_break,
-                ctx,
-            )
-        }
+        select_diverse_budgeted(&mut dist, scores, self.k, self.seed_rule, self.tie_break, ctx)
     }
 
     fn select_minhash(

@@ -81,6 +81,8 @@ const USAGE: &str = "usage:
                      [--xi 0.2] [--buckets 20] [--prefs min,max,...] [--threads N]
                      [--seed S] [--timeout-ms MS] [--max-memory BYTES]
                      [--max-dominance-tests N] [--format text|json] [--shards N]
+                     (diversify/run --threads N parallelises fingerprinting only:
+                      IF row ranges, IB frontiers; selection is sequential)
   skydiver fingerprint --input FILE --out FILE.skysig [--t 100] [--seed S] [--prefs ...]
   skydiver select    --signatures FILE.skysig --k K [--method mh|lsh]
                      [--xi 0.2] [--buckets 20]

@@ -1,16 +1,14 @@
-//! Cross-crate equivalence suite for every parallel path (PR 2).
+//! Cross-crate equivalence suite for every parallel path.
 //!
-//! Every parallel kernel in the pipeline — sharded `SigGen-IF`,
-//! partitioned `SigGen-IB`, and chunked greedy selection — promises
-//! **bit-identical** results to its sequential counterpart for every
-//! thread count. These tests exercise that promise end-to-end through
-//! the public facade, across adversarial skyline shapes, and verify
-//! that run budgets still trip on each parallel path.
+//! Both parallel fingerprint kernels — sharded `SigGen-IF` and
+//! partitioned `SigGen-IB` — promise **bit-identical** results to their
+//! sequential counterparts for every thread count. The greedy selection
+//! is sequential at every thread count (it is a small share of a run),
+//! so the pipeline checks here pin that `threads` never changes a
+//! selection, budgeted or not. These tests exercise that promise
+//! end-to-end through the public facade, across adversarial skyline
+//! shapes, and verify that run budgets still trip on each path.
 
-use skydiver::core::dispersion::{
-    select_diverse, select_diverse_parallel, SeedRule, TieBreak,
-};
-use skydiver::core::diversity::SignatureDistance;
 use skydiver::core::minhash::{
     sig_gen_ib, sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted, sig_gen_if, sig_gen_if_budgeted,
 };
@@ -19,7 +17,9 @@ use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators;
 use skydiver::rtree::{BufferPool, RTree, DEFAULT_PAGE_SIZE};
 use skydiver::skyline::{naive_skyline, sfs};
-use skydiver::{Dataset, HashFamily, Preference, RunBudget, SkyDiver, StopReason};
+use skydiver::{
+    CancelToken, Dataset, DegradationEvent, HashFamily, Preference, RunBudget, SkyDiver, StopReason,
+};
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
@@ -139,31 +139,6 @@ fn index_based_charges_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn parallel_selection_is_bit_identical() {
-    for (name, ds) in adversarial_datasets() {
-        let sky = naive_skyline(&ds, &MinDominance);
-        let fam = HashFamily::new(64, 13);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        let k = 5.min(sky.len());
-        if k < 2 {
-            continue;
-        }
-        for seed in [SeedRule::MaxDominance, SeedRule::FarthestPair] {
-            for tie in [TieBreak::MaxDominance, TieBreak::FirstIndex] {
-                let mut dist = SignatureDistance::new(&out.matrix);
-                let seq = select_diverse(&mut dist, &out.scores, k, seed, tie).unwrap();
-                for threads in THREADS {
-                    let dist = SignatureDistance::new(&out.matrix);
-                    let par =
-                        select_diverse_parallel(&dist, &out.scores, k, seed, tie, threads).unwrap();
-                    assert_eq!(seq, par, "{name}, {seed:?}/{tie:?}, threads = {threads}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn full_pipeline_is_bit_identical_across_thread_counts() {
     let prefs = Preference::all_min(3);
     for (name, ds) in [
@@ -212,78 +187,32 @@ fn budgets_trip_on_every_parallel_path() {
     let int = r.degradation.interrupt.as_ref().expect("IB budget must trip");
     assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
 
-    // Parallel selection under cancellation: the selection is cut to the
-    // exact prefix the sequential greedy would have chosen.
-    let sky = naive_skyline(&ds, &MinDominance);
-    let fam = HashFamily::new(64, 15);
-    let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-    let mut dist = SignatureDistance::new(&out.matrix);
-    let full = select_diverse(
-        &mut dist,
-        &out.scores,
-        6,
-        SeedRule::MaxDominance,
-        TieBreak::MaxDominance,
-    )
-    .unwrap();
-    let token = skydiver::CancelToken::after_polls(3);
-    let ctx = ExecContext::new(RunBudget::none().with_cancel_token(token));
-    let dist = SignatureDistance::new(&out.matrix);
-    let (prefix, int) = skydiver::core::dispersion::select_diverse_parallel_budgeted(
-        &dist,
-        &out.scores,
-        6,
-        SeedRule::MaxDominance,
-        TieBreak::MaxDominance,
-        4,
-        &ctx,
-    )
-    .unwrap();
-    assert!(int.is_some(), "cancellation must interrupt the selection");
-    assert!(prefix.len() < 6, "selection was curtailed");
-    assert_eq!(prefix[..], full[..prefix.len()], "exact greedy prefix");
-}
-
-#[test]
-fn budget_tripped_selection_prefix_is_bit_identical_across_threads() {
-    // The persistent-pool selection polls once per greedy round for
-    // MaxDominance seeds regardless of thread count or partition shape,
-    // so a tripped budget must cut every thread count (including
-    // partition widths that do not divide m) to the *same* sequential
-    // greedy prefix.
-    let ds = generators::anticorrelated(1500, 3, 1807);
-    let sky = naive_skyline(&ds, &MinDominance);
-    let fam = HashFamily::new(64, 16);
-    let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-    let k = 8.min(sky.len());
-    assert!(k >= 4, "need enough skyline points to trip mid-selection");
-    let mut dist = SignatureDistance::new(&out.matrix);
-    let full = select_diverse(
-        &mut dist,
-        &out.scores,
-        k,
-        SeedRule::MaxDominance,
-        TieBreak::MaxDominance,
-    )
-    .unwrap();
-    for threads in THREADS {
-        let token = skydiver::CancelToken::after_polls(4);
-        let ctx = ExecContext::new(RunBudget::none().with_cancel_token(token));
-        let dist = SignatureDistance::new(&out.matrix);
-        let (prefix, int) = skydiver::core::dispersion::select_diverse_parallel_budgeted(
-            &dist,
-            &out.scores,
-            k,
-            SeedRule::MaxDominance,
-            TieBreak::MaxDominance,
-            threads,
-            &ctx,
-        )
+    // Selection under cancellation at every thread count: the pipeline
+    // selects sequentially whatever `threads` says, so each one is cut
+    // to the same exact prefix of the unbudgeted greedy selection.
+    let fp = SkyDiver::new(6)
+        .signature_size(64)
+        .hash_seed(15)
+        .fingerprint(&ds, &prefs)
         .unwrap();
-        assert!(int.is_some(), "threads = {threads}: cancellation must trip");
-        // Poll cadence: 1 seed check + 1 per relax round → 4 polls
-        // admit the seed plus two relax rounds on every thread count.
-        assert_eq!(prefix.len(), 3, "threads = {threads}: fixed poll cadence");
-        assert_eq!(prefix[..], full[..3], "threads = {threads}: exact prefix");
+    let full = SkyDiver::new(6).select_from(&fp).unwrap().selected;
+    for threads in THREADS {
+        let r = SkyDiver::new(6)
+            .threads(threads)
+            .cancel_token(CancelToken::after_polls(3))
+            .select_from(&fp)
+            .unwrap();
+        assert!(r.degradation.interrupt.is_some(), "threads = {threads}: must interrupt");
+        // One poll for the seed, one per greedy round: the third trips
+        // with two points selected.
+        assert_eq!(r.selected[..], full[..2], "threads = {threads}: exact greedy prefix");
+        assert!(
+            r.degradation.events.iter().any(|e| matches!(
+                e,
+                DegradationEvent::SelectionCurtailed { selected: 2, requested: 6 }
+            )),
+            "threads = {threads}: {:?}",
+            r.degradation.events
+        );
     }
 }
