@@ -22,6 +22,11 @@
 //!   1.4–3.6× against its 1.03× floor. The greedy selection has no
 //!   entry: it runs sequentially at every thread count, so there is no
 //!   parallel side to time it against,
+//! * **plan walk** — one ANT d = 3 shard (a quarter of the rows, at
+//!   most the 50k-row `cluster-cold` shape) folded at t = 64 by rows vs
+//!   through its memoised dominance plan (informational, no floor): the
+//!   layer row of the plan walk, which the serving benchmark's traced
+//!   replay cannot show because it folds cold shards without plans,
 //! * **run_auto** — end-to-end wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
@@ -42,11 +47,15 @@ use std::hint::black_box;
 use std::process::ExitCode;
 
 use skydiver_bench::{time_ms, Args, Family};
+use skydiver_core::budget::ExecContext;
 use skydiver_core::kernels::{agreement_count, agreement_count_u32, SkylinePack};
-use skydiver_core::minhash::{sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, HashFamily};
+use skydiver_core::minhash::{
+    fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, DominancePlan,
+    HashFamily,
+};
 use skydiver_core::SkyDiver;
 use skydiver_data::dominance::{DominanceOrd, MinDominance};
-use skydiver_data::{Dataset, Preference};
+use skydiver_data::{Dataset, DatasetView, Preference};
 use skydiver_rtree::{BufferPool, RTree};
 use skydiver_skyline::sfs;
 
@@ -253,6 +262,38 @@ fn bench_ib(ds: &Dataset, seed: u64) -> Pair {
     Pair { name: "siggen_ib_seq_vs_par4", before_ms, after_ms }
 }
 
+/// The first quarter of an ANT d = 3 dataset of `n` rows (at most
+/// [`SKY_SAMPLE`]) as one shard, folded at t = 64 against the dataset's
+/// skyline: before, the row fold; after, the walk through the shard's
+/// dominance plan (built once, outside the timing).
+fn bench_plan_walk(n: usize, seed: u64) -> Pair {
+    let ds = Family::Ant.generate(n.min(SKY_SAMPLE), 3, seed);
+    let sky = sfs(&ds, &MinDominance);
+    let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+    let rows = ds.len() / 4;
+    let mut skip = vec![false; rows];
+    for &s in sky.iter().filter(|&&s| s < rows) {
+        skip[s] = true;
+    }
+    let shard = Dataset::from_rows(3, &(0..rows).map(|i| ds.point(i)).collect::<Vec<_>>());
+    let view = DatasetView::with_base(&shard, 0);
+    let ctx = ExecContext::unlimited();
+    let plan = DominancePlan::build(view, &sky, &cols, &skip, usize::MAX, &ctx)
+        .expect("an unlimited build")
+        .expect("an uncapped plan");
+    let fam = HashFamily::new(64, seed);
+    let before_ms = best_of(3, || {
+        black_box(fold_shard(view, &sky, &cols, &skip, &fam, None, 1, &ctx));
+    });
+    let after_ms = best_of(5, || {
+        let (fold, planned) =
+            fold_shard_planned(view, &sky, &cols, &skip, &fam, None, Some(&plan), 1, &ctx);
+        assert!(planned, "the plan fits its shard");
+        black_box(fold);
+    });
+    Pair { name: "plan_walk_ant_d3", before_ms, after_ms }
+}
+
 fn bench_run_auto(ds: &Dataset, threads: usize) -> f64 {
     let prefs = Preference::all_min(ds.dims());
     let cfg = SkyDiver::new(10).signature_size(64).hash_seed(3).threads(threads);
@@ -318,7 +359,7 @@ fn main() -> ExitCode {
         hamming,
         bench_ib(&ind, 74),
     ];
-    let info: Vec<Pair> = vec![];
+    let info = vec![bench_plan_walk(n, 73)];
     let auto_ds = Family::Ind.generate(n.min(100_000), 3, 75);
     let auto1 = bench_run_auto(&auto_ds, 1);
     let auto4 = bench_run_auto(&auto_ds, PAR_THREADS);

@@ -116,27 +116,42 @@ impl HashFamily {
     /// Panics if `out.len() != t`.
     #[inline(always)]
     pub fn hash_all(&self, x: u64, out: &mut [u64]) {
-        let t = self.b.len();
-        assert_eq!(out.len(), t, "hash output length mismatch");
-        let (a_lo, a_hi, b) = (&self.a_lo[..t], &self.a_hi[..t], &self.b[..t]);
+        assert_eq!(out.len(), self.b.len(), "hash output length mismatch");
+        self.hash_slots(x, 0, out);
+    }
+
+    /// [`hash_all`](Self::hash_all) over the slot range
+    /// `first..first + out.len()`: one lane block of a walk that folds a
+    /// signature a few slots at a time, with the same arithmetic.
+    ///
+    /// # Panics
+    /// Panics if `first + out.len() > t`.
+    #[inline(always)]
+    pub(crate) fn hash_slots(&self, x: u64, first: usize, out: &mut [u64]) {
+        let slots = first..first + out.len();
+        let (a_lo, a_hi, b) = (
+            &self.a_lo[slots.clone()],
+            &self.a_hi[slots.clone()],
+            &self.b[slots],
+        );
         let lo = u64::from(x as u32);
-        for i in 0..t {
-            // lint: allow(R2) -- t hash applications per row; the row
-            // loops charge the budget per dominated point
+        for (i, slot) in out.iter_mut().enumerate() {
+            // lint: allow(R2) -- one lane block of hash applications per
+            // row; the row loops charge the budget per dominated point
             let p0 = u64::from(a_lo[i]) * lo;
             let p1 = u64::from(a_hi[i]) * lo;
             let s = (p1 >> 29) + ((p1 & LOW29) << 32) + (p0 & P) + (p0 >> 61) + b[i];
             let r = (s & P) + (s >> 61);
-            out[i] = r - (P & 0u64.wrapping_sub((r + 1) >> 61));
+            *slot = r - (P & 0u64.wrapping_sub((r + 1) >> 61));
         }
         // Checked after the loop, not before: a branch on `x < 2³²` ahead
         // of it lets LLVM drop the 32-bit truncation of `x` and multiply
         // full 64-bit lanes, twice the `vpmuludq`s.
         if lo != x {
             for (i, slot) in out.iter_mut().enumerate() {
-                // lint: allow(R2) -- t hash applications per row; the row
-                // loops charge the budget per dominated point
-                *slot = self.hash(i, x);
+                // lint: allow(R2) -- one lane block of hash applications
+                // per row; the row loops charge the budget per dominated point
+                *slot = self.hash(first + i, x);
             }
         }
     }
@@ -229,6 +244,19 @@ mod tests {
                     assert_eq!(h, reference(a, b, x), "t = {t}, i = {i}, a = {a}, b = {b}, x = {x}");
                     assert_eq!(h, fam.hash(i, x), "t = {t}, i = {i}, x = {x}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_slots_is_a_slot_range_of_hash_all() {
+        let fam = HashFamily::new(100, 5);
+        let (mut all, mut part) = (vec![0u64; 100], vec![0u64; 100]);
+        for x in [0, 7, u32::MAX as u64, 1 << 32, u64::MAX] {
+            fam.hash_all(x, &mut all);
+            for (first, len) in [(0, 64), (60, 40), (99, 1), (3, 8)] {
+                fam.hash_slots(x, first, &mut part[..len]);
+                assert_eq!(part[..len], all[first..first + len], "x = {x}, {first}");
             }
         }
     }

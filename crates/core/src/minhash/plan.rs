@@ -1,6 +1,6 @@
 //! A seed-independent dominance plan for folding one shard many times.
 //!
-//! The index-free fold makes one 64-slot column update per (dominated
+//! The index-free fold makes one `t`-slot column update per (dominated
 //! row, dominator) pair — Σ|Γ| updates per shard — and every query of a
 //! serving workload re-derives the same dominator sets under a fresh
 //! hash seed, although those sets depend only on the rows, the
@@ -12,19 +12,26 @@
 //!   [`LEAF`] rows, and consecutive leaves are grouped into a tree of
 //!   fanout [`FANOUT`];
 //! * every node stores the dominators common to all of its rows, minus
-//!   the ones its parent already stores, and every row stores only its
-//!   residual dominators (its set minus its leaf's common set);
+//!   the ones its parent already stores;
+//! * every leaf stores each of its residual dominators — one that
+//!   dominates some but not all of its rows — once, under the 8-bit
+//!   mask of the rows it dominates, and dominators with the same mask
+//!   share a group;
 //! * the domination scores `|Γ|` do not depend on the seed, so they
 //!   live in the plan.
 //!
-//! [`execute`](DominancePlan::execute) then hashes each row once,
-//! applies its residuals, takes the row's slot-wise minimum into its
-//! leaf, rolls the minima up the tree and applies each node's set once
-//! with that node's minimum. Every (row, dominator) pair is covered by
-//! exactly one update — its row's residual or the node whose common set
-//! holds the dominator — and `min` and `+` do not depend on order, so
-//! matrix, scores and `rows_consumed` are bit-identical to the row fold
-//! of [`scan_columns_budgeted`](super::scan_columns_budgeted).
+//! [`execute`](DominancePlan::execute) walks the signature in lane
+//! blocks of at most [`MAX_LANES`] slots (see [`lane_blocks`]). Per
+//! block it hashes each leaf's rows into an L1 buffer, takes every
+//! group's slot-wise minimum over its mask and updates each of the
+//! group's columns once with it, takes the leaf's minimum, rolls the
+//! minima up the tree and applies each node's set once with that node's
+//! minimum. Every (row, dominator) pair is covered by exactly one
+//! update — the group whose mask holds the row and whose columns hold
+//! the dominator, or the node whose common set holds it — and `min` and
+//! `+` do not depend on order or repetition, so matrix, scores and
+//! `rows_consumed` are bit-identical to the row fold of
+//! [`scan_columns_budgeted`](super::scan_columns_budgeted).
 //!
 //! The plan is stored in CSR form with `u32` ids. The tree needs no
 //! child pointers: node `i` of a level covers nodes (or rows, for a
@@ -35,12 +42,14 @@ use skydiver_data::DatasetView;
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
 use crate::kernels::{wide, SkylinePack};
 
-use super::{HashFamily, SignatureAccumulator, INF_SLOT};
+use super::{HashFamily, SignatureAccumulator, SignatureMatrix, INF_SLOT};
 
-/// Rows per leaf of the plan tree.
+/// Rows per leaf of the plan tree: one bit of a group's row mask each.
 const LEAF: usize = 8;
 /// Children per inner node of the plan tree.
 const FANOUT: usize = 8;
+/// Slots of the widest lane block: eight AVX-512 vectors of minima.
+const MAX_LANES: usize = 64;
 
 /// Leaves executed between two budget polls: [`ExecContext::CHECK_INTERVAL`]
 /// rows' worth of plan work.
@@ -49,11 +58,12 @@ const POLL_LEAVES: usize = ExecContext::CHECK_INTERVAL as usize / LEAF;
 /// A memoisable factoring of one shard's dominator sets: the dominated
 /// rows STR-tiled into leaves of 8 under a tree of fanout 8, every node
 /// storing the dominators common to its rows minus its parent's, every
-/// row its residual dominators, plus the seed-independent `|Γ|` scores.
-/// Built once per (rows, preferences, skyline columns) by
-/// [`build`](Self::build); [`fold_shard_planned`](super::fold_shard_planned)
-/// folds a cold shard through it once per hash seed, bit-identically to
-/// the row fold, with fewer column updates.
+/// leaf its residual dominators grouped by the mask of rows they
+/// dominate, plus the seed-independent `|Γ|` scores. Built once per
+/// (rows, preferences, skyline columns) by [`build`](Self::build);
+/// [`fold_shard_planned`](super::fold_shard_planned) folds a cold shard
+/// through it once per hash seed, bit-identically to the row fold, with
+/// fewer column updates.
 #[derive(Debug, Clone)]
 pub struct DominancePlan {
     /// Rows of the shard (`view.len()` at build time).
@@ -67,10 +77,15 @@ pub struct DominancePlan {
     charge: u64,
     /// Shard-local rows with at least one dominator, in leaf order.
     rows: Vec<u32>,
-    /// Residual dominators of `rows[i]`:
-    /// `row_ids[row_off[i]..row_off[i + 1]]`.
-    row_off: Vec<u32>,
-    row_ids: Vec<u32>,
+    /// Groups of leaf `i`: `leaf_groups[i]..leaf_groups[i + 1]`.
+    leaf_groups: Vec<u32>,
+    /// Rows of group `g` within its leaf: bit `r` for the leaf's `r`-th
+    /// row. Never the whole leaf — those dominators are in its node set.
+    group_mask: Vec<u8>,
+    /// Dominators of group `g`, ascending:
+    /// `group_ids[group_off[g]..group_off[g + 1]]`.
+    group_off: Vec<u32>,
+    group_ids: Vec<u32>,
     /// Node counts per level, leaves first; the last level is the root.
     levels: Vec<usize>,
     /// Dominators stored at node `k` (all nodes in level order):
@@ -114,7 +129,7 @@ impl DominancePlan {
         }
         let pack = SkylinePack::pack(view.dims(), cols.iter().copied());
 
-        // Every row's dominators, ascending, in one flat CSR.
+        // Every row's dominators in one flat CSR.
         let mut charge = 0u64;
         let mut active: Vec<u32> = Vec::new();
         let mut dom_off: Vec<u32> = vec![0];
@@ -137,7 +152,6 @@ impl DominancePlan {
             if dom_ids.len() + found.len() > max_ids {
                 return Ok(None);
             }
-            found.sort_unstable();
             for &j in &found {
                 scores[j] += 1;
                 dom_ids.push(j as u32);
@@ -152,19 +166,50 @@ impl DominancePlan {
         let coord = |a: u32, k: usize| view.point(active[a as usize] as usize)[k];
         str_tile(&mut order, &coord, 0, view.dims());
 
-        // Common sets bottom-up: a leaf's is the intersection of its
-        // rows' sets, an inner node's that of its children's.
+        // Per leaf, one sort of its (dominator, row) pairs gives every
+        // dominator's row mask: a full mask puts it in the leaf's common
+        // set, any other in the group of its mask, which a second sort
+        // (by mask, then dominator) lays out contiguously.
         let mut levels: Vec<Vec<Vec<u32>>> = Vec::new();
         let mut leaves = Vec::with_capacity(order.len().div_ceil(LEAF));
+        let mut leaf_groups: Vec<u32> = vec![0];
+        let (mut group_mask, mut group_off, mut group_ids) = (Vec::new(), vec![0u32], Vec::new());
+        let (mut pairs, mut masked) = (Vec::<u64>::new(), Vec::<u64>::new());
         for (i, chunk) in order.chunks(LEAF).enumerate() {
             if i % POLL_LEAVES == 0 {
                 ctx.check(ExecPhase::Fingerprint)?;
             }
-            leaves.push(intersect_all(chunk.iter().map(|&a| dom(a))));
+            pairs.clear();
+            for (bit, &a) in chunk.iter().enumerate() {
+                pairs.extend(dom(a).iter().map(|&j| u64::from(j) << 3 | bit as u64));
+            }
+            pairs.sort_unstable();
+            let full = u8::MAX >> (LEAF - chunk.len());
+            let mut common = Vec::new();
+            masked.clear();
+            for run in pairs.chunk_by(|a, b| a >> 3 == b >> 3) {
+                let j = run[0] >> 3;
+                let mask = run.iter().fold(0u8, |mask, &p| mask | 1 << (p & 7));
+                if mask == full {
+                    common.push(j as u32);
+                } else {
+                    masked.push(u64::from(mask) << 32 | j);
+                }
+            }
+            masked.sort_unstable();
+            for group in masked.chunk_by(|a, b| a >> 32 == b >> 32) {
+                group_mask.push((group[0] >> 32) as u8);
+                group_ids.extend(group.iter().map(|&g| g as u32));
+                group_off.push(group_ids.len() as u32);
+            }
+            leaf_groups.push(group_mask.len() as u32);
+            leaves.push(common);
         }
         if !leaves.is_empty() {
             levels.push(leaves);
         }
+        // Inner nodes' common sets bottom-up: the intersection of their
+        // children's.
         while levels.last().is_some_and(|l| l.len() > 1) {
             // lint: allow(R2) -- one pass per tree level, O(log n) levels
             // of set intersections bounded by the leaf pass above
@@ -177,7 +222,7 @@ impl DominancePlan {
         }
 
         // Stored sets top-down (a node keeps what its parent does not),
-        // rows keep their residuals, all flattened in level order.
+        // flattened in level order.
         let mut node_off: Vec<u32> = vec![0];
         let mut node_ids: Vec<u32> = Vec::new();
         for (l, level) in levels.iter().enumerate() {
@@ -191,24 +236,16 @@ impl DominancePlan {
                 node_off.push(node_ids.len() as u32);
             }
         }
-        let mut rows = Vec::with_capacity(order.len());
-        let mut row_off: Vec<u32> = vec![0];
-        let mut row_ids: Vec<u32> = Vec::new();
-        for (i, &a) in order.iter().enumerate() {
-            // lint: allow(R2) -- one residual per row, O(Σ|Γ|) in total;
-            // the dominator pass above polled at the same row cadence
-            rows.push(active[a as usize]);
-            subtract_into(dom(a), &levels[0][i / LEAF], &mut row_ids);
-            row_off.push(row_ids.len() as u32);
-        }
         Ok(Some(DominancePlan {
             n,
             base: view.base(),
             columns: skyline.to_vec(),
             charge,
-            rows,
-            row_off,
-            row_ids,
+            rows: order.iter().map(|&a| active[a as usize]).collect(),
+            leaf_groups,
+            group_mask,
+            group_off,
+            group_ids,
             levels: levels.iter().map(Vec::len).collect(),
             node_off,
             node_ids,
@@ -233,12 +270,14 @@ impl DominancePlan {
     /// Resident bytes of the plan.
     pub fn memory_bytes(&self) -> usize {
         let ids = self.rows.len()
-            + self.row_off.len()
-            + self.row_ids.len()
+            + self.leaf_groups.len()
+            + self.group_off.len()
+            + self.group_ids.len()
             + self.node_off.len()
             + self.node_ids.len();
         std::mem::size_of::<Self>()
             + ids * std::mem::size_of::<u32>()
+            + self.group_mask.len()
             + self.scores.len() * std::mem::size_of::<u64>()
             + (self.columns.len() + self.levels.len()) * std::mem::size_of::<usize>()
     }
@@ -248,8 +287,8 @@ impl DominancePlan {
     /// from. `view` must hold those rows with their global ids. Charges
     /// nothing (the caller charges [`charge`](Self::charge) first);
     /// polls `ctx` every [`ExecContext::CHECK_INTERVAL`] rows' worth of
-    /// work and returns the interrupt of a trip. The walk runs in the
-    /// [`wide`] copy.
+    /// work in each lane block and returns the interrupt of a trip. The
+    /// walk runs in the [`wide`] copy.
     ///
     /// # Panics
     /// Panics if `view` does not hold as many rows as the plan.
@@ -260,62 +299,137 @@ impl DominancePlan {
         ctx: &ExecContext,
     ) -> Result<SignatureAccumulator, Interrupt> {
         assert_eq!(view.len(), self.n, "plan does not fit the shard");
+        let (t, m) = (family.len(), self.columns.len());
+        let mut fold = SignatureAccumulator::new(t, m);
+        // A signature narrower than one 8-lane block is walked in a
+        // padded 8-slot matrix and cut to `t` slots after.
+        let mut padded = (t < 8).then(|| SignatureMatrix::new(8, m));
+        let matrix = padded.as_mut().unwrap_or(&mut fold.matrix);
         wide(
             #[inline(always)]
             || {
-                let t = family.len();
-                let mut fold = SignatureAccumulator::new(t, self.columns.len());
-                let height = self.levels.len();
-                // One open minimum per level: the node being filled there.
-                let mut mins = vec![INF_SLOT; t * height];
-                let mut row_hashes = vec![0u64; t];
-                let leaves = self.levels.first().copied().unwrap_or(0);
-                for leaf in 0..leaves {
-                    if leaf % POLL_LEAVES == 0 {
-                        ctx.check(ExecPhase::Fingerprint)?;
-                    }
-                    let (lo, hi) = (leaf * LEAF, ((leaf + 1) * LEAF).min(self.rows.len()));
-                    for i in lo..hi {
-                        family.hash_all(
-                            view.global_id(self.rows[i] as usize) as u64,
-                            &mut row_hashes,
-                        );
-                        let (a, b) = (self.row_off[i] as usize, self.row_off[i + 1] as usize);
-                        for &j in &self.row_ids[a..b] {
-                            fold.matrix.update_column(j as usize, &row_hashes);
-                        }
-                        min_into(&mut mins[..t], &row_hashes);
-                    }
-                    // Close the leaf, then every ancestor whose last child it was.
-                    let (mut level, mut node, mut first) = (0, leaf, 0);
-                    loop {
-                        let k = first + node;
-                        let (a, b) = (self.node_off[k] as usize, self.node_off[k + 1] as usize);
-                        let (open, up) = mins[level * t..].split_at_mut(t);
-                        for &j in &self.node_ids[a..b] {
-                            fold.matrix.update_column(j as usize, open);
-                        }
-                        if level + 1 == height {
-                            break;
-                        }
-                        min_into(&mut up[..t], open);
-                        open.fill(INF_SLOT);
-                        let last_child =
-                            node % FANOUT == FANOUT - 1 || node + 1 == self.levels[level];
-                        if !last_child {
-                            break;
-                        }
-                        first += self.levels[level];
-                        level += 1;
-                        node /= FANOUT;
-                    }
+                for (first, lanes) in lane_blocks(t) {
+                    // lint: allow(R2) -- ⌈t/64⌉ + 1 lane blocks at most;
+                    // each walk polls per leaf batch
+                    match lanes {
+                        8 => self.walk::<8>(view, family, first, matrix, ctx),
+                        16 => self.walk::<16>(view, family, first, matrix, ctx),
+                        24 => self.walk::<24>(view, family, first, matrix, ctx),
+                        32 => self.walk::<32>(view, family, first, matrix, ctx),
+                        40 => self.walk::<40>(view, family, first, matrix, ctx),
+                        48 => self.walk::<48>(view, family, first, matrix, ctx),
+                        56 => self.walk::<56>(view, family, first, matrix, ctx),
+                        _ => self.walk::<MAX_LANES>(view, family, first, matrix, ctx),
+                    }?;
                 }
-                fold.scores.copy_from_slice(&self.scores);
-                fold.rows_consumed = self.n;
-                Ok(fold)
+                Ok(())
             },
-        )
+        )?;
+        if let Some(padded) = padded {
+            for j in 0..m {
+                // lint: allow(R2) -- m column copies, only for t < 8;
+                // the walk above polled
+                fold.matrix.set_column(j, &padded.column(j)[..t]);
+            }
+        }
+        fold.scores.copy_from_slice(&self.scores);
+        fold.rows_consumed = self.n;
+        Ok(fold)
     }
+
+    /// One lane block of [`execute`](Self::execute): the whole plan
+    /// walked over slots `first..first + W` of `matrix`, every row,
+    /// group and node minimum a `[u64; W]` that stays in vector
+    /// registers. Only a padded block (`t < 8`) hashes fewer than `W`
+    /// slots; its other lanes stay `INF_SLOT` and are never read back.
+    #[inline(always)]
+    fn walk<const W: usize>(
+        &self,
+        view: DatasetView<'_>,
+        family: &HashFamily,
+        first: usize,
+        matrix: &mut SignatureMatrix,
+        ctx: &ExecContext,
+    ) -> Result<(), Interrupt> {
+        let hashed = W.min(family.len() - first);
+        let mut hashes = [[INF_SLOT; W]; LEAF];
+        // The open minimum of every inner level: the node being filled
+        // there. Leaf minima and the minimum being applied are locals,
+        // which the matrix stores cannot alias, so LLVM vectorises them.
+        let mut mins = vec![[INF_SLOT; W]; self.levels.len()];
+        let leaves = self.levels.first().copied().unwrap_or(0);
+        for leaf in 0..leaves {
+            if leaf % POLL_LEAVES == 0 {
+                ctx.check(ExecPhase::Fingerprint)?;
+            }
+            let rows = &self.rows[leaf * LEAF..((leaf + 1) * LEAF).min(self.rows.len())];
+            let mut open = [INF_SLOT; W];
+            for (row, &id) in hashes.iter_mut().zip(rows) {
+                let x = view.global_id(id as usize) as u64;
+                // Two calls, so the common one hashes a fixed-length block.
+                if hashed < W {
+                    family.hash_slots(x, first, &mut row[..hashed]);
+                } else {
+                    family.hash_slots(x, first, row);
+                }
+                min_into(&mut open, row);
+            }
+            let groups = self.leaf_groups[leaf] as usize..self.leaf_groups[leaf + 1] as usize;
+            for g in groups {
+                let mut min = [INF_SLOT; W];
+                let mut mask = self.group_mask[g];
+                while mask != 0 {
+                    min_into(&mut min, &hashes[mask.trailing_zeros() as usize]);
+                    mask &= mask - 1;
+                }
+                let (a, b) = (self.group_off[g] as usize, self.group_off[g + 1] as usize);
+                for &j in &self.group_ids[a..b] {
+                    matrix.update_block(j as usize, first, &min);
+                }
+            }
+            // Close the leaf, then every ancestor whose last child it was.
+            let (mut level, mut node, mut first_node) = (0, leaf, 0);
+            loop {
+                let k = first_node + node;
+                let (a, b) = (self.node_off[k] as usize, self.node_off[k + 1] as usize);
+                for &j in &self.node_ids[a..b] {
+                    matrix.update_block(j as usize, first, &open);
+                }
+                let Some(parent) = mins.get_mut(level + 1) else {
+                    break;
+                };
+                min_into(parent, &open);
+                let last_child = node % FANOUT == FANOUT - 1 || node + 1 == self.levels[level];
+                if !last_child {
+                    break;
+                }
+                open = std::mem::replace(parent, [INF_SLOT; W]);
+                first_node += self.levels[level];
+                level += 1;
+                node /= FANOUT;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The lane blocks `(first slot, width)` that walk a `t`-slot
+/// signature: as few as cover `0..t`, each a multiple of 8 wide and at
+/// most [`MAX_LANES`]. Blocks stay inside `0..t`, so where `t` is not a
+/// multiple of 8 the last block overlaps the one before it — `min` is
+/// idempotent, so slots walked twice fold the same values twice. Only a
+/// signature narrower than 8 slots gets one 8-lane block past `t`.
+fn lane_blocks(t: usize) -> impl Iterator<Item = (usize, usize)> {
+    let widest = (t / 8 * 8).clamp(8, MAX_LANES);
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        (next < t).then(|| {
+            let lanes = (t - next).next_multiple_of(8).min(widest);
+            let first = next.min(t.saturating_sub(lanes));
+            next = first + lanes;
+            (first, lanes)
+        })
+    })
 }
 
 /// Orders `order` (ids into the planned rows) by Sort-Tile-Recursive
@@ -340,8 +454,8 @@ fn str_tile(order: &mut [u32], coord: &impl Fn(u32, usize) -> f64, dim: usize, d
 fn intersect_all<'a>(mut sets: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
     let mut common = sets.next().map(<[u32]>::to_vec).unwrap_or_default();
     for set in sets {
-        // lint: allow(R2) -- at most FANOUT (or LEAF) lists per node;
-        // the caller polls per leaf batch
+        // lint: allow(R2) -- at most FANOUT lists per node; the caller
+        // walks O(log n) levels bounded by the polled leaf pass
         if common.is_empty() {
             break;
         }
@@ -358,8 +472,8 @@ fn intersect_all<'a>(mut sets: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
 fn subtract_into(set: &[u32], minus: &[u32], out: &mut Vec<u32>) {
     let mut rest = minus.iter().peekable();
     for &x in set {
-        // lint: allow(R2) -- one pass over one node's or row's set; the
-        // plan build polls per leaf batch
+        // lint: allow(R2) -- one pass over one node's set; the plan
+        // build polls per leaf batch
         while rest.next_if(|&&y| y < x).is_some() {}
         if rest.peek() != Some(&&x) {
             out.push(x);
@@ -367,12 +481,12 @@ fn subtract_into(set: &[u32], minus: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Slot-wise `dst = min(dst, src)`.
-#[inline]
-fn min_into(dst: &mut [u64], src: &[u64]) {
+/// Slot-wise `dst = min(dst, src)` over one lane block.
+#[inline(always)]
+fn min_into<const W: usize>(dst: &mut [u64; W], src: &[u64; W]) {
     for (d, &s) in dst.iter_mut().zip(src) {
-        // lint: allow(R2) -- t slot-wise minima per row or node; the
-        // plan walk polls per leaf batch
+        // lint: allow(R2) -- W slot-wise minima per row, group or node;
+        // the plan walk polls per leaf batch
         *d = (*d).min(s);
     }
 }
@@ -381,11 +495,16 @@ fn min_into(dst: &mut [u64], src: &[u64]) {
 mod tests {
     use super::*;
     use crate::budget::{CancelToken, RunBudget, StopReason};
+    use crate::kernels::same_in_every_tier;
     use crate::minhash::{fold_shard, fold_shard_planned, sig_gen_if, ShardFold};
-    use skydiver_data::dominance::MinDominance;
+    use skydiver_data::dominance::{DominanceOrd, MinDominance};
     use skydiver_data::generators::anticorrelated;
     use skydiver_data::Dataset;
     use skydiver_skyline::naive_skyline;
+
+    /// Signature sizes at the lane-block edges: below one 8-lane block,
+    /// at and around 8, 64 and 128 slots, and the serving default 100.
+    const TS: [usize; 10] = [1, 7, 8, 9, 63, 64, 65, 100, 128, 129];
 
     /// A context that counts charged tests, optionally under a limit.
     fn counting(limit: Option<u64>) -> ExecContext {
@@ -429,16 +548,110 @@ mod tests {
         Dataset::from_rows(ds.dims(), &rows)
     }
 
+    /// The skyline of `ds`, its columns' coordinates and the skip mask.
+    fn skyline_of(ds: &Dataset) -> (Vec<usize>, Vec<&[f64]>, Vec<bool>) {
+        let sky = naive_skyline(ds, &MinDominance);
+        let cols = sky.iter().map(|&s| ds.point(s)).collect();
+        let mut skip = vec![false; ds.len()];
+        for &s in &sky {
+            skip[s] = true;
+        }
+        (sky, cols, skip)
+    }
+
+    /// The plan of `view` with no byte cap and no budget.
+    fn plan_of(
+        view: DatasetView<'_>,
+        sky: &[usize],
+        cols: &[&[f64]],
+        skip: &[bool],
+    ) -> DominancePlan {
+        DominancePlan::build(view, sky, cols, skip, usize::MAX, &ExecContext::unlimited())
+            .expect("unlimited build")
+            .expect("u32 ids suffice")
+    }
+
+    /// Folds the shard of `view` by rows and through `plan` in every
+    /// tier, asserts both folds agree — matrix, scores, rows, interrupt
+    /// and charged tests — and returns the plan fold's accumulator.
+    fn fold_both(
+        view: DatasetView<'_>,
+        (sky, cols, skip): (&[usize], &[&[f64]], &[bool]),
+        plan: &DominancePlan,
+        fam: &HashFamily,
+        what: &str,
+    ) -> SignatureAccumulator {
+        let (row, planned) = same_in_every_tier(what, || {
+            let ctx = counting(None);
+            let row = scanned(fold_shard(view, sky, cols, skip, fam, None, 1, &ctx), &ctx);
+            let ctx = counting(None);
+            let (planned, ran) =
+                fold_shard_planned(view, sky, cols, skip, fam, None, Some(plan), 1, &ctx);
+            assert!(ran, "{what}");
+            (row, scanned(planned, &ctx))
+        });
+        assert_eq!(planned, row, "{what}");
+        assert_eq!(planned.1, view.len(), "{what}");
+        assert_eq!(planned.3, plan.charge(), "{what}");
+        planned.0
+    }
+
+    /// The columns a walk applies to row `r` of leaf `leaf`: those of
+    /// every group whose mask holds the row, then every node set on the
+    /// leaf's path to the root.
+    fn applied(plan: &DominancePlan, leaf: usize, r: usize) -> Vec<u32> {
+        let mut cols = Vec::new();
+        for g in plan.leaf_groups[leaf] as usize..plan.leaf_groups[leaf + 1] as usize {
+            if plan.group_mask[g] & 1 << r != 0 {
+                let ids = plan.group_off[g] as usize..plan.group_off[g + 1] as usize;
+                cols.extend_from_slice(&plan.group_ids[ids]);
+            }
+        }
+        let (mut node, mut first) = (leaf, 0);
+        for &count in &plan.levels {
+            let k = first + node;
+            let ids = plan.node_off[k] as usize..plan.node_off[k + 1] as usize;
+            cols.extend_from_slice(&plan.node_ids[ids]);
+            (node, first) = (node / FANOUT, first + count);
+        }
+        cols
+    }
+
+    /// Asserts every planned row of `view` gets each of its dominators
+    /// applied exactly once, and returns the (row, residual dominator)
+    /// pairs: each row's dominators outside its leaf's common set, from
+    /// the dominator lists a naive scan finds.
+    fn covered_once(plan: &DominancePlan, view: DatasetView<'_>, cols: &[&[f64]]) -> usize {
+        let mut residual = 0;
+        for (leaf, rows) in plan.rows.chunks(LEAF).enumerate() {
+            let doms: Vec<Vec<u32>> = rows
+                .iter()
+                .map(|&row| {
+                    let p = view.point(row as usize);
+                    (0..cols.len() as u32)
+                        .filter(|&j| MinDominance.dominates(cols[j as usize], p))
+                        .collect()
+                })
+                .collect();
+            let common = doms.iter().skip(1).fold(doms[0].clone(), |mut c, d| {
+                c.retain(|j| d.contains(j));
+                c
+            });
+            for (r, dom) in doms.iter().enumerate() {
+                let mut got = applied(plan, leaf, r);
+                got.sort_unstable();
+                assert_eq!(&got, dom, "leaf {leaf}, row {r}");
+                residual += dom.len() - common.len();
+            }
+        }
+        residual
+    }
+
     #[test]
     fn plan_folds_bit_identically_to_the_row_fold() {
         for (n, d) in [(600, 2), (500, 3), (400, 4), (300, 5), (250, 6)] {
             let ds = data(n, d, 200 + d as u64);
-            let sky = naive_skyline(&ds, &MinDominance);
-            let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-            let mut skip = vec![false; ds.len()];
-            for &s in &sky {
-                skip[s] = true;
-            }
+            let (sky, cols, skip) = skyline_of(&ds);
             // Three shards, two with a non-zero base.
             let cuts = [0, ds.len() / 4, ds.len() / 2, ds.len()];
             let shards: Vec<(usize, Dataset)> = cuts
@@ -449,41 +662,22 @@ mod tests {
                 .iter()
                 .map(|(lo, sd)| {
                     let view = DatasetView::with_base(sd, *lo);
-                    let sk = &skip[*lo..*lo + sd.len()];
-                    DominancePlan::build(
-                        view,
-                        &sky,
-                        &cols,
-                        sk,
-                        usize::MAX,
-                        &ExecContext::unlimited(),
-                    )
-                    .expect("unlimited build")
-                    .expect("u32 ids suffice")
+                    plan_of(view, &sky, &cols, &skip[*lo..*lo + sd.len()])
                 })
                 .collect();
-            for seed in 0..5u64 {
-                let fam = HashFamily::new(16, 300 + seed);
-                let mut whole = SignatureAccumulator::new(16, sky.len());
+            for (i, &t) in TS.iter().enumerate() {
+                let seed = 300 + i as u64;
+                let fam = HashFamily::new(t, seed);
+                let mut whole = SignatureAccumulator::new(t, sky.len());
                 for ((lo, sd), plan) in shards.iter().zip(&plans) {
                     let view = DatasetView::with_base(sd, *lo);
                     let sk = &skip[*lo..*lo + sd.len()];
-                    let what = format!("d = {d}, base = {lo}, seed = {seed}");
-                    let ctx = counting(None);
-                    let row = scanned(fold_shard(view, &sky, &cols, sk, &fam, None, 1, &ctx), &ctx);
-                    let ctx = counting(None);
-                    let (planned, ran) =
-                        fold_shard_planned(view, &sky, &cols, sk, &fam, None, Some(plan), 1, &ctx);
-                    assert!(ran, "{what}");
-                    let planned = scanned(planned, &ctx);
-                    assert_eq!(planned, row, "{what}");
-                    assert_eq!(planned.1, sd.len(), "{what}");
-                    assert_eq!(planned.3, plan.charge(), "{what}");
-                    whole.merge(&planned.0);
+                    let what = format!("d = {d}, base = {lo}, t = {t}");
+                    whole.merge(&fold_both(view, (&sky, &cols, sk), plan, &fam, &what));
                 }
                 let reference = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-                assert_eq!(whole.matrix, reference.matrix, "d = {d}, seed = {seed}");
-                assert_eq!(whole.scores, reference.scores, "d = {d}, seed = {seed}");
+                assert_eq!(whole.matrix, reference.matrix, "d = {d}, t = {t}");
+                assert_eq!(whole.scores, reference.scores, "d = {d}, t = {t}");
                 assert!(
                     whole
                         .matrix
@@ -498,31 +692,114 @@ mod tests {
 
     #[test]
     fn plan_walk_identical_in_every_copy() {
-        use crate::kernels::same_in_every_tier;
-        let ds = data(500, 3, 250);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let lonely = sky.iter().position(|&s| s == 500 / 3).expect("a skyline row");
-        let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-        let mut skip = vec![false; ds.len()];
-        for &s in &sky {
-            skip[s] = true;
-        }
-        let free = ExecContext::unlimited();
-        // The second view's global ids straddle 2³², where the row hash
-        // switches to its 128-bit form.
-        for base in [11, u32::MAX as usize - 250] {
-            let view = DatasetView::with_base(&ds, base);
-            let plan = DominancePlan::build(view, &sky, &cols, &skip, usize::MAX, &free)
-                .unwrap()
-                .unwrap();
-            for t in [1, 3, 7, 64, 100] {
-                let fam = HashFamily::new(t, 60 + t as u64);
-                let walk = || plan.execute(view, &fam, &free).expect("unlimited walk");
-                let what = format!("base = {base}, t = {t}");
-                let p = same_in_every_tier(&what, walk);
-                assert!(p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT), "{what}");
+        // The d = 5 shard's leaves carry many groups each.
+        for (n, d) in [(500, 3), (1_000, 5)] {
+            let ds = data(n, d, 250);
+            let (sky, cols, skip) = skyline_of(&ds);
+            let lonely = sky.iter().position(|&s| s == n / 3).expect("a skyline row");
+            let free = ExecContext::unlimited();
+            // The second view's global ids straddle 2³², where the row
+            // hash switches to its 128-bit form.
+            for base in [11, u32::MAX as usize - n / 2] {
+                let view = DatasetView::with_base(&ds, base);
+                let plan = plan_of(view, &sky, &cols, &skip);
+                if d == 5 {
+                    let (leaves, groups) = (plan.levels[0], plan.group_mask.len());
+                    assert!(groups >= 6 * leaves, "{groups} groups in {leaves} leaves");
+                }
+                for t in TS {
+                    let fam = HashFamily::new(t, 60 + t as u64);
+                    let walk = || plan.execute(view, &fam, &free).expect("unlimited walk");
+                    let what = format!("d = {d}, base = {base}, t = {t}");
+                    let p = same_in_every_tier(&what, walk);
+                    assert!(
+                        p.matrix.column(lonely).iter().all(|&v| v == INF_SLOT),
+                        "{what}"
+                    );
+                }
             }
         }
+    }
+
+    /// Four skyline points and four clusters of dominated rows, which
+    /// STR tiles into leaves of their own: one leaf whose eight rows
+    /// `s2` dominates, and no row outside it; one whose rows `s0`
+    /// dominates and `s3` half of (one group); rows `s1` dominates
+    /// alone (no residual); and a last leaf of one row.
+    #[test]
+    fn leaf_edges_fold_identically() {
+        let mut rows: Vec<[f64; 2]> = vec![[0.0, 10.0], [10.0, 0.0], [5.0, 5.0], [0.7, 9.0]];
+        for i in 0..8 {
+            let f = f64::from(i);
+            rows.push([6.0 + 0.1 * f, 6.0 + 0.1 * f]);
+            rows.push([0.5 + 0.06 * f, 12.0 + 0.1 * f]);
+            rows.push([12.0 + 0.1 * f, 0.5 + 0.05 * f]);
+        }
+        rows.push([20.0, 0.45]);
+        let ds = Dataset::from_rows(2, &rows);
+        let (sky, cols, skip) = skyline_of(&ds);
+        assert_eq!(sky, [0, 1, 2, 3]);
+        for base in [0, 40] {
+            let view = DatasetView::with_base(&ds, base);
+            let plan = plan_of(view, &sky, &cols, &skip);
+            assert_eq!(plan.rows.len() % LEAF, 1, "a last leaf of one row");
+            let leaves = plan.levels[0];
+            let groups = |leaf: usize| plan.leaf_groups[leaf + 1] - plan.leaf_groups[leaf];
+            assert!(
+                (0..leaves - 1).any(|leaf| groups(leaf) == 0),
+                "a full leaf with no residual"
+            );
+            assert_eq!(plan.group_mask, [0xF0], "s3 dominates half of s0's leaf");
+            let holders: Vec<usize> = (0..plan.node_off.len() - 1)
+                .filter(|&k| {
+                    plan.node_ids[plan.node_off[k] as usize..plan.node_off[k + 1] as usize]
+                        .contains(&2)
+                })
+                .collect();
+            assert!(
+                holders.len() == 1 && holders[0] < leaves,
+                "s2 sits in one leaf's set"
+            );
+            covered_once(&plan, view, &cols);
+            for (i, &t) in TS.iter().enumerate() {
+                let fam = HashFamily::new(t, 70 + i as u64);
+                let what = format!("base = {base}, t = {t}");
+                let planned = fold_both(view, (&sky, &cols, &skip), &plan, &fam, &what);
+                if base == 0 {
+                    let reference = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+                    assert_eq!(planned.matrix, reference.matrix, "{what}");
+                    assert_eq!(planned.scores, [8, 9, 8, 4], "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_blocks_cover_the_signature_in_fixed_widths() {
+        for t in 1..=300 {
+            let blocks: Vec<(usize, usize)> = lane_blocks(t).collect();
+            // At most one block more than whole 64-slot blocks need, and
+            // none more where `t` is a multiple of 8 (no overlap).
+            let fewest = t.div_ceil(MAX_LANES);
+            assert!(
+                blocks.len() <= fewest + usize::from(t % 8 != 0),
+                "t = {t}: {blocks:?}"
+            );
+            let mut walked = vec![0; t.max(8)];
+            for &(first, lanes) in &blocks {
+                assert!(
+                    lanes % 8 == 0 && (8..=MAX_LANES).contains(&lanes),
+                    "t = {t}"
+                );
+                assert!(first + lanes <= t.max(8), "t = {t}");
+                walked[first..first + lanes]
+                    .iter_mut()
+                    .for_each(|w| *w += 1);
+            }
+            assert!(walked[..t].iter().all(|&w| w >= 1), "t = {t}: {blocks:?}");
+        }
+        assert_eq!(lane_blocks(100).collect::<Vec<_>>(), [(0, 64), (60, 40)]);
+        assert_eq!(lane_blocks(3).collect::<Vec<_>>(), [(0, 8)]);
     }
 
     #[test]
@@ -698,32 +975,33 @@ mod tests {
     #[test]
     fn the_plan_makes_fewer_updates_on_clustered_dominators() {
         let ds = skydiver_data::generators::independent(2_000, 3, 240);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-        let mut skip = vec![false; ds.len()];
-        for &s in &sky {
-            skip[s] = true;
-        }
+        let (sky, cols, skip) = skyline_of(&ds);
         let view = DatasetView::with_base(&ds, 0);
-        let plan = DominancePlan::build(
-            view,
-            &sky,
-            &cols,
-            &skip,
-            usize::MAX,
-            &ExecContext::unlimited(),
-        )
-        .unwrap()
-        .unwrap();
+        let plan = plan_of(view, &sky, &cols, &skip);
         let gamma: u64 = sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(1, 0))
             .scores
             .iter()
             .sum();
-        // Residual and node updates plus one minimum per planned row and
-        // per non-root node, against the row fold's Σ|Γ| updates.
+        // Group and node column updates, plus one minimum per row a
+        // group takes, per planned row (its leaf's) and per non-root
+        // node, against the row fold's Σ|Γ| updates.
         let nodes: usize = plan.levels.iter().sum();
-        let updates = plan.row_ids.len() + plan.node_ids.len() + plan.rows.len() + nodes - 1;
+        let group_minima: usize = plan
+            .group_mask
+            .iter()
+            .map(|m| m.count_ones() as usize)
+            .sum();
+        let updates =
+            plan.group_ids.len() + plan.node_ids.len() + group_minima + plan.rows.len() + nodes - 1;
         assert!(2 * updates < gamma as usize, "{updates} vs {gamma}");
+        // The grouped ids stand for fewer entries than the (row,
+        // residual dominator) pairs they replace.
+        let residual = covered_once(&plan, view, &cols);
+        assert!(
+            plan.group_ids.len() < residual,
+            "{} vs {residual}",
+            plan.group_ids.len()
+        );
         assert!(plan.memory_bytes() > 4 * plan.rows.len());
         // A byte cap below the dominator ids stops the build.
         let ids = 4 * gamma as usize;

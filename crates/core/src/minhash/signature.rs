@@ -57,6 +57,30 @@ impl SignatureMatrix {
         }
     }
 
+    /// [`update_column`](Self::update_column) over the lane block of
+    /// slots `first..first + W` of column `j`: a walk that folds the
+    /// signature `W` slots at a time keeps each block's minima in
+    /// vector registers. `#[inline(always)]`, like every callee of a
+    /// `kernels::wide` loop.
+    ///
+    /// # Panics
+    /// Panics if `first + W > t`.
+    #[inline(always)]
+    pub(crate) fn update_block<const W: usize>(
+        &mut self,
+        j: usize,
+        first: usize,
+        block: &[u64; W],
+    ) {
+        assert!(first + W <= self.t, "lane block past the signature");
+        let at = j * self.t + first;
+        for (slot, &h) in self.data[at..at + W].iter_mut().zip(block) {
+            // lint: allow(R2) -- W slot-wise minima per column update;
+            // the plan walk polls per leaf batch
+            *slot = (*slot).min(h);
+        }
+    }
+
     /// Estimated Jaccard similarity `Ĵs(i, j)`: the fraction of slots
     /// where the two signatures agree. Two `∞` slots agree — consistent
     /// with the convention that two empty dominated sets are identical.
