@@ -50,11 +50,11 @@ fn bench_siggen() {
     let skyline = sfs(&ds, &MinDominance);
     let fam = HashFamily::new(100, 2);
     bench("siggen_50k_ant4d/index_free", 3, || {
-        sig_gen_if(&ds, &MinDominance, &skyline, &fam)
+        sig_gen_if(&ds, &skyline, &fam)
     });
     let ctx = ExecContext::unlimited();
     bench("siggen_50k_ant4d/parallel_4", 3, || {
-        sig_gen_if_budgeted(&ds, &MinDominance, &skyline, &fam, 4, &ctx)
+        sig_gen_if_budgeted(&ds, &skyline, &fam, 4, &ctx)
     });
     let tree = RTree::bulk_load(&ds, 4096);
     let pts: Vec<&[f64]> = skyline.iter().map(|&s| ds.point(s)).collect();
@@ -68,7 +68,7 @@ fn bench_selection() {
     let ds = anticorrelated(50_000, 4, 3);
     let skyline = sfs(&ds, &MinDominance);
     let fam = HashFamily::new(100, 4);
-    let out = sig_gen_if(&ds, &MinDominance, &skyline, &fam);
+    let out = sig_gen_if(&ds, &skyline, &fam);
     for k in [2usize, 10, 50] {
         bench(&format!("selection/mh_greedy_k{k}"), 10, || {
             let mut dist = SignatureDistance::new(&out.matrix);
@@ -130,7 +130,7 @@ fn bench_rtree_queries() {
 fn bench_exact_jaccard() {
     let ds = independent(30_000, 3, 9);
     let skyline = sfs(&ds, &MinDominance);
-    let gamma = GammaSets::build(&ds, &MinDominance, &skyline);
+    let gamma = GammaSets::build(&ds, &skyline);
     bench("exact_jaccard_pair_30k_rows", 100, || {
         gamma.jaccard_distance(0, skyline.len() - 1)
     });

@@ -35,7 +35,7 @@ fn main() {
     println!("Ablations on {} {d}D, n={n}, m={m}, k={k}\n", family.name());
 
     let fam = HashFamily::new(100, 9);
-    let out = sig_gen_if(&ds, &MinDominance, &skyline, &fam);
+    let out = sig_gen_if(&ds, &skyline, &fam);
 
     // 1 + 2: seed and tie-break rules over the same signatures.
     println!("[1/2] selection seed and tie-break (diversity in original space):");
@@ -95,10 +95,10 @@ fn main() {
     println!("[4] signature size sweep (mean |Jd_est - Jd| over 200 pairs):");
     print_header(&["t", "mean err", "diversity"]);
     let sample_m = m.min(150);
-    let gamma_small = GammaSets::build(&ds, &MinDominance, &skyline[..sample_m]);
+    let gamma_small = GammaSets::build(&ds, &skyline[..sample_m]);
     for t in [20usize, 50, 100, 200, 400] {
         let famt = HashFamily::new(t, 21);
-        let outt = sig_gen_if(&ds, &MinDominance, &skyline, &famt);
+        let outt = sig_gen_if(&ds, &skyline, &famt);
         let mut err = 0.0;
         let mut pairs = 0usize;
         'outer: for i in 0..sample_m {
@@ -132,12 +132,12 @@ fn main() {
     // 5: parallel fingerprinting speedup.
     println!("[5] parallel SigGen-IF (bit-identical results):");
     print_header(&["threads", "cpu ms", "speedup"]);
-    let (_, base_ms) = time_ms(|| sig_gen_if(&ds, &MinDominance, &skyline, &fam));
+    let (_, base_ms) = time_ms(|| sig_gen_if(&ds, &skyline, &fam));
     print_row(&["1".into(), format!("{base_ms:.0}"), "1.0x".into()]);
     for threads in [2usize, 4, 8] {
         let ctx = ExecContext::unlimited();
         let ((outp, _, _), ms) =
-            time_ms(|| sig_gen_if_budgeted(&ds, &MinDominance, &skyline, &fam, threads, &ctx));
+            time_ms(|| sig_gen_if_budgeted(&ds, &skyline, &fam, threads, &ctx));
         assert_eq!(outp.matrix, out.matrix, "parallel must be bit-identical");
         print_row(&[
             threads.to_string(),
@@ -169,7 +169,7 @@ fn main() {
     }
 
     // Companion sanity: exact backend agrees with itself via min_pairwise.
-    let gamma = GammaSets::build(&ds, &MinDominance, &skyline[..sample_m]);
+    let gamma = GammaSets::build(&ds, &skyline[..sample_m]);
     let mut exact = ExactJaccardDistance::new(&gamma);
     let _ = min_pairwise(&mut exact, &[0, sample_m - 1]);
 }

@@ -37,7 +37,7 @@ fn main() {
             for &t in &sizes {
                 let fam = HashFamily::new(t, 7);
 
-                let (_, if_cpu) = time_ms(|| sig_gen_if(&ds, &MinDominance, &skyline, &fam));
+                let (_, if_cpu) = time_ms(|| sig_gen_if(&ds, &skyline, &fam));
                 let if_total = if_cpu + scan_pages(ds.len(), d) as f64 * 8.0;
 
                 let mut pool = BufferPool::for_index(tree.num_pages(), DEFAULT_CACHE_FRACTION);

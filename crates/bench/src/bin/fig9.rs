@@ -53,7 +53,7 @@ fn main() {
             let skyline = sfs(&ds, &MinDominance);
             let pts: Vec<&[f64]> = skyline.iter().map(|&s| ds.point(s)).collect();
 
-            let (_, if_cpu) = time_ms(|| sig_gen_if(&ds, &MinDominance, &skyline, &fam_hash));
+            let (_, if_cpu) = time_ms(|| sig_gen_if(&ds, &skyline, &fam_hash));
             let if_total = if_cpu + scan_pages(ds.len(), d) as f64 * 8.0;
 
             let tree = RTree::bulk_load(&ds, DEFAULT_PAGE_SIZE);

@@ -8,8 +8,8 @@
 //!   per row, branch-free 64-column masks) vs the scalar per-pair
 //!   `dom_cmp` loop it replaced,
 //! * **fingerprint** — the full `SigGen-IF` pass with the packed
-//!   kernel vs the generic scalar path (forced through a dominance
-//!   order that hides the canonical-min hook); the pass also spends
+//!   kernel vs the any-order pass `sig_gen_if_generic`, whose scalar
+//!   per-pair loop is the one the kernel replaced; the pass also spends
 //!   time in hashing and slot updates common to both sides, so its
 //!   speedup is a diluted view of the dominance entry above,
 //! * **agreement / hamming** — the shared slot-agreement kernel vs an
@@ -50,8 +50,8 @@ use skydiver_bench::{time_ms, Args, Family};
 use skydiver_core::budget::ExecContext;
 use skydiver_core::kernels::{agreement_count, agreement_count_u32, SkylinePack};
 use skydiver_core::minhash::{
-    fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if, DominancePlan,
-    HashFamily,
+    fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if,
+    sig_gen_if_generic, DominancePlan, HashFamily,
 };
 use skydiver_core::SkyDiver;
 use skydiver_data::dominance::{DominanceOrd, MinDominance};
@@ -66,17 +66,6 @@ const SKY_CAP: usize = 512;
 const SKY_SAMPLE: usize = 50_000;
 /// Thread count of the parallel-vs-sequential comparisons.
 const PAR_THREADS: usize = 4;
-
-/// Delegates to [`MinDominance`] but hides the canonical-min hook,
-/// forcing `sig_gen_if` down the generic scalar path (the pre-PR 2
-/// hot loop).
-struct HiddenMin;
-impl DominanceOrd for HiddenMin {
-    type Item = [f64];
-    fn dom_cmp(&self, a: &[f64], b: &[f64]) -> skydiver_data::Dominance {
-        MinDominance.dom_cmp(a, b)
-    }
-}
 
 /// A before/after pair in milliseconds.
 struct Pair {
@@ -163,7 +152,7 @@ fn bench_dominance(name: &'static str, family: Family, n: usize, seed: u64, mode
             let p = ds.point(i);
             doms.clear();
             for (j, s) in sky_pts.iter().enumerate() {
-                if HiddenMin.dominates(s, p) {
+                if MinDominance.dominates(s, p) {
                     doms.push(j);
                 }
             }
@@ -192,11 +181,12 @@ fn bench_fingerprint(name: &'static str, family: Family, n: usize, seed: u64, mo
         SkyMode::Capped => capped_skyline(&ds),
     };
     let fam = HashFamily::new(32, seed);
+    let rows: Vec<&[f64]> = ds.iter().collect();
     let before_ms = best_of(2, || {
-        black_box(sig_gen_if(&ds, &HiddenMin, &sky, &fam));
+        black_box(sig_gen_if_generic(&rows, &MinDominance, &sky, &fam));
     });
     let after_ms = best_of(2, || {
-        black_box(sig_gen_if(&ds, &MinDominance, &sky, &fam));
+        black_box(sig_gen_if(&ds, &sky, &fam));
     });
     Pair { name, before_ms, after_ms }
 }

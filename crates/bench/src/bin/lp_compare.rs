@@ -40,7 +40,7 @@ fn main() {
         if skyline.len() < k {
             continue;
         }
-        let gamma = GammaSets::build(&ds, &MinDominance, &skyline);
+        let gamma = GammaSets::build(&ds, &skyline);
         let scores = gamma.scores();
 
         // A copy with attribute 0 rescaled ×1000 (same dominance).
@@ -64,7 +64,7 @@ fn main() {
         )
         .expect("SkyDiver selection");
         let sky_sel_scaled = {
-            let g2 = GammaSets::build(&scaled, &MinDominance, &skyline);
+            let g2 = GammaSets::build(&scaled, &skyline);
             let mut e2 = ExactJaccardDistance::new(&g2);
             select_diverse(&mut e2, &g2.scores(), k, SeedRule::MaxDominance, TieBreak::MaxDominance)
                 .expect("SkyDiver selection (scaled)")

@@ -92,8 +92,8 @@ fn row_sampling(args: &Args) {
     for n in [20_000usize, 100_000, 500_000] {
         let ds = independent(n, d, 13 + d as u64);
         let skyline = sfs(&ds, &MinDominance);
-        let gamma = GammaSets::build(&ds, &MinDominance, &skyline);
-        let sparsity = ds.domination_matrix_sparsity(&skyline);
+        let gamma = GammaSets::build(&ds, &skyline);
+        let sparsity = gamma.sparsity();
 
         // Memory budget: t = 100 slots of 8 bytes per skyline point.
         let t = 100usize;
@@ -106,7 +106,7 @@ fn row_sampling(args: &Args) {
         let sample_rows = &rows[..r_rows];
 
         let fam = HashFamily::new(t, 17);
-        let out = sig_gen_if(&ds, &MinDominance, &skyline, &fam);
+        let out = sig_gen_if(&ds, &skyline, &fam);
 
         // The failure mode the paper describes is *sparse columns*: a
         // fixed-size row sample misses their few 1s entirely. Measure

@@ -8,6 +8,7 @@
 //! ```
 
 use skydiver_bench::{print_header, print_row, Args};
+use skydiver_core::GammaSets;
 use skydiver_data::dominance::MinDominance;
 use skydiver_data::generators::independent;
 use skydiver_skyline::sfs;
@@ -21,7 +22,7 @@ fn main() {
     for (i, d) in [3usize, 5, 7].into_iter().enumerate() {
         let ds = independent(n, d, 42 + i as u64);
         let skyline = sfs(&ds, &MinDominance);
-        let sparsity = ds.domination_matrix_sparsity(&skyline);
+        let sparsity = GammaSets::build(&ds, &skyline).sparsity();
         print_row(&[
             d.to_string(),
             skyline.len().to_string(),

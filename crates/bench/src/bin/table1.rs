@@ -30,7 +30,7 @@ fn main() {
         let n = args.cardinality(family);
         let ds = family.generate(n, d, 1);
         let skyline = sfs(&ds, &MinDominance);
-        let gamma = GammaSets::build(&ds, &MinDominance, &skyline);
+        let gamma = GammaSets::build(&ds, &skyline);
         let scores = gamma.scores();
         let label = format!("{}{}D(n={})", family.name(), d, n);
 

@@ -177,9 +177,8 @@ pub fn exact_selection_diversity(
     selected_positions: &[usize],
 ) -> f64 {
     use skydiver_core::GammaSets;
-    use skydiver_data::dominance::MinDominance;
     let picked: Vec<usize> = selected_positions.iter().map(|&p| skyline[p]).collect();
-    let gamma = GammaSets::build(canon, &MinDominance, &picked);
+    let gamma = GammaSets::build(canon, &picked);
     let mut worst = f64::INFINITY;
     for i in 0..picked.len() {
         for j in (i + 1)..picked.len() {

@@ -14,7 +14,6 @@ use skydiver_core::{
     brute_force_mmdp, select_diverse, ExactJaccardDistance, GammaSets, LshDistance, LshIndex,
     LshParams, RTreeJaccardDistance, SeedRule, SignatureDistance, TieBreak,
 };
-use skydiver_data::dominance::MinDominance;
 use skydiver_data::Dataset;
 use skydiver_rtree::{BufferPool, IoStats, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE};
 use skydiver_skyline::bbs;
@@ -173,7 +172,7 @@ impl ExperimentContext {
             return None;
         }
         let (positions, cpu) = time_ms(|| {
-            let gamma = GammaSets::build(&self.ds, &MinDominance, &self.skyline);
+            let gamma = GammaSets::build(&self.ds, &self.skyline);
             let mut dist = ExactJaccardDistance::new(&gamma);
             let (sel, _) = brute_force_mmdp(&mut dist, k, 1 << 40).expect("BF enumeration");
             sel

@@ -14,100 +14,68 @@
 //! mutually *identical* (distance 0), so at most one of them can be
 //! picked before the greedy's max–min drops to zero.
 
-use skydiver_data::{Dataset, DominanceOrd};
+use skydiver_data::Dataset;
 
+use crate::budget::ExecContext;
 use crate::dispersion::{select_diverse, SeedRule, TieBreak};
 use crate::diversity::SignatureDistance;
 use crate::error::Result;
 use crate::gamma::GammaSets;
-use crate::minhash::{HashFamily, SigGenOutput, SignatureMatrix};
+use crate::minhash::{scan_columns_budgeted, HashFamily, SigGenOutput, SignatureAccumulator};
 
-/// Builds the cross-set Γ sets `Γ_B(a)` for every candidate `a ∈ A`.
+/// Builds the cross-set Γ sets `Γ_B(a)` for every candidate `a ∈ A`
+/// under all-min dominance (both sets canonical).
 ///
-/// `O(|A| · |B| · d)` — exact; use [`cross_fingerprint`] for large `B`.
-pub fn cross_gamma_sets<O>(candidates: &Dataset, reference: &Dataset, ord: &O) -> GammaSets
-where
-    O: DominanceOrd<Item = [f64]>,
-{
+/// One scan of `B` against a pack of `A` — exact; use
+/// [`cross_fingerprint`] for large `B`.
+pub fn cross_gamma_sets(candidates: &Dataset, reference: &Dataset) -> GammaSets {
     assert_eq!(
         candidates.dims(),
         reference.dims(),
         "candidate and reference dimensionality must match"
     );
-    let edges: Vec<Vec<usize>> = candidates
-        .iter()
-        .map(|a| {
-            reference
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| ord.dominates(a, b))
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .collect();
-    GammaSets::from_edges(reference.len(), &edges)
+    let cols: Vec<&[f64]> = candidates.iter().collect();
+    GammaSets::of_columns(reference.view(), &cols)
 }
 
 /// MinHash fingerprints of the cross-set dominated sets: one pass over
-/// `B`, exactly like `SigGen-IF` but with `A` as the column set.
-pub fn cross_fingerprint<O>(
+/// `B`, exactly like `SigGen-IF` but with `A` as the column set and no
+/// row of `B` skipped.
+pub fn cross_fingerprint(
     candidates: &Dataset,
     reference: &Dataset,
-    ord: &O,
     family: &HashFamily,
-) -> SigGenOutput
-where
-    O: DominanceOrd<Item = [f64]>,
-{
+) -> SigGenOutput {
     assert_eq!(
         candidates.dims(),
         reference.dims(),
         "candidate and reference dimensionality must match"
     );
-    let t = family.len();
-    let m = candidates.len();
-    let mut matrix = SignatureMatrix::new(t, m);
-    let mut scores = vec![0u64; m];
-    let mut row_hashes = vec![0u64; t];
-    let mut dominators: Vec<usize> = Vec::new();
-    for (row, b) in reference.iter().enumerate() {
-        dominators.clear();
-        for (j, a) in candidates.iter().enumerate() {
-            if ord.dominates(a, b) {
-                dominators.push(j);
-            }
-        }
-        if dominators.is_empty() {
-            continue;
-        }
-        family.hash_all(row as u64, &mut row_hashes);
-        for &j in &dominators {
-            matrix.update_column(j, &row_hashes);
-            scores[j] += 1;
-        }
-    }
-    SigGenOutput { matrix, scores }
+    let cols: Vec<&[f64]> = candidates.iter().collect();
+    let skip = vec![false; reference.len()];
+    let ctx = ExecContext::unlimited();
+    let mut acc = SignatureAccumulator::new(family.len(), cols.len());
+    let interrupt =
+        scan_columns_budgeted(reference.view(), &cols, &skip, family, 1, &ctx, &mut acc);
+    debug_assert!(interrupt.is_none(), "unlimited context cannot trip");
+    acc.into_output()
 }
 
 /// End-to-end cross-set diversification: fingerprint `A` against `B`
 /// and return the indices (into `A`) of the `k` most diverse
 /// candidates.
-pub fn diversify_cross<O>(
+pub fn diversify_cross(
     candidates: &Dataset,
     reference: &Dataset,
-    ord: &O,
     k: usize,
     signature_size: usize,
     hash_seed: u64,
-) -> Result<Vec<usize>>
-where
-    O: DominanceOrd<Item = [f64]>,
-{
+) -> Result<Vec<usize>> {
     if signature_size == 0 {
         return Err(crate::error::SkyDiverError::ZeroSignatureSize);
     }
     let family = HashFamily::new(signature_size, hash_seed);
-    let out = cross_fingerprint(candidates, reference, ord, &family);
+    let out = cross_fingerprint(candidates, reference, &family);
     let mut dist = SignatureDistance::new(&out.matrix);
     select_diverse(
         &mut dist,
@@ -129,7 +97,7 @@ mod tests {
     fn cross_gamma_matches_per_point_scan() {
         let a = independent(40, 3, 1);
         let b = independent(300, 3, 2);
-        let g = cross_gamma_sets(&a, &b, &MinDominance);
+        let g = cross_gamma_sets(&a, &b);
         assert_eq!(g.len(), 40);
         assert_eq!(g.rows(), 300);
         for (j, p) in a.iter().enumerate() {
@@ -143,7 +111,7 @@ mod tests {
         // a0 dominates a1 — both are still valid candidates.
         let a = Dataset::from_rows(2, &[[0.1, 0.1], [0.2, 0.2], [0.9, 0.05]]);
         let b = independent(500, 2, 3);
-        let g = cross_gamma_sets(&a, &b, &MinDominance);
+        let g = cross_gamma_sets(&a, &b);
         // Γ(a1) ⊂ Γ(a0) strictly (a0 dominates whatever a1 does).
         let inter = g.set(0).intersection_count(g.set(1));
         assert_eq!(inter, g.set(1).count());
@@ -154,9 +122,9 @@ mod tests {
     fn fingerprint_estimates_cross_jaccard() {
         let a = independent(25, 2, 4);
         let b = independent(2000, 2, 5);
-        let g = cross_gamma_sets(&a, &b, &MinDominance);
+        let g = cross_gamma_sets(&a, &b);
         let fam = HashFamily::new(512, 6);
-        let out = cross_fingerprint(&a, &b, &MinDominance, &fam);
+        let out = cross_fingerprint(&a, &b, &fam);
         assert_eq!(out.scores, g.scores());
         let mut worst: f64 = 0.0;
         for i in 0..25 {
@@ -176,14 +144,14 @@ mod tests {
         // two clones.
         let a = Dataset::from_rows(2, &[[0.05, 0.5], [0.06, 0.5], [0.5, 0.05]]);
         let b = independent(3000, 2, 7);
-        let sel = diversify_cross(&a, &b, &MinDominance, 2, 128, 8).unwrap();
+        let sel = diversify_cross(&a, &b, 2, 128, 8).unwrap();
         assert_eq!(sel.len(), 2);
         assert!(
             !(sel.contains(&0) && sel.contains(&1)),
             "clones must not both be selected: {sel:?}"
         );
         // Exact check: the chosen pair has higher Jd than the clones.
-        let g = cross_gamma_sets(&a, &b, &MinDominance);
+        let g = cross_gamma_sets(&a, &b);
         let mut exact = ExactJaccardDistance::new(&g);
         assert!(exact.distance(sel[0], sel[1]) > exact.distance(0, 1));
     }
@@ -193,7 +161,7 @@ mod tests {
         let a = independent(5, 2, 9);
         let b = Dataset::new(2);
         let fam = HashFamily::new(16, 10);
-        let out = cross_fingerprint(&a, &b, &MinDominance, &fam);
+        let out = cross_fingerprint(&a, &b, &fam);
         assert!(out.scores.iter().all(|&s| s == 0));
         assert_eq!(out.matrix.estimated_similarity(0, 4), 1.0);
     }

@@ -260,7 +260,7 @@ mod tests {
     fn setup(n: usize, d: usize, seed: u64) -> (skydiver_data::Dataset, Vec<usize>, GammaSets) {
         let ds = independent(n, d, seed);
         let sky = naive_skyline(&ds, &MinDominance);
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         (ds, sky, g)
     }
 

@@ -316,7 +316,7 @@ mod tests {
         let ds = anticorrelated(3000, 3, 190);
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(64, 191);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let out = sig_gen_if(&ds, &sky, &fam);
 
         let k = 5.min(sky.len());
         // Batch greedy.

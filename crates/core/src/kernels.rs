@@ -12,6 +12,12 @@
 //!   candidates are tested 64 at a time into a `u64` mask with no
 //!   data-dependent branch, monomorphized for `d = 2..=5` (runtime-`d`
 //!   arm above). Dominator ids come out in pack order, not ascending.
+//!   It is the one code that tests numeric rows against a column set:
+//!   the `SigGen-IF` row fold, the dominance-plan build, the column
+//!   delta, [`GammaSets`](crate::GammaSets) and the cross-set passes
+//!   all list dominators through it. The any-order pass
+//!   `sig_gen_if_generic` keeps the scalar per-pair loop for
+//!   categorical and partially ordered domains.
 //! * [`agreement_count`] / [`agreement_count_u32`] — branchless chunked
 //!   equality counts over signature columns and LSH zone assignments,
 //!   written so the autovectorizer can keep the comparison loop free of
@@ -651,7 +657,7 @@ mod tests {
             let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
             let mut acc = SignatureAccumulator::new(7, cols.len());
             let (v, c) = (ds.view(), &col_refs);
-            let int = scan_columns_budgeted(v, &MinDominance, c, &skip, &fam, 1, &ctx, &mut acc);
+            let int = scan_columns_budgeted(v, c, &skip, &fam, 1, &ctx, &mut acc);
             assert!(int.is_none());
             (acc, ctx.dominance_tests())
         };

@@ -150,8 +150,8 @@ mod tests {
         );
 
         // SkyDiver's exact selection is identical on both.
-        let g1 = GammaSets::build(&ds, &MinDominance, &sky);
-        let g2 = GammaSets::build(&scaled, &MinDominance, &sky);
+        let g1 = GammaSets::build(&ds, &sky);
+        let g2 = GammaSets::build(&scaled, &sky);
         let scores = g1.scores();
         assert_eq!(scores, g2.scores());
         let mut e1 = ExactJaccardDistance::new(&g1);

@@ -19,7 +19,6 @@
 //! the same matrix, scores, `rows_consumed` and charged tests as the
 //! row fold, and falls back to [`fold_shard`] whenever it cannot.
 
-use skydiver_data::dominance::MinDominance;
 use skydiver_data::shard::DatasetView;
 
 use crate::budget::{ExecContext, Interrupt};
@@ -81,7 +80,6 @@ pub fn fold_shard(
     threads: usize,
     ctx: &ExecContext,
 ) -> ShardFold {
-    let ord = MinDominance;
     let t_eff = family.len();
     let m = skyline.len();
     match cache {
@@ -122,16 +120,8 @@ pub fn fold_shard(
                 })
                 .collect();
             let mut need_acc = SignatureAccumulator::new(t_eff, need.len());
-            let int = scan_columns_budgeted(
-                sview,
-                &ord,
-                &need_cols,
-                skip,
-                family,
-                threads,
-                ctx,
-                &mut need_acc,
-            );
+            let int =
+                scan_columns_budgeted(sview, &need_cols, skip, family, threads, ctx, &mut need_acc);
             let scanned_rows = need_acc.rows_consumed;
             shard_acc.rows_consumed = need_acc.rows_consumed;
             for (jn, &s) in need.iter().enumerate() {
@@ -152,16 +142,8 @@ pub fn fold_shard(
         }
         None => {
             let mut shard_acc = SignatureAccumulator::new(t_eff, m);
-            let int = scan_columns_budgeted(
-                sview,
-                &ord,
-                all_cols,
-                skip,
-                family,
-                threads,
-                ctx,
-                &mut shard_acc,
-            );
+            let int =
+                scan_columns_budgeted(sview, all_cols, skip, family, threads, ctx, &mut shard_acc);
             let scanned_rows = shard_acc.rows_consumed;
             ShardFold::Scanned {
                 acc: shard_acc,

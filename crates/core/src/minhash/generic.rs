@@ -6,6 +6,12 @@
 //! well as partially ordered domains" (§4.1.1). This generic variant
 //! accepts any item type with any [`DominanceOrd`], e.g.
 //! `CategoricalDominance` over `[u32]` records.
+//!
+//! It is the one order-generic fold: the numeric engines run in
+//! canonical all-min space and list dominators through
+//! [`SkylinePack`](crate::kernels::SkylinePack). With `MinDominance` its
+//! scalar per-pair loop is also their oracle — the packed fold must
+//! produce the same matrix and scores.
 
 use std::borrow::Borrow;
 
@@ -122,7 +128,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = ds.iter().map(|p| p.to_vec()).collect();
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(32, 171);
-        let a = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let a = sig_gen_if(&ds, &sky, &fam);
         let b = sig_gen_if_generic(&rows, &MinDominance, &sky, &fam);
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.scores, b.scores);

@@ -187,7 +187,7 @@ mod tests {
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(16, 5);
         let (ib, _) = run_ib(&ds, &sky, &fam);
-        let if_out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let if_out = sig_gen_if(&ds, &sky, &fam);
         assert_eq!(ib.scores, if_out.scores);
     }
 
@@ -197,7 +197,7 @@ mod tests {
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(512, 6);
         let (ib, _) = run_ib(&ds, &sky, &fam);
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         let mut worst: f64 = 0.0;
         for i in 0..sky.len() {
             for j in (i + 1)..sky.len() {

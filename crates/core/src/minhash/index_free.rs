@@ -3,9 +3,11 @@
 //!
 //! One pass over the data: each non-skyline point is checked against
 //! every skyline point; where dominance holds, the point's row hashes
-//! are folded into that skyline point's signature. Works for any
-//! [`DominanceOrd`], which is the point — no index, no numeric attributes
-//! required.
+//! are folded into that skyline point's signature. The numeric engines
+//! here run in canonical all-min space (§3.1), like the index-based
+//! ones; the pass over any [`DominanceOrd`](skydiver_data::DominanceOrd)
+//! — categorical and partially ordered domains (§4.1.1) — is
+//! [`sig_gen_if_generic`](super::sig_gen_if_generic).
 //!
 //! The workhorse is [`scan_columns_budgeted`]: a fold of a
 //! [`DatasetView`]'s rows into a [`SignatureAccumulator`] against an
@@ -21,17 +23,16 @@
 //! scoped threads and merged by slot-wise minimum, **bit-identical** to
 //! the single-threaded fold for every thread count.
 
-use skydiver_data::{DatasetView, DominanceOrd};
+use skydiver_data::DatasetView;
 
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
 use crate::kernels::{wide, SkylinePack};
 
 use super::{HashFamily, SigGenOutput, SignatureAccumulator};
 
-/// Runs the index-free pass.
+/// Runs the index-free pass under all-min dominance.
 ///
-/// * `ds` — the data, as a dataset or any [`DatasetView`],
-/// * `ord` — dominance order (canonical min-space for numeric data),
+/// * `ds` — the canonical data, as a dataset or any [`DatasetView`],
 /// * `skyline` — skyline point indices local to the view; columns of
 ///   the output follow this order,
 /// * `family` — `t` hash functions; `t` becomes the signature size.
@@ -40,17 +41,13 @@ use super::{HashFamily, SigGenOutput, SignatureAccumulator};
 /// of the paper's per-`(row, column)` `UpdateMatrix` loop with identical
 /// semantics) and the domination scores `|Γ(p)|` are collected in the
 /// same pass.
-pub fn sig_gen_if<'a, O>(
+pub fn sig_gen_if<'a>(
     ds: impl Into<DatasetView<'a>>,
-    ord: &O,
     skyline: &[usize],
     family: &HashFamily,
-) -> SigGenOutput
-where
-    O: DominanceOrd<Item = [f64]> + Sync,
-{
+) -> SigGenOutput {
     let ctx = ExecContext::unlimited();
-    let (out, _, interrupt) = sig_gen_if_budgeted(ds, ord, skyline, family, 1, &ctx);
+    let (out, _, interrupt) = sig_gen_if_budgeted(ds, skyline, family, 1, &ctx);
     debug_assert!(interrupt.is_none(), "unlimited context cannot trip");
     out
 }
@@ -69,17 +66,13 @@ where
 /// are biased toward the scanned prefix); on several threads they cover
 /// a timing-dependent subset of `rows_scanned` rows. Either way the
 /// pipeline skips selection after a fingerprint-phase interrupt.
-pub fn sig_gen_if_budgeted<'a, O>(
+pub fn sig_gen_if_budgeted<'a>(
     ds: impl Into<DatasetView<'a>>,
-    ord: &O,
     skyline: &[usize],
     family: &HashFamily,
     threads: usize,
     ctx: &ExecContext,
-) -> (SigGenOutput, usize, Option<Interrupt>)
-where
-    O: DominanceOrd<Item = [f64]> + Sync,
-{
+) -> (SigGenOutput, usize, Option<Interrupt>) {
     let view: DatasetView<'a> = ds.into();
     let mut skip = vec![false; view.len()];
     for &s in skyline {
@@ -88,7 +81,7 @@ where
     }
     let cols: Vec<&[f64]> = skyline.iter().map(|&s| view.point(s)).collect();
     let mut acc = SignatureAccumulator::new(family.len(), skyline.len());
-    let interrupt = scan_columns_budgeted(view, ord, &cols, &skip, family, threads, ctx, &mut acc);
+    let interrupt = scan_columns_budgeted(view, &cols, &skip, family, threads, ctx, &mut acc);
     let rows = acc.rows_consumed;
     (acc.into_output(), rows, interrupt)
 }
@@ -118,39 +111,32 @@ where
 /// view's **global** ids, so folds over disjoint views merge
 /// bit-identically with [`SignatureAccumulator::merge`].
 ///
-/// With a canonical all-min `ord` each funded row's dominators come
-/// from a [`SkylinePack`] built once for all ranges; otherwise from the
-/// generic [`DominanceOrd`] loop. The two list the same dominator *set*
-/// in different orders, and the fold only takes slot-wise minima and
-/// counts, so the matrix and scores are bit-identical either way.
+/// Each funded row's dominators under all-min dominance come from one
+/// [`SkylinePack`] built for all ranges. It lists them in pack order,
+/// and the fold only takes slot-wise minima and counts, so the matrix
+/// and scores equal those of the scalar per-pair pass
+/// ([`sig_gen_if_generic`](super::sig_gen_if_generic) with
+/// `MinDominance`).
 ///
 /// # Panics
 /// Panics if `skip.len() != view.len()` or the accumulator shape does
 /// not match `(family.len(), cols.len())`.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_columns_budgeted<O>(
+pub fn scan_columns_budgeted(
     view: DatasetView<'_>,
-    ord: &O,
     cols: &[&[f64]],
     skip: &[bool],
     family: &HashFamily,
     threads: usize,
     ctx: &ExecContext,
     acc: &mut SignatureAccumulator,
-) -> Option<Interrupt>
-where
-    O: DominanceOrd<Item = [f64]> + Sync,
-{
+) -> Option<Interrupt> {
     assert_eq!(skip.len(), view.len(), "skip mask length mismatch");
     let (t, m) = (family.len(), cols.len());
     assert_eq!((acc.t(), acc.m()), (t, m), "accumulator shape mismatch");
-    let pack = ord
-        .is_canonical_min()
-        .then(|| SkylinePack::pack(view.dims(), cols.iter().copied()));
-    let pack = pack.as_ref();
+    let pack = &SkylinePack::pack(view.dims(), cols.iter().copied());
     let threads = threads.max(1);
     if threads == 1 || view.len() < 2 * threads {
-        return scan_view(view, ord, cols, skip, pack, family, ctx, acc);
+        return scan_view(view, skip, pack, family, ctx, acc);
     }
 
     let chunk = view.len().div_ceil(threads);
@@ -165,7 +151,7 @@ where
             handles.push(scope.spawn(move || {
                 let mut part = SignatureAccumulator::new(t, m);
                 let (sub, sub_skip) = (view.slice(lo, hi), &skip[lo..hi]);
-                let int = scan_view(sub, ord, cols, sub_skip, pack, family, ctx, &mut part);
+                let int = scan_view(sub, sub_skip, pack, family, ctx, &mut part);
                 (part, int)
             }));
         }
@@ -183,52 +169,32 @@ where
     interrupt
 }
 
-/// Folds one range of [`scan_columns_budgeted`] with the dominator
-/// source chosen once for the whole range, so each source gets its own
-/// monomorphised [`fold_rows`]. It is a function of its own, with the
-/// shape checks restated next to the row loop, because the same fold
-/// written as a closure inside `scan_columns_budgeted` compiled ~1.3×
-/// slower.
-#[allow(clippy::too_many_arguments)]
-fn scan_view<O>(
+/// Folds one range of [`scan_columns_budgeted`] through the pack. It is
+/// a function of its own, with the shape checks restated next to the
+/// row loop, because the same fold written as a closure inside
+/// `scan_columns_budgeted` compiled ~1.3× slower.
+fn scan_view(
     view: DatasetView<'_>,
-    ord: &O,
-    cols: &[&[f64]],
     skip: &[bool],
-    pack: Option<&SkylinePack>,
+    pack: &SkylinePack,
     family: &HashFamily,
     ctx: &ExecContext,
     acc: &mut SignatureAccumulator,
-) -> Option<Interrupt>
-where
-    O: DominanceOrd<Item = [f64]>,
-{
+) -> Option<Interrupt> {
     assert_eq!(skip.len(), view.len(), "skip mask length mismatch");
     assert_eq!(
         (acc.t(), acc.m()),
-        (family.len(), cols.len()),
+        (family.len(), pack.len()),
         "accumulator shape mismatch"
     );
-    match pack {
-        Some(pack) => fold_rows(view, skip, cols.len(), family, ctx, acc, |p, out| {
-            pack.dominators_into(p, out);
-        }),
-        None => fold_rows(view, skip, cols.len(), family, ctx, acc, |p, out| {
-            for (j, &c) in cols.iter().enumerate() {
-                // lint: allow(R2) -- m tests for one data row; fold_rows
-                // charges the budget per row
-                if ord.dominates(c, p) {
-                    out.push(j);
-                }
-            }
-        }),
-    }
+    fold_rows(view, skip, pack.len(), family, ctx, acc, |p, out| {
+        pack.dominators_into(p, out);
+    })
 }
 
-/// The row loop of [`scan_columns_budgeted`], monomorphised per
-/// dominator source (`dominators_of(p, out)` appends the ids of the
-/// columns dominating `p`): one loop branching on the source per row
-/// compiles the packed arm at about half the speed of the kernel alone.
+/// The row loop of [`scan_columns_budgeted`], handed its dominator
+/// source (`dominators_of(p, out)` appends the ids of the columns
+/// dominating `p`) as a closure so the loop is monomorphised around it.
 /// The whole loop runs in the [`wide`] copy.
 fn fold_rows(
     view: DatasetView<'_>,
@@ -282,8 +248,8 @@ mod tests {
         let ds = independent(500, 3, 90);
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(32, 1);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let out = sig_gen_if(&ds, &sky, &fam);
+        let g = GammaSets::build(&ds, &sky);
         assert_eq!(out.scores, g.scores());
     }
 
@@ -293,8 +259,8 @@ mod tests {
         let sky = naive_skyline(&ds, &MinDominance);
         assert!(sky.len() >= 4, "need a few skyline points");
         let fam = HashFamily::new(512, 2);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let out = sig_gen_if(&ds, &sky, &fam);
+        let g = GammaSets::build(&ds, &sky);
         let mut worst: f64 = 0.0;
         for i in 0..sky.len() {
             for j in (i + 1)..sky.len() {
@@ -318,7 +284,7 @@ mod tests {
         let sky = naive_skyline(&ds, &MinDominance);
         assert_eq!(sky, vec![0, 1]);
         let fam = HashFamily::new(64, 3);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let out = sig_gen_if(&ds, &sky, &fam);
         // Both dominate exactly rows 2..52 → identical signatures.
         assert_eq!(out.matrix.column(0), out.matrix.column(1));
         assert_eq!(out.matrix.estimated_similarity(0, 1), 1.0);
@@ -332,7 +298,7 @@ mod tests {
         let sky = naive_skyline(&ds, &MinDominance);
         assert_eq!(sky, vec![0, 1]);
         let fam = HashFamily::new(16, 4);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let out = sig_gen_if(&ds, &sky, &fam);
         // Point 0 dominates nothing: all-∞ column, score 0.
         assert_eq!(out.scores[0], 0);
         assert!(out
@@ -355,7 +321,7 @@ mod tests {
         // tests — skyline rows are skipped before any test, so they are
         // free.
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(100 * m));
-        let (out, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx);
+        let (out, rows, int) = sig_gen_if_budgeted(&ds, &sky, &fam, 1, &ctx);
         let int = int.expect("budget must trip");
         assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
         // The funded prefix ends right before the 101st non-skyline row.
@@ -378,7 +344,7 @@ mod tests {
         assert!(rows >= 100);
         // Scores count only the scanned prefix.
         let total: u64 = out.scores.iter().sum();
-        let full = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let full = sig_gen_if(&ds, &sky, &fam);
         assert!(total <= full.scores.iter().sum::<u64>());
     }
 
@@ -390,7 +356,7 @@ mod tests {
         let fam = HashFamily::new(8, 2);
         // A counting (non-unlimited) context that never trips.
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
-        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx);
+        let (_, rows, int) = sig_gen_if_budgeted(&ds, &sky, &fam, 1, &ctx);
         assert!(int.is_none());
         assert_eq!(rows, ds.len());
         let non_sky = (ds.len() - sky.len()) as u64;
@@ -401,28 +367,15 @@ mod tests {
         );
     }
 
-    /// Delegates to [`MinDominance`] but hides the canonical-min hook,
-    /// forcing the generic scalar path for equivalence testing.
-    struct HiddenMin;
-    impl DominanceOrd for HiddenMin {
-        type Item = [f64];
-        fn dom_cmp(&self, a: &[f64], b: &[f64]) -> skydiver_data::Dominance {
-            MinDominance.dom_cmp(a, b)
-        }
-    }
-
     /// Folds `ds` against its skyline `sky` in `parts` contiguous
-    /// shards merged in order, under an optional dominance-test limit.
-    /// Returns the merged output, `rows_consumed`, the interrupt and
-    /// the tests charged.
-    fn sharded_fold<O: DominanceOrd<Item = [f64]> + Sync>(
+    /// shards merged in order. Returns the merged output,
+    /// `rows_consumed` and the tests charged.
+    fn sharded_fold(
         ds: &Dataset,
-        ord: &O,
         sky: &[usize],
         fam: &HashFamily,
         parts: usize,
-        limit: Option<u64>,
-    ) -> (SigGenOutput, usize, Option<Interrupt>, u64) {
+    ) -> (SigGenOutput, usize, u64) {
         use crate::budget::RunBudget;
         let n = ds.len();
         let mut skip = vec![false; n];
@@ -430,33 +383,23 @@ mod tests {
             skip[s] = true;
         }
         let cols: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-        let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(limit.unwrap_or(u64::MAX)));
+        let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
         let mut whole = SignatureAccumulator::new(fam.len(), sky.len());
-        let mut interrupt = None;
         for part in 0..parts {
             let (lo, hi) = (part * n / parts, (part + 1) * n / parts);
             let mut acc = SignatureAccumulator::new(fam.len(), sky.len());
-            interrupt = scan_columns_budgeted(
-                ds.view().slice(lo, hi),
-                ord,
-                &cols,
-                &skip[lo..hi],
-                fam,
-                1,
-                &ctx,
-                &mut acc,
-            );
+            let v = ds.view().slice(lo, hi);
+            let int = scan_columns_budgeted(v, &cols, &skip[lo..hi], fam, 1, &ctx, &mut acc);
+            assert!(int.is_none(), "an unbounded budget cannot trip");
             whole.merge(&acc);
-            if interrupt.is_some() {
-                break;
-            }
         }
         let rows = whole.rows_consumed;
-        (whole.into_output(), rows, interrupt, ctx.dominance_tests())
+        (whole.into_output(), rows, ctx.dominance_tests())
     }
 
     #[test]
     fn packed_path_identical_to_generic_path() {
+        use crate::minhash::sig_gen_if_generic;
         use skydiver_data::generators::anticorrelated;
         for (n, d) in [(700, 2), (600, 3), (500, 4), (400, 5), (300, 6)] {
             // ANT data where every fifth row repeats an earlier one, so
@@ -467,20 +410,15 @@ mod tests {
             let ds = Dataset::from_rows(d, &rows);
             let sky = naive_skyline(&ds, &MinDominance);
             let fam = HashFamily::new(32, 5);
-            // A limit that funds about a third of the non-skyline rows.
-            let prefix = ((n - sky.len()) as u64 / 3) * sky.len() as u64;
+            // The scalar per-pair pass of the any-order engine.
+            let generic = sig_gen_if_generic(&rows, &MinDominance, &sky, &fam);
             for parts in [1, 4] {
-                for limit in [None, Some(prefix)] {
-                    let packed = sharded_fold(&ds, &MinDominance, &sky, &fam, parts, limit);
-                    let generic = sharded_fold(&ds, &HiddenMin, &sky, &fam, parts, limit);
-                    let what = format!("d = {d}, parts = {parts}, limit = {limit:?}");
-                    assert_eq!(packed.0.matrix, generic.0.matrix, "{what}");
-                    assert_eq!(packed.0.scores, generic.0.scores, "{what}");
-                    assert_eq!(packed.1, generic.1, "rows_consumed, {what}");
-                    assert_eq!(packed.2, generic.2, "interrupt, {what}");
-                    assert_eq!(packed.3, generic.3, "charged tests, {what}");
-                    assert_eq!(packed.2.is_some(), limit.is_some(), "{what}");
-                }
+                let (packed, rows_consumed, tests) = sharded_fold(&ds, &sky, &fam, parts);
+                let what = format!("d = {d}, parts = {parts}");
+                assert_eq!(packed.matrix, generic.matrix, "{what}");
+                assert_eq!(packed.scores, generic.scores, "{what}");
+                assert_eq!(rows_consumed, n, "{what}");
+                assert_eq!(tests, ((n - sky.len()) * sky.len()) as u64, "{what}");
             }
         }
     }
@@ -510,29 +448,21 @@ mod tests {
             // A tripped budget on several threads covers a
             // timing-dependent row subset, so it trips on one only.
             for (threads, limit) in [(1, None), (3, None), (1, Some(half))] {
-                for generic in [false, true] {
-                    let fold = || {
-                        let budget = RunBudget::none();
-                        let ctx = ExecContext::new(
-                            budget.with_max_dominance_tests(limit.unwrap_or(u64::MAX)),
-                        );
-                        let mut acc = SignatureAccumulator::new(t, sky.len());
-                        let (v, c, a) = (ds.view(), &cols, &mut acc);
-                        let int = if generic {
-                            scan_columns_budgeted(v, &HiddenMin, c, &skip, &fam, threads, &ctx, a)
-                        } else {
-                            let ord = &MinDominance;
-                            scan_columns_budgeted(v, ord, c, &skip, &fam, threads, &ctx, a)
-                        };
-                        (acc, int, ctx.dominance_tests())
-                    };
-                    let what = format!("t = {t}, threads = {threads}, {limit:?}, {generic}");
-                    let p = same_in_every_tier(&what, fold);
-                    assert_eq!(p.1.is_some(), limit.is_some(), "{what}");
-                    assert!(p.0.rows_consumed < ds.len() || limit.is_none(), "{what}");
-                    let inf = p.0.matrix.column(lonely).iter().all(|&v| v == INF_SLOT);
-                    assert!(inf, "{what}");
-                }
+                let fold = || {
+                    let budget =
+                        RunBudget::none().with_max_dominance_tests(limit.unwrap_or(u64::MAX));
+                    let ctx = ExecContext::new(budget);
+                    let mut acc = SignatureAccumulator::new(t, sky.len());
+                    let v = ds.view();
+                    let int = scan_columns_budgeted(v, &cols, &skip, &fam, threads, &ctx, &mut acc);
+                    (acc, int, ctx.dominance_tests())
+                };
+                let what = format!("t = {t}, threads = {threads}, {limit:?}");
+                let p = same_in_every_tier(&what, fold);
+                assert_eq!(p.1.is_some(), limit.is_some(), "{what}");
+                assert!(p.0.rows_consumed < ds.len() || limit.is_none(), "{what}");
+                let inf = p.0.matrix.column(lonely).iter().all(|&v| v == INF_SLOT);
+                assert!(inf, "{what}");
             }
         }
     }
@@ -550,18 +480,18 @@ mod tests {
         for &s in &sky {
             skip[s] = true;
         }
-        let whole = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let whole = sig_gen_if(&ds, &sky, &fam);
         for cut in [0, 1, 217, 599, 600] {
             let ctx = ExecContext::unlimited();
             let mut left = SignatureAccumulator::new(32, sky.len());
             let mut right = SignatureAccumulator::new(32, sky.len());
             let v = ds.view();
             assert!(scan_columns_budgeted(
-                v.slice(0, cut), &MinDominance, &cols, &skip[..cut], &fam, 1, &ctx, &mut left
+                v.slice(0, cut), &cols, &skip[..cut], &fam, 1, &ctx, &mut left
             )
             .is_none());
             assert!(scan_columns_budgeted(
-                v.slice(cut, 600), &MinDominance, &cols, &skip[cut..], &fam, 1, &ctx, &mut right
+                v.slice(cut, 600), &cols, &skip[cut..], &fam, 1, &ctx, &mut right
             )
             .is_none());
             left.merge(&right);
@@ -593,10 +523,10 @@ mod tests {
         let mut acc = SignatureAccumulator::new(16, subset.len());
         let v = ds.view();
         assert!(
-            scan_columns_budgeted(v, &MinDominance, &cols, &skip, &fam, 1, &ctx, &mut acc)
+            scan_columns_budgeted(v, &cols, &skip, &fam, 1, &ctx, &mut acc)
                 .is_none()
         );
-        let full = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let full = sig_gen_if(&ds, &sky, &fam);
         for (jn, &s) in subset.iter().enumerate() {
             let jf = sky.iter().position(|&x| x == s).unwrap();
             assert_eq!(acc.matrix.column(jn), full.matrix.column(jf));
@@ -622,11 +552,11 @@ mod tests {
             (independent(6, 2, 112), HashFamily::new(8, 12), &[16]),
         ] {
             let sky = naive_skyline(&ds, &MinDominance);
-            let seq = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+            let seq = sig_gen_if(&ds, &sky, &fam);
             for &threads in threads {
                 let ctx = ExecContext::unlimited();
                 let (par, _, int) =
-                    sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, threads, &ctx);
+                    sig_gen_if_budgeted(&ds, &sky, &fam, threads, &ctx);
                 let what = format!("n = {}, threads = {threads}", ds.len());
                 assert!(int.is_none(), "unlimited context cannot trip: {what}");
                 assert_eq!(seq.matrix, par.matrix, "{what}");
@@ -644,7 +574,7 @@ mod tests {
         let fam = HashFamily::new(16, 13);
         // Budget funds ~200 rows across all ranges combined.
         let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(200 * m));
-        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 4, &ctx);
+        let (_, rows, int) = sig_gen_if_budgeted(&ds, &sky, &fam, 4, &ctx);
         let int = int.expect("shared budget must trip");
         assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
         assert!(rows < 2000, "ranges stopped early, scanned {rows}");
@@ -658,9 +588,9 @@ mod tests {
         let fam = HashFamily::new(16, 5);
         let counting = || ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
         let ctx_seq = counting();
-        sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 1, &ctx_seq);
+        sig_gen_if_budgeted(&ds, &sky, &fam, 1, &ctx_seq);
         let ctx_par = counting();
-        sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, 4, &ctx_par);
+        sig_gen_if_budgeted(&ds, &sky, &fam, 4, &ctx_par);
         let non_sky = (ds.len() - sky.len()) as u64;
         assert_eq!(
             ctx_seq.dominance_tests(),

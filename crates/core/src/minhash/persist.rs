@@ -228,7 +228,7 @@ mod tests {
         // = n. Point 0 dominates nothing, so its column is all-∞.
         let ds = skydiver_data::Dataset::from_rows(2, &[[0.0, 1.0], [1.0, 0.0], [1.5, 0.5]]);
         let sky = naive_skyline(&ds, &MinDominance);
-        let out = sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(8, 182));
+        let out = sig_gen_if(&ds, &sky, &HashFamily::new(8, 182));
         assert!(out.matrix.column(0).iter().all(|&v| v == u64::MAX));
         let acc = SignatureAccumulator {
             matrix: out.matrix,

@@ -675,7 +675,7 @@ mod tests {
                     let what = format!("d = {d}, base = {lo}, t = {t}");
                     whole.merge(&fold_both(view, (&sky, &cols, sk), plan, &fam, &what));
                 }
-                let reference = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+                let reference = sig_gen_if(&ds, &sky, &fam);
                 assert_eq!(whole.matrix, reference.matrix, "d = {d}, t = {t}");
                 assert_eq!(whole.scores, reference.scores, "d = {d}, t = {t}");
                 assert!(
@@ -766,7 +766,7 @@ mod tests {
                 let what = format!("base = {base}, t = {t}");
                 let planned = fold_both(view, (&sky, &cols, &skip), &plan, &fam, &what);
                 if base == 0 {
-                    let reference = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+                    let reference = sig_gen_if(&ds, &sky, &fam);
                     assert_eq!(planned.matrix, reference.matrix, "{what}");
                     assert_eq!(planned.scores, [8, 9, 8, 4], "{what}");
                 }
@@ -978,7 +978,7 @@ mod tests {
         let (sky, cols, skip) = skyline_of(&ds);
         let view = DatasetView::with_base(&ds, 0);
         let plan = plan_of(view, &sky, &cols, &skip);
-        let gamma: u64 = sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(1, 0))
+        let gamma: u64 = sig_gen_if(&ds, &sky, &HashFamily::new(1, 0))
             .scores
             .iter()
             .sum();

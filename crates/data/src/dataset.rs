@@ -1,6 +1,6 @@
 //! Flat, cache-friendly storage for multidimensional point sets.
 
-use crate::dominance::{Dominance, DominanceOrd, MinDominance};
+use crate::dominance::{Dominance, DominanceOrd};
 
 /// A set of `d`-dimensional points stored row-major in one contiguous
 /// allocation.
@@ -180,33 +180,6 @@ impl Dataset {
         }
         Some((lo, hi))
     }
-
-    /// The fraction of zero entries in the (conceptual) domination matrix
-    /// `M` whose rows are the points of `self` minus `skyline` and whose
-    /// columns are `skyline` members — reproduces the sparsity numbers of
-    /// §3.2 (45 % / 84 % / 97 % of zeros at 3/5/7 dimensions for 10 K
-    /// uniform points).
-    pub fn domination_matrix_sparsity(&self, skyline: &[usize]) -> f64 {
-        use std::collections::HashSet;
-        let sky: HashSet<usize> = skyline.iter().copied().collect();
-        let rows = self.len() - sky.len();
-        let cols = sky.len();
-        if rows == 0 || cols == 0 {
-            return 0.0;
-        }
-        let mut ones = 0usize;
-        for (i, q) in self.iter().enumerate() {
-            if sky.contains(&i) {
-                continue;
-            }
-            for &s in skyline {
-                if MinDominance.dominates(self.point(s), q) {
-                    ones += 1;
-                }
-            }
-        }
-        1.0 - ones as f64 / (rows * cols) as f64
-    }
 }
 
 /// Compares two points of a dataset by index under an order.
@@ -302,16 +275,5 @@ mod tests {
         assert_eq!(lo, vec![0.5, 3.0]);
         assert_eq!(hi, vec![3.0, 5.0]);
         assert!(Dataset::new(2).bounding_box().is_none());
-    }
-
-    #[test]
-    fn sparsity_of_tiny_matrix() {
-        // skyline = {3, 0, 1} … compute by hand instead: points
-        // p0=(1,4) p1=(2,3) p2=(3,3) p3=(0.5,5); skyline = {0,1,3}
-        // dominated rows: {2}; columns {0,1,3}: p0≺p2? (1≤3,4>3) no.
-        // p1≺p2 yes. p3≺p2? (0.5≤3, 5>3) no → 1 one of 3 cells.
-        let ds = small();
-        let s = ds.domination_matrix_sparsity(&[0, 1, 3]);
-        assert!((s - (1.0 - 1.0 / 3.0)).abs() < 1e-12);
     }
 }

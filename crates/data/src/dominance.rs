@@ -41,15 +41,6 @@ pub trait DominanceOrd {
     fn dominates(&self, a: &Self::Item, b: &Self::Item) -> bool {
         self.dom_cmp(a, b) == Dominance::Dominates
     }
-
-    /// Hot-path specialisation hook: `true` when this order is
-    /// *exactly* all-minimise dominance over `[f64]` slices, letting
-    /// kernels substitute a packed, monomorphized dominance test with
-    /// identical outcomes. Defaults to `false` (the generic path).
-    #[inline]
-    fn is_canonical_min(&self) -> bool {
-        false
-    }
 }
 
 /// Dominance over `[f64]` slices where every dimension is minimised.
@@ -71,11 +62,6 @@ pub struct MinDominance;
 
 impl DominanceOrd for MinDominance {
     type Item = [f64];
-
-    #[inline]
-    fn is_canonical_min(&self) -> bool {
-        true
-    }
 
     fn dom_cmp(&self, a: &[f64], b: &[f64]) -> Dominance {
         debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
@@ -133,11 +119,6 @@ impl MinMaxDominance {
 
 impl DominanceOrd for MinMaxDominance {
     type Item = [f64];
-
-    #[inline]
-    fn is_canonical_min(&self) -> bool {
-        self.prefs.iter().all(|p| matches!(p, Preference::Min))
-    }
 
     fn dom_cmp(&self, a: &[f64], b: &[f64]) -> Dominance {
         debug_assert_eq!(a.len(), self.prefs.len(), "dimensionality mismatch");
@@ -234,13 +215,5 @@ mod tests {
     fn dominates_min_free_fn() {
         assert!(dominates_min(&[0.0], &[1.0]));
         assert!(!dominates_min(&[1.0], &[1.0]));
-    }
-
-    #[test]
-    fn canonical_min_hook() {
-        assert!(MinDominance.is_canonical_min());
-        assert!(MinMaxDominance::all_min(3).is_canonical_min());
-        assert!(!MinMaxDominance::new(vec![Preference::Min, Preference::Max])
-            .is_canonical_min());
     }
 }

@@ -63,7 +63,6 @@ use skydiver_core::{
     ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
     ShardFold, SignatureAccumulator, StopReason,
 };
-use skydiver_data::dominance::MinDominance;
 use skydiver_data::fnv::{fnv1a64, Fnv64};
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
@@ -939,9 +938,7 @@ impl ShardHost {
         let fresh = || SignatureAccumulator::new(job.family.len(), columns.len());
         let mut acc = fresh();
         let before = ctx.dominance_tests();
-        let ord = MinDominance;
-        let interrupt =
-            scan_columns_budgeted(sview, &ord, cols, &skip, &job.family, 1, ctx, &mut acc);
+        let interrupt = scan_columns_budgeted(sview, cols, &skip, &job.family, 1, ctx, &mut acc);
         if interrupt.is_some() {
             acc = fresh();
         }

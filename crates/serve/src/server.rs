@@ -1401,7 +1401,7 @@ fn answer_exact(
         return Err("empty skyline".to_string());
     }
     let t0 = Instant::now();
-    let gamma = GammaSets::build(canon.as_ref(), &MinDominance, &skyline);
+    let gamma = GammaSets::build(canon.as_ref(), &skyline);
     let scores = gamma.scores();
     let mut dist = ExactJaccardDistance::new(&gamma);
     let (positions, interrupt) = select_diverse_budgeted(

@@ -15,7 +15,6 @@
 //!   Sarma et al. (the paper's \[11\]) with bounded working memory,
 //! * [`external`] — the LESS external-memory skyline in the I/O model
 //!   of the paper's \[29\],
-//! * [`ranking`] — top-k dominating queries (Yiu & Mamoulis, \[36\]),
 //! * [`naive`] — the `O(n²)` oracle used to property-test all of the
 //!   above.
 
@@ -26,7 +25,6 @@ pub mod bnl;
 pub mod dc;
 pub mod external;
 pub mod naive;
-pub mod ranking;
 pub mod sfs;
 pub mod streaming;
 
@@ -35,7 +33,6 @@ pub use bnl::{bnl, bnl_generic};
 pub use dc::dc;
 pub use external::{less_skyline, ExternalConfig, ExternalStats};
 pub use naive::naive_skyline;
-pub use ranking::{top_k_dominating_scan, top_k_dominating_tree};
 pub use sfs::{sfs, sfs_by, sfs_with_score};
 pub use streaming::{streaming_skyline, StreamingStats};
 

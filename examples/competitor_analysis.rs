@@ -15,7 +15,6 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use skydiver::core::{cross_gamma_sets, diversify_cross};
-use skydiver::data::dominance::MinDominance;
 use skydiver::Dataset;
 
 fn main() {
@@ -52,10 +51,10 @@ fn main() {
     );
 
     let k = 3;
-    let picks = diversify_cross(&drafts, &rivals, &MinDominance, k, 200, 7)
+    let picks = diversify_cross(&drafts, &rivals, k, 200, 7)
         .expect("cross-set shortlist");
 
-    let gamma = cross_gamma_sets(&drafts, &rivals, &MinDominance);
+    let gamma = cross_gamma_sets(&drafts, &rivals);
     println!("competitors: {}   drafts: {}\n", rivals.len(), drafts.len());
     println!("draft    (price, weight, resp)   rivals beaten");
     for j in 0..drafts.len() {

@@ -40,7 +40,7 @@ fn main() {
         // *new* skyline points (in production the skyline itself would
         // also be maintained incrementally).
         let skyline = sfs(&seen, &MinDominance);
-        let out = sig_gen_if(&seen, &MinDominance, &skyline, &fam);
+        let out = sig_gen_if(&seen, &skyline, &fam);
         // Retire archived points that newer offers have dominated,
         // refresh the signatures of survivors (their dominated sets
         // grew), and insert the newly arrived skyline points.
@@ -88,7 +88,7 @@ fn main() {
     let still_skyline = positions.iter().filter(|&&p| p != usize::MAX).count();
     println!("\n{still_skyline}/{k} picks are still on the final skyline");
     if still_skyline == k {
-        let gamma = GammaSets::build(&seen, &MinDominance, &final_sky);
+        let gamma = GammaSets::build(&seen, &final_sky);
         let mut exact = ExactJaccardDistance::new(&gamma);
         println!(
             "exact diversity of the maintained set: {:.3}",

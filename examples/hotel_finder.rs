@@ -13,7 +13,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use skydiver::core::{
     coverage_fraction, greedy_max_coverage, min_pairwise, ExactJaccardDistance, GammaSets,
 };
-use skydiver::data::dominance::MinDominance;
 use skydiver::{Dataset, Preference, SkyDiver};
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
 
     // Compare with the k-max-coverage pick (Lin et al.) on exact Γ sets.
     let canon = skydiver::core::canonicalise(&hotels, &prefs).unwrap();
-    let gamma = GammaSets::build(canon.as_ref(), &MinDominance, &result.skyline);
+    let gamma = GammaSets::build(canon.as_ref(), &result.skyline);
     let cov_sel = greedy_max_coverage(&gamma, k).expect("coverage baseline");
     let cov_hotels: Vec<usize> = cov_sel.iter().map(|&p| result.skyline[p]).collect();
     println!("\nk-max-coverage would pick:");

@@ -44,7 +44,7 @@ fn pipeline_selection_is_near_exact_selection() {
         .run(&ds, &prefs)
         .unwrap();
 
-    let gamma = GammaSets::build(&ds, &MinDominance, &r.skyline);
+    let gamma = GammaSets::build(&ds, &r.skyline);
     let scores = gamma.scores();
     let mut exact = ExactJaccardDistance::new(&gamma);
     let exact_sel = select_diverse(
@@ -70,7 +70,7 @@ fn greedy_is_within_factor_two_of_optimum_on_real_jaccard() {
     // hold on the actual dominated-set Jaccard metric.
     let ds = independent(800, 3, 5);
     let sky = naive_skyline(&ds, &MinDominance);
-    let gamma = GammaSets::build(&ds, &MinDominance, &sky);
+    let gamma = GammaSets::build(&ds, &sky);
     let scores = gamma.scores();
     let mut exact = ExactJaccardDistance::new(&gamma);
     for k in [2usize, 3, 4] {
@@ -103,7 +103,7 @@ fn table1_shape_dispersion_vs_coverage() {
     let ds = independent(20_000, 4, 6);
     let sky = naive_skyline(&ds, &MinDominance);
     assert!(sky.len() > 20, "need a rich skyline, got {}", sky.len());
-    let gamma = GammaSets::build(&ds, &MinDominance, &sky);
+    let gamma = GammaSets::build(&ds, &sky);
     let scores = gamma.scores();
     let k = 10;
 
@@ -139,7 +139,7 @@ fn lsh_trades_memory_for_accuracy() {
     assert!(lsh.memory_bytes < mh.memory_bytes);
 
     // Re-score both in the original space.
-    let gamma = GammaSets::build(&ds, &MinDominance, &mh.skyline);
+    let gamma = GammaSets::build(&ds, &mh.skyline);
     let mut exact = ExactJaccardDistance::new(&gamma);
     let mh_div = min_pairwise(&mut exact, &mh.selected_positions);
     let lsh_div = min_pairwise(&mut exact, &lsh.selected_positions);
@@ -153,11 +153,11 @@ fn signature_distance_agrees_with_exact_on_average() {
     let ds = independent(3000, 3, 8);
     let prefs = Preference::all_min(3);
     let r = SkyDiver::new(2).signature_size(256).hash_seed(13).run(&ds, &prefs).unwrap();
-    let gamma = GammaSets::build(&ds, &MinDominance, &r.skyline);
+    let gamma = GammaSets::build(&ds, &r.skyline);
 
     // Rebuild signatures through the public pipeline pieces.
     let fam = skydiver::HashFamily::new(256, 13);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &r.skyline, &fam);
+    let out = skydiver::core::sig_gen_if(&ds, &r.skyline, &fam);
     let mut sigd = SignatureDistance::new(&out.matrix);
     let m = r.skyline.len();
     let mut err_sum = 0.0;

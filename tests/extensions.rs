@@ -12,14 +12,14 @@ use skydiver::core::{
 };
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, independent};
-use skydiver::skyline::{naive_skyline, streaming_skyline, top_k_dominating_scan};
+use skydiver::skyline::{naive_skyline, streaming_skyline};
 use skydiver::{HashFamily, SkyDiver};
 
 #[test]
 fn persisted_fingerprints_reproduce_the_same_selection() {
     let ds = anticorrelated(4000, 3, 300);
     let sky = naive_skyline(&ds, &MinDominance);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &HashFamily::new(100, 301));
+    let out = skydiver::core::sig_gen_if(&ds, &sky, &HashFamily::new(100, 301));
 
     // A whole fingerprint persists as a one-shard bundle.
     let (matrix, scores) = (out.matrix, out.scores);
@@ -54,7 +54,7 @@ fn dynamic_from_batch_matches_reasonable_quality() {
     let ds = anticorrelated(3000, 3, 302);
     let sky = naive_skyline(&ds, &MinDominance);
     let fam = HashFamily::new(64, 303);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+    let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
     let k = 4.min(sky.len());
 
     let dynamic = from_batch(&out.matrix, &out.scores, k);
@@ -80,8 +80,8 @@ fn cross_set_agrees_with_graph_semantics() {
             [p[0], p[1], p[2]]
         }).collect::<Vec<_>>(),
     );
-    let cross = cross_gamma_sets(&candidates, &ds, &MinDominance);
-    let direct = GammaSets::build(&ds, &MinDominance, &sky);
+    let cross = cross_gamma_sets(&candidates, &ds);
+    let direct = GammaSets::build(&ds, &sky);
     assert_eq!(cross.len(), direct.len());
     for j in 0..cross.len() {
         // Candidate j is a *copy* of skyline point sky[j]; the copy is
@@ -89,7 +89,7 @@ fn cross_set_agrees_with_graph_semantics() {
         // does not dominate the original — equal points don't dominate).
         assert_eq!(cross.score(j), direct.score(j));
     }
-    let sel = diversify_cross(&candidates, &ds, &MinDominance, 3, 128, 305).unwrap();
+    let sel = diversify_cross(&candidates, &ds, 3, 128, 305).unwrap();
     assert_eq!(sel.len(), 3);
 }
 
@@ -113,7 +113,7 @@ fn streaming_skyline_feeds_the_pipeline() {
     assert_eq!(sky, naive_skyline(&ds, &MinDominance));
     assert!(stats.peak_candidates <= 32);
     let fam = HashFamily::new(64, 310);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+    let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
     let k = 3.min(sky.len());
     let mut dist = SignatureDistance::new(&out.matrix);
     let sel = select_diverse(&mut dist, &out.scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
@@ -128,7 +128,7 @@ fn theory_bound_holds_empirically() {
     // small instance where brute force is exact.
     let ds = independent(700, 3, 311);
     let sky = naive_skyline(&ds, &MinDominance);
-    let gamma = GammaSets::build(&ds, &MinDominance, &sky);
+    let gamma = GammaSets::build(&ds, &sky);
     let mut exact = ExactJaccardDistance::new(&gamma);
     let k = 3.min(sky.len());
     let (_, opt) = skydiver::core::brute_force_mmdp(&mut exact, k, 1 << 34).unwrap();
@@ -136,7 +136,7 @@ fn theory_bound_holds_empirically() {
     let eps = 0.25;
     let t = theory::signature_size(eps, 0.5, 0.05, 1.0);
     let fam = HashFamily::new(t, 312);
-    let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+    let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
     let mut sig = SignatureDistance::new(&out.matrix);
     let sel = select_diverse(&mut sig, &out.scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
         .unwrap();
@@ -154,9 +154,14 @@ fn top_k_dominating_seeds_match_selection_seeds() {
     // dominating *skyline* point.
     let ds = independent(1000, 3, 313);
     let sky = naive_skyline(&ds, &MinDominance);
-    let gamma = GammaSets::build(&ds, &MinDominance, &sky);
+    let gamma = GammaSets::build(&ds, &sky);
     let scores = gamma.scores();
-    let top = top_k_dominating_scan(&ds, &MinDominance, 1)[0];
+    // The top-1 dominating point by exhaustive scoring; ties broken by
+    // index.
+    let top = (0..ds.len())
+        .map(|i| (i, ds.dominated_by_scan(&MinDominance, ds.point(i)).len() as u64))
+        .min_by_key(|&(i, score)| (std::cmp::Reverse(score), i))
+        .unwrap();
     let best_pos = (0..sky.len()).max_by_key(|&j| scores[j]).unwrap();
     // The global top dominator is always a skyline point (any dominator
     // of it would have a strictly larger dominated set).

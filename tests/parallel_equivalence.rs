@@ -58,10 +58,10 @@ fn sharded_index_free_is_bit_identical() {
     for (name, ds) in adversarial_datasets() {
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(32, 11);
-        let seq = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let seq = sig_gen_if(&ds, &sky, &fam);
         for threads in THREADS {
             let ctx = ExecContext::unlimited();
-            let (par, _, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, threads, &ctx);
+            let (par, _, int) = sig_gen_if_budgeted(&ds, &sky, &fam, threads, &ctx);
             assert!(int.is_none(), "{name}, threads = {threads}");
             assert_eq!(seq.matrix, par.matrix, "{name}, threads = {threads}");
             assert_eq!(seq.scores, par.scores, "{name}, threads = {threads}");

@@ -133,8 +133,8 @@ fn selection_is_invariant_under_monotone_transforms() {
             transformed.push(&[(p[0] * scale0).exp(), p[1].powi(3)]);
         }
         assert_eq!(naive_skyline(&transformed, &MinDominance), sky, "case {case}");
-        let g1 = GammaSets::build(&ds, &MinDominance, &sky);
-        let g2 = GammaSets::build(&transformed, &MinDominance, &sky);
+        let g1 = GammaSets::build(&ds, &sky);
+        let g2 = GammaSets::build(&transformed, &sky);
         let scores = g1.scores();
         assert_eq!(scores, g2.scores(), "case {case}");
         let mut d1 = ExactJaccardDistance::new(&g1);
@@ -172,7 +172,7 @@ fn exact_jaccard_is_a_metric() {
         let mut rng = Rng::new(4000 + case);
         let ds = grid_dataset(&mut rng, 40, 3);
         let sky = naive_skyline(&ds, &MinDominance);
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         let m = g.len();
         for i in 0..m {
             assert_eq!(g.jaccard_distance(i, i), 0.0, "case {case}");
@@ -199,7 +199,7 @@ fn estimated_jaccard_is_a_pseudometric() {
         let seed = rng.range(0, 1000);
         let sky = naive_skyline(&ds, &MinDominance);
         let fam = HashFamily::new(16, seed);
-        let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
         let m = sky.len();
         let d = |i: usize, j: usize| out.matrix.estimated_distance(i, j);
         for i in 0..m {
@@ -229,7 +229,7 @@ fn selection_returns_k_distinct_skyline_members() {
         if sky.len() < k {
             continue;
         }
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         let scores = g.scores();
         let mut dist = ExactJaccardDistance::new(&g);
         let sel =
@@ -257,7 +257,7 @@ fn greedy_never_below_half_optimum() {
         if sky.len() < k || sky.len() > 12 {
             continue;
         }
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         let scores = g.scores();
         let mut dist = ExactJaccardDistance::new(&g);
         let sel =
@@ -282,10 +282,10 @@ fn minhash_estimate_within_statistical_bounds() {
         if sky.len() < 2 {
             continue;
         }
-        let g = GammaSets::build(&ds, &MinDominance, &sky);
+        let g = GammaSets::build(&ds, &sky);
         // t = 1024 slots → se ≤ 0.016; allow 6σ.
         let fam = HashFamily::new(1024, 99);
-        let out = skydiver::core::sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
         for i in 0..sky.len() {
             for j in (i + 1)..sky.len() {
                 let est = out.matrix.estimated_similarity(i, j);

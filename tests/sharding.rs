@@ -91,7 +91,7 @@ fn oracle(
     let sky = sfs(canon.as_ref(), &MinDominance);
     let ctx = ExecContext::new(budget);
     let fam = HashFamily::new(t, seed);
-    let (out, _, int) = sig_gen_if_budgeted(canon.as_ref(), &MinDominance, &sky, &fam, 1, &ctx);
+    let (out, _, int) = sig_gen_if_budgeted(canon.as_ref(), &sky, &fam, 1, &ctx);
     (sky, out, int.is_none())
 }
 
