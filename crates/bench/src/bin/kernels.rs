@@ -27,6 +27,12 @@
 //!   through its memoised dominance plan (informational, no floor): the
 //!   layer row of the plan walk, which the serving benchmark's traced
 //!   replay cannot show because it folds cold shards without plans,
+//! * **fold bundle codec** — encode plus decode of one `cluster-cold`
+//!   `SKYSIG03` bundle (t = 64, m = 372) in µs, against the same bytes
+//!   coded one slot at a time with a byte-serial FNV-1a pass each way
+//!   (informational, no floor): the codec's layer row, which the
+//!   serving benchmark's traced replay cannot show because it frames and
+//!   FNV-hashes every replayed `FOLD` reply as well,
 //! * **run_auto** — end-to-end wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
@@ -49,11 +55,13 @@ use std::process::ExitCode;
 use skydiver_bench::{time_ms, Args, Family};
 use skydiver_core::budget::ExecContext;
 use skydiver_core::kernels::{agreement_count, agreement_count_u32, SkylinePack};
+use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures};
 use skydiver_core::minhash::{
     fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if,
     sig_gen_if_generic, DominancePlan, HashFamily,
 };
-use skydiver_core::SkyDiver;
+use skydiver_core::{ShardFingerprint, SignatureAccumulator, SignatureMatrix, SkyDiver};
+use skydiver_data::digest::fnv1a64;
 use skydiver_data::dominance::{DominanceOrd, MinDominance};
 use skydiver_data::{Dataset, DatasetView, Preference};
 use skydiver_rtree::{BufferPool, RTree};
@@ -284,6 +292,108 @@ fn bench_plan_walk(n: usize, seed: u64) -> Pair {
     Pair { name: "plan_walk_ant_d3", before_ms, after_ms }
 }
 
+/// Signature size and skyline size of one `cluster-cold` fold bundle.
+const CODEC_T: usize = 64;
+const CODEC_M: usize = 372;
+/// Bundle round trips per timed sample (one takes 0.05–0.8 ms).
+const CODEC_REPS: usize = 20;
+
+/// Encode plus decode of one `cluster-cold`-shaped `SKYSIG03` bundle
+/// (t = 64, m = 372, ~196 KB), per round trip. Before: the same bytes
+/// written and read back one slot at a time, each way with a byte-serial
+/// FNV-1a pass over the payload — the shape of the `SKYSIG02` codec.
+/// After: [`encode_shard_signatures`] and [`decode_shard_signatures`]
+/// (section word loops, the four-lane `checksum64`). Informational: the
+/// layer row of the fold-bundle codec, which the serving benchmark's
+/// traced replay cannot show because it frames and FNV-hashes every
+/// replayed `FOLD` reply as well.
+fn bench_bundle_codec() -> Pair {
+    let (t, m) = (CODEC_T, CODEC_M);
+    let mut state = 0x0c0d_ec5e_u64;
+    let slots = (0..t * m)
+        .map(|i| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if i % 9 == 0 { u64::MAX } else { state >> 3 }
+        })
+        .collect();
+    let acc = SignatureAccumulator {
+        matrix: SignatureMatrix::from_column_major(t, m, slots),
+        scores: (0..m as u64).map(|j| j * 37 % 1000).collect(),
+        rows_consumed: 50_000,
+    };
+    let fp = ShardFingerprint { columns: (0..m).map(|j| j * 131 + 7).collect(), acc };
+    let tags = [0xda7a, 3, 0x9ef5, 11];
+
+    let per_slot_encode = |fp: &ShardFingerprint| {
+        let mut out = Vec::with_capacity(t * m * 8 + 16 * m + 80);
+        out.extend_from_slice(b"SKYSIG03");
+        for w in tags.iter().chain(&[t as u64, m as u64, fp.acc.rows_consumed as u64]) {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        for &c in &fp.columns {
+            out.extend_from_slice(&(c as u64).to_le_bytes());
+        }
+        for j in 0..m {
+            for &slot in fp.acc.matrix.column(j) {
+                out.extend_from_slice(&slot.to_le_bytes());
+            }
+        }
+        for &s in &fp.acc.scores {
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+        let (len, sum) = (out.len() as u64, fnv1a64(&out));
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    };
+    let read = |bytes: &[u8], at: usize| {
+        let mut b8 = [0u8; 8];
+        b8.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(b8)
+    };
+    let per_slot_decode = |bytes: &[u8]| {
+        let payload_len = bytes.len() - 16;
+        assert_eq!(read(bytes, payload_len + 8), fnv1a64(&bytes[..payload_len]));
+        let mut at = 64;
+        let columns: Vec<usize> = (0..m).map(|j| read(bytes, at + j * 8) as usize).collect();
+        at += m * 8;
+        let mut matrix = SignatureMatrix::new(t, m);
+        let mut col = vec![0u64; t];
+        for j in 0..m {
+            for (i, slot) in col.iter_mut().enumerate() {
+                *slot = read(bytes, at + (j * t + i) * 8);
+            }
+            matrix.set_column(j, &col);
+        }
+        at += t * m * 8;
+        let scores = (0..m).map(|j| read(bytes, at + j * 8)).collect();
+        let acc = SignatureAccumulator { matrix, scores, rows_consumed: read(bytes, 56) as usize };
+        ShardFingerprint { columns, acc }
+    };
+
+    let bundle = encode_shard_signatures(&fp, &tags);
+    let old = per_slot_encode(&fp);
+    assert_eq!(bundle[..bundle.len() - 8], old[..old.len() - 8], "one layout, two checksums");
+    let back = per_slot_decode(&old);
+    assert_eq!((&back.columns, &back.acc), (&fp.columns, &fp.acc));
+    let (back, _) = decode_shard_signatures(&bundle).expect("a sealed bundle");
+    assert_eq!((&back.columns, &back.acc), (&fp.columns, &fp.acc));
+
+    let before_ms = best_of(7, || {
+        for _ in 0..CODEC_REPS {
+            black_box(per_slot_decode(&per_slot_encode(black_box(&fp))));
+        }
+    });
+    let after_ms = best_of(7, || {
+        for _ in 0..CODEC_REPS {
+            let bytes = encode_shard_signatures(black_box(&fp), &tags);
+            black_box(decode_shard_signatures(&bytes).expect("a sealed bundle"));
+        }
+    });
+    let reps = CODEC_REPS as f64;
+    Pair { name: "fold_bundle_codec_t64_m372", before_ms: before_ms / reps, after_ms: after_ms / reps }
+}
+
 fn bench_run_auto(ds: &Dataset, threads: usize) -> f64 {
     let prefs = Preference::all_min(ds.dims());
     let cfg = SkyDiver::new(10).signature_size(64).hash_seed(3).threads(threads);
@@ -301,7 +411,26 @@ fn json_pair(p: &Pair) -> String {
     )
 }
 
-fn report(scale: f64, checked: &[Pair], info: &[Pair], auto1_ms: f64, auto4_ms: f64) -> String {
+/// [`json_pair`] in microseconds, for entries that time one small
+/// operation.
+fn json_pair_us(p: &Pair) -> String {
+    format!(
+        "    \"{}\": {{\"before_us\": {:.1}, \"after_us\": {:.1}, \"speedup\": {:.3}}}",
+        p.name,
+        p.before_ms * 1e3,
+        p.after_ms * 1e3,
+        p.speedup()
+    )
+}
+
+fn report(
+    scale: f64,
+    checked: &[Pair],
+    info: &[Pair],
+    codec: &Pair,
+    auto1_ms: f64,
+    auto4_ms: f64,
+) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"pr2-kernels\",\n");
@@ -312,6 +441,7 @@ fn report(scale: f64, checked: &[Pair], info: &[Pair], auto1_ms: f64, auto4_ms: 
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  },\n  \"informational\": {\n");
     let mut rows: Vec<String> = info.iter().map(json_pair).collect();
+    rows.push(json_pair_us(codec));
     rows.push(format!("    \"run_auto_threads1\": {{\"ms\": {auto1_ms:.3}}}"));
     rows.push(format!(
         "    \"run_auto_threads{PAR_THREADS}\": {{\"ms\": {:.3}, \"speedup\": {:.3}}}",
@@ -350,22 +480,30 @@ fn main() -> ExitCode {
         bench_ib(&ind, 74),
     ];
     let info = vec![bench_plan_walk(n, 73)];
+    let codec = bench_bundle_codec();
     let auto_ds = Family::Ind.generate(n.min(100_000), 3, 75);
     let auto1 = bench_run_auto(&auto_ds, 1);
     let auto4 = bench_run_auto(&auto_ds, PAR_THREADS);
 
     for p in checked.iter().chain(&info) {
         eprintln!(
-            "{:>24}: before {:>9.2}ms  after {:>9.2}ms  speedup {:.2}x",
+            "{:>26}: before {:>9.2}ms  after {:>9.2}ms  speedup {:.2}x",
             p.name,
             p.before_ms,
             p.after_ms,
             p.speedup()
         );
     }
-    eprintln!("{:>24}: threads 1 {auto1:.2}ms, threads {PAR_THREADS} {auto4:.2}ms", "run_auto");
+    eprintln!(
+        "{:>26}: before {:>9.1}us  after {:>9.1}us  speedup {:.2}x",
+        codec.name,
+        codec.before_ms * 1e3,
+        codec.after_ms * 1e3,
+        codec.speedup()
+    );
+    eprintln!("{:>26}: threads 1 {auto1:.2}ms, threads {PAR_THREADS} {auto4:.2}ms", "run_auto");
 
-    let json = report(args.scale, &checked, &info, auto1, auto4);
+    let json = report(args.scale, &checked, &info, &codec, auto1, auto4);
 
     if let Some(baseline_path) = args.get("check") {
         let baseline = match std::fs::read_to_string(baseline_path) {

@@ -14,8 +14,13 @@
 //!    of the *same memory footprint* stay tight.
 //!
 //! ```sh
-//! cargo run --release -p skydiver-bench --bin sampling
+//! cargo run --release -p skydiver-bench --bin sampling [-- --scale 0.1]
 //! ```
+//!
+//! `--scale` scales part 2's sweep, 20k/100k/500k points at the default
+//! 0.1 (so `--scale 0.001` folds 200/1k/5k). Below 6,400 points the row
+//! sample holds every row, so its error reads 0 there: tiny scales are a
+//! smoke run, not the demonstration.
 
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 use skydiver_bench::{print_header, print_row, Args};
@@ -89,7 +94,9 @@ fn row_sampling(args: &Args) {
     print_header(&["n", "sparsity", "sample err", "minhash err"]);
 
     let mut rng = StdRng::seed_from_u64(11);
-    for n in [20_000usize, 100_000, 500_000] {
+    // The sweep is 20k/100k/500k points at the default `--scale 0.1`.
+    let grow = args.scale / 0.1;
+    for n in [20_000f64, 100_000.0, 500_000.0].map(|n| (n * grow).round() as usize) {
         let ds = independent(n, d, 13 + d as u64);
         let skyline = sfs(&ds, &MinDominance);
         let gamma = GammaSets::build(&ds, &skyline);

@@ -15,14 +15,15 @@
 //!   [m*dims f64 LE canonical skyline columns]`, everything a worker
 //!   needs to fold its shard against the coordinator's skyline (`FOLD`).
 //!
-//! `FOLD`/`FETCH` responses carry bare `SKYSIG02` bundles (see
+//! `FOLD`/`FETCH` responses carry bare `SKYSIG03` bundles (see
 //! `core::minhash::persist`), not frames: a bundle already ends in its
-//! own length and FNV-1a checksum, and its decoder checks both before
-//! trusting a word, so a frame around it would only hash it twice.
+//! own length and checksum (the word-parallel `checksum64`, not the
+//! frames' FNV-1a), and its decoder checks both before trusting a word,
+//! so a frame around it would only hash it twice.
 
 use std::io;
 
-use skydiver_data::fnv::fnv1a64;
+use skydiver_data::digest::fnv1a64;
 
 /// Hard upper bound on a frame body accepted off the wire (1 GiB).
 /// Servers apply their configured `max_frame_bytes` first; this cap is a

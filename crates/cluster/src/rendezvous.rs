@@ -8,7 +8,7 @@
 //! changed move — the minimal-disruption property that makes handoff
 //! cheap.
 
-use skydiver_data::fnv::{Fnv64, OFFSET_BASIS};
+use skydiver_data::digest::{Fnv64, OFFSET_BASIS};
 
 /// FNV-1a 64 over `bytes` from a basis mixed with `seed`, so shard and
 /// node mix fully.

@@ -23,6 +23,18 @@ impl SignatureMatrix {
         }
     }
 
+    /// A matrix over `data`, its `t · m` slots column-major (column `j`
+    /// is `data[j·t..(j+1)·t]`) — the layout
+    /// [`as_column_major`](Self::as_column_major) returns.
+    ///
+    /// # Panics
+    /// Panics if `t == 0` or `data.len() != t · m`.
+    pub fn from_column_major(t: usize, m: usize, data: Vec<u64>) -> Self {
+        assert!(t > 0, "signature size must be positive");
+        assert_eq!(Some(data.len()), t.checked_mul(m), "slot count mismatch");
+        SignatureMatrix { t, m, data }
+    }
+
     /// Signature size `t`.
     pub fn t(&self) -> usize {
         self.t
@@ -31,6 +43,13 @@ impl SignatureMatrix {
     /// Number of skyline points `m`.
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// All `t · m` slots, column-major: column `j` is
+    /// `[j·t, (j+1)·t)`.
+    #[inline]
+    pub fn as_column_major(&self) -> &[u64] {
+        &self.data
     }
 
     /// The signature of skyline point `j` (length `t`).

@@ -13,8 +13,9 @@
 //!   sets (Forest Cover, Recipes) with matching cardinalities and
 //!   correlation structure,
 //! * [`io`] — CSV and binary snapshots of datasets,
-//! * [`fnv`] — FNV-1a 64, the one checksum and content-tag digest the
-//!   signature bundles, cluster frames and placement all hash with,
+//! * [`digest`] — the two non-cryptographic digests: the word-parallel
+//!   `SKYSIG03` bundle checksum, and FNV-1a 64 for cluster frames,
+//!   content tags and placement,
 //! * [`shard`] — immutable dataset shards with global row-id bases and
 //!   the zero-copy [`DatasetView`] consumed by skyline, Γ and SigGen
 //!   entry points.
@@ -26,8 +27,8 @@
 
 pub mod categorical;
 pub mod dataset;
+pub mod digest;
 pub mod dominance;
-pub mod fnv;
 pub mod generators;
 pub mod io;
 pub mod preference;

@@ -16,8 +16,9 @@
 //! shards, and routes each shard to the workers that own it under
 //! rendezvous hashing with replication factor R
 //! ([`skydiver_cluster::rendezvous`]). A `QUERY` fans out as per-shard
-//! `FOLD` requests; each worker returns its fold as a `SKYSIG02`
-//! bundle (its own length and checksum footer), and the registry's
+//! `FOLD` requests; each worker returns its fold as a `SKYSIG03`
+//! bundle (its own length and `checksum64` footer; an older worker's
+//! `SKYSIG02` reply is a failed leg), and the registry's
 //! assembler merges the folds in ascending shard order, as it merges a
 //! single process's own folds.
 //!
@@ -63,7 +64,7 @@ use skydiver_core::{
     ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
     ShardFold, SignatureAccumulator, StopReason,
 };
-use skydiver_data::fnv::{fnv1a64, Fnv64};
+use skydiver_data::digest::{fnv1a64, Fnv64};
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
@@ -961,7 +962,7 @@ impl ShardHost {
     /// fold entry, `fold_shards` — over the columns from `columns_from`
     /// on only, when set (a column delta), and into the LRU only with
     /// `cache` — under the request's own budget, and count the fold for
-    /// this node. Returns the response header tail and the `SKYSIG02`
+    /// this node. Returns the response header tail and the `SKYSIG03`
     /// bundle, sent as the body as it is: it ends in its own length and
     /// checksum, which the coordinator's decode validates.
     #[allow(clippy::too_many_arguments)]
@@ -1037,7 +1038,7 @@ impl ShardHost {
     }
 
     /// `FETCH`: serve a fold artefact from this node's LRU or store,
-    /// as a bare `SKYSIG02` bundle — the replication transport. Replies
+    /// as a bare `SKYSIG03` bundle — the replication transport. Replies
     /// `found=0` (no body) on a miss. The LRU answers only for a shard
     /// a coordinator put here: a locally loaded dataset of the same
     /// name holds other rows.
@@ -1849,8 +1850,8 @@ fn fold_request_line(
     line
 }
 
-/// Validates one `FOLD` reply (header payload plus `SKYSIG02` bundle)
-/// into a completed leg: bundle length and checksum, key tags,
+/// Validates one `FOLD` reply (header payload plus `SKYSIG03` bundle)
+/// into a completed leg: bundle format, length and checksum, key tags,
 /// signature size and skyline coverage must all match the request — on
 /// a column-delta leg exactly the columns from its `columns_from` row
 /// on — and the header must carry `reused=`, `tests=` and, on a
@@ -2000,6 +2001,7 @@ fn drive_conn(poller: &mut Poller, conn: &mut LegConn<'_>, ev: &Event) -> Drive 
 mod tests {
     use super::*;
     use skydiver_core::fold_shard;
+    use skydiver_data::digest::checksum64;
 
     fn host() -> ShardHost {
         ShardHost::new(1 << 22, Arc::new(Metrics::new()), None, 1 << 20)
@@ -2213,8 +2215,9 @@ mod tests {
     /// One tag function: the local install tags a shard exactly as a
     /// worker tags the `SHARDPUT` payload the coordinator sends.
     /// Every digest built on the one FNV-1a helper — frame checksums,
-    /// rendezvous weights, `SKYSIG02` checksums and shard tags — keeps
-    /// the values the separate copies computed before it.
+    /// rendezvous weights and shard tags — keeps the values the
+    /// separate copies computed before it, and a `SKYSIG03` bundle's
+    /// footer holds its `checksum64`.
     #[test]
     fn fnv_digests_are_pinned() {
         let sum = |bytes: &[u8]| u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
@@ -2253,8 +2256,9 @@ mod tests {
         };
         let bundle = encode_shard_signatures(&fp, &[1, 2, 3, 4]);
         assert_eq!(bundle.len(), 160);
-        assert_eq!(sum(&bundle), 0x3ae0_5d47_cf60_5f1a);
-        assert_eq!(fnv1a64(&bundle), 0xa2e4_948c_b6c3_003e);
+        assert_eq!(sum(&bundle), 0x56de_d54e_e8ef_e6d5);
+        assert_eq!(sum(&bundle), checksum64(&bundle[..144]));
+        assert_eq!(fnv1a64(&bundle), 0x63ed_7208_1bc1_9500);
     }
 
     #[test]
@@ -2483,12 +2487,13 @@ mod tests {
         addr
     }
 
-    /// A `FOLD` reply body is the bare `SKYSIG02` bundle, so its own
-    /// checksum is all that guards it: a reply with one flipped byte is
-    /// a leg error, retried on the next replica, and only the replica's
+    /// A `FOLD` reply body is the bare `SKYSIG03` bundle, so its own
+    /// checksum is all that guards it: a reply with one flipped byte —
+    /// or an older worker's `SKYSIG02` bundle of the same fold — is a
+    /// leg error, retried on the next replica, and only the replica's
     /// intact fold is returned for merging.
     #[test]
-    fn a_fold_reply_with_a_flipped_byte_is_retried_never_merged() {
+    fn a_flipped_or_older_fold_reply_is_retried_never_merged() {
         let reg = Registry::new(1 << 22, Arc::new(Metrics::new()));
         reg.insert_dataset("d", Dataset::from_flat(2, vec![1.0, 2.0, 3.0, 4.0]));
         let ds = reg.dataset("d").unwrap();
@@ -2504,6 +2509,12 @@ mod tests {
         let mut flipped = bundle.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
+        // The same layout under the old magic, sealed with FNV-1a.
+        let mut older = bundle.clone();
+        let payload_len = older.len() - 16;
+        older[..8].copy_from_slice(b"SKYSIG02");
+        let sum = fnv1a64(&older[..payload_len]);
+        older[payload_len + 8..].copy_from_slice(&sum.to_le_bytes());
 
         let prefs = Preference::all_min(2);
         let points = Dataset::from_flat(2, vec![1.0, 2.0]);
@@ -2522,31 +2533,33 @@ mod tests {
             payload: &body,
             deadline: &deadline,
         };
-        let err = parse_fold_leg(&header, Some(flipped.clone()), &req, 0)
-            .err()
-            .expect("a corrupted bundle is refused");
-        assert!(err.contains("checksum"), "{err}");
+        for (bad, why) in [(flipped, "checksum mismatch"), (older, "older SKYSIG02 format")] {
+            let err = parse_fold_leg(&header, Some(bad.clone()), &req, 0)
+                .err()
+                .expect("a bad bundle is refused");
+            assert!(err.contains(why), "{err}");
 
-        let metrics = Metrics::new();
-        let line = format!("OK {header}");
-        let owners = vec![
-            canned_worker(line.clone(), flipped),
-            canned_worker(line, bundle.clone()),
-        ];
-        let check = |_, header: &str, body| parse_fold_leg(header, body, &req, 0);
-        let mut got = exchange(
-            vec![(owners, Some(&body[..]))],
-            &deadline,
-            Some(&metrics),
-            |_, ms| fold_request_line(&req, 0, None, ms),
-            check,
-        );
-        let leg = got.pop().unwrap().unwrap();
-        let intact = decode_shard_signatures(&bundle).unwrap().0;
-        assert_eq!((&leg.fold.columns, &leg.fold.acc), (&intact.columns, &intact.acc));
-        use std::sync::atomic::Ordering::Relaxed;
-        assert_eq!(metrics.fanout_retries.load(Relaxed), 1, "the corrupt reply was retried");
-        assert_eq!(metrics.fanout_failures.load(Relaxed), 0);
+            let metrics = Metrics::new();
+            let line = format!("OK {header}");
+            let owners = vec![
+                canned_worker(line.clone(), bad),
+                canned_worker(line, bundle.clone()),
+            ];
+            let check = |_, header: &str, body| parse_fold_leg(header, body, &req, 0);
+            let mut got = exchange(
+                vec![(owners, Some(&body[..]))],
+                &deadline,
+                Some(&metrics),
+                |_, ms| fold_request_line(&req, 0, None, ms),
+                check,
+            );
+            let leg = got.pop().unwrap().unwrap();
+            let intact = decode_shard_signatures(&bundle).unwrap().0;
+            assert_eq!((&leg.fold.columns, &leg.fold.acc), (&intact.columns, &intact.acc));
+            use std::sync::atomic::Ordering::Relaxed;
+            assert_eq!(metrics.fanout_retries.load(Relaxed), 1, "the {why} reply was retried");
+            assert_eq!(metrics.fanout_failures.load(Relaxed), 0);
+        }
     }
 
     /// A column-delta leg must come back with exactly the requested

@@ -21,10 +21,12 @@
 //! - [`metrics`] — lock-free counters and a fixed-bucket latency
 //!   histogram behind `STATS`.
 //! - [`store`] — the crash-safe on-disk signature store: atomic
-//!   `SKYSIG02` artefacts keyed by dataset content hash, write-behind
+//!   `SKYSIG03` artefacts (footer: the word-parallel `checksum64`;
+//!   cluster frames, content tags and placement keep FNV-1a, see
+//!   `skydiver_data::digest`) keyed by dataset content hash, write-behind
 //!   persistence, and a startup recovery sweep that quarantines
-//!   corruption instead of serving it. Makes restarts warm
-//!   (`SNAPSHOT` flushes, `RESTORE` re-sweeps).
+//!   corruption — and older `SKYSIG02` files — instead of serving it.
+//!   Makes restarts warm (`SNAPSHOT` flushes, `RESTORE` re-sweeps).
 //! - [`cluster`] — the fold service and the distributed layer: the
 //!   [`ShardHost`] every registry owns (hosted shards, the one fold
 //!   cache and plan memo, and every shard fold of the process) and a

@@ -41,12 +41,14 @@
 //! carries a `bytes=<n>` token is followed by exactly `n` raw bytes — a
 //! length-prefixed, FNV-1a-checksummed frame (see
 //! `skydiver_cluster::frame`) — and a response payload carrying
-//! `bytes=<n>` is likewise followed by `n` raw bytes: a `SKYSIG02`
-//! bundle, which ends in its own length and FNV-1a checksum. `SHARDPUT`
+//! `bytes=<n>` is likewise followed by `n` raw bytes: a `SKYSIG03`
+//! bundle, which ends in its own length and word-parallel `checksum64`
+//! (`skydiver_data::digest`; frames keep FNV-1a). A `SKYSIG02` body from
+//! a build before that format is refused by name. `SHARDPUT`
 //! ships one shard's rows to an owner (`replace=1` drops the worker's
 //! previous shards of that dataset first — a new `LOAD` generation);
 //! `FOLD` asks the owner to fold its shard against the coordinator's
-//! shipped skyline columns and return the fold as a `SKYSIG02` bundle
+//! shipped skyline columns and return the fold as a `SKYSIG03` bundle
 //! (with `columns_from=<row>`, only the columns of skyline members at
 //! global row `row` or later — a column delta, never cached; with
 //! `cache=0`, a full fold that extends an inherited fingerprint, kept
@@ -388,7 +390,7 @@ pub enum Request {
         /// Raw body length following the line.
         bytes: usize,
     },
-    /// Serve a cached fold artefact as a `SKYSIG02` bundle.
+    /// Serve a cached fold artefact as a `SKYSIG03` bundle.
     Fetch {
         /// Dataset name.
         name: String,

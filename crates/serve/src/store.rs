@@ -2,11 +2,14 @@
 //!
 //! The registry's in-memory fingerprint cache dies with the process;
 //! this module makes the expensive artefacts durable so restarts are
-//! warm. One `SKYSIG02` file per shard fold, keyed by `(dataset
+//! warm. One `SKYSIG03` file per shard fold, keyed by `(dataset
 //! content hash, shard id, preference hash, t, seed)` — the key *is*
 //! the file name and is also written into the bundle header, so a
 //! renamed, stale or foreign file can never be served under the wrong
-//! coordinates.
+//! coordinates. The `.sig2` extension predates `SKYSIG03` and is kept,
+//! so a store written in the older `SKYSIG02` format is found by the
+//! sweep like any other: each such file fails to decode as the older
+//! format and is quarantined, and its fold is recomputed.
 //!
 //! **Atomic writes.** Every artefact is written to a `.tmp` sibling,
 //! fsynced, renamed over the final name, and the directory fsynced —
@@ -44,7 +47,7 @@ use std::time::Duration;
 
 use skydiver_core::minhash::persist;
 use skydiver_core::ShardFingerprint;
-use skydiver_data::fnv::{fnv1a64, Fnv64};
+use skydiver_data::digest::{fnv1a64, Fnv64};
 use skydiver_data::ShardedDataset;
 
 use crate::cluster::shard_tag;
@@ -72,7 +75,7 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    /// The four header tags bound into the `SKYSIG02` bundle (`t` is
+    /// The four header tags bound into the `SKYSIG03` bundle (`t` is
     /// carried by the matrix shape itself).
     pub fn tags(&self) -> [u64; 4] {
         [self.dataset_hash, self.shard as u64, self.prefs_hash, self.seed]
@@ -176,7 +179,7 @@ enum Job {
     Flush(mpsc::Sender<u64>),
 }
 
-/// The durable signature store: a directory of `SKYSIG02` artefacts
+/// The durable signature store: a directory of `SKYSIG03` artefacts
 /// plus one write-behind worker thread.
 pub struct SignatureStore {
     dir: PathBuf,

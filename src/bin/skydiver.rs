@@ -482,7 +482,7 @@ fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `skydiver fingerprint` — phase 1 once, saved as a one-shard
-/// `SKYSIG02` bundle: the columns are the skyline ids, rows consumed is
+/// `SKYSIG03` bundle: the columns are the skyline ids, rows consumed is
 /// `n`, and the last key tag is the hash seed (`select` needs it for
 /// LSH banding).
 fn cmd_fingerprint(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {

@@ -162,6 +162,79 @@ fn a_store_that_never_persists_is_only_a_slow_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every `*.sig2` artefact directly under `dir`, sorted.
+fn artefacts(dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "sig2"))
+        .collect();
+    found.sort();
+    found
+}
+
+/// A store written before `SKYSIG03`: each artefact rewritten in the
+/// older `SKYSIG02` format — the same layout under the old magic, its
+/// footer an FNV-1a 64 checksum. The restart's sweep quarantines every
+/// one of them, naming the older format, so none is served: the first
+/// query refolds both shards bit-identically at the full cold bill, and
+/// the refolded artefacts make the next restart warm.
+#[test]
+fn an_older_skysig02_store_is_quarantined_and_refolded() {
+    use skydiver::data::digest::fnv1a64;
+    use std::sync::atomic::Ordering::Relaxed;
+    let dir = tmp_dir("skysig02");
+    let base = anticorrelated(3_000, 3, 47);
+    let (prefs, key) = parse_prefs(None, 3).unwrap();
+
+    let (reg, _, _) = store_registry(&dir, &[]);
+    reg.insert_sharded("d", ShardedDataset::partition(&base, 2));
+    let (cold, _, cold_tests) = reg.fingerprint("d", &prefs, &key, 32, 9, counted()).unwrap();
+    reg.store_snapshot().unwrap();
+    drop(reg);
+    let old_files = artefacts(&dir);
+    assert_eq!(old_files.len(), 2);
+    for path in &old_files {
+        let mut bytes = std::fs::read(path).unwrap();
+        let payload_len = bytes.len() - 16;
+        bytes[..8].copy_from_slice(b"SKYSIG02");
+        let sum = fnv1a64(&bytes[..payload_len]);
+        bytes[payload_len + 8..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    let (reg2, m2, valid) = store_registry(&dir, &[]);
+    assert_eq!(valid, 0, "no older artefact is valid");
+    assert_eq!(m2.store_quarantined.load(Relaxed), 2);
+    assert!(artefacts(&dir).is_empty(), "older artefacts left the store");
+    for path in &old_files {
+        let moved = dir.join("quarantine").join(path.file_name().unwrap());
+        let err = skydiver::core::minhash::persist::read_shard_signatures(&moved).unwrap_err();
+        assert!(err.to_string().contains("older SKYSIG02 format"), "{err}");
+    }
+    reg2.insert_sharded("d", ShardedDataset::partition(&base, 2));
+    let (refolded, hit, tests) = reg2.fingerprint("d", &prefs, &key, 32, 9, counted()).unwrap();
+    assert!(!hit && refolded.is_complete());
+    assert_eq!(tests, cold_tests, "both shards refold at the full cold bill");
+    assert_eq!(m2.store_hits.load(Relaxed), 0);
+    assert_eq!(refolded.output.matrix, cold.output.matrix);
+    assert_eq!(refolded.output.scores, cold.output.scores);
+    assert_eq!(refolded.skyline, cold.skyline);
+    reg2.store_snapshot().unwrap();
+    drop(reg2);
+
+    let (reg3, m3, valid) = store_registry(&dir, &[]);
+    assert_eq!(valid, 2, "the refolded artefacts are SKYSIG03");
+    reg3.insert_sharded("d", ShardedDataset::partition(&base, 2));
+    let (warm, _, warm_tests) = reg3.fingerprint("d", &prefs, &key, 32, 9, counted()).unwrap();
+    assert_eq!(warm_tests, 0);
+    assert_eq!(m3.store_hits.load(Relaxed), 2);
+    assert_eq!(warm.output.matrix, cold.output.matrix);
+    drop(reg3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `rows` points at `v` in every dimension: dominated by the
 /// generator's data, whose coordinates lie well below 10.
 fn sunk(rows: usize, v: f64) -> Dataset {
