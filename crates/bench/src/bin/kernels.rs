@@ -33,7 +33,7 @@
 //!   (informational, no floor): the codec's layer row, which the
 //!   serving benchmark's traced replay cannot show because it frames and
 //!   FNV-hashes every replayed `FOLD` reply as well,
-//! * **run_auto** — end-to-end wall clock at 1 vs 4 threads
+//! * **run** — end-to-end `SkyDiver::run` wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
 //! ```text
@@ -394,10 +394,10 @@ fn bench_bundle_codec() -> Pair {
     Pair { name: "fold_bundle_codec_t64_m372", before_ms: before_ms / reps, after_ms: after_ms / reps }
 }
 
-fn bench_run_auto(ds: &Dataset, threads: usize) -> f64 {
+fn bench_run(ds: &Dataset, threads: usize) -> f64 {
     let prefs = Preference::all_min(ds.dims());
     let cfg = SkyDiver::new(10).signature_size(64).hash_seed(3).threads(threads);
-    let (_, ms) = time_ms(|| black_box(cfg.run_auto(ds, &prefs).expect("run_auto")));
+    let (_, ms) = time_ms(|| black_box(cfg.run(ds, &prefs).expect("run")));
     ms
 }
 
@@ -428,8 +428,8 @@ fn report(
     checked: &[Pair],
     info: &[Pair],
     codec: &Pair,
-    auto1_ms: f64,
-    auto4_ms: f64,
+    run1_ms: f64,
+    run4_ms: f64,
 ) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::from("{\n");
@@ -442,11 +442,11 @@ fn report(
     s.push_str("\n  },\n  \"informational\": {\n");
     let mut rows: Vec<String> = info.iter().map(json_pair).collect();
     rows.push(json_pair_us(codec));
-    rows.push(format!("    \"run_auto_threads1\": {{\"ms\": {auto1_ms:.3}}}"));
+    rows.push(format!("    \"run_threads1\": {{\"ms\": {run1_ms:.3}}}"));
     rows.push(format!(
-        "    \"run_auto_threads{PAR_THREADS}\": {{\"ms\": {:.3}, \"speedup\": {:.3}}}",
-        auto4_ms,
-        auto1_ms / auto4_ms.max(1e-9)
+        "    \"run_threads{PAR_THREADS}\": {{\"ms\": {:.3}, \"speedup\": {:.3}}}",
+        run4_ms,
+        run1_ms / run4_ms.max(1e-9)
     ));
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  }\n}\n");
@@ -481,9 +481,9 @@ fn main() -> ExitCode {
     ];
     let info = vec![bench_plan_walk(n, 73)];
     let codec = bench_bundle_codec();
-    let auto_ds = Family::Ind.generate(n.min(100_000), 3, 75);
-    let auto1 = bench_run_auto(&auto_ds, 1);
-    let auto4 = bench_run_auto(&auto_ds, PAR_THREADS);
+    let run_ds = Family::Ind.generate(n.min(100_000), 3, 75);
+    let run1 = bench_run(&run_ds, 1);
+    let run4 = bench_run(&run_ds, PAR_THREADS);
 
     for p in checked.iter().chain(&info) {
         eprintln!(
@@ -501,9 +501,9 @@ fn main() -> ExitCode {
         codec.after_ms * 1e3,
         codec.speedup()
     );
-    eprintln!("{:>26}: threads 1 {auto1:.2}ms, threads {PAR_THREADS} {auto4:.2}ms", "run_auto");
+    eprintln!("{:>26}: threads 1 {run1:.2}ms, threads {PAR_THREADS} {run4:.2}ms", "run");
 
-    let json = report(args.scale, &checked, &info, &codec, auto1, auto4);
+    let json = report(args.scale, &checked, &info, &codec, run1, run4);
 
     if let Some(baseline_path) = args.get("check") {
         let baseline = match std::fs::read_to_string(baseline_path) {

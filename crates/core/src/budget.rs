@@ -325,12 +325,6 @@ pub enum DegradationEvent {
         /// The requested `k`.
         requested: usize,
     },
-    /// The index-based path failed and the run fell back to the
-    /// index-free pipeline.
-    IndexFreeFallback {
-        /// Human-readable cause (e.g. the page-read failure).
-        cause: String,
-    },
     /// The requested LSH configuration admitted no usable banding and
     /// the run fell back to MinHash selection (opt-in).
     MinHashFallback {
@@ -365,9 +359,6 @@ impl std::fmt::Display for DegradationEvent {
                 requested,
             } => {
                 write!(f, "selection curtailed at {selected} of {requested} points")
-            }
-            DegradationEvent::IndexFreeFallback { cause } => {
-                write!(f, "fell back to index-free pipeline: {cause}")
             }
             DegradationEvent::MinHashFallback { cause } => {
                 write!(f, "fell back to MinHash selection: {cause}")
@@ -658,9 +649,9 @@ mod tests {
             reason: StopReason::DominanceBudgetExhausted { used: 5, limit: 4 },
         };
         assert!(i.to_string().contains("during fingerprint"), "{i}");
-        let e = DegradationEvent::IndexFreeFallback {
-            cause: "page 7 unreadable".into(),
+        let e = DegradationEvent::MinHashFallback {
+            cause: "no banding for t = 1".into(),
         };
-        assert!(e.to_string().contains("index-free"), "{e}");
+        assert!(e.to_string().contains("MinHash selection"), "{e}");
     }
 }

@@ -484,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn tie_break_prefers_higher_score() {
+    fn ties_break_toward_the_higher_score() {
         // Distances: point 0 equidistant to 1 and 2; scores favour 2.
         let mat = vec![
             vec![0.0, 1.0, 1.0],

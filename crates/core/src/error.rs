@@ -90,15 +90,6 @@ pub enum SkyDiverError {
         /// Points in the distance backend.
         points: usize,
     },
-    /// A simulated page read failed (fault injection); the index-based
-    /// pipeline cannot trust partially-read structures and aborts. See
-    /// `SkyDiver::run_auto` for the graceful index-free fallback.
-    IndexReadFailure {
-        /// Page whose read failed.
-        page: u64,
-        /// 0-based access index at which the failure struck.
-        access: u64,
-    },
 }
 
 impl std::fmt::Display for SkyDiverError {
@@ -153,10 +144,6 @@ impl std::fmt::Display for SkyDiverError {
             SkyDiverError::ScoresLengthMismatch { scores, points } => write!(
                 f,
                 "{scores} domination scores supplied for {points} points"
-            ),
-            SkyDiverError::IndexReadFailure { page, access } => write!(
-                f,
-                "page {page} could not be read (access #{access})"
             ),
         }
     }
@@ -213,10 +200,6 @@ mod tests {
             (
                 SkyDiverError::ScoresLengthMismatch { scores: 2, points: 3 },
                 "scores",
-            ),
-            (
-                SkyDiverError::IndexReadFailure { page: 12, access: 99 },
-                "could not be read",
             ),
         ];
         for (e, needle) in cases {

@@ -60,10 +60,7 @@ pub fn sig_gen_ib(
 
 /// Budget-aware [`sig_gen_ib`]: charges `m` dominance classifications
 /// per index entry against `ctx` and stops at the first exhausted
-/// limit. Also cooperates with fault injection — a poisoned `pool` (an
-/// injected page-read failure) stops the traversal immediately;
-/// callers must check `pool.failure()` afterwards, as the pipeline
-/// does.
+/// limit.
 ///
 /// Returns `(output, stats, rows_consumed, interrupt)` where
 /// `rows_consumed` counts the data rows whose classification was
@@ -93,9 +90,6 @@ pub fn sig_gen_ib_budgeted(
     // its recorded base; sibling ranges follow in entry order.
     let mut frontier: Vec<(PageId, u64)> = vec![(tree.root(), 0)];
     while let Some((pid, node_base)) = frontier.pop() {
-        if pool.poisoned() {
-            break;
-        }
         let node = tree.read_node(pool, pid);
         stats.nodes_read += 1;
         let mut base = node_base;
@@ -246,30 +240,6 @@ mod tests {
         assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
         assert!(rows < ds.len(), "stopped early at {rows} rows");
         assert!(stats.nodes_read >= 1);
-    }
-
-    #[test]
-    fn poisoned_pool_stops_the_traversal() {
-        use skydiver_rtree::FaultInjection;
-        let ds = independent(3000, 3, 104);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let tree = skydiver_rtree::RTree::bulk_load(&ds, 1024);
-        let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-        let fam = HashFamily::new(8, 7);
-        let mut clean = BufferPool::new(1 << 20);
-        let (_, full_stats) = sig_gen_ib(&tree, &mut clean, &pts, &fam);
-        let mut pool = BufferPool::new(1 << 20);
-        pool.inject_faults(FaultInjection::at_access(1));
-        let ctx = ExecContext::unlimited();
-        let (_, stats, _, int) = sig_gen_ib_budgeted(&tree, &mut pool, &pts, &fam, &ctx);
-        assert!(int.is_none(), "a fault is not a budget interrupt");
-        assert!(pool.poisoned(), "injected fault must register");
-        assert!(
-            stats.nodes_read < full_stats.nodes_read || full_stats.nodes_read <= 2,
-            "traversal bailed early: {} vs {}",
-            stats.nodes_read,
-            full_stats.nodes_read
-        );
     }
 
     #[test]

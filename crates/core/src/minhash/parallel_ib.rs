@@ -34,9 +34,9 @@
 //! Fig. 4.
 //!
 //! The buffer pool stays shared behind a mutex (one lock per node read),
-//! so I/O statistics, fault injection, and poisoning behave exactly as
-//! in the Fig. 4 pass, and every thread charges the shared
-//! [`ExecContext`] so run budgets keep working.
+//! so I/O statistics behave exactly as in the Fig. 4 pass, and every
+//! thread charges the shared [`ExecContext`] so run budgets keep
+//! working.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -220,8 +220,8 @@ impl Pass<'_> {
 
     /// Drains one block of the frontier depth-first (LIFO, the traversal
     /// order of Fig. 4), reading nodes through the shared pool and
-    /// stopping at a poisoned pool or a tripped budget. The node worker
-    /// runs in the [`wide`] copy.
+    /// stopping at a tripped budget. The node worker runs in the
+    /// [`wide`] copy.
     fn drain(
         &self,
         pool: &Mutex<&mut BufferPool>,
@@ -240,9 +240,6 @@ impl Pass<'_> {
                         // panicked mid-read; the join re-raises that panic, so
                         // recovery here would be dead code
                         let mut guard = pool.lock().expect("pool mutex poisoned");
-                        if guard.poisoned() {
-                            break;
-                        }
                         self.tree.read_node(&mut guard, pid)
                     };
                     let item = (base, &chain, &active[..]);
@@ -279,14 +276,13 @@ pub fn sig_gen_ib_parallel(
 /// [`sig_gen_ib_budgeted`](super::sig_gen_ib_budgeted). Every thread
 /// charges the shared `ctx` one dominance test per still-active
 /// candidate per entry — the work actually done, and the same total at
-/// every thread count — and checks the shared pool for poisoning before
-/// each node read, so budgets and injected page faults stop all workers
-/// within one node's work.
+/// every thread count — so a tripped budget stops all workers within
+/// one node's work.
 ///
 /// Uninterrupted output (matrix, scores, stats, rows) is bit-identical
-/// for every thread count; an interrupted or faulted run on several
-/// threads covers a timing-dependent subset of entries, exactly like
-/// the threaded index-free pass.
+/// for every thread count; an interrupted run on several threads
+/// covers a timing-dependent subset of entries, exactly like the
+/// threaded index-free pass.
 pub fn sig_gen_ib_parallel_budgeted(
     tree: &RTree,
     pool: &mut BufferPool,
@@ -329,9 +325,6 @@ pub fn sig_gen_ib_parallel_budgeted(
         let Some((pid, base, chain, active)) = queue.pop_front() else {
             break;
         };
-        if pool.poisoned() {
-            break;
-        }
         let node = tree.read_node(pool, pid);
         let item = (base, &chain, &active[..]);
         interrupt = pass.process_node(node, item, &mut seed_acc, &mut |i| queue.push_back(i));
@@ -341,7 +334,7 @@ pub fn sig_gen_ib_parallel_budgeted(
     }
 
     let mut partials: Vec<(Acc, Option<Interrupt>)> = Vec::new();
-    if interrupt.is_none() && !queue.is_empty() && !pool.poisoned() {
+    if interrupt.is_none() && !queue.is_empty() {
         let pool = Mutex::new(pool);
         let frontier = queue.make_contiguous();
         if threads == 1 {
@@ -468,31 +461,6 @@ mod tests {
         let int = int.expect("budget must trip");
         assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
         assert!(rows < ds.len(), "stopped early at {rows} rows");
-    }
-
-    #[test]
-    fn poisoned_pool_stops_all_workers() {
-        use skydiver_rtree::FaultInjection;
-        let ds = independent(4000, 3, 174);
-        let sky = naive_skyline(&ds, &MinDominance);
-        let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
-        let fam = HashFamily::new(8, 7);
-        let tree = skydiver_rtree::RTree::bulk_load(&ds, 1024);
-        let mut clean = BufferPool::new(1 << 20);
-        let (_, full_stats) = sig_gen_ib(&tree, &mut clean, &pts, &fam);
-        let mut pool = BufferPool::new(1 << 20);
-        pool.inject_faults(FaultInjection::at_access(2));
-        let ctx = ExecContext::unlimited();
-        let (_, stats, _, int) =
-            sig_gen_ib_parallel_budgeted(&tree, &mut pool, &pts, &fam, 4, &ctx);
-        assert!(int.is_none(), "a fault is not a budget interrupt");
-        assert!(pool.poisoned(), "injected fault must register");
-        assert!(
-            stats.nodes_read < full_stats.nodes_read || full_stats.nodes_read <= 3,
-            "workers bailed early: {} vs {}",
-            stats.nodes_read,
-            full_stats.nodes_read
-        );
     }
 
     #[test]

@@ -2,11 +2,16 @@
 //!
 //! [`SkyDiver`] is the builder-style entry point a downstream user
 //! reaches for: configure `k`, the signature size, MinHash vs LSH and
-//! optional parallel fingerprinting; then run it index-free over a dataset
-//! ([`SkyDiver::run`]), index-based over an aggregate R*-tree
-//! ([`SkyDiver::run_index_based`]), with automatic index-free fallback
-//! ([`SkyDiver::run_auto`]), or over a bare dominance graph
-//! ([`SkyDiver::run_graph`]).
+//! optional parallel fingerprinting; then run it over a dataset
+//! ([`SkyDiver::run`]) or over a bare dominance graph
+//! ([`SkyDiver::run_graph`]), the paper's Fig. 1 input, which has no
+//! dataset.
+//!
+//! The paper's index-based `SigGen-IB` (Fig. 4) assumes an aggregate
+//! R*-tree that already exists, so the pipeline does not build one per
+//! run: the IB kernels ([`crate::minhash::sig_gen_ib`],
+//! [`crate::minhash::sig_gen_ib_parallel`]) are called directly by the
+//! IF-vs-IB comparison (Figs. 8 and 9), over a tree the caller owns.
 //!
 //! # One index-free fingerprint engine
 //!
@@ -47,10 +52,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
-use skydiver_rtree::{
-    BufferPool, FaultInjection, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE,
-};
-use skydiver_skyline::bbs;
 
 use crate::budget::{
     CancelToken, Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget,
@@ -229,12 +230,9 @@ pub struct SkyDiver {
     signature_size: usize,
     method: SelectionMethod,
     hash_seed: u64,
-    seed_rule: SeedRule,
-    tie_break: TieBreak,
     threads: usize,
     budget: RunBudget,
     lsh_minhash_fallback: bool,
-    fault_injection: Option<FaultInjection>,
 }
 
 impl SkyDiver {
@@ -247,12 +245,9 @@ impl SkyDiver {
             signature_size: 100,
             method: SelectionMethod::MinHash,
             hash_seed: 0,
-            seed_rule: SeedRule::MaxDominance,
-            tie_break: TieBreak::MaxDominance,
             threads: 1,
             budget: RunBudget::none(),
             lsh_minhash_fallback: false,
-            fault_injection: None,
         }
     }
 
@@ -280,21 +275,8 @@ impl SkyDiver {
         self
     }
 
-    /// Overrides the selection seed rule (ablation).
-    pub fn seed_rule(mut self, rule: SeedRule) -> Self {
-        self.seed_rule = rule;
-        self
-    }
-
-    /// Overrides the tie-break rule (ablation).
-    pub fn tie_break(mut self, tie: TieBreak) -> Self {
-        self.tie_break = tie;
-        self
-    }
-
     /// Parallelises fingerprinting over `threads` threads (the paper's
-    /// future-work item ii): the index-free pass is sharded by rows and
-    /// the index-based pass partitions subtree frontiers, each
+    /// future-work item ii): each shard's fold is split by rows,
     /// bit-identical to sequential. The greedy selection stays
     /// sequential at every thread count (see the module docs).
     pub fn threads(mut self, threads: usize) -> Self {
@@ -322,15 +304,6 @@ impl SkyDiver {
     /// recorded as [`DegradationEvent::MinHashFallback`].
     pub fn lsh_minhash_fallback(mut self, enabled: bool) -> Self {
         self.lsh_minhash_fallback = enabled;
-        self
-    }
-
-    /// Testing hook: injects deterministic page-read failures into the
-    /// buffer pool of the index-based path (the pool is created
-    /// internally, so the plan is configured here). The index-free path
-    /// performs no page reads and ignores this.
-    pub fn fault_injection(mut self, plan: FaultInjection) -> Self {
-        self.fault_injection = Some(plan);
         self
     }
 
@@ -562,9 +535,9 @@ impl SkyDiver {
     /// the partial [`DiverseResult`] the producing run would have.
     ///
     /// The fingerprint's `hash_seed` and signature size are baked into
-    /// the matrix, so only `k`, the selection method, the seed/tie-break
-    /// rules and the budget of `self` matter here; `threads` does not,
-    /// since the selection runs sequentially at every thread count.
+    /// the matrix, so only `k`, the selection method and the budget of
+    /// `self` matter here; `threads` does not, since the selection runs
+    /// sequentially at every thread count.
     pub fn select_from(&self, fp: &Fingerprint) -> Result<DiverseResult> {
         let ctx = ExecContext::new(self.budget.clone());
         self.select_from_ctx(fp, &ctx)
@@ -588,109 +561,6 @@ impl SkyDiver {
             fp.events.clone(),
             ctx,
         )
-    }
-
-    /// Index-based run: bulk-load an aggregate R*-tree (paper defaults:
-    /// 4 KiB pages, 20 % buffer pool), compute the skyline with BBS, run
-    /// `SigGen-IB`, select. Returns the result plus the I/O counters so
-    /// callers can apply the 8 ms/fault cost model.
-    ///
-    /// A page-read failure (fault injection) aborts with
-    /// [`SkyDiverError::IndexReadFailure`]; use [`SkyDiver::run_auto`]
-    /// to fall back to the index-free pipeline instead.
-    pub fn run_index_based(
-        &self,
-        ds: &Dataset,
-        prefs: &[Preference],
-    ) -> Result<(DiverseResult, skydiver_rtree::IoStats)> {
-        let ctx = ExecContext::new(self.budget.clone());
-        if self.signature_size == 0 {
-            return Err(SkyDiverError::ZeroSignatureSize);
-        }
-        let canon = canonicalise(ds, prefs)?;
-        let tree = RTree::bulk_load(&canon, DEFAULT_PAGE_SIZE);
-        let mut pool = BufferPool::for_index(tree.num_pages(), DEFAULT_CACHE_FRACTION);
-        if let Some(plan) = self.fault_injection {
-            pool.inject_faults(plan);
-        }
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok((
-                Self::partial(vec![], vec![], 0, 0.0, int, vec![]),
-                pool.stats(),
-            ));
-        }
-        let skyline = bbs(&tree, &mut pool);
-        if let Some(fail) = pool.failure() {
-            return Err(SkyDiverError::IndexReadFailure {
-                page: fail.page_id,
-                access: fail.access_index,
-            });
-        }
-        if skyline.is_empty() {
-            return Err(SkyDiverError::EmptySkyline);
-        }
-        let (t_eff, mut events) = match self.effective_signature_size(skyline.len()) {
-            Ok(pair) => pair,
-            Err(int) => {
-                let m = skyline.len();
-                let r = Self::partial(skyline, vec![0; m], 0, 0.0, int, vec![]);
-                return Ok((r, pool.stats()));
-            }
-        };
-        let family = HashFamily::new(t_eff, self.hash_seed);
-        let pts: Vec<&[f64]> = skyline.iter().map(|&s| canon.point(s)).collect();
-        let t0 = Instant::now();
-        let (out, _, rows_consumed, interrupt) = crate::minhash::sig_gen_ib_parallel_budgeted(
-            &tree,
-            &mut pool,
-            &pts,
-            &family,
-            self.threads,
-            &ctx,
-        );
-        let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if let Some(fail) = pool.failure() {
-            return Err(SkyDiverError::IndexReadFailure {
-                page: fail.page_id,
-                access: fail.access_index,
-            });
-        }
-        if let Some(int) = interrupt {
-            events.push(DegradationEvent::FingerprintCurtailed {
-                rows_scanned: rows_consumed,
-                rows_total: canon.len(),
-            });
-            let mem = out.matrix.memory_bytes();
-            let r = Self::partial(skyline, out.scores, mem, fingerprint_ms, int, events);
-            return Ok((r, pool.stats()));
-        }
-        let result = self.finish(&skyline, &out, fingerprint_ms, events, &ctx)?;
-        Ok((result, pool.stats()))
-    }
-
-    /// Graceful-fallback entry point: tries the index-based pipeline
-    /// first and, when it fails with an index read failure, reruns
-    /// index-free (which performs no page reads). The fallback is
-    /// recorded as [`DegradationEvent::IndexFreeFallback`] in the
-    /// returned report. Non-I/O errors propagate unchanged.
-    ///
-    /// Note the budget applies to each attempt separately: a deadline
-    /// restarts for the fallback run.
-    pub fn run_auto(&self, ds: &Dataset, prefs: &[Preference]) -> Result<DiverseResult> {
-        match self.run_index_based(ds, prefs) {
-            Ok((result, _)) => Ok(result),
-            Err(cause @ SkyDiverError::IndexReadFailure { .. }) => {
-                let mut result = self.run(ds, prefs)?;
-                result.degradation.events.insert(
-                    0,
-                    DegradationEvent::IndexFreeFallback {
-                        cause: cause.to_string(),
-                    },
-                );
-                Ok(result)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Runs over a bare dominance graph (paper Fig. 1): fingerprints the
@@ -803,15 +673,23 @@ impl SkyDiver {
         }
     }
 
-    /// Greedy selection under this pipeline's `k`, seed and tie-break
-    /// rules — sequential at every `threads` value (module docs).
+    /// Greedy selection of this pipeline's `k` points, seeded and
+    /// tie-broken by max dominance (the paper's rule) — sequential at
+    /// every `threads` value (module docs).
     fn select<D: DiversityDistance>(
         &self,
         mut dist: D,
         scores: &[u64],
         ctx: &ExecContext,
     ) -> Result<(Vec<usize>, Option<Interrupt>)> {
-        select_diverse_budgeted(&mut dist, scores, self.k, self.seed_rule, self.tie_break, ctx)
+        select_diverse_budgeted(
+            &mut dist,
+            scores,
+            self.k,
+            SeedRule::MaxDominance,
+            TieBreak::MaxDominance,
+            ctx,
+        )
     }
 
     fn select_minhash(
@@ -965,17 +843,6 @@ mod tests {
         assert!(r.selected.is_empty());
         let int = r.degradation.interrupt.as_ref().unwrap();
         assert_eq!(int.phase, ExecPhase::Fingerprint);
-    }
-
-    #[test]
-    fn index_based_matches_index_free_skyline() {
-        let ds = independent(2000, 3, 151);
-        let cfg = SkyDiver::new(4).signature_size(64).hash_seed(2);
-        let a = cfg.run(&ds, &Preference::all_min(3)).unwrap();
-        let (b, io) = cfg.run_index_based(&ds, &Preference::all_min(3)).unwrap();
-        assert_eq!(a.skyline, b.skyline, "BBS and SFS agree");
-        assert_eq!(a.scores, b.scores, "IB and IF count Γ identically");
-        assert!(io.accesses() > 0);
     }
 
     #[test]
@@ -1194,62 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_page_fault_fails_index_based_and_run_auto_recovers() {
-        let ds = independent(3000, 3, 160);
-        let prefs = Preference::all_min(3);
-        let cfg = SkyDiver::new(4)
-            .signature_size(32)
-            .hash_seed(9)
-            .fault_injection(FaultInjection::at_access(3));
-        let err = cfg.run_index_based(&ds, &prefs).unwrap_err();
-        assert!(matches!(err, SkyDiverError::IndexReadFailure { .. }));
-        // run_auto degrades to the index-free pipeline.
-        let r = cfg.run_auto(&ds, &prefs).unwrap();
-        assert_eq!(r.selected.len(), 4);
-        assert!(matches!(
-            r.degradation.events[0],
-            DegradationEvent::IndexFreeFallback { .. }
-        ));
-        // And matches a plain index-free run bit for bit.
-        let plain = SkyDiver::new(4)
-            .signature_size(32)
-            .hash_seed(9)
-            .run(&ds, &prefs)
-            .unwrap();
-        assert_eq!(r.selected, plain.selected);
-        assert_eq!(r.scores, plain.scores);
-    }
-
-    #[test]
-    fn run_auto_without_faults_uses_the_index() {
-        let ds = independent(1000, 2, 161);
-        let prefs = Preference::all_min(2);
-        let r = SkyDiver::new(3)
-            .signature_size(32)
-            .run_auto(&ds, &prefs)
-            .unwrap();
-        assert_eq!(r.selected.len(), 3);
-        assert!(r.is_complete());
-    }
-
-    #[test]
-    fn parallel_index_based_matches_sequential() {
-        let ds = anticorrelated(3000, 3, 162);
-        let prefs = Preference::all_min(3);
-        let cfg = SkyDiver::new(5).signature_size(64).hash_seed(6);
-        let (seq, _) = cfg.run_index_based(&ds, &prefs).unwrap();
-        for threads in [2, 4] {
-            let (par, _) = cfg
-                .clone()
-                .threads(threads)
-                .run_index_based(&ds, &prefs)
-                .unwrap();
-            assert_eq!(seq.selected, par.selected, "threads = {threads}");
-            assert_eq!(seq.scores, par.scores, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn parallel_lsh_selection_matches_sequential() {
         let ds = anticorrelated(2500, 3, 163);
         let prefs = Preference::all_min(3);
@@ -1261,29 +1072,6 @@ mod tests {
         let par = cfg.clone().threads(3).run(&ds, &prefs).unwrap();
         assert_eq!(seq.selected, par.selected);
         assert_eq!(seq.scores, par.scores);
-    }
-
-    #[test]
-    fn parallel_run_auto_recovers_from_faults_identically() {
-        let ds = independent(3000, 3, 164);
-        let prefs = Preference::all_min(3);
-        let cfg = SkyDiver::new(4)
-            .signature_size(32)
-            .hash_seed(8)
-            .threads(4)
-            .fault_injection(FaultInjection::at_access(3));
-        let r = cfg.run_auto(&ds, &prefs).unwrap();
-        assert!(matches!(
-            r.degradation.events[0],
-            DegradationEvent::IndexFreeFallback { .. }
-        ));
-        let plain = SkyDiver::new(4)
-            .signature_size(32)
-            .hash_seed(8)
-            .run(&ds, &prefs)
-            .unwrap();
-        assert_eq!(r.selected, plain.selected);
-        assert_eq!(r.scores, plain.scores);
     }
 
     use skydiver_data::Dataset;

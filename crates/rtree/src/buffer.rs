@@ -47,68 +47,6 @@ impl IoStats {
     }
 }
 
-/// Deterministic, seed-driven page-read fault injection.
-///
-/// Attached to a [`BufferPool`] via [`BufferPool::inject_faults`], this
-/// simulates media failures for resilience testing: either one exact
-/// access fails ([`FaultInjection::at_access`]) or each access fails
-/// with probability `1/n` under a seeded hash
-/// ([`FaultInjection::one_in`]). Both are pure functions of the access
-/// index (and seed), so a failing run replays identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultInjection {
-    /// Fail exactly the access with this 0-based index.
-    fail_at_access: Option<u64>,
-    /// `(n, seed)`: fail any access whose seeded hash lands in `1/n`.
-    one_in: Option<(u64, u64)>,
-}
-
-impl FaultInjection {
-    /// Fails exactly the `n`-th page access (0-based).
-    pub fn at_access(n: u64) -> Self {
-        FaultInjection {
-            fail_at_access: Some(n),
-            one_in: None,
-        }
-    }
-
-    /// Fails each access independently with probability `1/n`, derived
-    /// deterministically from `seed` and the access index.
-    pub fn one_in(n: u64, seed: u64) -> Self {
-        FaultInjection {
-            fail_at_access: None,
-            one_in: Some((n.max(1), seed)),
-        }
-    }
-
-    fn trips(&self, access_index: u64) -> bool {
-        if self.fail_at_access == Some(access_index) {
-            return true;
-        }
-        if let Some((n, seed)) = self.one_in {
-            return splitmix64(seed ^ access_index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .is_multiple_of(n);
-        }
-        false
-    }
-}
-
-/// The first injected read failure observed by a [`BufferPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadFailure {
-    /// Page whose read failed.
-    pub page_id: u64,
-    /// 0-based access index at which the failure struck.
-    pub access_index: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// An LRU page cache with O(1) access/eviction via an intrusive
 /// doubly-linked list over a slab.
 #[derive(Debug)]
@@ -122,9 +60,6 @@ pub struct BufferPool {
     head: usize, // most recently used
     tail: usize, // least recently used
     free: Vec<usize>,
-    injection: Option<FaultInjection>,
-    accesses_seen: u64,
-    failure: Option<ReadFailure>,
 }
 
 const NONE: usize = usize::MAX;
@@ -141,9 +76,6 @@ impl BufferPool {
             head: NONE,
             tail: NONE,
             free: Vec::new(),
-            injection: None,
-            accesses_seen: 0,
-            failure: None,
         }
     }
 
@@ -154,46 +86,8 @@ impl BufferPool {
         Self::new(cap)
     }
 
-    /// Attaches a [`FaultInjection`] plan; subsequent accesses that the
-    /// plan trips poison the pool (see [`BufferPool::poisoned`]).
-    pub fn inject_faults(&mut self, plan: FaultInjection) {
-        self.injection = Some(plan);
-    }
-
-    /// `true` once an injected page read has failed. Traversals check
-    /// this cooperatively and bail out: the simulated page "contents"
-    /// are still served (the pool is a counting model, not real
-    /// storage), so a caller that ignores the poison gets internally
-    /// consistent but incomplete reads — exactly the failure mode a real
-    /// partial read produces.
-    pub fn poisoned(&self) -> bool {
-        self.failure.is_some()
-    }
-
-    /// The first injected failure, if any.
-    pub fn failure(&self) -> Option<ReadFailure> {
-        self.failure
-    }
-
-    /// Clears the poisoned state (keeps the injection plan and cache).
-    pub fn clear_failure(&mut self) {
-        self.failure = None;
-    }
-
     /// Registers a logical access to `page_id`; returns `true` on fault.
     pub fn access(&mut self, page_id: u64) -> bool {
-        let access_index = self.accesses_seen;
-        self.accesses_seen += 1;
-        if self.failure.is_none() {
-            if let Some(plan) = &self.injection {
-                if plan.trips(access_index) {
-                    self.failure = Some(ReadFailure {
-                        page_id,
-                        access_index,
-                    });
-                }
-            }
-        }
         if self.capacity == 0 {
             self.stats.faults += 1;
             return true;
@@ -392,58 +286,6 @@ mod tests {
         assert!(p.cached_pages() <= 16);
         let s = p.stats();
         assert_eq!(s.hits + s.faults, 4 * 64);
-    }
-
-    #[test]
-    fn fault_at_exact_access_poisons_once() {
-        let mut p = BufferPool::new(4);
-        p.inject_faults(FaultInjection::at_access(2));
-        p.access(10);
-        p.access(11);
-        assert!(!p.poisoned());
-        p.access(12); // access #2 (0-based) trips
-        assert_eq!(
-            p.failure(),
-            Some(ReadFailure { page_id: 12, access_index: 2 })
-        );
-        // Later accesses do not overwrite the first failure.
-        p.access(13);
-        assert_eq!(p.failure().unwrap().page_id, 12);
-        p.clear_failure();
-        assert!(!p.poisoned());
-    }
-
-    #[test]
-    fn seeded_one_in_faults_are_deterministic() {
-        let run = |seed: u64| {
-            let mut p = BufferPool::new(8);
-            p.inject_faults(FaultInjection::one_in(10, seed));
-            for id in 0..1000u64 {
-                p.access(id % 50);
-                if p.poisoned() {
-                    break;
-                }
-            }
-            p.failure()
-        };
-        let a = run(7);
-        assert_eq!(a, run(7), "same seed, same failure point");
-        assert!(a.is_some(), "1/10 rate must trip within 1000 accesses");
-        // A different seed fails elsewhere (with overwhelming probability).
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn injection_does_not_disturb_counters() {
-        let mut a = BufferPool::new(2);
-        let mut b = BufferPool::new(2);
-        b.inject_faults(FaultInjection::at_access(0));
-        for id in [1u64, 2, 1, 3, 2] {
-            a.access(id);
-            b.access(id);
-        }
-        assert_eq!(a.stats(), b.stats(), "stats model unchanged by faults");
-        assert!(b.poisoned());
     }
 
     #[test]

@@ -25,8 +25,7 @@ pub mod split;
 pub mod tree;
 
 pub use buffer::{
-    BufferPool, FaultInjection, IoStats, ReadFailure, DEFAULT_CACHE_FRACTION,
-    DEFAULT_MS_PER_FAULT, DEFAULT_PAGE_SIZE,
+    BufferPool, IoStats, DEFAULT_CACHE_FRACTION, DEFAULT_MS_PER_FAULT, DEFAULT_PAGE_SIZE,
 };
 pub use mbr::{classify_dominance, Mbr, MbrDominance};
 pub use node::{Child, Entry, Node, PageId};

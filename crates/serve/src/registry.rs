@@ -581,16 +581,15 @@ impl Registry {
     /// one [`ShardHost::fold_shards`] call here, stopping at the first
     /// trip — merged in ascending shard order. A memo entry inherited
     /// across `APPEND` covers the first shards, as the merge of their
-    /// folds:
-    ///
-    /// * over the same skyline, the legs start after its shards
-    ///   (`fingerprint_extends`);
-    /// * over a changed one, its surviving columns are kept and its
-    ///   shards are folded over the entering columns only, then the
-    ///   rest in full (`fingerprint_deltas`) — when the dominance budget
-    ///   can fund that delta whole, so any trip lands in the appended
-    ///   shards, where the per-shard path's would. A delta cut short by
-    ///   a trip or a lost shard leaves an empty, degraded artefact.
+    /// folds. Its surviving columns are kept (`column_delta`), its
+    /// shards are folded over the entering columns only, then the rest
+    /// in full — when the dominance budget can fund that delta whole,
+    /// so any trip lands in the appended shards, where the per-shard
+    /// path's would. An extension is the delta in which no column
+    /// enters: no leg goes to the inherited shards
+    /// (`fingerprint_extends`; with entering columns,
+    /// `fingerprint_deltas`). A delta cut short by a trip or a lost
+    /// shard leaves an empty, degraded artefact.
     ///
     /// Otherwise every shard is folded, and only these folds enter the
     /// host's LRU: an extension's or a delta's are covered by the
@@ -639,34 +638,15 @@ impl Registry {
         let job = FoldJob::new(keys, prefs, ids, points);
 
         let t0 = Instant::now();
-        let inherited_start = match inherited {
-            Some(a) if a.fp.skyline == ids => {
-                self.metrics.bump(&self.metrics.fingerprint_extends);
-                let acc = SignatureAccumulator {
-                    matrix: a.fp.output.matrix.clone(),
-                    scores: a.fp.output.scores.clone(),
-                    rows_consumed: ds.data.base(a.shards),
+        let (start, plan) = match inherited.and_then(|a| column_delta(&ds, &a, ids, &ctx)) {
+            Some((acc, plan)) => {
+                let counter = match plan.columns_from {
+                    Some(_) => &self.metrics.fingerprint_deltas,
+                    None => &self.metrics.fingerprint_extends,
                 };
-                let plan = LegPlan {
-                    first: a.shards,
-                    columns_from: None,
-                    inherited: true,
-                };
-                Some((acc, plan))
+                self.metrics.bump(counter);
+                (Some(acc), plan)
             }
-            Some(a) => column_delta(&ds, &a, ids, &ctx).map(|acc| {
-                self.metrics.bump(&self.metrics.fingerprint_deltas);
-                let plan = LegPlan {
-                    first: a.shards,
-                    columns_from: Some(ds.data.base(a.shards)),
-                    inherited: true,
-                };
-                (acc, plan)
-            }),
-            None => None,
-        };
-        let (start, plan) = match inherited_start {
-            Some((acc, plan)) => (Some(acc), plan),
             None => (None, LegPlan::default()),
         };
         let folded = match remote {
@@ -755,10 +735,15 @@ impl Registry {
     }
 }
 
-/// The start of a column delta on `inherited`, an assembled fingerprint
-/// of the first `inherited.shards` shards over another skyline than
-/// `ids`: an accumulator holding the inherited columns of the members
-/// that survive, with the entering columns empty and no rows counted.
+/// The start of an assembly on `inherited`, an assembled fingerprint of
+/// the first `inherited.shards` shards, as a column delta over `ids`:
+/// an accumulator holding the inherited columns of the members that
+/// survive, with the entering columns empty, and the legs to fold.
+///
+/// When no column enters (an extension: the skyline is unchanged), the
+/// accumulator counts the inherited shards' rows and the legs start
+/// after them. Otherwise it counts no rows, and the plan's
+/// `columns_from` asks the inherited shards for the entering columns.
 ///
 /// Exact because a surviving member's column over the old rows is the
 /// same fold whatever else the skyline holds (members never dominate
@@ -773,9 +758,10 @@ fn column_delta(
     inherited: &Assembled,
     ids: &[usize],
     ctx: &ExecContext,
-) -> Option<SignatureAccumulator> {
+) -> Option<(SignatureAccumulator, LegPlan)> {
     let from = ds.data.base(inherited.shards);
     let e0 = ids.partition_point(|&id| id < from);
+    let entering = e0 < ids.len();
     let (old, t) = (&inherited.fp, inherited.fp.output.matrix.t());
     let positions = ids[..e0]
         .iter()
@@ -794,7 +780,15 @@ fn column_delta(
         acc.matrix.set_column(j, old.output.matrix.column(jo));
         acc.scores[j] = old.output.scores[jo];
     }
-    Some(acc)
+    if !entering {
+        acc.rows_consumed = from;
+    }
+    let plan = LegPlan {
+        first: inherited.shards,
+        columns_from: entering.then_some(from),
+        inherited: true,
+    };
+    Some((acc, plan))
 }
 
 /// Reads a `.sky` binary snapshot or headerless CSV, refusing empty

@@ -7,6 +7,11 @@
 //! skyline point. It is progressive and I/O-optimal — the reason the
 //! paper calls it "the most preferred" skyline algorithm. Page accesses
 //! are charged to the caller's [`BufferPool`].
+//!
+//! The SkyDiver pipeline computes its skyline index-free (SFS over the
+//! canonical rows). BBS is the index-based skyline of the paper's cost
+//! comparisons (the `skyline_io` bench), run over a tree the caller
+//! built; it must equal SFS on the same data.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,13 +56,6 @@ impl Ord for HeapItem {
 ///
 /// The tree must index the data in canonical min-space (as produced by
 /// `RTree::bulk_load` on a canonicalised dataset).
-///
-/// Cooperates with fault injection: when `pool` becomes poisoned (an
-/// injected page-read failure, see `BufferPool::poisoned`), the
-/// traversal stops immediately and returns whatever it has found so
-/// far. Callers that need a complete skyline must check
-/// `pool.failure()` afterwards — the SkyDiver pipeline does, converting
-/// a poisoned pool into a typed `IndexReadFailure` error.
 pub fn bbs(tree: &RTree, pool: &mut BufferPool) -> Vec<usize> {
     let mut skyline_coords: Vec<Vec<f64>> = Vec::new();
     let mut skyline_ids: Vec<usize> = Vec::new();
@@ -72,9 +70,6 @@ pub fn bbs(tree: &RTree, pool: &mut BufferPool) -> Vec<usize> {
     });
 
     while let Some(item) = heap.pop() {
-        if pool.poisoned() {
-            break;
-        }
         match item.target {
             Target::Node(pid) => {
                 let node = tree.read_node(pool, pid);
@@ -148,25 +143,6 @@ mod tests {
         let tree = RTree::with_default_pages(2);
         let mut pool = BufferPool::new(16);
         assert!(bbs(&tree, &mut pool).is_empty());
-    }
-
-    #[test]
-    fn poisoned_pool_stops_the_traversal() {
-        use skydiver_rtree::FaultInjection;
-        let ds = independent(5000, 3, 64);
-        let tree = RTree::bulk_load(&ds, 1024);
-        let mut clean = BufferPool::new(1 << 20);
-        let full = bbs(&tree, &mut clean);
-        let mut pool = BufferPool::new(1 << 20);
-        pool.inject_faults(FaultInjection::at_access(1));
-        let partial = bbs(&tree, &mut pool);
-        assert!(pool.poisoned(), "injected fault must register");
-        assert!(
-            partial.len() < full.len(),
-            "traversal bailed early: {} vs {}",
-            partial.len(),
-            full.len()
-        );
     }
 
     #[test]

@@ -81,8 +81,8 @@ const USAGE: &str = "usage:
                      [--xi 0.2] [--buckets 20] [--prefs min,max,...] [--threads N]
                      [--seed S] [--timeout-ms MS] [--max-memory BYTES]
                      [--max-dominance-tests N] [--format text|json] [--shards N]
-                     (diversify/run --threads N parallelises fingerprinting only:
-                      IF row ranges, IB frontiers; selection is sequential)
+                     (diversify/run --threads N parallelises fingerprinting only,
+                      by row ranges; selection is sequential)
   skydiver fingerprint --input FILE --out FILE.skysig [--t 100] [--seed S] [--prefs ...]
   skydiver select    --signatures FILE.skysig --k K [--method mh|lsh]
                      [--xi 0.2] [--buckets 20]
@@ -440,11 +440,12 @@ fn cmd_diversify(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `skydiver run` — the full auto pipeline: index-based fingerprinting
-/// with automatic index-free fallback (`run_auto`), parallel over
-/// `--threads`, under an optional run budget. With `--shards N > 1` the
-/// data is partitioned into N contiguous shards and fingerprinted as a
-/// merge of per-shard folds — bit-identical to the monolithic pass.
+/// `skydiver run` — the full pipeline (`SkyDiver::run`), fingerprinting
+/// parallel over `--threads`, under an optional run budget. With
+/// `--shards N` the data is partitioned into N contiguous shards and
+/// fingerprinted as a merge of per-shard folds. Either way the rows are
+/// folded by global row id, so the selection is the one `diversify`,
+/// `fingerprint` + `select` and a served `QUERY` pick.
 fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
@@ -454,9 +455,7 @@ fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let threads: usize = num(flags, "threads", 1)?;
     let shards: usize = num(flags, "shards", 1)?;
     let pipeline = pipeline_for(flags, k)?;
-    // An explicit --shards always takes the sharded index-free fold —
-    // even --shards 1 — so the flag's output is partition-invariant and
-    // comparable across shard counts.
+    // An explicit --shards (even 1) reports the shard count it folded.
     let (r, label) = if flags.contains_key("shards") {
         if shards == 0 {
             return Err(err("bad value for --shards"));
@@ -468,10 +467,7 @@ fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
             format!("threads {threads}, shards {}, ", sd.num_shards()),
         )
     } else {
-        (
-            pipeline.run_auto(&ds, &prefs)?,
-            format!("threads {threads}, "),
-        )
+        (pipeline.run(&ds, &prefs)?, format!("threads {threads}, "))
     };
     if json_format(flags)? {
         print_result_json(&r);

@@ -38,4 +38,3 @@ pub use skydiver_core::{
     SeedRule, SelectionMethod, SignatureMatrix, SkyDiver, SkyDiverError, StopReason, TieBreak,
 };
 pub use skydiver_data::{Dataset, Preference};
-pub use skydiver_rtree::{FaultInjection, ReadFailure};

@@ -190,6 +190,26 @@ fn run_subcommand_is_parallel_deterministic() {
     std::fs::remove_file(csv).ok();
 }
 
+/// `run` (with or without `--shards`, at any `--threads`) and
+/// `diversify` fold every row by its global id through one engine, so
+/// under the same `--k/--t/--seed` they pick the same points in the same
+/// order.
+#[test]
+fn run_and_diversify_pick_the_same_points() {
+    let csv = tmp("samepick.csv");
+    let csv = csv.display();
+    ok(&format!("generate --family ant --n 5000 --d 3 --seed 7 --out {csv}"));
+    let args = format!("--input {csv} --k 5 --t 64 --seed 3");
+    let reference = ok(&format!("diversify {args}"));
+    let reference = picked_ids(&reference);
+    assert_eq!(reference.len(), 5, "{reference:?}");
+    for extra in ["", "--shards 1", "--shards 4", "--threads 2"] {
+        let out = ok(&format!("run {args} {extra}"));
+        assert_eq!(picked_ids(&out), reference, "run {extra}");
+    }
+    std::fs::remove_file(csv.to_string()).ok();
+}
+
 #[test]
 fn run_format_json_emits_one_json_line() {
     let csv = tmp("runjson.csv");

@@ -1,6 +1,7 @@
 //! Integration tests spanning all crates: data generation → indexing →
 //! skyline → fingerprinting → selection → exact re-scoring.
 
+use skydiver::core::minhash::{sig_gen_ib_parallel, sig_gen_if};
 use skydiver::core::{
     brute_force_mmdp, coverage_fraction, greedy_max_coverage, min_pairwise, select_diverse,
     ExactJaccardDistance, GammaSets, SeedRule, SignatureDistance, TieBreak,
@@ -8,9 +9,9 @@ use skydiver::core::{
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, correlated, independent};
 use skydiver::data::surrogates::{forest_cover, recipes};
-use skydiver::rtree::{BufferPool, RTree};
+use skydiver::rtree::{BufferPool, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE};
 use skydiver::skyline::{bbs, bnl, dc, naive_skyline, sfs};
-use skydiver::{Preference, SkyDiver};
+use skydiver::{HashFamily, Preference, SkyDiver};
 
 #[test]
 fn all_skyline_algorithms_agree_across_distributions() {
@@ -156,8 +157,8 @@ fn signature_distance_agrees_with_exact_on_average() {
     let gamma = GammaSets::build(&ds, &r.skyline);
 
     // Rebuild signatures through the public pipeline pieces.
-    let fam = skydiver::HashFamily::new(256, 13);
-    let out = skydiver::core::sig_gen_if(&ds, &r.skyline, &fam);
+    let fam = HashFamily::new(256, 13);
+    let out = sig_gen_if(&ds, &r.skyline, &fam);
     let mut sigd = SignatureDistance::new(&out.matrix);
     let m = r.skyline.len();
     let mut err_sum = 0.0;
@@ -173,14 +174,20 @@ fn signature_distance_agrees_with_exact_on_average() {
     assert!(mae < 0.05, "mean absolute estimation error {mae}");
 }
 
+/// The paper's two fingerprint passes over the same data: BBS over an
+/// aggregate R*-tree finds the SFS skyline, and `SigGen-IB/A` counts the
+/// same `|Γ(p)|` as `SigGen-IF`. (Their matrices differ: IB hashes rows
+/// by tree-range ids, IF by row ids.)
 #[test]
 fn index_based_and_index_free_pick_identical_skylines_and_scores() {
     for ds in [independent(4000, 4, 9), forest_cover(3000, 10).project(5)] {
-        let prefs = Preference::all_min(ds.dims());
-        let cfg = SkyDiver::new(5).signature_size(64).hash_seed(17);
-        let a = cfg.run(&ds, &prefs).unwrap();
-        let (b, _) = cfg.run_index_based(&ds, &prefs).unwrap();
-        assert_eq!(a.skyline, b.skyline);
-        assert_eq!(a.scores, b.scores);
+        let sky = sfs(&ds, &MinDominance);
+        let tree = RTree::bulk_load(&ds, DEFAULT_PAGE_SIZE);
+        let mut pool = BufferPool::for_index(tree.num_pages(), DEFAULT_CACHE_FRACTION);
+        assert_eq!(bbs(&tree, &mut pool), sky);
+        let fam = HashFamily::new(64, 17);
+        let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+        let (ib, _) = sig_gen_ib_parallel(&tree, &mut pool, &pts, &fam, 2);
+        assert_eq!(ib.scores, sig_gen_if(&ds, &sky, &fam).scores);
     }
 }

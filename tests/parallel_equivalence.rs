@@ -92,48 +92,34 @@ fn partitioned_index_based_is_bit_identical() {
 fn index_based_charges_are_identical_across_thread_counts() {
     // SigGen-IB/A charges one dominance test per still-active candidate
     // per entry, and every thread count classifies the same entries
-    // against the same active sets — so a budget of exactly the
-    // 1-thread charge must let the index-based pipeline finish at every
-    // thread count, never degrade only some of them.
+    // against the same active sets — so every thread count charges
+    // exactly the 1-thread total, and a budget of that total lets each
+    // of them finish, never degrade only some of them.
     let prefs = Preference::all_min(3);
     for (name, ds) in [
         ("independent", generators::independent(6000, 3, 1808)),
         ("anticorrelated", generators::anticorrelated(4000, 3, 1809)),
     ] {
-        // The tree and skyline `run_index_based` builds.
+        // An aggregate R*-tree over the canonical rows, with the paper's
+        // 4 KiB pages, and the SFS skyline.
         let canon = canonicalise(&ds, &prefs).unwrap();
         let tree = RTree::bulk_load(&canon, DEFAULT_PAGE_SIZE);
         let sky = sfs(canon.as_ref(), &MinDominance);
         let pts: Vec<&[f64]> = sky.iter().map(|&s| canon.point(s)).collect();
         let fam = HashFamily::new(32, 17);
-        let charged = |threads: usize| {
-            let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+        let charged = |threads: usize, limit: u64| {
+            let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(limit));
             let mut pool = BufferPool::new(1 << 20);
             let (_, _, _, int) =
                 sig_gen_ib_parallel_budgeted(&tree, &mut pool, &pts, &fam, threads, &ctx);
             assert!(int.is_none(), "{name}, threads = {threads}");
             ctx.dominance_tests()
         };
-        let tests = charged(1);
+        let tests = charged(1, u64::MAX);
         assert!(tests > 0, "{name}: the counting context must count");
         for threads in [2, 4, 8] {
-            assert_eq!(charged(threads), tests, "{name}, threads = {threads}");
-        }
-        let cfg = SkyDiver::new(5)
-            .signature_size(32)
-            .hash_seed(17)
-            .budget(RunBudget::none().with_max_dominance_tests(tests));
-        for threads in [1, 2, 4, 8] {
-            let (r, _) = cfg
-                .clone()
-                .threads(threads)
-                .run_index_based(&ds, &prefs)
-                .unwrap();
-            assert!(
-                r.degradation.interrupt.is_none(),
-                "{name}, threads = {threads}: a budget of {tests} tests must suffice"
-            );
-            assert_eq!(r.selected.len(), 5, "{name}, threads = {threads}");
+            assert_eq!(charged(threads, u64::MAX), tests, "{name}, threads = {threads}");
+            assert_eq!(charged(threads, tests), tests, "{name}, threads = {threads}");
         }
     }
 }
@@ -147,17 +133,10 @@ fn full_pipeline_is_bit_identical_across_thread_counts() {
     ] {
         let cfg = SkyDiver::new(5).signature_size(64).hash_seed(14);
         let seq = cfg.run(&ds, &prefs).unwrap();
-        let (seq_ib, _) = cfg.run_index_based(&ds, &prefs).unwrap();
         for threads in THREADS {
-            let t_cfg = cfg.clone().threads(threads);
-            let par = t_cfg.run(&ds, &prefs).unwrap();
-            assert_eq!(seq.selected, par.selected, "{name} run, threads = {threads}");
-            assert_eq!(seq.scores, par.scores, "{name} run, threads = {threads}");
-            let (par_ib, _) = t_cfg.run_index_based(&ds, &prefs).unwrap();
-            assert_eq!(seq_ib.selected, par_ib.selected, "{name} IB, threads = {threads}");
-            assert_eq!(seq_ib.scores, par_ib.scores, "{name} IB, threads = {threads}");
-            let auto = t_cfg.run_auto(&ds, &prefs).unwrap();
-            assert_eq!(seq_ib.selected, auto.selected, "{name} auto, threads = {threads}");
+            let par = cfg.clone().threads(threads).run(&ds, &prefs).unwrap();
+            assert_eq!(seq.selected, par.selected, "{name}, threads = {threads}");
+            assert_eq!(seq.scores, par.scores, "{name}, threads = {threads}");
         }
     }
 }
@@ -177,14 +156,16 @@ fn budgets_trip_on_every_parallel_path() {
     let int = r.degradation.interrupt.as_ref().expect("IF budget must trip");
     assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
 
-    // Index-based parallel fingerprinting under the same budget.
-    let (r, _) = SkyDiver::new(4)
-        .signature_size(32)
-        .threads(4)
-        .budget(RunBudget::none().with_max_dominance_tests(500))
-        .run_index_based(&ds, &prefs)
-        .unwrap();
-    let int = r.degradation.interrupt.as_ref().expect("IB budget must trip");
+    // Index-based parallel fingerprinting (SigGen-IB/A) under the same
+    // budget.
+    let sky = sfs(&ds, &MinDominance);
+    let pts: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+    let tree = RTree::bulk_load(&ds, DEFAULT_PAGE_SIZE);
+    let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(500));
+    let fam = HashFamily::new(32, 0);
+    let (_, _, _, int) =
+        sig_gen_ib_parallel_budgeted(&tree, &mut BufferPool::new(1 << 20), &pts, &fam, 4, &ctx);
+    let int = int.expect("IB budget must trip");
     assert!(matches!(int.reason, StopReason::DominanceBudgetExhausted { .. }));
 
     // Selection under cancellation at every thread count: the pipeline

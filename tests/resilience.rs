@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use skydiver::data::generators;
 use skydiver::{
-    CancelToken, DegradationEvent, ExecPhase, FaultInjection, Preference, RunBudget, SkyDiver,
-    SkyDiverError, StopReason,
+    CancelToken, DegradationEvent, ExecPhase, Preference, RunBudget, SkyDiver, SkyDiverError,
+    StopReason,
 };
 
 /// A short deadline over a 100k-point dataset stops promptly and returns
@@ -92,33 +92,6 @@ fn cancelled_selection_returns_the_unbudgeted_prefix() {
         .iter()
         .any(|e| matches!(e, DegradationEvent::SelectionCurtailed { selected, requested }
             if *selected == k - 1 && *requested == k)));
-}
-
-/// Buffer-pool read failure → typed error from the index-based path →
-/// `run_auto` degrades to index-free and records the fallback.
-#[test]
-fn page_read_failure_degrades_to_index_free() {
-    let ds = generators::independent(20_000, 3, 43);
-    let prefs = Preference::all_min(3);
-    let pipeline = SkyDiver::new(4)
-        .signature_size(32)
-        .hash_seed(11)
-        .fault_injection(FaultInjection::one_in(2, 99));
-    let err = pipeline.run_index_based(&ds, &prefs).unwrap_err();
-    assert!(matches!(err, SkyDiverError::IndexReadFailure { .. }));
-    let r = pipeline.run_auto(&ds, &prefs).unwrap();
-    assert_eq!(r.selected.len(), 4);
-    assert!(matches!(
-        r.degradation.events.first(),
-        Some(DegradationEvent::IndexFreeFallback { .. })
-    ));
-    // The fallback result matches a run that never saw the index.
-    let plain = SkyDiver::new(4)
-        .signature_size(32)
-        .hash_seed(11)
-        .run(&ds, &prefs)
-        .unwrap();
-    assert_eq!(r.selected, plain.selected);
 }
 
 /// No usable LSH banding → error by default, MinHash fallback when
