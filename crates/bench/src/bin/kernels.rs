@@ -33,6 +33,15 @@
 //!   (informational, no floor): the codec's layer row, which the
 //!   serving benchmark's traced replay cannot show because it frames and
 //!   FNV-hashes every replayed `FOLD` reply as well,
+//! * **skyline extension** — a chain of `append-refold` extensions (ANT
+//!   50k, d = 3, seed 91, then 64-row blocks shifted by 0.02; the shape
+//!   does not depend on `--scale`): before, one SFS over the members
+//!   then each block; after, [`SkylineState::extend`], which tests only
+//!   the block's skyline against the members' pack and the members
+//!   against the rows that enter (informational, no floor; it asserts
+//!   equal ids at every block). The serving benchmark's replay runs a
+//!   whole-dataset SFS per query, so its `skyline.sfs_ms` cannot show
+//!   the extension,
 //! * **run** — end-to-end `SkyDiver::run` wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
@@ -60,12 +69,14 @@ use skydiver_core::minhash::{
     fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if,
     sig_gen_if_generic, DominancePlan, HashFamily,
 };
-use skydiver_core::{ShardFingerprint, SignatureAccumulator, SignatureMatrix, SkyDiver};
+use skydiver_core::{
+    ShardFingerprint, SignatureAccumulator, SignatureMatrix, SkyDiver, SkylineState,
+};
 use skydiver_data::digest::fnv1a64;
 use skydiver_data::dominance::{DominanceOrd, MinDominance};
-use skydiver_data::{Dataset, DatasetView, Preference};
+use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 use skydiver_rtree::{BufferPool, RTree};
-use skydiver_skyline::sfs;
+use skydiver_skyline::{sfs, sfs_by};
 
 /// Skyline points used by the kernel benchmarks (capped so the scalar
 /// reference finishes quickly at any scale).
@@ -394,6 +405,83 @@ fn bench_bundle_codec() -> Pair {
     Pair { name: "fold_bundle_codec_t64_m372", before_ms: before_ms / reps, after_ms: after_ms / reps }
 }
 
+/// The `append-refold` shape: ANT rows, dimensionality and data seed,
+/// then blocks of rows, each ANT data (seed `10_000 + b`) shifted up.
+const EXTEND_ROWS: usize = 50_000;
+const EXTEND_DIMS: usize = 3;
+const EXTEND_SEED: u64 = 91;
+const EXTEND_BLOCK_ROWS: usize = 64;
+const EXTEND_SHIFT: f64 = 0.02;
+/// Blocks in the timed chain.
+const EXTEND_BLOCKS: usize = 100;
+
+/// A chain of [`EXTEND_BLOCKS`] skyline extensions on the
+/// `append-refold` shape, for the whole chain. Before: each block
+/// extends the skyline by one SFS over the members, then the block's
+/// rows — every member tested against the others again. After:
+/// [`SkylineState::extend`]. Both are checked to list the same ids
+/// after every block. Informational: the layer row of the skyline
+/// extension, which the serving benchmark's replay cannot show because
+/// it runs a whole-dataset SFS per query.
+fn bench_skyline_extend() -> Pair {
+    let prefs = Preference::all_min(EXTEND_DIMS);
+    let data = Family::Ant.generate(EXTEND_ROWS, EXTEND_DIMS, EXTEND_SEED);
+    let mut sd = ShardedDataset::from_dataset(data);
+    let start = SkylineState::compute(&sd, &prefs).expect("finite data");
+    let mut grown = Vec::with_capacity(EXTEND_BLOCKS);
+    for b in 0..EXTEND_BLOCKS {
+        let raw = Family::Ant.generate(EXTEND_BLOCK_ROWS, EXTEND_DIMS, 10_000 + b as u64);
+        let shifted = raw.as_flat().iter().map(|v| v + EXTEND_SHIFT).collect();
+        sd.push_shard(Dataset::from_flat(EXTEND_DIMS, shifted));
+        grown.push(sd.clone());
+    }
+
+    let sfs_chain = |on_step: &mut dyn FnMut(&[usize])| {
+        let (mut ids, mut points) = (start.ids().to_vec(), start.points().clone());
+        for sd in &grown {
+            let last = sd.num_shards() - 1;
+            let (block, base) = (sd.shard(last), sd.base(last));
+            let m = ids.len();
+            let candidate = |k: usize| -> (usize, &[f64]) {
+                match k.checked_sub(m) {
+                    None => (ids[k], points.point(k)),
+                    Some(r) => (base + r, block.point(r)),
+                }
+            };
+            let keep = sfs_by(m + block.len(), |k| candidate(k).1, &MinDominance);
+            let mut next = Dataset::with_capacity(EXTEND_DIMS, keep.len());
+            let next_ids: Vec<usize> = keep
+                .iter()
+                .map(|&k| {
+                    let (id, p) = candidate(k);
+                    next.push(p);
+                    id
+                })
+                .collect();
+            (ids, points) = (next_ids, next);
+            on_step(&ids);
+        }
+    };
+    let extend_chain = |on_step: &mut dyn FnMut(&[usize])| {
+        let mut state = start.clone();
+        for sd in &grown {
+            state = state.extend(sd, &prefs).expect("finite data");
+            on_step(state.ids());
+        }
+    };
+
+    let mut want = Vec::with_capacity(EXTEND_BLOCKS);
+    sfs_chain(&mut |ids| want.push(ids.to_vec()));
+    let mut step = 0;
+    extend_chain(&mut |ids| {
+        assert_eq!(ids, want[step], "the extension and SFS part at block {step}");
+        step += 1;
+    });
+    let before_ms = best_of(3, || sfs_chain(&mut |ids| _ = black_box(ids)));
+    let after_ms = best_of(5, || extend_chain(&mut |ids| _ = black_box(ids)));
+    Pair { name: "skyline_extend_ant_d3", before_ms, after_ms }
+}
+
 fn bench_run(ds: &Dataset, threads: usize) -> f64 {
     let prefs = Preference::all_min(ds.dims());
     let cfg = SkyDiver::new(10).signature_size(64).hash_seed(3).threads(threads);
@@ -479,7 +567,7 @@ fn main() -> ExitCode {
         hamming,
         bench_ib(&ind, 74),
     ];
-    let info = vec![bench_plan_walk(n, 73)];
+    let info = vec![bench_plan_walk(n, 73), bench_skyline_extend()];
     let codec = bench_bundle_codec();
     let run_ds = Family::Ind.generate(n.min(100_000), 3, 75);
     let run1 = bench_run(&run_ds, 1);

@@ -74,8 +74,8 @@ pub use graph::DominanceGraph;
 pub use lp_baselines::{distance_based_representatives, EuclideanDistance};
 pub use lsh::{LshIndex, LshParams};
 pub use minhash::{
-    diversify_generic, fold_shard, fold_shard_planned, scan_columns_budgeted, sig_gen_ib,
-    sig_gen_ib_budgeted, sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted, sig_gen_if,
+    diversify_generic, fold_shard, fold_shard_planned, scan_columns_budgeted, scan_pack_budgeted,
+    sig_gen_ib, sig_gen_ib_budgeted, sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted, sig_gen_if,
     sig_gen_if_budgeted, sig_gen_if_generic, DominancePlan, HashFamily, ShardFingerprint,
     ShardFold, SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };

@@ -136,7 +136,7 @@ pub fn scan_columns_budgeted(
     let pack = &SkylinePack::pack(view.dims(), cols.iter().copied());
     let threads = threads.max(1);
     if threads == 1 || view.len() < 2 * threads {
-        return scan_view(view, skip, pack, family, ctx, acc);
+        return scan_pack_budgeted(view, skip, pack, family, ctx, acc);
     }
 
     let chunk = view.len().div_ceil(threads);
@@ -144,14 +144,14 @@ pub fn scan_columns_budgeted(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for range in 0..threads {
-            // lint: allow(R2) -- spawns exactly `threads` scoped workers;
-            // each worker's fold_rows polls the shared ctx per row
+            // Spawns exactly `threads` scoped workers; each worker's
+            // fold_rows polls the shared ctx per row.
             let lo = (range * chunk).min(view.len());
             let hi = ((range + 1) * chunk).min(view.len());
             handles.push(scope.spawn(move || {
                 let mut part = SignatureAccumulator::new(t, m);
                 let (sub, sub_skip) = (view.slice(lo, hi), &skip[lo..hi]);
-                let int = scan_view(sub, sub_skip, pack, family, ctx, &mut part);
+                let int = scan_pack_budgeted(sub, sub_skip, pack, family, ctx, &mut part);
                 (part, int)
             }));
         }
@@ -169,11 +169,17 @@ pub fn scan_columns_budgeted(
     interrupt
 }
 
-/// Folds one range of [`scan_columns_budgeted`] through the pack. It is
-/// a function of its own, with the shape checks restated next to the
-/// row loop, because the same fold written as a closure inside
-/// `scan_columns_budgeted` compiled ~1.3× slower.
-fn scan_view(
+/// [`scan_columns_budgeted`] on the caller thread over columns already
+/// packed: for a caller that folds several views against the same
+/// columns and packs them once. Each range of `scan_columns_budgeted`
+/// runs through it too. It is a function of its own, with the shape
+/// checks restated next to the row loop, because the same fold written
+/// as a closure inside `scan_columns_budgeted` compiled ~1.3× slower.
+///
+/// # Panics
+/// Panics if `skip.len() != view.len()` or the accumulator shape does
+/// not match `(family.len(), pack.len())`.
+pub fn scan_pack_budgeted(
     view: DatasetView<'_>,
     skip: &[bool],
     pack: &SkylinePack,

@@ -8,18 +8,24 @@
 //! the skyline of `sky(A) ∪ B`, because a row of `A` dominated within
 //! `A` stays dominated in the union and, by transitivity, anything it
 //! would have dominated is dominated by the skyline member above it.
-//! [`SkylineState::extend`] uses exactly that: one SFS over the old
-//! members plus the new rows, `O((m + a)·m)` instead of a full
+//! [`SkylineState::extend`] goes further and never compares two members:
+//! they are pairwise incomparable already. It takes the skyline of the
+//! `a` appended rows alone, tests those survivors against one
+//! [`SkylinePack`] of the `m` members (the prefix-bounded 64-lane scan),
+//! and tests each member only against the rows that enter: `O(a·m)`
+//! prefix-bounded tests plus an SFS over the `a` rows, instead of an
+//! SFS over all `m + a` candidates (`O((m + a)·m)`) or a full
 //! `O(n log n + n·m)` pass over the grown data.
 
 use std::borrow::Cow;
 
 use skydiver_data::dominance::MinDominance;
-use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
+use skydiver_data::{Dataset, DatasetView, DominanceOrd, Preference, ShardedDataset};
 use skydiver_skyline::sfs_by;
 
 use crate::canonical::canonicalise_shard;
 use crate::error::{Result, SkyDiverError};
+use crate::kernels::SkylinePack;
 
 /// The skyline of the first [`covered_rows`](SkylineState::covered_rows)
 /// rows of a dataset in canonical min-space: the ascending global ids of
@@ -81,36 +87,56 @@ impl SkylineState {
 
     /// `self` extended over `rows`: the canonical rows after
     /// `covered_rows`, in global id order.
+    ///
+    /// A new row enters when no other new row and no member dominates
+    /// it; a member stays when no entering row dominates it. That last
+    /// test suffices: dominance is a strict partial order, so a new row
+    /// dominating a member is itself an entering row or dominated by
+    /// one, which then dominates the member too — and no member
+    /// dominates another.
     pub(crate) fn extend_canonical(&self, rows: &[DatasetView<'_>]) -> Self {
-        // Candidates by position: the old members first (all below
-        // `covered_rows`), then the new rows block by block; `firsts[b]`
-        // is the position of block `b`'s first row.
+        // The new rows by position, block by block: `firsts[b]` is the
+        // position of block `b`'s first row.
         let mut firsts = Vec::with_capacity(rows.len());
-        let mut n = self.ids.len();
+        let mut added = 0;
         for r in rows {
-            firsts.push(n);
-            n += r.len();
+            firsts.push(added);
+            added += r.len();
         }
-        let candidate = |k: usize| -> (usize, &[f64]) {
-            if k < self.ids.len() {
-                return (self.ids[k], self.points.point(k));
-            }
+        let row = |k: usize| -> (usize, &[f64]) {
             // The last block starting at or before `k` holds it: an
             // empty block starts where its successor does, or past the
-            // last candidate.
+            // last row.
             let b = firsts.partition_point(|&f| f <= k) - 1;
             let r = k - firsts[b];
             (rows[b].global_id(r), rows[b].point(r))
         };
-        let keep = sfs_by(n, |k| candidate(k).1, &MinDominance);
-        let mut ids = Vec::with_capacity(keep.len());
-        let mut points = Dataset::with_capacity(self.points.dims(), keep.len());
-        for k in keep {
-            let (id, p) = candidate(k);
+        let dims = self.points.dims();
+        let pack = SkylinePack::pack(dims, self.points.iter());
+        let mut dominators = Vec::new();
+        let entering: Vec<usize> = sfs_by(added, |k| row(k).1, &MinDominance)
+            .into_iter()
+            .filter(|&k| {
+                dominators.clear();
+                pack.dominators_into(row(k).1, &mut dominators);
+                dominators.is_empty()
+            })
+            .collect();
+        // Every entering id is at least `covered_rows`, above every
+        // member's, so the survivors then the entering rows ascend.
+        let mut ids = Vec::with_capacity(self.ids.len() + entering.len());
+        let mut points = Dataset::with_capacity(dims, self.ids.len() + entering.len());
+        for (&id, p) in self.ids.iter().zip(self.points.iter()) {
+            if !entering.iter().any(|&k| MinDominance.dominates(row(k).1, p)) {
+                ids.push(id);
+                points.push(p);
+            }
+        }
+        for k in entering {
+            let (id, p) = row(k);
             ids.push(id);
             points.push(p);
         }
-        let added: usize = rows.iter().map(|r| r.len()).sum();
         SkylineState {
             ids,
             points,
@@ -151,6 +177,16 @@ mod tests {
     use super::*;
     use skydiver_data::generators::{anticorrelated, correlated, independent};
     use skydiver_skyline::{naive_skyline, sfs};
+
+    /// `state` covers all of `union` (canonical rows) and equals its
+    /// naive skyline: ids and canonical points.
+    fn assert_union(state: &SkylineState, union: &Dataset, what: &str) {
+        assert_eq!(state.covered_rows(), union.len(), "{what}");
+        assert_eq!(state.ids(), naive_skyline(union, &MinDominance), "{what}");
+        for (j, &id) in state.ids().iter().enumerate() {
+            assert_eq!(state.points().point(j), union.point(id), "{what}");
+        }
+    }
 
     fn split(ds: &Dataset, at: usize) -> (Dataset, Dataset) {
         let mut a = Dataset::with_capacity(ds.dims(), at);
@@ -211,29 +247,152 @@ mod tests {
 
     #[test]
     fn max_preferences_extend_in_canonical_space() {
-        let ds = independent(300, 3, 9);
-        let prefs = vec![Preference::Max, Preference::Min, Preference::Max];
-        let canon = crate::canonical::canonicalise(&ds, &prefs).unwrap();
-        let (a, b) = split(&ds, 120);
-        let mut sd = ShardedDataset::from_dataset(a);
-        let old = SkylineState::compute(&sd, &prefs).unwrap();
-        sd.push_shard(b);
-        let grown = old.extend(&sd, &prefs).unwrap();
-        assert_eq!(grown.ids(), naive_skyline(canon.as_ref(), &MinDominance));
-        for (j, &id) in grown.ids().iter().enumerate() {
-            assert_eq!(grown.points().point(j), canon.point(id));
+        for dims in 2..=5 {
+            let ds = independent(300, dims, 9 + dims as u64);
+            let prefs: Vec<Preference> = (0..dims)
+                .map(|k| if k % 2 == 0 { Preference::Max } else { Preference::Min })
+                .collect();
+            let canon = crate::canonical::canonicalise(&ds, &prefs).unwrap();
+            let (a, b) = split(&ds, 120);
+            let mut sd = ShardedDataset::from_dataset(a);
+            let old = SkylineState::compute(&sd, &prefs).unwrap();
+            sd.push_shard(b);
+            let grown = old.extend(&sd, &prefs).unwrap();
+            assert_union(&grown, canon.as_ref(), &format!("max d={dims}"));
         }
     }
 
     #[test]
     fn coverage_may_end_inside_a_shard() {
-        let ds = anticorrelated(200, 2, 3);
-        let prefs = Preference::all_min(2);
-        let (a, _) = split(&ds, 70);
-        let old = SkylineState::compute(&ShardedDataset::from_dataset(a), &prefs).unwrap();
-        let sd = ShardedDataset::partition(&ds, 2);
+        for dims in 2..=5 {
+            let ds = anticorrelated(400, dims, 3 + dims as u64);
+            let prefs = Preference::all_min(dims);
+            let (a, _) = split(&ds, 70);
+            let old = SkylineState::compute(&ShardedDataset::from_dataset(a), &prefs).unwrap();
+            // Coverage ends 70 rows into the first of four shards, so one
+            // extension takes the rest of it and three whole shards.
+            let sd = ShardedDataset::partition(&ds, 4);
+            let grown = old.extend(&sd, &prefs).unwrap();
+            assert_union(&grown, &ds, &format!("mid-shard d={dims}"));
+        }
+    }
+
+    /// `dims`-dimensional rows whose coordinates are 0 in dimension
+    /// `k` and 1 elsewhere, one per `k`: incomparable with each other
+    /// and with any row strictly inside the unit cube.
+    fn corners(dims: usize) -> Dataset {
+        let mut ds = Dataset::with_capacity(dims, dims);
+        for k in 0..dims {
+            let row: Vec<f64> = (0..dims).map(|i| if i == k { 0.0 } else { 1.0 }).collect();
+            ds.push(&row);
+        }
+        ds
+    }
+
+    /// `state` extended over `b` appended as one shard to the rows it
+    /// covers (`a`), checked against the naive skyline of `a ∪ b`.
+    fn extend_by(a: &Dataset, b: &Dataset, what: &str) -> SkylineState {
+        let prefs = Preference::all_min(a.dims());
+        let mut sd = ShardedDataset::from_dataset(a.clone());
+        let old = SkylineState::compute(&sd, &prefs).unwrap();
+        sd.push_shard(b.clone());
         let grown = old.extend(&sd, &prefs).unwrap();
-        assert_eq!(grown.ids(), naive_skyline(&ds, &MinDominance));
+        assert_union(&grown, &sd.concat(), what);
+        grown
+    }
+
+    #[test]
+    fn an_appended_copy_of_a_member_joins_it() {
+        for dims in 2..=5 {
+            let a = anticorrelated(200, dims, 40 + dims as u64);
+            let sky = naive_skyline(&a, &MinDominance);
+            let mut b = Dataset::with_capacity(dims, 2);
+            b.push(a.point(sky[0]));
+            b.push(a.point(sky[sky.len() / 2]));
+            let grown = extend_by(&a, &b, &format!("copy d={dims}"));
+            assert_eq!(grown.ids().len(), sky.len() + 2, "d={dims}");
+        }
+    }
+
+    #[test]
+    fn a_score_tie_across_the_boundary_keeps_the_dominator() {
+        for dims in 2..=5 {
+            // Halving pads, then 0.1 or 0.1 + 1e-17 last: the pair's
+            // coordinate sums round to the same f64, and the row ending
+            // in 0.1 dominates the other.
+            let pair = |last: f64| -> Vec<f64> {
+                let mut row: Vec<f64> = (0..dims - 1).map(|k| 0.5 / f64::powi(2.0, k as i32)).collect();
+                row.push(last);
+                row
+            };
+            let (low, high) = (pair(0.1), pair(0.1 + 1e-17));
+            assert!(MinDominance.dominates(&low, &high), "d={dims}");
+            assert_eq!(low.iter().sum::<f64>(), high.iter().sum::<f64>(), "d={dims}");
+            for (member, appended) in [(&low, &high), (&high, &low)] {
+                let mut a = corners(dims);
+                a.push(member);
+                let b = Dataset::from_flat(dims, appended.clone());
+                let grown = extend_by(&a, &b, &format!("tie d={dims}"));
+                assert!(grown.points().iter().any(|p| p == low.as_slice()), "d={dims}");
+                assert!(grown.points().iter().all(|p| p != high.as_slice()), "d={dims}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_entering_row_displaces_several_members() {
+        for dims in 2..=5 {
+            let a = anticorrelated(300, dims, 60 + dims as u64);
+            let sky = naive_skyline(&a, &MinDominance);
+            // The coordinate-wise minimum of three members dominates all
+            // three: they are incomparable, so it is below each somewhere.
+            let picked = [sky[0], sky[sky.len() / 2], sky[sky.len() - 1]];
+            let low: Vec<f64> = (0..dims)
+                .map(|k| picked.iter().map(|&i| a.point(i)[k]).fold(f64::INFINITY, f64::min))
+                .collect();
+            let grown = extend_by(&a, &Dataset::from_flat(dims, low), &format!("displace d={dims}"));
+            assert!(grown.ids().len() + 2 <= sky.len(), "d={dims}");
+            assert!(picked.iter().all(|i| !grown.ids().contains(i)), "d={dims}");
+        }
+    }
+
+    #[test]
+    fn appended_rows_that_dominate_each_other() {
+        for dims in 2..=5 {
+            let a = anticorrelated(300, dims, 80 + dims as u64);
+            let sky = naive_skyline(&a, &MinDominance);
+            let (p, q) = (a.point(sky[0]), a.point(sky[sky.len() - 1]));
+            // A chain below the first pair of members (the lowest row
+            // enters), a chain above every row (none enters), and a
+            // member shifted up (dominated by that member only).
+            let mut b = Dataset::with_capacity(dims, 7);
+            for step in [0.02, 0.01, 0.0] {
+                let row: Vec<f64> = p.iter().zip(q).map(|(x, y)| x.min(*y) - 0.05 + step).collect();
+                b.push(&row);
+            }
+            for step in [0.3, 0.2, 0.1] {
+                b.push(&vec![1.0 + step; dims]);
+            }
+            let shifted: Vec<f64> = p.iter().map(|x| x + 1e-3).collect();
+            b.push(&shifted);
+            extend_by(&a, &b, &format!("chains d={dims}"));
+        }
+    }
+
+    #[test]
+    fn a_chain_of_shifted_blocks_matches_at_every_step() {
+        for dims in 2..=5 {
+            let prefs = Preference::all_min(dims);
+            let mut sd = ShardedDataset::from_dataset(anticorrelated(150, dims, 90 + dims as u64));
+            let mut state = SkylineState::compute(&sd, &prefs).unwrap();
+            for block in 0..50u64 {
+                let raw = anticorrelated(16, dims, 1_000 + block);
+                let shifted: Vec<f64> = raw.as_flat().iter().map(|v| v + 0.02).collect();
+                sd.push_shard(Dataset::from_flat(dims, shifted));
+                state = state.extend(&sd, &prefs).unwrap();
+                assert_union(&state, &sd.concat(), &format!("chain d={dims} block={block}"));
+            }
+        }
     }
 
     #[test]

@@ -58,9 +58,10 @@ use std::time::{Duration, Instant};
 use skydiver_cluster::frame;
 use skydiver_cluster::rendezvous;
 use skydiver_cluster::{DeadlineBudget, Membership};
+use skydiver_core::kernels::SkylinePack;
 use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures};
 use skydiver_core::{
-    canonicalise, fold_shard_planned, scan_columns_budgeted, CancelToken, DominancePlan,
+    canonicalise, fold_shard_planned, scan_pack_budgeted, CancelToken, DominancePlan,
     ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
     ShardFold, SignatureAccumulator, StopReason,
 };
@@ -804,7 +805,9 @@ impl ShardHost {
     /// memoised dominance plan). The shards run one after another under
     /// the one `ctx`, so a dominance budget trips on the row a walk
     /// shard by shard trips on, and the walk stops at the first trip or
-    /// lost shard. A complete full fold is queued for the store, but
+    /// lost shard. The column-delta shards come first in shard order
+    /// and share one accumulator ([`fold_delta`](Self::fold_delta)). A
+    /// complete full fold is queued for the store, but
     /// enters the LRU only on a plan that inherits nothing: an inherited
     /// fingerprint covers a fold made to extend it, and nothing reads
     /// that fold again. Bumps no query counter.
@@ -816,16 +819,20 @@ impl ShardHost {
         ctx: &ExecContext,
     ) -> Folded {
         let mut folded = Folded::default();
-        for (&(shard, _), hosted) in shards.iter().zip(self.lookup(job, plan, shards)) {
-            let from = plan.columns_from(shard);
-            let leg = hosted.and_then(|hosted| match from {
-                Some(from) => self.fold_delta(job, &hosted, from, ctx),
-                None => self.fold_full(job, shard, hosted, !plan.inherited, ctx),
-            });
-            folded.absorb(shard, leg, from.is_some());
+        let hosted = self.lookup(job, plan, shards);
+        let mut legs = shards.iter().map(|&(shard, _)| shard).zip(hosted);
+        let deltas = shards.partition_point(|&(shard, _)| plan.columns_from(shard).is_some());
+        if let Some(from) = plan.columns_from {
+            self.fold_delta(job, legs.by_ref().take(deltas), from, ctx, &mut folded);
+        }
+        for (shard, hosted) in legs {
             if folded.interrupt.is_some() {
                 break;
             }
+            let leg = hosted.and_then(|hosted| {
+                self.fold_full(job, shard, hosted, !plan.inherited, ctx)
+            });
+            folded.absorb(shard, leg, false);
         }
         folded
     }
@@ -870,7 +877,8 @@ impl ShardHost {
 
         let canon = canonicalise(&data, job.prefs).map_err(|e| e.to_string())?;
         let sview = DatasetView::with_base(canon.as_ref(), base);
-        let skip = skyline_mask(job.ids, base, data.len());
+        let mut skip = Vec::new();
+        skyline_mask(job.ids, base, data.len(), &mut skip);
         let plan = match cached {
             Some(_) => None,
             None => self.cold_plan(job, shard, shard_hash, sview, &skip, ctx),
@@ -917,44 +925,71 @@ impl ShardHost {
         })
     }
 
-    /// A column delta of one shard: its rows folded over only the
-    /// columns of skyline members at global row `from` or later, with
-    /// the whole skyline's skip mask, by the packed scan. It never reads
-    /// or writes the LRU, the store or the plan memo: the slice is not
-    /// the shard's fold. A trip returns an empty accumulator and 0 rows
-    /// scanned, as a trip inside a plan does.
+    /// The column delta over `shards` — `(shard, lookup)` pairs in
+    /// shard order — absorbed into `folded` as one leg: their rows
+    /// folded over only the columns of skyline members at global row
+    /// `from` or later, with the whole skyline's skip mask, by the
+    /// packed scan. The columns are packed once and every shard is
+    /// scanned into one accumulator, the walk stopping at the first
+    /// trip or lost shard. It never reads or writes the LRU, the store
+    /// or the plan memo: the slice is not a shard's fold. A trip leaves
+    /// an empty accumulator and 0 rows scanned, as a trip inside a plan
+    /// does; a lost shard absorbs as lost, after the tests charged
+    /// before it.
     fn fold_delta(
         &self,
         job: &FoldJob<'_>,
-        hosted: &HostedShard,
+        shards: impl Iterator<Item = (usize, Result<HostedShard, String>)>,
         from: usize,
         ctx: &ExecContext,
-    ) -> Result<Leg, String> {
-        let (base, data) = (hosted.base, &hosted.data);
-        let canon = canonicalise(data, job.prefs).map_err(|e| e.to_string())?;
-        let sview = DatasetView::with_base(canon.as_ref(), base);
-        let skip = skyline_mask(job.ids, base, data.len());
+        folded: &mut Folded,
+    ) {
         let columns = job.ids_from(from);
         let cols = &job.cols[job.ids.len() - columns.len()..];
+        let pack = SkylinePack::pack(job.points.dims(), cols.iter().copied());
         let fresh = || SignatureAccumulator::new(job.family.len(), columns.len());
         let mut acc = fresh();
+        let mut skip = Vec::new();
         let before = ctx.dominance_tests();
-        let interrupt = scan_columns_budgeted(sview, cols, &skip, &job.family, 1, ctx, &mut acc);
-        if interrupt.is_some() {
-            acc = fresh();
+        let (mut last, mut interrupt) = (None, None);
+        for (shard, hosted) in shards {
+            last = Some(shard);
+            let scanned = hosted.and_then(|hosted| {
+                let canon = canonicalise(&hosted.data, job.prefs).map_err(|e| e.to_string())?;
+                let sview = DatasetView::with_base(canon.as_ref(), hosted.base);
+                skyline_mask(job.ids, hosted.base, hosted.data.len(), &mut skip);
+                Ok(scan_pack_budgeted(sview, &skip, &pack, &job.family, ctx, &mut acc))
+            });
+            match scanned {
+                Ok(None) => {}
+                Ok(Some(int)) => {
+                    acc = fresh();
+                    interrupt = Some(int);
+                    break;
+                }
+                Err(e) => {
+                    folded.tests += ctx.dominance_tests() - before;
+                    folded.absorb(shard, Err(e), true);
+                    return;
+                }
+            }
         }
+        let Some(last) = last else {
+            return;
+        };
         let scanned = acc.rows_consumed;
         let fold = Arc::new(ShardFingerprint {
             columns: columns.to_vec(),
             acc,
         });
-        Ok(Leg {
+        let leg = Leg {
             fold,
             reused: false,
             tests: ctx.dominance_tests() - before,
             scanned,
             interrupt,
-        })
+        };
+        folded.absorb(last, Ok(leg), true);
     }
 
     /// `FOLD`: decode the coordinator's request (its skyline ids and
@@ -1151,19 +1186,20 @@ fn pull_artefact(
         .ok()
 }
 
-/// The skip mask of a shard of `len` rows from global row `base`:
-/// `true` at the rows of the skyline members `ids` (ascending).
-fn skyline_mask(ids: &[usize], base: usize, len: usize) -> Vec<bool> {
+/// Fills `skip` with the skip mask of a shard of `len` rows from global
+/// row `base`: `true` at the rows of the skyline members `ids`
+/// (ascending).
+fn skyline_mask(ids: &[usize], base: usize, len: usize, skip: &mut Vec<bool>) {
     // The ids are ascending: only the run inside the shard marks it.
     let inside = ids.partition_point(|&id| id < base)
         ..ids.partition_point(|&id| id < base.saturating_add(len));
-    let mut skip = vec![false; len];
+    skip.clear();
+    skip.resize(len, false);
     for &id in ids.get(inside).unwrap_or_default() {
         if let Some(s) = id.checked_sub(base).and_then(|r| skip.get_mut(r)) {
             *s = true;
         }
     }
-    skip
 }
 
 /// Extracts `key=<u64>` from a space-separated `key=value` response

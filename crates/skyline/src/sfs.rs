@@ -9,10 +9,9 @@
 //! point can dominate.
 //!
 //! [`sfs_by`] runs the same filter over candidates the caller
-//! addresses by position. That is what makes a skyline *extensible*:
-//! the skyline of `A ∪ B` equals the skyline of `sky(A) ∪ B`, so the
-//! skyline of a grown dataset is one pass over the old members plus the
-//! new rows.
+//! addresses by position, so a caller can take the skyline of rows it
+//! never copies into one dataset — the appended rows of a sharded
+//! dataset, say, before testing them against the old members.
 
 use std::cmp::Ordering;
 
@@ -47,9 +46,14 @@ where
 /// position: `point(k)` is candidate `k`. Returns the positions of the
 /// skyline members in ascending order.
 ///
-/// Positions are the caller's to map: listing the skyline of `A` and
-/// then the rows of `B` yields the skyline of `A ∪ B`, in `O((m + b)·m)`
-/// dominance tests for an old skyline of `m` points and `b` new rows.
+/// Positions are the caller's to map. Listing the skyline of `A` and
+/// then the rows of `B` yields the skyline of `A ∪ B`, but at
+/// `O((m + b)·m)` dominance tests for an old skyline of `m` points and
+/// `b` new rows, because the `m` members, pairwise incomparable
+/// already, are tested against each other again. Growing a skyline by
+/// `B` costs `O(b log b + b·m)` instead when this runs over the rows of
+/// `B` alone and only the survivors are tested against the members
+/// (`SkylineState::extend` in `skydiver-core`).
 pub fn sfs_by<'p, O, P>(n: usize, point: P, ord: &O) -> Vec<usize>
 where
     O: DominanceOrd<Item = [f64]>,
