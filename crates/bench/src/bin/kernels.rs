@@ -42,6 +42,14 @@
 //!   equal ids at every block). The serving benchmark's replay runs a
 //!   whole-dataset SFS per query, so its `skyline.sfs_ms` cannot show
 //!   the extension,
+//! * **column delta** — the same shape's old rows (base plus 100
+//!   blocks) folded at t = 64 over the columns that enter the skyline:
+//!   before, the row fold (each row's dominators listed by the pack);
+//!   after, [`RowBlockScan`], one dominance mask per 64 rows and column
+//!   (informational, no floor; it asserts equal accumulators and
+//!   charges). `column_delta_ant_d3` has one entering column, as most
+//!   `append-refold` deltas do; `column_delta_ant_d5` has 50, where
+//!   turning the lanes to rows gains least,
 //! * **run** — end-to-end `SkyDiver::run` wall clock at 1 vs 4 threads
 //!   (informational: depends on the core count).
 //!
@@ -66,11 +74,11 @@ use skydiver_core::budget::ExecContext;
 use skydiver_core::kernels::{agreement_count, agreement_count_u32, SkylinePack};
 use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures};
 use skydiver_core::minhash::{
-    fold_shard, fold_shard_planned, sig_gen_ib, sig_gen_ib_parallel, sig_gen_if,
-    sig_gen_if_generic, DominancePlan, HashFamily,
+    fold_shard, fold_shard_planned, scan_columns_budgeted, sig_gen_ib, sig_gen_ib_parallel,
+    sig_gen_if, sig_gen_if_generic, DominancePlan, HashFamily, RowBlockScan,
 };
 use skydiver_core::{
-    ShardFingerprint, SignatureAccumulator, SignatureMatrix, SkyDiver, SkylineState,
+    RunBudget, ShardFingerprint, SignatureAccumulator, SignatureMatrix, SkyDiver, SkylineState,
 };
 use skydiver_data::digest::fnv1a64;
 use skydiver_data::dominance::{DominanceOrd, MinDominance};
@@ -482,6 +490,67 @@ fn bench_skyline_extend() -> Pair {
     Pair { name: "skyline_extend_ant_d3", before_ms, after_ms }
 }
 
+/// How far each entering column sits below the skyline member it
+/// displaces, in every coordinate.
+const DELTA_STEP: f64 = 1e-3;
+
+/// One `append-refold` column delta: the ANT base of [`EXTEND_ROWS`]
+/// rows at seed [`EXTEND_SEED`] in `d` dimensions plus
+/// [`EXTEND_BLOCKS`] blocks of [`EXTEND_BLOCK_ROWS`] shifted rows (the
+/// shape does not depend on `--scale`), folded at t = 64 over `entering`
+/// columns with the skyline's skip mask. Each entering column is a
+/// skyline member moved [`DELTA_STEP`] down in every coordinate, so it
+/// displaces that member and dominates all it did. Before: the row fold
+/// ([`scan_columns_budgeted`] on one thread), each row's dominators
+/// listed by [`SkylinePack::dominators_into`]. After:
+/// [`RowBlockScan`], 64 rows per dominance mask. Both pack the columns
+/// inside the timing and charge a counting budget; the run asserts equal
+/// accumulators and charges. Informational: the layer row of the column
+/// delta, which the serving benchmark's traced replay cannot show
+/// because it never takes one; `d = 5` with ~50 columns shows what the
+/// turned lanes cost when the entering columns are many.
+fn bench_column_delta(name: &'static str, d: usize, entering: usize) -> Pair {
+    let mut sd = ShardedDataset::from_dataset(Family::Ant.generate(EXTEND_ROWS, d, EXTEND_SEED));
+    for b in 0..EXTEND_BLOCKS {
+        let raw = Family::Ant.generate(EXTEND_BLOCK_ROWS, d, 10_000 + b as u64);
+        let shifted = raw.as_flat().iter().map(|v| v + EXTEND_SHIFT).collect();
+        sd.push_shard(Dataset::from_flat(d, shifted));
+    }
+    let old = sd.concat();
+    let sky = sfs(&old, &MinDominance);
+    let mut skip = vec![false; old.len()];
+    for &s in &sky {
+        skip[s] = true;
+    }
+    let entering: Vec<Vec<f64>> = (0..entering)
+        .map(|e| {
+            let member = old.point(sky[(2 * e + 1) * sky.len() / (2 * entering)]);
+            member.iter().map(|v| v - DELTA_STEP).collect()
+        })
+        .collect();
+    let cols: Vec<&[f64]> = entering.iter().map(Vec::as_slice).collect();
+    let fam = HashFamily::new(64, EXTEND_SEED);
+    let counting = || ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+    let by_rows = || {
+        let (ctx, mut acc) = (counting(), SignatureAccumulator::new(64, cols.len()));
+        let int = scan_columns_budgeted(old.view(), &cols, &skip, &fam, 1, &ctx, &mut acc);
+        assert!(int.is_none(), "a counting budget never trips");
+        (acc, ctx.dominance_tests())
+    };
+    let by_blocks = || {
+        let (ctx, mut acc) = (counting(), SignatureAccumulator::new(64, cols.len()));
+        let mut scan = RowBlockScan::new(d, &cols, 64);
+        assert!(scan.scan(old.view(), &skip, &fam, &ctx, &mut acc).is_none());
+        (acc, ctx.dominance_tests())
+    };
+    let want = by_rows();
+    assert_eq!(by_blocks(), want, "{name}: the row-block scan and the row fold part");
+    assert!(want.0.scores.iter().all(|&s| s > 0), "{name}: every column dominates");
+    let before_ms = best_of(5, || _ = black_box(by_rows()));
+    let after_ms = best_of(5, || _ = black_box(by_blocks()));
+    Pair { name, before_ms, after_ms }
+}
+
 fn bench_run(ds: &Dataset, threads: usize) -> f64 {
     let prefs = Preference::all_min(ds.dims());
     let cfg = SkyDiver::new(10).signature_size(64).hash_seed(3).threads(threads);
@@ -567,7 +636,12 @@ fn main() -> ExitCode {
         hamming,
         bench_ib(&ind, 74),
     ];
-    let info = vec![bench_plan_walk(n, 73), bench_skyline_extend()];
+    let info = vec![
+        bench_plan_walk(n, 73),
+        bench_skyline_extend(),
+        bench_column_delta("column_delta_ant_d3", 3, 1),
+        bench_column_delta("column_delta_ant_d5", 5, 50),
+    ];
     let codec = bench_bundle_codec();
     let run_ds = Family::Ind.generate(n.min(100_000), 3, 75);
     let run1 = bench_run(&run_ds, 1);

@@ -521,6 +521,64 @@ impl ExecContext {
         }
         Ok(())
     }
+
+    /// Charges `rows` rows of `per_row` dominance tests each, exactly as
+    /// `rows` calls of [`charge_dominance_tests`](Self::charge_dominance_tests)
+    /// `(per_row, phase)` in a row that stop at the first failure: the
+    /// same [`dominance_tests`](Self::dominance_tests) total, the same
+    /// deadline and cancellation polls, and on a trip
+    /// `Err((row, interrupt))`, `row` being the index of the charge that
+    /// tripped — the rows before it are charged and funded. On one
+    /// thread this is exact. On several threads sharing the context the
+    /// total and the limit stay exact, and each thread still polls about
+    /// once per [`CHECK_INTERVAL`](Self::CHECK_INTERVAL) charges.
+    ///
+    /// It costs one update of each counter per poll interval, not per
+    /// row: the whole charge is taken in one step when it fits the
+    /// dominance limit, and the rows are split only at the polling one.
+    /// A charge that could reach the limit is made row by row.
+    pub fn charge_rows(
+        &self,
+        rows: usize,
+        per_row: u64,
+        phase: ExecPhase,
+    ) -> Result<(), (usize, Interrupt)> {
+        if self.budget.is_unlimited() || rows == 0 {
+            return Ok(());
+        }
+        let total = (rows as u64).checked_mul(per_row);
+        if !total.is_some_and(|n| self.try_charge_dominance_tests(n)) {
+            return (0..rows).try_for_each(|row| {
+                // lint: allow(R2) -- each charge polls on its own
+                // cadence, as the per-row callers do
+                self.charge_dominance_tests(per_row, phase)
+                    .map_err(|int| (row, int))
+            });
+        }
+        let mut charged = 0;
+        loop {
+            // lint: allow(R2) -- one pass per poll interval, each ending
+            // in the poll itself
+            // The charge that finds `checks` at a multiple of the
+            // interval polls; `quiet` charges come before it.
+            let checks = self.checks.load(Ordering::Relaxed);
+            let quiet = (Self::CHECK_INTERVAL - checks % Self::CHECK_INTERVAL)
+                % Self::CHECK_INTERVAL;
+            let left = (rows - charged) as u64;
+            if quiet >= left {
+                self.checks.fetch_add(left, Ordering::Relaxed);
+                return Ok(());
+            }
+            self.checks.fetch_add(quiet + 1, Ordering::Relaxed);
+            charged += quiet as usize + 1;
+            if let Err(int) = self.check(phase) {
+                // The rows after the polling one were never charged.
+                let unfunded = (rows - charged) as u64 * per_row;
+                self.dominance_tests.fetch_sub(unfunded, Ordering::Relaxed);
+                return Err((charged - 1, int));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -597,6 +655,70 @@ mod tests {
         let free = ExecContext::unlimited();
         assert!(free.try_charge_dominance_tests(5));
         assert_eq!(free.dominance_tests(), 0);
+    }
+
+    /// Charges `blocks` (row counts) one after another through `charge`
+    /// until one trips. Returns the tripping block and row with its
+    /// interrupt, the tests charged, the charges counted toward polling
+    /// and the token's polls.
+    fn charge_blocks(
+        budget: RunBudget,
+        token: &CancelToken,
+        blocks: &[usize],
+        charge: impl Fn(&ExecContext, usize) -> Result<(), (usize, Interrupt)>,
+    ) -> (Option<(usize, usize, Interrupt)>, u64, u64, u64) {
+        let ctx = ExecContext::new(budget.with_cancel_token(token.clone()));
+        let trip = blocks.iter().enumerate().find_map(|(b, &rows)| {
+            charge(&ctx, rows).err().map(|(row, int)| (b, row, int))
+        });
+        let checks = ctx.checks.load(Ordering::Relaxed);
+        (trip, ctx.dominance_tests(), checks, token.polls())
+    }
+
+    #[test]
+    fn charge_rows_matches_one_charge_per_row() {
+        const PER_ROW: u64 = 7;
+        // Blocks that straddle, end on and start at polling charges.
+        let blocks = [0, 1, 64, 63, 191, 1, 255, 256, 257, 64, 1000, 3, 512];
+        let total: u64 = blocks.iter().sum::<usize>() as u64 * PER_ROW;
+        let per_row = |ctx: &ExecContext, rows: usize| {
+            (0..rows).try_for_each(|row| {
+                ctx.charge_dominance_tests(PER_ROW, ExecPhase::Fingerprint)
+                    .map_err(|int| (row, int))
+            })
+        };
+        let bulk =
+            |ctx: &ExecContext, rows: usize| ctx.charge_rows(rows, PER_ROW, ExecPhase::Fingerprint);
+        let mut cases: Vec<(String, RunBudget, Option<u64>)> = Vec::new();
+        for limit in [0, 1, 6, 7, 8, 13, 14, 15, 64 * PER_ROW, 64 * PER_ROW + 1, 1790, 1791]
+            .into_iter()
+            .chain((0..40).map(|i| i * total / 39))
+        {
+            let budget = RunBudget::none().with_max_dominance_tests(limit);
+            cases.push((format!("limit {limit}"), budget, None));
+        }
+        for polls in [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 100] {
+            let budget = RunBudget::none().with_deadline(Duration::from_secs(3600));
+            cases.push((format!("after_polls({polls})"), budget, Some(polls)));
+        }
+        for (what, budget, polls) in cases {
+            let token = || polls.map_or_else(CancelToken::new, CancelToken::after_polls);
+            let want = charge_blocks(budget.clone(), &token(), &blocks, per_row);
+            let got = charge_blocks(budget, &token(), &blocks, bulk);
+            assert_eq!(got, want, "{what}");
+        }
+        // Both kinds of trip are covered, and so is a run without one.
+        let budget = RunBudget::none().with_max_dominance_tests(1790);
+        let trip = charge_blocks(budget, &CancelToken::new(), &blocks, bulk).0;
+        // 255 rows fit 1790 tests; row 255 is row 127 of block 4.
+        assert!(matches!(trip, Some((4, 127, _))), "{trip:?}");
+        let budget = RunBudget::none();
+        let fused = charge_blocks(budget, &CancelToken::after_polls(4), &blocks, bulk);
+        assert!(matches!(fused.0, Some((_, _, Interrupt { reason: StopReason::Cancelled, .. }))));
+        let budget = RunBudget::none().with_max_dominance_tests(total);
+        let free = charge_blocks(budget, &CancelToken::new(), &blocks, bulk);
+        assert_eq!((free.0, free.1), (None, total));
+        assert!(ExecContext::unlimited().charge_rows(1 << 20, 1, ExecPhase::Fingerprint).is_ok());
     }
 
     #[test]

@@ -18,7 +18,9 @@ use crate::error::{Result, SkyDiverError};
 /// [`SkyDiverError::NonFiniteCoordinate`]: dominance comparisons (and
 /// the downstream R-tree geometry) are only defined over finite values,
 /// and `dom_cmp` implementations assume finite inputs. Validating once
-/// here keeps the hot loops free of per-comparison checks.
+/// here keeps the hot loops free of per-comparison checks. The check is
+/// one branch-free pass over the coordinates; the first offender, in
+/// row-major order, is looked for only when that pass fails.
 pub fn canonicalise<'a>(ds: &'a Dataset, prefs: &[Preference]) -> Result<Cow<'a, Dataset>> {
     if prefs.len() != ds.dims() {
         return Err(SkyDiverError::DimsMismatch {
@@ -26,12 +28,9 @@ pub fn canonicalise<'a>(ds: &'a Dataset, prefs: &[Preference]) -> Result<Cow<'a,
             prefs: prefs.len(),
         });
     }
-    for (row, p) in ds.iter().enumerate() {
-        for (dim, &v) in p.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SkyDiverError::NonFiniteCoordinate { row, dim });
-            }
-        }
+    if let Some(at) = first_non_finite(ds.as_flat()) {
+        let (row, dim) = (at / ds.dims(), at % ds.dims());
+        return Err(SkyDiverError::NonFiniteCoordinate { row, dim });
     }
     if prefs.iter().all(|&p| p == Preference::Min) {
         return Ok(Cow::Borrowed(ds));
@@ -45,6 +44,27 @@ pub fn canonicalise<'a>(ds: &'a Dataset, prefs: &[Preference]) -> Result<Cow<'a,
         out.push(&row);
     }
     Ok(Cow::Owned(out))
+}
+
+/// The position of the first NaN or ±∞ in `coords`, if any.
+///
+/// A value is non-finite when its exponent bits are all ones. Adding one
+/// to the lowest exponent bit then carries into the sign bit, which no
+/// finite value's exponent reaches, so OR-ing those sums over the whole
+/// slice — a reduction the compiler vectorises, with no branch per
+/// value — leaves the sign bit set exactly when some value is
+/// non-finite. Only then is the slice searched again for the first one.
+fn first_non_finite(coords: &[f64]) -> Option<usize> {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    const EXPONENT_ONE: u64 = 1 << 52;
+    const SIGN: u64 = 1 << 63;
+    let carried = coords
+        .iter()
+        .fold(0u64, |acc, v| acc | ((v.to_bits() & EXPONENT) + EXPONENT_ONE));
+    if carried & SIGN == 0 {
+        return None;
+    }
+    coords.iter().position(|v| !v.is_finite())
 }
 
 /// [`canonicalise`] for shard `i` of `sd`, reporting a non-finite
@@ -112,6 +132,38 @@ mod tests {
             canonicalise(&ds, &Preference::all_min(1)),
             Err(SkyDiverError::NonFiniteCoordinate { row: 0, dim: 0 })
         ));
+    }
+
+    #[test]
+    fn every_non_finite_position_is_named() {
+        // 7 × 3 = 21 coordinates: the vectorised pass's full chunks and
+        // the part after the last of them.
+        let (rows, dims) = (7, 3);
+        let finite: Vec<f64> = (0..rows * dims).map(|i| i as f64 - 10.0).collect();
+        let prefs = [Preference::Min, Preference::Max, Preference::Min];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+            for at in 0..rows * dims {
+                let want = SkyDiverError::NonFiniteCoordinate { row: at / dims, dim: at % dims };
+                let mut coords = finite.clone();
+                coords[at] = bad;
+                for later in at..rows * dims {
+                    // A second offender at or after the first changes
+                    // nothing.
+                    let mut coords = coords.clone();
+                    coords[later] = f64::INFINITY;
+                    let ds = Dataset::from_flat(dims, coords);
+                    assert_eq!(canonicalise(&ds, &prefs).unwrap_err(), want, "{bad} at {at}");
+                }
+                let ds = Dataset::from_flat(dims, coords);
+                let all_min = Preference::all_min(dims);
+                assert_eq!(canonicalise(&ds, &all_min).unwrap_err(), want, "{bad} at {at}");
+            }
+        }
+        // The largest and smallest finite values, subnormals and zeros
+        // pass.
+        let edge = [f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324, -0.0, 0.0];
+        let ds = Dataset::from_flat(dims, edge.to_vec());
+        assert!(canonicalise(&ds, &prefs).is_ok());
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //!   candidates are tested 64 at a time into a `u64` mask with no
 //!   data-dependent branch, monomorphized for `d = 2..=5` (runtime-`d`
 //!   arm above). Dominator ids come out in pack order, not ascending.
-//!   It is the one code that tests numeric rows against a column set:
-//!   the `SigGen-IF` row fold, the dominance-plan build, the column
-//!   delta, [`GammaSets`](crate::GammaSets) and the cross-set passes
-//!   all list dominators through it. The any-order pass
+//!   Turned around, it tests one block of 64 rows against each column
+//!   into a `u64` mask of the rows that column dominates, which is
+//!   cheaper when the columns are few. It is the one code that tests
+//!   numeric rows against a column set: the `SigGen-IF` row fold, the
+//!   dominance-plan build, the column delta,
+//!   [`GammaSets`](crate::GammaSets) and the cross-set passes all list
+//!   dominators through it. The any-order pass
 //!   `sig_gen_if_generic` keeps the scalar per-pair loop for
 //!   categorical and partially ordered domains.
 //! * [`agreement_count`] / [`agreement_count_u32`] — branchless chunked
@@ -301,8 +304,9 @@ pub fn agreement_count_u32(a: &[u32], b: &[u32]) -> usize {
     agree
 }
 
-/// Packed columns tested per dominance mask: one bit of a `u64` each.
-const LANES: usize = 64;
+/// Packed columns, or rows of a row block, tested per dominance mask:
+/// one bit of a `u64` each.
+pub(crate) const LANES: usize = 64;
 
 /// Skyline columns packed for the `n × m` dominance scan of
 /// `SigGen-IF`: sorted by their first coordinate and stored
@@ -321,6 +325,11 @@ const LANES: usize = 64;
 ///   reports the caller's column ids in pack order, not ascending.
 ///   Every consumer folds them with a slot-wise `min` and a `+1`,
 ///   neither of which depends on order.
+/// * **Row blocks.** [`dominated_rows_into`](Self::dominated_rows_into)
+///   turns the lanes around: a block of up to 64 rows, transposed to
+///   dimension-major, is tested against one column at a time into a
+///   `u64` mask of the rows that column dominates. The block's largest
+///   first coordinate bounds the columns it tests, as a row's does.
 /// * **Non-finite coordinates.** A column dominates when no dimension
 ///   has `c > p` and some has `c < p`, so a NaN counts as "equal in that
 ///   dimension", exactly as in `MinDominance::dom_cmp`. A NaN first
@@ -424,9 +433,9 @@ impl SkylinePack {
             // A constant trip count for full blocks lets the compiler
             // unroll and vectorise the block test (~10 % faster).
             let mask = if n == LANES {
-                block_mask(lanes, p, LANES)
+                block_mask::<D, true>(lanes, p, LANES)
             } else {
-                block_mask(lanes, p, n)
+                block_mask::<D, true>(lanes, p, n)
             };
             self.emit(mask, lo, out);
             lo += LANES;
@@ -465,23 +474,152 @@ impl SkylinePack {
             mask &= mask - 1;
         }
     }
+
+    /// Tests one block of rows against every packed column: `rows` holds
+    /// up to 64 rows, row-major (`rows.len()` a multiple of `d`),
+    /// and `live` names the rows to test (bit `i` for block row `i`;
+    /// bits past the block's rows are ignored). Sets `masks[c]`, for
+    /// every column id `c`, to the live rows that column `c` dominates
+    /// under all-minimisation — the same pairs as
+    /// [`dominators_into`](Self::dominators_into) row by row — and
+    /// returns the union of the masks.
+    ///
+    /// # Panics
+    /// Panics if `masks.len()` is not the number of packed columns, or
+    /// `rows` holds more than 64 rows.
+    #[inline(always)]
+    pub fn dominated_rows_into(&self, rows: &[f64], live: u64, masks: &mut [u64]) -> u64 {
+        assert_eq!(masks.len(), self.m, "one mask per packed column");
+        assert!(rows.len() <= LANES * self.d, "at most {LANES} rows per block");
+        debug_assert_eq!(rows.len() % self.d.max(1), 0, "whole rows");
+        masks.fill(0);
+        let n = rows.len().checked_div(self.d).unwrap_or(0);
+        let live = live & u64::MAX.checked_shr(LANES as u32 - n as u32).unwrap_or(0);
+        if live == 0 {
+            return 0;
+        }
+        match self.d {
+            2 => self.rows_const::<2>(rows, live, masks),
+            3 => self.rows_const::<3>(rows, live, masks),
+            4 => self.rows_const::<4>(rows, live, masks),
+            5 => self.rows_const::<5>(rows, live, masks),
+            _ => self.rows_generic(rows, live, masks),
+        }
+    }
+
+    /// The packed columns `0..bound` that can dominate a block row, from
+    /// the rows' first coordinates (`rows` row-major, `d` per row): those
+    /// whose first coordinate is not greater than the largest, or all of
+    /// them when one is NaN.
+    #[inline(always)]
+    fn rows_bound(&self, rows: &[f64], d: usize) -> usize {
+        let keys = &self.coords[self.unbounded..self.m];
+        let Some(&lowest) = keys.first() else {
+            return self.m;
+        };
+        // Most blocks reach no sorted column: none of their first
+        // coordinates is at least the lowest key, or NaN. Finding that
+        // takes no maximum, whose chain of dependent steps costs more.
+        let reach = rows.iter().step_by(d).fold(false, |r, &x| r | (x >= lowest) | x.is_nan());
+        if !reach {
+            return self.unbounded;
+        }
+        let (mut hi, mut nan) = (f64::NEG_INFINITY, false);
+        for &x in rows.iter().step_by(d) {
+            // lint: allow(R2) -- at most LANES rows per block; the
+            // column delta charges the budget per block
+            hi = hi.max(x);
+            nan |= x.is_nan();
+        }
+        if nan {
+            return self.m;
+        }
+        self.unbounded + keys.partition_point(|&c| c <= hi)
+    }
+
+    /// [`dominated_rows_into`](Self::dominated_rows_into) with `D` known
+    /// at compile time: the block is transposed once into `D` lanes of
+    /// [`LANES`] rows, then each candidate column is one branch-free
+    /// [`block_mask`] over them.
+    #[inline(always)]
+    fn rows_const<const D: usize>(&self, rows: &[f64], live: u64, masks: &mut [u64]) -> u64 {
+        let bound = self.rows_bound(rows, D);
+        if bound == 0 {
+            return 0;
+        }
+        // Lanes past the block's rows stay 0.0; `live` masks them off.
+        let mut block = [[0.0f64; LANES]; D];
+        for (i, row) in rows.chunks_exact(D).enumerate() {
+            // lint: allow(R2) -- at most LANES rows per block; the
+            // column delta charges the budget per block
+            for (lane, &x) in block.iter_mut().zip(row) {
+                lane[i] = x;
+            }
+        }
+        let lanes: [&[f64]; D] = std::array::from_fn(|k| &block[k][..]);
+        let mut union = 0u64;
+        for (j, &id) in self.perm[..bound].iter().enumerate() {
+            // lint: allow(R2) -- at most m columns per row block; the
+            // column delta charges the budget per block
+            let c: [f64; D] = std::array::from_fn(|k| self.coords[k * self.m + j]);
+            let mask = block_mask::<D, false>(lanes, &c, LANES) & live;
+            masks[id] = mask;
+            union |= mask;
+        }
+        union
+    }
+
+    /// Runtime-`d` twin of [`rows_const`](Self::rows_const), reading the
+    /// block row-major: one pass per column and dimension accumulates
+    /// "row greater" and "row less" masks.
+    fn rows_generic(&self, rows: &[f64], live: u64, masks: &mut [u64]) -> u64 {
+        let d = self.d;
+        let bound = self.rows_bound(rows, d);
+        let mut union = 0u64;
+        for (j, &id) in self.perm[..bound].iter().enumerate() {
+            // lint: allow(R2) -- at most m columns per row block; the
+            // column delta charges the budget per block
+            let (mut gt, mut lt) = (0u64, 0u64);
+            for k in 0..d {
+                let c = self.coords[k * self.m + j];
+                for (i, row) in rows.chunks_exact(d).enumerate() {
+                    gt |= u64::from(row[k] > c) << i;
+                    lt |= u64::from(row[k] < c) << i;
+                }
+            }
+            let mask = gt & !lt & live;
+            masks[id] = mask;
+            union |= mask;
+        }
+        union
+    }
 }
 
-/// Dominance mask of the first `n ≤ LANES` columns of `lanes` (one
-/// coordinate slice per dimension) over `p`: bit `j` is set when no
-/// dimension has `lanes[k][j] > p[k]` and some has `lanes[k][j] < p[k]`.
+/// Dominance mask of the first `n ≤ LANES` lanes of `lanes` (one
+/// coordinate slice per dimension) against the point `p`. The test is
+/// one: a point dominates another when no dimension has it greater and
+/// some has it less. With `LANES_DOMINATE`, bit `j` is set when lane `j`
+/// dominates `p` (no `lanes[k][j] > p[k]`, some `lanes[k][j] < p[k]`);
+/// without, when `p` dominates lane `j` (no `lanes[k][j] < p[k]`, some
+/// `lanes[k][j] > p[k]`). A NaN compares neither way, so it counts as
+/// equal in its dimension on either side.
 #[inline(always)]
-fn block_mask<const D: usize>(lanes: [&[f64]; D], p: &[f64; D], n: usize) -> u64 {
+fn block_mask<const D: usize, const LANES_DOMINATE: bool>(
+    lanes: [&[f64]; D],
+    p: &[f64; D],
+    n: usize,
+) -> u64 {
     let mut mask = 0u64;
     for jj in 0..n {
-        // lint: allow(R2) -- at most LANES columns per block; the
-        // SigGen-IF row loop charges the budget per row
+        // lint: allow(R2) -- at most LANES lanes per block; the row
+        // loops charge the budget per row or per row block
         let (mut gt, mut lt) = (false, false);
         for (lane, &pk) in lanes.iter().zip(p) {
             gt |= lane[jj] > pk;
             lt |= lane[jj] < pk;
         }
-        mask |= u64::from(lt & !gt) << jj;
+        let hit = if LANES_DOMINATE { lt & !gt } else { gt & !lt };
+        mask |= u64::from(hit) << jj;
     }
     mask
 }
@@ -559,21 +697,66 @@ mod tests {
         got
     }
 
+    /// Per row, the columns whose [`SkylinePack::dominated_rows_into`]
+    /// mask holds it, ascending: the rows are tested in blocks of
+    /// [`LANES`] with the `live` masks given per block, and the union
+    /// each block returns is checked against its masks.
+    fn block_dominators(pack: &SkylinePack, rows: &[Vec<f64>], lives: &[u64]) -> Vec<Vec<usize>> {
+        let mut masks = vec![0u64; pack.len()];
+        let mut got = vec![Vec::new(); rows.len()];
+        for (b, block) in rows.chunks(LANES).enumerate() {
+            let union = pack.dominated_rows_into(&block.concat(), lives[b], &mut masks);
+            assert_eq!(union, masks.iter().fold(0, |u, &mask| u | mask), "block {b}");
+            for (j, &mask) in masks.iter().enumerate() {
+                for (i, row) in got[b * LANES..].iter_mut().enumerate().take(block.len()) {
+                    if mask >> i & 1 == 1 {
+                        row.push(j);
+                    }
+                }
+            }
+        }
+        got
+    }
+
     #[test]
     fn packed_dominators_match_min_dominance() {
-        // Cover every monomorphized arm plus the generic fallback.
-        for d in [2usize, 3, 4, 5, 6] {
+        // Cover every monomorphized arm plus the generic fallback, row
+        // by row and in row blocks, with NaN and ±∞ in rows and columns.
+        const SPECIAL: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rng = StdRng::seed_from_u64(16);
+        for d in 2..=7usize {
             let ds = independent(300, d, 7 + d as u64);
-            let cols: Vec<Vec<f64>> = (0..100).map(|s| ds.point(s).to_vec()).collect();
-            let pack = SkylinePack::pack(d, cols.iter().map(Vec::as_slice));
-            for row in 100..300 {
-                let p = ds.point(row);
-                assert_eq!(
-                    packed_dominators(&pack, p),
-                    reference_dominators(&cols, p),
-                    "d = {d}, row = {row}"
-                );
+            let mut points: Vec<Vec<f64>> = (0..300).map(|s| ds.point(s).to_vec()).collect();
+            for p in &mut points {
+                if rng.gen_range(0..5) == 0 {
+                    p[rng.gen_range(0..d)] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+                }
             }
+            let (cols, rows) = points.split_at(100);
+            let pack = SkylinePack::pack(d, cols.iter().map(Vec::as_slice));
+            // 200 rows: three full blocks and a partial one; every block
+            // but the first also leaves some rows out.
+            let lives: Vec<u64> = (0..4).map(|b| if b == 0 { u64::MAX } else { rng.gen() }).collect();
+            let what = format!("d = {d}");
+            let kernel = || {
+                wide(
+                    #[inline(always)]
+                    || {
+                        let by_row: Vec<_> = rows.iter().map(|p| packed_dominators(&pack, p)).collect();
+                        (by_row, block_dominators(&pack, rows, &lives))
+                    },
+                )
+            };
+            let (by_row, by_block) = same_in_every_tier(&what, kernel);
+            for (r, p) in rows.iter().enumerate() {
+                let want = reference_dominators(cols, p);
+                assert_eq!(by_row[r], want, "{what}, row {r} = {p:?}");
+                let live = lives[r / LANES] >> (r % LANES) & 1 == 1;
+                let want = if live { want } else { Vec::new() };
+                assert_eq!(by_block[r], want, "{what}, row {r} = {p:?}, live {live}");
+            }
+            let reached = by_block.iter().filter(|cols| !cols.is_empty()).count();
+            assert!(reached > 10, "{what}: only {reached} rows dominated");
         }
     }
 
@@ -635,6 +818,17 @@ mod tests {
                     let got = same_in_every_tier(&what, kernel);
                     assert_eq!(got, reference, "{what}");
                     rows.push(p);
+                }
+                let what = format!("d = {d}, m = {m}, row blocks");
+                let kernel = || {
+                    wide(
+                        #[inline(always)]
+                        || block_dominators(&pack, &rows, &[u64::MAX]),
+                    )
+                };
+                let by_block = same_in_every_tier(&what, kernel);
+                for (p, got) in rows.iter().zip(&by_block) {
+                    assert_eq!(got, &reference_dominators(&cols, p), "{what}, p = {p:?}");
                 }
                 fold_in_every_copy(&cols, &rows);
             }

@@ -26,7 +26,7 @@
 use skydiver_data::DatasetView;
 
 use crate::budget::{ExecContext, ExecPhase, Interrupt};
-use crate::kernels::{wide, SkylinePack};
+use crate::kernels::{wide, SkylinePack, LANES};
 
 use super::{HashFamily, SigGenOutput, SignatureAccumulator};
 
@@ -170,16 +170,15 @@ pub fn scan_columns_budgeted(
 }
 
 /// [`scan_columns_budgeted`] on the caller thread over columns already
-/// packed: for a caller that folds several views against the same
-/// columns and packs them once. Each range of `scan_columns_budgeted`
-/// runs through it too. It is a function of its own, with the shape
-/// checks restated next to the row loop, because the same fold written
-/// as a closure inside `scan_columns_budgeted` compiled ~1.3× slower.
+/// packed: each range of `scan_columns_budgeted` runs through it. It is
+/// a function of its own, with the shape checks restated next to the
+/// row loop, because the same fold written as a closure inside
+/// `scan_columns_budgeted` compiled ~1.3× slower.
 ///
 /// # Panics
 /// Panics if `skip.len() != view.len()` or the accumulator shape does
 /// not match `(family.len(), pack.len())`.
-pub fn scan_pack_budgeted(
+pub(crate) fn scan_pack_budgeted(
     view: DatasetView<'_>,
     skip: &[bool],
     pack: &SkylinePack,
@@ -239,6 +238,156 @@ fn fold_rows(
             None
         },
     )
+}
+
+/// The column delta's scan: [`scan_columns_budgeted`] on the caller
+/// thread with the lanes turned to rows, for a few columns folded over
+/// many rows — the columns that enter a skyline, over the rows it had
+/// before.
+///
+/// The row fold lists each row's dominators with a prefix search, a
+/// partial block of at most `m` lanes and an emit, which is nearly all
+/// overhead when `m` is 1 or 2. This scan takes 64 rows at a time:
+/// [`SkylinePack::dominated_rows_into`] gives, per column, a `u64` mask
+/// of the block's rows it dominates; each row in the union of the masks
+/// is hashed once, and each column is updated with the rows of its
+/// mask. The budget is charged once per block through
+/// [`ExecContext::charge_rows`], `m` tests per live row.
+///
+/// The scan is bit-identical to the row fold over the same view, skip
+/// mask and columns: the same matrix, scores and `rows_consumed`, and
+/// the same tests charged, polls made and tripping row at any trip. The
+/// pack and the scratch (one block of row hashes and a mask per column)
+/// are made once in [`new`](Self::new) and reused by every
+/// [`scan`](Self::scan).
+#[derive(Debug)]
+pub struct RowBlockScan {
+    pack: SkylinePack,
+    /// `hashes[i * t..(i + 1) * t]`: the row hashes of block row `i`.
+    hashes: Vec<u64>,
+    /// `masks[c]`: the block rows column `c` dominates.
+    masks: Vec<u64>,
+}
+
+impl RowBlockScan {
+    /// Packs `cols` (the column points, each of `d` coordinates) for
+    /// folds at signature size `t`.
+    pub fn new(d: usize, cols: &[&[f64]], t: usize) -> Self {
+        RowBlockScan {
+            pack: SkylinePack::pack(d, cols.iter().copied()),
+            hashes: vec![0; LANES * t],
+            masks: vec![0; cols.len()],
+        }
+    }
+
+    /// Folds the rows of `view` into `acc` against the packed columns,
+    /// as [`scan_columns_budgeted`] does on one thread: `skip` flags the
+    /// rows to leave out before any test, each other row charges
+    /// `m` dominance tests against `ctx`, a trip leaves `acc` covering
+    /// exactly the funded prefix and returns the interrupt, and
+    /// `acc.rows_consumed` grows by the rows fully processed. The whole
+    /// loop runs in the AVX-512, AVX2 or portable copy of the fold loops
+    /// that [`FoldTier::detect`](crate::kernels::FoldTier::detect) picks.
+    ///
+    /// # Panics
+    /// Panics if `skip.len() != view.len()`, or the accumulator shape
+    /// is not `(t, m)` for the `t` and columns given to
+    /// [`new`](Self::new) and `family.len() == t`.
+    pub fn scan(
+        &mut self,
+        view: DatasetView<'_>,
+        skip: &[bool],
+        family: &HashFamily,
+        ctx: &ExecContext,
+        acc: &mut SignatureAccumulator,
+    ) -> Option<Interrupt> {
+        assert_eq!(skip.len(), view.len(), "skip mask length mismatch");
+        let (t, m) = (family.len(), self.pack.len());
+        assert_eq!((acc.t(), acc.m()), (t, m), "accumulator shape mismatch");
+        assert_eq!(self.hashes.len(), LANES * t, "signature size mismatch");
+        let RowBlockScan { pack, hashes, masks } = self;
+        let d = view.dims();
+        wide(
+            #[inline(always)]
+            || {
+                for (b, block_skip) in skip.chunks(LANES).enumerate() {
+                    let lo = b * LANES;
+                    let mut live = 0u64;
+                    for (i, &skipped) in block_skip.iter().enumerate() {
+                        live |= u64::from(!skipped) << i;
+                    }
+                    let funded = live.count_ones() as usize;
+                    let trip = match ctx.charge_rows(funded, m as u64, ExecPhase::Fingerprint) {
+                        Ok(()) => None,
+                        Err((nth, int)) => {
+                            // Only the live rows before the tripping one
+                            // are funded.
+                            let row = nth_set_bit(live, nth);
+                            live &= (1u64 << row) - 1;
+                            Some((row, int))
+                        }
+                    };
+                    let rows = &view.as_flat()[lo * d..(lo + block_skip.len()) * d];
+                    let union = pack.dominated_rows_into(rows, live, masks);
+                    if union != 0 {
+                        fold_block(view, lo, union, family, t, hashes, masks, acc);
+                    }
+                    if let Some((row, int)) = trip {
+                        acc.rows_consumed += lo + row;
+                        return Some(int);
+                    }
+                }
+                acc.rows_consumed += view.len();
+                None
+            },
+        )
+    }
+}
+
+/// The position of the `nth` (from 0) set bit of `mask`, which has more
+/// than `nth` set bits.
+#[inline(always)]
+fn nth_set_bit(mut mask: u64, nth: usize) -> usize {
+    for _ in 0..nth {
+        // lint: allow(R2) -- at most LANES bits, once per trip
+        mask &= mask - 1;
+    }
+    mask.trailing_zeros() as usize
+}
+
+/// Folds one row block into `acc`: hashes each row in `union`, the
+/// union of `masks`, once into `hashes`, then updates each column with
+/// the rows of its mask. `lo` is the block's first local row.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_block(
+    view: DatasetView<'_>,
+    lo: usize,
+    mut union: u64,
+    family: &HashFamily,
+    t: usize,
+    hashes: &mut [u64],
+    masks: &[u64],
+    acc: &mut SignatureAccumulator,
+) {
+    while union != 0 {
+        // lint: allow(R2) -- at most LANES rows per block; the scan
+        // charges the budget per block
+        let i = union.trailing_zeros() as usize;
+        family.hash_all(view.global_id(lo + i) as u64, &mut hashes[i * t..(i + 1) * t]);
+        union &= union - 1;
+    }
+    for (j, &mask) in masks.iter().enumerate() {
+        // lint: allow(R2) -- at most m columns per block; the scan
+        // charges the budget per block
+        let mut rows = mask;
+        acc.scores[j] += u64::from(rows.count_ones());
+        while rows != 0 {
+            let i = rows.trailing_zeros() as usize;
+            acc.matrix.update_column(j, &hashes[i * t..(i + 1) * t]);
+            rows &= rows - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +693,70 @@ mod tests {
             non_sky * subset.len() as u64,
             "subset scans charge per subset column"
         );
+    }
+
+    /// The row-block scan against the row fold over the same two views
+    /// (one accumulator and one context, as the column delta walks its
+    /// shards), with the same columns and skip mask: equal matrix,
+    /// scores, `rows_consumed`, interrupt, tests charged and polls, for
+    /// every column count around a block's width, d = 2..=6, budgets
+    /// that never trip, dominance limits that trip all along the walk
+    /// and cancellation fuses, in every copy of the fold.
+    #[test]
+    fn row_block_scan_is_the_row_fold() {
+        use crate::budget::{CancelToken, RunBudget};
+        use crate::kernels::{same_in_every_tier, SkylinePack};
+        const T: usize = 16;
+        // 695 rows in two views of 295 and 400: neither a multiple of 64.
+        let (n, cut) = (700, 300);
+        for d in 2..=6 {
+            let ds = independent(n, d, 130 + d as u64);
+            let better = independent(65, d, 140 + d as u64);
+            // Scaled down, the columns dominate a good share of the rows.
+            let scaled: Vec<Vec<f64>> =
+                (0..65).map(|j| better.point(j).iter().map(|v| v * 0.6).collect()).collect();
+            // Scattered skipped rows, and one block skipped whole.
+            let skip: Vec<bool> = (0..n).map(|i| i % 7 == 3 || (133..197).contains(&i)).collect();
+            let view = DatasetView::with_base(&ds, 1_000);
+            let views = [(view.slice(5, cut), &skip[5..cut]), (view.slice(cut, n), &skip[cut..])];
+            let live = skip[5..].iter().filter(|&&s| !s).count() as u64;
+            for e in [1usize, 2, 3, 63, 64, 65] {
+                let cols: Vec<&[f64]> = scaled[..e].iter().map(Vec::as_slice).collect();
+                let fam = HashFamily::new(T, 7 + e as u64);
+                let full = live * e as u64;
+                let mut budgets: Vec<(Option<u64>, Option<u64>)> = vec![(None, None)];
+                for limit in [0, e as u64 - 1, full / 3, full / 2 + 1, full - 1, full] {
+                    budgets.push((Some(limit), None));
+                }
+                for polls in 1..=4 {
+                    budgets.push((None, Some(polls)));
+                }
+                for (limit, polls) in budgets {
+                    let run = |block: bool| {
+                        let token = polls.map_or_else(CancelToken::new, CancelToken::after_polls);
+                        let budget = RunBudget::none()
+                            .with_max_dominance_tests(limit.unwrap_or(u64::MAX))
+                            .with_cancel_token(token.clone());
+                        let ctx = ExecContext::new(budget);
+                        let mut acc = SignatureAccumulator::new(T, e);
+                        let mut scan = RowBlockScan::new(d, &cols, T);
+                        let pack = SkylinePack::pack(d, cols.iter().copied());
+                        let int = views.iter().find_map(|&(v, s)| match block {
+                            true => scan.scan(v, s, &fam, &ctx, &mut acc),
+                            false => scan_pack_budgeted(v, s, &pack, &fam, &ctx, &mut acc),
+                        });
+                        (acc, int, ctx.dominance_tests(), token.polls())
+                    };
+                    let what = format!("d = {d}, |E| = {e}, limit {limit:?}, polls {polls:?}");
+                    let (got, want) = same_in_every_tier(&what, || (run(true), run(false)));
+                    assert_eq!(got, want, "{what}");
+                    let tripped = limit.is_some_and(|l| l < full) || polls.is_some_and(|p| p <= 3);
+                    assert_eq!(got.1.is_some(), tripped, "{what}");
+                    let folded = got.0.scores.iter().any(|&s| s > 0);
+                    assert!(folded || tripped, "{what}: the columns dominate some rows");
+                }
+            }
+        }
     }
 
     #[test]

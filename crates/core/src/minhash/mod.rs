@@ -38,7 +38,7 @@ pub use family::HashFamily;
 pub use fold::{fold_shard, fold_shard_planned, ShardFold};
 pub use generic::{diversify_generic, sig_gen_if_generic};
 pub use index_based::{sig_gen_ib, sig_gen_ib_budgeted, IbStats};
-pub use index_free::{scan_columns_budgeted, scan_pack_budgeted, sig_gen_if, sig_gen_if_budgeted};
+pub use index_free::{scan_columns_budgeted, sig_gen_if, sig_gen_if_budgeted, RowBlockScan};
 pub use parallel_ib::{sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted};
 pub use plan::DominancePlan;
 pub use signature::{SignatureMatrix, SlotMajorSignatures, INF_SLOT};

@@ -58,12 +58,11 @@ use std::time::{Duration, Instant};
 use skydiver_cluster::frame;
 use skydiver_cluster::rendezvous;
 use skydiver_cluster::{DeadlineBudget, Membership};
-use skydiver_core::kernels::SkylinePack;
 use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures};
 use skydiver_core::{
-    canonicalise, fold_shard_planned, scan_pack_budgeted, CancelToken, DominancePlan,
-    ExecContext, ExecPhase, Fingerprint, HashFamily, Interrupt, RunBudget, ShardFingerprint,
-    ShardFold, SignatureAccumulator, StopReason,
+    canonicalise, fold_shard_planned, CancelToken, DominancePlan, ExecContext, ExecPhase,
+    Fingerprint, HashFamily, Interrupt, RowBlockScan, RunBudget, ShardFingerprint, ShardFold,
+    SignatureAccumulator, StopReason,
 };
 use skydiver_data::digest::{fnv1a64, Fnv64};
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
@@ -928,11 +927,11 @@ impl ShardHost {
     /// The column delta over `shards` — `(shard, lookup)` pairs in
     /// shard order — absorbed into `folded` as one leg: their rows
     /// folded over only the columns of skyline members at global row
-    /// `from` or later, with the whole skyline's skip mask, by the
-    /// packed scan. The columns are packed once and every shard is
-    /// scanned into one accumulator, the walk stopping at the first
-    /// trip or lost shard. It never reads or writes the LRU, the store
-    /// or the plan memo: the slice is not a shard's fold. A trip leaves
+    /// `from` or later, with the whole skyline's skip mask, 64 rows at a
+    /// time ([`RowBlockScan`]). The columns are packed and the scratch
+    /// made once, and every shard is scanned into one accumulator, the
+    /// walk stopping at the first trip or lost shard. It never reads or
+    /// writes the LRU, the store or the plan memo: the slice is not a shard's fold. A trip leaves
     /// an empty accumulator and 0 rows scanned, as a trip inside a plan
     /// does; a lost shard absorbs as lost, after the tests charged
     /// before it.
@@ -946,8 +945,9 @@ impl ShardHost {
     ) {
         let columns = job.ids_from(from);
         let cols = &job.cols[job.ids.len() - columns.len()..];
-        let pack = SkylinePack::pack(job.points.dims(), cols.iter().copied());
-        let fresh = || SignatureAccumulator::new(job.family.len(), columns.len());
+        let t = job.family.len();
+        let mut scan = RowBlockScan::new(job.points.dims(), cols, t);
+        let fresh = || SignatureAccumulator::new(t, columns.len());
         let mut acc = fresh();
         let mut skip = Vec::new();
         let before = ctx.dominance_tests();
@@ -958,7 +958,7 @@ impl ShardHost {
                 let canon = canonicalise(&hosted.data, job.prefs).map_err(|e| e.to_string())?;
                 let sview = DatasetView::with_base(canon.as_ref(), hosted.base);
                 skyline_mask(job.ids, hosted.base, hosted.data.len(), &mut skip);
-                Ok(scan_pack_budgeted(sview, &skip, &pack, &job.family, ctx, &mut acc))
+                Ok(scan.scan(sview, &skip, &job.family, ctx, &mut acc))
             });
             match scanned {
                 Ok(None) => {}
