@@ -19,7 +19,7 @@ use skydiver_core::{
 use skydiver_data::dominance::MinDominance;
 use skydiver_data::generators::{anticorrelated, independent};
 use skydiver_rtree::{BufferPool, RTree};
-use skydiver_skyline::{bbs, bnl, dc, sfs};
+use skydiver_skyline::{bbs, sfs};
 
 /// Times `iters` runs of `f` (after one warm-up) and prints the mean.
 fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
@@ -102,9 +102,7 @@ fn bench_selection() {
 
 fn bench_skyline() {
     let ds = independent(20_000, 4, 6);
-    bench("skyline_20k_ind4d/bnl", 5, || bnl(&ds, &MinDominance));
     bench("skyline_20k_ind4d/sfs", 5, || sfs(&ds, &MinDominance));
-    bench("skyline_20k_ind4d/dc", 5, || dc(&ds, &MinDominance));
     let tree = RTree::bulk_load(&ds, 4096);
     bench("skyline_20k_ind4d/bbs", 5, || {
         let mut pool = BufferPool::new(1 << 20);

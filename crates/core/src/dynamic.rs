@@ -5,7 +5,7 @@
 //! items arrive and expire, and the k-diverse set must be maintained
 //! without recomputing from scratch. This module brings that setting to
 //! SkyDiver: skyline points arrive with their MinHash signatures (e.g.
-//! produced incrementally by a streaming skyline) and a
+//! as appended rows grow the skyline, [`crate::SkylineState::extend`]) and a
 //! [`DynamicDiversifier`] maintains a k-set under the estimated Jaccard
 //! distance with an interchange (local-swap) heuristic — the standard
 //! approach for dynamic max–min dispersion.

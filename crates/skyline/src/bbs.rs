@@ -9,9 +9,10 @@
 //! are charged to the caller's [`BufferPool`].
 //!
 //! The SkyDiver pipeline computes its skyline index-free (SFS over the
-//! canonical rows). BBS is the index-based skyline of the paper's cost
-//! comparisons (the `skyline_io` bench), run over a tree the caller
-//! built; it must equal SFS on the same data.
+//! canonical rows). BBS is the skyline of the index-based experiments
+//! (the Figures 10–13 runner in `skydiver-bench`, which feeds it to
+//! SigGen-IB), run over a tree the caller built; it must equal SFS on
+//! the same data.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -1,41 +1,20 @@
 //! Block-Nested-Loops skyline (Börzsönyi, Kossmann, Stocker, ICDE'01).
 //!
-//! Maintains a window of non-dominated candidates and streams the data
+//! Maintains a window of non-dominated candidates and streams the items
 //! through it once. In-memory variant: the window always fits, so the
-//! result is exact after a single pass (`O(n·m)` comparisons).
+//! result is exact after a single pass (`O(n·m)` comparisons). It needs
+//! nothing but a [`DominanceOrd`], so it serves the categorical and
+//! partially-ordered domains; numeric datasets use [`sfs`](crate::sfs()).
 
 use std::borrow::Borrow;
 
 use skydiver_data::dominance::Dominance;
-use skydiver_data::{Dataset, DominanceOrd};
-
-/// BNL over a [`Dataset`]. Returns skyline point indices in ascending
-/// order.
-pub fn bnl<O>(ds: &Dataset, ord: &O) -> Vec<usize>
-where
-    O: DominanceOrd<Item = [f64]>,
-{
-    let mut window: Vec<usize> = Vec::new();
-    'points: for (i, p) in ds.iter().enumerate() {
-        let mut w = 0;
-        while w < window.len() {
-            match ord.dom_cmp(ds.point(window[w]), p) {
-                Dominance::Dominates => continue 'points,
-                Dominance::DominatedBy => {
-                    window.swap_remove(w);
-                }
-                Dominance::Equal | Dominance::Incomparable => w += 1,
-            }
-        }
-        window.push(i);
-    }
-    window.sort_unstable();
-    window
-}
+use skydiver_data::DominanceOrd;
 
 /// BNL over arbitrary items under any [`DominanceOrd`] — the entry point
-/// for categorical and partially-ordered domains where no [`Dataset`]
-/// exists. Returns item indices in ascending order.
+/// for categorical and partially-ordered domains where no
+/// [`Dataset`](skydiver_data::Dataset) exists. Returns item indices in
+/// ascending order.
 pub fn bnl_generic<I, O>(items: &[I], ord: &O) -> Vec<usize>
 where
     O: DominanceOrd,
@@ -66,31 +45,38 @@ mod tests {
     use skydiver_data::categorical::{CategoricalDominance, PartialOrderAttr};
     use skydiver_data::dominance::MinDominance;
     use skydiver_data::generators::{anticorrelated, correlated, independent};
+    use skydiver_data::Dataset;
+
+    /// BNL over the rows of a numeric dataset.
+    fn bnl(ds: &Dataset) -> Vec<usize> {
+        let rows: Vec<&[f64]> = ds.iter().collect();
+        bnl_generic(&rows, &MinDominance)
+    }
 
     #[test]
     fn matches_naive_on_random_data() {
         for seed in 0..3 {
             let ds = independent(500, 3, seed);
-            assert_eq!(bnl(&ds, &MinDominance), naive_skyline(&ds, &MinDominance));
+            assert_eq!(bnl(&ds), naive_skyline(&ds, &MinDominance));
         }
     }
 
     #[test]
     fn matches_naive_on_anticorrelated() {
         let ds = anticorrelated(400, 3, 5);
-        assert_eq!(bnl(&ds, &MinDominance), naive_skyline(&ds, &MinDominance));
+        assert_eq!(bnl(&ds), naive_skyline(&ds, &MinDominance));
     }
 
     #[test]
     fn matches_naive_on_correlated() {
         let ds = correlated(400, 4, 6);
-        assert_eq!(bnl(&ds, &MinDominance), naive_skyline(&ds, &MinDominance));
+        assert_eq!(bnl(&ds), naive_skyline(&ds, &MinDominance));
     }
 
     #[test]
     fn duplicates_both_survive() {
         let ds = Dataset::from_rows(2, &[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]);
-        assert_eq!(bnl(&ds, &MinDominance), vec![0, 1]);
+        assert_eq!(bnl(&ds), vec![0, 1]);
     }
 
     #[test]

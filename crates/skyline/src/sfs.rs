@@ -33,7 +33,7 @@ where
 /// imply `score(p) <= score(q)`. Strict scores give the best filtering;
 /// equal scores stay correct because an admitted point evicts the
 /// equal-score window members it dominates, whatever their order.
-pub fn sfs_with_score<'a, O, F>(ds: impl Into<DatasetView<'a>>, ord: &O, score: F) -> Vec<usize>
+fn sfs_with_score<'a, O, F>(ds: impl Into<DatasetView<'a>>, ord: &O, score: F) -> Vec<usize>
 where
     O: DominanceOrd<Item = [f64]>,
     F: Fn(&[f64]) -> f64,

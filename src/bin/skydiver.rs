@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! skydiver generate --family ant --n 100000 --d 4 --out data.csv
-//! skydiver skyline  --input data.csv --algo sfs
+//! skydiver skyline  --input data.csv [--prefs min,max,...]
 //! skydiver diversify --input data.csv --k 5 [--method lsh --xi 0.2 --buckets 20]
 //!                    [--prefs min,min,max,min]
 //! skydiver run      --input data.csv --k 5 --threads 4 [--timeout-ms 5000]
@@ -73,7 +73,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   skydiver generate  --family ind|ant|cor|fc|rec --n N --d D [--seed S] --out FILE
-  skydiver skyline   --input FILE [--algo bnl|sfs|dc|streaming] [--prefs min,max,...]
+  skydiver skyline   --input FILE [--prefs min,max,...]
   skydiver diversify --input FILE --k K [--t 100] [--method mh|lsh]
                      [--xi 0.2] [--buckets 20] [--prefs min,max,...] [--threads N]
                      [--seed S] [--timeout-ms MS] [--max-memory BYTES]
@@ -110,7 +110,7 @@ const USAGE: &str = "usage:
 /// a silently ignored typo.
 const COMMANDS: &[(&str, &[&str])] = &[
     ("generate", &["family", "n", "d", "seed", "out"]),
-    ("skyline", &["input", "algo", "prefs"]),
+    ("skyline", &["input", "prefs"]),
     (
         "diversify",
         &[
@@ -330,14 +330,7 @@ fn cmd_skyline(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
     let canon = skydiver::core::canonicalise(&ds, &prefs)?;
-    let algo = flags.get("algo").map(|s| s.as_str()).unwrap_or("sfs");
-    let skyline = match algo {
-        "bnl" => sky::bnl(&canon, &MinDominance),
-        "sfs" => sky::sfs(canon.as_ref(), &MinDominance),
-        "dc" => sky::dc(&canon, &MinDominance),
-        "streaming" => sky::streaming_skyline(&canon, &MinDominance, 64, 1).0,
-        other => return Err(err(format!("unknown algorithm {other:?}"))),
-    };
+    let skyline = sky::sfs(canon.as_ref(), &MinDominance);
     // Lock + buffer stdout; treat a closed pipe (e.g. `| head`) as a
     // normal early exit.
     use std::io::Write;
@@ -345,7 +338,7 @@ fn cmd_skyline(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let mut out = std::io::BufWriter::new(stdout.lock());
     let _ = writeln!(
         out,
-        "# skyline: {} of {} points ({algo})",
+        "# skyline: {} of {} points (sfs)",
         skyline.len(),
         ds.len()
     );

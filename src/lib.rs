@@ -12,8 +12,9 @@
 //!   paged I/O,
 //! * [`serve`] (`skydiver-serve`) — the long-lived query service:
 //!   dataset registry, fingerprint cache, line-protocol server/client,
-//! * [`skyline`] (`skydiver-skyline`) — BNL / SFS / D&C / BBS skyline
-//!   algorithms.
+//! * [`skyline`] (`skydiver-skyline`) — skyline engines: SFS for
+//!   numeric data, BBS over the R*-tree, generic BNL for partial orders,
+//!   and the naive oracle.
 //!
 //! ```
 //! use skydiver::{SkyDiver, Preference};

@@ -3,6 +3,9 @@
 use std::process::Command;
 
 use skydiver::core::minhash::persist;
+use skydiver::data::dominance::MinDominance;
+use skydiver::skyline::sfs;
+use skydiver::Preference;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_skydiver"))
@@ -32,14 +35,30 @@ fn generate_info_skyline_diversify_round_trip() {
     assert!(text.contains("points: 5000"), "{text}");
     assert!(text.contains("dims:   3"), "{text}");
 
+    // `skyline` lists the SFS skyline of the canonicalised file.
+    let out = bin()
+        .args(["skyline", "--input", csv.to_str().unwrap(), "--prefs", "min,max,min"])
+        .output()
+        .expect("run skyline");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let ds = skydiver::data::io::read_csv(&csv).unwrap();
+    let prefs = [Preference::Min, Preference::Max, Preference::Min];
+    let canon = skydiver::core::canonicalise(&ds, &prefs).unwrap();
+    let expect = sfs(canon.as_ref(), &MinDominance);
+    let header = text.lines().next().unwrap();
+    assert_eq!(header, format!("# skyline: {} of 5000 points (sfs)", expect.len()));
+    let ids: Vec<usize> = picked_ids(&text).iter().map(|id| id.parse().unwrap()).collect();
+    assert_eq!(ids, expect);
+
+    // The subcommand runs SFS alone; `--algo` is not one of its flags.
     let out = bin()
         .args(["skyline", "--input", csv.to_str().unwrap(), "--algo", "bnl"])
         .output()
-        .expect("run skyline");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    let header = text.lines().next().unwrap();
-    assert!(header.starts_with("# skyline:"), "{header}");
+        .expect("run skyline --algo");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --algo"), "{stderr}");
 
     let out = bin()
         .args(["diversify", "--input", csv.to_str().unwrap(), "--k", "3"])

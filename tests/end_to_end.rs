@@ -10,7 +10,7 @@ use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, correlated, independent};
 use skydiver::data::surrogates::{forest_cover, recipes};
 use skydiver::rtree::{BufferPool, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE};
-use skydiver::skyline::{bbs, bnl, dc, naive_skyline, sfs};
+use skydiver::skyline::{bbs, bnl_generic, naive_skyline, sfs};
 use skydiver::{HashFamily, Preference, SkyDiver};
 
 #[test]
@@ -23,9 +23,9 @@ fn all_skyline_algorithms_agree_across_distributions() {
         recipes(1200, 5).project(4),
     ] {
         let expect = naive_skyline(&ds, &MinDominance);
-        assert_eq!(bnl(&ds, &MinDominance), expect);
+        let rows: Vec<&[f64]> = ds.iter().collect();
+        assert_eq!(bnl_generic(&rows, &MinDominance), expect);
         assert_eq!(sfs(&ds, &MinDominance), expect);
-        assert_eq!(dc(&ds, &MinDominance), expect);
         let tree = RTree::bulk_load(&ds, 2048);
         let mut pool = BufferPool::new(1 << 20);
         assert_eq!(bbs(&tree, &mut pool), expect);

@@ -1,7 +1,7 @@
 //! Integration tests for the extension modules: persistence, dynamic
 //! maintenance, cross-set diversification, generic categorical
-//! pipeline, streaming skyline + theory bounds — exercised together,
-//! across crates.
+//! pipeline, a caller-computed skyline + theory bounds — exercised
+//! together, across crates.
 
 use skydiver::core::dynamic::from_batch;
 use skydiver::core::minhash::{persist, theory};
@@ -12,7 +12,7 @@ use skydiver::core::{
 };
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, independent};
-use skydiver::skyline::{naive_skyline, streaming_skyline};
+use skydiver::skyline::{naive_skyline, sfs};
 use skydiver::{HashFamily, SkyDiver};
 
 #[test]
@@ -106,12 +106,12 @@ fn generic_pipeline_handles_numeric_rows_like_the_dataset_one() {
 }
 
 #[test]
-fn streaming_skyline_feeds_the_pipeline() {
-    // End-to-end with the bounded-memory skyline instead of SFS.
+fn caller_skyline_feeds_the_pipeline() {
+    // End-to-end with a skyline list the caller computed and hands to
+    // SigGen-IF and the selection.
     let ds = independent(2500, 3, 308);
-    let (sky, stats) = streaming_skyline(&ds, &MinDominance, 32, 309);
+    let sky = sfs(&ds, &MinDominance);
     assert_eq!(sky, naive_skyline(&ds, &MinDominance));
-    assert!(stats.peak_candidates <= 32);
     let fam = HashFamily::new(64, 310);
     let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
     let k = 3.min(sky.len());

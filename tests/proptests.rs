@@ -10,7 +10,7 @@ use skydiver::core::{
 };
 use skydiver::data::dominance::{Dominance, DominanceOrd, MinDominance};
 use skydiver::rtree::{BufferPool, RTree};
-use skydiver::skyline::{bbs, bnl, dc, naive_skyline, sfs};
+use skydiver::skyline::{bbs, bnl_generic, naive_skyline, sfs};
 use skydiver::{Dataset, HashFamily, Preference, SelectionMethod, SkyDiver, SkyDiverError};
 
 /// Cases per property (proptest used 64 before it was vendored out).
@@ -92,25 +92,13 @@ fn skyline_algorithms_agree() {
     for case in 0..CASES {
         let mut rng = Rng::new(1000 + case);
         let ds = grid_dataset(&mut rng, 60, 3);
-        let seed = rng.range(0, 100);
         let expect = naive_skyline(&ds, &MinDominance);
-        assert_eq!(bnl(&ds, &MinDominance), expect, "case {case} (bnl)");
+        let rows: Vec<&[f64]> = ds.iter().collect();
+        assert_eq!(bnl_generic(&rows, &MinDominance), expect, "case {case} (bnl)");
         assert_eq!(sfs(&ds, &MinDominance), expect, "case {case} (sfs)");
-        assert_eq!(dc(&ds, &MinDominance), expect, "case {case} (dc)");
         let tree = RTree::bulk_load(&ds, 256);
         let mut pool = BufferPool::new(1 << 16);
         assert_eq!(bbs(&tree, &mut pool), expect, "case {case} (bbs)");
-        // Bounded-memory and external variants are exact too.
-        let (stream, _) = skydiver::skyline::streaming_skyline(&ds, &MinDominance, 4, seed);
-        assert_eq!(stream, expect, "case {case} (streaming)");
-        let (less, _) = skydiver::skyline::less_skyline(
-            &ds,
-            skydiver::skyline::ExternalConfig {
-                memory_pages: 3,
-                page_size: 256,
-            },
-        );
-        assert_eq!(less, expect, "case {case} (less)");
     }
 }
 
