@@ -1674,12 +1674,7 @@ fn exchange<'a, T>(
     line: impl Fn(usize, u64) -> String,
     check: impl Fn(usize, &str, Option<Vec<u8>>) -> Result<T, String>,
 ) -> Vec<Result<T, String>> {
-    let mut poller = Poller::new().unwrap_or_else(|e| {
-        // A node-local resource failure (fd limit); the portable
-        // backend drives the same state machine.
-        eprintln!("skydiver-cluster: native poller unavailable ({e}); using poll(2)");
-        Poller::portable()
-    });
+    let mut poller = Poller::new();
     let mut legs: Vec<LegState<'a, T>> = legs
         .into_iter()
         .map(|(owners, body)| LegState {

@@ -34,9 +34,10 @@
 //!   rendezvous hashing and fans fingerprint folds out to the
 //!   registry's assembler, to bits identical to the single-process
 //!   run.
-//! - [`poll`] — a hand-rolled readiness shim (`epoll` on Linux via
-//!   direct FFI, portable `poll(2)` fallback) that keeps the std-only
-//!   policy while letting one thread multiplex thousands of sockets.
+//! - [`poll`] — a hand-rolled `poll(2)` readiness shim (one direct FFI
+//!   call) that keeps the std-only policy while one thread multiplexes
+//!   its sockets. A wake costs O(registered fds); each event loop and
+//!   fan-out in the measured traffic watches a few sockets.
 //! - [`server`] / [`client`] — a nonblocking, readiness-driven event
 //!   loop and its client counterpart. No async runtime: the build is
 //!   offline and the state machines are hand-rolled over [`poll`].

@@ -1,33 +1,27 @@
-//! Hand-rolled readiness shim: `epoll` on Linux, `poll(2)` everywhere
-//! else — the std-only substrate under the nonblocking server core.
+//! Hand-rolled readiness shim over `poll(2)` — the std-only substrate
+//! under the nonblocking server core and the cluster fan-out.
 //!
 //! The build is offline (no mio/tokio), so the event loop talks to the
-//! kernel directly through the C library entry points std already
-//! links. Two backends implement the same level-triggered API:
+//! kernel directly through the C library's `poll` entry point, which
+//! std already links. A [`Poller`] keeps one persistent `pollfd` array
+//! plus a parallel token vector: interest changes edit the array in
+//! place and a wait hands it to the kernel as is. The cost is
+//! O(registered fds) per wake-up; every loop here watches a handful of
+//! sockets, so that scan never shows.
 //!
-//! * **epoll** (Linux): one `epoll_create1` instance per [`Poller`];
-//!   interest changes are `epoll_ctl` calls, waits are `epoll_wait`.
-//!   O(ready) per wake-up, the production backend.
-//! * **poll** (portable fallback): the registration table is kept in
-//!   user space and rebuilt into a `pollfd` array per wait. O(fds) per
-//!   wake-up, but works on every Unix and exercises the exact same
-//!   caller state machines — CI runs the serve and sharding suites
-//!   against it via `SKYDIVER_POLLER=poll`. It is also the cluster
-//!   fan-out's fallback when the native backend cannot be created.
-//!
-//! Both backends are level-triggered: a readable fd stays readable
-//! until drained, so a caller that processes only part of a buffer is
-//! woken again instead of hanging. Tokens are caller-chosen `u64`s
-//! (the server uses slab indices; the cluster fan-out uses leg
-//! indices) and come back verbatim in each [`Event`].
+//! Readiness is level-triggered: a readable fd stays readable until
+//! drained, so a caller that processes only part of a buffer is woken
+//! again instead of hanging. Tokens are caller-chosen `u64`s (the
+//! server uses slab indices; the cluster fan-out uses leg indices) and
+//! come back verbatim in each [`Event`].
 //!
 //! Nothing here owns an fd: callers keep their `TcpStream`s /
-//! `TcpListener`s and must [`Poller::deregister`] before closing
-//! (the epoll backend would otherwise keep a stale interest entry;
-//! the poll backend would busy-wake on `POLLNVAL`).
+//! `TcpListener`s and must [`Poller::deregister`] before closing (a
+//! closed fd left in the array would busy-wake on `POLLNVAL`).
 
 use std::io;
 use std::os::fd::RawFd;
+use std::os::raw::{c_int, c_short, c_ulong};
 use std::time::Duration;
 
 /// What a registration wants to be woken for.
@@ -55,6 +49,17 @@ impl Interest {
         read: true,
         write: true,
     };
+
+    fn events(self) -> c_short {
+        let mut events = 0;
+        if self.read {
+            events |= POLLIN;
+        }
+        if self.write {
+            events |= POLLOUT;
+        }
+        events
+    }
 }
 
 /// One readiness notification.
@@ -71,375 +76,125 @@ pub struct Event {
     pub closed: bool,
 }
 
-/// A readiness selector over registered fds.
-pub struct Poller {
-    backend: Backend,
+/// `struct pollfd` from `<poll.h>` — identical on every Unix.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    Poll(pollset::PollSet),
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+extern "C" {
+    // Prototype transcribed from <poll.h>; the C library std links
+    // provides this exact symbol, a thin syscall wrapper with no
+    // callback into Rust.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// A readiness selector over registered fds: `fds[i]` is registered
+/// with `tokens[i]`.
+#[derive(Default)]
+pub struct Poller {
+    fds: Vec<PollFd>,
+    tokens: Vec<u64>,
 }
 
 impl Poller {
-    /// The platform's best backend: epoll on Linux, `poll(2)` on other
-    /// Unixes. `SKYDIVER_POLLER=poll` forces the portable backend (the
-    /// serve test suite runs under both).
-    pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            if std::env::var_os("SKYDIVER_POLLER").is_some_and(|v| v == "poll") {
-                return Ok(Poller::portable());
-            }
-            Ok(Poller {
-                backend: Backend::Epoll(epoll::Epoll::new()?),
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Ok(Poller::portable())
-        }
+    /// An empty poller. It creates no kernel object, so it cannot fail.
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
-    /// The portable `poll(2)` backend, on any platform. It allocates no
-    /// kernel object, so it cannot fail — the fallback when
-    /// [`Poller::new`] does.
-    pub fn portable() -> Poller {
-        Poller {
-            backend: Backend::Poll(pollset::PollSet::new()),
-        }
+    fn slot(&self, fd: RawFd) -> Option<usize> {
+        self.fds.iter().position(|p| p.fd == fd)
     }
 
-    /// Which backend this poller runs on (`"epoll"` / `"poll"`).
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
+    fn not_registered() -> io::Error {
+        io::Error::new(io::ErrorKind::NotFound, "fd not registered")
     }
 
     /// Starts watching `fd` with `interest`; `token` comes back in
     /// every event for it. One registration per fd.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll(p) => p.register(fd, token, interest),
+        if self.slot(fd).is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "fd already registered",
+            ));
         }
+        self.fds.push(PollFd {
+            fd,
+            events: interest.events(),
+            revents: 0,
+        });
+        self.tokens.push(token);
+        Ok(())
     }
 
     /// Replaces an existing registration's interest (and token).
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll(p) => p.modify(fd, token, interest),
-        }
+        let i = self.slot(fd).ok_or_else(Poller::not_registered)?;
+        self.fds[i].events = interest.events();
+        self.tokens[i] = token;
+        Ok(())
     }
 
     /// Stops watching `fd`. Must be called before the fd is closed.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(epoll::EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Backend::Poll(p) => p.deregister(fd),
-        }
+        let i = self.slot(fd).ok_or_else(Poller::not_registered)?;
+        self.fds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
     /// expires (`None` blocks indefinitely). Ready events are appended
-    /// to `out` (which is cleared first); returns how many.
+    /// to `out` (which is cleared first); returns how many. An
+    /// interrupted wait (EINTR) returns zero events.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         out.clear();
-        let timeout_ms: i32 = match timeout {
-            // poll/epoll take int milliseconds; round up so a 100 µs
+        let timeout_ms: c_int = match timeout {
+            // poll takes int milliseconds; round up so a 100 µs
             // deadline is not treated as "return immediately".
             Some(d) => d
                 .as_millis()
                 .max(u128::from(!d.is_zero()))
-                .min(i32::MAX as u128) as i32,
+                .min(c_int::MAX as u128) as c_int,
             None => -1,
         };
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.wait(out, timeout_ms),
-            Backend::Poll(p) => p.wait(out, timeout_ms),
+        // SAFETY: `fds` holds exactly `len` valid pollfd entries; the
+        // kernel writes only their `revents` fields and keeps no
+        // reference past the call.
+        let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, timeout_ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(0);
+            }
+            return Err(e);
         }
-    }
-}
-
-/// The C library entry points both backends stand on. std already
-/// links libc, so declaring the prototypes is enough — no crate, no
-/// build script.
-mod ffi {
-    use std::os::raw::{c_int, c_short, c_uint, c_ulong};
-
-    /// Kernel/libc `struct epoll_event`. On x86-64 the ABI packs it
-    /// (no padding between `events` and `data`); other architectures
-    /// use natural alignment — mirror glibc's `__EPOLL_PACKED`.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    /// `struct pollfd` from `<poll.h>` — identical on every Unix.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
-    extern "C" {
-        // SAFETY: prototypes transcribed from <sys/epoll.h> / <poll.h>;
-        // the C library std links provides these exact symbols. All are
-        // thin syscall wrappers with no callback into Rust.
-        #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn close(fd: c_int) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-
-    pub const EPOLLIN: c_uint = 0x001;
-    pub const EPOLLOUT: c_uint = 0x004;
-    pub const EPOLLERR: c_uint = 0x008;
-    pub const EPOLLHUP: c_uint = 0x010;
-    pub const EPOLLRDHUP: c_uint = 0x2000;
-
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
-    pub const POLLNVAL: c_short = 0x020;
-}
-
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::ffi;
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    /// Per-wait event batch; more ready fds just surface on the next
-    /// wait (level-triggered, nothing is lost).
-    const MAX_EVENTS: usize = 256;
-
-    pub struct Epoll {
-        epfd: RawFd,
-        buf: Vec<ffi::EpollEvent>,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            // SAFETY: epoll_create1 takes a flags int and returns a new
-            // fd or -1; no pointers cross the boundary.
-            let epfd = unsafe { ffi::epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
+        for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
+            // lint: allow(R2) -- O(registered fds) readiness copy-out
+            // after the kernel wait; no I/O, no unbounded work
+            let r = pfd.revents;
+            if r == 0 {
+                continue;
             }
-            Ok(Epoll {
-                epfd,
-                buf: vec![ffi::EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
-            })
+            out.push(Event {
+                token,
+                readable: r & (POLLIN | POLLHUP) != 0,
+                writable: r & POLLOUT != 0,
+                closed: r & (POLLERR | POLLHUP | POLLNVAL) != 0,
+            });
         }
-
-        fn mask(interest: Interest) -> u32 {
-            let mut m = ffi::EPOLLRDHUP;
-            if interest.read {
-                m |= ffi::EPOLLIN;
-            }
-            if interest.write {
-                m |= ffi::EPOLLOUT;
-            }
-            m
-        }
-
-        pub fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = ffi::EpollEvent {
-                events: Self::mask(interest),
-                data: token,
-            };
-            // SAFETY: `ev` is a live, properly laid out EpollEvent for
-            // the duration of the call; the kernel copies it and keeps
-            // no reference. For EPOLL_CTL_DEL the pointer is ignored
-            // (we still pass a valid one for pre-2.6.9 portability).
-            let rc = unsafe { ffi::epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            // SAFETY: `buf` is MAX_EVENTS valid EpollEvents and the
-            // kernel writes at most `maxevents` of them; `buf` outlives
-            // the call. EINTR is retried by the caller's outer loop
-            // semantics — we surface it as zero events.
-            let n = unsafe {
-                ffi::epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    MAX_EVENTS as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                // lint: allow(R2) -- O(ready fds ≤ MAX_EVENTS) copy-out
-                // after the kernel wait; no I/O, no unbounded work
-                // Copy out of the (possibly packed) struct before use.
-                let bits = ev.events;
-                let token = ev.data;
-                out.push(Event {
-                    token,
-                    readable: bits & (ffi::EPOLLIN | ffi::EPOLLRDHUP) != 0,
-                    writable: bits & ffi::EPOLLOUT != 0,
-                    closed: bits & (ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
-                });
-            }
-            Ok(n as usize)
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            // SAFETY: epfd came from epoll_create1 and is closed
-            // exactly once, here.
-            unsafe { ffi::close(self.epfd) };
-        }
-    }
-}
-
-mod pollset {
-    use super::ffi;
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    /// User-space registration table rebuilt into a `pollfd` array per
-    /// wait — O(fds) per wake-up, but dependency-free and portable.
-    pub struct PollSet {
-        regs: Vec<(RawFd, u64, Interest)>,
-        fds: Vec<ffi::PollFd>,
-    }
-
-    impl PollSet {
-        pub fn new() -> PollSet {
-            PollSet {
-                regs: Vec::new(),
-                fds: Vec::new(),
-            }
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.regs.iter().any(|&(f, _, _)| f == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.regs.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for r in &mut self.regs {
-                // lint: allow(R2) -- bounded linear scan over registered fds,
-                // pure memory writes; returns as soon as the entry is found.
-                if r.0 == fd {
-                    *r = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let before = self.regs.len();
-            self.regs.retain(|&(f, _, _)| f != fd);
-            if self.regs.len() == before {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            self.fds.clear();
-            for &(fd, _, interest) in &self.regs {
-                // lint: allow(R2) -- O(registered fds) table rebuild,
-                // pure memory writes; the wait below is the blocking point
-                let mut events = 0i16;
-                if interest.read {
-                    events |= ffi::POLLIN;
-                }
-                if interest.write {
-                    events |= ffi::POLLOUT;
-                }
-                self.fds.push(ffi::PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-            }
-            // SAFETY: `fds` holds exactly `len` valid pollfd entries;
-            // the kernel writes only their `revents` fields and keeps
-            // no reference past the call.
-            let n = unsafe {
-                ffi::poll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as std::os::raw::c_ulong,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            for (pfd, &(_, token, _)) in self.fds.iter().zip(&self.regs) {
-                // lint: allow(R2) -- O(registered fds) readiness copy-out
-                // after the kernel wait; no I/O, no unbounded work
-                let r = pfd.revents;
-                if r == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: r & (ffi::POLLIN | ffi::POLLHUP) != 0,
-                    writable: r & ffi::POLLOUT != 0,
-                    closed: r & (ffi::POLLERR | ffi::POLLHUP | ffi::POLLNVAL) != 0,
-                });
-            }
-            Ok(out.len())
-        }
+        Ok(out.len())
     }
 }
 
@@ -450,107 +205,145 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
-    fn backends() -> Vec<Poller> {
-        let mut v = vec![Poller::portable()];
-        if cfg!(target_os = "linux") {
-            v.push(Poller::new().expect("native backend"));
-        }
-        v
+    /// A connected (peer, accepted nonblocking socket) pair.
+    fn pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (sock, _) = listener.accept().expect("accept");
+        sock.set_nonblocking(true).expect("nonblocking");
+        (peer, sock)
     }
 
     #[test]
-    fn readable_after_peer_writes_on_both_backends() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let mut peer = TcpStream::connect(addr).expect("connect");
-            let (sock, _) = listener.accept().expect("accept");
-            sock.set_nonblocking(true).expect("nonblocking");
-            poller
-                .register(sock.as_raw_fd(), 7, Interest::READ)
-                .expect("register");
+    fn readable_after_peer_writes() {
+        let mut poller = Poller::new();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (mut peer, mut sock) = pair(&listener);
+        poller
+            .register(sock.as_raw_fd(), 7, Interest::READ)
+            .expect("register");
 
-            let mut events = Vec::new();
-            // Nothing to read yet: a short wait times out empty.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .expect("wait");
-            assert!(
-                events.is_empty(),
-                "{}: spurious event {events:?}",
-                poller.backend_name()
-            );
+        let mut events = Vec::new();
+        // Nothing to read yet: a short wait times out empty.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert!(events.is_empty(), "spurious event {events:?}");
 
-            peer.write_all(b"ping").expect("peer write");
-            poller
-                .wait(&mut events, Some(Duration::from_millis(2_000)))
-                .expect("wait");
-            assert_eq!(events.len(), 1, "{}", poller.backend_name());
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        peer.write_all(b"ping").expect("peer write");
+        poller
+            .wait(&mut events, Some(Duration::from_millis(2_000)))
+            .expect("wait");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Level-triggered: still readable until drained.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(2_000)))
-                .expect("re-wait");
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{}: level-triggered readiness must persist",
-                poller.backend_name()
-            );
-            let mut sock = sock;
-            let mut buf = [0u8; 16];
-            let n = sock.read(&mut buf).expect("drain");
-            assert_eq!(&buf[..n], b"ping");
-            poller.deregister(sock.as_raw_fd()).expect("deregister");
-        }
+        // Level-triggered: still readable until drained.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(2_000)))
+            .expect("re-wait");
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.readable),
+            "level-triggered readiness must persist"
+        );
+        let mut buf = [0u8; 16];
+        let n = sock.read(&mut buf).expect("drain");
+        assert_eq!(&buf[..n], b"ping");
+        poller.deregister(sock.as_raw_fd()).expect("deregister");
     }
 
     #[test]
     fn write_interest_and_modify() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let peer = TcpStream::connect(addr).expect("connect");
-            let (sock, _) = listener.accept().expect("accept");
-            sock.set_nonblocking(true).expect("nonblocking");
-            // A fresh socket with an empty send buffer is writable.
+        let mut poller = Poller::new();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (peer, sock) = pair(&listener);
+        // A fresh socket with an empty send buffer is writable.
+        poller
+            .register(sock.as_raw_fd(), 1, Interest::WRITE)
+            .expect("register");
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(2_000)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.writable),
+            "fresh socket must be writable"
+        );
+        // Downgrade to read interest: no events until the peer speaks.
+        poller
+            .modify(sock.as_raw_fd(), 2, Interest::READ)
+            .expect("modify");
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert!(events.is_empty(), "{events:?}");
+        drop(peer); // EOF counts as readable
+        poller
+            .wait(&mut events, Some(Duration::from_millis(2_000)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 2 && e.readable),
+            "EOF must surface as readable"
+        );
+        poller.deregister(sock.as_raw_fd()).expect("deregister");
+    }
+
+    #[test]
+    fn deregister_then_modify_keeps_each_token_on_its_own_fd() {
+        let mut poller = Poller::new();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (mut peer_a, sock_a) = pair(&listener);
+        let (mut peer_b, sock_b) = pair(&listener);
+        let (mut peer_c, sock_c) = pair(&listener);
+        poller
+            .register(sock_a.as_raw_fd(), 10, Interest::READ)
+            .expect("register a");
+        poller
+            .register(sock_b.as_raw_fd(), 20, Interest::READ)
+            .expect("register b");
+        poller
+            .register(sock_c.as_raw_fd(), 30, Interest::READ)
+            .expect("register c");
+        // Removing the middle entry moves the last one; its token must
+        // move with it, and a later modify must find it by fd.
+        poller.deregister(sock_b.as_raw_fd()).expect("deregister b");
+        poller
+            .modify(sock_c.as_raw_fd(), 33, Interest::BOTH)
+            .expect("modify c");
+
+        // `c` is writable at once and only `c` asked for write.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(2_000)))
+            .expect("wait");
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].token, 33);
+        assert!(events[0].writable && !events[0].readable);
+
+        // Every peer speaks; `b` is no longer watched.
+        peer_a.write_all(b"a").expect("write a");
+        peer_b.write_all(b"b").expect("write b");
+        peer_c.write_all(b"c").expect("write c");
+        let want = |events: &[Event]| {
+            events.iter().any(|e| e.token == 10 && e.readable && !e.writable)
+                && events.iter().any(|e| e.token == 33 && e.readable && e.writable)
+        };
+        let give_up = std::time::Instant::now() + Duration::from_secs(2);
+        while !want(&events) && std::time::Instant::now() < give_up {
             poller
-                .register(sock.as_raw_fd(), 1, Interest::WRITE)
-                .expect("register");
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(2_000)))
+                .wait(&mut events, Some(Duration::from_millis(200)))
                 .expect("wait");
-            assert!(
-                events.iter().any(|e| e.token == 1 && e.writable),
-                "{}: fresh socket must be writable",
-                poller.backend_name()
-            );
-            // Downgrade to read interest: no events until the peer speaks.
-            poller
-                .modify(sock.as_raw_fd(), 2, Interest::READ)
-                .expect("modify");
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .expect("wait");
-            assert!(events.is_empty(), "{}", poller.backend_name());
-            drop(peer); // EOF counts as readable
-            poller
-                .wait(&mut events, Some(Duration::from_millis(2_000)))
-                .expect("wait");
-            assert!(
-                events.iter().any(|e| e.token == 2 && e.readable),
-                "{}: EOF must surface as readable",
-                poller.backend_name()
-            );
-            poller.deregister(sock.as_raw_fd()).expect("deregister");
         }
+        assert!(want(&events), "{events:?}");
+        assert_eq!(events.len(), 2, "{events:?}");
+
+        assert!(poller.modify(sock_b.as_raw_fd(), 20, Interest::READ).is_err());
+        poller.deregister(sock_a.as_raw_fd()).expect("deregister a");
+        poller.deregister(sock_c.as_raw_fd()).expect("deregister c");
     }
 
     #[test]
     fn double_register_and_missing_deregister_error_on_pollset() {
-        let mut p = Poller::portable();
+        let mut p = Poller::new();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let fd = listener.as_raw_fd();
         p.register(fd, 0, Interest::READ).expect("register");

@@ -2,10 +2,10 @@
 //!
 //! Hand-rolled on `std::net` plus the [`crate::poll`] shim (the build
 //! is offline — no tokio/hyper/mio): [`Server::run`] spawns `threads`
-//! event-loop threads, each multiplexing its own set of accepted
-//! connections over an [`Poller`] (epoll on Linux, `poll(2)`
-//! elsewhere). Every socket is nonblocking; each connection is a small
-//! state machine with a read buffer, a write buffer, and deadlines.
+//! event-loop threads, each multiplexing its listener and its own
+//! accepted connections over one `poll(2)` [`Poller`]. Every socket is
+//! nonblocking; each connection is a small state machine with a read
+//! buffer, a write buffer, and deadlines.
 //!
 //! **Pipelining.** A connection parses *every* complete request its
 //! read buffer holds and queues the responses in order, so a client
@@ -395,13 +395,7 @@ fn tick_interval(limits: &ConnLimits) -> Duration {
 /// private [`Poller`] until the server-wide shutdown flag flips.
 fn event_loop(listener: TcpListener, ctx: LoopCtx) {
     let metrics = Arc::clone(ctx.registry.metrics());
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("skydiver-serve: poller init failed: {e}");
-            return;
-        }
-    };
+    let mut poller = Poller::new();
     if let Err(e) = poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ) {
         eprintln!("skydiver-serve: cannot watch listener: {e}");
         return;
@@ -1220,62 +1214,40 @@ fn method_key(method: &Method) -> String {
     }
 }
 
-/// Answers a `QUERY`: signature methods go through the fingerprint
-/// cache + [`SkyDiver::select_from`]; the exact `greedy` baseline
-/// recomputes dominated sets per query (never cached). Budget-free
-/// repeats of an identical query are served from the per-dataset
-/// selection memo without re-running the selection — the memo only
-/// holds undegraded runs over complete fingerprints, so a hit differs
-/// from the recompute in timing fields alone. On a coordinator the
-/// fingerprint comes from the cluster fan-out — merged to the same
-/// bits, so selection (and the response payload) is identical to the
-/// single-process answer.
+/// Answers a `QUERY`. The signature methods run as a one-item
+/// `BATCH` ([`answer_items`]), so a QUERY and the equivalent BATCH item
+/// take one path through the fingerprint cache, the selection memo and
+/// the cluster fan-out, and reply with the same bytes (timing fields
+/// aside). The exact `greedy` baseline recomputes dominated sets per
+/// query (never cached).
 fn answer_query(
     q: &QuerySpec,
     registry: &Registry,
     cluster: Option<&ClusterState>,
     cancel: &CancelToken,
 ) -> Result<String, String> {
+    if !matches!(q.method, Method::Greedy) {
+        let one = BatchSpec {
+            dataset: q.dataset.clone(),
+            items: vec![(q.k, q.method)],
+            t: q.t,
+            seed: q.seed,
+            prefs: q.prefs.clone(),
+            timeout_ms: q.timeout_ms,
+            max_dominance_tests: q.max_dominance_tests,
+        };
+        let mut items = answer_items(&one, registry, cluster, cancel)?;
+        return items.pop().ok_or_else(|| "no selection ran".to_string());
+    }
     let t0 = Instant::now();
     let ds = registry
         .dataset(&q.dataset)
         .ok_or_else(|| format!("unknown dataset {:?} (LOAD it first)", q.dataset))?;
-    let (prefs, prefs_key) = parse_prefs(q.prefs.as_deref(), ds.data.dims())?;
+    let (prefs, _) = parse_prefs(q.prefs.as_deref(), ds.data.dims())?;
     let budget = request_budget(cancel, q.timeout_ms, q.max_dominance_tests);
-    let metrics = Arc::clone(registry.metrics());
-
-    let (answer, fingerprint_ms, selection_ms, cached, tests, degradation) = match q.method {
-        Method::Greedy => {
-            let (answer, selection_ms, degradation) = answer_exact(q, &ds.whole(), &prefs, budget)?;
-            (Arc::new(answer), 0.0, selection_ms, false, 0, degradation)
-        }
-        Method::MinHash | Method::Lsh { .. } => {
-            let unbudgeted = q.timeout_ms.is_none() && q.max_dominance_tests.is_none();
-            let sel_key = (prefs_key.clone(), q.t, q.seed, q.k, method_key(&q.method));
-            if let Some(m) = unbudgeted.then(|| ds.selection_get(&sel_key)).flatten() {
-                // A memoised selection implies the memoised fingerprint,
-                // so this is a cache hit in the warm-query sense too.
-                metrics.bump(&metrics.cache_hits);
-                metrics.bump(&metrics.selection_hits);
-                return Ok(render_memo(&q.dataset, q.k, &q.method, true, &m, t0, 0));
-            }
-            let (d, b) = (&q.dataset, budget.clone());
-            let (fp, cached, dominance_tests) = match cluster {
-                Some(cs) => cs.fingerprint(registry, d, &prefs, &prefs_key, q.t, q.seed, b)?,
-                None => registry.fingerprint(d, &prefs, &prefs_key, q.t, q.seed, b)?,
-            };
-            let memoise = unbudgeted && fp.is_complete();
-            let (r, answer) = select_memoised(
-                &ds, sel_key, &fp, q.k, q.method, q.t, q.seed, budget, memoise,
-            )?;
-            // A cache hit charges no fingerprinting (and no dominance
-            // tests) to this request.
-            let fingerprint_ms = if cached { 0.0 } else { r.fingerprint_ms };
-            (answer, fingerprint_ms, r.selection_ms, cached, dominance_tests, r.degradation)
-        }
-    };
-
+    let (answer, selection_ms, degradation) = answer_exact(q, &ds.whole(), &prefs, budget)?;
     if degradation.is_degraded() {
+        let metrics = registry.metrics();
         metrics.bump(&metrics.degraded);
     }
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1283,24 +1255,17 @@ fn answer_query(
         &q.dataset,
         q.k,
         &q.method,
-        cached,
+        false,
         &answer,
-        fingerprint_ms,
+        0.0,
         selection_ms,
         total_ms,
-        tests,
+        0,
         &degradation,
     ))
 }
 
-/// Answers a `BATCH`: resolves the shared fingerprint once (cache,
-/// cluster fan-out, or cold compute) and runs every `(k, method)`
-/// selection against it. Per-item `cached`/`dominance_tests` fields
-/// report what the equivalent sequence of stand-alone `QUERY`s would
-/// have reported: item 0 carries the resolution's flags; later items
-/// are cache hits when the fingerprint is complete (it was memoised),
-/// and deterministic recomputes (same flags as item 0) when a budget
-/// trip left it partial.
+/// Answers a `BATCH`: every item's reply wrapped in one payload.
 fn answer_batch(
     b: &BatchSpec,
     registry: &Registry,
@@ -1310,6 +1275,33 @@ fn answer_batch(
     if b.items.is_empty() {
         return Err("BATCH requires at least one spec".to_string());
     }
+    let results = answer_items(b, registry, cluster, cancel)?;
+    Ok(format!(
+        "{{\"dataset\":\"{}\",\"batch\":{},\"results\":[{}]}}",
+        json_escape(&b.dataset),
+        results.len(),
+        results.join(",")
+    ))
+}
+
+/// Resolves the shared fingerprint once (cache, cluster fan-out, or
+/// cold compute) and runs every `(k, method)` selection of `b` against
+/// it, returning one reply per item. On a coordinator the fingerprint
+/// is merged to the same bits as the single-process one, so every reply
+/// is too. Per-item `cached`/`dominance_tests` fields report what the
+/// equivalent sequence of stand-alone `QUERY`s would have reported:
+/// item 0 carries the resolution's flags; later items are cache hits
+/// when the fingerprint is complete (it was memoised), and
+/// deterministic recomputes (same flags as item 0) when a budget trip
+/// left it partial. Item 0's `total_ms` runs from the request's start,
+/// so it covers the resolution it reports.
+fn answer_items(
+    b: &BatchSpec,
+    registry: &Registry,
+    cluster: Option<&ClusterState>,
+    cancel: &CancelToken,
+) -> Result<Vec<String>, String> {
+    let t0 = Instant::now();
     let ds = registry
         .dataset(&b.dataset)
         .ok_or_else(|| format!("unknown dataset {:?} (LOAD it first)", b.dataset))?;
@@ -1325,7 +1317,7 @@ fn answer_batch(
     let unbudgeted = b.timeout_ms.is_none() && b.max_dominance_tests.is_none();
     let mut results = Vec::with_capacity(b.items.len());
     for (i, &(k, method)) in b.items.iter().enumerate() {
-        let it0 = Instant::now();
+        let it0 = if i == 0 { t0 } else { Instant::now() };
         let sel_key = (prefs_key.clone(), b.t, b.seed, k, method_key(&method));
         // Budget-free items over a memoised complete fingerprint can be
         // served straight from the selection memo — the flags below
@@ -1375,12 +1367,7 @@ fn answer_batch(
             &r.degradation,
         ));
     }
-    Ok(format!(
-        "{{\"dataset\":\"{}\",\"batch\":{},\"results\":[{}]}}",
-        json_escape(&b.dataset),
-        results.len(),
-        results.join(",")
-    ))
+    Ok(results)
 }
 
 /// The exact greedy baseline: dominated-set Jaccard distances over

@@ -32,6 +32,7 @@
 //! accepted (detected by extension).
 
 use std::collections::HashMap;
+use std::io::{BufWriter, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
 
 use skydiver::data::dominance::MinDominance;
@@ -50,26 +51,65 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "skyline" => cmd_skyline(&flags),
-        "diversify" => cmd_diversify(&flags),
-        "run" => cmd_run(&flags),
-        "fingerprint" => cmd_fingerprint(&flags),
-        "select" => cmd_select(&flags),
-        "serve" => cmd_serve(&flags),
-        "query" => cmd_query(&flags),
-        "info" => cmd_info(&flags),
-        _ => unreachable!("parse() validated the command"),
+    let mut out = Stdout {
+        inner: BufWriter::new(std::io::stdout().lock()),
+        closed: false,
     };
+    let result = match cmd.as_str() {
+        "generate" => cmd_generate(&flags, &mut out),
+        "skyline" => cmd_skyline(&flags, &mut out),
+        "diversify" => cmd_diversify(&flags, &mut out),
+        "run" => cmd_run(&flags, &mut out),
+        "fingerprint" => cmd_fingerprint(&flags, &mut out),
+        "select" => cmd_select(&flags, &mut out),
+        "serve" => cmd_serve(&flags),
+        "query" => cmd_query(&flags, &mut out),
+        "info" => cmd_info(&flags, &mut out),
+        _ => unreachable!("parse() validated the command"),
+    }
+    .and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`| head`): the output ends there.
+        Err(_) if out.closed => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// Every subcommand's stdout, locked and buffered. A write that meets
+/// a closed pipe fails like any other, so the command stops there, and
+/// marks the output `closed` so that `main` exits 0 instead of
+/// reporting it.
+struct Stdout {
+    inner: BufWriter<StdoutLock<'static>>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn note<T>(&mut self, r: std::io::Result<T>) -> std::io::Result<T> {
+        if r.as_ref().is_err_and(|e| e.kind() == ErrorKind::BrokenPipe) {
+            self.closed = true;
+        }
+        r
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let r = self.inner.write(buf);
+        self.note(r)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let r = self.inner.flush();
+        self.note(r)
+    }
+}
+
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 const USAGE: &str = "usage:
   skydiver generate  --family ind|ant|cor|fc|rec --n N --d D [--seed S] --out FILE
@@ -303,12 +343,12 @@ fn prefs_for(flags: &Flags, dims: usize) -> Result<Vec<Preference>, Box<dyn std:
         .map_err(err)
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_generate(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let family = flag(flags, "family")?;
     let n: usize = num(flags, "n", 100_000)?;
     let d: usize = num(flags, "d", 4)?;
     let seed: u64 = num(flags, "seed", 42)?;
-    let out = flag(flags, "out")?;
+    let path = flag(flags, "out")?;
     let ds = match family {
         "ind" => generators::independent(n, d, seed),
         "ant" => generators::anticorrelated(n, d, seed),
@@ -317,38 +357,30 @@ fn cmd_generate(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         "rec" => surrogates::recipes(n, seed).project(d.min(surrogates::REC_DIMS)),
         other => return Err(err(format!("unknown family {other:?}"))),
     };
-    if out.ends_with(".sky") {
-        io::write_binary(&ds, out)?;
+    if path.ends_with(".sky") {
+        io::write_binary(&ds, path)?;
     } else {
-        io::write_csv(&ds, out)?;
+        io::write_csv(&ds, path)?;
     }
-    println!("wrote {} points ({}D) to {out}", ds.len(), ds.dims());
+    writeln!(out, "wrote {} points ({}D) to {path}", ds.len(), ds.dims())?;
     Ok(())
 }
 
-fn cmd_skyline(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_skyline(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
     let canon = skydiver::core::canonicalise(&ds, &prefs)?;
     let skyline = sky::sfs(canon.as_ref(), &MinDominance);
-    // Lock + buffer stdout; treat a closed pipe (e.g. `| head`) as a
-    // normal early exit.
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let _ = writeln!(
+    writeln!(
         out,
         "# skyline: {} of {} points (sfs)",
         skyline.len(),
         ds.len()
-    );
+    )?;
     for &i in &skyline {
         let row: Vec<String> = ds.point(i).iter().map(|v| v.to_string()).collect();
-        if writeln!(out, "{i},{}", row.join(",")).is_err() {
-            break;
-        }
+        writeln!(out, "{i},{}", row.join(","))?;
     }
-    let _ = out.flush();
     Ok(())
 }
 
@@ -380,32 +412,35 @@ fn pipeline_for(flags: &Flags, k: usize) -> Result<SkyDiver, Box<dyn std::error:
     Ok(pipeline.budget(budget))
 }
 
-fn print_result_text(ds: &Dataset, r: &DiverseResult, label: &str) {
-    println!(
+fn print_result_text(out: &mut Stdout, ds: &Dataset, r: &DiverseResult, label: &str) -> CmdResult {
+    writeln!(
+        out,
         "# skyline {} points; {} most diverse below ({label}fingerprint {:.1}ms, select {:.1}ms, {} bytes)",
         r.skyline.len(),
         r.selected.len(),
         r.fingerprint_ms,
         r.selection_ms,
         r.memory_bytes
-    );
+    )?;
     if !r.is_complete() {
         eprintln!("warning: degraded run — {}", r.degradation.summary());
     }
     for (&idx, &pos) in r.selected.iter().zip(&r.selected_positions) {
         let row: Vec<String> = ds.point(idx).iter().map(|v| v.to_string()).collect();
-        println!("{idx},{},gamma={}", row.join(","), r.scores[pos]);
+        writeln!(out, "{idx},{},gamma={}", row.join(","), r.scores[pos])?;
     }
+    Ok(())
 }
 
-fn print_result_json(r: &DiverseResult) {
+fn print_result_json(out: &mut Stdout, r: &DiverseResult) -> CmdResult {
     let selected: Vec<String> = r.selected.iter().map(|i| i.to_string()).collect();
     let gamma: Vec<String> = r
         .selected_positions
         .iter()
         .map(|&p| r.scores[p].to_string())
         .collect();
-    println!(
+    writeln!(
+        out,
         concat!(
             "{{\"skyline\":{},\"selected\":[{}],\"gamma\":[{}],",
             "\"fingerprint_ms\":{:.3},\"selection_ms\":{:.3},\"memory_bytes\":{},",
@@ -419,18 +454,18 @@ fn print_result_json(r: &DiverseResult) {
         r.memory_bytes,
         !r.is_complete(),
         json_escape(&r.degradation.summary()),
-    );
+    )?;
+    Ok(())
 }
 
-fn cmd_diversify(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_diversify(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
     let k: usize = flag(flags, "k")?
         .parse()
         .map_err(|_| err("bad value for --k"))?;
     let r = pipeline_for(flags, k)?.run(&ds, &prefs)?;
-    print_result_text(&ds, &r, "");
-    Ok(())
+    print_result_text(out, &ds, &r, "")
 }
 
 /// `skydiver run` — the full pipeline (`SkyDiver::run`), fingerprinting
@@ -439,7 +474,7 @@ fn cmd_diversify(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 /// fingerprinted as a merge of per-shard folds. Either way the rows are
 /// folded by global row id, so the selection is the one `diversify`,
 /// `fingerprint` + `select` and a served `QUERY` pick.
-fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_run(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let ds = load(flag(flags, "input")?)?;
     let prefs = prefs_for(flags, ds.dims())?;
     let k: usize = flag(flags, "k")?
@@ -463,18 +498,17 @@ fn cmd_run(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         (pipeline.run(&ds, &prefs)?, format!("threads {threads}, "))
     };
     if json_format(flags)? {
-        print_result_json(&r);
+        print_result_json(out, &r)
     } else {
-        print_result_text(&ds, &r, &label);
+        print_result_text(out, &ds, &r, &label)
     }
-    Ok(())
 }
 
 /// `skydiver fingerprint` — phase 1 once, saved as a one-shard
 /// `SKYSIG03` bundle: the columns are the skyline ids, rows consumed is
 /// `n`, and the last key tag is the hash seed (`select` needs it for
 /// LSH banding).
-fn cmd_fingerprint(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fingerprint(flags: &Flags, out: &mut Stdout) -> CmdResult {
     use skydiver::core::minhash::persist;
     use skydiver::core::{ShardFingerprint, SignatureAccumulator};
     let ds = load(flag(flags, "input")?)?;
@@ -493,16 +527,17 @@ fn cmd_fingerprint(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         },
     };
     persist::write_shard_signatures(out_path, &bundle, &[0, 0, 0, seed])?;
-    println!(
+    writeln!(
+        out,
         "fingerprinted {m} skyline points of {} (t = {t}) into {out_path}",
         ds.len()
-    );
+    )?;
     Ok(())
 }
 
 /// `skydiver select` — phase 2 from a saved bundle, under the bundle's
 /// hash seed, exactly as `diversify` selects after fingerprinting.
-fn cmd_select(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_select(flags: &Flags, out: &mut Stdout) -> CmdResult {
     use skydiver::core::minhash::persist;
     let path = flag(flags, "signatures")?;
     let (bundle, tags) = persist::read_shard_signatures(path)?;
@@ -529,12 +564,13 @@ fn cmd_select(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let r = pipeline_for(flags, k)?
         .hash_seed(tags[3])
         .select_from(&fp)?;
-    println!(
+    writeln!(
+        out,
         "# {k} most diverse of {} skyline points (point id, gamma):",
         r.skyline.len()
-    );
+    )?;
     for (&idx, &pos) in r.selected.iter().zip(&r.selected_positions) {
-        println!("{idx},gamma={}", r.scores[pos]);
+        writeln!(out, "{idx},gamma={}", r.scores[pos])?;
     }
     Ok(())
 }
@@ -544,7 +580,7 @@ fn cmd_select(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 /// timeout/line-cap flags bound how long a silent or dribbling client
 /// can hold a worker. `--workers` makes this server a cluster
 /// coordinator over the listed nodes.
-fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_serve(flags: &Flags) -> CmdResult {
     let defaults = ServerConfig::default();
     let cluster_defaults = ClusterConfig::default();
     let cluster = match flags.get("workers") {
@@ -644,7 +680,7 @@ fn parse_batch_items(spec: &str) -> Result<Vec<(usize, Method)>, Box<dyn std::er
 /// `skydiver query` — line-protocol client: LOAD / QUERY / BATCH /
 /// STATS / SHUTDOWN against a running `skydiver serve`. `--binary`
 /// negotiates the `SKYWIRE01` framing before the request goes out.
-fn cmd_query(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_query(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let addr = flags
         .get("addr")
         .map(|s| s.as_str())
@@ -655,45 +691,47 @@ fn cmd_query(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         client.hello().map_err(err)?;
     }
     if flags.contains_key("stats") {
-        println!("{}", client.stats().map_err(err)?);
+        writeln!(out, "{}", client.stats().map_err(err)?)?;
         return Ok(());
     }
     if flags.contains_key("shutdown") {
-        println!("{}", client.shutdown().map_err(err)?);
+        writeln!(out, "{}", client.shutdown().map_err(err)?)?;
         return Ok(());
     }
     if flags.contains_key("snapshot") {
-        println!("{}", client.snapshot().map_err(err)?);
+        writeln!(out, "{}", client.snapshot().map_err(err)?)?;
         return Ok(());
     }
     if flags.contains_key("restore") {
-        println!("{}", client.restore().map_err(err)?);
+        writeln!(out, "{}", client.restore().map_err(err)?)?;
         return Ok(());
     }
     if let Some(node) = flags.get("join") {
-        println!(
+        writeln!(
+            out,
             "{}",
             client.exchange(&format!("JOIN addr={node}")).map_err(err)?
-        );
+        )?;
         return Ok(());
     }
     if let Some(node) = flags.get("leave") {
-        println!(
+        writeln!(
+            out,
             "{}",
             client
                 .exchange(&format!("LEAVE addr={node}"))
                 .map_err(err)?
-        );
+        )?;
         return Ok(());
     }
     if let Some(name) = flags.get("load") {
         let path = flag(flags, "path")?;
-        println!("{}", client.load(name, path).map_err(err)?);
+        writeln!(out, "{}", client.load(name, path).map_err(err)?)?;
         return Ok(());
     }
     if let Some(name) = flags.get("append") {
         let path = flag(flags, "path")?;
-        println!("{}", client.append(name, path).map_err(err)?);
+        writeln!(out, "{}", client.append(name, path).map_err(err)?)?;
         return Ok(());
     }
     if let Some(items) = flags.get("batch") {
@@ -704,7 +742,7 @@ fn cmd_query(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         spec.prefs = flags.get("prefs").cloned();
         spec.timeout_ms = opt_num(flags, "timeout-ms")?;
         spec.max_dominance_tests = opt_num(flags, "max-dominance-tests")?;
-        println!("{}", client.batch(&spec).map_err(err)?);
+        writeln!(out, "{}", client.batch(&spec).map_err(err)?)?;
         return Ok(());
     }
     // A diversification query.
@@ -729,12 +767,13 @@ fn cmd_query(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     spec.max_dominance_tests = opt_num(flags, "max-dominance-tests")?;
     let payload = client.query(&spec).map_err(err)?;
     if json_format(flags)? {
-        println!("{payload}");
+        writeln!(out, "{payload}")?;
         return Ok(());
     }
     let selected = json_u64_array(&payload, "selected").unwrap_or_default();
     let gamma = json_u64_array(&payload, "gamma").unwrap_or_default();
-    println!(
+    writeln!(
+        out,
         "# dataset {dataset}: {} selected of {} skyline points (cached={}, fingerprint {:.1}ms, select {:.1}ms, total {:.1}ms)",
         selected.len(),
         skydiver::serve::protocol::json_u64(&payload, "skyline").unwrap_or(0),
@@ -742,23 +781,23 @@ fn cmd_query(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         skydiver::serve::protocol::json_f64(&payload, "fingerprint_ms").unwrap_or(0.0),
         skydiver::serve::protocol::json_f64(&payload, "selection_ms").unwrap_or(0.0),
         skydiver::serve::protocol::json_f64(&payload, "total_ms").unwrap_or(0.0),
-    );
+    )?;
     if skydiver::serve::protocol::json_bool(&payload, "degraded") == Some(true) {
         eprintln!("warning: degraded query");
     }
     for (idx, g) in selected.iter().zip(&gamma) {
-        println!("{idx},gamma={g}");
+        writeln!(out, "{idx},gamma={g}")?;
     }
     Ok(())
 }
 
-fn cmd_info(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_info(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let ds = load(flag(flags, "input")?)?;
-    println!("points: {}", ds.len());
-    println!("dims:   {}", ds.dims());
+    writeln!(out, "points: {}", ds.len())?;
+    writeln!(out, "dims:   {}", ds.dims())?;
     if let Some((lo, hi)) = ds.bounding_box() {
-        println!("bbox lo: {lo:?}");
-        println!("bbox hi: {hi:?}");
+        writeln!(out, "bbox lo: {lo:?}")?;
+        writeln!(out, "bbox hi: {hi:?}")?;
     }
     Ok(())
 }

@@ -342,3 +342,48 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("k must be >= 2"));
     std::fs::remove_file(csv).ok();
 }
+
+/// A reader that goes away early (`| head -1`) ends the output quietly:
+/// exit 0 and no panic, for `info` and `diversify` alike. `info`'s
+/// reader is closed before the command writes anything; `diversify`'s
+/// after the first line, with far more than a pipe buffer still to
+/// write, so the command meets the closed pipe either way.
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let csv = tmp("closed-pipe.csv");
+    let out = bin()
+        .args(["generate", "--family", "ant", "--n", "20000", "--d", "4"])
+        .args(["--seed", "3", "--out", csv.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let input = csv.to_str().unwrap();
+
+    let runs: [(&[&str], usize); 2] = [
+        (&["info", "--input", input], 0),
+        (&["diversify", "--input", input, "--k", "1400", "--t", "64"], 1),
+    ];
+    for (args, lines_read) in runs {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        let mut reader = BufReader::new(child.stdout.take().expect("stdout"));
+        for _ in 0..lines_read {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("first line");
+            assert!(!line.is_empty(), "{args:?}: no output");
+        }
+        drop(reader);
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&csv).ok();
+}

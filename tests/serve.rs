@@ -745,3 +745,59 @@ fn selection_memo_repeats_bit_identically_without_recomputing() {
     client.shutdown().expect("shutdown");
     handle.join().expect("clean exit");
 }
+
+/// QUERY's signature path is a one-item BATCH. Seventeen distinct
+/// seeds push the first key out of the 16-entry fingerprint memo while
+/// the 256-entry selection memo still holds its selection; repeating
+/// that QUERY must recompute the fingerprint and say so
+/// (`"cached":false`), exactly as the equivalent BATCH item does, and
+/// `cache_hits` must count only real fingerprint-memo hits.
+#[test]
+fn query_after_the_fingerprint_memo_clears_matches_the_one_item_batch() {
+    let seeds = 17u64;
+    let cycle = |client: &mut Client| {
+        for seed in SEED..SEED + seeds {
+            let mut q = spec(6);
+            q.seed = seed;
+            client.query(&q).expect("seed query");
+        }
+    };
+
+    let ha = start(2);
+    ha.registry()
+        .insert_dataset("ant", anticorrelated(9_000, 3, 41));
+    let mut ca = Client::connect(ha.addr()).expect("connect A");
+    cycle(&mut ca);
+    let before = ca.stats().expect("stats before");
+    let repeat = ca.query(&spec(6)).expect("repeat query");
+    let after = ca.stats().expect("stats after");
+    assert_eq!(json_bool(&repeat, "cached"), Some(false), "{repeat}");
+    let delta = |key: &str| {
+        json_u64(&after, key).expect("after") - json_u64(&before, key).expect("before")
+    };
+    assert_eq!(delta("cache_hits"), 0, "no fingerprint-memo hit: {after}");
+    assert_eq!(delta("cache_misses"), 1, "{after}");
+    // The recompute memoised the fingerprint again: now it is a hit.
+    let warm = ca.query(&spec(6)).expect("warm query");
+    assert_eq!(json_bool(&warm, "cached"), Some(true), "{warm}");
+    let hits = json_u64(&ca.stats().expect("stats"), "cache_hits").expect("cache_hits");
+    assert_eq!(hits, json_u64(&after, "cache_hits").expect("hits") + 1);
+
+    // The same history ending in the equivalent one-item BATCH.
+    let hb = start(2);
+    hb.registry()
+        .insert_dataset("ant", anticorrelated(9_000, 3, 41));
+    let mut cb = Client::connect(hb.addr()).expect("connect B");
+    cycle(&mut cb);
+    let mut batch = BatchSpec::new("ant", vec![(6, Method::MinHash)]);
+    batch.t = T;
+    batch.seed = SEED;
+    let results = split_results(&cb.batch(&batch).expect("batch"));
+    assert_eq!(results.len(), 1);
+    assert_eq!(det_fields(&repeat), det_fields(&results[0]));
+
+    ca.shutdown().expect("shutdown A");
+    ha.join().expect("clean exit A");
+    cb.shutdown().expect("shutdown B");
+    hb.join().expect("clean exit B");
+}
