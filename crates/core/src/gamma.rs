@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn build_and_cross_sets_equal_a_naive_scan() {
-        use crate::cross::cross_gamma_sets;
+        use crate::graph::DominanceGraph;
         for d in 2..=6usize {
             let ds = tie_heavy(400, d, 60 + d as u64);
             let sky = naive_skyline(&ds, &MinDominance);
@@ -315,7 +315,10 @@ mod tests {
                 // The same columns as a candidate set over the data.
                 let rows: Vec<&[f64]> = cols.iter().map(|&s| ds.point(s)).collect();
                 let candidates = skydiver_data::Dataset::from_rows(d, &rows);
-                let cross = cross_gamma_sets(&candidates, &ds);
+                let graph = DominanceGraph::cross(&candidates, &ds);
+                assert_eq!(graph.scores(), g.scores(), "{what}, d = {d}");
+                let cross = graph.gamma_sets();
+                assert_eq!((cross.len(), cross.rows()), (g.len(), g.rows()), "{what}, d = {d}");
                 for j in 0..cols.len() {
                     let (a, b) = (cross.set(j).iter_ones(), g.set(j).iter_ones());
                     assert!(a.eq(b), "{what}, d = {d}, candidate {j}");

@@ -39,10 +39,8 @@ pub mod bitset;
 pub mod budget;
 pub mod canonical;
 pub mod coverage;
-pub mod cross;
 pub mod dispersion;
 pub mod diversity;
-pub mod dynamic;
 pub mod error;
 pub mod gamma;
 pub mod graph;
@@ -59,7 +57,6 @@ pub use budget::{
 };
 pub use canonical::canonicalise;
 pub use coverage::{coverage_fraction, greedy_max_coverage};
-pub use cross::{cross_fingerprint, cross_gamma_sets, diversify_cross};
 pub use dispersion::{
     brute_force_mmdp, brute_force_msdp, greedy_msdp, min_pairwise, select_diverse,
     select_diverse_budgeted, SeedRule, TieBreak,
@@ -67,7 +64,6 @@ pub use dispersion::{
 pub use diversity::{
     DiversityDistance, ExactJaccardDistance, LshDistance, RTreeJaccardDistance, SignatureDistance,
 };
-pub use dynamic::DynamicDiversifier;
 pub use error::{Result, SkyDiverError};
 pub use gamma::GammaSets;
 pub use graph::DominanceGraph;

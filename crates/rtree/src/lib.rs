@@ -9,8 +9,8 @@
 //!   classification of §4.1.2 (full / partial / none),
 //! * [`node`] — aggregate nodes (each entry carries a subtree point
 //!   count),
-//! * [`tree`] — the [`RTree`] with R* insertion (forced
-//!   reinsert, topological split) and STR bulk loading,
+//! * [`tree`] — the [`RTree`], built by Sort-Tile-Recursive bulk
+//!   loading (its one constructor, [`RTree::bulk_load`]),
 //! * [`query`] — dominance-region aggregate counts and range queries,
 //! * [`buffer`] — the LRU [`BufferPool`] and the
 //!   simulated I/O cost model.
@@ -21,7 +21,6 @@ pub mod buffer;
 pub mod mbr;
 pub mod node;
 pub mod query;
-pub mod split;
 pub mod tree;
 
 pub use buffer::{

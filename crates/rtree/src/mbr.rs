@@ -39,7 +39,7 @@ impl Mbr {
         }
     }
 
-    /// An "empty" MBR that unions as the identity element.
+    /// An "empty" MBR: the identity element of [`Mbr::expand`].
     pub fn empty(dims: usize) -> Self {
         Self {
             lo: vec![f64::INFINITY; dims],
@@ -71,54 +71,6 @@ impl Mbr {
         self.lo.iter().zip(&self.hi).any(|(a, b)| a > b)
     }
 
-    /// Hyper-volume (product of extents).
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(a, b)| b - a)
-            .product()
-    }
-
-    /// Sum of extents (the R*-tree "margin" criterion).
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo.iter().zip(&self.hi).map(|(a, b)| b - a).sum()
-    }
-
-    /// Centre point.
-    pub fn center(&self) -> Vec<f64> {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(a, b)| 0.5 * (a + b))
-            .collect()
-    }
-
-    /// Smallest MBR containing both `self` and `other`.
-    pub fn union(&self, other: &Mbr) -> Mbr {
-        debug_assert_eq!(self.dims(), other.dims());
-        Mbr {
-            lo: self
-                .lo
-                .iter()
-                .zip(&other.lo)
-                .map(|(a, b)| a.min(*b))
-                .collect(),
-            hi: self
-                .hi
-                .iter()
-                .zip(&other.hi)
-                .map(|(a, b)| a.max(*b))
-                .collect(),
-        }
-    }
-
     /// Grows `self` in place to contain `other`.
     pub fn expand(&mut self, other: &Mbr) {
         debug_assert_eq!(self.dims(), other.dims());
@@ -126,26 +78,6 @@ impl Mbr {
             self.lo[j] = self.lo[j].min(other.lo[j]);
             self.hi[j] = self.hi[j].max(other.hi[j]);
         }
-    }
-
-    /// Area increase needed to also cover `other`.
-    pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Hyper-volume of the intersection with `other` (0 when disjoint).
-    pub fn overlap(&self, other: &Mbr) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        let mut v = 1.0;
-        for j in 0..self.lo.len() {
-            let lo = self.lo[j].max(other.lo[j]);
-            let hi = self.hi[j].min(other.hi[j]);
-            if lo > hi {
-                return 0.0;
-            }
-            v *= hi - lo;
-        }
-        v
     }
 
     /// `true` when `self` and `other` share at least one point.
@@ -257,54 +189,35 @@ mod tests {
     }
 
     #[test]
-    fn area_margin_center() {
-        let m = mbr2([0.0, 0.0], [2.0, 3.0]);
-        assert_eq!(m.area(), 6.0);
-        assert_eq!(m.margin(), 5.0);
-        assert_eq!(m.center(), vec![1.0, 1.5]);
-    }
-
-    #[test]
-    fn union_and_expand_agree() {
+    fn expand_covers_both_boxes() {
         let a = mbr2([0.0, 0.0], [1.0, 1.0]);
         let b = mbr2([2.0, -1.0], [3.0, 0.5]);
-        let u = a.union(&b);
-        assert_eq!(u, mbr2([0.0, -1.0], [3.0, 1.0]));
         let mut c = a.clone();
         c.expand(&b);
-        assert_eq!(c, u);
+        assert_eq!(c, mbr2([0.0, -1.0], [3.0, 1.0]));
+        assert!(c.contains_mbr(&a) && c.contains_mbr(&b));
     }
 
     #[test]
-    fn empty_is_union_identity() {
+    fn empty_is_expand_identity() {
         let e = Mbr::empty(2);
         assert!(e.is_empty());
-        assert_eq!(e.area(), 0.0);
         let a = mbr2([0.0, 0.0], [1.0, 2.0]);
-        assert_eq!(e.union(&a), a);
+        let mut m = e.clone();
+        m.expand(&a);
+        assert_eq!(m, a);
     }
 
     #[test]
-    fn enlargement_zero_when_contained() {
-        let a = mbr2([0.0, 0.0], [4.0, 4.0]);
-        let b = mbr2([1.0, 1.0], [2.0, 2.0]);
-        assert_eq!(a.enlargement(&b), 0.0);
-        assert!(b.enlargement(&a) > 0.0);
-    }
-
-    #[test]
-    fn overlap_and_intersects() {
+    fn intersects_closed_boxes() {
         let a = mbr2([0.0, 0.0], [2.0, 2.0]);
         let b = mbr2([1.0, 1.0], [3.0, 3.0]);
         let c = mbr2([5.0, 5.0], [6.0, 6.0]);
-        assert_eq!(a.overlap(&b), 1.0);
         assert!(a.intersects(&b));
-        assert_eq!(a.overlap(&c), 0.0);
         assert!(!a.intersects(&c));
-        // Touching edges intersect with zero overlap.
+        // Touching edges intersect.
         let d = mbr2([2.0, 0.0], [3.0, 2.0]);
         assert!(a.intersects(&d));
-        assert_eq!(a.overlap(&d), 0.0);
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn queries_on_empty_tree() {
-        let t = RTree::with_default_pages(2);
+        let t = RTree::bulk_load(&Dataset::new(2), crate::DEFAULT_PAGE_SIZE);
         let mut pool = big_pool();
         assert_eq!(t.count_dominated(&mut pool, &[0.0, 0.0]), 0);
         assert_eq!(t.count_weak_region(&mut pool, &[0.0, 0.0]), 0);

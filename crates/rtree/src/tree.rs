@@ -1,9 +1,9 @@
 //! The aggregate R*-tree.
 //!
-//! Supports dynamic insertion with the full R* heuristics (overlap-aware
-//! subtree choice, forced reinsertion, topological split) and
-//! Sort-Tile-Recursive bulk loading, which the experiment harnesses use
-//! to index multi-million-point data sets quickly.
+//! Trees are built once, by Sort-Tile-Recursive bulk loading: the paper
+//! indexes each static data set before any query runs, and STR packs
+//! multi-million-point data sets quickly and tightly. An empty tree is
+//! the bulk load of an empty dataset.
 //!
 //! Every *logical* page access of a query goes through a caller-supplied
 //! [`BufferPool`], reproducing the paper's
@@ -12,57 +12,42 @@
 
 use skydiver_data::Dataset;
 
-use crate::buffer::{BufferPool, DEFAULT_PAGE_SIZE};
+use crate::buffer::BufferPool;
 use crate::mbr::Mbr;
 use crate::node::{Child, Entry, Node, PageId};
-use crate::split::r_star_split;
-
-/// Fraction of entries evicted during R* forced reinsertion.
-const REINSERT_FRACTION: f64 = 0.30;
 
 /// An aggregate R*-tree over a fixed-dimensionality point set.
 #[derive(Debug, Clone)]
 pub struct RTree {
     dims: usize,
     max_entries: usize,
-    min_entries: usize,
     nodes: Vec<Node>,
     root: PageId,
     len: u64,
 }
 
 impl RTree {
-    /// An empty tree for `dims`-dimensional points with node capacities
-    /// derived from `page_size` (see [`entry_capacity`]).
-    pub fn new(dims: usize, page_size: usize) -> Self {
-        assert!(dims > 0, "dimensionality must be positive");
-        let max_entries = entry_capacity(dims, page_size);
-        let min_entries = (max_entries * 2 / 5).max(2);
-        RTree {
-            dims,
-            max_entries,
-            min_entries,
-            nodes: vec![Node::new(0)],
-            root: PageId(0),
-            len: 0,
-        }
-    }
-
-    /// An empty tree with the paper's 4 KiB pages.
-    pub fn with_default_pages(dims: usize) -> Self {
-        Self::new(dims, DEFAULT_PAGE_SIZE)
-    }
-
     /// Bulk loads a dataset with Sort-Tile-Recursive packing.
     ///
     /// Point ids are the dataset indices. STR produces a tightly packed
     /// tree (≈100 % fill) whose locality `SigGen-IB` exploits.
+    /// Node capacities follow from `page_size` (see [`entry_capacity`]);
+    /// an empty dataset gives a tree of one empty leaf.
+    ///
+    /// # Panics
+    /// Panics if the dataset has no dimensions.
     pub fn bulk_load(ds: &Dataset, page_size: usize) -> Self {
-        let mut tree = Self::new(ds.dims(), page_size);
+        assert!(ds.dims() > 0, "dimensionality must be positive");
+        let mut tree = RTree {
+            dims: ds.dims(),
+            max_entries: entry_capacity(ds.dims(), page_size),
+            nodes: vec![Node::new(0)],
+            root: PageId(0),
+            len: ds.len() as u64,
+        };
         if ds.is_empty() {
             return tree;
         }
-        tree.len = ds.len() as u64;
         tree.nodes.clear();
 
         let mut entries: Vec<Entry> = ds
@@ -105,14 +90,6 @@ impl RTree {
             level += 1;
         }
         tree
-    }
-
-    /// Inserts one point with R* heuristics (forced reinsert + split).
-    pub fn insert(&mut self, p: &[f64], id: u32) {
-        assert_eq!(p.len(), self.dims, "point dimensionality mismatch");
-        let mut reinserted = vec![false; (self.height() + 2) as usize];
-        self.insert_entry(Entry::point(p, id), 0, &mut reinserted);
-        self.len += 1;
     }
 
     /// Number of indexed points.
@@ -161,205 +138,6 @@ impl RTree {
         &self.nodes[pid.index()]
     }
 
-    // ---- insertion machinery -------------------------------------------------
-
-    fn child_node_id(e: &Entry) -> PageId {
-        match e.child {
-            Child::Node(p) => p,
-            // lint: allow(R1) -- only called on internal-level entries,
-            // whose children are nodes by the level invariant
-            Child::Point(_) => unreachable!("internal entry must reference a node"),
-        }
-    }
-
-    fn insert_entry(&mut self, e: Entry, level: u32, reinserted: &mut Vec<bool>) {
-        // Descend from the root to the target level, recording the chosen
-        // slot at each step so MBRs/counts can be maintained exactly.
-        let mut path: Vec<(PageId, usize)> = Vec::new();
-        let mut cur = self.root;
-        while self.nodes[cur.index()].level > level {
-            let idx = self.choose_subtree(cur, &e.mbr);
-            path.push((cur, idx));
-            cur = Self::child_node_id(&self.nodes[cur.index()].entries[idx]);
-        }
-        for &(n, i) in &path {
-            let slot = &mut self.nodes[n.index()].entries[i];
-            slot.mbr.expand(&e.mbr);
-            slot.count += e.count;
-        }
-        self.nodes[cur.index()].entries.push(e);
-        self.fix_overflow(cur, path, reinserted);
-    }
-
-    /// R* ChooseSubtree: overlap-enlargement at the level just above the
-    /// leaves, area-enlargement elsewhere (ties: smaller area).
-    fn choose_subtree(&self, node_id: PageId, m: &Mbr) -> usize {
-        let node = &self.nodes[node_id.index()];
-        debug_assert!(!node.is_leaf());
-        let entries = &node.entries;
-        if node.level == 1 {
-            // Children are leaves: minimise overlap enlargement.
-            let mut best = 0usize;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, e) in entries.iter().enumerate() {
-                let enlarged = e.mbr.union(m);
-                let mut before = 0.0;
-                let mut after = 0.0;
-                for (j, o) in entries.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    before += e.mbr.overlap(&o.mbr);
-                    after += enlarged.overlap(&o.mbr);
-                }
-                let key = (after - before, e.mbr.enlargement(m), e.mbr.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
-        } else {
-            let mut best = 0usize;
-            let mut best_key = (f64::INFINITY, f64::INFINITY);
-            for (i, e) in entries.iter().enumerate() {
-                let key = (e.mbr.enlargement(m), e.mbr.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
-        }
-    }
-
-    fn fix_overflow(
-        &mut self,
-        mut cur: PageId,
-        mut path: Vec<(PageId, usize)>,
-        reinserted: &mut Vec<bool>,
-    ) {
-        while self.nodes[cur.index()].entries.len() > self.max_entries {
-            let level = self.nodes[cur.index()].level as usize;
-            if reinserted.len() <= level {
-                reinserted.resize(level + 1, false);
-            }
-            if cur != self.root && !reinserted[level] {
-                // Forced reinsertion: evict the entries farthest from the
-                // node centre and insert them again at the same level.
-                reinserted[level] = true;
-                let victims = self.pick_reinsert_victims(cur);
-                self.tighten_path(&path);
-                for v in victims {
-                    self.insert_entry(v, level as u32, reinserted);
-                }
-                return;
-            }
-            // Split.
-            let node_level = self.nodes[cur.index()].level;
-            let entries = std::mem::take(&mut self.nodes[cur.index()].entries);
-            let (g1, g2) = r_star_split(entries, self.min_entries, self.dims);
-            self.nodes[cur.index()].entries = g1;
-            let sibling = PageId(self.nodes.len() as u32);
-            self.nodes.push(Node {
-                level: node_level,
-                entries: g2,
-            });
-
-            let entry_for = |tree: &RTree, pid: PageId| {
-                let n = &tree.nodes[pid.index()];
-                Entry {
-                    mbr: n.mbr(tree.dims),
-                    count: n.count(),
-                    child: Child::Node(pid),
-                }
-            };
-
-            match path.pop() {
-                Some((parent, pidx)) => {
-                    let e_cur = entry_for(self, cur);
-                    let e_sib = entry_for(self, sibling);
-                    let pnode = &mut self.nodes[parent.index()];
-                    pnode.entries[pidx] = e_cur;
-                    pnode.entries.push(e_sib);
-                    cur = parent;
-                }
-                None => {
-                    // Root split: grow the tree by one level.
-                    let e_cur = entry_for(self, cur);
-                    let e_sib = entry_for(self, sibling);
-                    let new_root = PageId(self.nodes.len() as u32);
-                    self.nodes.push(Node {
-                        level: node_level + 1,
-                        entries: vec![e_cur, e_sib],
-                    });
-                    self.root = new_root;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Removes the `REINSERT_FRACTION` entries of `node` farthest from
-    /// its centre, returning them ordered closest-first (R* "close
-    /// reinsert").
-    fn pick_reinsert_victims(&mut self, node_id: PageId) -> Vec<Entry> {
-        let dims = self.dims;
-        let node = &mut self.nodes[node_id.index()];
-        let center = node.mbr(dims).center();
-        let p = ((node.entries.len() as f64 * REINSERT_FRACTION).ceil() as usize).max(1);
-
-        let dist2 = |e: &Entry| -> f64 {
-            e.mbr
-                .center()
-                .iter()
-                .zip(&center)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum()
-        };
-        let mut order: Vec<usize> = (0..node.entries.len()).collect();
-        order.sort_by(|&a, &b| {
-            dist2(&node.entries[b])
-                .partial_cmp(&dist2(&node.entries[a]))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let victim_set: std::collections::HashSet<usize> =
-            order[..p].iter().copied().collect();
-
-        let mut victims = Vec::with_capacity(p);
-        let mut keep = Vec::with_capacity(node.entries.len() - p);
-        for (i, e) in std::mem::take(&mut node.entries).into_iter().enumerate() {
-            if victim_set.contains(&i) {
-                victims.push(e);
-            } else {
-                keep.push(e);
-            }
-        }
-        node.entries = keep;
-        // Close reinsert: nearest victims first.
-        victims.sort_by(|a, b| {
-            dist2(a)
-                .partial_cmp(&dist2(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        victims
-    }
-
-    /// Recomputes MBRs and counts exactly along a root→node path (after
-    /// entries were removed below it).
-    fn tighten_path(&mut self, path: &[(PageId, usize)]) {
-        for &(n, i) in path.iter().rev() {
-            let child = Self::child_node_id(&self.nodes[n.index()].entries[i]);
-            let (mbr, count) = {
-                let c = &self.nodes[child.index()];
-                (c.mbr(self.dims), c.count())
-            };
-            let slot = &mut self.nodes[n.index()].entries[i];
-            slot.mbr = mbr;
-            slot.count = count;
-        }
-    }
-
     // ---- invariants ----------------------------------------------------------
 
     /// Exhaustively checks structural invariants; used by tests.
@@ -395,14 +173,14 @@ impl RTree {
         seen: &mut Vec<u32>,
     ) -> Result<(), String> {
         let node = &self.nodes[pid.index()];
-        if pid != self.root
-            && node.entries.len() < self.min_entries {
-                return Err(format!(
-                    "node {pid:?} underfull: {} < {}",
-                    node.entries.len(),
-                    self.min_entries
-                ));
-            }
+        // STR's balanced partitions fill every non-root node past 2/5.
+        let min_entries = (self.max_entries * 2 / 5).max(2);
+        if pid != self.root && node.entries.len() < min_entries {
+            return Err(format!(
+                "node {pid:?} underfull: {} < {min_entries}",
+                node.entries.len(),
+            ));
+        }
         if node.entries.len() > self.max_entries {
             return Err(format!(
                 "node {pid:?} overfull: {} > {}",
@@ -510,26 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_tree() {
-        let t = RTree::with_default_pages(3);
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
-        assert!(t.validate(true).is_ok());
-    }
-
-    #[test]
-    fn incremental_insert_keeps_invariants() {
-        let ds = independent(2000, 3, 11);
-        let mut t = RTree::new(3, 512); // small pages force many splits
-        for (i, p) in ds.iter().enumerate() {
-            t.insert(p, i as u32);
-        }
-        assert_eq!(t.len(), 2000);
-        t.validate(true).unwrap();
-        assert!(t.height() >= 2, "tree must have grown: h={}", t.height());
-    }
-
-    #[test]
     fn bulk_load_keeps_invariants() {
         let ds = independent(5000, 4, 12);
         let t = RTree::bulk_load(&ds, 4096);
@@ -551,6 +309,8 @@ mod tests {
         let ds = Dataset::new(2);
         let t = RTree::bulk_load(&ds, 4096);
         assert!(t.is_empty());
+        assert_eq!(t.height(), 0);
+        assert_eq!(t.num_pages(), 1);
         t.validate(true).unwrap();
     }
 

@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_tree_yields_empty_skyline() {
-        let tree = RTree::with_default_pages(2);
+        let tree = RTree::bulk_load(&Dataset::new(2), skydiver_rtree::DEFAULT_PAGE_SIZE);
         let mut pool = BufferPool::new(16);
         assert!(bbs(&tree, &mut pool).is_empty());
     }

@@ -9,13 +9,17 @@
 //! not pile onto the same rivals. Note the drafts themselves may
 //! dominate each other; that's fine in the cross-set setting.
 //!
+//! The drafts-over-rivals relation is a bipartite dominance graph
+//! (`DominanceGraph::cross`), diversified by the same `run_graph` that
+//! serves the paper's Fig. 1 input.
+//!
 //! ```sh
 //! cargo run --release --example competitor_analysis
 //! ```
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use skydiver::core::{cross_gamma_sets, diversify_cross};
-use skydiver::Dataset;
+use skydiver::core::DominanceGraph;
+use skydiver::{Dataset, SkyDiver};
 
 fn main() {
     // Competitor catalogue: 5 000 rival products over (price, weight,
@@ -51,10 +55,15 @@ fn main() {
     );
 
     let k = 3;
-    let picks = diversify_cross(&drafts, &rivals, k, 200, 7)
-        .expect("cross-set shortlist");
+    let graph = DominanceGraph::cross(&drafts, &rivals);
+    let picks = SkyDiver::new(k)
+        .signature_size(200)
+        .hash_seed(7)
+        .run_graph(&graph)
+        .expect("cross-set shortlist")
+        .selected;
 
-    let gamma = cross_gamma_sets(&drafts, &rivals);
+    let gamma = graph.gamma_sets();
     println!("competitors: {}   drafts: {}\n", rivals.len(), drafts.len());
     println!("draft    (price, weight, resp)   rivals beaten");
     for j in 0..drafts.len() {

@@ -306,6 +306,14 @@ fn num<T: std::str::FromStr>(
     }
 }
 
+/// A count flag with a default: like [`num`], and zero is refused too.
+fn positive(flags: &Flags, key: &str, default: usize) -> Result<usize, Box<dyn std::error::Error>> {
+    match num(flags, key, default)? {
+        0 => Err(err(format!("bad value for --{key}"))),
+        v => Ok(v),
+    }
+}
+
 /// An optional numeric flag (no default).
 fn opt_num<T: std::str::FromStr>(
     flags: &Flags,
@@ -345,8 +353,8 @@ fn prefs_for(flags: &Flags, dims: usize) -> Result<Vec<Preference>, Box<dyn std:
 
 fn cmd_generate(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let family = flag(flags, "family")?;
-    let n: usize = num(flags, "n", 100_000)?;
-    let d: usize = num(flags, "d", 4)?;
+    let n = positive(flags, "n", 100_000)?;
+    let d = positive(flags, "d", 4)?;
     let seed: u64 = num(flags, "seed", 42)?;
     let path = flag(flags, "out")?;
     let ds = match family {
@@ -389,7 +397,7 @@ fn pipeline_for(flags: &Flags, k: usize) -> Result<SkyDiver, Box<dyn std::error:
     let mut pipeline = SkyDiver::new(k)
         .signature_size(num(flags, "t", 100)?)
         .hash_seed(num(flags, "seed", 0)?)
-        .threads(num(flags, "threads", 1)?);
+        .threads(positive(flags, "threads", 1)?);
     match flags.get("method").map(|s| s.as_str()) {
         None | Some("mh") => {}
         Some("lsh") => {
@@ -480,14 +488,11 @@ fn cmd_run(flags: &Flags, out: &mut Stdout) -> CmdResult {
     let k: usize = flag(flags, "k")?
         .parse()
         .map_err(|_| err("bad value for --k"))?;
-    let threads: usize = num(flags, "threads", 1)?;
-    let shards: usize = num(flags, "shards", 1)?;
+    let threads = positive(flags, "threads", 1)?;
+    let shards = positive(flags, "shards", 1)?;
     let pipeline = pipeline_for(flags, k)?;
     // An explicit --shards (even 1) reports the shard count it folded.
     let (r, label) = if flags.contains_key("shards") {
-        if shards == 0 {
-            return Err(err("bad value for --shards"));
-        }
         let sd = skydiver::data::ShardedDataset::partition(&ds, shards);
         let run = pipeline.fingerprint_sharded(&sd, &prefs)?;
         (

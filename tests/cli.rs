@@ -320,6 +320,33 @@ fn unknown_and_malformed_flags_are_rejected() {
 }
 
 #[test]
+fn zero_sizes_are_refused_by_name() {
+    let csv = tmp("zero.csv");
+    std::fs::write(&csv, "0.1,0.2\n0.3,0.4\n0.2,0.1\n").unwrap();
+    let input = csv.to_str().unwrap();
+    let written = tmp("zero-out.csv");
+    let target = written.to_str().unwrap();
+    let mut cases: Vec<(&str, Vec<&str>)> = Vec::new();
+    for family in ["ind", "ant", "cor", "fc", "rec"] {
+        cases.push(("n", vec!["generate", "--family", family, "--n", "0", "--out", target]));
+        cases.push(("d", vec!["generate", "--family", family, "--d", "0", "--out", target]));
+    }
+    for cmd in ["run", "diversify"] {
+        cases.push(("threads", vec![cmd, "--input", input, "--k", "2", "--threads", "0"]));
+    }
+    cases.push(("shards", vec!["run", "--input", input, "--k", "2", "--shards", "0"]));
+    for (flag, args) in cases {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("bad value for --{flag}")), "{args:?}: {stderr}");
+        assert!(!written.exists(), "{args:?} wrote a file");
+    }
+    std::fs::remove_file(csv).ok();
+}
+
+#[test]
 fn helpful_errors() {
     // Unknown command.
     let out = bin().arg("frobnicate").output().unwrap();

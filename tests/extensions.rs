@@ -1,14 +1,13 @@
-//! Integration tests for the extension modules: persistence, dynamic
-//! maintenance, cross-set diversification, generic categorical
-//! pipeline, a caller-computed skyline + theory bounds — exercised
-//! together, across crates.
+//! Integration tests for the extension modules: persistence,
+//! cross-set diversification, generic categorical pipeline, a
+//! caller-computed skyline + theory bounds — exercised together, across
+//! crates.
 
-use skydiver::core::dynamic::from_batch;
 use skydiver::core::minhash::{persist, theory};
 use skydiver::core::{
-    cross_gamma_sets, diversify_cross, diversify_generic, min_pairwise, select_diverse,
-    ExactJaccardDistance, GammaSets, SeedRule, ShardFingerprint, SignatureAccumulator,
-    SignatureDistance, TieBreak,
+    diversify_generic, min_pairwise, scan_columns_budgeted, select_diverse, DominanceGraph,
+    ExactJaccardDistance, ExecContext, GammaSets, SeedRule, ShardFingerprint,
+    SignatureAccumulator, SignatureDistance, TieBreak,
 };
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, independent};
@@ -50,47 +49,41 @@ fn persisted_fingerprints_reproduce_the_same_selection() {
 }
 
 #[test]
-fn dynamic_from_batch_matches_reasonable_quality() {
-    let ds = anticorrelated(3000, 3, 302);
-    let sky = naive_skyline(&ds, &MinDominance);
-    let fam = HashFamily::new(64, 303);
-    let out = skydiver::core::sig_gen_if(&ds, &sky, &fam);
-    let k = 4.min(sky.len());
-
-    let dynamic = from_batch(&out.matrix, &out.scores, k);
-    assert_eq!(dynamic.current().len(), k);
-
-    let mut dist = SignatureDistance::new(&out.matrix);
-    let batch = select_diverse(&mut dist, &out.scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
-        .unwrap();
-    let batch_div = min_pairwise(&mut dist, &batch);
-    assert!(dynamic.min_diversity() >= 0.5 * batch_div);
-}
-
-#[test]
 fn cross_set_agrees_with_graph_semantics() {
     // Diversifying the skyline of D against D itself must equal the
     // standard pipeline's Γ sets.
     let ds = independent(1500, 3, 304);
     let sky = naive_skyline(&ds, &MinDominance);
-    let candidates = skydiver::Dataset::from_rows(
-        3,
-        &sky.iter().map(|&s| {
-            let p = ds.point(s);
-            [p[0], p[1], p[2]]
-        }).collect::<Vec<_>>(),
-    );
-    let cross = cross_gamma_sets(&candidates, &ds);
+    let rows: Vec<&[f64]> = sky.iter().map(|&s| ds.point(s)).collect();
+    let candidates = skydiver::Dataset::from_rows(3, &rows);
+    let graph = DominanceGraph::cross(&candidates, &ds);
     let direct = GammaSets::build(&ds, &sky);
-    assert_eq!(cross.len(), direct.len());
-    for j in 0..cross.len() {
-        // Candidate j is a *copy* of skyline point sky[j]; the copy is
-        // not in `ds`, so it dominates sky[j]'s Γ set exactly (the copy
-        // does not dominate the original — equal points don't dominate).
-        assert_eq!(cross.score(j), direct.score(j));
-    }
-    let sel = diversify_cross(&candidates, &ds, 3, 128, 305).unwrap();
-    assert_eq!(sel.len(), 3);
+    assert_eq!(graph.num_skyline(), direct.len());
+    // Candidate j is a *copy* of skyline point sky[j]; the copy is not
+    // in `ds`, so it dominates sky[j]'s Γ set exactly (the copy does not
+    // dominate the original — equal points don't dominate).
+    assert_eq!(graph.scores(), direct.scores());
+
+    // The graph's fingerprint is one scan of `ds` with the candidates as
+    // columns and no row skipped, matrix and scores bit for bit.
+    let family = HashFamily::new(128, 305);
+    let mut acc = SignatureAccumulator::new(family.len(), rows.len());
+    let skip = vec![false; ds.len()];
+    let ctx = ExecContext::unlimited();
+    let interrupt = scan_columns_budgeted(ds.view(), &rows, &skip, &family, 1, &ctx, &mut acc);
+    assert!(interrupt.is_none());
+    let scan = acc.into_output();
+    let fingerprint = graph.fingerprint(&family).unwrap();
+    assert_eq!(fingerprint.matrix, scan.matrix);
+    assert_eq!(fingerprint.scores, scan.scores);
+
+    let sel = SkyDiver::new(3).signature_size(128).hash_seed(305).run_graph(&graph).unwrap();
+    assert_eq!(sel.selected.len(), 3);
+    let mut dist = SignatureDistance::new(&scan.matrix);
+    let expect =
+        select_diverse(&mut dist, &scan.scores, 3, SeedRule::MaxDominance, TieBreak::MaxDominance)
+            .unwrap();
+    assert_eq!(sel.selected, expect);
 }
 
 #[test]

@@ -40,6 +40,11 @@ impl Rng {
 /// A dataset of `1..max_n` points on the coarse grid.
 fn grid_dataset(rng: &mut Rng, max_n: u64, dims: usize) -> Dataset {
     let n = rng.range(1, max_n);
+    grid_points(rng, n, dims)
+}
+
+/// A dataset of exactly `n` points on the coarse grid.
+fn grid_points(rng: &mut Rng, n: u64, dims: usize) -> Dataset {
     let mut flat = Vec::with_capacity(n as usize * dims);
     for _ in 0..n * dims as u64 {
         flat.push(rng.range(0, 8) as f64 / 7.0);
@@ -287,26 +292,47 @@ fn minhash_estimate_within_statistical_bounds() {
     }
 }
 
+/// Every query of a bulk-loaded tree of two or more levels answers what
+/// a naive scan of the dataset answers, at every grid corner and every
+/// data point (ties and duplicates included).
 #[test]
-fn insert_built_tree_equals_bulk_loaded_semantics() {
+fn bulk_loaded_tree_queries_match_scans() {
     for case in 0..CASES {
         let mut rng = Rng::new(9000 + case);
-        let ds = grid_dataset(&mut rng, 120, 2);
-        let bulk = RTree::bulk_load(&ds, 256);
-        let mut dynamic = RTree::new(2, 256);
-        for (i, p) in ds.iter().enumerate() {
-            dynamic.insert(p, i as u32);
-        }
-        dynamic.validate(true).unwrap();
-        bulk.validate(true).unwrap();
-        let mut pool = BufferPool::new(1 << 16);
-        // Same query answers from both trees.
-        for corner in [[0.0, 0.0], [0.3, 0.6], [1.0, 1.0]] {
-            assert_eq!(
-                bulk.count_dominated(&mut pool, &corner),
-                dynamic.count_dominated(&mut pool, &corner),
-                "case {case}"
-            );
+        let dims = rng.range(2, 4) as usize;
+        let n = rng.range(50, 200);
+        let ds = grid_points(&mut rng, n, dims);
+        let grid = |rng: &mut Rng| -> Vec<f64> {
+            (0..dims).map(|_| rng.range(0, 8) as f64 / 7.0).collect()
+        };
+        let mut corners: Vec<Vec<f64>> = ds.iter().map(<[f64]>::to_vec).collect();
+        corners.extend([vec![0.0; dims], vec![1.0; dims]]);
+        corners.extend((0..16).map(|_| grid(&mut rng)));
+        for page_size in [256, 384] {
+            let tree = RTree::bulk_load(&ds, page_size);
+            tree.validate(true).unwrap();
+            assert!(tree.height() >= 2, "case {case}: height {}", tree.height());
+            let mut pool = BufferPool::new(1 << 16);
+            for q in &corners {
+                let strict = ds.dominated_by_scan(&MinDominance, q);
+                assert_eq!(tree.count_dominated(&mut pool, q), strict.len() as u64, "case {case}");
+                let mut ids: Vec<usize> =
+                    tree.dominated_ids(&mut pool, q).into_iter().map(|i| i as usize).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, strict, "case {case}");
+                let weak = ds.iter().filter(|p| q.iter().zip(*p).all(|(c, v)| c <= v)).count();
+                assert_eq!(tree.count_weak_region(&mut pool, q), weak as u64, "case {case}");
+
+                let other = grid(&mut rng);
+                let lo: Vec<f64> = q.iter().zip(&other).map(|(a, b)| a.min(*b)).collect();
+                let hi: Vec<f64> = q.iter().zip(&other).map(|(a, b)| a.max(*b)).collect();
+                let inside = |p: &[f64]| (0..dims).all(|j| lo[j] <= p[j] && p[j] <= hi[j]);
+                let expect: Vec<usize> = (0..ds.len()).filter(|&i| inside(ds.point(i))).collect();
+                let mut got: Vec<usize> =
+                    tree.range_ids(&mut pool, &lo, &hi).into_iter().map(|i| i as usize).collect();
+                got.sort_unstable();
+                assert_eq!(got, expect, "case {case}");
+            }
         }
     }
 }
