@@ -1,6 +1,6 @@
 //! Flat, cache-friendly storage for multidimensional point sets.
 
-use crate::dominance::{Dominance, DominanceOrd};
+use crate::dominance::DominanceOrd;
 
 /// A set of `d`-dimensional points stored row-major in one contiguous
 /// allocation.
@@ -180,18 +180,6 @@ impl Dataset {
         }
         Some((lo, hi))
     }
-}
-
-/// Compares two points of a dataset by index under an order.
-///
-/// Convenience wrapper used by skyline algorithms that work on index
-/// permutations instead of materialised rows.
-#[inline]
-pub fn dom_cmp_idx<O>(ds: &Dataset, ord: &O, a: usize, b: usize) -> Dominance
-where
-    O: DominanceOrd<Item = [f64]>,
-{
-    ord.dom_cmp(ds.point(a), ds.point(b))
 }
 
 #[cfg(test)]

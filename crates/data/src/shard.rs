@@ -284,14 +284,6 @@ impl ShardedDataset {
         (lo, lo + self.shards[i].len())
     }
 
-    /// Global-id ranges of all shards in order; `ranges[i]` is
-    /// [`shard_range`](Self::shard_range)`(i)`.
-    pub fn shard_ranges(&self) -> Vec<(usize, usize)> {
-        (0..self.shards.len())
-            .map(|i| self.shard_range(i))
-            .collect()
-    }
-
     /// Borrows the row with global id `g`.
     ///
     /// # Panics

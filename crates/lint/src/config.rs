@@ -98,7 +98,8 @@ impl Default for Config {
             r9_parse: vec!["crates/serve/src/protocol.rs".to_string()],
             r9_senders: vec![
                 "crates/serve/src/client.rs".to_string(),
-                "crates/serve/src/cluster.rs".to_string(),
+                "crates/serve/src/coordinator.rs".to_string(),
+                "crates/serve/src/host.rs".to_string(),
                 "crates/serve/src/protocol.rs".to_string(),
                 "src/bin/skydiver.rs".to_string(),
             ],

@@ -3,7 +3,8 @@
 //! R6 keeps the STATS counters in lockstep; this rule does the same
 //! for the verb set itself. Four artifact groups describe the wire
 //! surface: the parser (`protocol.rs` match arms), the senders
-//! (`client.rs` typed helpers, `cluster.rs` fan-out legs, the CLI),
+//! (`client.rs` typed helpers, `coordinator.rs` fan-out legs,
+//! `host.rs` replication pulls, the CLI),
 //! the README verb documentation, and the integration suites. A verb
 //! added in one place and forgotten in another is a CI failure.
 //!

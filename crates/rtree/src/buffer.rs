@@ -116,11 +116,6 @@ impl BufferPool {
         true
     }
 
-    /// Registers `pages` sequential-scan page reads (uncached).
-    pub fn sequential_read(&mut self, pages: u64) {
-        self.stats.sequential_pages += pages;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> IoStats {
         self.stats
@@ -240,10 +235,11 @@ mod tests {
 
     #[test]
     fn sequential_reads_counted_separately() {
-        let mut p = BufferPool::new(4);
-        p.sequential_read(10);
-        assert_eq!(p.stats().sequential_pages, 10);
-        assert_eq!(p.stats().io_ms(8.0), 80.0);
+        let stats = IoStats {
+            sequential_pages: 10,
+            ..IoStats::default()
+        };
+        assert_eq!(stats.io_ms(8.0), 80.0);
     }
 
     #[test]

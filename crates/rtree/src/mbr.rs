@@ -124,31 +124,6 @@ impl Mbr {
             })
             .sum()
     }
-
-    /// L1 mindist variant (sum of clamped coordinates) — the standard BBS
-    /// key of Papadias et al., monotone with dominance.
-    pub fn mindist_l1(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&lo, &hi)| 0.0f64.clamp(lo, hi))
-            .sum()
-    }
-}
-
-/// `true` when skyline point `p` dominates every point that could lie in
-/// `mbr` (i.e. `p ≺ lo`).
-#[inline]
-pub fn fully_dominates(p: &[f64], mbr: &Mbr) -> bool {
-    dominates_min(p, mbr.lo())
-}
-
-/// `true` when skyline point `p` dominates the worst corner of `mbr` but
-/// not its best corner — some, possibly not all, enclosed points are
-/// dominated, so the subtree must be expanded (paper §4.1.2).
-#[inline]
-pub fn partially_dominates(p: &[f64], mbr: &Mbr) -> bool {
-    dominates_min(p, mbr.hi()) && !dominates_min(p, mbr.lo())
 }
 
 /// Classification of the dominance relation between a point and an MBR.
@@ -234,13 +209,10 @@ mod tests {
         let m = mbr2([2.0, 2.0], [4.0, 4.0]);
         // Dominates lo → full.
         assert_eq!(classify_dominance(&[1.0, 1.0], &m), MbrDominance::Full);
-        assert!(fully_dominates(&[1.0, 1.0], &m));
         // Dominates hi but not lo → partial.
         assert_eq!(classify_dominance(&[3.0, 1.0], &m), MbrDominance::Partial);
-        assert!(partially_dominates(&[3.0, 1.0], &m));
         // Does not dominate hi → none.
         assert_eq!(classify_dominance(&[5.0, 1.0], &m), MbrDominance::None);
-        assert!(!partially_dominates(&[5.0, 1.0], &m));
     }
 
     #[test]
@@ -257,7 +229,6 @@ mod tests {
     fn mindist_keys() {
         let m = mbr2([1.0, 2.0], [3.0, 4.0]);
         assert_eq!(m.mindist_to_origin(), 1.0 + 4.0);
-        assert_eq!(m.mindist_l1(), 3.0);
         // MBR straddling the origin has mindist 0.
         let z = mbr2([-1.0, -1.0], [1.0, 1.0]);
         assert_eq!(z.mindist_to_origin(), 0.0);

@@ -1,4 +1,6 @@
-//! Byte-bounded LRU cache of per-shard signature folds.
+//! Byte-bounded LRU cache of per-shard signature folds, over the one
+//! byte-bounded LRU ([`ByteLru`]) the serving layer has: the shard
+//! host's dominance-plan memo is the same map over other keys.
 //!
 //! The cache key is the full provenance of one shard's fold —
 //! `(dataset, shard, preference subspace, t, seed)` — so a hit is
@@ -20,6 +22,7 @@
 //! with approximate-er-than-promised distances.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use skydiver_core::ShardFingerprint;
@@ -39,29 +42,53 @@ pub struct FingerprintKey {
     pub seed: u64,
 }
 
-struct Entry {
-    fp: Arc<ShardFingerprint>,
+/// A key of a [`ByteLru`] holding values `V`: the dataset its entry
+/// belongs to, and the bytes an entry is charged.
+pub trait LruKey<V>: Clone + Eq + Hash {
+    /// The dataset whose [`ByteLru::invalidate_dataset`] drops the entry.
+    fn dataset(&self) -> &str;
+    /// The bytes `value` is charged under this key.
+    fn charge(&self, value: &V) -> usize;
+}
+
+impl LruKey<Arc<ShardFingerprint>> for FingerprintKey {
+    fn dataset(&self) -> &str {
+        &self.dataset
+    }
+
+    fn charge(&self, fp: &Arc<ShardFingerprint>) -> usize {
+        fp.memory_bytes()
+    }
+}
+
+/// LRU shard-fold cache with a resident-byte ceiling.
+pub type FingerprintCache = ByteLru<FingerprintKey, Arc<ShardFingerprint>>;
+
+struct Entry<V> {
+    value: V,
     bytes: usize,
     last_used: u64,
 }
 
-/// LRU shard-fold cache with a resident-byte ceiling.
+/// Least-recently-used map with a ceiling on the bytes its entries are
+/// charged ([`LruKey::charge`]).
 ///
-/// Not internally synchronised — the registry wraps it in a `Mutex`.
+/// Not internally synchronised — its owner wraps it in a `Mutex`.
 /// Recency is a monotonic tick; eviction scans for the minimum, which is
-/// O(entries) but entries are few (each is a whole `t × m` matrix).
-pub struct FingerprintCache {
+/// O(entries) but entries are few (a whole `t × m` matrix, or a
+/// dominance plan, each).
+pub struct ByteLru<K, V> {
     ceiling: usize,
-    map: HashMap<FingerprintKey, Entry>,
+    map: HashMap<K, Entry<V>>,
     bytes: usize,
     tick: u64,
     evictions: u64,
 }
 
-impl FingerprintCache {
-    /// A cache holding at most `ceiling` resident bytes.
+impl<K: LruKey<V>, V: Clone> ByteLru<K, V> {
+    /// A map holding at most `ceiling` charged bytes.
     pub fn new(ceiling: usize) -> Self {
-        FingerprintCache {
+        ByteLru {
             ceiling,
             map: HashMap::new(),
             bytes: 0,
@@ -75,17 +102,17 @@ impl FingerprintCache {
         self.ceiling
     }
 
-    /// Bytes currently resident.
+    /// Bytes currently charged.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Number of cached shard folds.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// `true` when nothing is cached.
+    /// `true` when nothing is held.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
@@ -95,22 +122,27 @@ impl FingerprintCache {
         self.evictions
     }
 
-    /// Looks up a shard fold, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &FingerprintKey) -> Option<Arc<ShardFingerprint>> {
+    /// Looks up an entry, refreshing its recency on a hit.
+    pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|e| {
             e.last_used = tick;
-            Arc::clone(&e.fp)
+            e.value.clone()
         })
     }
 
-    /// Inserts a complete shard fold, evicting least-recently-used
-    /// entries until the ceiling is respected. Returns `false` (and
-    /// caches nothing) if the fold alone exceeds the ceiling;
-    /// re-inserting an existing key refreshes the entry.
-    pub fn insert(&mut self, key: FingerprintKey, fp: Arc<ShardFingerprint>) -> bool {
-        let bytes = fp.memory_bytes();
+    /// Looks up an entry without refreshing its recency.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|e| &e.value)
+    }
+
+    /// Inserts an entry, evicting least-recently-used entries until the
+    /// ceiling is respected. Returns `false` (and holds nothing new) if
+    /// the entry alone exceeds the ceiling; re-inserting an existing key
+    /// replaces the entry.
+    pub fn insert(&mut self, key: K, value: V) -> bool {
+        let bytes = key.charge(&value);
         if bytes > self.ceiling {
             return false;
         }
@@ -133,21 +165,21 @@ impl FingerprintCache {
             self.bytes -= dropped.bytes;
             self.evictions += 1;
         }
-        self.map.insert(key, Entry { fp, bytes, last_used: self.tick });
+        self.map.insert(key, Entry { value, bytes, last_used: self.tick });
         self.bytes += bytes;
         true
     }
 
-    /// Drops every fold of `dataset` (all shards, all preference/t/seed
-    /// coordinates) — the `LOAD`-replaces-dataset path, where the old
-    /// shards no longer describe the registered data. Returns how many
-    /// entries were dropped (not counted as evictions: nothing was
-    /// displaced by pressure).
+    /// Drops every entry of `dataset` (for the fold cache: all shards,
+    /// all preference/t/seed coordinates) — the `LOAD`-replaces-dataset
+    /// path, where the old shards no longer describe the registered
+    /// data. Returns how many entries were dropped (not counted as
+    /// evictions: nothing was displaced by pressure).
     pub fn invalidate_dataset(&mut self, dataset: &str) -> usize {
-        let doomed: Vec<FingerprintKey> = self
+        let doomed: Vec<K> = self
             .map
             .keys()
-            .filter(|k| k.dataset == dataset)
+            .filter(|k| k.dataset() == dataset)
             .cloned()
             .collect();
         for k in &doomed {

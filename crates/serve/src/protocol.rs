@@ -109,6 +109,8 @@
 use std::fmt;
 
 use skydiver_cluster::frame;
+use skydiver_data::digest::Fnv64;
+use skydiver_data::{Dataset, Preference};
 
 /// Default signature size `t` when a `QUERY` omits it (the paper's
 /// default).
@@ -909,9 +911,57 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A shard's content tag: the FNV-1a of its `SHARDPUT` points payload
+/// ([`frame::encode_points`]), hashed without building the payload.
+/// `SHARDPUT`, the local install at `LOAD`/`APPEND` and the
+/// coordinator's `FOLD` routing all tag a shard here.
+pub(crate) fn shard_tag(data: &Dataset) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(&(data.dims() as u32).to_le_bytes());
+    h.update(&0u32.to_le_bytes());
+    h.update(&(data.len() as u64).to_le_bytes());
+    for v in data.as_flat() {
+        h.update(&v.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Parses a `min,max,...` preference spec against a dataset
+/// dimensionality, defaulting to all-min. Returns the preferences plus
+/// the canonical cache-key string.
+pub fn parse_prefs(spec: Option<&str>, dims: usize) -> Result<(Vec<Preference>, String), String> {
+    let prefs = match spec {
+        None => Preference::all_min(dims),
+        Some(s) => s
+            .split(',')
+            .map(|tok| match tok.trim() {
+                "min" => Ok(Preference::Min),
+                "max" => Ok(Preference::Max),
+                other => Err(format!("bad preference {other:?} (min|max)")),
+            })
+            .collect::<Result<Vec<_>, _>>()?,
+    };
+    if prefs.len() != dims {
+        return Err(format!(
+            "{} preferences for {dims}-dimensional data",
+            prefs.len()
+        ));
+    }
+    let key = prefs
+        .iter()
+        .map(|p| if *p == Preference::Min { "min" } else { "max" })
+        .collect::<Vec<_>>()
+        .join(",");
+    Ok((prefs, key))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skydiver_cluster::rendezvous;
+    use skydiver_core::minhash::persist::encode_shard_signatures;
+    use skydiver_core::{ShardFingerprint, SignatureAccumulator};
+    use skydiver_data::digest::{checksum64, fnv1a64};
 
     #[test]
     fn parses_minimal_query() {
@@ -1202,5 +1252,73 @@ mod tests {
         assert_eq!(json_u64_array(j, "e"), Some(vec![]));
         assert_eq!(json_u64(j, "missing"), None);
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    #[test]
+    fn prefs_parse_and_canonicalise() {
+        let (p, key) = parse_prefs(None, 3).unwrap();
+        assert_eq!(p, Preference::all_min(3));
+        assert_eq!(key, "min,min,min");
+        let (p, key) = parse_prefs(Some("min, max ,min"), 3).unwrap();
+        assert_eq!(p, vec![Preference::Min, Preference::Max, Preference::Min]);
+        assert_eq!(key, "min,max,min");
+        assert!(parse_prefs(Some("min,up"), 2).is_err());
+        assert!(parse_prefs(Some("min"), 2).is_err());
+    }
+
+    /// One tag function: the local install tags a shard exactly as a
+    /// worker tags the `SHARDPUT` payload the coordinator sends.
+    /// Every digest built on the one FNV-1a helper — frame checksums,
+    /// rendezvous weights and shard tags — keeps the values the
+    /// separate copies computed before it, and a `SKYSIG03` bundle's
+    /// footer holds its `checksum64`.
+    #[test]
+    fn fnv_digests_are_pinned() {
+        let sum = |bytes: &[u8]| u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        for (payload, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"skydiver", 0x2499_9565_861b_bdfa),
+            (&[0, 1, 2, 255, 254][..], 0x35c1_bdd0_c720_0a91),
+        ] {
+            assert_eq!(sum(&frame::encode(payload)), want, "{payload:?}");
+        }
+        let flat = [1.0, 2.0, 3.5, -4.25];
+        let points = frame::encode(&frame::encode_points(2, &flat));
+        assert_eq!(sum(&points), 0x42c1_e6b4_925b_206d);
+        assert_eq!(
+            shard_tag(&Dataset::from_flat(2, flat.to_vec())),
+            0x42c1_e6b4_925b_206d
+        );
+        for (node, shard, want) in [
+            ("127.0.0.1:7801", 0, 0x0915_5eee_b670_e035),
+            ("127.0.0.1:7802", 0, 0x14ea_3878_1daf_1df0),
+            ("127.0.0.1:7801", 5, 0x2cf9_59d9_08b9_cec1),
+            ("w", 1 << 40, 0xfa6a_32b3_2a71_2413),
+            ("", 3, 0x23d4_49f6_cc18_2bd1),
+        ] {
+            assert_eq!(rendezvous::weight(node, shard), want, "{node:?} {shard}");
+        }
+        let mut acc = SignatureAccumulator::new(3, 2);
+        acc.matrix.set_column(0, &[5, 6, 7]);
+        acc.matrix.set_column(1, &[1, u64::MAX, 9]);
+        acc.scores = vec![4, 2];
+        acc.rows_consumed = 11;
+        let fp = ShardFingerprint {
+            columns: vec![3, 8],
+            acc,
+        };
+        let bundle = encode_shard_signatures(&fp, &[1, 2, 3, 4]);
+        assert_eq!(bundle.len(), 160);
+        assert_eq!(sum(&bundle), 0x56de_d54e_e8ef_e6d5);
+        assert_eq!(sum(&bundle), checksum64(&bundle[..144]));
+        assert_eq!(fnv1a64(&bundle), 0x63ed_7208_1bc1_9500);
+    }
+
+    #[test]
+    fn shard_tag_is_the_fnv_of_the_shardput_payload() {
+        let data = skydiver_data::generators::anticorrelated(300, 3, 5);
+        let payload = frame::encode_points(3, data.as_flat());
+        assert_eq!(shard_tag(&data), fnv1a64(&payload));
     }
 }

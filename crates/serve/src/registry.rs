@@ -41,17 +41,18 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use skydiver_core::kernels::FoldTier;
 use skydiver_core::{
-    CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint, RunBudget,
+    DegradationEvent, ExecContext, ExecPhase, Fingerprint, RunBudget,
     SignatureAccumulator, SkyDiverError, SkylineState,
 };
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
-use crate::cluster::{fold_keys, shard_tag, FoldJob, Folded, ShardHost};
+use crate::host::{fold_keys, FoldJob, Folded, LegPlan, ShardHost};
 use crate::metrics::Metrics;
+use crate::protocol::shard_tag;
 use crate::store::{content_hash_of_tags, SignatureStore, SweepReport};
 
 /// Assembled fingerprints memoised per dataset *generation*: a hit
@@ -216,53 +217,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Parses a `min,max,...` preference spec against a dataset
-/// dimensionality, defaulting to all-min. Returns the preferences plus
-/// the canonical cache-key string.
-pub fn parse_prefs(spec: Option<&str>, dims: usize) -> Result<(Vec<Preference>, String), String> {
-    let prefs = match spec {
-        None => Preference::all_min(dims),
-        Some(s) => s
-            .split(',')
-            .map(|tok| match tok.trim() {
-                "min" => Ok(Preference::Min),
-                "max" => Ok(Preference::Max),
-                other => Err(format!("bad preference {other:?} (min|max)")),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    if prefs.len() != dims {
-        return Err(format!(
-            "{} preferences for {dims}-dimensional data",
-            prefs.len()
-        ));
-    }
-    let key = prefs
-        .iter()
-        .map(|p| if *p == Preference::Min { "min" } else { "max" })
-        .collect::<Vec<_>>()
-        .join(",");
-    Ok((prefs, key))
-}
-
-/// The budget of one request: the server-wide cancellation token plus
-/// the client's `timeout_ms` and `max_dominance_tests` limits. `QUERY`,
-/// `BATCH` and a worker's `FOLD` all build theirs here.
-pub(crate) fn request_budget(
-    cancel: &CancelToken,
-    timeout_ms: Option<u64>,
-    max_dominance_tests: Option<u64>,
-) -> RunBudget {
-    let mut budget = RunBudget::none().with_cancel_token(cancel.clone());
-    if let Some(ms) = timeout_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = max_dominance_tests {
-        budget = budget.with_max_dominance_tests(n);
-    }
-    budget
-}
-
 /// The frame limit of a default [`ServerConfig`](crate::ServerConfig),
 /// and so the signature bound of a [`Registry::new`].
 pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 256 << 20;
@@ -275,37 +229,6 @@ pub struct Registry {
     host: ShardHost,
     metrics: Arc<Metrics>,
     store: Option<Arc<SignatureStore>>,
-}
-
-/// The legs one assembly asks for, in shard order: with
-/// `columns_from`, shards `0..first` folded over only the skyline
-/// columns from that global row on (a column delta), then shards
-/// `first..` over every column; without it, shards `first..` alone.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LegPlan {
-    /// The first shard folded over every column.
-    pub(crate) first: usize,
-    /// The global row a column delta's columns start at.
-    pub(crate) columns_from: Option<usize>,
-    /// The legs extend an inherited fingerprint (an extension or a
-    /// column delta). Once merged into it, nothing reads their folds
-    /// again, so none enters a fold LRU.
-    pub(crate) inherited: bool,
-}
-
-impl LegPlan {
-    /// The first shard with a leg.
-    pub(crate) fn start(&self) -> usize {
-        match self.columns_from {
-            Some(_) => 0,
-            None => self.first,
-        }
-    }
-
-    /// Where `shard`'s leg starts its columns: `None` for a full fold.
-    pub(crate) fn columns_from(&self, shard: usize) -> Option<usize> {
-        self.columns_from.filter(|_| shard < self.first)
-    }
 }
 
 /// A remote source of an assembled fingerprint's legs: the planned
@@ -808,25 +731,13 @@ pub(crate) fn read_points(path: &str) -> Result<Dataset, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::json_u64;
+    use crate::protocol::{json_u64, parse_prefs};
     use skydiver_data::generators::anticorrelated;
 
     /// A budget that never trips but is not "unlimited", so the
     /// dominance-test counter actually runs (unlimited contexts skip it).
     fn counted() -> RunBudget {
         RunBudget::none().with_max_dominance_tests(u64::MAX)
-    }
-
-    #[test]
-    fn prefs_parse_and_canonicalise() {
-        let (p, key) = parse_prefs(None, 3).unwrap();
-        assert_eq!(p, Preference::all_min(3));
-        assert_eq!(key, "min,min,min");
-        let (p, key) = parse_prefs(Some("min, max ,min"), 3).unwrap();
-        assert_eq!(p, vec![Preference::Min, Preference::Max, Preference::Min]);
-        assert_eq!(key, "min,max,min");
-        assert!(parse_prefs(Some("min,up"), 2).is_err());
-        assert!(parse_prefs(Some("min"), 2).is_err());
     }
 
     #[test]

@@ -65,15 +65,15 @@ use skydiver_core::{
 use skydiver_data::dominance::MinDominance;
 use skydiver_skyline::sfs;
 
-use crate::cluster::{ClusterConfig, ClusterState};
+use crate::coordinator::{ClusterConfig, ClusterState};
+use crate::host::request_budget;
 use crate::metrics::Metrics;
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
-    json_escape, parse_request, BatchSpec, Method, QuerySpec, Request, WIRE_PROTO,
+    json_escape, parse_prefs, parse_request, BatchSpec, Method, QuerySpec, Request, WIRE_PROTO,
 };
 use crate::registry::{
-    parse_prefs, request_budget, LoadedDataset, Registry, SelectionKey, SelectionMemo,
-    DEFAULT_MAX_FRAME_BYTES,
+    LoadedDataset, Registry, SelectionKey, SelectionMemo, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::store::SignatureStore;
 

@@ -50,8 +50,8 @@ use skydiver_core::ShardFingerprint;
 use skydiver_data::digest::{fnv1a64, Fnv64};
 use skydiver_data::ShardedDataset;
 
-use crate::cluster::shard_tag;
 use crate::metrics::Metrics;
+use crate::protocol::shard_tag;
 
 const QUARANTINE: &str = "quarantine";
 
