@@ -63,11 +63,6 @@ impl DeadlineBudget {
             }
         })
     }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_none()
-    }
 }
 
 #[cfg(test)]
@@ -77,10 +72,9 @@ mod tests {
     #[test]
     fn fresh_budget_has_time_and_then_expires() {
         let b = DeadlineBudget::from_millis(40);
-        assert!(!b.expired());
+        assert!(b.remaining().is_some());
         assert!(b.remaining_ms().unwrap() <= 40);
         std::thread::sleep(Duration::from_millis(60));
-        assert!(b.expired());
         assert!(b.remaining().is_none());
         assert!(b.remaining_ms().is_none());
     }

@@ -15,6 +15,8 @@
 //!   [m*dims f64 LE canonical skyline columns]`, everything a worker
 //!   needs to fold its shard against the coordinator's skyline (`FOLD`).
 //!
+//! The `u32 0` is reserved: a decoder refuses any other value.
+//!
 //! `FOLD`/`FETCH` responses carry bare `SKYSIG03` bundles (see
 //! `core::minhash::persist`), not frames: a bundle already ends in its
 //! own length and checksum (the word-parallel `checksum64`, not the
@@ -89,6 +91,21 @@ fn read_u64(buf: &[u8], at: usize) -> io::Result<u64> {
         .ok_or_else(|| err("payload truncated"))
 }
 
+/// The `[u32 dims][u32 0][u64 count]` header both payloads open with,
+/// as `(dims, count)`; `what` names the payload in errors.
+fn read_header(payload: &[u8], what: &str) -> io::Result<(usize, usize)> {
+    let dims = read_u32(payload, 0)? as usize;
+    let reserved = read_u32(payload, 4)?;
+    let count = read_u64(payload, 8)? as usize;
+    if dims == 0 {
+        return Err(err(format!("{what}: zero dims")));
+    }
+    if reserved != 0 {
+        return Err(err(format!("{what}: reserved header word is {reserved:#x}, not 0")));
+    }
+    Ok((dims, count))
+}
+
 /// Encode `rows × dims` points (row-major flat) as a points payload.
 pub fn encode_points(dims: usize, flat: &[f64]) -> Vec<u8> {
     debug_assert!(dims > 0 && flat.len().is_multiple_of(dims));
@@ -103,11 +120,7 @@ pub fn encode_points(dims: usize, flat: &[f64]) -> Vec<u8> {
 
 /// Decode a points payload into `(dims, row-major flat coords)`.
 pub fn decode_points(payload: &[u8]) -> io::Result<(usize, Vec<f64>)> {
-    let dims = read_u32(payload, 0)? as usize;
-    let rows = read_u64(payload, 8)? as usize;
-    if dims == 0 {
-        return Err(err("points payload: zero dims"));
-    }
+    let (dims, rows) = read_header(payload, "points payload")?;
     let want = rows
         .checked_mul(dims)
         .and_then(|c| c.checked_mul(8))
@@ -148,11 +161,7 @@ pub fn encode_fold_request(dims: usize, ids: &[usize], cols: &[f64]) -> Vec<u8> 
 
 /// Decode a fold request into `(dims, skyline ids, flat columns)`.
 pub fn decode_fold_request(payload: &[u8]) -> io::Result<(usize, Vec<usize>, Vec<f64>)> {
-    let dims = read_u32(payload, 0)? as usize;
-    let m = read_u64(payload, 8)? as usize;
-    if dims == 0 {
-        return Err(err("fold request: zero dims"));
-    }
+    let (dims, m) = read_header(payload, "fold request")?;
     let want = m
         .checked_mul(8 + dims * 8)
         .and_then(|c| c.checked_add(16))
@@ -232,5 +241,17 @@ mod tests {
         p.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_points(&p).is_err());
         assert!(decode_fold_request(&p).is_err());
+    }
+
+    #[test]
+    fn reserved_header_word_must_be_zero() {
+        let mut points = encode_points(1, &[0.5]);
+        let mut request = encode_fold_request(1, &[3], &[0.5]);
+        points[5] = 1;
+        request[7] = 0x80;
+        let e = decode_points(&points).unwrap_err().to_string();
+        assert!(e.contains("points payload: reserved header word is 0x100"), "{e}");
+        let e = decode_fold_request(&request).unwrap_err().to_string();
+        assert!(e.contains("fold request: reserved header word is 0x80000000"), "{e}");
     }
 }

@@ -69,6 +69,8 @@ impl CancelToken {
     /// [`CancelToken::is_cancelled`]. Deterministic — the tool for
     /// driving interruption paths in tests without racing wall-clock
     /// time.
+    // lint: allow(R10) -- tests/resilience.rs and tests/parallel_equivalence.rs
+    // cut runs at an exact poll through this fuse
     pub fn after_polls(polls: u64) -> Self {
         CancelToken {
             inner: Arc::new(TokenInner {
@@ -325,12 +327,6 @@ pub enum DegradationEvent {
         /// The requested `k`.
         requested: usize,
     },
-    /// The requested LSH configuration admitted no usable banding and
-    /// the run fell back to MinHash selection (opt-in).
-    MinHashFallback {
-        /// Human-readable cause.
-        cause: String,
-    },
 }
 
 impl std::fmt::Display for DegradationEvent {
@@ -359,9 +355,6 @@ impl std::fmt::Display for DegradationEvent {
                 requested,
             } => {
                 write!(f, "selection curtailed at {selected} of {requested} points")
-            }
-            DegradationEvent::MinHashFallback { cause } => {
-                write!(f, "fell back to MinHash selection: {cause}")
             }
         }
     }
@@ -771,9 +764,7 @@ mod tests {
             reason: StopReason::DominanceBudgetExhausted { used: 5, limit: 4 },
         };
         assert!(i.to_string().contains("during fingerprint"), "{i}");
-        let e = DegradationEvent::MinHashFallback {
-            cause: "no banding for t = 1".into(),
-        };
-        assert!(e.to_string().contains("MinHash selection"), "{e}");
+        let e = DegradationEvent::SelectionCurtailed { selected: 2, requested: 5 };
+        assert!(e.to_string().contains("selection curtailed at 2 of 5"), "{e}");
     }
 }

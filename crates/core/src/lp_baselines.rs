@@ -32,39 +32,6 @@ impl EuclideanDistance {
             points: skyline.iter().map(|&s| ds.point(s).to_vec()).collect(),
         }
     }
-
-    /// Backend with per-dimension min–max normalisation into `[0, 1]` — a
-    /// common mitigation for scale sensitivity (which still cannot
-    /// recover domination structure).
-    pub fn normalized(ds: &Dataset, skyline: &[usize]) -> Self {
-        let d = ds.dims();
-        let mut lo = vec![f64::INFINITY; d];
-        let mut hi = vec![f64::NEG_INFINITY; d];
-        for &s in skyline {
-            for (j, &v) in ds.point(s).iter().enumerate() {
-                lo[j] = lo[j].min(v);
-                hi[j] = hi[j].max(v);
-            }
-        }
-        let points = skyline
-            .iter()
-            .map(|&s| {
-                ds.point(s)
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| {
-                        let span = hi[j] - lo[j];
-                        if span > 0.0 {
-                            (v - lo[j]) / span
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { points }
-    }
 }
 
 impl DiversityDistance for EuclideanDistance {
@@ -161,29 +128,6 @@ mod tests {
         let s2 = select_diverse(&mut e2, &scores, k, SeedRule::MaxDominance, TieBreak::MaxDominance)
             .unwrap();
         assert_eq!(s1, s2, "dominance-based selection is scale-invariant");
-    }
-
-    #[test]
-    fn normalization_restores_stability_but_not_structure() {
-        let ds = anticorrelated(1500, 2, 162);
-        let sky = naive_skyline(&ds, &MinDominance);
-        assert!(sky.len() >= 5);
-        let mut scaled = Dataset::with_capacity(2, ds.len());
-        for p in ds.iter() {
-            scaled.push(&[p[0] * 1000.0, p[1]]);
-        }
-        // Min–max normalised L2 is invariant under per-dim rescaling...
-        let mut a = EuclideanDistance::normalized(&ds, &sky);
-        let mut b = EuclideanDistance::normalized(&scaled, &sky);
-        for i in 0..sky.len().min(10) {
-            for j in 0..sky.len().min(10) {
-                assert!((a.distance(i, j) - b.distance(i, j)).abs() < 1e-9);
-            }
-        }
-        // ...but it still measures contour geometry, not domination
-        // overlap: two adjacent skyline points with heavily overlapping
-        // Γ sets stay "close" in Jd terms yet may be far in L2 and vice
-        // versa; see the lp_compare harness for the aggregate picture.
     }
 
     #[test]

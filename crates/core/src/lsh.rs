@@ -87,12 +87,6 @@ impl LshParams {
     pub fn threshold(&self) -> f64 {
         (1.0 / self.zones as f64).powf(1.0 / self.rows_per_zone as f64)
     }
-
-    /// Probability that two points with Jaccard similarity `s` share a
-    /// bucket in at least one zone: `1 − (1 − sʳ)^ζ` (the S-curve).
-    pub fn collision_probability(&self, s: f64) -> f64 {
-        1.0 - (1.0 - s.powi(self.rows_per_zone as i32)).powi(self.zones as i32)
-    }
 }
 
 /// The per-zone bucket assignment of every skyline point.
@@ -198,11 +192,6 @@ impl LshIndex {
         self.buckets
     }
 
-    /// Bucket of point `j` in `zone`.
-    pub fn bucket(&self, j: usize, zone: usize) -> u32 {
-        self.assignment[j * self.zones + zone]
-    }
-
     /// The per-zone bucket assignments of point `j` (length `ζ`) — the
     /// kernel entry point for callers that hoist the row fetch out of an
     /// inner loop over partners.
@@ -263,19 +252,6 @@ impl LshIndex {
         2 * (zones - crate::kernels::agreement_count_u32(a, b)) as u64
     }
 
-    /// The explicit `ζ·B`-bit vector of point `j` (Example 3 of the
-    /// paper); exposed for inspection and tests.
-    pub fn bit_vector(&self, j: usize) -> Vec<u64> {
-        let bits = self.zones * self.buckets;
-        let mut v = vec![0u64; bits.div_ceil(64)];
-        // lint: allow(R2) -- O(ζ) bit sets for one inspected point
-        for zone in 0..self.zones {
-            let pos = zone * self.buckets + self.bucket(j, zone) as usize;
-            v[pos / 64] |= 1 << (pos % 64);
-        }
-        v
-    }
-
     /// Exact bytes resident in the index: the `u32` zone assignment plus
     /// the packed `ζ·B`-bit vectors when those are materialised — the
     /// LSH side of the Figure 13 memory comparison, reported as what the
@@ -310,6 +286,23 @@ fn hash_zone(slots: &[u64], zone: u64, seed: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// Probability that two points with Jaccard similarity `s` share a
+    /// bucket in at least one zone: `1 − (1 − sʳ)^ζ` (the S-curve).
+    fn collision_probability(p: &LshParams, s: f64) -> f64 {
+        1.0 - (1.0 - s.powi(p.rows_per_zone as i32)).powi(p.zones as i32)
+    }
+
+    /// The explicit `ζ·B`-bit vector of point `j` (Example 3 of the
+    /// paper): the reference the Hamming kernels are checked against.
+    fn bit_vector(idx: &LshIndex, j: usize) -> Vec<u64> {
+        let mut v = vec![0u64; (idx.zones * idx.buckets).div_ceil(64)];
+        for zone in 0..idx.zones {
+            let pos = zone * idx.buckets + idx.zone_row(j)[zone] as usize;
+            v[pos / 64] |= 1 << (pos % 64);
+        }
+        v
+    }
+
     #[test]
     fn threshold_factorisation_examples() {
         // t = 100: the classic banding table.
@@ -329,10 +322,10 @@ mod tests {
             zones: 20,
             rows_per_zone: 5,
         };
-        assert!(p.collision_probability(0.1) < 0.01);
-        assert!(p.collision_probability(0.9) > 0.99);
+        assert!(collision_probability(&p, 0.1) < 0.01);
+        assert!(collision_probability(&p, 0.9) > 0.99);
         let t = p.threshold();
-        let mid = p.collision_probability(t);
+        let mid = collision_probability(&p, t);
         assert!(mid > 0.3 && mid < 0.9, "threshold sits on the ramp: {mid}");
     }
 
@@ -352,7 +345,7 @@ mod tests {
             rows_per_zone: 3,
         };
         let idx = LshIndex::build(&sig, params, 16, 1).unwrap();
-        assert_eq!(idx.bucket(0, 0), idx.bucket(1, 0), "equal slices collide");
+        assert_eq!(idx.zone_row(0)[0], idx.zone_row(1)[0], "equal slices collide");
         assert_eq!(idx.hamming(0, 0), 0);
         // Points 0 and 1 agree on zone 0 → Hamming ≤ 2.
         assert!(idx.hamming(0, 1) <= 2);
@@ -368,7 +361,7 @@ mod tests {
         let idx = LshIndex::build(&sig, params, 1 << 16, 2).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                let mism = (0..3).filter(|&z| idx.bucket(i, z) != idx.bucket(j, z)).count();
+                let mism = (0..3).filter(|&z| idx.zone_row(i)[z] != idx.zone_row(j)[z]).count();
                 assert_eq!(idx.hamming(i, j), 2 * mism as u64);
             }
         }
@@ -383,11 +376,11 @@ mod tests {
         };
         let idx = LshIndex::build(&sig, params, 12, 3).unwrap();
         for j in 0..3 {
-            let ones: u32 = idx.bit_vector(j).iter().map(|w| w.count_ones()).sum();
+            let ones: u32 = bit_vector(&idx, j).iter().map(|w| w.count_ones()).sum();
             assert_eq!(ones, 2, "L1 norm equals ζ (paper §4.2.2)");
         }
         // Hamming via explicit vectors matches the fast path.
-        let hv = |j: usize| idx.bit_vector(j);
+        let hv = |j: usize| bit_vector(&idx, j);
         let slow = hv(0)
             .iter()
             .zip(hv(1))
@@ -438,10 +431,9 @@ mod tests {
                         assert_eq!(d, idx.hamming(i, lo + jj) as f64);
                         // Cross-check against the explicit bit-vector
                         // XOR-popcount reference.
-                        let slow: u64 = idx
-                            .bit_vector(i)
+                        let slow: u64 = bit_vector(idx, i)
                             .iter()
-                            .zip(idx.bit_vector(lo + jj))
+                            .zip(bit_vector(idx, lo + jj))
                             .map(|(a, b)| u64::from((a ^ b).count_ones()))
                             .sum();
                         assert_eq!(d, slow as f64);
@@ -529,11 +521,11 @@ mod tests {
                 sig.update_column(0, &base);
                 sig.update_column(1, &other);
                 let idx = LshIndex::build(&sig, params, 1 << 20, trial as u64).unwrap();
-                if (0..zones).any(|z| idx.bucket(0, z) == idx.bucket(1, z)) {
+                if (0..zones).any(|z| idx.zone_row(0)[z] == idx.zone_row(1)[z]) {
                     collided += 1;
                 }
             }
-            let expect = params.collision_probability(s);
+            let expect = collision_probability(&params, s);
             let got = collided as f64 / trials as f64;
             // se ≈ sqrt(p(1-p)/600) ≤ 0.021; allow 5σ plus a little for
             // the tiny accidental-bucket-collision rate.
@@ -543,7 +535,7 @@ mod tests {
             );
         }
         // Monotonicity of the curve itself.
-        assert!(params.collision_probability(0.9) > params.collision_probability(0.3));
+        assert!(collision_probability(&params, 0.9) > collision_probability(&params, 0.3));
     }
 
     #[test]

@@ -77,42 +77,6 @@ where
     SigGenOutput { matrix, scores }
 }
 
-/// End-to-end diversification over arbitrary items: skyline via generic
-/// BNL, fingerprints via [`sig_gen_if_generic`], greedy selection.
-///
-/// Returns `(skyline_indices, selected_item_indices)`.
-pub fn diversify_generic<I, O>(
-    items: &[I],
-    ord: &O,
-    k: usize,
-    signature_size: usize,
-    hash_seed: u64,
-) -> crate::error::Result<(Vec<usize>, Vec<usize>)>
-where
-    O: DominanceOrd,
-    I: Borrow<O::Item>,
-{
-    if signature_size == 0 {
-        return Err(crate::error::SkyDiverError::ZeroSignatureSize);
-    }
-    let skyline = skydiver_skyline::bnl_generic(items, ord);
-    if skyline.is_empty() {
-        return Err(crate::error::SkyDiverError::EmptySkyline);
-    }
-    let family = HashFamily::new(signature_size, hash_seed);
-    let out = sig_gen_if_generic(items, ord, &skyline, &family);
-    let mut dist = crate::diversity::SignatureDistance::new(&out.matrix);
-    let positions = crate::dispersion::select_diverse(
-        &mut dist,
-        &out.scores,
-        k,
-        crate::dispersion::SeedRule::MaxDominance,
-        crate::dispersion::TieBreak::MaxDominance,
-    )?;
-    let selected = positions.iter().map(|&p| skyline[p]).collect();
-    Ok((skyline, selected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,8 +116,19 @@ mod tests {
                 }
             }
         }
-        let (skyline, selected) = diversify_generic(&items, &ord, 2, 128, 172).unwrap();
+        let skyline = skydiver_skyline::bnl_generic(&items, &ord);
         assert!(!skyline.is_empty());
+        let out = sig_gen_if_generic(&items, &ord, &skyline, &HashFamily::new(128, 172));
+        let mut dist = crate::diversity::SignatureDistance::new(&out.matrix);
+        let positions = crate::dispersion::select_diverse(
+            &mut dist,
+            &out.scores,
+            2,
+            crate::dispersion::SeedRule::MaxDominance,
+            crate::dispersion::TieBreak::MaxDominance,
+        )
+        .unwrap();
+        let selected: Vec<usize> = positions.iter().map(|&p| skyline[p]).collect();
         assert_eq!(selected.len(), 2);
         // The two picks are incomparable records (skyline members).
         let (x, y) = (&items[selected[0]], &items[selected[1]]);
@@ -161,15 +136,5 @@ mod tests {
         // And distinct as records (dominated-set diversity > 0 requires
         // differing frontier cells here).
         assert_ne!(x, y);
-    }
-
-    #[test]
-    fn empty_skyline_rejected() {
-        let ord = MinDominance;
-        let items: Vec<Vec<f64>> = vec![];
-        assert!(matches!(
-            diversify_generic(&items, &ord, 2, 16, 0),
-            Err(crate::error::SkyDiverError::EmptySkyline)
-        ));
     }
 }

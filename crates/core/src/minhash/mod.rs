@@ -36,7 +36,7 @@ pub mod theory;
 pub use accumulator::{ShardFingerprint, SignatureAccumulator};
 pub use family::HashFamily;
 pub use fold::{fold_shard, fold_shard_planned, ShardFold};
-pub use generic::{diversify_generic, sig_gen_if_generic};
+pub use generic::sig_gen_if_generic;
 pub use index_based::{sig_gen_ib, sig_gen_ib_budgeted, IbStats};
 pub use index_free::{scan_columns_budgeted, sig_gen_if, sig_gen_if_budgeted, RowBlockScan};
 pub use parallel_ib::{sig_gen_ib_parallel, sig_gen_ib_parallel_budgeted};

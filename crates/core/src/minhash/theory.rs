@@ -26,6 +26,8 @@ pub fn signature_size(eps: f64, beta: f64, delta: f64, c: f64) -> usize {
 /// pair satisfies `Jd(a,b) ≥ (1+ε)/(1−ε) · OPT − 2ε/(1−ε)`.
 ///
 /// Returns that lower bound (clamped to `[0, 1]`, the range of `Jd`).
+// lint: allow(R10) -- the paper's bound, checked by tests/extensions.rs
+// theory_bound_holds_empirically
 pub fn theorem1_bound(opt: f64, eps: f64) -> f64 {
     assert!(eps > 0.0 && eps < 1.0, "ε must be in (0, 1)");
     (((1.0 + eps) * opt - 2.0 * eps) / (1.0 - eps)).clamp(0.0, 1.0)
@@ -33,6 +35,8 @@ pub fn theorem1_bound(opt: f64, eps: f64) -> f64 {
 
 /// Corollary 1: running the greedy 2-approximation on signatures gives
 /// `Jd(a,b) ≥ ½ · (1+ε)/(1−ε) · OPT − ε/(1−ε)`.
+// lint: allow(R10) -- the paper's bound, checked by tests/extensions.rs
+// theory_bound_holds_empirically
 pub fn corollary1_bound(opt: f64, eps: f64) -> f64 {
     assert!(eps > 0.0 && eps < 1.0, "ε must be in (0, 1)");
     ((0.5 * (1.0 + eps) * opt - eps) / (1.0 - eps)).clamp(0.0, 1.0)

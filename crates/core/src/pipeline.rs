@@ -54,8 +54,7 @@ use std::time::Instant;
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
 use crate::budget::{
-    CancelToken, Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget,
-    StopReason,
+    Degradation, DegradationEvent, ExecContext, ExecPhase, Interrupt, RunBudget, StopReason,
 };
 use crate::canonical::{canonicalise, canonicalise_shard};
 use crate::dispersion::{select_diverse_budgeted, SeedRule, TieBreak};
@@ -232,7 +231,6 @@ pub struct SkyDiver {
     hash_seed: u64,
     threads: usize,
     budget: RunBudget,
-    lsh_minhash_fallback: bool,
 }
 
 impl SkyDiver {
@@ -247,7 +245,6 @@ impl SkyDiver {
             hash_seed: 0,
             threads: 1,
             budget: RunBudget::none(),
-            lsh_minhash_fallback: false,
         }
     }
 
@@ -288,22 +285,6 @@ impl SkyDiver {
     /// result with a [`Degradation`] report instead of an error.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Convenience: attaches only a [`CancelToken`] (keeps any other
-    /// budget limits already configured).
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.budget = self.budget.with_cancel_token(token);
-        self
-    }
-
-    /// Opt-in: when the requested LSH configuration admits no usable
-    /// banding ([`SkyDiverError::NoLshFactorisation`]), fall back to
-    /// MinHash selection instead of failing. The substitution is
-    /// recorded as [`DegradationEvent::MinHashFallback`].
-    pub fn lsh_minhash_fallback(mut self, enabled: bool) -> Self {
-        self.lsh_minhash_fallback = enabled;
         self
     }
 
@@ -717,29 +698,13 @@ impl SkyDiver {
         let (positions, memory_bytes, interrupt) = match self.method {
             SelectionMethod::MinHash => self.select_minhash(out, ctx)?,
             SelectionMethod::Lsh { threshold, buckets } => {
-                match LshParams::from_threshold(out.matrix.t(), threshold) {
-                    Ok(params) => {
-                        let buckets = self.effective_buckets(
-                            out.matrix.m(),
-                            params.zones,
-                            buckets,
-                            &mut events,
-                        );
-                        let idx = LshIndex::build(&out.matrix, params, buckets, self.hash_seed)?;
-                        let dist = LshDistance::new(&idx);
-                        let (sel, int) = self.select(dist, &out.scores, ctx)?;
-                        (sel, idx.memory_bytes(), int)
-                    }
-                    Err(cause @ SkyDiverError::NoLshFactorisation { .. })
-                        if self.lsh_minhash_fallback =>
-                    {
-                        events.push(DegradationEvent::MinHashFallback {
-                            cause: cause.to_string(),
-                        });
-                        self.select_minhash(out, ctx)?
-                    }
-                    Err(e) => return Err(e),
-                }
+                let params = LshParams::from_threshold(out.matrix.t(), threshold)?;
+                let buckets =
+                    self.effective_buckets(out.matrix.m(), params.zones, buckets, &mut events);
+                let idx = LshIndex::build(&out.matrix, params, buckets, self.hash_seed)?;
+                let dist = LshDistance::new(&idx);
+                let (sel, int) = self.select(dist, &out.scores, ctx)?;
+                (sel, idx.memory_bytes(), int)
             }
         };
         if interrupt.is_some() {
@@ -766,7 +731,7 @@ impl SkyDiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::StopReason;
+    use crate::budget::{CancelToken, StopReason};
     use skydiver_data::generators::{anticorrelated, independent};
 
     #[test]
@@ -867,7 +832,7 @@ mod tests {
         let ds = Dataset::from_rows(2, &[[0.1, 0.1], [0.9, 0.9], [0.8, 0.95]]);
         let r = SkyDiver::new(2)
             .signature_size(16)
-            .run(&ds, &Preference::all_max(2));
+            .run(&ds, &[Preference::Max; 2]);
         // Skyline = {1, 2}; k = 2 selects both.
         let r = r.unwrap();
         assert_eq!(r.skyline, vec![1, 2]);
@@ -1038,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn lsh_falls_back_to_minhash_when_opted_in() {
+    fn lsh_without_a_usable_banding_is_a_typed_error() {
         let ds = anticorrelated(1500, 3, 159);
         let prefs = Preference::all_min(3);
         // t = 1 admits no usable banding.
@@ -1047,17 +1012,6 @@ mod tests {
             strict.run(&ds, &prefs),
             Err(SkyDiverError::NoLshFactorisation { t: 1 })
         ));
-        let lenient = strict.clone().lsh_minhash_fallback(true);
-        let r = lenient.run(&ds, &prefs).unwrap();
-        assert_eq!(r.selected.len(), 3);
-        assert!(r
-            .degradation
-            .events
-            .iter()
-            .any(|e| matches!(e, DegradationEvent::MinHashFallback { .. })));
-        // The fallback selects exactly as plain MinHash would.
-        let mh = SkyDiver::new(3).signature_size(1).run(&ds, &prefs).unwrap();
-        assert_eq!(r.selected, mh.selected);
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl PartialOrderAttr {
         debug_assert!(self.closed, "call close() before comparisons");
         get_bit(&self.reach[a as usize], b as usize)
     }
-
-    /// `true` iff `a` is at least as good as `b` (equal or better).
-    #[inline]
-    pub fn at_least_as_good(&self, a: u32, b: u32) -> bool {
-        a == b || self.better(a, b)
-    }
 }
 
 /// Errors from building a partially-ordered domain.
@@ -247,14 +241,6 @@ mod tests {
         assert!(!po.better(1, 2));
         assert!(!po.better(2, 1));
         assert!(!po.better(3, 0));
-    }
-
-    #[test]
-    fn at_least_as_good_includes_equality() {
-        let po = diamond();
-        assert!(po.at_least_as_good(1, 1));
-        assert!(po.at_least_as_good(0, 3));
-        assert!(!po.at_least_as_good(1, 2));
     }
 
     #[test]

@@ -148,6 +148,8 @@ impl Dataset {
     /// Computes the indices of points dominated by `p` under `ord` with a
     /// full scan. `O(n · d)`; intended for tests and exact baselines, not
     /// the hot path.
+    // lint: allow(R10) -- the Γ(p) oracle tests/proptests.rs and
+    // tests/extensions.rs check the R-tree counts and top-k scores against
     pub fn dominated_by_scan<O>(&self, ord: &O, p: &[f64]) -> Vec<usize>
     where
         O: DominanceOrd<Item = [f64]>,

@@ -106,11 +106,6 @@ impl MinMaxDominance {
         Self::new(Preference::all_min(d))
     }
 
-    /// The per-dimension preferences of this order.
-    pub fn preferences(&self) -> &[Preference] {
-        &self.prefs
-    }
-
     /// Dimensionality this order expects.
     pub fn dims(&self) -> usize {
         self.prefs.len()

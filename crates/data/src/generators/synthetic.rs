@@ -71,6 +71,8 @@ pub fn correlated(n: usize, d: usize, seed: u64) -> Dataset {
 ///
 /// Used to exercise R-tree locality: nearby points are dominated by the
 /// same skyline subsets, which is exactly what `SigGen-IB` exploits.
+// lint: allow(R10) -- the bbs and parallel_ib unit tests run their
+// identity checks on clustered data from it
 pub fn clustered(n: usize, d: usize, clusters: usize, spread: f64, seed: u64) -> Dataset {
     assert!(d > 0, "dimensionality must be positive");
     assert!(clusters > 0, "need at least one cluster");

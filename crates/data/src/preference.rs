@@ -14,17 +14,6 @@ pub enum Preference {
 }
 
 impl Preference {
-    /// Returns `true` when `a` is *at least as good as* `b` under this
-    /// preference (i.e. `a ≤ b` for [`Preference::Min`], `a ≥ b` for
-    /// [`Preference::Max`]).
-    #[inline]
-    pub fn at_least_as_good(self, a: f64, b: f64) -> bool {
-        match self {
-            Preference::Min => a <= b,
-            Preference::Max => a >= b,
-        }
-    }
-
     /// Returns `true` when `a` is *strictly better than* `b`.
     #[inline]
     pub fn strictly_better(self, a: f64, b: f64) -> bool {
@@ -49,11 +38,6 @@ impl Preference {
     pub fn all_min(d: usize) -> Vec<Preference> {
         vec![Preference::Min; d]
     }
-
-    /// `d` copies of [`Preference::Max`].
-    pub fn all_max(d: usize) -> Vec<Preference> {
-        vec![Preference::Max; d]
-    }
 }
 
 #[cfg(test)]
@@ -62,18 +46,12 @@ mod tests {
 
     #[test]
     fn min_prefers_smaller() {
-        assert!(Preference::Min.at_least_as_good(1.0, 2.0));
-        assert!(Preference::Min.at_least_as_good(2.0, 2.0));
-        assert!(!Preference::Min.at_least_as_good(3.0, 2.0));
         assert!(Preference::Min.strictly_better(1.0, 2.0));
         assert!(!Preference::Min.strictly_better(2.0, 2.0));
     }
 
     #[test]
     fn max_prefers_larger() {
-        assert!(Preference::Max.at_least_as_good(3.0, 2.0));
-        assert!(Preference::Max.at_least_as_good(2.0, 2.0));
-        assert!(!Preference::Max.at_least_as_good(1.0, 2.0));
         assert!(Preference::Max.strictly_better(3.0, 2.0));
         assert!(!Preference::Max.strictly_better(2.0, 2.0));
     }
@@ -85,8 +63,7 @@ mod tests {
     }
 
     #[test]
-    fn all_min_all_max() {
+    fn all_min_repeats_min() {
         assert_eq!(Preference::all_min(3), vec![Preference::Min; 3]);
-        assert_eq!(Preference::all_max(2), vec![Preference::Max; 2]);
     }
 }

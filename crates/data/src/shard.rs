@@ -164,20 +164,6 @@ impl ShardedDataset {
         s
     }
 
-    /// Builds a sharded dataset from shards in order.
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or the shards disagree on
-    /// dimensionality.
-    pub fn from_shards(shards: Vec<Dataset>) -> Self {
-        assert!(!shards.is_empty(), "from_shards needs at least one shard");
-        let mut s = Self::new(shards[0].dims());
-        for sh in shards {
-            s.push_shard(sh);
-        }
-        s
-    }
-
     /// Splits `ds` into `n` contiguous, near-equal shards (the first
     /// `len % n` shards get one extra row). Row order — and therefore
     /// every global id — is preserved.

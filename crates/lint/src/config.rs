@@ -34,13 +34,16 @@ pub struct Config {
     /// R9: test files each verb must be exercised in (case-insensitive
     /// word match).
     pub r9_tests: Vec<String>,
+    /// R10: files outside `include` whose non-test code counts as a
+    /// caller (binaries, examples, the benchmark crate).
+    pub r10_uses: Vec<String>,
     /// Report reasoned allow comments that suppressed nothing
     /// (`--strict-allows`, on in CI).
     pub strict_allows: bool,
 }
 
 /// Every rule id the engine knows, in reporting order.
-pub const ALL_RULES: [&str; 9] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"];
+pub const ALL_RULES: [&str; 10] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"];
 
 impl Default for Config {
     /// The committed workspace scope — used when no `lint.toml` exists.
@@ -89,6 +92,7 @@ impl Default for Config {
             "R8".to_string(),
             vec!["crates/serve/src/**".to_string(), "crates/cluster/src/**".to_string()],
         );
+        includes.insert("R10".to_string(), vec!["crates/*/src/**".to_string()]);
         Config {
             rules: ALL_RULES.iter().map(|s| s.to_string()).collect(),
             includes,
@@ -108,6 +112,11 @@ impl Default for Config {
                 "tests/serve.rs".to_string(),
                 "tests/sharding.rs".to_string(),
                 "tests/store.rs".to_string(),
+            ],
+            r10_uses: vec![
+                "src/bin/**".to_string(),
+                "examples/**".to_string(),
+                "perfbench/**".to_string(),
             ],
             strict_allows: false,
         }
@@ -170,6 +179,7 @@ impl Config {
                 ("rules.R9", "senders", Value::List(paths)) => cfg.r9_senders = paths,
                 ("rules.R9", "readme", Value::Str(p)) => cfg.r9_readme = p,
                 ("rules.R9", "tests", Value::List(paths)) => cfg.r9_tests = paths,
+                ("rules.R10", "uses", Value::List(globs)) => cfg.r10_uses = globs,
                 (s, k, _) => {
                     return Err(format!(
                         "lint.toml:{}: unknown key `{k}` in section `[{s}]`",
@@ -273,7 +283,7 @@ mod tests {
     #[test]
     fn defaults_cover_all_rules() {
         let c = Config::default();
-        assert_eq!(c.rules.len(), 9);
+        assert_eq!(c.rules.len(), 10);
         assert!(c.includes["R2"].iter().any(|g| g.contains("minhash")));
         assert!(c.includes["R8"].iter().any(|g| g.contains("serve")));
         assert_eq!(c.r8_entries, vec!["event_loop"]);
@@ -292,6 +302,16 @@ mod tests {
         assert_eq!(c.r9_senders, vec!["src/client.rs"]);
         assert_eq!(c.r9_readme, "README.md");
         assert_eq!(c.r9_tests, vec!["tests/wire.rs"]);
+    }
+
+    #[test]
+    fn parse_r10_keys() {
+        let c = Config::parse(
+            "rules = [\"R10\"]\n[rules.R10]\ninclude = [\"lib/**\"]\nuses = [\"bin/**\"]\n",
+        )
+        .expect("parses");
+        assert_eq!(c.includes["R10"], vec!["lib/**"]);
+        assert_eq!(c.r10_uses, vec!["bin/**"]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The workspace semantic model: a symbol table of `fn` items, an
 //! approximate intra-workspace call graph, and a lock-site model with
 //! guard live ranges. R7 (lock order), R8 (no blocking in the event
-//! loop) and R9 (verb conformance) reason over this instead of raw
-//! tokens.
+//! loop), R9 (verb conformance) and R10 (public functions with no
+//! caller) reason over this instead of raw tokens.
 //!
 //! This is *name resolution by heuristic*, not rustc. The documented
 //! approximations (DESIGN.md §17):
@@ -41,6 +41,8 @@ pub struct FnItem {
     pub name: String,
     /// The `impl` type the item sits in, if any.
     pub impl_ty: Option<String>,
+    /// Whether the item is plain `pub` (not `pub(crate)` and kin).
+    pub public: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Byte range of the body including braces; `(0, 0)` for bodiless
@@ -83,7 +85,7 @@ pub struct LockSite {
     pub live: (usize, usize),
 }
 
-/// The workspace model R7–R9 consume.
+/// The workspace model R7–R10 consume.
 #[derive(Debug, Default)]
 pub struct Graph {
     /// Every `fn` item, in (file, byte) order.
@@ -230,8 +232,25 @@ fn scan_fns(f: &SourceFile, fi: usize, out: &mut Vec<FnItem>) {
             .filter(|(_, s, e)| *s < tok.start && tok.start < *e)
             .min_by_key(|(_, s, e)| e - s)
             .map(|(ty, _, _)| ty.clone());
-        out.push(FnItem { file: fi, name: name.to_string(), impl_ty, line: tok.line, body });
+        let public = is_pub_item(f, c);
+        out.push(FnItem { file: fi, name: name.to_string(), impl_ty, public, line: tok.line, body });
     }
+}
+
+/// Whether the `fn` keyword at code index `c` opens a plain `pub`
+/// item: `pub`, then only `const`/`async`/`unsafe`/`extern "abi"`.
+fn is_pub_item(f: &SourceFile, c: usize) -> bool {
+    let mut p = c;
+    while p > 0 {
+        p -= 1;
+        let t = f.toks[f.code[p]];
+        match (t.kind, f.text_of(&t)) {
+            (TokKind::Ident, "const" | "async" | "unsafe" | "extern") | (TokKind::Literal, _) => {}
+            (TokKind::Ident, "pub") => return true,
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// `(type name, body byte range)` of each `impl` block.
@@ -671,6 +690,16 @@ mod tests {
         let d = &g.fns[fn_idx(&g, "drop")];
         assert_eq!(d.impl_ty.as_deref(), Some("S"), "trait impl binds to the type after `for`");
         assert!(g.fns[fn_idx(&g, "free")].impl_ty.is_none());
+    }
+
+    #[test]
+    fn visibility_is_plain_pub_only() {
+        let (_, g) = build(&[(
+            "a.rs",
+            "pub fn a() {}\npub const unsafe fn b() {}\npub(crate) fn c() {}\nfn d() {}\n",
+        )]);
+        let public: Vec<bool> = g.fns.iter().map(|f| f.public).collect();
+        assert_eq!(public, vec![true, true, false, false]);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! | R7 | lock acquisition order is acyclic across the workspace |
 //! | R8 | nothing reachable from the event loop blocks |
 //! | R9 | parsed wire verbs ↔ senders ↔ README ↔ test coverage agree |
+//! | R10 | every library `pub fn` has a caller outside tests |
 //!
-//! R1–R5 are per-file scans; R6–R9 are whole-workspace rules fed by
+//! R1–R5 are per-file scans; R6–R10 are whole-workspace rules fed by
 //! the [`graph::Graph`] (symbol table, approximate call graph, lock
 //! sites) built over every in-scope file.
 //!
@@ -234,7 +235,7 @@ pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
 
 /// Collects `.rs` files under `dir` as root-relative forward-slash
 /// paths, skipping build output and VCS internals.
-fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
+pub(crate) fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {

@@ -27,7 +27,8 @@ const USAGE: &str = "usage: skydiver-lint [--root DIR] [--config FILE] [--rules 
                      \n\
                      Checks the SkyDiver workspace invariants (determinism, cancellation,\n\
                      lock discipline, panic-freedom, SAFETY comments, STATS wire spec,\n\
-                     lock order, event-loop blocking, wire-verb conformance).\n\
+                     lock order, event-loop blocking, wire-verb conformance, public\n\
+                     functions with no caller).\n\
                      Scope lives in lint.toml at the root; exit 1 on any diagnostic.\n\
                      --strict-allows also reports reasoned allows that suppress nothing;\n\
                      --github emits ::error workflow annotations for CI.";

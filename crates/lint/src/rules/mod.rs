@@ -6,9 +6,10 @@
 //! rule: the engine feeds a rule only files matching its `include`
 //! globs, so rules stay pure visitors. Workspace rules additionally
 //! see every parsed file plus the [`crate::graph::Graph`] built over
-//! them, which is how the whole-program rules (R7–R9) reason across
+//! them, which is how the whole-program rules (R7–R10) reason across
 //! crate boundaries.
 
+mod r10_dead_api;
 mod r1_no_panic;
 mod r2_cancel_poll;
 mod r3_determinism;
@@ -24,6 +25,7 @@ use crate::diag::Diagnostic;
 use crate::graph::Graph;
 use crate::scan::SourceFile;
 
+pub use r10_dead_api::R10DeadApi;
 pub use r1_no_panic::R1NoPanic;
 pub use r2_cancel_poll::R2CancelPoll;
 pub use r3_determinism::R3Determinism;
@@ -54,7 +56,7 @@ impl WorkspaceView<'_> {
 /// One invariant checker. `Sync` because the engine fans per-file
 /// checks out over a thread scope.
 pub trait Rule: Sync {
-    /// Stable rule id (`R1` … `R9`) — what allow comments reference.
+    /// Stable rule id (`R1` … `R10`) — what allow comments reference.
     fn id(&self) -> &'static str;
 
     /// One-line description of the invariant the rule guards.
@@ -97,5 +99,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(R7LockOrder),
         Box::new(R8EventLoop),
         Box::new(R9VerbConformance),
+        Box::new(R10DeadApi),
     ]
 }

@@ -145,6 +145,33 @@ fn r9_readme_drift_and_ghost_sender_caught_allowed_verb_clean() {
 }
 
 #[test]
+fn r10_uncalled_pub_fns_caught_callers_and_exempt_shapes_clean() {
+    let (code, out) = run_fixture("r10");
+    assert_eq!(code, 1, "{out}");
+    let h = headers(&out);
+    assert_eq!(h.len(), 5, "{out}");
+    // A `pub use` re-export is no caller.
+    assert!(h[0].starts_with("crates/a/src/lexer.rs:7: [R10] pub fn `reexported` has no caller"));
+    // Neither is the definition's own recursion, nor a doc comment.
+    assert!(h[1].starts_with("crates/a/src/lib.rs:10: [R10] pub fn `orphan` has no caller"));
+    assert!(h[2].starts_with("crates/a/src/lib.rs:19: [R10] pub fn `documented` has no caller"));
+    // A test module or suite caller is reported apart from none.
+    assert!(h[3].starts_with("crates/a/src/lib.rs:37: [R10] pub fn `unit_only` is called only"));
+    assert!(h[4].starts_with("crates/a/src/lib.rs:42: [R10] pub fn `suite_only` is called only"));
+    // Clean: a method another crate calls, a private `use` then a
+    // call, a renaming re-export, a trait impl, a binary target's
+    // `main`, and an allowed oracle.
+    for clean in ["reading", "`lex`", "renamed", "fmt", "main", "cli_only", "oracle"] {
+        assert!(h.iter().all(|l| !l.contains(clean)), "{clean} must stay clean:\n{out}");
+    }
+    let strict = run_at(&fixture("r10"), &["--strict-allows"]);
+    let stdout = String::from_utf8_lossy(&strict.stdout);
+    let h = headers(&stdout);
+    assert_eq!(h.len(), 6, "{stdout}");
+    assert!(h.iter().any(|l| l.starts_with("crates/a/src/scan.rs:3: [A1]")), "{stdout}");
+}
+
+#[test]
 fn strict_allows_reports_only_the_stale_suppression() {
     let (code, out) = run_fixture("stale");
     assert_eq!(code, 0, "without --strict-allows the tree is clean:\n{out}");

@@ -29,11 +29,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Total logical page requests (random + sequential).
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.faults + self.sequential_pages
-    }
-
     /// Simulated I/O time in milliseconds under `ms_per_fault`.
     pub fn io_ms(&self, ms_per_fault: f64) -> f64 {
         (self.faults + self.sequential_pages) as f64 * ms_per_fault
@@ -121,11 +116,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// Resets counters but keeps cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
-    }
-
     /// Drops all cached pages and counters.
     pub fn clear(&mut self) {
         self.map.clear();
@@ -134,11 +124,6 @@ impl BufferPool {
         self.head = NONE;
         self.tail = NONE;
         self.stats = IoStats::default();
-    }
-
-    /// Number of pages currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.map.len()
     }
 
     /// Pool capacity in pages.
@@ -221,7 +206,7 @@ mod tests {
         p.access(3); // fault, evicts 2
         assert!(!p.access(1), "1 must still be cached");
         assert!(p.access(2), "2 must have been evicted");
-        assert_eq!(p.cached_pages(), 2);
+        assert_eq!(p.map.len(), 2);
     }
 
     #[test]
@@ -251,15 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_and_reset() {
+    fn stats_merge() {
         let mut p = BufferPool::new(2);
         p.access(1);
         let mut total = IoStats::default();
         total.merge(&p.stats());
         assert_eq!(total.faults, 1);
-        p.reset_stats();
-        assert_eq!(p.stats(), IoStats::default());
-        assert_eq!(p.cached_pages(), 1, "reset keeps contents");
     }
 
     #[test]
@@ -267,7 +249,7 @@ mod tests {
         let mut p = BufferPool::new(2);
         p.access(1);
         p.clear();
-        assert_eq!(p.cached_pages(), 0);
+        assert!(p.map.is_empty());
         assert!(p.access(1), "page 1 faults again after clear");
     }
 
@@ -279,7 +261,7 @@ mod tests {
                 p.access(id * 31 % 64 + round);
             }
         }
-        assert!(p.cached_pages() <= 16);
+        assert!(p.map.len() <= 16);
         let s = p.stats();
         assert_eq!(s.hits + s.faults, 4 * 64);
     }

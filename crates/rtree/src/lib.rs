@@ -11,7 +11,7 @@
 //!   count),
 //! * [`tree`] — the [`RTree`], built by Sort-Tile-Recursive bulk
 //!   loading (its one constructor, [`RTree::bulk_load`]),
-//! * [`query`] — dominance-region aggregate counts and range queries,
+//! * [`query`] — dominance-region aggregate counts,
 //! * [`buffer`] — the LRU [`BufferPool`] and the
 //!   simulated I/O cost model.
 

@@ -79,51 +79,6 @@ impl Mbr {
             self.hi[j] = self.hi[j].max(other.hi[j]);
         }
     }
-
-    /// `true` when `self` and `other` share at least one point.
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(other.lo.iter().zip(&other.hi))
-            .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
-    }
-
-    /// `true` when `p` lies inside `self` (closed).
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        debug_assert_eq!(self.dims(), p.len());
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(p)
-            .all(|((lo, hi), v)| lo <= v && v <= hi)
-    }
-
-    /// `true` when `other` lies entirely inside `self` (closed).
-    pub fn contains_mbr(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(other.lo.iter().zip(&other.hi))
-            .all(|((alo, ahi), (blo, bhi))| alo <= blo && bhi <= ahi)
-    }
-
-    /// Squared Euclidean distance from the origin to the nearest corner of
-    /// the MBR — the BBS priority ("mindist"). In canonical min-space the
-    /// nearest corner to the origin is `lo` when all coordinates are
-    /// non-negative; in general it is the per-dimension clamp of 0.
-    pub fn mindist_to_origin(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&lo, &hi)| {
-                let c = 0.0f64.clamp(lo, hi);
-                c * c
-            })
-            .sum()
-    }
 }
 
 /// Classification of the dominance relation between a point and an MBR.
@@ -170,7 +125,6 @@ mod tests {
         let mut c = a.clone();
         c.expand(&b);
         assert_eq!(c, mbr2([0.0, -1.0], [3.0, 1.0]));
-        assert!(c.contains_mbr(&a) && c.contains_mbr(&b));
     }
 
     #[test]
@@ -181,27 +135,6 @@ mod tests {
         let mut m = e.clone();
         m.expand(&a);
         assert_eq!(m, a);
-    }
-
-    #[test]
-    fn intersects_closed_boxes() {
-        let a = mbr2([0.0, 0.0], [2.0, 2.0]);
-        let b = mbr2([1.0, 1.0], [3.0, 3.0]);
-        let c = mbr2([5.0, 5.0], [6.0, 6.0]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        // Touching edges intersect.
-        let d = mbr2([2.0, 0.0], [3.0, 2.0]);
-        assert!(a.intersects(&d));
-    }
-
-    #[test]
-    fn containment() {
-        let a = mbr2([0.0, 0.0], [2.0, 2.0]);
-        assert!(a.contains_point(&[1.0, 2.0]));
-        assert!(!a.contains_point(&[1.0, 2.1]));
-        assert!(a.contains_mbr(&mbr2([0.5, 0.5], [1.5, 2.0])));
-        assert!(!a.contains_mbr(&mbr2([0.5, 0.5], [2.5, 2.0])));
     }
 
     #[test]
@@ -223,15 +156,6 @@ mod tests {
         assert_eq!(classify_dominance(&[2.0, 2.0], &p), MbrDominance::None);
         // Incomparable point: none.
         assert_eq!(classify_dominance(&[1.0, 3.0], &p), MbrDominance::None);
-    }
-
-    #[test]
-    fn mindist_keys() {
-        let m = mbr2([1.0, 2.0], [3.0, 4.0]);
-        assert_eq!(m.mindist_to_origin(), 1.0 + 4.0);
-        // MBR straddling the origin has mindist 0.
-        let z = mbr2([-1.0, -1.0], [1.0, 1.0]);
-        assert_eq!(z.mindist_to_origin(), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Aggregate and range queries over the R*-tree.
+//! Aggregate dominance-region counts over the R*-tree.
 //!
 //! These are the "range queries of large volume" that make the
 //! Simple-Greedy baseline expensive (paper §3.2/§4.2): computing the
@@ -9,7 +9,7 @@
 //! page reads.
 
 use crate::buffer::BufferPool;
-use crate::mbr::{classify_dominance, Mbr, MbrDominance};
+use crate::mbr::{classify_dominance, MbrDominance};
 use crate::node::{Child, PageId};
 use crate::tree::RTree;
 
@@ -69,55 +69,6 @@ impl RTree {
             }
         }
         total
-    }
-
-    /// Ids of points inside the closed rectangle `[lo, hi]`.
-    pub fn range_ids(&self, pool: &mut BufferPool, lo: &[f64], hi: &[f64]) -> Vec<u32> {
-        assert_eq!(lo.len(), self.dims());
-        assert_eq!(hi.len(), self.dims());
-        let query = Mbr::new(lo.to_vec(), hi.to_vec());
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
-        }
-        let mut stack: Vec<PageId> = vec![self.root()];
-        while let Some(pid) = stack.pop() {
-            let node = self.read_node(pool, pid);
-            for e in &node.entries {
-                if !query.intersects(&e.mbr) {
-                    continue;
-                }
-                match e.child {
-                    Child::Point(id) => out.push(id),
-                    Child::Node(c) => stack.push(c),
-                }
-            }
-        }
-        out
-    }
-
-    /// Ids of points strictly dominated by `p` (the materialised `Γ(p)`;
-    /// used by exact baselines and tests).
-    pub fn dominated_ids(&self, pool: &mut BufferPool, p: &[f64]) -> Vec<u32> {
-        assert_eq!(p.len(), self.dims());
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
-        }
-        let mut stack: Vec<PageId> = vec![self.root()];
-        while let Some(pid) = stack.pop() {
-            let node = self.read_node(pool, pid);
-            for e in &node.entries {
-                match classify_dominance(p, &e.mbr) {
-                    MbrDominance::None => {}
-                    MbrDominance::Full | MbrDominance::Partial => match e.child {
-                        Child::Point(id) => out.push(id),
-                        Child::Node(c) => stack.push(c),
-                    },
-                }
-            }
-        }
-        out
     }
 }
 
@@ -199,47 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn range_ids_matches_scan() {
-        let ds = independent(2000, 2, 24);
-        let t = RTree::bulk_load(&ds, 512);
-        let mut pool = big_pool();
-        let (lo, hi) = ([0.25, 0.25], [0.5, 0.75]);
-        let mut got = t.range_ids(&mut pool, &lo, &hi);
-        got.sort_unstable();
-        let expect: Vec<u32> = ds
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p[0] >= 0.25 && p[0] <= 0.5 && p[1] >= 0.25 && p[1] <= 0.75)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn dominated_ids_matches_scan() {
-        let ds = independent(1500, 3, 25);
-        let t = RTree::bulk_load(&ds, 1024);
-        let mut pool = big_pool();
-        let p = ds.point(3).to_vec();
-        let mut got = t.dominated_ids(&mut pool, &p);
-        got.sort_unstable();
-        let expect: Vec<u32> = ds
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| dominates_min(&p, q))
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn aggregate_counts_prune_io() {
         // Counting from the origin must answer from the root alone:
         // every root entry is fully dominated.
         let ds = independent(5000, 3, 26);
         let t = RTree::bulk_load(&ds, 1024);
         let mut pool = big_pool();
-        pool.reset_stats();
         let c = t.count_dominated(&mut pool, &[-1.0, -1.0, -1.0]);
         assert_eq!(c, 5000);
         assert_eq!(
@@ -255,6 +171,5 @@ mod tests {
         let mut pool = big_pool();
         assert_eq!(t.count_dominated(&mut pool, &[0.0, 0.0]), 0);
         assert_eq!(t.count_weak_region(&mut pool, &[0.0, 0.0]), 0);
-        assert!(t.range_ids(&mut pool, &[0.0, 0.0], &[1.0, 1.0]).is_empty());
     }
 }

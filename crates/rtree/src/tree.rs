@@ -122,11 +122,6 @@ impl RTree {
         self.root
     }
 
-    /// Levels above the leaves of the root node.
-    pub fn height(&self) -> u32 {
-        self.nodes[self.root.index()].level
-    }
-
     /// Reads a node *through the buffer pool* (counts a hit or fault).
     pub fn read_node<'a>(&'a self, pool: &mut BufferPool, pid: PageId) -> &'a Node {
         pool.access(pid.as_u64());
@@ -145,6 +140,8 @@ impl RTree {
     /// Verifies: entry MBR/count consistency with child nodes, leaf level
     /// correctness, monotone levels, fill bounds (root exempt), and that
     /// exactly the ids `0..len` are present when `expect_dense_ids`.
+    // lint: allow(R10) -- the structural oracle of tests/proptests.rs
+    // rtree_counts_match_scans and bulk_loaded_tree_queries_match_scans
     pub fn validate(&self, expect_dense_ids: bool) -> Result<(), String> {
         let mut seen: Vec<u32> = Vec::new();
         self.validate_node(self.root, None, &mut seen)?;
@@ -299,7 +296,7 @@ mod tests {
     fn bulk_load_tiny_dataset_is_single_leaf() {
         let ds = independent(5, 2, 1);
         let t = RTree::bulk_load(&ds, 4096);
-        assert_eq!(t.height(), 0);
+        assert_eq!(t.node(t.root()).level, 0);
         assert_eq!(t.num_pages(), 1);
         t.validate(true).unwrap();
     }
@@ -309,7 +306,7 @@ mod tests {
         let ds = Dataset::new(2);
         let t = RTree::bulk_load(&ds, 4096);
         assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
+        assert_eq!(t.node(t.root()).level, 0);
         assert_eq!(t.num_pages(), 1);
         t.validate(true).unwrap();
     }

@@ -52,6 +52,8 @@ impl Client {
 
     /// Connects, retrying `attempts` times with `delay` between tries —
     /// for scripts that race server startup.
+    // lint: allow(R10) -- tests/sharding.rs and tests/store.rs race the
+    // servers they spawn through it
     pub fn connect_retry<A: ToSocketAddrs + Copy>(
         addr: A,
         attempts: usize,
@@ -73,6 +75,8 @@ impl Client {
     }
 
     /// Whether the connection has been switched to binary framing.
+    // lint: allow(R10) -- tests/serve.rs binary_framing_answers_bit_identically_to_text
+    // checks the HELLO switch through it
     pub fn is_framed(&self) -> bool {
         self.framed
     }

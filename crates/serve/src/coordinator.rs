@@ -985,8 +985,8 @@ mod tests {
                 let got = frame::decode(&bad).map_err(err).and_then(decode);
                 refused("a frame", &bad, got);
             }
-            // The dims and count words; bytes 4..8 are padding.
-            let header: Vec<usize> = (0..4).chain(8..16).collect();
+            // The dims, reserved and count words.
+            let header: Vec<usize> = (0..16).collect();
             for bad in hostile(&payload, &header, 0, &mut rng) {
                 refused("a payload", &bad, decode(&bad));
             }

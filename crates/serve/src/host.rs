@@ -447,14 +447,16 @@ impl ShardHost {
         }
     }
 
-    /// `(datasets, shards)` hosted — for reporting.
-    pub fn hosted_counts(&self) -> (usize, usize) {
+    /// `(datasets, shards)` hosted.
+    #[cfg(test)]
+    pub(crate) fn hosted_counts(&self) -> (usize, usize) {
         let hosted = self.hosted.read().unwrap_or_else(|e| e.into_inner());
         let shards = hosted.values().map(|d| d.shards.len()).sum();
         (hosted.len(), shards)
     }
 
     /// Fold cache occupancy: `(entries, resident bytes, ceiling)`.
+    // lint: allow(R10) -- tests/store.rs reads the fold cache through it
     pub fn cache_usage(&self) -> (usize, usize, usize) {
         let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         (cache.len(), cache.bytes(), cache.ceiling())

@@ -402,19 +402,6 @@ impl Registry {
             .cloned()
     }
 
-    /// Names of the installed datasets (sorted, for reporting).
-    pub fn dataset_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .datasets
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
-    }
-
     /// `(name, shard count)` for every installed dataset, sorted by
     /// name — the `STATS` payload's `dataset_shards` object.
     pub fn dataset_shards(&self) -> Vec<(String, usize)> {
@@ -1354,7 +1341,7 @@ mod tests {
 
         // Reads, the memoised fingerprint path, and both write paths
         // still work on the poisoned locks.
-        assert_eq!(reg.dataset_names(), vec!["d"]);
+        assert_eq!(reg.dataset_shards(), [("d".to_string(), 1)]);
         let (fp, hit, _) = reg
             .fingerprint("d", &prefs, &key, 16, 3, counted())
             .unwrap();
@@ -1362,7 +1349,7 @@ mod tests {
         assert!(fp.is_complete());
         reg.insert_dataset("e", anticorrelated(100, 3, 30));
         reg.append_dataset("e", anticorrelated(50, 3, 31)).unwrap();
-        assert_eq!(reg.dataset_names(), vec!["d", "e"]);
+        assert_eq!(reg.dataset_shards(), [("d".to_string(), 1), ("e".to_string(), 2)]);
         assert!(reg.host().cache_usage().0 >= 1);
         assert!(reg.stats_json().contains("\"dataset_shards\""));
     }

@@ -535,10 +535,9 @@ mod tests {
         use skydiver_data::Dataset;
         // `flat` read as `dims`-d points, split into two shards at `at`.
         let layout = |flat: &[f64], dims: usize, at: usize| {
-            ShardedDataset::from_shards(vec![
-                Dataset::from_flat(dims, flat[..at].to_vec()),
-                Dataset::from_flat(dims, flat[at..].to_vec()),
-            ])
+            let mut data = ShardedDataset::from_dataset(Dataset::from_flat(dims, flat[..at].to_vec()));
+            data.push_shard(Dataset::from_flat(dims, flat[at..].to_vec()));
+            data
         };
         let flat: Vec<f64> = (0..12).map(|i| i as f64 * 0.25).collect();
         let data = layout(&flat, 3, 6);

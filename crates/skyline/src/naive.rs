@@ -7,6 +7,8 @@ use skydiver_data::{DatasetView, DominanceOrd};
 /// Quadratic; exists as the ground truth for property tests and for tiny
 /// inputs. Accepts a dataset or any [`DatasetView`]; returns view-local
 /// point indices in ascending order.
+// lint: allow(R10) -- the skyline oracle tests/end_to_end.rs and
+// tests/proptests.rs check every engine against
 pub fn naive_skyline<'a, O>(ds: impl Into<DatasetView<'a>>, ord: &O) -> Vec<usize>
 where
     O: DominanceOrd<Item = [f64]>,

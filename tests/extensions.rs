@@ -5,14 +5,14 @@
 
 use skydiver::core::minhash::{persist, theory};
 use skydiver::core::{
-    diversify_generic, min_pairwise, scan_columns_budgeted, select_diverse, DominanceGraph,
+    min_pairwise, scan_columns_budgeted, sig_gen_if_generic, select_diverse, DominanceGraph,
     ExactJaccardDistance, ExecContext, GammaSets, SeedRule, ShardFingerprint,
     SignatureAccumulator, SignatureDistance, TieBreak,
 };
 use skydiver::data::dominance::MinDominance;
 use skydiver::data::generators::{anticorrelated, independent};
-use skydiver::skyline::{naive_skyline, sfs};
-use skydiver::{HashFamily, SkyDiver};
+use skydiver::skyline::{bnl_generic, naive_skyline, sfs};
+use skydiver::{HashFamily, Preference, SkyDiver};
 
 #[test]
 fn persisted_fingerprints_reproduce_the_same_selection() {
@@ -90,12 +90,16 @@ fn cross_set_agrees_with_graph_semantics() {
 fn generic_pipeline_handles_numeric_rows_like_the_dataset_one() {
     let ds = anticorrelated(1200, 2, 306);
     let rows: Vec<Vec<f64>> = ds.iter().map(|p| p.to_vec()).collect();
-    let (sky_g, sel_g) = diversify_generic(&rows, &MinDominance, 3, 64, 307).unwrap();
-    assert_eq!(sky_g, naive_skyline(&ds, &MinDominance));
-    assert_eq!(sel_g.len(), 3);
-    for &s in &sel_g {
-        assert!(sky_g.contains(&s));
-    }
+    let sky = bnl_generic(&rows, &MinDominance);
+    assert_eq!(sky, naive_skyline(&ds, &MinDominance));
+    let out = sig_gen_if_generic(&rows, &MinDominance, &sky, &HashFamily::new(64, 307));
+    let mut dist = SignatureDistance::new(&out.matrix);
+    let positions =
+        select_diverse(&mut dist, &out.scores, 3, SeedRule::MaxDominance, TieBreak::MaxDominance)
+            .unwrap();
+    let selected: Vec<usize> = positions.iter().map(|&p| sky[p]).collect();
+    let direct = SkyDiver::new(3).signature_size(64).hash_seed(307);
+    assert_eq!(selected, direct.run(&ds, &Preference::all_min(2)).unwrap().selected);
 }
 
 #[test]
@@ -116,9 +120,10 @@ fn caller_skyline_feeds_the_pipeline() {
 
 #[test]
 fn theory_bound_holds_empirically() {
-    // Run the greedy on signatures sized by the (ε, β, δ) rule and
-    // verify Corollary 1's guarantee against the true optimum on a
-    // small instance where brute force is exact.
+    // Solve k-MMDP on signatures sized by the (ε, β, δ) rule, exactly
+    // (Theorem 1) and by the greedy (Corollary 1), and verify both
+    // guarantees against the true optimum on a small instance where
+    // brute force is exact.
     let ds = independent(700, 3, 311);
     let sky = naive_skyline(&ds, &MinDominance);
     let gamma = GammaSets::build(&ds, &sky);
@@ -138,6 +143,14 @@ fn theory_bound_holds_empirically() {
     assert!(
         achieved >= bound - 1e-9,
         "achieved {achieved} below Corollary 1 bound {bound} (OPT {opt}, t {t})"
+    );
+
+    let (sig_opt, _) = skydiver::core::brute_force_mmdp(&mut sig, k, 1 << 34).unwrap();
+    let achieved = min_pairwise(&mut exact, &sig_opt);
+    let bound = theory::theorem1_bound(opt, eps);
+    assert!(
+        achieved >= bound - 1e-9,
+        "signature-space optimum {achieved} below Theorem 1 bound {bound} (OPT {opt}, t {t})"
     );
 }
 

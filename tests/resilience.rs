@@ -94,10 +94,9 @@ fn cancelled_selection_returns_the_unbudgeted_prefix() {
             if *selected == k - 1 && *requested == k)));
 }
 
-/// No usable LSH banding → error by default, MinHash fallback when
-/// opted in — and the report records the substitution.
+/// No usable LSH banding is a typed error, never a silent substitute.
 #[test]
-fn impossible_lsh_banding_falls_back_to_minhash_when_opted_in() {
+fn impossible_lsh_banding_is_a_typed_error() {
     let ds = generators::anticorrelated(5_000, 3, 44);
     let prefs = Preference::all_min(3);
     let strict = SkyDiver::new(3).signature_size(1).lsh(0.5, 8);
@@ -105,16 +104,4 @@ fn impossible_lsh_banding_falls_back_to_minhash_when_opted_in() {
         strict.run(&ds, &prefs),
         Err(SkyDiverError::NoLshFactorisation { .. })
     ));
-    let r = strict
-        .clone()
-        .lsh_minhash_fallback(true)
-        .run(&ds, &prefs)
-        .unwrap();
-    assert_eq!(r.selected.len(), 3);
-    assert!(r
-        .degradation
-        .events
-        .iter()
-        .any(|e| matches!(e, DegradationEvent::MinHashFallback { .. })));
-    assert!(r.degradation.summary().contains("MinHash"));
 }
